@@ -34,10 +34,11 @@ check: vet lint race
 fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/snapshot ./internal/x509lite
 
-# One iteration of each snapshot benchmark — catches benchmarks that no
-# longer compile or crash without burning CI minutes on timing.
+# One iteration of each snapshot, query and lint benchmark — catches
+# benchmarks that no longer compile or crash without burning CI minutes on
+# timing.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='Snapshot|Query' -benchtime=1x ./internal/snapshot ./internal/querystore
+	$(GO) test -run='^$$' -bench='Snapshot|Query|Lint' -benchtime=1x ./internal/snapshot ./internal/querystore ./internal/certlint
 
 # One cell of the chaos matrix under the race detector: a full certscan
 # sweep against a 30%-faulty population must produce a corpus snapshot

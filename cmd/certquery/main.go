@@ -123,6 +123,11 @@ func main() {
 			*lintPath, len(lint.Lints), lint.CertCount(), lint.FindingCount())
 	}
 
+	// Catch SIGTERM before the address goes out: a script may signal as
+	// soon as it reads it, and must get the graceful stop (and the
+	// -metrics-out file), not the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -149,8 +154,6 @@ func main() {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	var timeout <-chan time.Time
 	if *linger > 0 {
 		timeout = time.After(*linger)

@@ -132,8 +132,12 @@ func registerPaperLints(r *Registry) {
 	r.MustRegister(Linter{
 		ID: "self_signed", Version: 1, Severity: Info,
 		Describe: "certificate verifies under its own key",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if c.SelfSigned() {
+		Check: func(c *x509lite.Certificate, ctx *Context) (string, bool) {
+			selfSigned, checked := c.SelfSignedVerdict()
+			if checked && ctx != nil {
+				ctx.verifies.Add(1)
+			}
+			if selfSigned {
 				return "self-signed", true
 			}
 			return "", false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"securepki/internal/x509lite"
 )
@@ -61,13 +62,22 @@ func (f Finding) String() string {
 }
 
 // Context supplies population-level knowledge to linters that need it (key
-// sharing cannot be judged from one certificate alone). It is read-only
-// during a run; the engine shares one value across all workers.
+// sharing cannot be judged from one certificate alone). Linters only read
+// it, apart from its atomic work counter; the engine shares one value across
+// all workers.
 type Context struct {
 	// KeyCount maps public-key fingerprints to how many distinct
 	// certificates carry them; nil disables the shared-key linter.
 	KeyCount map[x509lite.Fingerprint]int
+
+	verifies atomic.Int64
 }
+
+// Verifies reports the signature checks linters have run under this
+// context. A self_signed verdict the certificate already holds (validation
+// checked it first) costs none, so in the pipeline this counts only the
+// certificates validation never self-checks.
+func (c *Context) Verifies() int64 { return c.verifies.Load() }
 
 // Registry holds named linters. The zero value is unusable; construct with
 // NewRegistry (empty) or Default (the full built-in battery). Registration

@@ -147,6 +147,10 @@ func (p *Pipeline) Generate() error {
 	reg := p.Config.Obs
 	reg.Counter("core.world.devices").Add(int64(len(w.Devices)))
 	reg.Counter("core.world.sites").Add(int64(len(w.Sites)))
+	// Host certificates are signed when a scan first returns them, so this
+	// stage signs only the trust hierarchy and the vendor CAs.
+	reg.Counter("core.generate.x509.sign").Add(w.Signs())
+	reg.Counter("core.generate.x509.keygen").Add(w.Keygens())
 	reg.Gauge("progress.hosts_done").Set(int64(len(w.Devices)))
 	span.End()
 	return nil
@@ -162,12 +166,15 @@ func (p *Pipeline) Scan() error {
 		return fmt.Errorf("core: scan: %w", err)
 	}
 	span := p.stage("core.scan", stageScan)
+	signs, keygens := p.World.Signs(), p.World.Keygens()
 	corpus, truth, err := camp.Run()
 	if err != nil {
 		return fmt.Errorf("core: scan: %w", err)
 	}
 	p.Corpus, p.Truth = corpus, truth
 	reg := p.Config.Obs
+	reg.Counter("core.scan.x509.sign").Add(p.World.Signs() - signs)
+	reg.Counter("core.scan.x509.keygen").Add(p.World.Keygens() - keygens)
 	reg.Counter("core.scan.scans").Add(int64(corpus.NumScans()))
 	reg.Counter("core.scan.observations").Add(int64(corpus.NumObservations()))
 	reg.Counter("core.corpus.certs").Add(int64(corpus.NumCerts()))
@@ -272,7 +279,7 @@ func (p *Pipeline) Validate() error {
 		}
 		sort.Slice(statuses, func(i, j int) bool { return statuses[i] < statuses[j] })
 		for _, st := range statuses {
-			reg.Counter("core.validate.status."+st.String()).Add(int64(p.ValidationCounts[st]))
+			reg.Counter("core.validate.status." + st.String()).Add(int64(p.ValidationCounts[st]))
 		}
 		// The memo counts are deterministic: misses happen exactly once per
 		// distinct issuer fingerprint (the fill holds the lock), so even
@@ -280,6 +287,7 @@ func (p *Pipeline) Validate() error {
 		hits, misses := store.ChainCacheStats()
 		reg.Counter("core.validate.chain_memo.hits").Add(int64(hits))
 		reg.Counter("core.validate.chain_memo.misses").Add(int64(misses))
+		reg.Counter("core.validate.x509.verify").Add(store.Verifies())
 		reg.Counter("core.index.sightings").Add(int64(p.Corpus.NumObservations()))
 	}
 	span.End()
@@ -310,6 +318,9 @@ func (p *Pipeline) Lint() {
 		}
 	}
 	p.Config.Obs.Counter("core.lint.flagged_certs").Add(int64(flagged))
+	// Validation stored a self-signature verdict on every certificate it
+	// self-checked, so only the others pay a verify here.
+	p.Config.Obs.Counter("core.lint.x509.verify").Add(ctx.Verifies())
 	span.End()
 }
 

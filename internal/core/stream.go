@@ -67,9 +67,12 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 		return nil, fmt.Errorf("core: stream generate: %w", err)
 	}
 	stats.Hosts = gen.NumHosts()
+	world := gen.World()
+	reg.Counter("core.generate.x509.sign").Add(world.Signs())
+	reg.Counter("core.generate.x509.keygen").Add(world.Keygens())
 	span.End()
 
-	camp, err := scanner.New(gen.World(), cfg.Scan)
+	camp, err := scanner.New(world, cfg.Scan)
 	if err != nil {
 		return nil, fmt.Errorf("core: stream scan: %w", err)
 	}
@@ -89,18 +92,21 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	}
 
 	span = cfg.Tracer.Start("core.scan")
+	signs, keygens := world.Signs(), world.Keygens()
 	if err := camp.StreamRun(gen, cfg.Stream.ChunkSize, store); err != nil {
 		return nil, fmt.Errorf("core: stream scan: %w", err)
 	}
 	liveGauge.Set(int64(store.LiveChunks()))
 	stats.Chunks = store.NumChunks()
 	reg.Counter("core.scan.scans").Add(int64(len(sched)))
+	reg.Counter("core.scan.x509.sign").Add(world.Signs() - signs)
+	reg.Counter("core.scan.x509.keygen").Add(world.Keygens() - keygens)
 	span.End()
 	readHeapHighWater(reg)
 
 	opt := snapshot.Options{Workers: cfg.Workers, Obs: cfg.Obs}
 	if v3 {
-		opt.ASOf = snapshot.InternetASOf(gen.World().Internet)
+		opt.ASOf = snapshot.InternetASOf(world.Internet)
 	}
 	sw, err := snapshot.NewStreamWriter(opt, snapshot.StreamWriterConfig{
 		SpillDir:  cfg.Stream.SpillDir,
@@ -243,6 +249,9 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 			}
 		}
 		reg.Counter("core.lint.flagged_certs").Add(int64(flagged))
+		// Every certificate here is freshly parsed from the spill, so each
+		// pays its one self-signature verify in this stage.
+		reg.Counter("core.lint.x509.verify").Add(ctx.Verifies())
 	}
 	return snapshot.WriteLintColumn(lintW, results, regy.Infos())
 }

@@ -45,19 +45,15 @@ var namedIssuers = []string{
 
 const numMinorIssuers = 22
 
-func keyFromRNG(r *stats.RNG) (ed25519.PublicKey, ed25519.PrivateKey) {
-	seed := make([]byte, ed25519.SeedSize)
-	for i := 0; i < len(seed); i += 8 {
-		v := r.Uint64()
-		for j := 0; j < 8 && i+j < len(seed); j++ {
-			seed[i+j] = byte(v >> (8 * j))
-		}
-	}
-	priv := ed25519.NewKeyFromSeed(seed)
-	return priv.Public().(ed25519.PublicKey), priv
+// keyFromRNG draws a key from r and derives it at once, for the CA material
+// every host references.
+func (w *World) keyFromRNG(r *stats.RNG) (ed25519.PublicKey, ed25519.PrivateKey) {
+	return drawKey(r).pair(w)
 }
 
-func mustCreate(tmpl *x509lite.Template, pub ed25519.PublicKey, signer ed25519.PrivateKey) *x509lite.Certificate {
+// mustCreate signs and re-parses one certificate, counting the signature.
+func (w *World) mustCreate(tmpl *x509lite.Template, pub ed25519.PublicKey, signer ed25519.PrivateKey) *x509lite.Certificate {
+	w.signs.Add(1)
 	der, err := x509lite.CreateCertificate(tmpl, pub, signer)
 	if err != nil {
 		panic(fmt.Sprintf("devicesim: internal certificate build failed: %v", err))
@@ -71,19 +67,19 @@ func mustCreate(tmpl *x509lite.Template, pub ed25519.PublicKey, signer ed25519.P
 
 // buildHierarchy creates roots and intermediates. Intermediate popularity is
 // Zipf-distributed with the named issuers at the head.
-func buildHierarchy(r *stats.RNG, epoch time.Time) *hierarchy {
+func (w *World) buildHierarchy(r *stats.RNG, epoch time.Time) *hierarchy {
 	h := &hierarchy{}
 	const numRoots = 12
 	rootKeys := make([]ed25519.PrivateKey, numRoots)
 	for i := 0; i < numRoots; i++ {
-		pub, priv := keyFromRNG(r)
+		pub, priv := w.keyFromRNG(r)
 		rootKeys[i] = priv
 		name := x509lite.Name{
 			Country:      "US",
 			Organization: fmt.Sprintf("Root Trust %d", i),
 			CommonName:   fmt.Sprintf("Global Root CA %d", i),
 		}
-		cert := mustCreate(&x509lite.Template{
+		cert := w.mustCreate(&x509lite.Template{
 			Version:      3,
 			SerialNumber: big.NewInt(int64(1000 + i)),
 			Subject:      name,
@@ -101,10 +97,10 @@ func buildHierarchy(r *stats.RNG, epoch time.Time) *hierarchy {
 	}
 	choices := make([]stats.WeightedChoice[*CA], 0, len(issuerNames))
 	for i, name := range issuerNames {
-		pub, priv := keyFromRNG(r)
+		pub, priv := w.keyFromRNG(r)
 		rootIdx := i % numRoots
 		subject := x509lite.Name{Organization: "Certification Services", CommonName: name}
-		cert := mustCreate(&x509lite.Template{
+		cert := w.mustCreate(&x509lite.Template{
 			Version:      3,
 			SerialNumber: big.NewInt(int64(5000 + i)),
 			Subject:      subject,

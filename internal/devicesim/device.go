@@ -52,11 +52,10 @@ type Device struct {
 	sanUnique    string
 	serial       *big.Int // fixed serial for StableSerial profiles
 	crlBase      string
-	fleetCert    *x509lite.Certificate // shared cert for fleet members; nil otherwise
+	fleetCert    *pendingCert // shared cert for fleet members; nil otherwise
 
-	key  ed25519.PrivateKey
-	pub  ed25519.PublicKey
-	cert *x509lite.Certificate
+	key  *lazyKey     // current key, derived on first use
+	cert *pendingCert // current certificate, signed on first use
 
 	now          time.Time
 	nextIPChange time.Time
@@ -127,9 +126,9 @@ func (w *World) newDevice(id int, p *Profile, birth time.Time, r *stats.RNG) *De
 	}
 
 	if p.Key == KeyVendorShared {
-		d.pub, d.key = w.sharedDeviceKey(p)
+		d.key = w.sharedDeviceKey(p)
 	} else {
-		d.pub, d.key = keyFromRNG(r)
+		d.key = drawKey(r)
 	}
 	d.reissue(birth)
 	return d
@@ -157,8 +156,9 @@ func (d *Device) Static() bool { return d.static }
 // Moves returns the device's AS-change history so far.
 func (d *Device) Moves() []ASMove { return d.moves }
 
-// CurrentCert returns the certificate the device is serving now.
-func (d *Device) CurrentCert() *x509lite.Certificate { return d.cert }
+// CurrentCert returns the certificate the device is serving now, signing
+// it if nothing has needed it yet.
+func (d *Device) CurrentCert() *x509lite.Certificate { return d.cert.get() }
 
 // AdvanceTo applies all scheduled events (address changes, certificate
 // reissues, AS moves) strictly before t. Time never moves backwards.
@@ -243,7 +243,8 @@ func (d *Device) applyASMove(at time.Time) {
 	d.nextASMove = at.Add(time.Duration(d.rng.Exponential(365.25*24/d.Profile.MoveASProbPerYear)) * time.Hour)
 }
 
-// reissue regenerates the device's certificate as of time at.
+// reissue regenerates the device's certificate as of time at. It makes
+// every draw now; the signing waits until the certificate is first needed.
 func (d *Device) reissue(at time.Time) {
 	p := d.Profile
 	if d.fleetCert != nil {
@@ -251,7 +252,7 @@ func (d *Device) reissue(at time.Time) {
 		return
 	}
 	if p.Key == KeyFresh {
-		d.pub, d.key = keyFromRNG(d.rng)
+		d.key = drawKey(d.rng)
 	}
 
 	var notBefore time.Time
@@ -317,7 +318,7 @@ func (d *Device) reissue(at time.Time) {
 		tmpl.PolicyOIDs = [][]int{{1, 3, 6, 1, 4, 1, 99999, d.ID}}
 	}
 
-	signer := d.key
+	var signer ed25519.PrivateKey // nil: the device key signs
 	switch p.Issuer {
 	case IssuerSelf:
 		tmpl.Issuer = subject
@@ -336,20 +337,7 @@ func (d *Device) reissue(at time.Time) {
 		tmpl.AuthorityKeyID = []byte(d.mac)
 	}
 
-	d.cert = mustCreate(tmpl, d.pub, signer)
-
-	// Frankencert injection: mutation is keyed by device ID, so the decision
-	// and the operator survive reissues, and fleet members inherit the
-	// leader's mutated cert through fleetCert like any other.
-	if m := d.world.mutator; m != nil {
-		mutated, err := m.Rewrite(d.ID, d.cert)
-		if err != nil {
-			// Population-class operators guarantee parseability over any
-			// x509lite-built certificate; failing here is a mutator bug.
-			panic(fmt.Sprintf("devicesim: %v", err))
-		}
-		d.cert = mutated
-	}
+	d.cert = &pendingCert{w: d.world, tmpl: tmpl, key: d.key, signer: signer, device: d.ID}
 }
 
 func (d *Device) subjectName() x509lite.Name {
@@ -403,19 +391,18 @@ func (d *Device) Appearances(start, end time.Time, scanRNG *stats.RNG) []Appeara
 	var apps []Appearance
 	if d.nextIPChange.Before(end) {
 		tc := d.nextIPChange
-		oldIP := d.ip
-		oldChain := []*x509lite.Certificate{d.cert}
+		oldIP, oldCert := d.ip, d.cert
 		d.applyIPChange(tc)
 		u1 := randTimeIn(scanRNG, start, end)
 		u2 := randTimeIn(scanRNG, start, end)
 		if u1.Before(tc) {
-			apps = append(apps, Appearance{IP: oldIP, Chain: oldChain})
+			apps = append(apps, Appearance{IP: oldIP, Chain: []*x509lite.Certificate{oldCert.get()}})
 		}
 		if u2.After(tc) {
-			apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert}})
+			apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert.get()}})
 		}
 	} else {
-		apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert}})
+		apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert.get()}})
 	}
 	d.AdvanceTo(end)
 	return apps

@@ -42,7 +42,7 @@ type Generator struct {
 	fleetProfile *Profile
 	fleetBirth   time.Time
 	fleetLeft    int
-	fleetCert    *x509lite.Certificate
+	fleetCert    *pendingCert
 }
 
 // NewGenerator validates cfg and builds the base world (Internet, PKI,
@@ -71,7 +71,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		profileEpochs: make(map[string]time.Time),
 		vendorCAKeys:  make(map[string]ed25519.PrivateKey),
 		vendorCerts:   make(map[string]*x509lite.Certificate),
-		sharedKeys:    make(map[string]keyPair),
+		sharedKeys:    make(map[string]*lazyKey),
 	}
 
 	// §7.3 bulk transfers: Verizon hands blocks to MCI twice; AT&T once.
@@ -106,7 +106,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 
 	pkiRNG := root.Split()
-	w.pki = buildHierarchy(pkiRNG, cfg.Start)
+	w.pki = w.buildHierarchy(pkiRNG, cfg.Start)
 
 	profiles := DefaultProfiles()
 	profPicker := buildProfilePicker(profiles)
@@ -117,10 +117,10 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		w.profileEpochs[p.Name] = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC).
 			AddDate(0, 0, vendorRNG.Intn(2500))
 		if p.Issuer == IssuerVendorCA {
-			pub, priv := keyFromRNG(vendorRNG)
+			pub, priv := w.keyFromRNG(vendorRNG)
 			w.vendorCAKeys[p.Name] = priv
 			name := x509lite.Name{CommonName: p.IssuerText}
-			w.vendorCerts[p.Name] = mustCreate(&x509lite.Template{
+			w.vendorCerts[p.Name] = w.mustCreate(&x509lite.Template{
 				Version: 3, SerialNumber: new(big.Int).SetUint64(vendorRNG.Uint64() >> 1),
 				Subject: name, Issuer: name,
 				NotBefore: w.profileEpochs[p.Name],
@@ -129,8 +129,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 			}, pub, priv)
 		}
 		if p.Key == KeyVendorShared {
-			pub, priv := keyFromRNG(vendorRNG)
-			w.sharedKeys[p.Name] = keyPair{pub: pub, priv: priv}
+			w.sharedKeys[p.Name] = drawKey(vendorRNG)
 		}
 	}
 

@@ -23,7 +23,7 @@ func fingerprintHosts(t *testing.T, hosts []Host, cfg Config) [][]byte {
 		var der []byte
 		switch v := h.(type) {
 		case *Device:
-			der = append([]byte{'d'}, v.cert.Raw...)
+			der = append([]byte{'d'}, v.CurrentCert().Raw...)
 			der = append(der, v.Birth.AppendFormat(nil, time.RFC3339)...)
 		case *Site:
 			der = append([]byte{'s'}, v.Birth.AppendFormat(nil, time.RFC3339)...)

@@ -10,6 +10,7 @@ package devicesim
 import (
 	"crypto/ed25519"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"securepki/internal/certmutate"
@@ -80,8 +81,13 @@ type World struct {
 	profileEpochs map[string]time.Time
 	vendorCAKeys  map[string]ed25519.PrivateKey
 	vendorCerts   map[string]*x509lite.Certificate
-	sharedKeys    map[string]keyPair
+	sharedKeys    map[string]*lazyKey
 	mutator       *certmutate.Mutator // nil unless Config.MutateFrac > 0
+
+	// signs and keygens count the Ed25519 signatures and key derivations
+	// the world has run (see Signs and Keygens). Scan workers sign, so
+	// both are atomic.
+	signs, keygens atomic.Int64
 
 	// Transfers lists the prefix bulk-transfer events wired into the
 	// Internet (§7.3 ground truth).
@@ -94,11 +100,6 @@ type TransferEvent struct {
 	From   int
 	To     int
 	At     time.Time
-}
-
-type keyPair struct {
-	pub  ed25519.PublicKey
-	priv ed25519.PrivateKey
 }
 
 // Roots returns the trusted roots (the simulation's OS root store).
@@ -124,13 +125,25 @@ func (w *World) vendorCAKey(p *Profile) ed25519.PrivateKey {
 	return key
 }
 
-func (w *World) sharedDeviceKey(p *Profile) (ed25519.PublicKey, ed25519.PrivateKey) {
-	kp, ok := w.sharedKeys[p.Name]
+func (w *World) sharedDeviceKey(p *Profile) *lazyKey {
+	k, ok := w.sharedKeys[p.Name]
 	if !ok {
 		panic(fmt.Sprintf("devicesim: no shared device key for profile %s", p.Name))
 	}
-	return kp.pub, kp.priv
+	return k
 }
+
+// Signs reports how many certificates the world has signed so far: the
+// trust hierarchy and vendor CAs when it is built, then each host
+// certificate when a scan or caller first needs it. The count is
+// deterministic — each drawn certificate is signed at most once, whichever
+// goroutine asks first — so a scan's share depends only on what it
+// observed, not on its worker count.
+func (w *World) Signs() int64 { return w.signs.Load() }
+
+// Keygens reports how many Ed25519 key pairs the world has derived from
+// drawn seeds so far; like Signs, each drawn key costs at most one.
+func (w *World) Keygens() int64 { return w.keygens.Load() }
 
 // BuildWorld constructs the full simulation deterministically from cfg. It
 // is a full drain of the streaming Generator — the in-memory and streaming
@@ -180,5 +193,6 @@ func buildProfilePicker(profiles []*Profile) *stats.WeightedPicker[*Profile] {
 // impersonation example (§5.2's shared-key attack) and for tests; the
 // measurement pipeline never touches private keys.
 func (w *World) ExtractDeviceKey(d *Device) ed25519.PrivateKey {
-	return d.key
+	_, priv := d.key.pair(w)
+	return priv
 }

@@ -19,6 +19,7 @@ package truststore
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"securepki/internal/x509lite"
 )
@@ -106,6 +107,11 @@ type Store struct {
 	// is worker-count-independent between cache flushes.
 	chainHits   uint64
 	chainMisses uint64
+
+	// verifies counts the signature checks Verify has run: every chain
+	// check against a candidate parent, plus each self-check that was not
+	// a read of the certificate's stored verdict.
+	verifies atomic.Int64
 }
 
 // NewStore returns an empty store.
@@ -126,6 +132,20 @@ func (s *Store) ChainCacheStats() (hits, misses uint64) {
 	s.chainMu.Lock()
 	defer s.chainMu.Unlock()
 	return s.chainHits, s.chainMisses
+}
+
+// Verifies reports the signature checks the store has run since it was
+// created. It depends only on which certificates were verified, not on how
+// many goroutines verified them: the chain memo fills once per issuer under
+// its lock, and a self-check runs once per certificate provided no two
+// goroutines verify the same certificate at once (Corpus.Validate never
+// does).
+func (s *Store) Verifies() int64 { return s.verifies.Load() }
+
+// signedBy reports whether parent's key signed c, counting the check.
+func (s *Store) signedBy(c, parent *x509lite.Certificate) bool {
+	s.verifies.Add(1)
+	return c.CheckSignatureFrom(parent) == nil
 }
 
 // dropChainCache forgets every memoized chain; called when the trust material
@@ -190,7 +210,11 @@ func (s *Store) Verify(c *x509lite.Certificate) Result {
 		return Result{Status: Valid, Chain: chain}
 	}
 	// No trusted chain: distinguish the invalid classes.
-	if c.SelfSigned() {
+	selfSigned, checked := c.SelfSignedVerdict()
+	if checked {
+		s.verifies.Add(1)
+	}
+	if selfSigned {
 		return Result{Status: SelfSigned}
 	}
 	if s.signedByAnyKnown(c) {
@@ -215,7 +239,7 @@ func (s *Store) Verify(c *x509lite.Certificate) Result {
 func (s *Store) trustedChain(c *x509lite.Certificate) []*x509lite.Certificate {
 	issuerName := c.Issuer.String()
 	for _, root := range s.rootsByName[issuerName] {
-		if c.CheckSignatureFrom(root) == nil {
+		if s.signedBy(c, root) {
 			return []*x509lite.Certificate{c, root}
 		}
 	}
@@ -225,7 +249,7 @@ func (s *Store) trustedChain(c *x509lite.Certificate) []*x509lite.Certificate {
 		if fp == leafFP {
 			continue // the leaf itself, pooled as a CA, is not its own parent
 		}
-		if c.CheckSignatureFrom(inter) != nil {
+		if !s.signedBy(c, inter) {
 			continue
 		}
 		up := s.chainFrom(inter, fp)
@@ -283,7 +307,7 @@ func (s *Store) buildChain(c *x509lite.Certificate, depth int, visited map[x509l
 	}
 	issuerName := c.Issuer.String()
 	for _, root := range s.rootsByName[issuerName] {
-		if c.CheckSignatureFrom(root) == nil {
+		if s.signedBy(c, root) {
 			return []*x509lite.Certificate{c, root}
 		}
 	}
@@ -292,7 +316,7 @@ func (s *Store) buildChain(c *x509lite.Certificate, depth int, visited map[x509l
 		if visited[fp] {
 			continue
 		}
-		if c.CheckSignatureFrom(inter) != nil {
+		if !s.signedBy(c, inter) {
 			continue
 		}
 		visited[fp] = true
@@ -310,7 +334,7 @@ func (s *Store) buildChain(c *x509lite.Certificate, depth int, visited map[x509l
 // signature (i.e. c was genuinely signed by another, untrusted certificate).
 func (s *Store) signedByAnyKnown(c *x509lite.Certificate) bool {
 	for _, inter := range s.intersByName[c.Issuer.String()] {
-		if c.CheckSignatureFrom(inter) == nil {
+		if s.signedBy(c, inter) {
 			return true
 		}
 	}

@@ -397,3 +397,26 @@ func TestChainCacheStats(t *testing.T) {
 		t.Fatal("no hits on a repeated issuer")
 	}
 }
+
+// Verifies counts the signature checks the store runs: a valid leaf's check
+// against its root on every Verify, but a self-signed certificate's
+// self-check only once — the certificate stores that verdict, so
+// re-validation reads it.
+func TestVerifiesCountsSignatureChecks(t *testing.T) {
+	root := makeCA(t, 1, "Counting Root")
+	s := NewStore()
+	s.AddRoot(root.cert)
+	leaf := makeLeaf(t, 2, "leaf.example", root, nil)
+	self := makeSelfSigned(t, 3, "self.example", nil)
+	for round := 1; round <= 2; round++ {
+		if got := s.Verify(leaf).Status; got != Valid {
+			t.Fatalf("round %d: leaf status %v, want valid", round, got)
+		}
+		if got := s.Verify(self).Status; got != SelfSigned {
+			t.Fatalf("round %d: self-signed status %v", round, got)
+		}
+	}
+	if got := s.Verifies(); got != 3 {
+		t.Fatalf("Verifies = %d, want 3: two root checks for the leaf, one self-check", got)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math/big"
 	"net"
+	"sync/atomic"
 	"time"
 )
 
@@ -101,12 +102,24 @@ type Certificate struct {
 	// Memoized digests. Parse fills these once so the corpus-wide hot paths
 	// (Intern, truststore chain lookups, key-sharing grouping) never redo
 	// SHA-256 work; a zero-value Certificate built by hand still answers
-	// Fingerprint correctly via the compute-on-the-fly fallback. The memo is
-	// written only before the certificate is shared (Parse or the snapshot
-	// loader), never lazily, so concurrent readers need no synchronisation.
+	// Fingerprint correctly via the compute-on-the-fly fallback. The digest
+	// memo is written only before the certificate is shared (Parse or the
+	// snapshot loader), so concurrent readers need no synchronisation.
 	fp, pkfp Fingerprint
 	memoized bool
+
+	// selfSig is the one memo written lazily, after the certificate may be
+	// shared: SelfSigned's verdict, selfSigUnknown until the first call.
+	// Being atomic it is race-free; see SelfSignedVerdict for the contract.
+	selfSig atomic.Uint32
 }
+
+// SelfSigned verdict states held in Certificate.selfSig.
+const (
+	selfSigUnknown uint32 = iota
+	selfSigNo
+	selfSigYes
+)
 
 // Fingerprint returns the SHA-256 of the full DER encoding. For parsed
 // certificates this is a memo lookup; hand-constructed Certificate values
@@ -162,9 +175,37 @@ func (c *Certificate) ValidityDays() float64 {
 func (c *Certificate) SelfIssued() bool { return c.Issuer == c.Subject }
 
 // SelfSigned reports whether the certificate verifies under its own public
-// key, regardless of the names.
+// key, regardless of the names. Only the first call pays the Ed25519 verify;
+// later calls, from any goroutine, read the stored verdict.
 func (c *Certificate) SelfSigned() bool {
-	return c.CheckSignatureFrom(c) == nil
+	ok, _ := c.SelfSignedVerdict()
+	return ok
+}
+
+// SelfSignedVerdict is SelfSigned that also reports whether this call ran
+// the signature check (checked) rather than reading a stored verdict. Work
+// counters use it to charge each check to the stage that paid for it.
+//
+// The verdict is a pure function of PublicKey, RawTBS and Signature, which
+// must not change after the first call. Concurrent first calls are
+// race-free: each may run the check and store the same verdict, so a caller
+// that needs each certificate checked exactly once must not race two
+// goroutines on one cold certificate (the pipeline's stages visit each
+// certificate from one goroutine).
+func (c *Certificate) SelfSignedVerdict() (selfSigned, checked bool) {
+	switch c.selfSig.Load() {
+	case selfSigYes:
+		return true, false
+	case selfSigNo:
+		return false, false
+	}
+	selfSigned = c.CheckSignatureFrom(c) == nil
+	verdict := selfSigNo
+	if selfSigned {
+		verdict = selfSigYes
+	}
+	c.selfSig.Store(verdict)
+	return selfSigned, true
 }
 
 // CheckSignatureFrom verifies that parent's key signed c.

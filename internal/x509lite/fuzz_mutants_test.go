@@ -51,8 +51,16 @@ func FuzzParseCert(f *testing.F) {
 		if cert.Fingerprint() != x509lite.FingerprintBytes(der) {
 			t.Fatal("fingerprint not over raw DER")
 		}
+		// The first SelfSigned runs the check and stores the verdict, the
+		// second reads it: both must agree with a direct check on every
+		// shape the fuzzer reaches.
+		want := cert.CheckSignatureFrom(cert) == nil
+		for call := 1; call <= 2; call++ {
+			if got := cert.SelfSigned(); got != want {
+				t.Fatalf("SelfSigned call %d = %v, CheckSignatureFrom says %v", call, got, want)
+			}
+		}
 		_ = cert.Text()
-		_ = cert.SelfSigned()
 		_ = cert.SelfIssued()
 		_ = cert.ValidityDays()
 	})

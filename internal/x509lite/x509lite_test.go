@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/big"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -172,6 +174,82 @@ func TestCorruptSignature(t *testing.T) {
 	var ve *VerifyError
 	if err := cert.CheckSignatureFrom(cert); !errors.As(err, &ve) {
 		t.Errorf("want VerifyError, got %v", err)
+	}
+}
+
+// SelfSigned stores its verdict on the certificate: the first call runs the
+// check, later calls read the memo and SelfSignedVerdict says so. Corrupting
+// the signature after the first call proves the second did not re-check.
+func TestSelfSignedMemoized(t *testing.T) {
+	pub, priv := testKey(t, 2)
+	cert := mustCreate(t, baseTemplate(), pub, priv)
+	if ok, checked := cert.SelfSignedVerdict(); !ok || !checked {
+		t.Fatalf("first call = (%v, %v), want (true, true)", ok, checked)
+	}
+	cert.Signature[0] ^= 0xff
+	defer func() { cert.Signature[0] ^= 0xff }()
+	if ok, checked := cert.SelfSignedVerdict(); !ok || checked {
+		t.Fatalf("second call = (%v, %v), want the stored (true, false)", ok, checked)
+	}
+	if !cert.SelfSigned() {
+		t.Fatal("SelfSigned re-checked the corrupted signature instead of reading the memo")
+	}
+}
+
+// Concurrent first calls on one shared certificate race only on the atomic
+// memo: every caller gets the check's verdict, for a self-signed, a
+// CA-signed and a corrupt certificate alike, and the memo then holds it.
+// Meant for -race -count=10.
+func TestSelfSignedConcurrent(t *testing.T) {
+	selfPub, selfPriv := testKey(t, 2)
+	caPub, caPriv := testKey(t, 4)
+	caTmpl := baseTemplate()
+	caTmpl.Subject = Name{CommonName: "Test CA"}
+	caTmpl.Issuer = caTmpl.Subject
+	leafTmpl := baseTemplate()
+	leafTmpl.Issuer = caTmpl.Subject
+	corruptTmpl := baseTemplate()
+	corruptTmpl.CorruptSignature = true
+	cases := []struct {
+		name string
+		cert *Certificate
+		want bool
+	}{
+		{"self-signed", mustCreate(t, baseTemplate(), selfPub, selfPriv), true},
+		{"ca-signed", mustCreate(t, leafTmpl, selfPub, caPriv), false},
+		{"corrupt", mustCreate(t, corruptTmpl, caPub, caPriv), false},
+	}
+	for _, tc := range cases {
+		const goroutines = 16
+		got := make([]bool, goroutines)
+		var checks atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				ok, checked := tc.cert.SelfSignedVerdict()
+				got[g] = ok
+				if checked {
+					checks.Add(1)
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		for g, ok := range got {
+			if ok != tc.want {
+				t.Errorf("%s: goroutine %d got %v, want %v", tc.name, g, ok, tc.want)
+			}
+		}
+		if checks.Load() < 1 {
+			t.Errorf("%s: no caller ran the check", tc.name)
+		}
+		if ok, checked := tc.cert.SelfSignedVerdict(); ok != tc.want || checked {
+			t.Errorf("%s: after the race = (%v, %v), want the stored (%v, false)", tc.name, ok, checked, tc.want)
+		}
 	}
 }
 
