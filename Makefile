@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke check ci
+.PHONY: all build test vet lint race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke perfbench-check check ci
 
 all: build test
 
@@ -102,6 +102,13 @@ telemetry-smoke:
 mem-smoke:
 	MEM_SMOKE=1 $(GO) test -run 'TestMemSmoke$$' -v -count=1 ./internal/core
 
+# The benchmark harness is its own Go module (perfbench/go.mod), so the root
+# ./... patterns never compile it: vet and test it here, so a core API change
+# that breaks `bash perfbench/run.sh` fails CI instead of the next benchmark.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # Everything CI runs, in CI order; fails on any new repolint finding.
 ci: build vet lint
 	$(GO) test -race -shuffle=on ./...
@@ -114,6 +121,7 @@ ci: build vet lint
 	$(MAKE) query-smoke
 	$(MAKE) lint-corpus-smoke
 	$(MAKE) mem-smoke
+	$(MAKE) perfbench-check
 
 # Perf trajectory: snapshot + parse benchmarks rendered to machine-readable
 # JSON so future PRs have a baseline to compare against (certs/sec, MB/s,

@@ -55,8 +55,6 @@ func main() {
 		lintOut    = flag.String("lint-out", "", "write the lint stage's findings as a sidecar column to this file")
 		lintIn     = flag.String("lint-in", "", "load findings from a persisted column instead of re-linting")
 		lintConf   = flag.String("lint-config", "", "certlint.json suppression/scoping config for the lint stage")
-		memBudget  = flag.Int64("mem-budget", 0, "bound the index build's sort memory in bytes; runs beyond it spill to disk (0 = in-memory build)")
-		spillDir   = flag.String("spill-dir", "", "directory for index-build spill shards (\"\" = OS temp dir); implies -mem-budget's external path")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut   = flag.String("trace-out", "", "append pipeline-stage span events as JSON lines")
 	)
@@ -77,8 +75,6 @@ func main() {
 		cfg.World.Seed = *seed
 	}
 	cfg.Workers = *workers
-	cfg.Stream.MemBudget = *memBudget
-	cfg.Stream.SpillDir = *spillDir
 	if *lintConf != "" {
 		lintCfg, err := certlint.LoadConfig(*lintConf)
 		if err != nil {

@@ -41,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"securepki/cmd/telemetry"
 	"securepki/internal/obs"
 	"securepki/internal/querystore"
 	"securepki/internal/snapshot"
@@ -56,54 +57,27 @@ func main() {
 		verify     = flag.Bool("verify", false, "re-hash every served certificate against its index fingerprint")
 		linger     = flag.Duration("linger", 0, "serve for this long then exit (0 = until interrupted)")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document on exit")
-		debugAddr  = flag.String("debug-addr", "", "serve telemetry (/metrics, /samples, /events, /statusz) plus expvar and pprof under /debug/ on this address while serving")
-		eventsOut  = flag.String("events-out", "", "append structured journal events (query.5xx, query.shard_error) as JSON lines")
-		sampleIvl  = flag.Duration("sample-interval", 0, "sample the metric registry on this wall-clock interval for /samples and /statusz (0 = off)")
 		accessLog  = flag.String("access-log", "", "append one JSON line per request (method, route, status, latency, request ID); \"-\" writes to stderr")
 	)
+	tel := telemetry.RegisterFlags(flag.CommandLine, "serving", "query.5xx, query.shard_error", "off")
 	flag.Parse()
 	if *corpus == "" {
 		fatal(fmt.Errorf("-corpus is required"))
 	}
 
 	reg := obs.NewRegistry()
-	var journal *obs.Journal
-	if *eventsOut != "" {
-		ef, err := obs.WriteTraceFile(*eventsOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer ef.Close()
-		journal = obs.NewWallClockJournal(ef, 0)
-	} else if *debugAddr != "" {
-		journal = obs.NewWallClockJournal(nil, 0)
+	live, err := tel.Start("certquery", reg, nil)
+	if err != nil {
+		fatal(err)
 	}
-	var sampler *obs.Sampler
-	if *debugAddr != "" || *sampleIvl > 0 {
-		sampler = obs.NewWallClockSampler(reg, *sampleIvl, 0)
-	}
-	if *sampleIvl > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go sampler.RunTicker(stop)
-	}
-	if *debugAddr != "" {
-		bound, err := startDebug(*debugAddr, obs.Telemetry{
-			Cmd: "certquery", Reg: reg, Sampler: sampler, Journal: journal,
-			Start: time.Now(), Now: time.Now,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "certquery: telemetry on http://%s/statusz\n", bound)
-	}
+	defer live.Close()
 
 	st, err := querystore.Open(*corpus, querystore.Options{
 		CacheShards:   *cache,
 		VerifyDigests: *verify,
 		DisableMmap:   *noMmap,
 		Obs:           reg,
-		Journal:       journal,
+		Journal:       live.Journal,
 	})
 	if err != nil {
 		fatal(err)
@@ -137,7 +111,7 @@ func main() {
 	fmt.Printf("%s\n", ln.Addr())
 
 	qs := newServer(st, lint, reg, time.Now)
-	qs.journal = journal
+	qs.journal = live.Journal
 	if *accessLog != "" {
 		if *accessLog == "-" {
 			qs.access = newAccessLogger(os.Stderr)

@@ -51,6 +51,7 @@ import (
 	"strings"
 	"time"
 
+	"securepki/cmd/telemetry"
 	"securepki/internal/netsim"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -76,10 +77,8 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "print a JSON run summary (retry/failure counters) to stdout")
 		metricsOut  = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut    = flag.String("trace-out", "", "append per-sweep span events as JSON lines")
-		eventsOut   = flag.String("events-out", "", "append structured journal events (sweep.start/finish, retry.storm) as JSON lines")
-		debugAddr   = flag.String("debug-addr", "", "serve telemetry (/metrics, /samples, /events, /statusz) plus expvar and pprof under /debug/ on this address while scanning")
-		sampleIvl   = flag.Duration("sample-interval", 0, "sample the metric registry on this wall-clock interval for /samples and /statusz (0 = sample once per sweep only)")
 	)
+	tel := telemetry.RegisterFlags(flag.CommandLine, "scanning", "sweep.start/finish, retry.storm", "sample once per sweep only")
 	flag.Parse()
 	if *targetsFile == "" {
 		fmt.Fprintln(os.Stderr, "certscan: -targets is required")
@@ -108,43 +107,15 @@ func main() {
 		}
 		defer tf.Close()
 		tracer = obs.NewWallClockTracer(tf)
-	} else if *debugAddr != "" {
+	} else if tel.Serving() {
 		tracer = obs.NewWallClockTracer(io.Discard) // /statusz still gets the span tail
 	}
 	tracer.KeepTail(obs.DefaultJournalTail)
-
-	var journal *obs.Journal
-	if *eventsOut != "" {
-		ef, err := obs.WriteTraceFile(*eventsOut) // same append-only JSONL semantics as traces
-		if err != nil {
-			fatal(err)
-		}
-		defer ef.Close()
-		journal = obs.NewWallClockJournal(ef, 0)
-	} else if *debugAddr != "" {
-		journal = obs.NewWallClockJournal(nil, 0) // tail only, for /events
+	live, err := tel.Start("certscan", reg, tracer)
+	if err != nil {
+		fatal(err)
 	}
-
-	var sampler *obs.Sampler
-	if *debugAddr != "" || *sampleIvl > 0 {
-		sampler = obs.NewWallClockSampler(reg, *sampleIvl, 0)
-	}
-	if *sampleIvl > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go sampler.RunTicker(stop)
-	}
-
-	if *debugAddr != "" {
-		bound, err := startDebug(*debugAddr, obs.Telemetry{
-			Cmd: "certscan", Reg: reg, Sampler: sampler, Journal: journal,
-			Tracer: tracer, Start: time.Now(), Now: time.Now,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "certscan: telemetry on http://%s/statusz\n", bound)
-	}
+	defer live.Close()
 
 	cfg := scanConfig{
 		Targets:  targets,
@@ -161,8 +132,8 @@ func main() {
 		BuildCorpus: *outCorpus != "",
 		Obs:         reg,
 		Tracer:      tracer,
-		Journal:     journal,
-		Sampler:     sampler,
+		Journal:     live.Journal,
+		Sampler:     live.Sampler,
 	}
 	corpus, summary, err := runSweeps(cfg, os.Stdout, os.Stderr)
 	if err != nil {

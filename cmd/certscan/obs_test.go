@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"securepki/cmd/telemetry"
 	"securepki/internal/faultnet"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -302,7 +303,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	tracer := obs.NewTracer(io.Discard, clock)
 	tracer.KeepTail(8)
 
-	addr, err := startDebug("127.0.0.1:0", obs.Telemetry{
+	addr, err := telemetry.Serve("127.0.0.1:0", obs.Telemetry{
 		Cmd: "certscan", Reg: reg, Sampler: sampler, Journal: journal,
 		Tracer: tracer, Start: clock(), Now: clock,
 	})
@@ -432,7 +433,7 @@ func TestTelemetrySmoke(t *testing.T) {
 // live debug server and finds the published obs registry.
 func TestDebugEndpointsReachable(t *testing.T) {
 	reg := obs.NewRegistry()
-	addr, err := startDebug("127.0.0.1:0", obs.Telemetry{Cmd: "certscan", Reg: reg})
+	addr, err := telemetry.Serve("127.0.0.1:0", obs.Telemetry{Cmd: "certscan", Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

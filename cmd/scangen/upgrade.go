@@ -47,13 +47,10 @@ func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, met
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "v1":
-		err = c.Write(g)
-	case "v2":
-		err = snapshot.Write(g, c, opt)
-	case "v3":
+	if format == "v3" {
 		err = snapshot.WriteV3(g, c, opt)
+	} else {
+		err = snapshot.Write(g, c, opt)
 	}
 	if err != nil {
 		g.Close()

@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"securepki/cmd/telemetry"
 	"securepki/internal/devicesim"
 	"securepki/internal/faultnet"
 	"securepki/internal/obs"
@@ -63,45 +64,18 @@ func main() {
 		chaosSeed  = flag.Uint64("chaos-seed", 99, "seed for the fault schedule")
 		chaosBurst = flag.Int("chaos-burst", 2, "max consecutive faulted connections per device (-1 = uncapped)")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document on exit")
-		debugAddr  = flag.String("debug-addr", "", "serve telemetry (/metrics, /samples, /events, /statusz) plus expvar and pprof under /debug/ on this address while serving")
-		eventsOut  = flag.String("events-out", "", "append structured journal events (serve.start/serve.stop) as JSON lines")
-		sampleIvl  = flag.Duration("sample-interval", 0, "sample the metric registry on this wall-clock interval for /samples and /statusz (0 = off)")
 		mutateFrac = flag.Float64("mutate-frac", 0, "serve frankencert-style mutants from this fraction of devices (0 = none, 1 = all)")
 		mutateSeed = flag.Uint64("mutate-seed", 0, "mutation schedule seed (0 = derive from -seed)")
 	)
+	tel := telemetry.RegisterFlags(flag.CommandLine, "serving", "serve.start/serve.stop", "off")
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	var journal *obs.Journal
-	if *eventsOut != "" {
-		ef, err := obs.WriteTraceFile(*eventsOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer ef.Close()
-		journal = obs.NewWallClockJournal(ef, 0)
-	} else if *debugAddr != "" {
-		journal = obs.NewWallClockJournal(nil, 0)
+	live, err := tel.Start("servesim", reg, nil)
+	if err != nil {
+		fatal(err)
 	}
-	var sampler *obs.Sampler
-	if *debugAddr != "" || *sampleIvl > 0 {
-		sampler = obs.NewWallClockSampler(reg, *sampleIvl, 0)
-	}
-	if *sampleIvl > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go sampler.RunTicker(stop)
-	}
-	if *debugAddr != "" {
-		bound, err := startDebug(*debugAddr, obs.Telemetry{
-			Cmd: "servesim", Reg: reg, Sampler: sampler, Journal: journal,
-			Start: time.Now(), Now: time.Now,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "servesim: telemetry on http://%s/statusz\n", bound)
-	}
+	defer live.Close()
 
 	cfg := devicesim.DefaultConfig()
 	cfg.Seed = *seed
@@ -175,10 +149,10 @@ func main() {
 	if *chaos > 0 {
 		reg.Gauge("servesim.chaos.rate_pct").Set(int64(*chaos * 100))
 	}
-	journal.Emit("serve.start",
+	live.Journal.Emit("serve.start",
 		"devices", fmt.Sprint(len(servers)),
 		"chaos", fmt.Sprintf("%.2f", *chaos))
-	sampler.Tick() // the steady-state sample even without a ticker
+	live.Sampler.Tick() // the steady-state sample even without a ticker
 
 	if *linger > 0 {
 		time.Sleep(*linger)
@@ -189,7 +163,7 @@ func main() {
 	}
 	span.SetAttrInt("devices", int64(len(servers)))
 	span.End()
-	journal.Emit("serve.stop", "devices", fmt.Sprint(len(servers)))
+	live.Journal.Emit("serve.stop", "devices", fmt.Sprint(len(servers)))
 	if *metricsOut != "" {
 		if err := obs.WriteMetricsFile(*metricsOut, reg); err != nil {
 			fatal(err)

@@ -38,18 +38,6 @@ func NewDatasetWorkers(corpus *scanstore.Corpus, inet *netsim.Internet, workers 
 	return &Dataset{Corpus: corpus, Index: corpus.BuildIndexWorkers(workers), Internet: inet}
 }
 
-// NewDatasetExt builds the index through the external-merge path
-// (Corpus.BuildIndexExt): sighting runs sort under cfg.MemBudget and spill to
-// checksummed shards in cfg.Dir. The index — and everything derived from it —
-// is identical to NewDatasetWorkers' at any budget.
-func NewDatasetExt(corpus *scanstore.Corpus, inet *netsim.Internet, cfg scanstore.ExtIndexConfig) (*Dataset, error) {
-	idx, err := corpus.BuildIndexExt(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Corpus: corpus, Index: idx, Internet: inet}, nil
-}
-
 // Invalid reports whether the certificate with the given ID is invalid.
 func (d *Dataset) Invalid(id scanstore.CertID) bool {
 	return d.Corpus.Cert(id).Status.Invalid()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -82,4 +84,12 @@ func TestPipelineSerialParallelEquivalence(t *testing.T) {
 	if !bytes.Equal(sbuf.Bytes(), pbuf.Bytes()) {
 		t.Errorf("JSON summaries not byte-identical:\nserial:   %s\nparallel: %s", sbuf.String(), pbuf.String())
 	}
+	// Both runs share every stage, so pin the serial summary itself: a change
+	// that moved every output alike would still pass the comparison above.
+	if got := fmt.Sprintf("%x", sha256.Sum256(sbuf.Bytes())); got != wantEquivSummarySHA256 {
+		t.Errorf("serial summary SHA-256 = %s, want %s", got, wantEquivSummarySHA256)
+	}
 }
+
+// wantEquivSummarySHA256 is the SHA-256 of equivConfig's Summarize JSON.
+const wantEquivSummarySHA256 = "077ac289af1f266e3515d84bc9fc65deed87e33b62d3091808f3316923233273"

@@ -5,8 +5,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -93,13 +95,9 @@ type Pipeline struct {
 	LintResults []certlint.CertFindings
 }
 
-// span starts a stage span on the configured tracer (nil-safe).
-func (p *Pipeline) span(name string) *obs.Span {
-	return p.Config.Tracer.Start(name)
-}
-
 // Stage ordinals for the progress.stage gauge — what /statusz renders while
-// a build is running.
+// a build is running. The streamed build runs generate, scan, replay,
+// snapshot and lint.
 const (
 	stageGenerate = 1 + iota
 	stageScan
@@ -107,15 +105,17 @@ const (
 	stageLint
 	stageLink
 	stageTrack
+	stageReplay
+	stageSnapshot
 )
 
-// stage marks a stage boundary: progress gauge, journal event, tracer span.
-// Stages begin at serial program points, so the journal line sequence is the
-// same at any worker count.
-func (p *Pipeline) stage(name string, ordinal int64) *obs.Span {
-	p.Config.Obs.Gauge("progress.stage").Set(ordinal)
-	p.Config.Journal.Emit("stage.start", "stage", name)
-	return p.span(name)
+// stage marks a stage boundary on either build path: progress gauge, journal
+// event, tracer span. Stages begin at serial program points, so the journal
+// line sequence is the same at any worker count.
+func (c *Config) stage(name string, ordinal int64) *obs.Span {
+	c.Obs.Gauge("progress.stage").Set(ordinal)
+	c.Journal.Emit("stage.start", "stage", name)
+	return c.Tracer.Start(name)
 }
 
 // Run executes the full pipeline.
@@ -138,7 +138,7 @@ func Run(cfg Config) (*Pipeline, error) {
 
 // Generate builds the world (stage 1).
 func (p *Pipeline) Generate() error {
-	span := p.stage("core.generate", stageGenerate)
+	span := p.Config.stage("core.generate", stageGenerate)
 	w, err := devicesim.BuildWorld(p.Config.World)
 	if err != nil {
 		return fmt.Errorf("core: generate: %w", err)
@@ -165,7 +165,7 @@ func (p *Pipeline) Scan() error {
 	if err != nil {
 		return fmt.Errorf("core: scan: %w", err)
 	}
-	span := p.stage("core.scan", stageScan)
+	span := p.Config.stage("core.scan", stageScan)
 	signs, keygens := p.World.Signs(), p.World.Keygens()
 	corpus, truth, err := camp.Run()
 	if err != nil {
@@ -230,47 +230,15 @@ func (p *Pipeline) LoadSnapshot(r io.Reader) error {
 
 // Validate classifies every certificate against the world's root store
 // (stage 3) and builds the analysis dataset. Both fan out across
-// Config.Workers. When Config.Stream sets a memory budget or spill
-// directory, the index builds through the external-merge path
-// (scanstore.BuildIndexExt) — identical index, bounded sort memory.
+// Config.Workers.
 func (p *Pipeline) Validate() error {
-	span := p.stage("core.validate", stageValidate)
+	span := p.Config.stage("core.validate", stageValidate)
 	store := truststore.NewStore()
 	for _, r := range p.World.Roots() {
 		store.AddRoot(r)
 	}
 	p.ValidationCounts = p.Corpus.ValidateWorkers(store, p.Config.Workers)
-	if s := p.Config.Stream; s.MemBudget > 0 || s.SpillDir != "" {
-		reg := p.Config.Obs
-		spillGauge := reg.Gauge("mem.spilled_runs")
-		spillBytes := reg.Gauge("mem.spilled_bytes")
-		var runs int64
-		ds, err := analysis.NewDatasetExt(p.Corpus, p.World.Internet, scanstore.ExtIndexConfig{
-			Workers:   p.Config.Workers,
-			MemBudget: s.MemBudget,
-			Dir:       s.SpillDir,
-			OnSpill: func(shard int, bytes int64) {
-				sp := p.span("core.spill")
-				runs++
-				spillGauge.Set(runs)
-				spillBytes.Add(bytes)
-				// Live diagnostics: spill order can depend on shard sizing,
-				// so goldens pin the sweep/stage events, not these.
-				p.Config.Journal.Emit("spill",
-					"shard", fmt.Sprint(shard),
-					"run", fmt.Sprint(runs),
-					"bytes", fmt.Sprint(bytes))
-				sp.End()
-			},
-			FanIn: func(n int) { reg.Gauge("mem.merge_fanin").Set(int64(n)) },
-		})
-		if err != nil {
-			return fmt.Errorf("core: validate: %w", err)
-		}
-		p.Dataset = ds
-	} else {
-		p.Dataset = analysis.NewDatasetWorkers(p.Corpus, p.World.Internet, p.Config.Workers)
-	}
+	p.Dataset = analysis.NewDatasetWorkers(p.Corpus, p.World.Internet, p.Config.Workers)
 	if reg := p.Config.Obs; reg != nil {
 		reg.Counter("core.validate.certs").Add(int64(p.Corpus.NumCerts()))
 		statuses := make([]truststore.Status, 0, len(p.ValidationCounts))
@@ -296,32 +264,54 @@ func (p *Pipeline) Validate() error {
 
 // Lint runs the default registry over every corpus certificate (stage 3b),
 // with the corpus-wide key-sharing census as lint context. The results are
-// fingerprint-sorted and byte-identical at any worker count; the registry
-// emits the lint.* metrics itself.
+// fingerprint-sorted and byte-identical at any worker count. Validation
+// stored a self-signature verdict on every certificate it self-checked, so
+// only the others pay a verify here.
 func (p *Pipeline) Lint() {
-	span := p.stage("core.lint", stageLint)
-	certs := make([]*x509lite.Certificate, 0, p.Corpus.NumCerts())
-	ctx := &certlint.Context{KeyCount: make(map[x509lite.Fingerprint]int, p.Corpus.NumCerts())}
-	for _, rec := range p.Corpus.Certs() {
-		certs = append(certs, rec.Cert)
-		ctx.KeyCount[rec.Cert.PublicKeyFingerprint()]++
+	span := p.Config.stage("core.lint", stageLint)
+	certs := make([]*x509lite.Certificate, p.Corpus.NumCerts())
+	for i, rec := range p.Corpus.Certs() {
+		certs[i] = rec.Cert
 	}
-	p.LintResults = certlint.Default().RunCorpus(certs, ctx, certlint.Options{
-		Workers: p.Config.Workers,
-		Config:  p.Config.LintConfig,
-		Obs:     p.Config.Obs,
+	// The resident corpus is one batch, and feeding it cannot fail.
+	p.LintResults, _ = lintCorpus(p.Config, len(certs),
+		func(i int) x509lite.Fingerprint { return certs[i].PublicKeyFingerprint() },
+		func(lint func([]*x509lite.Certificate)) error { lint(certs); return nil })
+	span.End()
+}
+
+// lintCorpus is the lint stage of both build paths. It takes the key-sharing
+// census over all n certificates first (spki(i) is certificate i's public-key
+// fingerprint), then lints every batch feed hands to its callback through
+// certlint.Registry.RunCorpus, and returns the findings of all batches in
+// fingerprint order. The registry emits the lint.* metrics per batch, whose
+// counters add up across batches; the core.lint.* counters follow the last.
+func lintCorpus(cfg Config, n int, spki func(i int) x509lite.Fingerprint, feed func(lint func([]*x509lite.Certificate)) error) ([]certlint.CertFindings, error) {
+	ctx := &certlint.Context{KeyCount: make(map[x509lite.Fingerprint]int, n)}
+	for i := 0; i < n; i++ {
+		ctx.KeyCount[spki(i)]++
+	}
+	regy := certlint.Default()
+	opts := certlint.Options{Workers: cfg.Workers, Config: cfg.LintConfig, Obs: cfg.Obs}
+	results := make([]certlint.CertFindings, 0, n)
+	err := feed(func(certs []*x509lite.Certificate) {
+		results = append(results, regy.RunCorpus(certs, ctx, opts)...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(results, func(a, b certlint.CertFindings) int {
+		return bytes.Compare(a.Fingerprint[:], b.Fingerprint[:])
 	})
 	flagged := 0
-	for _, cf := range p.LintResults {
+	for _, cf := range results {
 		if len(cf.Findings) > 0 {
 			flagged++
 		}
 	}
-	p.Config.Obs.Counter("core.lint.flagged_certs").Add(int64(flagged))
-	// Validation stored a self-signature verdict on every certificate it
-	// self-checked, so only the others pay a verify here.
-	p.Config.Obs.Counter("core.lint.x509.verify").Add(ctx.Verifies())
-	span.End()
+	cfg.Obs.Counter("core.lint.flagged_certs").Add(int64(flagged))
+	cfg.Obs.Counter("core.lint.x509.verify").Add(ctx.Verifies())
+	return results, nil
 }
 
 // WriteLintColumn persists the lint stage's findings as the checksummed
@@ -341,7 +331,7 @@ func (p *Pipeline) WriteLintColumn(w io.Writer) error {
 // Link runs the §6 pipeline (stage 4). The pipeline-level Workers knob
 // applies unless the linking config pins its own.
 func (p *Pipeline) Link() {
-	span := p.stage("core.link", stageLink)
+	span := p.Config.stage("core.link", stageLink)
 	cfg := p.Config.Linking
 	if cfg.Workers == 0 {
 		cfg.Workers = p.Config.Workers
@@ -362,7 +352,7 @@ func (p *Pipeline) Link() {
 
 // Track derives device entities (stage 5).
 func (p *Pipeline) Track() {
-	span := p.stage("core.track", stageTrack)
+	span := p.Config.stage("core.track", stageTrack)
 	p.Tracker = tracking.NewTracker(p.Dataset, p.LinkResult, p.Linker)
 	p.Config.Obs.Counter("core.track.entities").Add(int64(len(p.Tracker.Entities())))
 	span.End()

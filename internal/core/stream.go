@@ -1,11 +1,9 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 
 	"securepki/internal/certlint"
 	"securepki/internal/devicesim"
@@ -53,15 +51,19 @@ type StreamStats struct {
 // lint pass) are identical to the in-memory pipeline's at any chunk size and
 // worker count — the streaming goldens pin this.
 //
-// The cfg.Obs registry receives the mem.* gauges (live chunks, spilled runs,
+// Its five stages (core.generate, core.scan, core.replay, core.snapshot,
+// core.lint) start through the helper the resident pipeline uses, so they
+// set progress.stage, journal stage.start and open a span. The cfg.Obs
+// registry also receives the mem.* gauges (live chunks, spilled runs,
 // spilled bytes, merge fan-in, and a volatile heap high-water) on top of the
-// stage counters the substrates already emit; cfg.Tracer gets a core.spill
-// span per chunk spill alongside the usual stage spans.
+// stage counters the substrates already emit; each chunk spill gets a
+// core.spill span and a spill journal event, and the lint column's write a
+// lintcol.write event.
 func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, error) {
 	reg := cfg.Obs
 	stats := &StreamStats{}
 
-	span := cfg.Tracer.Start("core.generate")
+	span := cfg.stage("core.generate", stageGenerate)
 	gen, err := devicesim.NewGenerator(cfg.World)
 	if err != nil {
 		return nil, fmt.Errorf("core: stream generate: %w", err)
@@ -88,10 +90,16 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 		liveGauge.Set(int64(store.LiveChunks()))
 		spillGauge.Set(int64(store.Spills()))
 		spillBytes.Set(store.SpilledBytes())
+		// Chunks spill from the serial chunk loop, at a point fixed by the
+		// chunk sizes, so these events are worker-count-independent too.
+		cfg.Journal.Emit("spill",
+			"chunk", fmt.Sprint(chunk),
+			"run", fmt.Sprint(store.Spills()),
+			"bytes", fmt.Sprint(n))
 		sp.End()
 	}
 
-	span = cfg.Tracer.Start("core.scan")
+	span = cfg.stage("core.scan", stageScan)
 	signs, keygens := world.Signs(), world.Keygens()
 	if err := camp.StreamRun(gen, cfg.Stream.ChunkSize, store); err != nil {
 		return nil, fmt.Errorf("core: stream scan: %w", err)
@@ -123,7 +131,7 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	// A chunk's new-cert lists replay in the order its local IDs were
 	// assigned, so maps[k] incrementally extends to translate local IDs; the
 	// global intern order this produces is exactly the in-memory path's.
-	span = cfg.Tracer.Start("core.replay")
+	span = cfg.stage("core.replay", stageReplay)
 	var obsCount int64
 	maps := make([][]scanstore.CertID, store.NumChunks())
 	for s := range sched {
@@ -164,14 +172,14 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	reg.Gauge("mem.merge_fanin").Set(int64(stats.MergeFanIn))
 	readHeapHighWater(reg)
 
-	span = cfg.Tracer.Start("core.snapshot")
+	span = cfg.stage("core.snapshot", stageSnapshot)
 	if err := sw.Finish(snapW); err != nil {
 		return nil, fmt.Errorf("core: stream snapshot: %w", err)
 	}
 	span.End()
 
 	if lintW != nil {
-		span = cfg.Tracer.Start("core.lint")
+		span = cfg.stage("core.lint", stageLint)
 		if err := streamLint(sw, cfg, lintW); err != nil {
 			return nil, fmt.Errorf("core: stream lint: %w", err)
 		}
@@ -181,50 +189,48 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	return stats, nil
 }
 
-// streamLint runs the default lint battery over the writer's retained DERs
-// and emits the sidecar column, byte-identical to Pipeline.Lint +
-// WriteLintColumn: the same corpus-wide key census feeds the same per-cert
-// RunCert, and results sort by fingerprint. Certificates lint in bounded
-// parallel batches so only one batch of parsed certs is resident.
+// streamLint lints the writer's retained DERs and emits the sidecar column,
+// byte-identical to Pipeline.Lint + WriteLintColumn: both run lintCorpus.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
-	n := sw.NumCerts()
-	ctx := &certlint.Context{KeyCount: make(map[x509lite.Fingerprint]int, n)}
-	for id := 0; id < n; id++ {
-		ctx.KeyCount[sw.SPKI(scanstore.CertID(id))]++
+	results, err := lintCorpus(cfg, sw.NumCerts(),
+		func(i int) x509lite.Fingerprint { return sw.SPKI(scanstore.CertID(i)) },
+		func(lint func([]*x509lite.Certificate)) error { return parsedBatches(sw, cfg.Workers, lint) })
+	if err != nil {
+		return err
 	}
-	regy := certlint.Default()
+	if err := snapshot.WriteLintColumn(lintW, results, certlint.Default().Infos()); err != nil {
+		return err
+	}
+	cfg.Journal.Emit("lintcol.write", "certs", fmt.Sprint(len(results)))
+	return nil
+}
 
-	const lintBatch = 2048
-	results := make([]certlint.CertFindings, 0, n)
-	batch := make([][]byte, 0, lintBatch)
+// parsedBatches replays the writer's DERs to fn in batches of 2048
+// certificates, each batch parsed across workers, so only one batch of
+// parsed certificates is resident.
+func parsedBatches(sw *snapshot.StreamWriter, workers int, fn func([]*x509lite.Certificate)) error {
+	const batch = 2048
+	ders := make([][]byte, 0, batch)
 	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		part := parallel.Map(cfg.Workers, len(batch), func(i int) certlint.CertFindings {
-			cert, err := x509lite.Parse(batch[i])
+		certs := make([]*x509lite.Certificate, len(ders))
+		errs := make([]error, len(ders))
+		parallel.ForEach(workers, len(ders), func(i int) {
+			certs[i], errs[i] = x509lite.Parse(ders[i])
+		})
+		for i, err := range errs {
 			if err != nil {
 				// The DER came out of a checksummed spill of certs the scan
 				// itself parsed; a parse failure here is corruption.
-				return certlint.CertFindings{}
+				return fmt.Errorf("lint batch: certificate %d failed to parse: %w", i, err)
 			}
-			return certlint.CertFindings{
-				Fingerprint: cert.Fingerprint(),
-				Findings:    regy.RunCert(cert, ctx, cfg.LintConfig),
-			}
-		})
-		for i, cf := range part {
-			if cf.Fingerprint == (x509lite.Fingerprint{}) {
-				return fmt.Errorf("lint batch: certificate %d failed to parse", i)
-			}
-			results = append(results, cf)
 		}
-		batch = batch[:0]
+		fn(certs)
+		ders = ders[:0]
 		return nil
 	}
 	err := sw.EachCert(func(_ scanstore.CertID, _, _ x509lite.Fingerprint, der []byte) error {
-		batch = append(batch, append([]byte(nil), der...))
-		if len(batch) >= lintBatch {
+		ders = append(ders, append([]byte(nil), der...))
+		if len(ders) == batch {
 			return flush()
 		}
 		return nil
@@ -232,28 +238,7 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-	sort.SliceStable(results, func(a, b int) bool {
-		return bytes.Compare(results[a].Fingerprint[:], results[b].Fingerprint[:]) < 0
-	})
-
-	if reg := cfg.Obs; reg != nil {
-		reg.Gauge("lint.linters").Set(int64(regy.Len()))
-		reg.Counter("lint.certs").Add(int64(len(results)))
-		flagged := 0
-		for _, cf := range results {
-			if len(cf.Findings) > 0 {
-				flagged++
-			}
-		}
-		reg.Counter("core.lint.flagged_certs").Add(int64(flagged))
-		// Every certificate here is freshly parsed from the spill, so each
-		// pays its one self-signature verify in this stage.
-		reg.Counter("core.lint.x509.verify").Add(ctx.Verifies())
-	}
-	return snapshot.WriteLintColumn(lintW, results, regy.Infos())
+	return flush()
 }
 
 // readHeapHighWater samples the heap high-water mark into a volatile gauge.

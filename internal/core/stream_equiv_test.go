@@ -2,7 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"slices"
 	"testing"
+
+	"securepki/internal/snapshot"
 )
 
 // streamEquivConfig shrinks the world so the chunk × worker sweep stays
@@ -52,14 +57,32 @@ func inMemoryArtifacts(t *testing.T, cfg Config) (v2, v3, lint []byte) {
 // via devicesim), proving the determinism contract holds for malformed DER
 // through the chunked path too.
 func TestStreamSnapshotMatchesInMemory(t *testing.T) {
+	// Both paths share the scan sweep and the lint driver, so the reference
+	// itself is pinned too (pins): the lint column's SHA-256, then the v3
+	// file's five index-section checksums, none of which depend on gzip.
 	rows := []struct {
 		name   string
 		adjust func(*Config)
+		pins   []string
 	}{
-		{"clean", func(*Config) {}},
+		{"clean", func(*Config) {}, []string{
+			"b4d6ea99491336ccd7f1a5a480c6c3a1ea8006558da9a8d9d666b293c875c66f",
+			"55cb9e6c8d64166f254212e8f4c78a34dcea1e425bf40d7ad371236bbe997f48",
+			"98655e7258dba320d4181d8e0706007aaa6dd4f1cb6159383463b2a87af0830c",
+			"d54e0d17ca8880b01071b0851ed7599a6215e2dab190eff97224f21d0df44b1e",
+			"d4cb2e7ea84e293c2a5c4418a2ff221f49d7009da0fa9f6eb6a513977b7bb116",
+			"de92700f1d6fd4a2bd7eb54f9c0c5ddc36302a8c5cee76313903bfb1fef911df",
+		}},
 		{"mutated", func(cfg *Config) {
 			cfg.World.MutateFrac = 0.3
 			cfg.World.MutateSeed = 20160814
+		}, []string{
+			"6b059b5cde67a86a4cf09ab17d2ac27387b1268390fe34ec16bf17375af1d72d",
+			"907f96551fbbef7892d3da4131ce224a66874fbb243e8f30f93f678bf8253892",
+			"655782c22654905516dd53a5a0beef1d742df8ae235d764602aaeef058af9ff3",
+			"ae4d8d46612eb84d6710e7d79912177a4df4a24f15d48b04467dd81eeee51b16",
+			"4090283ca50689e8b7396c667336ff2ee5495410ac60de7ff2bc24e14c517e44",
+			"de92700f1d6fd4a2bd7eb54f9c0c5ddc36302a8c5cee76313903bfb1fef911df",
 		}},
 	}
 	for _, row := range rows {
@@ -68,6 +91,17 @@ func TestStreamSnapshotMatchesInMemory(t *testing.T) {
 			base := streamEquivConfig()
 			row.adjust(&base)
 			wantV2, wantV3, wantLint := inMemoryArtifacts(t, base)
+			lay, err := snapshot.ReadV3Layout(bytes.NewReader(wantV3), int64(len(wantV3)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := []string{fmt.Sprintf("%x", sha256.Sum256(wantLint))}
+			for _, sec := range lay.Sections {
+				got = append(got, fmt.Sprintf("%x", sec.Sum))
+			}
+			if !slices.Equal(got, row.pins) {
+				t.Errorf("reference lint SHA-256 and v3 section checksums moved:\n got %q\nwant %q", got, row.pins)
+			}
 
 			for _, chunk := range []int{1, 64, 1 << 20} {
 				for _, workers := range []int{1, 4, 16} {

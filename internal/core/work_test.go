@@ -27,7 +27,8 @@ var wantWork = map[string]int64{
 // valid certificates (a trusted chain is found first) and bad-version ones
 // (rejected before any check) — while the streamed path, which has no
 // validate stage, verifies every certificate once in lint. Signing is the
-// same on both paths: each certificate a scan returns is signed once.
+// same on both paths: each certificate a scan returns is signed once. The
+// lint.* certificate and finding counts match the resident run's.
 func TestEd25519WorkCounters(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		cfg := SmallConfig()
@@ -72,6 +73,12 @@ func TestEd25519WorkCounters(t *testing.T) {
 		}
 		if got, want := sreg.Counter("core.lint.x509.verify").Value(), int64(p.Corpus.NumCerts()); got != want {
 			t.Errorf("workers=%d streamed: lint verified %d certificates, want all %d", workers, got, want)
+		}
+		// Both paths run one lint driver, so they lint and find the same.
+		for _, name := range []string{"lint.certs", "lint.findings", "lint.findings.info", "lint.findings.warn", "lint.findings.error", "lint.findings.fatal"} {
+			if got, want := sreg.Counter(name).Value(), reg.Counter(name).Value(); got != want {
+				t.Errorf("workers=%d streamed: %s = %d, want %d as resident", workers, name, got, want)
+			}
 		}
 	}
 }

@@ -45,10 +45,6 @@ type Config[R any] struct {
 	MemBudget int64
 	// Dir is where run shards are created ("" means the OS temp dir).
 	Dir string
-	// OnSpill, when non-nil, is called after each run shard is written with
-	// the number of records and encoded bytes it holds. The streaming
-	// pipeline hangs its mem.* gauges and core.spill spans off this seam.
-	OnSpill func(records int, bytes int64)
 }
 
 // DefaultMemBudget is the per-sorter buffer cap when none is configured.
@@ -58,11 +54,10 @@ const DefaultMemBudget = 256 << 20
 // budget, and streams them back in order via Merge. Not safe for concurrent
 // use.
 type Sorter[R any] struct {
-	cfg   Config[R]
-	buf   []R
-	runs  []*runShard
-	total int64
-	err   error
+	cfg  Config[R]
+	buf  []R
+	runs []*runShard
+	err  error
 }
 
 // NewSorter validates the config and returns an empty sorter.
@@ -87,7 +82,6 @@ func (s *Sorter[R]) Add(r R) error {
 		return s.err
 	}
 	s.buf = append(s.buf, r)
-	s.total++
 	if int64(len(s.buf))*int64(s.cfg.Size) >= s.cfg.MemBudget {
 		if err := s.spill(); err != nil {
 			s.err = err
@@ -96,9 +90,6 @@ func (s *Sorter[R]) Add(r R) error {
 	}
 	return nil
 }
-
-// Len returns the total number of records added so far.
-func (s *Sorter[R]) Len() int64 { return s.total }
 
 // Runs returns how many sorted runs have spilled to disk. The merge fan-in
 // is Runs()+1 when the in-memory remainder is non-empty.
@@ -130,9 +121,6 @@ func (s *Sorter[R]) spill() error {
 		return err
 	}
 	s.runs = append(s.runs, run)
-	if s.cfg.OnSpill != nil {
-		s.cfg.OnSpill(len(s.buf), int64(len(s.buf))*int64(s.cfg.Size))
-	}
 	s.buf = s.buf[:0]
 	return nil
 }

@@ -20,8 +20,11 @@ type rec struct {
 
 func recConfig(dir string, budget int64) Config[rec] {
 	return Config[rec]{
-		Size:   8,
-		Encode: func(dst []byte, r rec) { binary.LittleEndian.PutUint32(dst, r.key); binary.LittleEndian.PutUint32(dst[4:], r.seq) },
+		Size: 8,
+		Encode: func(dst []byte, r rec) {
+			binary.LittleEndian.PutUint32(dst, r.key)
+			binary.LittleEndian.PutUint32(dst[4:], r.seq)
+		},
 		Decode: func(src []byte) rec {
 			return rec{key: binary.LittleEndian.Uint32(src), seq: binary.LittleEndian.Uint32(src[4:])}
 		},

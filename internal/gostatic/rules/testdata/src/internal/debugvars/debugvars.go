@@ -5,7 +5,7 @@
 package debugvars
 
 import (
-	"expvar"          // want bannedimport must not import expvar
+	"expvar"           // want bannedimport must not import expvar
 	_ "net/http/pprof" // want bannedimport must not import net/http/pprof
 )
 

@@ -12,18 +12,19 @@
 // Scans are executed in chronological order (hosts are stateful and advance
 // with the timeline), with the per-scan host sweep parallelised across
 // workers; determinism is preserved by giving every (scan, host) pair its own
-// seeded RNG and assembling observations in host order.
+// seeded RNG and assembling observations in host order. One sweep function
+// does this for both campaign drivers: Run hands it the whole population,
+// StreamRun one chunk at a time.
 package scanner
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"securepki/internal/devicesim"
 	"securepki/internal/netsim"
+	"securepki/internal/parallel"
 	"securepki/internal/scanstore"
 	"securepki/internal/stats"
 	"securepki/internal/x509lite"
@@ -247,77 +248,65 @@ func (c *Campaign) Blacklisted(op scanstore.Operator, p netsim.Prefix) bool {
 }
 
 // Run executes every scheduled scan in order and returns the corpus and the
-// ground truth.
+// ground truth: the whole population is swept as one chunk, interning each
+// sighting into the corpus in the order the sweep delivers it.
 func (c *Campaign) Run() (*scanstore.Corpus, *Truth, error) {
 	corpus := scanstore.NewCorpus()
 	truth := &Truth{CertHosts: make(map[x509lite.Fingerprint]map[int]bool)}
-	hosts := c.world.Hosts()
-	workers := c.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	for scanIdx, plan := range c.schedule {
-		start := plan.at
-		end := start.Add(c.cfg.ScanWindow)
-
-		// Sweep all hosts in parallel; results keyed by host index keep
-		// assembly deterministic.
-		results := make([][]devicesim.Appearance, len(hosts))
-		var wg sync.WaitGroup
-		chunk := (len(hosts) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(hosts) {
-				hi = len(hosts)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for h := lo; h < hi; h++ {
-					seed := c.cfg.Seed ^ (uint64(scanIdx+1) << 32) ^ uint64(h)*0x9e3779b97f4a7c15
-					hostRNG := stats.NewRNG(seed)
-					results[h] = hosts[h].Appearances(start, end, hostRNG)
-				}
-			}(lo, hi)
+	obs := make([][]scanstore.Observation, len(c.schedule))
+	c.sweep(c.world.Hosts(), 0, c.lossRNGs(), func(scan, host int, cert *x509lite.Certificate, ip netsim.IP) {
+		obs[scan] = append(obs[scan], scanstore.Observation{Cert: corpus.Intern(cert), IP: ip})
+		fp := cert.Fingerprint()
+		set, ok := truth.CertHosts[fp]
+		if !ok {
+			set = make(map[int]bool)
+			truth.CertHosts[fp] = set
 		}
-		wg.Wait()
-
-		// Assemble the snapshot: apply blacklist and loss, intern certs.
-		lossRNG := stats.NewRNG(c.cfg.Seed ^ 0xabcd ^ uint64(scanIdx))
-		var obs []scanstore.Observation
-		for h, apps := range results {
-			for _, app := range apps {
-				prefix, routed := c.world.Internet.PrefixOf(app.IP)
-				if !routed {
-					continue
-				}
-				if c.blacklist[plan.op][prefix] {
-					continue
-				}
-				if lossRNG.Bool(c.cfg.MissProb) {
-					continue
-				}
-				for _, cert := range app.Chain {
-					id := corpus.Intern(cert)
-					obs = append(obs, scanstore.Observation{Cert: id, IP: app.IP})
-					fp := cert.Fingerprint()
-					set, ok := truth.CertHosts[fp]
-					if !ok {
-						set = make(map[int]bool)
-						truth.CertHosts[fp] = set
-					}
-					set[h] = true
-				}
-			}
-		}
-		if _, err := corpus.AddScan(plan.op, start, obs); err != nil {
+		set[host] = true
+	})
+	for i, plan := range c.schedule {
+		if _, err := corpus.AddScan(plan.op, plan.at, obs[i]); err != nil {
 			return nil, nil, err
 		}
 	}
 	return corpus, truth, nil
+}
+
+// lossRNGs returns one packet-loss RNG per scheduled scan.
+func (c *Campaign) lossRNGs() []*stats.RNG {
+	rngs := make([]*stats.RNG, len(c.schedule))
+	for i := range rngs {
+		rngs[i] = stats.NewRNG(c.cfg.Seed ^ 0xabcd ^ uint64(i))
+	}
+	return rngs
+}
+
+// sweep advances hosts, whose global indexes start at base, through every
+// scheduled scan. Per scan, the host sweep fans out across the configured
+// workers, each (scan, host) pair drawing from an RNG seeded by the global
+// host index; the blacklist and loss filter then run serially in host order,
+// consuming lossRNGs[scan], and every certificate of a surviving chain goes
+// to sink with its scan, global host index and address.
+func (c *Campaign) sweep(hosts []devicesim.Host, base int, lossRNGs []*stats.RNG, sink func(scan, host int, cert *x509lite.Certificate, ip netsim.IP)) {
+	results := make([][]devicesim.Appearance, len(hosts))
+	for scanIdx, plan := range c.schedule {
+		start, end := plan.at, plan.at.Add(c.cfg.ScanWindow)
+		parallel.ForEach(c.cfg.Workers, len(hosts), func(h int) {
+			seed := c.cfg.Seed ^ (uint64(scanIdx+1) << 32) ^ uint64(base+h)*0x9e3779b97f4a7c15
+			results[h] = hosts[h].Appearances(start, end, stats.NewRNG(seed))
+		})
+		lossRNG := lossRNGs[scanIdx]
+		for h, apps := range results {
+			for _, app := range apps {
+				prefix, routed := c.world.Internet.PrefixOf(app.IP)
+				if !routed || c.blacklist[plan.op][prefix] || lossRNG.Bool(c.cfg.MissProb) {
+					continue
+				}
+				for _, cert := range app.Chain {
+					sink(scanIdx, base+h, cert, app.IP)
+				}
+			}
+			results[h] = nil
+		}
+	}
 }

@@ -2,21 +2,19 @@ package scanner
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"securepki/internal/devicesim"
-	"securepki/internal/stats"
+	"securepki/internal/netsim"
 	"securepki/internal/x509lite"
 )
 
 // Streaming scan execution: instead of materialising every host and sweeping
-// the whole population per scan (Run), StreamRun draws fixed-size host
+// the whole population as one chunk (Run), StreamRun draws fixed-size host
 // chunks from a devicesim.Generator and advances each chunk through the
-// entire scan schedule before the next chunk exists. Host state is purely
-// per-host, so chunk-major order visits exactly the state sequence the
-// scan-major sweep does; the two serial dependencies that are NOT per-host
-// are carried explicitly:
+// entire scan schedule, with the same sweep, before the next chunk exists.
+// Host state is purely per-host, so chunk-major order visits exactly the
+// state sequence the scan-major sweep does; the two serial dependencies that
+// are NOT per-host are carried explicitly:
 //
 //   - every (scan, host) RNG is seeded from the GLOBAL host index, so worker
 //     and chunk boundaries cannot shift a host's draw sequence;
@@ -58,92 +56,30 @@ func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize int, store *Chu
 	if store.nScans != len(c.schedule) {
 		return fmt.Errorf("scanner: chunk store sized for %d scans, campaign has %d", store.nScans, len(c.schedule))
 	}
-	workers := c.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// One loss RNG per scan, consumed across every chunk in host order.
-	lossRNGs := make([]*stats.RNG, len(c.schedule))
-	for i := range lossRNGs {
-		lossRNGs[i] = stats.NewRNG(c.cfg.Seed ^ 0xabcd ^ uint64(i))
-	}
-
+	lossRNGs := c.lossRNGs()
 	base := 0
 	for {
 		hosts := gen.Next(chunkSize)
 		if hosts == nil {
 			break
 		}
-		rec := c.sweepChunk(hosts, base, workers, lossRNGs)
+		rec := newChunkRecord(len(c.schedule))
+		local := make(map[x509lite.Fingerprint]uint32)
+		c.sweep(hosts, base, lossRNGs, func(scan, _ int, cert *x509lite.Certificate, ip netsim.IP) {
+			fp := cert.Fingerprint()
+			id, ok := local[fp]
+			if !ok {
+				id = uint32(len(local))
+				local[fp] = id
+				rec.addCert(scan, NewCert{FP: fp, SPKI: cert.PublicKeyFingerprint(), DER: cert.Raw})
+			}
+			rec.addObs(scan, ObsRec{Local: id, IP: uint32(ip)})
+		})
 		if err := store.Add(rec); err != nil {
 			return err
 		}
 		base += len(hosts)
 	}
 	return nil
-}
-
-// sweepChunk advances one chunk of hosts through every scheduled scan. The
-// host sweep fans out across workers per scan; assembly (blacklist, loss,
-// chunk-local interning) is serial in host order, exactly like Run's.
-func (c *Campaign) sweepChunk(hosts []devicesim.Host, base, workers int, lossRNGs []*stats.RNG) *chunkRecord {
-	rec := newChunkRecord(len(c.schedule))
-	local := make(map[x509lite.Fingerprint]uint32)
-	results := make([][]devicesim.Appearance, len(hosts))
-	for scanIdx, plan := range c.schedule {
-		start := plan.at
-		end := start.Add(c.cfg.ScanWindow)
-
-		var wg sync.WaitGroup
-		per := (len(hosts) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := lo + per
-			if hi > len(hosts) {
-				hi = len(hosts)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				for h := lo; h < hi; h++ {
-					global := base + h
-					seed := c.cfg.Seed ^ (uint64(scanIdx+1) << 32) ^ uint64(global)*0x9e3779b97f4a7c15
-					hostRNG := stats.NewRNG(seed)
-					results[h] = hosts[h].Appearances(start, end, hostRNG)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-
-		lossRNG := lossRNGs[scanIdx]
-		for h := range results {
-			for _, app := range results[h] {
-				prefix, routed := c.world.Internet.PrefixOf(app.IP)
-				if !routed {
-					continue
-				}
-				if c.blacklist[plan.op][prefix] {
-					continue
-				}
-				if lossRNG.Bool(c.cfg.MissProb) {
-					continue
-				}
-				for _, cert := range app.Chain {
-					fp := cert.Fingerprint()
-					id, ok := local[fp]
-					if !ok {
-						id = uint32(len(local))
-						local[fp] = id
-						rec.addCert(scanIdx, NewCert{FP: fp, SPKI: cert.PublicKeyFingerprint(), DER: cert.Raw})
-					}
-					rec.addObs(scanIdx, ObsRec{Local: id, IP: uint32(app.IP)})
-				}
-			}
-			results[h] = nil
-		}
-	}
-	return rec
 }

@@ -202,53 +202,45 @@ type Index struct {
 
 // BuildIndex inverts the scan → observation mapping into per-certificate
 // sighting lists and precomputes the per-scan views (distinct scans, distinct
-// IPs per scan) that the §6 loops hammer. The inversion fans out across
+// IPs per scan) that the §6 loops hammer. The precompute fans out across
 // GOMAXPROCS workers; use BuildIndexWorkers to pin the count.
 func (c *Corpus) BuildIndex() *Index {
 	return c.BuildIndexWorkers(0)
 }
 
 // BuildIndexWorkers is BuildIndex with an explicit worker count (<= 0 means
-// GOMAXPROCS). Each worker inverts a contiguous chunk of the scan series
-// into its own sighting shard; shards are then concatenated in chunk order,
-// which is scan order, so the result is identical to the serial build.
+// GOMAXPROCS). The inversion is a counting sort into one backing array: a
+// first pass counts each certificate's sightings, a prefix sum turns the
+// counts into offsets, and a second pass over the scans in order fills each
+// certificate's range, so its sightings arrive in scan order. Each range is
+// capacity-capped, so an append to one certificate's sightings reallocates
+// instead of overwriting the next certificate's; a never-observed
+// certificate keeps nil sightings.
 func (c *Corpus) BuildIndexWorkers(workers int) *Index {
 	idx := &Index{corpus: c, sightings: make([][]Sighting, len(c.certs))}
-	nScans := len(c.scans)
-	shards := parallel.NumShards(workers, nScans)
-	if shards <= 1 {
-		for _, scan := range c.scans {
-			for _, obs := range scan.Obs {
-				idx.sightings[obs.Cert] = append(idx.sightings[obs.Cert], Sighting{Scan: scan.ID, IP: obs.IP})
-			}
+	start := make([]int, len(c.certs)) // sighting counts, then first offsets
+	for _, scan := range c.scans {
+		for _, obs := range scan.Obs {
+			start[obs.Cert]++
 		}
-	} else {
-		partial := make([][][]Sighting, shards)
-		parallel.Do(workers, nScans, func(shard, lo, hi int) {
-			sh := make([][]Sighting, len(c.certs))
-			for _, scan := range c.scans[lo:hi] {
-				for _, obs := range scan.Obs {
-					sh[obs.Cert] = append(sh[obs.Cert], Sighting{Scan: scan.ID, IP: obs.IP})
-				}
-			}
-			partial[shard] = sh
-		})
-		// Merge per certificate, shards in scan-chunk order; certificates are
-		// independent, so the merge itself fans out.
-		parallel.ForEach(workers, len(c.certs), func(i int) {
-			total := 0
-			for _, sh := range partial {
-				total += len(sh[i])
-			}
-			if total == 0 {
-				return
-			}
-			merged := make([]Sighting, 0, total)
-			for _, sh := range partial {
-				merged = append(merged, sh[i]...)
-			}
-			idx.sightings[i] = merged
-		})
+	}
+	total := 0
+	for i, n := range start {
+		start[i] = total
+		total += n
+	}
+	next := append([]int(nil), start...) // fill cursors
+	backing := make([]Sighting, total)
+	for _, scan := range c.scans {
+		for _, obs := range scan.Obs {
+			backing[next[obs.Cert]] = Sighting{Scan: scan.ID, IP: obs.IP}
+			next[obs.Cert]++
+		}
+	}
+	for i, lo := range start {
+		if hi := next[i]; hi > lo {
+			idx.sightings[i] = backing[lo:hi:hi]
+		}
 	}
 	idx.precompute(workers)
 	return idx

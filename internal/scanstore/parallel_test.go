@@ -78,7 +78,9 @@ func buildSyntheticCorpus(t testing.TB) *Corpus {
 }
 
 // The parallel index build must be byte-identical to the serial one at every
-// worker count, including the precomputed accessors.
+// worker count, including the precomputed accessors. Every certificate's
+// sightings are capacity-capped, so an append cannot reach the next
+// certificate's, and a never-observed certificate's stay nil.
 func TestBuildIndexSerialParallelEquivalence(t *testing.T) {
 	c := buildSyntheticCorpus(t)
 	serial := c.BuildIndexWorkers(1)
@@ -86,6 +88,9 @@ func TestBuildIndexSerialParallelEquivalence(t *testing.T) {
 		par := c.BuildIndexWorkers(workers)
 		for id := 0; id < c.NumCerts(); id++ {
 			cid := CertID(id)
+			if s := par.Sightings(cid); cap(s) != len(s) || (s != nil && len(s) == 0) {
+				t.Fatalf("workers=%d cert %d: sightings len %d cap %d; want capacity-capped, nil if never observed", workers, id, len(s), cap(s))
+			}
 			if !reflect.DeepEqual(serial.Sightings(cid), par.Sightings(cid)) {
 				t.Fatalf("workers=%d cert %d: sightings differ", workers, id)
 			}
@@ -103,6 +108,22 @@ func TestBuildIndexSerialParallelEquivalence(t *testing.T) {
 			if serial.MaxIPsInAnyScan(cid) != par.MaxIPsInAnyScan(cid) {
 				t.Fatalf("workers=%d cert %d: MaxIPsInAnyScan differ", workers, id)
 			}
+		}
+	}
+}
+
+// TestBuildIndexExtEmpty pins the empty corpus: no certs, no scans. The test
+// dates from the external-merge build; it now covers the counting-sort build
+// at the default, serial and fanned-out worker counts.
+func TestBuildIndexExtEmpty(t *testing.T) {
+	c := NewCorpus()
+	for _, idx := range []*Index{c.BuildIndex(), c.BuildIndexWorkers(1), c.BuildIndexWorkers(8)} {
+		if idx == nil {
+			t.Fatal("nil index for empty corpus")
+		}
+		if len(idx.sightings) != 0 || len(idx.scansSeen) != 0 || len(idx.perScan) != 0 {
+			t.Fatalf("empty corpus: %d sighting lists, %d scan lists, %d per-scan lists; want none",
+				len(idx.sightings), len(idx.scansSeen), len(idx.perScan))
 		}
 	}
 }

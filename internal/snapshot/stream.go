@@ -76,9 +76,9 @@ type StreamWriterConfig struct {
 
 // streamShardEntry is one shard-table row accumulated as payloads flush.
 type streamShardEntry struct {
-	first, count  int
-	rawLen, cLen  int64
-	sum           [32]byte
+	first, count int
+	rawLen, cLen int64
+	sum          [32]byte
 }
 
 // streamScan is one scan's accumulating state: metadata plus the two
@@ -298,25 +298,6 @@ func (sw *StreamWriter) AddObs(id scanstore.CertID, ip netsim.IP) error {
 		}
 	}
 	return nil
-}
-
-// SpillStats reports the writer's disk footprint so far: spilled sorter
-// runs and total spill bytes across payload, columns and DER retention.
-func (sw *StreamWriter) SpillStats() (runs int, bytes int64) {
-	if sw.ipSort != nil {
-		runs += sw.ipSort.Runs()
-	}
-	if sw.asSort != nil {
-		runs += sw.asSort.Runs()
-	}
-	bytes = sw.payload.Len()
-	for _, s := range sw.scans {
-		bytes += s.certCol.spilledBytes() + s.ipCol.spilledBytes()
-	}
-	if sw.derSpill != nil {
-		bytes += sw.derSpill.Len()
-	}
-	return runs, bytes
 }
 
 // MergeFanIn reports the widest k-way merge Finish will perform across the
@@ -1008,13 +989,6 @@ func (c *spillColumn) len() int64 {
 		n += c.spill.Len()
 	}
 	return n
-}
-
-func (c *spillColumn) spilledBytes() int64 {
-	if c == nil || c.spill == nil {
-		return 0
-	}
-	return c.spill.Len()
 }
 
 func (c *spillColumn) drain(w io.Writer) error {

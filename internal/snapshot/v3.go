@@ -451,7 +451,7 @@ func (lay *V3Layout) ValidateSection(i int, keys, post []byte) error {
 		for k := 0; k < n; k++ {
 			e := entry(k)
 			if sec.Kind == V3KindSPKI {
-				if k > 0 && bytes.Compare(entry(k-1)[:32], e[:32]) >= 0 {
+				if k > 0 && bytes.Compare(entry(k - 1)[:32], e[:32]) >= 0 {
 					return fmt.Errorf("snapshot: SPKI index unsorted at key %d", k)
 				}
 			} else {
