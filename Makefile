@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke perfbench-check check ci
+.PHONY: all build test vet fmt-check lint race bench bench-all fuzz-seeds bench-smoke chaos-smoke mutate-smoke obs-smoke query-smoke lint-corpus-smoke mem-smoke telemetry-smoke perfbench-check check ci
 
 all: build test
 
@@ -12,6 +12,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the offenders, when gofmt would rewrite
+# any Go file in the tree.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists files that need gofmt -w:"; echo "$$out"; exit 1; fi
 
 # Repo-specific static analysis: the determinism & concurrency contract
 # (detmap, wallclock, seedrand, bannedimport, locksafe). Configured by
@@ -110,7 +115,7 @@ perfbench-check:
 	$(GO) -C perfbench test ./...
 
 # Everything CI runs, in CI order; fails on any new repolint finding.
-ci: build vet lint
+ci: build vet fmt-check lint
 	$(GO) test -race -shuffle=on ./...
 	$(MAKE) fuzz-seeds
 	$(MAKE) bench-smoke

@@ -124,7 +124,7 @@ func main() {
 			qs.access = newAccessLogger(af)
 		}
 	}
-	srv := &http.Server{Handler: qs.mux()}
+	srv := telemetry.NewServer(qs.mux())
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 

@@ -72,8 +72,6 @@ func main() {
 		interval    = flag.Duration("interval", 2*time.Second, "pause between sweeps")
 		outCorpus   = flag.String("o", "", "accumulate sweeps into a corpus and write it as a snapshot (see -format)")
 		outFormat   = flag.String("format", "v2", "snapshot format for -o: v2 (sharded columnar) or v3 (adds point-lookup indexes for certquery)")
-		memBudget   = flag.Int64("mem-budget", 0, "encode -o through the streaming writer with this sort-memory bound in bytes (0 = one-shot in-memory encode); bytes identical either way")
-		spillDir    = flag.String("spill-dir", "", "directory for streaming-encode spill files (\"\" = OS temp dir); implies -mem-budget's streaming path")
 		jsonOut     = flag.Bool("json", false, "print a JSON run summary (retry/failure counters) to stdout")
 		metricsOut  = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut    = flag.String("trace-out", "", "append per-sweep span events as JSON lines")
@@ -145,29 +143,17 @@ func main() {
 		}
 	}
 	if corpus != nil {
-		f, err := os.Create(*outCorpus)
-		if err != nil {
-			fatal(err)
-		}
 		// A live scan has no routing view, so the v3 AS index is empty;
-		// fingerprint/SPKI/IP lookups all work.
-		var err2 error
-		if *memBudget > 0 || *spillDir != "" {
-			err2 = snapshot.StreamCorpus(f, corpus, snapshot.Options{Obs: reg}, snapshot.StreamWriterConfig{
-				SpillDir:  *spillDir,
-				MemBudget: *memBudget,
-				V3:        *outFormat == "v3",
-			})
-		} else if *outFormat == "v3" {
-			err2 = snapshot.WriteV3(f, corpus, snapshot.Options{Obs: reg})
-		} else {
-			err2 = snapshot.Write(f, corpus, snapshot.Options{Obs: reg})
-		}
-		if err2 != nil {
-			f.Close()
-			fatal(err2)
-		}
-		if err := f.Close(); err != nil {
+		// fingerprint/SPKI/IP lookups all work. The snapshot lands via a
+		// temp file and a rename, so a failed write leaves any previous
+		// file at -o as it was.
+		err := obs.WriteFileAtomic(*outCorpus, func(w io.Writer) error {
+			if *outFormat == "v3" {
+				return snapshot.WriteV3(w, corpus, snapshot.Options{Obs: reg})
+			}
+			return snapshot.Write(w, corpus, snapshot.Options{Obs: reg})
+		})
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "certscan: wrote %s (%d certs, %d scans)\n",

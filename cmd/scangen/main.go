@@ -21,8 +21,14 @@
 //
 // -chunk streams the whole build — population, scans, snapshot encode — in
 // host chunks on bounded memory (core.StreamSnapshot): no resident world or
-// corpus ever exists, state beyond -mem-budget spills to -spill-dir, and the
-// output bytes are identical to the resident pipeline's at any chunk size.
+// corpus ever exists, the chunk store and the snapshot encoder each hold at
+// most -mem-budget of buffers and spill the rest to -spill-dir (the
+// encoder's per-certificate table stays resident), and the output bytes are
+// identical to the resident pipeline's at any chunk size.
+//
+// Snapshots are written through a temp file in the output's directory and
+// renamed into place, so a failed write leaves any previous file at -o
+// untouched — even when -upgrade rewrites its own input.
 //
 // -upgrade skips generation: it loads an existing snapshot (any format,
 // legacy v1 included) and rewrites it as -format. A loaded corpus carries no
@@ -35,6 +41,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"securepki/internal/core"
@@ -59,7 +66,7 @@ func main() {
 		rapid7     = flag.Int("rapid7", 0, "Rapid7 scan count (0 = default)")
 		small      = flag.Bool("small", false, "use the reduced sizing")
 		chunkSize  = flag.Int("chunk", 0, "stream the build in chunks of this many hosts on bounded memory (0 = resident pipeline); bytes identical at any setting")
-		memBudget  = flag.Int64("mem-budget", 0, "with -chunk: bound the chunk store's and encoder's memory in bytes; overflow spills to disk (0 = 256 MiB)")
+		memBudget  = flag.Int64("mem-budget", 0, "with -chunk: bound the chunk store's and the encoder's buffers to this many bytes each; overflow spills to disk (0 = 256 MiB)")
 		spillDir   = flag.String("spill-dir", "", "with -chunk: directory for spill files (\"\" = OS temp dir)")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		mutateFrac = flag.Float64("mutate-frac", 0, "apply frankencert-style mutations to this fraction of devices (0 = none, 1 = all); deterministic per device")
@@ -116,16 +123,13 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Stream = core.StreamConfig{ChunkSize: *chunkSize, MemBudget: *memBudget, SpillDir: *spillDir}
-		f, err := os.Create(*out)
+		var stats *core.StreamStats
+		err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
+			var err error
+			stats, err = core.StreamSnapshot(cfg, *format == "v3", w, nil)
+			return err
+		})
 		if err != nil {
-			fatal(err)
-		}
-		stats, err := core.StreamSnapshot(cfg, *format == "v3", f, nil)
-		if err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 		info, err := os.Stat(*out)
@@ -155,24 +159,17 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "scans: %d, unique certificates: %d\n", p.Corpus.NumScans(), p.Corpus.NumCerts())
 
-	f, err := os.Create(*out)
+	err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
+		if *format == "v3" {
+			return snapshot.WriteV3(w, p.Corpus, snapshot.Options{
+				Workers: *workers,
+				Obs:     reg,
+				ASOf:    snapshot.InternetASOf(p.World.Internet),
+			})
+		}
+		return snapshot.Write(w, p.Corpus, snapshot.Options{Workers: *workers, Obs: reg})
+	})
 	if err != nil {
-		fatal(err)
-	}
-	if *format == "v3" {
-		err = snapshot.WriteV3(f, p.Corpus, snapshot.Options{
-			Workers: *workers,
-			Obs:     reg,
-			ASOf:    snapshot.InternetASOf(p.World.Internet),
-		})
-	} else {
-		err = snapshot.Write(f, p.Corpus, snapshot.Options{Workers: *workers, Obs: reg})
-	}
-	if err != nil {
-		f.Close()
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		fatal(err)
 	}
 	info, err := os.Stat(*out)

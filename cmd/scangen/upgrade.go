@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"securepki/internal/netsim"
@@ -14,6 +15,7 @@ import (
 // reader sniffs) as the requested format. Round-tripping through the full
 // decode means the output inherits every integrity check the streaming
 // reader applies, and the rewrite is byte-deterministic at any worker count.
+// The output is replaced only once fully written, so in == out is safe.
 func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, metricsOut string) error {
 	reg := obs.NewRegistry()
 	parallel.SetObserver(obs.NewParallelCollector(reg))
@@ -43,20 +45,13 @@ func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, met
 		fmt.Fprintf(os.Stderr, "no -prefix2as: the v3 AS index will be empty\n")
 	}
 
-	g, err := os.Create(out)
+	err = obs.WriteFileAtomic(out, func(w io.Writer) error {
+		if format == "v3" {
+			return snapshot.WriteV3(w, c, opt)
+		}
+		return snapshot.Write(w, c, opt)
+	})
 	if err != nil {
-		return err
-	}
-	if format == "v3" {
-		err = snapshot.WriteV3(g, c, opt)
-	} else {
-		err = snapshot.Write(g, c, opt)
-	}
-	if err != nil {
-		g.Close()
-		return err
-	}
-	if err := g.Close(); err != nil {
 		return err
 	}
 	info, err := os.Stat(out)

@@ -20,6 +20,19 @@ import (
 	"securepki/internal/obs"
 )
 
+// ReadHeaderTimeout bounds how long every command's HTTP server — the debug
+// server here and certquery's query server — waits for a request's headers.
+// Without it a client that trickles header bytes holds a connection and its
+// goroutine for as long as it keeps trickling. Bodies, responses and idle
+// keep-alive connections stay unbounded: a load generator's keep-alive
+// connections must survive the gaps between its requests.
+const ReadHeaderTimeout = 5 * time.Second
+
+// NewServer returns an http.Server for h with the shared header-read bound.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
 // Flags holds one command's telemetry flag values.
 type Flags struct {
 	debugAddr, eventsOut string
@@ -110,10 +123,10 @@ func (s *Live) Close() error {
 	return s.events.Close()
 }
 
-// Serve binds the debug endpoint: the telemetry surface (/metrics, /samples,
-// /events, /statusz) on its own mux, with /debug/ delegated to
-// http.DefaultServeMux where expvar (/debug/vars) and pprof (/debug/pprof/)
-// register themselves at import time. The live registry is also published
+// Serve binds the debug endpoint, a NewServer server: the telemetry surface
+// (/metrics, /samples, /events, /statusz) on its own mux, with /debug/
+// delegated to http.DefaultServeMux where expvar (/debug/vars) and pprof
+// (/debug/pprof/) register themselves at import time. The live registry is also published
 // as the "obs" expvar. Returns the bound address so ":0" callers can
 // discover the port.
 func Serve(addr string, tel obs.Telemetry) (string, error) {
@@ -125,7 +138,7 @@ func Serve(addr string, tel obs.Telemetry) (string, error) {
 		return "", err
 	}
 	go func() {
-		if err := http.Serve(ln, mux); err != nil {
+		if err := NewServer(mux).Serve(ln); err != nil {
 			// The listener lives for the whole process; a serve error is
 			// diagnostic only — the command's own work must not die for it.
 			fmt.Fprintf(os.Stderr, "%s: debug server: %v\n", tel.Cmd, err)

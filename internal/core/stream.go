@@ -24,7 +24,9 @@ type StreamConfig struct {
 	// 8192). Output bytes are identical at every setting.
 	ChunkSize int
 	// MemBudget bounds, in bytes, both the chunk store's live set and the
-	// snapshot writer's sorter buffers (<= 0 means 256 MiB each).
+	// snapshot writer's buffers (<= 0 means 256 MiB each); how the writer
+	// shares its budget, and what stays outside it, is documented at
+	// snapshot.StreamWriterConfig.MemBudget.
 	MemBudget int64
 	// SpillDir hosts every spill file ("" means the OS temp dir).
 	SpillDir string

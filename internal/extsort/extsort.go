@@ -1,18 +1,18 @@
-// Package extsort is the external-merge substrate of the streaming build
-// path: sorters over fixed-width records that buffer rows up to a memory
-// budget, spill sorted runs to checksummed temporary shards when the budget
-// is hit, and k-way merge every run back into one ordered stream. It also
-// provides checksummed append-only spill files for byte payloads that must
-// transit disk between a streaming producer and the final output copy.
+// Package extsort is the external-merge substrate of the snapshot writer:
+// sorters over fixed-width records that buffer rows up to a memory budget,
+// spill sorted runs to checksummed temporary shards when the budget is hit,
+// and k-way merge every run back into one ordered stream. It also provides
+// memory-first, checksummed append-only spill files for byte payloads that
+// must transit disk between a streaming producer and the final output copy.
 //
-// Determinism contract: the merged stream is a pure function of the record
-// sequence handed to Add — never of the memory budget, the spill directory,
-// or how many runs happened to spill. Sorting is stable and the merge breaks
-// ties by run age (earlier-spilled runs first, the in-memory remainder
-// last), so records that compare equal come out in insertion order. Callers
-// exploit this: the scanstore index feeds sightings in scan-major order and
-// gets per-certificate sighting lists back in exactly the order the
-// in-memory build would produce.
+// Order contract: a record's encoding is its sort key. Records come back in
+// ascending byte order of their encodings, so a multi-field order is a
+// big-endian layout with the most significant field first. Records with
+// equal encodings are identical, so no tie-break exists to get wrong, and
+// the merged stream is a pure function of the multiset of records handed to
+// Add — never of the memory budget, the spill directory, or how many runs
+// happened to spill. Ordering by bytes is also what lets the run sort be an
+// LSD radix sort instead of a comparison sort.
 //
 // Distrust discipline (the snapshot package's rules): every run shard
 // carries a magic, its record width, an exact record count and a trailing
@@ -23,25 +23,26 @@
 package extsort
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// Config parameterises a Sorter. Size, Encode, Decode and Less are
-// mandatory; the zero values of the rest are usable defaults.
+// Config parameterises a Sorter. Size, Encode and Decode are mandatory; the
+// zero values of the rest are usable defaults.
 type Config[R any] struct {
 	// Size is the fixed encoded width of one record, in bytes.
 	Size int
-	// Encode writes r into dst, which is exactly Size bytes.
+	// Encode writes r into dst, which is exactly Size bytes. The encoding is
+	// also the sort order (see the package doc).
 	Encode func(dst []byte, r R)
 	// Decode reads one record back from src (exactly Size bytes).
 	Decode func(src []byte) R
-	// Less is the sort order. It must be a strict weak order; ties are
-	// broken by insertion order (the sorter is stable end to end).
-	Less func(a, b R) bool
 	// MemBudget caps the in-memory buffer, in encoded bytes; when an Add
 	// would hold more than this, the buffer spills to a sorted run shard.
-	// <= 0 means DefaultMemBudget.
+	// The radix sort needs a second buffer of the same size, which the
+	// sorter keeps from its first sort until Close, so a sorter holds up to
+	// twice MemBudget. <= 0 means DefaultMemBudget.
 	MemBudget int64
 	// Dir is where run shards are created ("" means the OS temp dir).
 	Dir string
@@ -55,7 +56,8 @@ const DefaultMemBudget = 256 << 20
 // use.
 type Sorter[R any] struct {
 	cfg  Config[R]
-	buf  []R
+	buf  []byte // encoded records, Size bytes each
+	tmp  []byte // the radix sort's second buffer, kept for the next run
 	runs []*runShard
 	err  error
 }
@@ -65,8 +67,8 @@ func NewSorter[R any](cfg Config[R]) (*Sorter[R], error) {
 	if cfg.Size <= 0 || cfg.Size > maxRecordSize {
 		return nil, fmt.Errorf("extsort: record size %d outside (0, %d]", cfg.Size, maxRecordSize)
 	}
-	if cfg.Encode == nil || cfg.Decode == nil || cfg.Less == nil {
-		return nil, fmt.Errorf("extsort: config needs Encode, Decode and Less")
+	if cfg.Encode == nil || cfg.Decode == nil {
+		return nil, fmt.Errorf("extsort: config needs Encode and Decode")
 	}
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = DefaultMemBudget
@@ -81,8 +83,13 @@ func (s *Sorter[R]) Add(r R) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.buf = append(s.buf, r)
-	if int64(len(s.buf))*int64(s.cfg.Size) >= s.cfg.MemBudget {
+	n := len(s.buf)
+	if cap(s.buf)-n < s.cfg.Size {
+		s.buf = grow(s.buf, s.cfg.Size, s.cfg.MemBudget)
+	}
+	s.buf = s.buf[:n+s.cfg.Size]
+	s.cfg.Encode(s.buf[n:], r)
+	if int64(len(s.buf)) >= s.cfg.MemBudget {
 		if err := s.spill(); err != nil {
 			s.err = err
 			return err
@@ -104,10 +111,13 @@ func (s *Sorter[R]) FanIn() int {
 	return n
 }
 
+// sortBuf radix-sorts the buffer in place (swapping it with the spare
+// buffer when the pass count is odd).
 func (s *Sorter[R]) sortBuf() {
-	less := s.cfg.Less
-	buf := s.buf
-	sort.SliceStable(buf, func(i, j int) bool { return less(buf[i], buf[j]) })
+	if cap(s.tmp) < len(s.buf) {
+		s.tmp = make([]byte, len(s.buf))
+	}
+	s.buf, s.tmp = radixSort(s.buf, s.tmp[:len(s.buf)], s.cfg.Size)
 }
 
 // spill sorts the buffer and writes it as one run shard.
@@ -116,7 +126,7 @@ func (s *Sorter[R]) spill() error {
 		return nil
 	}
 	s.sortBuf()
-	run, err := writeRunShard(s.cfg.Dir, s.cfg.Size, s.cfg.Encode, s.buf)
+	run, err := writeRunShard(s.cfg.Dir, s.cfg.Size, s.buf)
 	if err != nil {
 		return err
 	}
@@ -125,67 +135,174 @@ func (s *Sorter[R]) spill() error {
 	return nil
 }
 
+// grow returns b with room for n more bytes. Capacity doubles but stops at
+// limit, or at exactly the room needed once that passes limit, so a buffer
+// that grows to its limit leaves about its own size in garbage rather than
+// several times it.
+func grow(b []byte, n int, limit int64) []byte {
+	need := len(b) + n
+	if cap(b) >= need {
+		return b
+	}
+	c := max(2*cap(b), need, 4<<10)
+	if int64(c) > limit {
+		c = int(max(limit, int64(need)))
+	}
+	return slices.Grow(b, c-len(b))
+}
+
+// radixSort orders the size-byte records in buf by their bytes: an LSD radix
+// sort over byte positions, last to first, that skips every position on
+// which all records agree (the high bytes of small IDs). It returns the
+// sorted records and the spare buffer — buf and tmp, possibly swapped.
+func radixSort(buf, tmp []byte, size int) (sorted, spare []byte) {
+	n := len(buf) / size
+	if n < 2 {
+		return buf, tmp
+	}
+	counts := make([][256]int, size)
+	for i := 0; i < len(buf); i += size {
+		for j, b := range buf[i : i+size] {
+			counts[j][b]++
+		}
+	}
+	src, dst := buf, tmp
+	for j := size - 1; j >= 0; j-- {
+		c := &counts[j]
+		// Uniformity is a property of the multiset, so probing the first
+		// record — even after earlier passes moved it — is sound.
+		if c[src[j]] == n {
+			continue
+		}
+		off := 0
+		for b, k := range c {
+			c[b] = off
+			off += k * size
+		}
+		// The common widths move as fixed-size arrays, without a memmove call.
+		switch size {
+		case 8:
+			for i := 0; i+8 <= len(src); i += 8 {
+				r := (*[8]byte)(src[i:])
+				p := c[r[j]]
+				c[r[j]] = p + 8
+				*(*[8]byte)(dst[p:]) = *r
+			}
+		case 12:
+			for i := 0; i+12 <= len(src); i += 12 {
+				r := (*[12]byte)(src[i:])
+				p := c[r[j]]
+				c[r[j]] = p + 12
+				*(*[12]byte)(dst[p:]) = *r
+			}
+		default:
+			for i := 0; i < len(src); i += size {
+				p := c[src[i+j]]
+				c[src[i+j]] = p + size
+				copy(dst[p:p+size], src[i:i+size])
+			}
+		}
+		src, dst = dst, src
+	}
+	return src, dst
+}
+
 // mergeSrc is one sorted source feeding the merge: a run shard reader or
-// the in-memory remainder.
-type mergeSrc[R any] struct {
-	next func() (R, bool, error)
+// the in-memory remainder. cur is its current record, valid until next.
+type mergeSrc struct {
+	cur  []byte
+	next func() ([]byte, bool, error)
 }
 
 // Merge sorts the in-memory remainder and streams every record, across all
-// runs, to fn in (Less, insertion) order. Records already handed to fn
-// before an error must be discarded by the caller: a corrupt run shard is
-// only provably corrupt once its digest trailer is reached, so Merge
-// guarantees detection, not early abort. Merge consumes the sorter; Close
-// releases the run shards afterwards.
+// runs, to fn in encoding order. Records already handed to fn before an
+// error must be discarded by the caller: a corrupt run shard is only
+// provably corrupt once its digest trailer is reached, so Merge guarantees
+// detection, not early abort. Merge consumes the sorter; Close releases the
+// run shards afterwards.
 func (s *Sorter[R]) Merge(fn func(r R) error) error {
 	if s.err != nil {
 		return s.err
 	}
 	s.sortBuf()
+	size, decode := s.cfg.Size, s.cfg.Decode
+	if len(s.runs) == 0 {
+		for i := 0; i < len(s.buf); i += size {
+			if err := fn(decode(s.buf[i : i+size])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 
-	srcs := make([]mergeSrc[R], 0, len(s.runs)+1)
+	srcs := make([]*mergeSrc, 0, len(s.runs)+1)
 	for _, run := range s.runs {
-		rd, err := newRunReader(run, s.cfg.Size, s.cfg.Decode)
+		rd, err := newRunReader(run, size)
 		if err != nil {
 			return err
 		}
-		srcs = append(srcs, mergeSrc[R]{next: rd.next})
+		srcs = append(srcs, &mergeSrc{next: rd.next})
 	}
 	buf, pos := s.buf, 0
-	srcs = append(srcs, mergeSrc[R]{next: func() (R, bool, error) {
-		var zero R
+	srcs = append(srcs, &mergeSrc{next: func() ([]byte, bool, error) {
 		if pos >= len(buf) {
-			return zero, false, nil
+			return nil, false, nil
 		}
-		r := buf[pos]
-		pos++
-		return r, true, nil
+		pos += size
+		return buf[pos-size : pos], true, nil
 	}})
 
-	h := newMergeHeap[R](s.cfg.Less)
-	for i, src := range srcs {
-		r, ok, err := src.next()
+	// A binary min-heap of live sources, ordered by current record. Equal
+	// records are identical, so which source yields first cannot matter.
+	heap := make([]*mergeSrc, 0, len(srcs))
+	for _, src := range srcs {
+		rec, ok, err := src.next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			h.push(mergeItem[R]{rec: r, src: i})
+			src.cur = rec
+			heap = append(heap, src)
 		}
 	}
-	for h.len() > 0 {
-		it := h.pop()
-		if err := fn(it.rec); err != nil {
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	for len(heap) > 0 {
+		top := heap[0]
+		if err := fn(decode(top.cur)); err != nil {
 			return err
 		}
-		r, ok, err := srcs[it.src].next()
+		rec, ok, err := top.next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			h.push(mergeItem[R]{rec: r, src: it.src})
+			top.cur = rec
+		} else {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
 		}
+		siftDown(heap, 0)
 	}
 	return nil
+}
+
+// siftDown restores the heap property below position i.
+func siftDown(heap []*mergeSrc, i int) {
+	for {
+		min := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(heap) && bytes.Compare(heap[c].cur, heap[min].cur) < 0 {
+				min = c
+			}
+		}
+		if min == i {
+			return
+		}
+		heap[i], heap[min] = heap[min], heap[i]
+		i = min
+	}
 }
 
 // Close removes every spilled run shard. Safe to call more than once.
@@ -197,96 +314,6 @@ func (s *Sorter[R]) Close() error {
 		}
 	}
 	s.runs = nil
-	s.buf = nil
+	s.buf, s.tmp = nil, nil
 	return first
-}
-
-// mergeItem pairs a record with the index of the source it came from; the
-// source index is the tie-break that keeps the merge stable.
-type mergeItem[R any] struct {
-	rec R
-	src int
-}
-
-// mergeHeap is a binary min-heap over (Less, src). Hand-rolled rather than
-// container/heap to keep the hot pop/push path free of interface calls.
-type mergeHeap[R any] struct {
-	less  func(a, b R) bool
-	items []mergeItem[R]
-}
-
-func newMergeHeap[R any](less func(a, b R) bool) *mergeHeap[R] {
-	return &mergeHeap[R]{less: less}
-}
-
-func (h *mergeHeap[R]) len() int { return len(h.items) }
-
-func (h *mergeHeap[R]) before(a, b mergeItem[R]) bool {
-	if h.less(a.rec, b.rec) {
-		return true
-	}
-	if h.less(b.rec, a.rec) {
-		return false
-	}
-	return a.src < b.src
-}
-
-func (h *mergeHeap[R]) push(it mergeItem[R]) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(h.items[i], h.items[parent]) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *mergeHeap[R]) pop() mergeItem[R] {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && h.before(h.items[l], h.items[smallest]) {
-			smallest = l
-		}
-		if r < len(h.items) && h.before(h.items[r], h.items[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
-}
-
-// MergeSorted k-way merges in-memory sorted runs into fn, stable by run
-// index then in-run order — the in-core counterpart of Sorter.Merge, used
-// where chunks were sorted in parallel and only the combine must be serial.
-// Every run must already be sorted by less.
-func MergeSorted[R any](runs [][]R, less func(a, b R) bool, fn func(r R)) {
-	h := newMergeHeap[R](less)
-	pos := make([]int, len(runs))
-	for i, run := range runs {
-		if len(run) > 0 {
-			h.push(mergeItem[R]{rec: run[0], src: i})
-			pos[i] = 1
-		}
-	}
-	for h.len() > 0 {
-		it := h.pop()
-		fn(it.rec)
-		if p := pos[it.src]; p < len(runs[it.src]) {
-			h.push(mergeItem[R]{rec: runs[it.src][p], src: it.src})
-			pos[it.src] = p + 1
-		}
-	}
 }

@@ -3,6 +3,7 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,14 +22,14 @@ type rec struct {
 func recConfig(dir string, budget int64) Config[rec] {
 	return Config[rec]{
 		Size: 8,
+		// Big-endian key then sequence: byte order is (key, insertion) order.
 		Encode: func(dst []byte, r rec) {
-			binary.LittleEndian.PutUint32(dst, r.key)
-			binary.LittleEndian.PutUint32(dst[4:], r.seq)
+			binary.BigEndian.PutUint32(dst, r.key)
+			binary.BigEndian.PutUint32(dst[4:], r.seq)
 		},
 		Decode: func(src []byte) rec {
-			return rec{key: binary.LittleEndian.Uint32(src), seq: binary.LittleEndian.Uint32(src[4:])}
+			return rec{key: binary.BigEndian.Uint32(src), seq: binary.BigEndian.Uint32(src[4:])}
 		},
-		Less:      func(a, b rec) bool { return a.key < b.key },
 		MemBudget: budget,
 		Dir:       dir,
 	}
@@ -208,67 +209,63 @@ func TestMergeDetectsWrongRecordSize(t *testing.T) {
 	})
 }
 
-// TestMergeSortedStable merges pre-sorted in-memory runs stably.
-func TestMergeSortedStable(t *testing.T) {
-	runs := [][]rec{
-		{{1, 0}, {3, 1}, {3, 2}},
-		{{1, 10}, {2, 11}},
-		{{3, 20}},
-	}
-	var got []rec
-	MergeSorted(runs, func(a, b rec) bool { return a.key < b.key }, func(r rec) { got = append(got, r) })
-	want := []rec{{1, 0}, {1, 10}, {2, 11}, {3, 1}, {3, 2}, {3, 20}}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("element %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestSpillFileRoundTrip writes, reads back twice, and verify-copies.
+// TestSpillFileRoundTrip writes across the memory limit, reads back twice,
+// and verify-copies, for a spill that stays in memory and ones that move to
+// disk at the first byte and partway through.
 func TestSpillFileRoundTrip(t *testing.T) {
-	sf, err := NewSpillFile(t.TempDir(), "payload-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Remove()
-	var want bytes.Buffer
-	rng := stats.NewRNG(7)
-	for i := 0; i < 100; i++ {
-		chunk := make([]byte, rng.Intn(2000)+1)
-		for j := range chunk {
-			chunk[j] = byte(rng.Uint32())
+	for _, limit := range []int64{0, 50 << 10, 1 << 30} {
+		dir := t.TempDir()
+		sf := NewSpillFile(dir, "payload-*.spill", limit)
+		defer sf.Remove()
+		var want bytes.Buffer
+		rng := stats.NewRNG(7)
+		for i := 0; i < 100; i++ {
+			chunk := make([]byte, rng.Intn(2000)+1)
+			for j := range chunk {
+				chunk[j] = byte(rng.Uint32())
+			}
+			want.Write(chunk)
+			if _, err := sf.Write(chunk); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want.Write(chunk)
-		if _, err := sf.Write(chunk); err != nil {
+		if sf.Len() != int64(want.Len()) {
+			t.Fatalf("limit %d: Len %d, want %d", limit, sf.Len(), want.Len())
+		}
+		files, _ := filepath.Glob(filepath.Join(dir, "payload-*"))
+		if onDisk := int64(want.Len()) > limit; (len(files) == 1) != onDisk {
+			t.Fatalf("limit %d: spill files %v, want one on disk: %v", limit, files, onDisk)
+		}
+		for pass := 0; pass < 2; pass++ {
+			var got bytes.Buffer
+			if err := sf.VerifyCopy(&got); err != nil {
+				t.Fatalf("limit %d pass %d: %v", limit, pass, err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("limit %d pass %d: copy differs", limit, pass)
+			}
+			rd, err := sf.Reader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := io.ReadAll(rd); err != nil || !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("limit %d pass %d: Reader differs (err %v)", limit, pass, err)
+			}
+		}
+		if err := sf.Remove(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if sf.Len() != int64(want.Len()) {
-		t.Fatalf("Len %d, want %d", sf.Len(), want.Len())
-	}
-	for pass := 0; pass < 2; pass++ {
-		var got bytes.Buffer
-		if err := sf.VerifyCopy(&got); err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("pass %d: copy differs", pass)
+		if files, _ := filepath.Glob(filepath.Join(dir, "payload-*")); len(files) != 0 {
+			t.Fatalf("limit %d: files left after Remove: %v", limit, files)
 		}
 	}
 }
 
-// TestSpillFileDetectsRot flips a byte on disk after writing; VerifyCopy
-// must refuse to pass the rotted bytes through silently.
+// TestSpillFileDetectsRot flips a byte on disk after writing; VerifyCopy and
+// a Reader must refuse to pass the rotted bytes through silently.
 func TestSpillFileDetectsRot(t *testing.T) {
 	dir := t.TempDir()
-	sf, err := NewSpillFile(dir, "payload-*.spill")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf := NewSpillFile(dir, "payload-*.spill", 1024)
 	defer sf.Remove()
 	if _, err := sf.Write(bytes.Repeat([]byte{0xAA}, 4096)); err != nil {
 		t.Fatal(err)
@@ -283,5 +280,40 @@ func TestSpillFileDetectsRot(t *testing.T) {
 	rewrite(t, paths[0], func(b []byte) []byte { b[100] ^= 1; return b })
 	if err := sf.VerifyCopy(&bytes.Buffer{}); err == nil {
 		t.Fatal("VerifyCopy passed rotted bytes")
+	}
+	rd, err := sf.Reader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(rd); err == nil {
+		t.Fatal("Reader passed rotted bytes")
+	}
+}
+
+// TestRadixSortMatchesByteOrder checks the run sort against a comparison
+// sort over odd and even record widths, with shared high bytes (skipped
+// passes) and duplicates.
+func TestRadixSortMatchesByteOrder(t *testing.T) {
+	rng := stats.NewRNG(3)
+	for _, size := range []int{1, 5, 8, 12} {
+		for _, n := range []int{0, 1, 2, 1000} {
+			buf := make([]byte, n*size)
+			for i := range buf {
+				if i%size >= size/2 { // the high half stays zero
+					buf[i] = byte(rng.Intn(7))
+				}
+			}
+			want := make([][]byte, n)
+			for i := range want {
+				want[i] = append([]byte(nil), buf[i*size:(i+1)*size]...)
+			}
+			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
+			got, _ := radixSort(buf, make([]byte, len(buf)), size)
+			for i := range want {
+				if !bytes.Equal(got[i*size:(i+1)*size], want[i]) {
+					t.Fatalf("size %d n %d: record %d = %x, want %x", size, n, i, got[i*size:(i+1)*size], want[i])
+				}
+			}
+		}
 	}
 }

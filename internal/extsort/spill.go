@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -51,32 +52,24 @@ func (r *runShard) remove() error {
 	return err
 }
 
-// writeRunShard writes one sorted buffer as a run shard in dir.
-func writeRunShard[R any](dir string, size int, encode func([]byte, R), buf []R) (*runShard, error) {
+// writeRunShard writes one sorted buffer of size-byte records as a run
+// shard in dir.
+func writeRunShard(dir string, size int, recs []byte) (*runShard, error) {
 	f, err := os.CreateTemp(dir, "extsort-run-*.spill")
 	if err != nil {
 		return nil, fmt.Errorf("extsort: create run shard: %w", err)
 	}
-	run := &runShard{f: f, path: f.Name(), count: int64(len(buf))}
+	count := int64(len(recs) / size)
+	run := &runShard{f: f, path: f.Name(), count: count}
 	h := sha256.New()
 	w := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<16)
 
 	var head [runHeaderLen]byte
 	copy(head[:8], runMagic)
 	binary.LittleEndian.PutUint32(head[8:], uint32(size))
-	binary.LittleEndian.PutUint64(head[16:], uint64(len(buf)))
-	if _, err := w.Write(head[:]); err != nil {
-		run.remove()
-		return nil, fmt.Errorf("extsort: write run shard: %w", err)
-	}
-	rec := make([]byte, size)
-	for _, r := range buf {
-		encode(rec, r)
-		if _, err := w.Write(rec); err != nil {
-			run.remove()
-			return nil, fmt.Errorf("extsort: write run shard: %w", err)
-		}
-	}
+	binary.LittleEndian.PutUint64(head[16:], uint64(count))
+	w.Write(head[:])
+	w.Write(recs)
 	if err := w.Flush(); err != nil {
 		run.remove()
 		return nil, fmt.Errorf("extsort: write run shard: %w", err)
@@ -87,30 +80,28 @@ func writeRunShard[R any](dir string, size int, encode func([]byte, R), buf []R)
 		run.remove()
 		return nil, fmt.Errorf("extsort: write run shard digest: %w", err)
 	}
-	run.size = runHeaderLen + int64(len(buf))*int64(size) + runDigestLen
+	run.size = runHeaderLen + int64(len(recs)) + runDigestLen
 	return run, nil
 }
 
 // runReader streams one shard's records back, verifying the header up front
 // and the digest as the last record drains.
-type runReader[R any] struct {
-	r      *bufio.Reader
-	h      hash.Hash
-	decode func([]byte) R
-	rec    []byte
-	left   int64
+type runReader struct {
+	r    *bufio.Reader
+	h    hash.Hash
+	rec  []byte
+	left int64
 }
 
-func newRunReader[R any](run *runShard, size int, decode func([]byte) R) (*runReader[R], error) {
+func newRunReader(run *runShard, size int) (*runReader, error) {
 	fi, err := run.f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("extsort: stat run shard: %w", err)
 	}
-	rd := &runReader[R]{
-		r:      bufio.NewReaderSize(io.NewSectionReader(run.f, 0, fi.Size()), 1<<14),
-		h:      sha256.New(),
-		decode: decode,
-		rec:    make([]byte, size),
+	rd := &runReader{
+		r:   bufio.NewReaderSize(io.NewSectionReader(run.f, 0, fi.Size()), 1<<14),
+		h:   sha256.New(),
+		rec: make([]byte, size),
 	}
 	var head [runHeaderLen]byte
 	if _, err := io.ReadFull(rd.r, head[:]); err != nil {
@@ -136,68 +127,134 @@ func newRunReader[R any](run *runShard, size int, decode func([]byte) R) (*runRe
 	return rd, nil
 }
 
-// next returns the following record; ok=false marks a cleanly verified end
-// of run. A digest mismatch or short read is an error.
-func (r *runReader[R]) next() (R, bool, error) {
-	var zero R
+// next returns the following record, valid until the next call; ok=false
+// marks a cleanly verified end of run. A digest mismatch or short read is an
+// error.
+func (r *runReader) next() ([]byte, bool, error) {
 	if r.left == 0 {
 		var stored [runDigestLen]byte
 		if _, err := io.ReadFull(r.r, stored[:]); err != nil {
-			return zero, false, fmt.Errorf("extsort: run shard truncated digest: %w", err)
+			return nil, false, fmt.Errorf("extsort: run shard truncated digest: %w", err)
 		}
 		var sum [runDigestLen]byte
 		r.h.Sum(sum[:0])
 		if sum != stored {
-			return zero, false, fmt.Errorf("extsort: run shard digest mismatch (corrupt spill)")
+			return nil, false, fmt.Errorf("extsort: run shard digest mismatch (corrupt spill)")
 		}
-		return zero, false, nil
+		return nil, false, nil
 	}
 	if _, err := io.ReadFull(r.r, r.rec); err != nil {
-		return zero, false, fmt.Errorf("extsort: run shard truncated: %w", err)
+		return nil, false, fmt.Errorf("extsort: run shard truncated: %w", err)
 	}
 	r.h.Write(r.rec)
 	r.left--
-	return r.decode(r.rec), true, nil
+	return r.rec, true, nil
 }
 
-// SpillFile is a checksummed append-only temp file: streaming producers
-// (shard payloads, index postings) write through it, then the finish step
-// reads it back — possibly more than once — while the running digest taken
-// at write time guards against the bytes rotting in between. It implements
-// io.Writer.
+// SpillFile is an append-only byte store that stays in memory until it
+// outgrows its limit, then moves to a temp file and appends there. Streaming
+// producers (shard payloads, observation columns, index sections) write
+// through it and the finish step reads it back, possibly more than once. A
+// spill that never outgrows its limit never touches the file system and is
+// never hashed; once on disk, a running digest taken at write time is
+// checked on every read, so bytes that rot in between fail explicitly
+// instead of corrupting the output. It implements io.Writer.
 type SpillFile struct {
-	f    *os.File
-	w    *bufio.Writer
-	h    hash.Hash
-	n    int64
-	werr error
+	dir, pattern string
+	limit        int64
+	n            int64 // bytes written
+
+	// In memory: blocks filled in order, each twice the size of the last,
+	// so growing never copies what is already held.
+	mem [][]byte
+
+	// Set once the spill has moved to disk.
+	f *os.File
+	w *bufio.Writer
+	h hash.Hash
+
+	err error
 }
 
-// NewSpillFile creates a spill file in dir ("" means the OS temp dir).
-func NewSpillFile(dir, pattern string) (*SpillFile, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, fmt.Errorf("extsort: create spill file: %w", err)
-	}
-	return &SpillFile{
-		f: f,
-		w: bufio.NewWriterSize(f, 1<<16),
-		h: sha256.New(),
-	}, nil
+// Memory block sizes: the first block, and the cap the doubling stops at.
+const (
+	minBlock = 4 << 10
+	maxBlock = 1 << 20
+)
+
+// NewSpillFile returns an empty spill that holds up to limit bytes in
+// memory before moving to a file created in dir ("" means the OS temp dir)
+// with the os.CreateTemp pattern.
+func NewSpillFile(dir, pattern string, limit int64) *SpillFile {
+	return &SpillFile{dir: dir, pattern: pattern, limit: limit}
 }
 
 // Write appends to the spill. Errors are sticky.
 func (s *SpillFile) Write(p []byte) (int, error) {
-	if s.werr != nil {
-		return 0, s.werr
+	if s.err != nil {
+		return 0, s.err
+	}
+	if s.f == nil {
+		if s.n+int64(len(p)) <= s.limit {
+			if k := len(s.mem) - 1; k >= 0 && cap(s.mem[k])-len(s.mem[k]) >= len(p) {
+				s.mem[k] = append(s.mem[k], p...)
+				s.n += int64(len(p))
+			} else {
+				s.appendMem(p)
+			}
+			return len(p), nil
+		}
+		if err := s.toDisk(); err != nil {
+			return 0, err
+		}
 	}
 	n, err := s.w.Write(p)
 	s.h.Write(p[:n])
 	s.n += int64(n)
 	if err != nil {
-		s.werr = fmt.Errorf("extsort: spill write: %w", err)
+		s.err = fmt.Errorf("extsort: spill write: %w", err)
 	}
-	return n, s.werr
+	return n, s.err
+}
+
+// appendMem copies p into the memory blocks, opening the next block when
+// the last is full. A block never reaches past the limit.
+func (s *SpillFile) appendMem(p []byte) {
+	s.n += int64(len(p))
+	for len(p) > 0 {
+		k := len(s.mem)
+		if k == 0 || len(s.mem[k-1]) == cap(s.mem[k-1]) {
+			size := minBlock
+			if k > 0 {
+				size = min(2*cap(s.mem[k-1]), maxBlock)
+			}
+			size = int(min(int64(size), s.limit-s.n+int64(len(p))))
+			s.mem = append(s.mem, make([]byte, 0, size))
+			k++
+		}
+		b := s.mem[k-1]
+		m := copy(b[len(b):cap(b)], p)
+		s.mem[k-1] = b[:len(b)+m]
+		p = p[m:]
+	}
+}
+
+// toDisk creates the spill's file and moves the in-memory bytes into it.
+func (s *SpillFile) toDisk() error {
+	f, err := os.CreateTemp(s.dir, s.pattern)
+	if err != nil {
+		s.err = fmt.Errorf("extsort: create spill file: %w", err)
+		return s.err
+	}
+	s.f, s.w, s.h = f, bufio.NewWriterSize(f, 1<<16), sha256.New()
+	mem := s.mem
+	s.mem, s.n = nil, 0
+	for _, b := range mem {
+		if _, err := s.Write(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Len returns the number of bytes written so far.
@@ -205,43 +262,61 @@ func (s *SpillFile) Len() int64 { return s.n }
 
 // Reader flushes pending writes and returns an independent reader over the
 // full spill contents. Multiple readers may be taken; each streams from the
-// start. Writing after the first Reader call is a caller bug (the new bytes
-// join subsequent readers but not earlier ones).
+// start, and one over a file fails with an error instead of io.EOF if the
+// bytes read back do not match the write-time digest. Writing after the
+// first Reader call is a caller bug (the new bytes join subsequent readers
+// but not earlier ones).
 func (s *SpillFile) Reader() (io.Reader, error) {
-	if s.werr != nil {
-		return nil, s.werr
+	if s.err != nil {
+		return nil, s.err
+	}
+	if s.f == nil {
+		blocks := make([]io.Reader, len(s.mem))
+		for i, b := range s.mem {
+			blocks[i] = bytes.NewReader(b)
+		}
+		return io.MultiReader(blocks...), nil
 	}
 	if err := s.w.Flush(); err != nil {
-		s.werr = fmt.Errorf("extsort: spill flush: %w", err)
-		return nil, s.werr
+		s.err = fmt.Errorf("extsort: spill flush: %w", err)
+		return nil, s.err
 	}
-	return bufio.NewReaderSize(io.NewSectionReader(s.f, 0, s.n), 1<<16), nil
+	vr := &verifyReader{
+		r: bufio.NewReaderSize(io.NewSectionReader(s.f, 0, s.n), 1<<16),
+		h: sha256.New(),
+	}
+	s.h.Sum(vr.want[:0])
+	return vr, nil
 }
 
-// VerifyCopy streams the whole spill into w and checks the bytes read back
-// against the digest accumulated at write time, so disk rot between the
-// streaming write and the final copy is an explicit error, not silent
-// output corruption.
+// VerifyCopy streams the whole spill into w, checking bytes that went to
+// disk against the digest taken as they were written.
 func (s *SpillFile) VerifyCopy(w io.Writer) error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.f == nil {
+		for _, b := range s.mem {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	rd, err := s.Reader()
 	if err != nil {
 		return err
 	}
-	h := sha256.New()
-	if _, err := io.Copy(io.MultiWriter(w, h), rd); err != nil {
+	if _, err := io.Copy(w, rd); err != nil {
 		return fmt.Errorf("extsort: spill copy: %w", err)
-	}
-	var want, got [32]byte
-	s.h.Sum(want[:0])
-	h.Sum(got[:0])
-	if want != got {
-		return fmt.Errorf("extsort: spill file digest mismatch (corrupt spill)")
 	}
 	return nil
 }
 
-// Remove closes and deletes the spill file. Safe to call more than once.
+// Remove releases the spill's memory and closes and deletes its file, if it
+// has one. Safe to call more than once.
 func (s *SpillFile) Remove() error {
+	s.mem = nil
 	if s.f == nil {
 		return nil
 	}
@@ -252,4 +327,25 @@ func (s *SpillFile) Remove() error {
 		err = rmErr
 	}
 	return err
+}
+
+// verifyReader hashes what it reads and, at EOF, reports a digest mismatch
+// as an error.
+type verifyReader struct {
+	r    io.Reader
+	h    hash.Hash
+	want [32]byte
+}
+
+func (v *verifyReader) Read(p []byte) (int, error) {
+	n, err := v.r.Read(p)
+	v.h.Write(p[:n])
+	if err == io.EOF {
+		var got [32]byte
+		v.h.Sum(got[:0])
+		if got != v.want {
+			return n, fmt.Errorf("extsort: spill file digest mismatch (corrupt spill)")
+		}
+	}
+	return n, err
 }

@@ -30,6 +30,9 @@ func WriteMetricsFile(path string, reg *Registry) error {
 // included — the temp file is removed and path is left exactly as it was.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
+	if dir == "" {
+		dir = "." // not CreateTemp's default: the rename must stay in one directory
+	}
 	f, err := os.CreateTemp(dir, base+".tmp-")
 	if err != nil {
 		return err

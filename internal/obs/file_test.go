@@ -102,3 +102,29 @@ func TestWriteFileAtomicBadDir(t *testing.T) {
 		t.Fatal("write into a missing directory succeeded")
 	}
 }
+
+// TestWriteFileAtomicBareName: a path with no directory writes its temp file
+// beside the target in the working directory, not in TMPDIR — a temp file on
+// another file system could not be renamed into place.
+func TestWriteFileAtomicBareName(t *testing.T) {
+	dir := t.TempDir()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	t.Setenv("TMPDIR", filepath.Join(dir, "missing"))
+	if err := WriteFileAtomic("out.json", func(w io.Writer) error {
+		_, err := io.WriteString(w, "contents")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "out.json"))
+	if err != nil || string(data) != "contents" {
+		t.Fatalf("content = %q, err %v", data, err)
+	}
+}

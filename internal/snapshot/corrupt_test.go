@@ -7,6 +7,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"securepki/internal/x509lite"
 )
 
 // validV2 returns encoded bytes for a small multi-shard corpus.
@@ -152,7 +154,15 @@ func TestReadCorrupt(t *testing.T) {
 // forgery the shard checksum alone would bless if an attacker rewrote both.
 func TestVerifyDigestsCatchesForgedColumn(t *testing.T) {
 	c := testCorpus(t, 5, 1, 4)
-	raw := encodeCertShard(c.Certs()[:5])
+	var lens []uint32
+	var ders []byte
+	var fps []x509lite.Fingerprint
+	for _, rec := range c.Certs() {
+		lens = append(lens, uint32(len(rec.Cert.Raw)))
+		ders = append(ders, rec.Cert.Raw...)
+		fps = append(fps, rec.Cert.Fingerprint())
+	}
+	raw := encodeCertShard(lens, ders, fps)
 	raw[len(raw)-1] ^= 0xff // last digest byte
 	if _, err := decodeCertShard(raw, 5, true); err == nil {
 		t.Fatal("forged digest column accepted with VerifyDigests")

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"math"
 
+	"securepki/internal/parallel"
 	"securepki/internal/scanstore"
 )
 
@@ -105,32 +107,36 @@ func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 	if n, _ := r.Read(trail[:]); n != 0 {
 		return nil, fmt.Errorf("snapshot: trailing bytes after last index section")
 	}
-	for i := range sections {
-		if err := lay.ValidateSection(i, sections[i][0], sections[i][1]); err != nil {
+	// Structural validation of the file's sections and the rebuild from the
+	// decoded corpus (below) are independent, so with workers to spare they
+	// run side by side. A validation error wins either way; run serially,
+	// it is reported before any rebuild work.
+	validate := func() error {
+		for i := range sections {
+			if err := lay.ValidateSection(i, sections[i][0], sections[i][1]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	validated := make(chan error, 1)
+	if parallel.Workers(opt.Workers) > 1 {
+		go func() { validated <- validate() }()
+	} else {
+		if err := validate(); err != nil {
 			return nil, err
 		}
+		validated <- nil
 	}
-
 	c, err := assembleCorpus(certParts, scanParts, lay.ObsCount)
+	if err == nil {
+		err = checkRebuiltSections(c, lay, sections, opt.Workers)
+	}
+	if verr := <-validated; verr != nil {
+		return nil, verr
+	}
 	if err != nil {
 		return nil, err
-	}
-
-	// Rebuild the corpus-determined sections with the file's own shard
-	// geometry and insist on byte equality.
-	certRanges := make([]shardRange, lay.CertShards)
-	for i := range certRanges {
-		sh := lay.Shards[i]
-		certRanges[i] = shardRange{first: int(sh.First), count: int(sh.Count)}
-	}
-	rebuilt, err := buildV3Sections(c, certRanges, Options{Workers: opt.Workers})
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: rebuild indexes: %w", err)
-	}
-	for _, i := range []int{0, 1, 2, 4} { // fp, spki, ip, scanmeta; as is writer-dependent
-		if !bytes.Equal(sections[i][0], rebuilt[i].keys) || !bytes.Equal(sections[i][1], rebuilt[i].post) {
-			return nil, fmt.Errorf("snapshot: index section %d does not match the decoded corpus", i)
-		}
 	}
 
 	opt.Obs.Counter("snapshot.decode.v3").Inc()
@@ -159,3 +165,72 @@ func readPadZeros(r io.Reader, n int64) error {
 	}
 	return nil
 }
+
+// checkRebuiltSections feeds the decoded corpus, placed in the file's own
+// cert shards, through the writer's section builder and demands the
+// fingerprint, SPKI, IP and scan-metadata sections match the file's byte for
+// byte. The AS section is writer-dependent and is not rebuilt. Everything
+// stays in memory: the builder's sorters get an unbounded budget.
+func checkRebuiltSections(c *scanstore.Corpus, lay *V3Layout, sections [][2][]byte, workers int) error {
+	b, err := newSectionBuilder(true, nil, math.MaxInt64, "")
+	if err != nil {
+		return err
+	}
+	defer b.close()
+	certs := c.Certs()
+	for _, rec := range certs {
+		b.addCert(rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint())
+	}
+	var lens []uint32
+	for i, sh := range lay.Shards[:lay.CertShards] {
+		lens = lens[:0]
+		for _, rec := range certs[sh.First : sh.First+sh.Count] {
+			lens = append(lens, uint32(len(rec.Cert.Raw)))
+		}
+		b.placeShard(uint32(i), lens)
+	}
+	for _, s := range c.Scans() {
+		b.beginScan(s.Operator, s.Time)
+		for _, o := range s.Obs {
+			if err := b.addSighting(o.IP, o.Cert); err != nil {
+				return err
+			}
+		}
+	}
+	var out [V3SectionCount]sectionOut
+	var match [V3SectionCount][2]*matchWriter
+	for i := range out {
+		if i == 3 { // as is writer-dependent
+			out[i] = sectionOut{keys: io.Discard, post: io.Discard}
+			continue
+		}
+		match[i] = [2]*matchWriter{{want: sections[i][0]}, {want: sections[i][1]}}
+		out[i] = sectionOut{keys: match[i][0], post: match[i][1]}
+	}
+	if err := b.build(workers, out); err != nil {
+		return fmt.Errorf("snapshot: rebuild indexes: %w", err)
+	}
+	for i, m := range match {
+		if i != 3 && !(m[0].matched() && m[1].matched()) {
+			return fmt.Errorf("snapshot: index section %d does not match the decoded corpus", i)
+		}
+	}
+	return nil
+}
+
+// matchWriter checks that exactly the bytes of want are written to it.
+type matchWriter struct {
+	want     []byte
+	mismatch bool
+}
+
+func (m *matchWriter) Write(p []byte) (int, error) {
+	if m.mismatch || !bytes.HasPrefix(m.want, p) {
+		m.mismatch = true
+	} else {
+		m.want = m.want[len(p):]
+	}
+	return len(p), nil
+}
+
+func (m *matchWriter) matched() bool { return !m.mismatch && len(m.want) == 0 }

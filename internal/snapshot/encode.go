@@ -3,156 +3,44 @@ package snapshot
 import (
 	"bytes"
 	"compress/gzip"
-	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"io"
+	"sync"
 
 	"securepki/internal/scanstore"
+	"securepki/internal/x509lite"
 )
-
-// encodedShard is one compressed payload plus its table entry fields.
-type encodedShard struct {
-	first, count int
-	rawLen       int
-	comp         []byte
-	sum          [32]byte
-}
 
 // Write serialises the corpus in the v2 sharded columnar format. Validation
 // statuses are not persisted (run Validate after loading), matching the v1
-// contract. Output bytes are identical for any opt.Workers value.
+// contract. Output bytes are identical for any opt.Workers value. It is
+// StreamCorpus at the default memory budget, so a corpus whose encoder state
+// fits the budget is encoded without touching the file system.
 func Write(w io.Writer, c *scanstore.Corpus, opt Options) error {
-	opt = opt.withDefaults()
-	certs, scans, obsCount, certRanges, scanRanges, err := prepareWrite(c, opt)
-	if err != nil {
-		return err
-	}
-
-	shards, err := encodeShards(certs, scans, certRanges, scanRanges, opt)
-	if err != nil {
-		return err
-	}
-	opt.Obs.Counter("snapshot.encode.shards").Add(int64(len(shards)))
-	opt.Obs.Counter("snapshot.encode.certs").Add(int64(len(certs)))
-	opt.Obs.Counter("snapshot.encode.scans").Add(int64(len(scans)))
-	opt.Obs.Counter("snapshot.encode.observations").Add(int64(obsCount))
-
-	// Header + shard table, then its digest, then the payloads.
-	var head bytes.Buffer
-	head.WriteString(Magic)
-	putU64(&head, uint64(len(certs)))
-	putU64(&head, uint64(len(scans)))
-	putU64(&head, obsCount)
-	putU32(&head, uint32(len(certRanges)))
-	putU32(&head, uint32(len(scanRanges)))
-	for _, sh := range shards {
-		putU64(&head, uint64(sh.first))
-		putU64(&head, uint64(sh.count))
-		putU64(&head, uint64(sh.rawLen))
-		putU64(&head, uint64(len(sh.comp)))
-		head.Write(sh.sum[:])
-	}
-	headSum := sha256.Sum256(head.Bytes())
-	head.Write(headSum[:])
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
-	for i, sh := range shards {
-		if _, err := w.Write(sh.comp); err != nil {
-			return fmt.Errorf("snapshot: write shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return StreamCorpus(w, c, opt, StreamWriterConfig{})
 }
 
-// prepareWrite validates the corpus against the format caps and fixes the
-// shard boundaries, identically for v2 and v3.
-func prepareWrite(c *scanstore.Corpus, opt Options) (certs []*scanstore.CertRecord, scans []*scanstore.Scan, obsCount uint64, certRanges, scanRanges []shardRange, err error) {
-	certs = c.Certs()
-	scans = c.Scans()
-	if len(certs) > maxCerts {
-		return nil, nil, 0, nil, nil, fmt.Errorf("snapshot: %d certificates exceed format cap", len(certs))
-	}
-	if len(scans) > maxScans {
-		return nil, nil, 0, nil, nil, fmt.Errorf("snapshot: %d scans exceed format cap", len(scans))
-	}
-	for i, rec := range certs {
-		if len(rec.Cert.Raw) == 0 || len(rec.Cert.Raw) > MaxCertDER {
-			return nil, nil, 0, nil, nil, fmt.Errorf("snapshot: cert %d DER length %d outside (0, %d]", i, len(rec.Cert.Raw), MaxCertDER)
-		}
-	}
-	for _, s := range scans {
-		obsCount += uint64(len(s.Obs))
-	}
-	certRanges = shardRanges(len(certs), opt.CertsPerShard)
-	scanRanges = shardRanges(len(scans), opt.ScansPerShard)
-	if len(certRanges)+len(scanRanges) > maxShards {
-		return nil, nil, 0, nil, nil, fmt.Errorf("snapshot: %d shards exceed format cap %d; raise CertsPerShard/ScansPerShard",
-			len(certRanges)+len(scanRanges), maxShards)
-	}
-	return certs, scans, obsCount, certRanges, scanRanges, nil
-}
-
-// encodeShards encodes and compresses every shard concurrently; v2 and v3
-// share it, so both formats carry byte-identical shard payloads. Shard
-// boundaries are fixed by the caller from data sizes alone, so the worker
-// count only decides which goroutine produces which byte range, never the
-// bytes themselves.
-func encodeShards(certs []*scanstore.CertRecord, scans []*scanstore.Scan, certRanges, scanRanges []shardRange, opt Options) ([]encodedShard, error) {
-	shards := make([]encodedShard, len(certRanges)+len(scanRanges))
-	errs := make([]error, len(shards))
-	forEachShard(opt.Workers, len(shards), func(i int) {
-		var raw []byte
-		var rg shardRange
-		if i < len(certRanges) {
-			rg = certRanges[i]
-			raw = encodeCertShard(certs[rg.first : rg.first+rg.count])
-		} else {
-			rg = scanRanges[i-len(certRanges)]
-			raw = encodeScanShard(scans[rg.first : rg.first+rg.count])
-		}
-		comp, err := gzipShard(raw)
-		if err != nil {
-			errs[i] = fmt.Errorf("snapshot: compress shard %d: %w", i, err)
-			return
-		}
-		shards[i] = encodedShard{
-			first:  rg.first,
-			count:  rg.count,
-			rawLen: len(raw),
-			comp:   comp,
-			sum:    sha256.Sum256(comp),
-		}
-		// Shard i is a stable identity (fixed by data, not scheduling), so it
-		// doubles as the counter shard: no contention, same sums everywhere.
-		opt.Obs.Counter("snapshot.encode.raw_bytes").AddShard(i, int64(len(raw)))
-		opt.Obs.Counter("snapshot.encode.comp_bytes").AddShard(i, int64(len(comp)))
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return shards, nil
+// WriteV3 serialises the corpus in the v3 format: v2's sharded columnar
+// payloads followed by the five point-lookup index sections. Like Write, it
+// is StreamCorpus at the default memory budget, and its output is
+// byte-identical at any opt.Workers value.
+func WriteV3(w io.Writer, c *scanstore.Corpus, opt Options) error {
+	return StreamCorpus(w, c, opt, StreamWriterConfig{V3: true})
 }
 
 // encodeCertShard lays out the three certificate columns: uvarint DER
-// lengths, concatenated DER bytes, 32-byte digests.
-func encodeCertShard(recs []*scanstore.CertRecord) []byte {
-	size := 0
-	for _, rec := range recs {
-		size += uvarintLen(uint64(len(rec.Cert.Raw))) + len(rec.Cert.Raw) + 32
+// lengths, the concatenated DER bytes, 32-byte digests.
+func encodeCertShard(lens []uint32, ders []byte, fps []x509lite.Fingerprint) []byte {
+	size := len(ders) + 32*len(fps)
+	for _, l := range lens {
+		size += uvarintLen(uint64(l))
 	}
 	out := make([]byte, 0, size)
-	for _, rec := range recs {
-		out = binary.AppendUvarint(out, uint64(len(rec.Cert.Raw)))
+	for _, l := range lens {
+		out = binary.AppendUvarint(out, uint64(l))
 	}
-	for _, rec := range recs {
-		out = append(out, rec.Cert.Raw...)
-	}
-	for _, rec := range recs {
-		fp := rec.Cert.Fingerprint()
+	out = append(out, ders...)
+	for _, fp := range fps {
 		out = append(out, fp[:]...)
 	}
 	return out
@@ -160,46 +48,59 @@ func encodeCertShard(recs []*scanstore.CertRecord) []byte {
 
 // encodeScanShard lays out the scan metadata column followed by the
 // certificate-ID and IP delta columns. Deltas restart from a zero base at
-// each scan boundary so shards (and scans) decode independently.
-func encodeScanShard(scans []*scanstore.Scan) []byte {
-	var out []byte
+// each scan boundary (the writer's columns do this as they accumulate) so
+// shards, and scans, decode independently.
+func encodeScanShard(meta []scanMeta, cols []*scanCols) ([]byte, error) {
+	size := 0
+	for _, c := range cols {
+		size += int(c.cert.Len() + c.ip.Len())
+	}
+	out := make([]byte, 0, size+len(meta)*4*binary.MaxVarintLen64)
 	prevSec := int64(0)
-	for i, s := range scans {
-		out = binary.AppendUvarint(out, uint64(s.Operator))
-		sec := s.Time.Unix()
+	for i, s := range meta {
+		out = binary.AppendUvarint(out, uint64(s.op))
+		sec := s.at.Unix()
 		if i == 0 {
 			out = binary.AppendVarint(out, sec)
 		} else {
 			out = binary.AppendVarint(out, sec-prevSec)
 		}
 		prevSec = sec
-		out = binary.AppendUvarint(out, uint64(s.Time.Nanosecond()))
-		out = binary.AppendUvarint(out, uint64(len(s.Obs)))
+		out = binary.AppendUvarint(out, uint64(s.at.Nanosecond()))
+		out = binary.AppendUvarint(out, s.count)
 	}
-	for _, s := range scans {
-		prev := int64(0)
-		for _, o := range s.Obs {
-			out = binary.AppendVarint(out, int64(o.Cert)-prev)
-			prev = int64(o.Cert)
+	buf := bytes.NewBuffer(out)
+	for _, c := range cols {
+		if err := c.cert.VerifyCopy(buf); err != nil {
+			return nil, err
 		}
 	}
-	for _, s := range scans {
-		prev := int64(0)
-		for _, o := range s.Obs {
-			out = binary.AppendVarint(out, int64(o.IP)-prev)
-			prev = int64(o.IP)
+	for _, c := range cols {
+		if err := c.ip.VerifyCopy(buf); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return buf.Bytes(), nil
 }
+
+// gzipWriters recycles shard compressors: a flate writer's state is far
+// larger than a typical shard, and Reset yields the same stream as a new
+// writer.
+var gzipWriters sync.Pool
 
 func gzipShard(raw []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(len(raw)/2 + 64)
-	zw, err := gzip.NewWriterLevel(&buf, shardCompression)
-	if err != nil {
-		return nil, err
+	zw, _ := gzipWriters.Get().(*gzip.Writer)
+	if zw == nil {
+		var err error
+		if zw, err = gzip.NewWriterLevel(&buf, shardCompression); err != nil {
+			return nil, err
+		}
+	} else {
+		zw.Reset(&buf)
 	}
+	defer gzipWriters.Put(zw)
 	if _, err := zw.Write(raw); err != nil {
 		return nil, err
 	}

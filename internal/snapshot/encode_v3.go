@@ -7,492 +7,402 @@ import (
 	"io"
 	"math"
 	"slices"
+	"time"
 
 	"securepki/internal/extsort"
+	"securepki/internal/netsim"
 	"securepki/internal/parallel"
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
 
-// v3SectionData is one index section ready to write: key array, posting
-// array, and the table-entry fields derived from them.
-type v3SectionData struct {
-	kind     uint32
-	keyCount uint64
-	keys     []byte
-	post     []byte
+// sectionBuilder is the one builder of the v3 index sections. It is fed per
+// certificate (fingerprint and SPKI as the certificate is interned, DER
+// location once its shard is laid out), per scan (operator and time) and per
+// sighting (scan, IP, certificate, and the IP's AS when there is a network
+// view), and emits the five sections in the format's total orders. The
+// StreamWriter feeds it as a corpus streams in; readV3 feeds it from a
+// decoded corpus and compares the rebuilt sections with the file's. Without
+// sightings (a v2 writer) it only keeps the certificate and scan tables.
+type sectionBuilder struct {
+	fps, spkis []x509lite.Fingerprint // CertID order
+	locs       []derLoc               // CertID order, one shard at a time
+	scans      []scanMeta             // ScanID order
+
+	asOf func(ip netsim.IP, at time.Time) (asn int, ok bool)
+	ips  *extsort.Sorter[ipRec] // nil: no sightings kept
+	ases *extsort.Sorter[asRec] // nil: no AS view
 }
 
-// WriteV3 serialises the corpus in the v3 format: v2's sharded columnar
-// payloads followed by the five point-lookup index sections. Like Write, the
-// output is byte-identical at any opt.Workers value — index construction
-// fans out over contiguous shard chunks merged in order, and every sort key
-// is a total order over the data.
-func WriteV3(w io.Writer, c *scanstore.Corpus, opt Options) error {
-	opt = opt.withDefaults()
-	certs, scans, obsCount, certRanges, scanRanges, err := prepareWrite(c, opt)
-	if err != nil {
-		return err
-	}
+// derLoc is where a certificate's DER lives: its shard, offset into the
+// uncompressed payload, and length.
+type derLoc struct{ shard, off, dlen uint32 }
 
-	shards, err := encodeShards(certs, scans, certRanges, scanRanges, opt)
-	if err != nil {
-		return err
-	}
-	sections, err := buildV3Sections(c, certRanges, opt)
-	if err != nil {
-		return err
-	}
-	var indexBytes int64
-	for _, s := range sections {
-		indexBytes += int64(len(s.keys)) + int64(len(s.post))
-	}
-	opt.Obs.Counter("snapshot.encode.shards").Add(int64(len(shards)))
-	opt.Obs.Counter("snapshot.encode.certs").Add(int64(len(certs)))
-	opt.Obs.Counter("snapshot.encode.scans").Add(int64(len(scans)))
-	opt.Obs.Counter("snapshot.encode.observations").Add(int64(obsCount))
-	opt.Obs.Counter("snapshot.encode.index_bytes").Add(indexBytes)
+// scanMeta is one scan's metadata-section row.
+type scanMeta struct {
+	op    scanstore.Operator
+	at    time.Time
+	count uint64
+}
 
-	// Fixed header, shard table, index table, header digest.
-	var head bytes.Buffer
-	head.WriteString(MagicV3)
-	putU64(&head, uint64(len(certs)))
-	putU64(&head, uint64(len(scans)))
-	putU64(&head, obsCount)
-	putU32(&head, uint32(len(certRanges)))
-	putU32(&head, uint32(len(scanRanges)))
-	putU32(&head, V3SectionCount)
-	putU32(&head, 0) // reserved
-	for _, sh := range shards {
-		putU64(&head, uint64(sh.first))
-		putU64(&head, uint64(sh.count))
-		putU64(&head, uint64(sh.rawLen))
-		putU64(&head, uint64(len(sh.comp)))
-		head.Write(sh.sum[:])
-	}
-	for _, s := range sections {
-		putU32(&head, s.kind)
-		putU32(&head, v3EntrySize(s.kind))
-		putU64(&head, s.keyCount)
-		putU64(&head, uint64(len(s.post)))
-		putU64(&head, 0) // reserved
-		sum := sha256SectionSum(s.keys, s.post)
-		head.Write(sum[:])
-	}
-	headSum := sha256SectionSum(head.Bytes(), nil)
-	head.Write(headSum[:])
-	if _, err := w.Write(head.Bytes()); err != nil {
-		return fmt.Errorf("snapshot: write header: %w", err)
-	}
+// ipRec and asRec are the sorter records behind the IP and AS sections,
+// encoded big-endian so byte order is (ip, scan, cert) and (asn, cert)
+// order. They carry CertIDs: the fingerprint order that postings reference
+// is only known once every certificate is in.
+type ipRec struct{ ip, scan, cert uint32 }
+type asRec struct{ asn, cert uint32 }
 
-	off := int64(head.Len())
-	for i, sh := range shards {
-		if _, err := w.Write(sh.comp); err != nil {
-			return fmt.Errorf("snapshot: write shard %d: %w", i, err)
-		}
-		off += int64(len(sh.comp))
+// newSectionBuilder returns an empty builder. With sightings set it keeps
+// (scan, IP, cert) records for the IP section, plus (AS, cert) records when
+// asOf is non-nil, in sorters that each buffer up to budget bytes of records
+// (and as much again to sort them) before spilling runs to dir.
+func newSectionBuilder(sightings bool, asOf func(netsim.IP, time.Time) (int, bool), budget int64, dir string) (*sectionBuilder, error) {
+	b := &sectionBuilder{}
+	if !sightings {
+		return b, nil
 	}
-	var zeros [8]byte
-	writePad := func() error {
-		if n := pad8(off); n > 0 {
-			if _, err := w.Write(zeros[:n]); err != nil {
-				return fmt.Errorf("snapshot: write padding: %w", err)
+	var err error
+	b.ips, err = extsort.NewSorter(extsort.Config[ipRec]{
+		Size: 12,
+		Encode: func(dst []byte, r ipRec) {
+			binary.BigEndian.PutUint32(dst, r.ip)
+			binary.BigEndian.PutUint32(dst[4:], r.scan)
+			binary.BigEndian.PutUint32(dst[8:], r.cert)
+		},
+		Decode: func(src []byte) ipRec {
+			return ipRec{
+				ip:   binary.BigEndian.Uint32(src),
+				scan: binary.BigEndian.Uint32(src[4:]),
+				cert: binary.BigEndian.Uint32(src[8:]),
 			}
-			off += n
-		}
+		},
+		MemBudget: budget,
+		Dir:       dir,
+	})
+	if err != nil || asOf == nil {
+		return b, err
+	}
+	b.asOf = asOf
+	b.ases, err = extsort.NewSorter(extsort.Config[asRec]{
+		Size: 8,
+		Encode: func(dst []byte, r asRec) {
+			binary.BigEndian.PutUint32(dst, r.asn)
+			binary.BigEndian.PutUint32(dst[4:], r.cert)
+		},
+		Decode: func(src []byte) asRec {
+			return asRec{asn: binary.BigEndian.Uint32(src), cert: binary.BigEndian.Uint32(src[4:])}
+		},
+		MemBudget: budget,
+		Dir:       dir,
+	})
+	return b, err
+}
+
+// addCert appends the next certificate in CertID order.
+func (b *sectionBuilder) addCert(fp, spki x509lite.Fingerprint) {
+	b.fps = append(b.fps, fp)
+	b.spkis = append(b.spkis, spki)
+}
+
+// placeShard locates the next certificate shard's DERs, given their
+// lengths in CertID order. Offsets replay encodeCertShard's layout: the
+// uvarint length column precedes the concatenated DER bytes.
+func (b *sectionBuilder) placeShard(shard uint32, lens []uint32) {
+	off := uint32(0)
+	for _, l := range lens {
+		off += uint32(uvarintLen(uint64(l)))
+	}
+	for _, l := range lens {
+		b.locs = append(b.locs, derLoc{shard: shard, off: off, dlen: l})
+		off += l
+	}
+}
+
+// beginScan opens the next scan; sightings that follow belong to it.
+func (b *sectionBuilder) beginScan(op scanstore.Operator, at time.Time) {
+	b.scans = append(b.scans, scanMeta{op: op, at: at})
+}
+
+// addSighting records one observation of cert at ip in the current scan.
+func (b *sectionBuilder) addSighting(ip netsim.IP, cert scanstore.CertID) error {
+	scan := len(b.scans) - 1
+	b.scans[scan].count++
+	if b.ips == nil {
 		return nil
 	}
-	if err := writePad(); err != nil {
+	if err := b.ips.Add(ipRec{ip: uint32(ip), scan: uint32(scan), cert: uint32(cert)}); err != nil {
 		return err
 	}
-	for i, s := range sections {
-		if _, err := w.Write(s.keys); err != nil {
-			return fmt.Errorf("snapshot: write index section %d keys: %w", i, err)
-		}
-		off += int64(len(s.keys))
-		if _, err := w.Write(s.post); err != nil {
-			return fmt.Errorf("snapshot: write index section %d postings: %w", i, err)
-		}
-		off += int64(len(s.post))
-		if err := writePad(); err != nil {
-			return err
+	if b.ases == nil {
+		return nil
+	}
+	asn, ok := b.asOf(ip, b.scans[scan].at)
+	if !ok {
+		return nil
+	}
+	if asn < 0 || int64(asn) > math.MaxUint32 {
+		return fmt.Errorf("snapshot: AS number %d outside uint32", asn)
+	}
+	return b.ases.Add(asRec{asn: uint32(asn), cert: uint32(cert)})
+}
+
+// fanIn reports the widest k-way merge build will perform.
+func (b *sectionBuilder) fanIn() int {
+	n := 0
+	if b.ips != nil {
+		n = b.ips.FanIn()
+	}
+	if b.ases != nil && b.ases.FanIn() > n {
+		n = b.ases.FanIn()
+	}
+	return n
+}
+
+// close releases the sorters' run shards.
+func (b *sectionBuilder) close() error {
+	var err error
+	if b.ips != nil {
+		err = b.ips.Close()
+	}
+	if b.ases != nil {
+		if cerr := b.ases.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return nil
+	return err
 }
 
-// fpLoc locates one certificate: where its DER lives (shard, offset into the
-// uncompressed payload, length) keyed by fingerprint.
-type fpLoc struct {
-	fp               x509lite.Fingerprint
-	shard, off, dlen uint32
-}
+// sectionOut receives one section's key array and posting array.
+type sectionOut struct{ keys, post io.Writer }
 
-// buildV3Sections constructs the five index sections. certRanges must be the
-// same shard boundaries the payloads were encoded with — on the write path
-// they come from the sizing knobs, on the verify path from the file's own
-// shard table. Every stage is deterministic in opt.Workers: parallel loops
-// own contiguous chunks, partial results merge in chunk order, and final
-// orders come from sorts with total keys.
-func buildV3Sections(c *scanstore.Corpus, certRanges []shardRange, opt Options) ([V3SectionCount]v3SectionData, error) {
-	var out [V3SectionCount]v3SectionData
-	certs := c.Certs()
-	scans := c.Scans()
-	w := opt.Workers
-
-	// Per-shard DER locations, then one global sort by fingerprint. Offsets
-	// replay encodeCertShard's layout: the uvarint length column precedes the
-	// concatenated DER bytes.
-	locs := make([]fpLoc, len(certs))
-	parallel.Do(w, len(certRanges), func(_, lo, hi int) {
-		for si := lo; si < hi; si++ {
-			rg := certRanges[si]
-			recs := certs[rg.first : rg.first+rg.count]
-			off := 0
-			for _, rec := range recs {
-				off += uvarintLen(uint64(len(rec.Cert.Raw)))
-			}
-			for j, rec := range recs {
-				locs[rg.first+j] = fpLoc{
-					fp:    rec.Cert.Fingerprint(),
-					shard: uint32(si),
-					off:   uint32(off),
-					dlen:  uint32(len(rec.Cert.Raw)),
-				}
-				off += len(rec.Cert.Raw)
-			}
-		}
-	})
-	// Fingerprints are unique, so chunk-sorting and merging yields the same
-	// total order as one big sort at any worker count — without reflect-based
-	// sort.Slice, which dominated the v3 write profile.
-	order := sortedIdentity(w, len(certs), func(a, b int) int {
-		return bytes.Compare(locs[a].fp[:], locs[b].fp[:])
-	})
-	// refOf maps CertID → position in the sorted fingerprint index; all
-	// posting arrays reference certificates through it.
-	refOf := make([]uint32, len(certs))
+// build writes the five sections' key and posting arrays to out. Every
+// certificate must have been placed. Postings reference certificates by
+// their position in the fingerprint-sorted key array; with that order fixed,
+// the IP section builds concurrently with the others when workers allows.
+// Output is identical at any worker count.
+func (b *sectionBuilder) build(workers int, out [V3SectionCount]sectionOut) error {
+	if len(b.locs) != len(b.fps) {
+		return fmt.Errorf("snapshot: %d of %d certificates placed in shards", len(b.locs), len(b.fps))
+	}
+	order := make([]uint32, len(b.fps))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(x, y uint32) int { return bytes.Compare(b.fps[x][:], b.fps[y][:]) })
+	refOf := make([]uint32, len(order))
+	fp := newSecWriter(out[0].keys)
 	for pos, id := range order {
 		refOf[id] = uint32(pos)
+		l := b.locs[id]
+		e := fp.entry(V3FPEntry)
+		copy(e, b.fps[id][:])
+		putU32s(e[32:], l.shard, l.off, l.dlen, 0)
 	}
-	// SPKI hashes fan out before the section builds: x509lite memoises them,
-	// so each digest buffer is computed once here and reused by every section
-	// that keys on it.
-	spkis := parallel.Map(w, len(certs), func(i int) x509lite.Fingerprint {
-		return certs[i].Cert.PublicKeyFingerprint()
-	})
-
-	// With refOf fixed, the five sections share no further state and build
-	// concurrently; each task parallelises internally over the same worker
-	// knob. Validation failures land in per-task error slots.
-	var asErr, metaErr error
-	parallel.ForEach(w, 5, func(task int) {
-		switch task {
-		case 0:
-			fpKeys := make([]byte, len(certs)*V3FPEntry)
-			parallel.Do(w, len(order), func(_, lo, hi int) {
-				for pos := lo; pos < hi; pos++ {
-					l := locs[order[pos]]
-					e := fpKeys[pos*V3FPEntry:]
-					copy(e[:32], l.fp[:])
-					binary.LittleEndian.PutUint32(e[32:], l.shard)
-					binary.LittleEndian.PutUint32(e[36:], l.off)
-					binary.LittleEndian.PutUint32(e[40:], l.dlen)
-				}
-			})
-			out[0] = v3SectionData{kind: V3KindFP, keyCount: uint64(len(certs)), keys: fpKeys}
-
-		case 1:
-			// SPKI → cert set, ordered by (spki, ref) — a total order, since
-			// refOf is a bijection over certificates.
-			spkiOrder := sortedIdentity(w, len(certs), func(a, b int) int {
-				if cmp := bytes.Compare(spkis[a][:], spkis[b][:]); cmp != 0 {
-					return cmp
-				}
-				switch {
-				case refOf[a] < refOf[b]:
-					return -1
-				case refOf[a] > refOf[b]:
-					return 1
-				}
-				return 0
-			})
-			spkiKeys := make([]byte, 0, 4*V3SPKIEntry)
-			spkiPost := make([]byte, 0, 4*len(certs))
-			for lo := 0; lo < len(spkiOrder); {
-				hi := lo
-				for hi < len(spkiOrder) && spkis[spkiOrder[hi]] == spkis[spkiOrder[lo]] {
-					hi++
-				}
-				var e [V3SPKIEntry]byte
-				copy(e[:32], spkis[spkiOrder[lo]][:])
-				binary.LittleEndian.PutUint32(e[32:], uint32(lo))
-				binary.LittleEndian.PutUint32(e[36:], uint32(hi-lo))
-				spkiKeys = append(spkiKeys, e[:]...)
-				for _, id := range spkiOrder[lo:hi] {
-					spkiPost = binary.LittleEndian.AppendUint32(spkiPost, refOf[id])
-				}
-				lo = hi
-			}
-			out[1] = v3SectionData{kind: V3KindSPKI, keyCount: uint64(len(spkiKeys) / V3SPKIEntry), keys: spkiKeys, post: spkiPost}
-
-		case 2:
-			// IP → (scan, cert) sightings. Each (ip, scan, ref) triple packs
-			// into a radixRec — hi: ip, lo: scan<<32|ref — built in parallel
-			// chunks whose in-order concatenation reproduces scan order at any
-			// worker count. A stable LSD radix sort then replaces the
-			// comparator sort that dominated the v3 write profile.
-			nChunks := parallel.NumShards(w, len(scans))
-			parts := make([][]radixRec, nChunks)
-			parallel.Do(w, len(scans), func(chunk, lo, hi int) {
-				n := 0
-				for si := lo; si < hi; si++ {
-					n += len(scans[si].Obs)
-				}
-				part := make([]radixRec, 0, n)
-				for si := lo; si < hi; si++ {
-					for _, o := range scans[si].Obs {
-						part = append(part, radixRec{hi: uint32(o.IP), lo: uint64(si)<<32 | uint64(refOf[o.Cert])})
-					}
-				}
-				parts[chunk] = part
-			})
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			recs := make([]radixRec, 0, total)
-			for _, p := range parts {
-				recs = append(recs, p...)
-			}
-			radixSort(recs)
-			ipKeys := make([]byte, 0, V3IPEntry*16)
-			ipPost := make([]byte, 0, 8*total)
-			elems := uint32(0)
-			var curIP, start, count uint32
-			var prev radixRec
-			started := false
-			flushIP := func() {
-				var e [V3IPEntry]byte
-				binary.LittleEndian.PutUint32(e[0:], curIP)
-				binary.LittleEndian.PutUint32(e[4:], start)
-				binary.LittleEndian.PutUint32(e[8:], count)
-				ipKeys = append(ipKeys, e[:]...)
-			}
-			for _, r := range recs {
-				if started && r == prev {
-					continue // repeat sighting of the same (scan, cert) at this IP
-				}
-				if started && r.hi != curIP {
-					flushIP()
-					curIP, start, count = r.hi, elems, 0
-				} else if !started {
-					curIP = r.hi
-				}
-				started = true
-				prev = r
-				ipPost = binary.LittleEndian.AppendUint32(ipPost, uint32(r.lo>>32))
-				ipPost = binary.LittleEndian.AppendUint32(ipPost, uint32(r.lo))
-				count++
-				elems++
-			}
-			if started {
-				flushIP()
-			}
-			out[2] = v3SectionData{kind: V3KindIP, keyCount: uint64(len(ipKeys) / V3IPEntry), keys: ipKeys, post: ipPost}
-
-		case 3:
-			// AS → cert set, only when the writer has a network view; the IP
-			// section's shape over (asn, ref) records — hi: asn, lo: ref. A
-			// nil ASOf leaves the section empty, never wrong.
-			if opt.ASOf == nil {
-				out[3] = v3SectionData{kind: V3KindAS}
-				return
-			}
-			nChunks := parallel.NumShards(w, len(scans))
-			parts := make([][]radixRec, nChunks)
-			asErrs := make([]error, nChunks)
-			parallel.Do(w, len(scans), func(chunk, lo, hi int) {
-				n := 0
-				for si := lo; si < hi; si++ {
-					n += len(scans[si].Obs)
-				}
-				part := make([]radixRec, 0, n)
-				for si := lo; si < hi; si++ {
-					at := scans[si].Time
-					for _, o := range scans[si].Obs {
-						asn, ok := opt.ASOf(o.IP, at)
-						if !ok {
-							continue
-						}
-						if asn < 0 || int64(asn) > math.MaxUint32 {
-							asErrs[chunk] = fmt.Errorf("snapshot: AS number %d outside uint32", asn)
-							return
-						}
-						part = append(part, radixRec{hi: uint32(asn), lo: uint64(refOf[o.Cert])})
-					}
-				}
-				parts[chunk] = part
-			})
-			for _, err := range asErrs {
-				if err != nil {
-					asErr = err
-					return
-				}
-			}
-			total := 0
-			for _, p := range parts {
-				total += len(p)
-			}
-			recs := make([]radixRec, 0, total)
-			for _, p := range parts {
-				recs = append(recs, p...)
-			}
-			radixSort(recs)
-			asKeys := make([]byte, 0, V3ASEntry*16)
-			asPost := make([]byte, 0, 4*total)
-			elems := uint32(0)
-			var curASN, start, count uint32
-			var prev radixRec
-			started := false
-			flushAS := func() {
-				var e [V3ASEntry]byte
-				binary.LittleEndian.PutUint32(e[0:], curASN)
-				binary.LittleEndian.PutUint32(e[4:], start)
-				binary.LittleEndian.PutUint32(e[8:], count)
-				asKeys = append(asKeys, e[:]...)
-			}
-			for _, r := range recs {
-				if started && r == prev {
-					continue
-				}
-				if started && r.hi != curASN {
-					flushAS()
-					curASN, start, count = r.hi, elems, 0
-				} else if !started {
-					curASN = r.hi
-				}
-				started = true
-				prev = r
-				asPost = binary.LittleEndian.AppendUint32(asPost, uint32(r.lo))
-				count++
-				elems++
-			}
-			if started {
-				flushAS()
-			}
-			out[3] = v3SectionData{kind: V3KindAS, keyCount: uint64(len(asKeys) / V3ASEntry), keys: asKeys, post: asPost}
-
-		case 4:
-			// Scan metadata, in scan-ID order — small, serial.
-			metaKeys := make([]byte, len(scans)*V3ScanMetaEntry)
-			for i, s := range scans {
-				if int64(s.Operator) < 0 || int64(s.Operator) > 1<<20 {
-					metaErr = fmt.Errorf("snapshot: scan %d operator %d outside format range", i, s.Operator)
-					return
-				}
-				if uint64(len(s.Obs)) > math.MaxUint32 {
-					metaErr = fmt.Errorf("snapshot: scan %d has %d observations, cap %d", i, len(s.Obs), uint32(math.MaxUint32))
-					return
-				}
-				e := metaKeys[i*V3ScanMetaEntry:]
-				binary.LittleEndian.PutUint32(e[0:], uint32(s.Operator))
-				binary.LittleEndian.PutUint32(e[4:], uint32(s.Time.Nanosecond()))
-				binary.LittleEndian.PutUint64(e[8:], uint64(s.Time.Unix()))
-				binary.LittleEndian.PutUint32(e[16:], uint32(len(s.Obs)))
-			}
-			out[4] = v3SectionData{kind: V3KindScanMeta, keyCount: uint64(len(scans)), keys: metaKeys}
-		}
-	})
-	if asErr != nil {
-		return out, asErr
+	if err := fp.flush(); err != nil {
+		return err
 	}
-	if metaErr != nil {
-		return out, metaErr
+
+	var ipErr error
+	ipDone := make(chan struct{})
+	buildIP := func() {
+		defer close(ipDone)
+		ipErr = b.buildIP(refOf, out[2])
 	}
-	return out, nil
+	if parallel.Workers(workers) > 1 {
+		go buildIP()
+	} else {
+		buildIP()
+	}
+	err := b.buildSPKI(order, refOf, out[1])
+	if err == nil {
+		err = b.buildAS(refOf, out[3])
+	}
+	if err == nil {
+		err = b.buildScanMeta(out[4])
+	}
+	<-ipDone
+	if err == nil {
+		err = ipErr
+	}
+	return err
 }
 
-// radixRec is one packed posting record for radixSort, ordered by (hi, lo).
-// The whole record is the sort key, so equal records are identical and no
-// tie-break is needed.
-type radixRec struct {
-	hi uint32
-	lo uint64
+// buildSPKI emits SPKI → cert set, ordered by (spki, ref) — a total order,
+// since refs are unique. It re-sorts order, the CertIDs by fingerprint.
+func (b *sectionBuilder) buildSPKI(order, refOf []uint32, out sectionOut) error {
+	slices.SortFunc(order, func(x, y uint32) int {
+		if c := bytes.Compare(b.spkis[x][:], b.spkis[y][:]); c != 0 {
+			return c
+		}
+		return int(refOf[x]) - int(refOf[y])
+	})
+	keys, post := newSecWriter(out.keys), newSecWriter(out.post)
+	for lo := 0; lo < len(order); {
+		hi := lo
+		for hi < len(order) && b.spkis[order[hi]] == b.spkis[order[lo]] {
+			hi++
+		}
+		e := keys.entry(V3SPKIEntry)
+		copy(e, b.spkis[order[lo]][:])
+		putU32s(e[32:], uint32(lo), uint32(hi-lo))
+		for _, id := range order[lo:hi] {
+			putU32s(post.entry(4), refOf[id])
+		}
+		lo = hi
+	}
+	return flushBoth(keys, post)
 }
 
-// radixSort orders recs by (hi, lo) with a stable LSD radix sort over 16-bit
-// digits, skipping digits on which every record agrees (scan and AS numbers
-// rarely use their high halves). O(n) per pass with no comparator calls — the
-// posting-array sorts this replaces dominated the v3 write profile.
-func radixSort(recs []radixRec) {
-	if len(recs) < 2 {
-		return
+// buildIP drains the (ip, scan, cert) sorter into IP → sightings: per IP,
+// its distinct (scan, ref) pairs ascending. Refs follow fingerprint order,
+// not CertID order, so each (ip, scan) run's refs are sorted on the way out;
+// a run is the handful of certificates one address served in one scan.
+func (b *sectionBuilder) buildIP(refOf []uint32, out sectionOut) error {
+	if b.ips == nil {
+		return nil
 	}
-	digit := func(r radixRec, d int) uint32 {
-		if d < 4 {
-			return uint32(r.lo>>(16*uint(d))) & 0xffff
+	keys, post := newSecWriter(out.keys), newSecWriter(out.post)
+	var run []uint32    // refs of the current (ip, scan) run
+	var cur, prev ipRec // the current run's key; the last record taken
+	var start, elems uint32
+	flushRun := func() {
+		if len(run) > 1 {
+			slices.Sort(run)
 		}
-		return r.hi >> (16 * uint(d-4)) & 0xffff
-	}
-	// One pass histograms all six digits up front; a digit whose bucket holds
-	// every record is the identity and skips its scatter. Uniformity is a
-	// property of the multiset, so probing any record's digit — recs[0] even
-	// after earlier scatters — is sound.
-	counts := new([6][1 << 16]int32)
-	for _, r := range recs {
-		counts[0][uint16(r.lo)]++
-		counts[1][uint16(r.lo>>16)]++
-		counts[2][uint16(r.lo>>32)]++
-		counts[3][uint16(r.lo>>48)]++
-		counts[4][uint16(r.hi)]++
-		counts[5][uint16(r.hi>>16)]++
-	}
-	tmp := make([]radixRec, len(recs))
-	src, dst := recs, tmp
-	for d := 0; d < 6; d++ {
-		count := &counts[d]
-		if count[digit(recs[0], d)] == int32(len(recs)) {
-			continue
+		for _, ref := range run {
+			putU32s(post.entry(8), cur.scan, ref)
 		}
-		sum := int32(0)
-		for i, c := range count {
-			count[i] = sum
-			sum += c
-		}
-		for _, r := range src {
-			b := digit(r, d)
-			dst[count[b]] = r
-			count[b]++
-		}
-		src, dst = dst, src
+		elems += uint32(len(run))
+		run = run[:0]
 	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
+	flushIP := func() {
+		putU32s(keys.entry(V3IPEntry), cur.ip, start, elems-start, 0)
+		start = elems
 	}
+	first := true
+	err := b.ips.Merge(func(r ipRec) error {
+		switch {
+		case first:
+			cur, first = r, false
+		case r == prev:
+			return nil // repeat sighting of the same (scan, cert) at this IP
+		case r.ip != cur.ip:
+			flushRun()
+			flushIP()
+			cur = r
+		case r.scan != cur.scan:
+			flushRun()
+			cur = r
+		}
+		prev = r
+		run = append(run, refOf[r.cert])
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	if !first {
+		flushRun()
+		flushIP()
+	}
+	return flushBoth(keys, post)
 }
 
-// sortedIdentity returns the permutation [0, n) ordered by cmp: contiguous
-// chunks sort in parallel with the non-reflective slices.SortFunc and merge
-// in order. cmp must be a total order (or map equal elements to
-// interchangeable values) so the result is identical at any worker count.
-func sortedIdentity(workers, n int, cmp func(a, b int) int) []int {
-	shards := parallel.NumShards(workers, n)
-	runs := make([][]int, shards)
-	parallel.Do(workers, n, func(shard, lo, hi int) {
-		run := make([]int, hi-lo)
-		for i := range run {
-			run[i] = lo + i
-		}
-		slices.SortFunc(run, cmp)
-		runs[shard] = run
-	})
-	if shards == 1 {
-		return runs[0]
+// buildAS drains the (asn, cert) sorter into AS → cert set: per AS, its
+// distinct refs ascending. Without an AS view the section is empty, never
+// wrong.
+func (b *sectionBuilder) buildAS(refOf []uint32, out sectionOut) error {
+	if b.ases == nil {
+		return nil
 	}
-	out := make([]int, 0, n)
-	extsort.MergeSorted(runs, func(a, b int) bool { return cmp(a, b) < 0 }, func(id int) {
-		out = append(out, id)
+	keys, post := newSecWriter(out.keys), newSecWriter(out.post)
+	var run []uint32
+	var cur, prev asRec
+	var start uint32
+	flushAS := func() {
+		slices.Sort(run)
+		for _, ref := range run {
+			putU32s(post.entry(4), ref)
+		}
+		putU32s(keys.entry(V3ASEntry), cur.asn, start, uint32(len(run)), 0)
+		start += uint32(len(run))
+		run = run[:0]
+	}
+	first := true
+	err := b.ases.Merge(func(r asRec) error {
+		switch {
+		case first:
+			cur, first = r, false
+		case r == prev:
+			return nil
+		case r.asn != cur.asn:
+			flushAS()
+			cur = r
+		}
+		prev = r
+		run = append(run, refOf[r.cert])
+		return nil
 	})
-	return out
+	if err != nil {
+		return err
+	}
+	if !first {
+		flushAS()
+	}
+	return flushBoth(keys, post)
+}
+
+// buildScanMeta emits the scan metadata, in scan-ID order.
+func (b *sectionBuilder) buildScanMeta(out sectionOut) error {
+	keys := newSecWriter(out.keys)
+	for _, s := range b.scans {
+		e := keys.entry(V3ScanMetaEntry)
+		putU32s(e, uint32(s.op), uint32(s.at.Nanosecond()))
+		binary.LittleEndian.PutUint64(e[8:], uint64(s.at.Unix()))
+		putU32s(e[16:], uint32(s.count), 0)
+	}
+	return keys.flush()
+}
+
+// secWriter batches a section array's little-endian words on their way to w.
+type secWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func newSecWriter(w io.Writer) *secWriter {
+	return &secWriter{w: w, buf: make([]byte, 0, 64<<10)}
+}
+
+// entry returns the batch's next n bytes for the caller to fill completely.
+func (s *secWriter) entry(n int) []byte {
+	if len(s.buf)+n > cap(s.buf) {
+		s.flush()
+	}
+	s.buf = s.buf[:len(s.buf)+n]
+	return s.buf[len(s.buf)-n:]
+}
+
+// flush writes the batch out and reports the first write error.
+func (s *secWriter) flush() error {
+	if s.err == nil && len(s.buf) > 0 {
+		_, s.err = s.w.Write(s.buf)
+	}
+	s.buf = s.buf[:0]
+	return s.err
+}
+
+func flushBoth(keys, post *secWriter) error {
+	if err := keys.flush(); err != nil {
+		return err
+	}
+	return post.flush()
+}
+
+// putU32s writes vs into dst as consecutive little-endian words.
+func putU32s(dst []byte, vs ...uint32) {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(dst[4*i:], v)
+	}
 }

@@ -6,10 +6,11 @@
 // layer is built around three ideas:
 //
 //   - Sharding. Certificates and scans are split into fixed-size shards,
-//     each independently gzip-compressed and SHA-256-checksummed, so both
-//     encode and decode fan out across internal/parallel workers. Decode
-//     re-parses each shard's DERs inside its own worker, which is where the
-//     wall-clock goes (ParsEval: parse cost dominates certificate churn).
+//     each independently gzip-compressed and SHA-256-checksummed, so encode
+//     compresses shards on up to Options.Workers goroutines and decode fans
+//     out across internal/parallel workers. Decode re-parses each shard's
+//     DERs inside its own worker, which is where the wall-clock goes
+//     (ParsEval: parse cost dominates certificate churn).
 //
 //   - Columns. Within a shard, like data sits together: certificate lengths,
 //     then DER bytes, then digests; scan metadata, then certificate-ID
@@ -57,9 +58,16 @@
 // (varint deltas, resetting to a zero base at each scan boundary), then the
 // IP column (same scheme). Times are normalised to UTC on load.
 //
-// The writer's output is byte-identical at any worker count: shard
-// boundaries depend only on the data and the per-shard sizing knobs, and
-// workers change nothing but which goroutine compresses which shard.
+// There is one encoder, StreamWriter: certificates and sightings stream
+// into it, it compresses each shard as the shard fills, keeps what it
+// buffers in memory-first spills bounded by a budget, and builds the v3
+// index sections (see v3.go) from per-certificate and per-sighting input.
+// Write and WriteV3 feed it a resident corpus (StreamCorpus); the streaming
+// build feeds it scan results chunk by chunk; readV3 feeds the same section
+// builder from a decoded corpus to check a file's indexes against its
+// payloads. The output is byte-identical at any worker count or budget:
+// shard boundaries depend only on the data and the per-shard sizing knobs,
+// and workers change nothing but which goroutine compresses which shard.
 package snapshot
 
 import (
@@ -138,26 +146,6 @@ func (o Options) withDefaults() Options {
 		o.ScansPerShard = 4
 	}
 	return o
-}
-
-// shardRange is one shard's slice of the certificate table or scan series.
-type shardRange struct{ first, count int }
-
-// shardRanges cuts n items into fixed-size shards. Boundaries depend only on
-// n and per — never on the worker count — so file bytes stay deterministic.
-func shardRanges(n, per int) []shardRange {
-	if n <= 0 {
-		return nil
-	}
-	ranges := make([]shardRange, 0, (n+per-1)/per)
-	for lo := 0; lo < n; lo += per {
-		c := per
-		if lo+c > n {
-			c = n - lo
-		}
-		ranges = append(ranges, shardRange{first: lo, count: c})
-	}
-	return ranges
 }
 
 // forEachShard runs fn over shard indices on the bounded worker pool.

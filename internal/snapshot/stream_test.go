@@ -2,15 +2,21 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
 
-// streamEncode replays a corpus through the StreamWriter: certificates
-// interned in corpus ID order, then every scan's observations in order —
-// exactly the event stream the in-memory writer serialises.
+// streamEncode replays a corpus through the StreamWriter by hand:
+// certificates interned in corpus ID order, then every scan's observations
+// in order, checking the IDs Intern hands out.
 func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) []byte {
 	tb.Helper()
 	sw, err := NewStreamWriter(opt, cfg)
@@ -46,55 +52,123 @@ func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWri
 	return buf.Bytes()
 }
 
-// TestStreamWriterMatchesV2 demands the streaming writer's v2 output be
-// byte-identical to Write's over the same corpus, across shard sizings that
-// land partial and exact shard boundaries.
+// gzipFreeDigest pins a snapshot without depending on gzip's output: the
+// SHA-256 over the header's magic and counts and, per shard in table order,
+// its (first, count) and the SHA-256 of its inflated payload; then, for v3,
+// the five index-section checksums from ReadV3Layout.
+func gzipFreeDigest(tb testing.TB, data []byte) []string {
+	tb.Helper()
+	v3 := string(data[:8]) == MagicV3
+	fixed := headerFixed
+	if v3 {
+		fixed = headerFixedV3
+	}
+	nShards := int(binary.LittleEndian.Uint32(data[32:]) + binary.LittleEndian.Uint32(data[36:]))
+	off := uint64(fixed + nShards*tableEntry + sha256.Size)
+	if v3 {
+		off += V3SectionCount * idxTableEntry
+	}
+	h := sha256.New()
+	h.Write(data[:32])
+	for i := 0; i < nShards; i++ {
+		e := data[fixed+i*tableEntry:]
+		compLen := binary.LittleEndian.Uint64(e[24:])
+		raw, err := gunzipShard(data[off:off+compLen], binary.LittleEndian.Uint64(e[16:]))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		h.Write(e[:16])
+		h.Write(sum[:])
+		off += compLen
+	}
+	out := []string{fmt.Sprintf("%x", h.Sum(nil))}
+	if v3 {
+		lay, err := ReadV3Layout(bytes.NewReader(data), int64(len(data)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, sec := range lay.Sections {
+			out = append(out, fmt.Sprintf("%x", sec.Sum))
+		}
+	}
+	return out
+}
+
+// checkPins fails unless data's gzip-free digest is want.
+func checkPins(tb testing.TB, what string, data []byte, want []string) {
+	tb.Helper()
+	if got := gzipFreeDigest(tb, data); !slices.Equal(got, want) {
+		tb.Fatalf("%s: snapshot digest moved:\n got %q\nwant %q", what, got, want)
+	}
+}
+
+// The pins below were computed from the resident Write/WriteV3 encoders
+// that the StreamWriter replaced, so they hold the writer to the bytes
+// those produced.
+
+// TestStreamWriterMatchesV2 pins the writer's v2 output across shard
+// sizings that land partial and exact shard boundaries.
 func TestStreamWriterMatchesV2(t *testing.T) {
 	c := testCorpus(t, 300, 9, 500)
-	for _, opt := range []Options{
-		{},
-		{CertsPerShard: 64, ScansPerShard: 2},
-		{CertsPerShard: 300, ScansPerShard: 9}, // exact boundaries
-		{CertsPerShard: 1, ScansPerShard: 1},
+	for _, row := range []struct {
+		opt  Options
+		pins []string
+	}{
+		{Options{}, []string{"ad9be2478955cc15820570ebb3888e7032a07cb786bd2b779929e4a52eb9bf94"}},
+		{Options{CertsPerShard: 64, ScansPerShard: 2}, []string{"50fa1964e1cac1296af92f904f98269e98de57eee13371bda7560b7203c2a022"}},
+		{Options{CertsPerShard: 300, ScansPerShard: 9}, []string{"ff9021521bac7082aff23a0d87c9b13a82442e5f01e2fd07d1a65b1a78080b6d"}}, // exact boundaries
+		{Options{CertsPerShard: 1, ScansPerShard: 1}, []string{"c017fbc202d152a8c113b27ac7ab68b50921d5bd4b468bc5ac0a28edec7eb45b"}},
 	} {
-		want := encodeV2(t, c, opt)
-		got := streamEncode(t, c, opt, StreamWriterConfig{SpillDir: t.TempDir()})
-		if !bytes.Equal(want, got) {
-			t.Fatalf("CertsPerShard=%d ScansPerShard=%d: streaming v2 differs from Write (%d vs %d bytes)",
-				opt.CertsPerShard, opt.ScansPerShard, len(want), len(got))
-		}
+		got := streamEncode(t, c, row.opt, StreamWriterConfig{SpillDir: t.TempDir()})
+		checkPins(t, fmt.Sprintf("CertsPerShard=%d ScansPerShard=%d", row.opt.CertsPerShard, row.opt.ScansPerShard), got, row.pins)
 	}
 }
 
 // TestStreamWriterMatchesV3 does the same for the indexed format, AS view
-// included, with the column spill threshold crushed so every observation
-// column and both posting arrays take the disk path.
+// included, with the column spill threshold crushed and a small budget so
+// every observation column, the sorters and the section arrays take the disk
+// path.
 func TestStreamWriterMatchesV3(t *testing.T) {
 	old := colSpillThreshold
 	colSpillThreshold = 64
 	defer func() { colSpillThreshold = old }()
 
+	sections := []string{ // IP, AS and scan-metadata sums, shared by the rows below
+		"4e47ea12192f6a91223107aa439410774bd169c7e3e23266b709816618a30aae",
+		"a71f850050217c879a790bb4be760f52f3141a0e6997c882d0fb375d3873697c",
+		"1632f92fc868167b0dd3e30c08721a3d1b39d4f498a7b465626f587be7473042",
+		"d030cda6939547d6175335c0ec3dd6298858f1485f991da0fda6ee6f3d7d8378",
+	}
 	c := testCorpus(t, 300, 9, 500)
-	for _, opt := range []Options{
-		{ASOf: testASOf},
-		{ASOf: testASOf, CertsPerShard: 64, ScansPerShard: 2},
-		{CertsPerShard: 64, ScansPerShard: 2}, // no AS view: empty AS section
+	for _, row := range []struct {
+		opt  Options
+		pins []string
+	}{
+		{Options{ASOf: testASOf}, append([]string{
+			"8830cf5361cec88be5cdc4a57f6cc9d36962fe5ab19311112a53de947311faea",
+			"1f8e48955ac310a5d6563670c3660cefd6142391fb4884ce14eebf3cd41d3d44",
+		}, sections...)},
+		{Options{ASOf: testASOf, CertsPerShard: 64, ScansPerShard: 2}, append([]string{
+			"095b95336d5df1b6c0929bacd4a24e588ce5352d8fe65682cb973552f6c2b31e",
+			"89c5f75022a3328dfc7b00f6b2abfbff7ea668e98506e403dec5b1b829fcf581",
+		}, sections...)},
+		{Options{CertsPerShard: 64, ScansPerShard: 2}, []string{ // no AS view: empty AS section
+			"095b95336d5df1b6c0929bacd4a24e588ce5352d8fe65682cb973552f6c2b31e",
+			"89c5f75022a3328dfc7b00f6b2abfbff7ea668e98506e403dec5b1b829fcf581",
+			sections[0], sections[1],
+			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+			sections[3],
+		}},
 	} {
-		var want bytes.Buffer
-		if err := WriteV3(&want, c, opt); err != nil {
-			t.Fatal(err)
-		}
-		got := streamEncode(t, c, opt, StreamWriterConfig{
+		got := streamEncode(t, c, row.opt, StreamWriterConfig{
 			SpillDir:  t.TempDir(),
 			MemBudget: 1 << 16, // force sorter spill runs
 			V3:        true,
 		})
-		if !bytes.Equal(want.Bytes(), got) {
-			t.Fatalf("ASOf=%v: streaming v3 differs from WriteV3 (%d vs %d bytes)",
-				opt.ASOf != nil, want.Len(), len(got))
-		}
-		// The output must actually parse.
-		if _, err := ReadV3Layout(bytes.NewReader(got), int64(len(got))); err != nil {
+		checkPins(t, fmt.Sprintf("ASOf=%v", row.opt.ASOf != nil), got, row.pins)
+		// The output must actually load, index check included.
+		if _, err := Read(bytes.NewReader(got), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,22 +176,49 @@ func TestStreamWriterMatchesV3(t *testing.T) {
 
 // TestStreamWriterEmpty pins the degenerate corpus: no certs, no scans.
 func TestStreamWriterEmpty(t *testing.T) {
-	c := scanstore.NewCorpus()
-	for _, v3 := range []bool{false, true} {
-		var want bytes.Buffer
-		var err error
-		if v3 {
-			err = WriteV3(&want, c, Options{})
-		} else {
-			err = Write(&want, c, Options{})
+	empty := "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+	for _, row := range []struct {
+		v3   bool
+		pins []string
+	}{
+		{false, []string{"6bc0f1f85b47d180795eb54f1b1ea7863caf9061549bc6a6ad4bcca1f5c41798"}},
+		{true, []string{"126bb431e0888831c49d5b2b8056558a8afca185ca6ce3109320f7825f374957", empty, empty, empty, empty, empty}},
+	} {
+		got := streamEncode(t, scanstore.NewCorpus(), Options{}, StreamWriterConfig{SpillDir: t.TempDir(), V3: row.v3})
+		checkPins(t, fmt.Sprintf("v3=%v", row.v3), got, row.pins)
+	}
+}
+
+// TestStreamWriterRepeatSightings covers the dedup paths the corpora above
+// never reach: a scan that sees one certificate at one IP twice, and
+// certificates seen again in the AS of an earlier sighting. The IP and AS
+// sections must list each (scan, cert) at an IP and each cert in an AS once
+// — Read rejects a repeated posting — and the bytes stay pinned to what the
+// former resident encoder wrote.
+func TestStreamWriterRepeatSightings(t *testing.T) {
+	c := testCorpus(t, 20, 2, 10)
+	base := c.Scan(1).Time
+	for s := 1; s <= 3; s++ {
+		obs := []scanstore.Observation{
+			{Cert: 3, IP: 0x0a010203}, {Cert: 3, IP: 0x0a010203}, // repeat within the scan
+			{Cert: 5, IP: 0x0a010204}, {Cert: 3, IP: 0x0a020203},
+			{Cert: 7, IP: 0xc0000001}, // unrouted
 		}
-		if err != nil {
+		if _, err := c.AddScan(scanstore.UMich, base.Add(time.Duration(s)*time.Hour), obs); err != nil {
 			t.Fatal(err)
 		}
-		got := streamEncode(t, c, Options{}, StreamWriterConfig{SpillDir: t.TempDir(), V3: v3})
-		if !bytes.Equal(want.Bytes(), got) {
-			t.Fatalf("v3=%v: empty streaming snapshot differs from in-memory", v3)
-		}
+	}
+	data := encodeV3(t, c, Options{ASOf: testASOf, CertsPerShard: 8})
+	checkPins(t, "repeat sightings", data, []string{
+		"2c329b5a8bc9162e7c8e8f8918c10d0a3ace54013a8990d45df8bd376e3f60cc",
+		"bb5b26d0b2eac9e6aaf9722eaac68e2f331df4785bc69472e69e451b0cf42ca2",
+		"c2bf6b77dee53c603724d5889b2b2bf8b938bfa8ad4e2a18a87ca624209ab0ea",
+		"9c059f549a4a1123606befd4192af48f7395250f73a30fe02bd9327f38f507ae",
+		"cffc5fb6ba4b02cab0a41e185253a5e1f5efb1a9c1e93a5931973bd248a4d7e1",
+		"6bf533e74e592955ff2c5873eb9706a42c946124110c10a18fe953eb350329f0",
+	})
+	if _, err := Read(bytes.NewReader(data), Options{}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -179,8 +280,9 @@ func TestStreamWriterInternDedups(t *testing.T) {
 	}
 }
 
-// TestStreamCorpusMatchesWrite pins the StreamCorpus convenience to the
-// one-shot writers, v2 and v3, under a spill-forcing budget.
+// TestStreamCorpusMatchesWrite pins StreamCorpus, v2 and v3, under a
+// spill-forcing budget, and checks Write and WriteV3 — StreamCorpus at the
+// default budget — produce the same bytes.
 func TestStreamCorpusMatchesWrite(t *testing.T) {
 	c := testCorpus(t, 120, 5, 80)
 	cfg := StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: 1 << 14}
@@ -189,21 +291,45 @@ func TestStreamCorpusMatchesWrite(t *testing.T) {
 	if err := StreamCorpus(&got, c, Options{}, cfg); err != nil {
 		t.Fatal(err)
 	}
+	checkPins(t, "StreamCorpus v2", got.Bytes(), []string{"424f46f92a48bccaaa006afbaa94c83a7f0fad6fee217490a8f2cc2d1c1a9cd5"})
 	if want := encodeV2(t, c, Options{}); !bytes.Equal(want, got.Bytes()) {
-		t.Fatal("StreamCorpus v2 differs from Write")
+		t.Fatal("StreamCorpus v2 under a small budget differs from Write")
 	}
 
 	opt := Options{ASOf: testASOf}
-	var wantV3 bytes.Buffer
-	if err := WriteV3(&wantV3, c, opt); err != nil {
-		t.Fatal(err)
-	}
 	cfg.V3 = true
 	got.Reset()
 	if err := StreamCorpus(&got, c, opt, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(wantV3.Bytes(), got.Bytes()) {
-		t.Fatal("StreamCorpus v3 differs from WriteV3")
+	checkPins(t, "StreamCorpus v3", got.Bytes(), []string{
+		"25c42c510f4517cdbf91c9365c70e36c50db019230e3b0f51123aef4cb82dd5d",
+		"2dc03df0e1c2fedbf0e5bebccb22b665e2c41baa91477edccbfcdb782173ae32",
+		"60eb340f7136eeede65e2702f65802e4c784697e95900adf155868735b56f063",
+		"2dc8a108cae525e8a10d75153f1d779430f14ae6a6064b94418a2f209163bb71",
+		"3bb16d3acfc8d338af4c8c2f17d3133fcaedb53cb6d59864ca5dbacc68e012b3",
+		"265cc3cb0343c3fe8d15f1a26810fc60b92dff752f1fdf455cdff2def935e6de",
+	})
+	if want := encodeV3(t, c, opt); !bytes.Equal(want, got.Bytes()) {
+		t.Fatal("StreamCorpus v3 under a small budget differs from WriteV3")
+	}
+}
+
+// TestResidentWriteNeedsNoTempDir: with TMPDIR pointing at a directory that
+// does not exist, Write, WriteV3 and Read of a small corpus still succeed —
+// everything the encoder buffers fits its memory share, so no spill file is
+// ever created.
+func TestResidentWriteNeedsNoTempDir(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	c := testCorpus(t, 120, 5, 80)
+	for _, data := range [][]byte{
+		encodeV2(t, c, Options{}),
+		encodeV3(t, c, Options{ASOf: testASOf}),
+	} {
+		got, err := Read(bytes.NewReader(data), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpusEqual(t, c, got)
 	}
 }
