@@ -150,17 +150,7 @@ func main() {
 			*lintIn, lc.CertCount(), lc.FindingCount())
 	}
 	if *lintOut != "" {
-		f, err := os.Create(*lintOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			os.Exit(1)
-		}
-		if err := p.WriteLintColumn(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFileAtomic(*lintOut, p.WriteLintColumn); err != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", err)
 			os.Exit(1)
 		}
@@ -175,17 +165,7 @@ func main() {
 	}
 
 	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			os.Exit(1)
-		}
-		if err := p.WriteSnapshot(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
+		if err := obs.WriteFileAtomic(*saveTo, p.WriteSnapshot); err != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", err)
 			os.Exit(1)
 		}

@@ -179,22 +179,15 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s (%s, %d bytes)\n", *out, *format, info.Size())
 
 	if *dumpNet {
-		pf, err := os.Create(*out + ".prefix2as")
+		err := obs.WriteFileAtomic(*out+".prefix2as", func(w io.Writer) error {
+			return p.World.Internet.WriteRouteViews(w, cfg.World.Start)
+		})
 		if err != nil {
 			fatal(err)
 		}
-		if err := p.World.Internet.WriteRouteViews(pf, cfg.World.Start); err != nil {
+		if err := obs.WriteFileAtomic(*out+".asinfo", p.World.Internet.WriteASInfo); err != nil {
 			fatal(err)
 		}
-		pf.Close()
-		af, err := os.Create(*out + ".asinfo")
-		if err != nil {
-			fatal(err)
-		}
-		if err := p.World.Internet.WriteASInfo(af); err != nil {
-			fatal(err)
-		}
-		af.Close()
 		fmt.Fprintf(os.Stderr, "wrote %s.prefix2as and %s.asinfo\n", *out, *out)
 	}
 	if *metricsOut != "" {

@@ -4,14 +4,14 @@ import "securepki/internal/parallel"
 
 // ParallelCollector adapts a Registry into a parallel.Observer, recording
 // how the worker pool carves work up. Every parallel.* metric is volatile
-// by construction: dispatch counts and shard geometry are functions of the
-// worker knob (a serial run may skip the pool entirely), so they are
-// excluded from the byte-stability contract and exist for humans reading
-// -metrics-out / expvar.
+// by construction: dispatch counts and block sizes are functions of the
+// worker knob (a serial run claims the whole range as one block), so they
+// are excluded from the byte-stability contract and exist for humans
+// reading -metrics-out / expvar.
 type ParallelCollector struct {
 	dispatches *Counter
 	tasks      *Counter
-	shardItems *Histogram
+	blockItems *Histogram
 }
 
 // NewParallelCollector registers the parallel.* metrics on reg and returns
@@ -20,28 +20,20 @@ func NewParallelCollector(reg *Registry) *ParallelCollector {
 	return &ParallelCollector{
 		dispatches: reg.Counter("parallel.dispatches", Volatile),
 		tasks:      reg.Counter("parallel.tasks", Volatile),
-		shardItems: reg.Histogram("parallel.shard_items",
+		blockItems: reg.Histogram("parallel.block_items",
 			[]int64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}, Volatile),
 	}
 }
 
-// ParallelDispatch implements parallel.Observer. It reconstructs the pool's
-// contiguous-chunk split (chunk = ceil(items/shards)) to histogram the
-// per-shard work distribution.
-func (c *ParallelCollector) ParallelDispatch(shards, items int) {
-	if c == nil || shards <= 0 || items <= 0 {
+// ParallelDispatch implements parallel.Observer: one dispatch of items
+// indices, histogrammed by the size of the blocks its workers claim.
+func (c *ParallelCollector) ParallelDispatch(block, items int) {
+	if c == nil || block <= 0 || items <= 0 {
 		return
 	}
 	c.dispatches.Inc()
 	c.tasks.Add(int64(items))
-	chunk := (items + shards - 1) / shards
-	for lo := 0; lo < items; lo += chunk {
-		hi := lo + chunk
-		if hi > items {
-			hi = items
-		}
-		c.shardItems.Observe(int64(hi - lo))
-	}
+	c.blockItems.Observe(int64(block))
 }
 
 var _ parallel.Observer = (*ParallelCollector)(nil)

@@ -152,8 +152,8 @@ type counterCell struct {
 }
 
 // Counter is a monotonically increasing sharded counter. The zero shard is
-// the default target; hot loops that already hold a stable shard number
-// (from parallel.Do or a worker index) should use AddShard to spread
+// the default target; hot loops that already hold a number of their own (an
+// item index, a connection's worker index) should use AddShard to spread
 // contention. A nil *Counter is a no-op.
 type Counter struct {
 	name     string
@@ -175,7 +175,8 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // AddShard increments by n on the cell selected by shard (masked into
 // range), so concurrent workers with distinct shard numbers never contend.
-// The shard choice never affects Value — addition commutes.
+// The shard choice never affects Value — addition commutes — so the number
+// need not be stable across runs, worker counts or schedules.
 func (c *Counter) AddShard(shard int, n int64) {
 	if c == nil {
 		return

@@ -15,8 +15,8 @@ func TestCounterShardingIndependence(t *testing.T) {
 		reg := NewRegistry()
 		c := reg.Counter("test.events")
 		h := reg.Histogram("test.sizes", []int64{10, 100, 1000})
-		// The same 1000 events, carved into contiguous per-worker chunks —
-		// exactly how parallel.Do hands out work.
+		// The same 1000 events, carved into per-worker ranges: which worker
+		// records an event must not show in the snapshot.
 		const n = 1000
 		per := n / workers
 		var wg sync.WaitGroup
@@ -148,8 +148,8 @@ func TestNilSafety(t *testing.T) {
 func TestParallelCollector(t *testing.T) {
 	reg := NewRegistry()
 	c := NewParallelCollector(reg)
-	c.ParallelDispatch(4, 10) // chunks: 3,3,3,1
-	c.ParallelDispatch(1, 5)
+	c.ParallelDispatch(3, 10)
+	c.ParallelDispatch(5, 5) // serial: the whole range is one block
 	c.ParallelDispatch(0, 5) // ignored
 	if got := reg.Counter("parallel.dispatches", Volatile).Value(); got != 2 {
 		t.Fatalf("dispatches = %d, want 2", got)
@@ -157,13 +157,15 @@ func TestParallelCollector(t *testing.T) {
 	if got := reg.Counter("parallel.tasks", Volatile).Value(); got != 15 {
 		t.Fatalf("tasks = %d, want 15", got)
 	}
-	h := reg.Histogram("parallel.shard_items", nil, Volatile)
-	if got := h.Count(); got != 5 {
-		t.Fatalf("shard observations = %d, want 5", got)
+	if got := reg.Histogram("parallel.block_items", nil, Volatile).Count(); got != 2 {
+		t.Fatalf("block observations = %d, want 2", got)
 	}
 	for _, m := range reg.Snapshot().Metrics {
 		if !m.Volatile {
 			t.Fatalf("parallel metric %q must be volatile", m.Name)
+		}
+		if m.Name == "parallel.block_items" && *m.Sum != 8 {
+			t.Fatalf("block sizes sum to %d, want 8", *m.Sum)
 		}
 	}
 }

@@ -1,17 +1,20 @@
-// Package parallel provides the bounded worker-pool primitives shared by the
-// pipeline's hot stages (validation, index building, linking). The paper's
-// measurement only worked because the tooling saturated the hardware; this
-// package is the reproduction's equivalent, with one extra constraint the
-// original did not have: every parallel stage must produce byte-identical
-// results to its serial counterpart, at any worker count.
+// Package parallel provides the bounded worker pool shared by the pipeline's
+// hot stages (scan sweep, validation, index building, linting, linking,
+// snapshot decode). The paper's measurement only worked because the tooling
+// saturated the hardware; this package is the reproduction's equivalent,
+// with one extra constraint the original did not have: every parallel stage
+// must produce byte-identical results to its serial counterpart, at any
+// worker count.
 //
-// The determinism recipe is the same everywhere:
+// The pool has one scheduling rule: workers claim fixed-size blocks of
+// consecutive indices from one shared cursor until none remain, so a slow
+// stretch of the input (the population's devices, which sign, before its
+// sites) is spread over every worker instead of stalling the one that was
+// handed it. Which worker runs an index is therefore a matter of timing, and
+// the determinism recipe never depends on it:
 //
-//   - work is split into contiguous index chunks, one per worker, so each
-//     output position is owned by exactly one goroutine;
-//   - per-worker accumulators are indexed by a stable shard number (the chunk
-//     index, not goroutine identity) and merged in shard order after the
-//     barrier;
+//   - each index writes only its own output slot;
+//   - every merge walks the slots in index order after the barrier;
 //   - nothing iterates a shared map inside a worker.
 //
 // Callers pass the configured worker count straight through; zero or negative
@@ -24,13 +27,13 @@ import (
 	"sync/atomic"
 )
 
-// Observer receives one event per Do dispatch: how many contiguous shards
-// the pool split how many items into. It exists for observability
-// (internal/obs adapts it into metrics); the pool itself never depends on
-// it, keeping this package module-free. Implementations must be
-// goroutine-safe — dispatches happen from whichever goroutine calls Do.
+// Observer receives one event per dispatch: how many items the pool ran
+// and how many consecutive indices each claimed block held. It exists for
+// observability (internal/obs adapts it into metrics); the pool itself never
+// depends on it, keeping this package module-free. Implementations must be
+// goroutine-safe — dispatches happen from whichever goroutine calls ForEach.
 type Observer interface {
-	ParallelDispatch(shards, items int)
+	ParallelDispatch(block, items int)
 }
 
 // observerBox wraps the interface so atomic.Value accepts a nil clear.
@@ -60,62 +63,52 @@ func Workers(n int) int {
 	return n
 }
 
-// NumShards returns how many chunks Do will split n items into for the given
-// worker knob — the size callers need for per-shard accumulators. It is zero
-// when there is no work.
-func NumShards(workers, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	chunk := (n + w - 1) / w
-	return (n + chunk - 1) / chunk
-}
+// blocksPerWorker is how many blocks each worker's fair share of a dispatch
+// is cut into. Enough that a worker stuck on a slow block leaves the rest to
+// the others, few enough that the shared cursor is touched rarely.
+const blocksPerWorker = 32
 
-// Do splits [0, n) into NumShards(workers, n) contiguous chunks and invokes
-// fn(shard, lo, hi) for each on its own goroutine, returning after all
-// complete. Shard numbers follow chunk order (shard 0 holds the lowest
-// indices), so shard-ordered merges preserve input order.
-func Do(workers, n int, fn func(shard, lo, hi int)) {
-	shards := NumShards(workers, n)
-	if shards == 0 {
+// ForEach invokes fn(i) for every i in [0, n) across the worker pool and
+// returns after all complete. w = min(Workers(workers), n) goroutines claim
+// blocks of ⌈n/(32·w)⌉ consecutive indices from one atomic cursor until none
+// remain; with w = 1 the pool is a plain loop over [0, n) on the caller's
+// goroutine.
+func ForEach(workers, n int, fn func(i int)) {
+	if n <= 0 {
 		return
+	}
+	w := min(Workers(workers), n)
+	block := n
+	if w > 1 {
+		block = (n + blocksPerWorker*w - 1) / (blocksPerWorker * w)
 	}
 	if o := currentObserver(); o != nil {
-		o.ParallelDispatch(shards, n)
+		o.ParallelDispatch(block, n)
 	}
-	if shards == 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := (n + shards - 1) / shards
-	var wg sync.WaitGroup
-	shard := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(shard, lo, hi int) {
-			defer wg.Done()
-			fn(shard, lo, hi)
-		}(shard, lo, hi)
-		shard++
-	}
-	wg.Wait()
-}
-
-// ForEach invokes fn(i) for every i in [0, n) across the worker pool.
-func ForEach(workers, n int, fn func(i int)) {
-	Do(workers, n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+	if w == 1 {
+		for i := 0; i < n; i++ {
 			fn(i)
 		}
-	})
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for g := 0; g < w; g++ {
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(block))) - block
+				if lo >= n {
+					return
+				}
+				for i, hi := lo, min(lo+block, n); i < hi; i++ {
+					fn(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // Map computes out[i] = fn(i) for every i in [0, n) across the worker pool.
@@ -128,37 +121,5 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	ForEach(workers, n, func(i int) {
 		out[i] = fn(i)
 	})
-	return out
-}
-
-// Counter accumulates integer counts per key across workers without locks:
-// each shard is written by exactly one worker (identified by the shard number
-// Do hands out) and Total merges shards after the barrier.
-type Counter[K comparable] struct {
-	shards []map[K]int
-}
-
-// NewCounter returns a Counter with the given shard count (use NumShards).
-func NewCounter[K comparable](shards int) *Counter[K] {
-	c := &Counter[K]{shards: make([]map[K]int, shards)}
-	for i := range c.shards {
-		c.shards[i] = make(map[K]int)
-	}
-	return c
-}
-
-// Add increments key k on the worker-owned shard.
-func (c *Counter[K]) Add(shard int, k K, n int) {
-	c.shards[shard][k] += n
-}
-
-// Total merges every shard into one map. Call only after the Do barrier.
-func (c *Counter[K]) Total() map[K]int {
-	out := make(map[K]int)
-	for _, sh := range c.shards {
-		for k, n := range sh {
-			out[k] += n
-		}
-	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersResolution(t *testing.T) {
@@ -18,50 +19,44 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-func TestNumShards(t *testing.T) {
-	cases := []struct{ workers, n, want int }{
-		{1, 100, 1},
-		{4, 100, 4},
-		{4, 3, 3},   // never more shards than items
-		{8, 0, 0},   // no work, no shards
-		{3, 10, 3},  // chunk=4 → shards 4,4,2
-		{16, 17, 9}, // chunk=2 → 9 chunks
-	}
-	for _, c := range cases {
-		if got := NumShards(c.workers, c.n); got != c.want {
-			t.Errorf("NumShards(%d, %d) = %d, want %d", c.workers, c.n, got, c.want)
+func TestForEachCoversEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 5, 16, 0} {
+		for _, n := range []int{0, 1, 2, 7, 64, 101, 1000} {
+			seen := make([]atomic.Int32, n)
+			ForEach(workers, n, func(i int) {
+				seen[i].Add(1)
+			})
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
+				}
+			}
 		}
 	}
 }
 
-func TestDoCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 5, 16, 0} {
-		for _, n := range []int{0, 1, 2, 7, 64, 101} {
-			seen := make([]int32, n)
-			var chunks atomic.Int32
-			Do(workers, n, func(shard, lo, hi int) {
-				chunks.Add(1)
-				if lo >= hi {
-					t.Errorf("workers=%d n=%d: empty chunk [%d,%d)", workers, n, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&seen[i], 1)
-				}
-				if shard >= NumShards(workers, n) {
-					t.Errorf("workers=%d n=%d: shard %d out of range", workers, n, shard)
-				}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
-				}
+// TestForEachBalancesSkew holds item 0 until items 16–63 have all run. A
+// pool that handed each of its 2 workers one contiguous half would leave
+// items 16–31 queued behind item 0 on the same worker, so the wait can only
+// end if the other worker claims them: blocks must be smaller than n/4.
+func TestForEachBalancesSkew(t *testing.T) {
+	const n, held = 64, 48
+	var done atomic.Int32
+	release := make(chan struct{})
+	ForEach(2, n, func(i int) {
+		switch {
+		case i == 0:
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+				t.Errorf("item 0 still waiting after 10s: %d of items 16-63 ran", done.Load())
 			}
-			if int(chunks.Load()) != NumShards(workers, n) {
-				t.Errorf("workers=%d n=%d: %d chunks ran, NumShards says %d",
-					workers, n, chunks.Load(), NumShards(workers, n))
+		case i >= n-held:
+			if done.Add(1) == held {
+				close(release)
 			}
 		}
-	}
+	})
 }
 
 func TestMapPreservesOrder(t *testing.T) {
@@ -80,25 +75,6 @@ func TestMapPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestCounterMergesShards(t *testing.T) {
-	n := 1000
-	shards := NumShards(4, n)
-	c := NewCounter[string](shards)
-	Do(4, n, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i%3 == 0 {
-				c.Add(shard, "fizz", 1)
-			} else {
-				c.Add(shard, "other", 1)
-			}
-		}
-	})
-	total := c.Total()
-	if total["fizz"] != 334 || total["other"] != 666 {
-		t.Errorf("Total = %v", total)
-	}
-}
-
 // Map with any worker count must equal the serial result — the property every
 // pipeline stage built on this package relies on.
 func TestSerialParallelEquivalence(t *testing.T) {
@@ -111,5 +87,29 @@ func TestSerialParallelEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// BenchmarkForEachSkewed sweeps items whose first half costs twice the
+// second, the shape of a scan over the population's devices (which sign)
+// followed by its sites.
+func BenchmarkForEachSkewed(b *testing.B) {
+	const n = 2048
+	work := func(rounds int) uint64 {
+		x := uint64(rounds)
+		for r := 0; r < rounds; r++ {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		return x
+	}
+	out := make([]uint64, n)
+	for i := 0; i < b.N; i++ {
+		ForEach(0, n, func(i int) {
+			rounds := 2000
+			if i < n/2 {
+				rounds *= 2
+			}
+			out[i] = work(rounds)
+		})
 	}
 }

@@ -152,10 +152,10 @@ func (c *Corpus) Validate(store *truststore.Store) map[truststore.Status]int {
 }
 
 // ValidateWorkers is Validate with an explicit worker count (<= 0 means
-// GOMAXPROCS). Results are identical at any worker count: each worker owns a
-// contiguous slice of the certificate table, per-worker status counts are
-// merged after the barrier, and the store's chain cache fills with values
-// that do not depend on scheduling.
+// GOMAXPROCS). Results are identical at any worker count: each certificate's
+// Status is written only by the worker that verifies it, the status counts
+// are tallied serially after the barrier, and the store's chain cache fills
+// with values that do not depend on scheduling.
 func (c *Corpus) ValidateWorkers(store *truststore.Store, workers int) map[truststore.Status]int {
 	// Pool serially: the store is not safe for concurrent mutation, and the
 	// pool must be complete before any chain is memoized.
@@ -164,16 +164,15 @@ func (c *Corpus) ValidateWorkers(store *truststore.Store, workers int) map[trust
 			store.AddIntermediate(rec.Cert)
 		}
 	}
-	n := len(c.certs)
-	counts := parallel.NewCounter[truststore.Status](parallel.NumShards(workers, n))
-	parallel.Do(workers, n, func(shard, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rec := c.certs[i]
-			rec.Status = store.Verify(rec.Cert).Status
-			counts.Add(shard, rec.Status, 1)
-		}
+	parallel.ForEach(workers, len(c.certs), func(i int) {
+		rec := c.certs[i]
+		rec.Status = store.Verify(rec.Cert).Status
 	})
-	return counts.Total()
+	counts := make(map[truststore.Status]int)
+	for _, rec := range c.certs {
+		counts[rec.Status]++
+	}
+	return counts
 }
 
 // Sighting is one appearance of a certificate: which scan and which IP.

@@ -48,6 +48,7 @@ import (
 	"sort"
 
 	"securepki/internal/certlint"
+	"securepki/internal/obs"
 	"securepki/internal/x509lite"
 )
 
@@ -178,18 +179,12 @@ func WriteLintColumn(w io.Writer, results []certlint.CertFindings, infos []certl
 	return nil
 }
 
-// WriteLintColumnFile writes the column to path atomically enough for the
-// pipeline (write then close; no rename dance — callers own the directory).
+// WriteLintColumnFile writes the column to path through obs.WriteFileAtomic:
+// on any error, a rejected findings set included, path keeps its old bytes.
 func WriteLintColumnFile(path string, results []certlint.CertFindings, infos []certlint.LinterInfo) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteLintColumn(f, results, infos); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteFileAtomic(path, func(w io.Writer) error {
+		return WriteLintColumn(w, results, infos)
+	})
 }
 
 // ReadLintColumn parses and fully validates a findings column. Every

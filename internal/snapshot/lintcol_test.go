@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -121,6 +122,35 @@ func TestLintColumnFileRoundTrip(t *testing.T) {
 	}
 	if lc.CertCount() != len(results) {
 		t.Errorf("CertCount = %d, want %d", lc.CertCount(), len(results))
+	}
+}
+
+// TestLintColumnFileFailureKeepsOld: a rejected rewrite of an existing
+// column must leave the old column byte-identical and no temp file behind.
+func TestLintColumnFileFailureKeepsOld(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "corpus.lint")
+	if err := WriteLintColumnFile(path, testLintResults(9), testLintInfos()); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := testLintResults(2)
+	unsorted[0], unsorted[1] = unsorted[1], unsorted[0]
+	if err := WriteLintColumnFile(path, unsorted, testLintInfos()); err == nil || !strings.Contains(err.Error(), "not fingerprint-sorted") {
+		t.Fatalf("rewrite with unsorted results: err = %v, want the sort check", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("failed rewrite left the column at %d bytes, was %d", len(got), len(want))
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("dir holds %d entries after the failed rewrite, want only the column", len(entries))
 	}
 }
 
