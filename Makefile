@@ -98,11 +98,12 @@ telemetry-smoke:
 	@echo wrote obs-artifacts/telemetry_events.jsonl
 
 # Memory-envelope smoke: stream a ~16k-host population (≈50× the chunk-sweep
-# golden) through core.StreamSnapshot on a 4 MiB budget and fail if the heap
-# high-water or process peak RSS leaves its ceiling (see DESIGN.md "Streaming
-# build & memory envelope"). Deliberately NOT under -race: the race runtime
-# multiplies heap usage, which would force ceilings too slack to catch a
-# regression back to resident behaviour. MEM_SMOKE_DEVICES scales the
+# golden) through core.StreamSnapshot, lint column included, on a 4 MiB
+# budget and fail if the heap high-water or process peak RSS leaves its
+# ceiling (see DESIGN.md "Streaming build & memory envelope"). Deliberately
+# NOT under -race: the race runtime multiplies heap usage, which would force
+# ceilings too slack to catch a regression back to resident behaviour
+# (a lint that keeps every finding included). MEM_SMOKE_DEVICES scales the
 # population (e.g. MEM_SMOKE_DEVICES=750000 approximates the paper's 10⁶-host
 # sweeps); MEM_SMOKE_HEAP_MB / MEM_SMOKE_RSS_MB move the ceilings with it.
 mem-smoke:

@@ -45,10 +45,9 @@ type SurveyRow struct {
 // certificates are a fundamentally different population".
 func Survey(certs []*x509lite.Certificate, invalid func(*x509lite.Certificate) bool) []SurveyRow {
 	// Build the key-sharing context first.
-	ctx := &Context{KeyCount: make(map[x509lite.Fingerprint]int)}
-	for _, c := range certs {
-		ctx.KeyCount[c.PublicKeyFingerprint()]++
-	}
+	ctx := &Context{KeyCount: SharedKeys(len(certs), func(i int) x509lite.Fingerprint {
+		return certs[i].PublicKeyFingerprint()
+	})}
 
 	type agg struct {
 		sev            Severity

@@ -1,7 +1,9 @@
 package certlint
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,10 +69,42 @@ func (f Finding) String() string {
 // all workers.
 type Context struct {
 	// KeyCount maps public-key fingerprints to how many distinct
-	// certificates carry them; nil disables the shared-key linter.
+	// certificates carry them; nil disables the shared-key linter. Only
+	// shared keys need an entry: a missing key reads as 0, which the
+	// shared-key linter treats like a count of 1. SharedKeys builds exactly
+	// that census.
 	KeyCount map[x509lite.Fingerprint]int
 
 	verifies atomic.Int64
+}
+
+// SharedKeys is the key-sharing census of n certificates, spki(i) being
+// certificate i's public-key fingerprint: every key more than one of them
+// carries, mapped to how many do. Keys carried once are left out, so the map
+// holds only the shared minority. It sorts a permutation of the indexes by
+// key rather than a copy of the keys, and counts each run of equal keys.
+func SharedKeys(n int, spki func(i int) x509lite.Fingerprint) map[x509lite.Fingerprint]int {
+	order := make([]uint32, n)
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int {
+		ka, kb := spki(int(a)), spki(int(b))
+		return bytes.Compare(ka[:], kb[:])
+	})
+	shared := make(map[x509lite.Fingerprint]int)
+	for lo := 0; lo < n; {
+		key := spki(int(order[lo]))
+		hi := lo + 1
+		for hi < n && spki(int(order[hi])) == key {
+			hi++
+		}
+		if hi-lo > 1 {
+			shared[key] = hi - lo
+		}
+		lo = hi
+	}
+	return shared
 }
 
 // Verifies reports the signature checks linters have run under this

@@ -295,3 +295,18 @@ func TestFindingsSortedWithinCert(t *testing.T) {
 		t.Error("first finding sorts after last")
 	}
 }
+
+// TestSharedKeys: the census keeps exactly the keys carried more than once,
+// with their counts, whatever the order the certificates come in.
+func TestSharedKeys(t *testing.T) {
+	key := func(k int) x509lite.Fingerprint { return x509lite.FingerprintBytes([]byte{byte(k)}) }
+	carried := []int{3, 1, 3, 4, 2, 3, 4, 5}
+	got := SharedKeys(len(carried), func(i int) x509lite.Fingerprint { return key(carried[i]) })
+	want := map[x509lite.Fingerprint]int{key(3): 3, key(4): 2}
+	if len(got) != len(want) || got[key(3)] != 3 || got[key(4)] != 2 {
+		t.Fatalf("SharedKeys = %v, want %v", got, want)
+	}
+	if n := len(SharedKeys(0, nil)); n != 0 {
+		t.Fatalf("empty census holds %d keys", n)
+	}
+}

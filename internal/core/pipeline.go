@@ -5,10 +5,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"time"
 
@@ -273,45 +271,50 @@ func (p *Pipeline) Lint() {
 	for i, rec := range p.Corpus.Certs() {
 		certs[i] = rec.Cert
 	}
-	// The resident corpus is one batch, and feeding it cannot fail.
-	p.LintResults, _ = lintCorpus(p.Config, len(certs),
+	// The resident corpus is one batch, which RunCorpus returns in
+	// fingerprint order; feeding and keeping it cannot fail. An empty corpus
+	// has been linted too, so its results are empty, not nil.
+	p.LintResults = []certlint.CertFindings{}
+	lintCorpus(p.Config, len(certs),
 		func(i int) x509lite.Fingerprint { return certs[i].PublicKeyFingerprint() },
-		func(lint func([]*x509lite.Certificate)) error { lint(certs); return nil })
+		func(lint func([]*x509lite.Certificate) error) error { return lint(certs) },
+		func(results []certlint.CertFindings) error {
+			if len(results) > 0 {
+				p.LintResults = results
+			}
+			return nil
+		})
 	span.End()
 }
 
 // lintCorpus is the lint stage of both build paths. It takes the key-sharing
 // census over all n certificates first (spki(i) is certificate i's public-key
-// fingerprint), then lints every batch feed hands to its callback through
-// certlint.Registry.RunCorpus, and returns the findings of all batches in
-// fingerprint order. The registry emits the lint.* metrics per batch, whose
+// fingerprint; certlint.SharedKeys keeps only the shared keys), then lints
+// every batch feed hands to its callback through
+// certlint.Registry.RunCorpus, handing each batch's fingerprint-sorted
+// findings to sink. The registry emits the lint.* metrics per batch, whose
 // counters add up across batches; the core.lint.* counters follow the last.
-func lintCorpus(cfg Config, n int, spki func(i int) x509lite.Fingerprint, feed func(lint func([]*x509lite.Certificate)) error) ([]certlint.CertFindings, error) {
-	ctx := &certlint.Context{KeyCount: make(map[x509lite.Fingerprint]int, n)}
-	for i := 0; i < n; i++ {
-		ctx.KeyCount[spki(i)]++
-	}
+func lintCorpus(cfg Config, n int, spki func(i int) x509lite.Fingerprint,
+	feed func(lint func([]*x509lite.Certificate) error) error, sink func([]certlint.CertFindings) error) error {
+	ctx := &certlint.Context{KeyCount: certlint.SharedKeys(n, spki)}
 	regy := certlint.Default()
 	opts := certlint.Options{Workers: cfg.Workers, Config: cfg.LintConfig, Obs: cfg.Obs}
-	results := make([]certlint.CertFindings, 0, n)
-	err := feed(func(certs []*x509lite.Certificate) {
-		results = append(results, regy.RunCorpus(certs, ctx, opts)...)
+	flagged := 0
+	err := feed(func(certs []*x509lite.Certificate) error {
+		results := regy.RunCorpus(certs, ctx, opts)
+		for _, cf := range results {
+			if len(cf.Findings) > 0 {
+				flagged++
+			}
+		}
+		return sink(results)
 	})
 	if err != nil {
-		return nil, err
-	}
-	slices.SortFunc(results, func(a, b certlint.CertFindings) int {
-		return bytes.Compare(a.Fingerprint[:], b.Fingerprint[:])
-	})
-	flagged := 0
-	for _, cf := range results {
-		if len(cf.Findings) > 0 {
-			flagged++
-		}
+		return err
 	}
 	cfg.Obs.Counter("core.lint.flagged_certs").Add(int64(flagged))
 	cfg.Obs.Counter("core.lint.x509.verify").Add(ctx.Verifies())
-	return results, nil
+	return nil
 }
 
 // WriteLintColumn persists the lint stage's findings as the checksummed

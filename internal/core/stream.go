@@ -7,6 +7,7 @@ import (
 
 	"securepki/internal/certlint"
 	"securepki/internal/devicesim"
+	"securepki/internal/extsort"
 	"securepki/internal/netsim"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -26,7 +27,13 @@ type StreamConfig struct {
 	// MemBudget bounds, in bytes, both the chunk store's live set and the
 	// snapshot writer's buffers (<= 0 means 256 MiB each); how the writer
 	// shares its budget, and what stays outside it, is documented at
-	// snapshot.StreamWriterConfig.MemBudget.
+	// snapshot.StreamWriterConfig.MemBudget. The chunk store closes once
+	// replay drains it, and the writer keeps an eighth of the budget (its
+	// retained DERs) past Finish; lint takes the rest: half for its sorted
+	// finding runs, an eighth for each lint-column array. Outside the
+	// budget during lint stay one 2048-certificate parse batch, the
+	// shared-key census, the fingerprint and SPKI per certificate, and the
+	// run merge's read buffer per run.
 	MemBudget int64
 	// SpillDir hosts every spill file ("" means the OS temp dir).
 	SpillDir string
@@ -57,10 +64,10 @@ type StreamStats struct {
 // core.lint) start through the helper the resident pipeline uses, so they
 // set progress.stage, journal stage.start and open a span. The cfg.Obs
 // registry also receives the mem.* gauges (live chunks, spilled runs,
-// spilled bytes, merge fan-in, and a volatile heap high-water) on top of the
-// stage counters the substrates already emit; each chunk spill gets a
-// core.spill span and a spill journal event, and the lint column's write a
-// lintcol.write event.
+// spilled bytes, merge fan-in, lint runs, and a volatile heap high-water)
+// on top of the stage counters the substrates already emit; each chunk
+// spill gets a core.spill span and a spill journal event, and the lint
+// column's write a lintcol.write event.
 func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, error) {
 	reg := cfg.Obs
 	stats := &StreamStats{}
@@ -164,8 +171,13 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 		}
 	}
 	span.End()
+	// Replay has drained the chunk store: its live chunks and spills go
+	// before the snapshot and lint stages run.
 	stats.Spills = store.Spills()
 	stats.SpilledBytes = store.SpilledBytes()
+	if err := store.Close(); err != nil {
+		return nil, fmt.Errorf("core: stream replay: %w", err)
+	}
 	stats.Certs = sw.NumCerts()
 	stats.Scans = len(sched)
 	stats.MergeFanIn = sw.MergeFanIn()
@@ -192,31 +204,54 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 }
 
 // streamLint lints the writer's retained DERs and emits the sidecar column,
-// byte-identical to Pipeline.Lint + WriteLintColumn: both run lintCorpus.
+// byte-identical to Pipeline.Lint + WriteLintColumn: both run lintCorpus and
+// one column encoder. Here the findings do not stay resident: batches fill a
+// snapshot.LintRuns with half of the memory budget, which spills sorted runs
+// and merges them by fingerprint into a snapshot.LintColumnWriter holding
+// three eighths; the writer's retained DERs hold the last eighth.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
-	results, err := lintCorpus(cfg, sw.NumCerts(),
-		func(i int) x509lite.Fingerprint { return sw.SPKI(scanstore.CertID(i)) },
-		func(lint func([]*x509lite.Certificate)) error { return parsedBatches(sw, cfg.Workers, lint) })
+	budget := cfg.Stream.MemBudget
+	if budget <= 0 {
+		budget = extsort.DefaultMemBudget
+	}
+	lw, err := snapshot.NewLintColumnWriter(certlint.Default().Infos(), cfg.Stream.SpillDir, budget/8*3)
 	if err != nil {
 		return err
 	}
-	if err := snapshot.WriteLintColumn(lintW, results, certlint.Default().Infos()); err != nil {
+	defer lw.Close()
+	runs := snapshot.NewLintRuns(lw, cfg.Stream.SpillDir, budget/2)
+	defer runs.Close()
+	err = lintCorpus(cfg, sw.NumCerts(),
+		func(i int) x509lite.Fingerprint { return sw.SPKI(scanstore.CertID(i)) },
+		func(lint func([]*x509lite.Certificate) error) error { return parsedBatches(sw, cfg, lint) },
+		runs.Add)
+	if err != nil {
 		return err
 	}
-	cfg.Journal.Emit("lintcol.write", "certs", fmt.Sprint(len(results)))
+	cfg.Obs.Gauge("mem.lint_runs").Set(int64(runs.Runs()))
+	readHeapHighWater(cfg.Obs)
+	if err := runs.Merge(lw.Add); err != nil {
+		return err
+	}
+	if err := lw.Finish(lintW); err != nil {
+		return err
+	}
+	cfg.Journal.Emit("lintcol.write", "certs", fmt.Sprint(sw.NumCerts()))
 	return nil
 }
 
 // parsedBatches replays the writer's DERs to fn in batches of 2048
-// certificates, each batch parsed across workers, so only one batch of
-// parsed certificates is resident.
-func parsedBatches(sw *snapshot.StreamWriter, workers int, fn func([]*x509lite.Certificate)) error {
+// certificates, each batch parsed across cfg.Workers, so only one batch of
+// parsed certificates is resident. Every certificate parsed counts on
+// core.lint.x509.parse.
+func parsedBatches(sw *snapshot.StreamWriter, cfg Config, fn func([]*x509lite.Certificate) error) error {
 	const batch = 2048
+	parsed := cfg.Obs.Counter("core.lint.x509.parse")
 	ders := make([][]byte, 0, batch)
 	flush := func() error {
 		certs := make([]*x509lite.Certificate, len(ders))
 		errs := make([]error, len(ders))
-		parallel.ForEach(workers, len(ders), func(i int) {
+		parallel.ForEach(cfg.Workers, len(ders), func(i int) {
 			certs[i], errs[i] = x509lite.Parse(ders[i])
 		})
 		for i, err := range errs {
@@ -226,9 +261,9 @@ func parsedBatches(sw *snapshot.StreamWriter, workers int, fn func([]*x509lite.C
 				return fmt.Errorf("lint batch: certificate %d failed to parse: %w", i, err)
 			}
 		}
-		fn(certs)
+		parsed.Add(int64(len(certs)))
 		ders = ders[:0]
-		return nil
+		return fn(certs)
 	}
 	err := sw.EachCert(func(_ scanstore.CertID, _, _ x509lite.Fingerprint, der []byte) error {
 		ders = append(ders, append([]byte(nil), der...))

@@ -6,6 +6,7 @@ import (
 
 	"securepki/internal/obs"
 	"securepki/internal/truststore"
+	"securepki/internal/x509lite"
 )
 
 // wantWork is the Ed25519 work of a SmallConfig build, per stage. Every
@@ -15,20 +16,24 @@ import (
 var wantWork = map[string]int64{
 	"core.generate.x509.sign":   46,
 	"core.generate.x509.keygen": 46,
-	"core.scan.x509.sign":       5839,
-	"core.scan.x509.keygen":     3524,
+	"core.scan.x509.sign":       5401,
+	"core.scan.x509.keygen":     3281,
 	"core.validate.x509.verify": 5464,
 	"core.lint.x509.verify":     717,
+	"core.lint.x509.parse":      0,
 }
 
 // TestEd25519WorkCounters pins the per-stage work counters at workers 1, 4
 // and 16, and checks the streamed build path against them at 4. The
 // resident lint stage verifies only what validation never self-checked —
 // valid certificates (a trusted chain is found first) and bad-version ones
-// (rejected before any check) — while the streamed path, which has no
-// validate stage, verifies every certificate once in lint. Signing is the
-// same on both paths: each certificate a scan returns is signed once. The
-// lint.* certificate and finding counts match the resident run's.
+// (rejected before any check) — and parses nothing, while the streamed
+// path, which has no validate stage, parses and verifies every certificate
+// once in lint. Signing is the same on both paths: the scan signs a host
+// certificate only for a sighting it keeps, and each once, so it signs
+// exactly the corpus's host certificates (all but the site CAs that
+// generate signed). The lint.* certificate and finding counts match the
+// resident run's.
 func TestEd25519WorkCounters(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		cfg := SmallConfig()
@@ -51,6 +56,19 @@ func TestEd25519WorkCounters(t *testing.T) {
 				t.Errorf("workers=%d resident: %s = %d, want %d", workers, name, got, want)
 			}
 		}
+		siteCAs := make(map[x509lite.Fingerprint]bool)
+		for _, site := range p.World.Sites {
+			siteCAs[site.CA().Cert.Fingerprint()] = true
+		}
+		hostCerts := 0
+		for _, rec := range p.Corpus.Certs() {
+			if !siteCAs[rec.Cert.Fingerprint()] {
+				hostCerts++
+			}
+		}
+		if got := reg.Counter("core.scan.x509.sign").Value(); got != int64(hostCerts) {
+			t.Errorf("workers=%d resident: scan signed %d certificates, want the corpus's %d host certificates", workers, got, hostCerts)
+		}
 		unchecked := int64(p.ValidationCounts[truststore.Valid] + p.ValidationCounts[truststore.BadVersion])
 		if got := reg.Counter("core.lint.x509.verify").Value(); got != unchecked {
 			t.Errorf("workers=%d resident: lint verified %d certificates, want the %d valid and bad-version ones", workers, got, unchecked)
@@ -71,8 +89,10 @@ func TestEd25519WorkCounters(t *testing.T) {
 				t.Errorf("workers=%d streamed: %s = %d, want %d as resident", workers, name, got, want)
 			}
 		}
-		if got, want := sreg.Counter("core.lint.x509.verify").Value(), int64(p.Corpus.NumCerts()); got != want {
-			t.Errorf("workers=%d streamed: lint verified %d certificates, want all %d", workers, got, want)
+		for _, name := range []string{"core.lint.x509.verify", "core.lint.x509.parse"} {
+			if got, want := sreg.Counter(name).Value(), int64(p.Corpus.NumCerts()); got != want {
+				t.Errorf("workers=%d streamed: %s = %d, want all %d certificates", workers, name, got, want)
+			}
 		}
 		// Both paths run one lint driver, so they lint and find the same.
 		for _, name := range []string{"lint.certs", "lint.findings", "lint.findings.info", "lint.findings.warn", "lint.findings.error", "lint.findings.fatal"} {

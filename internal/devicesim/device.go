@@ -14,10 +14,18 @@ import (
 // Appearance is one (address, served chain) a host presents during a scan
 // window. Devices usually yield one appearance; a mid-scan IP change can
 // yield zero, one or two (§6.2's scan-duplicate phenomenon).
+//
+// The leaf comes back still pending: Chain[0] is nil until Materialize signs
+// it (once per certificate, however many appearances share it), so a
+// sighting the scan then drops costs no signature.
 type Appearance struct {
 	IP    netsim.IP
 	Chain []*x509lite.Certificate // leaf first
+	leaf  *pendingCert
 }
+
+// Materialize fills in the chain's leaf, signing it on first use.
+func (a Appearance) Materialize() { a.Chain[0] = a.leaf.get() }
 
 // ASMove records a device changing autonomous systems — the §7.3 ground
 // truth the tracking evaluation compares against.
@@ -373,6 +381,12 @@ func pickValidity(choices []ValidityChoice, r *stats.RNG) int {
 	return choices[len(choices)-1].Days
 }
 
+// pendingLeaf is a device's appearance at ip serving the one certificate
+// leaf, not yet signed.
+func pendingLeaf(ip netsim.IP, leaf *pendingCert) Appearance {
+	return Appearance{IP: ip, Chain: make([]*x509lite.Certificate, 1), leaf: leaf}
+}
+
 // Appearances simulates how a ZMap-style scan over [start, end) observes the
 // device: the scanner probes each address at an independent uniform time in
 // the window, so a device whose address changes mid-scan can be seen at both
@@ -396,13 +410,13 @@ func (d *Device) Appearances(start, end time.Time, scanRNG *stats.RNG) []Appeara
 		u1 := randTimeIn(scanRNG, start, end)
 		u2 := randTimeIn(scanRNG, start, end)
 		if u1.Before(tc) {
-			apps = append(apps, Appearance{IP: oldIP, Chain: []*x509lite.Certificate{oldCert.get()}})
+			apps = append(apps, pendingLeaf(oldIP, oldCert))
 		}
 		if u2.After(tc) {
-			apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert.get()}})
+			apps = append(apps, pendingLeaf(d.ip, d.cert))
 		}
 	} else {
-		apps = append(apps, Appearance{IP: d.ip, Chain: []*x509lite.Certificate{d.cert.get()}})
+		apps = append(apps, pendingLeaf(d.ip, d.cert))
 	}
 	d.AdvanceTo(end)
 	return apps

@@ -152,16 +152,18 @@ func (s *Site) AdvanceTo(t time.Time) {
 
 // Appearances lists the site's replicas, each serving the leaf plus its
 // intermediate (so CA certificates are observed at every replica address,
-// reproducing the paper's valid CA certs served from millions of IPs).
+// reproducing the paper's valid CA certs served from millions of IPs). The
+// replicas share one chain, whose leaf is pending until one of them is
+// materialized.
 func (s *Site) Appearances(start, end time.Time, _ *stats.RNG) []Appearance {
 	if !s.AliveAt(start) {
 		return nil
 	}
 	s.AdvanceTo(start)
-	chain := []*x509lite.Certificate{s.cert.get(), s.ca.Cert}
+	chain := []*x509lite.Certificate{nil, s.ca.Cert}
 	apps := make([]Appearance, 0, len(s.ips))
 	for _, ip := range s.ips {
-		apps = append(apps, Appearance{IP: ip, Chain: chain})
+		apps = append(apps, Appearance{IP: ip, Chain: chain, leaf: s.cert})
 	}
 	s.AdvanceTo(end)
 	return apps

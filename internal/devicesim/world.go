@@ -65,6 +65,7 @@ func DefaultConfig() Config {
 type Host interface {
 	// Appearances reports the (IP, chain) pairs a scan over [start, end)
 	// would see for this host, advancing the host's internal clock to end.
+	// Each leaf is pending until Appearance.Materialize.
 	Appearances(start, end time.Time, scanRNG *stats.RNG) []Appearance
 }
 

@@ -290,6 +290,39 @@ func TestSpillFileDetectsRot(t *testing.T) {
 	}
 }
 
+// TestSpillFileSeal: a sealed spill, in memory or on disk, reads back every
+// byte written before the seal — on disk without any Reader having flushed
+// it first — and refuses further writes.
+func TestSpillFileSeal(t *testing.T) {
+	for _, limit := range []int64{0, 1 << 20} {
+		dir := t.TempDir()
+		sf := NewSpillFile(dir, "sealed-*.spill", limit)
+		defer sf.Remove()
+		want := bytes.Repeat([]byte("sealed "), 1000)
+		if _, err := sf.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := sf.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if paths, _ := filepath.Glob(filepath.Join(dir, "sealed-*")); limit == 0 {
+			if len(paths) != 1 {
+				t.Fatalf("limit 0: want one spill file, got %v", paths)
+			}
+			if b, err := os.ReadFile(paths[0]); err != nil || !bytes.Equal(b, want) {
+				t.Fatalf("limit 0: file holds %d bytes after Seal, want all %d flushed (err %v)", len(b), len(want), err)
+			}
+		}
+		if _, err := sf.Write([]byte("late")); err == nil {
+			t.Fatalf("limit %d: write after Seal accepted", limit)
+		}
+		var got bytes.Buffer
+		if err := sf.VerifyCopy(&got); err != nil || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("limit %d: sealed spill reads back %d bytes, want %d (err %v)", limit, got.Len(), len(want), err)
+		}
+	}
+}
+
 // TestRadixSortMatchesByteOrder checks the run sort against a comparison
 // sort over odd and even record widths, with shared high bytes (skipped
 // passes) and duplicates.

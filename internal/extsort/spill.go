@@ -168,12 +168,13 @@ type SpillFile struct {
 	// so growing never copies what is already held.
 	mem [][]byte
 
-	// Set once the spill has moved to disk.
+	// Set once the spill has moved to disk; w is dropped again by Seal.
 	f *os.File
 	w *bufio.Writer
 	h hash.Hash
 
-	err error
+	sealed bool
+	err    error
 }
 
 // Memory block sizes: the first block, and the cap the doubling stops at.
@@ -193,6 +194,9 @@ func NewSpillFile(dir, pattern string, limit int64) *SpillFile {
 func (s *SpillFile) Write(p []byte) (int, error) {
 	if s.err != nil {
 		return 0, s.err
+	}
+	if s.sealed {
+		return 0, fmt.Errorf("extsort: write to a sealed spill")
 	}
 	if s.f == nil {
 		if s.n+int64(len(p)) <= s.limit {
@@ -257,6 +261,25 @@ func (s *SpillFile) toDisk() error {
 	return nil
 }
 
+// Seal ends the writes: a spill on disk is flushed and its write buffer
+// freed, which matters for spills that wait long, and many at once, before
+// anyone reads them. The spill stays readable; any further Write fails.
+func (s *SpillFile) Seal() error {
+	if s.err != nil {
+		return s.err
+	}
+	s.sealed = true
+	if s.w == nil {
+		return nil
+	}
+	if err := s.w.Flush(); err != nil {
+		s.err = fmt.Errorf("extsort: spill flush: %w", err)
+		return s.err
+	}
+	s.w = nil
+	return nil
+}
+
 // Len returns the number of bytes written so far.
 func (s *SpillFile) Len() int64 { return s.n }
 
@@ -277,9 +300,11 @@ func (s *SpillFile) Reader() (io.Reader, error) {
 		}
 		return io.MultiReader(blocks...), nil
 	}
-	if err := s.w.Flush(); err != nil {
-		s.err = fmt.Errorf("extsort: spill flush: %w", err)
-		return nil, s.err
+	if s.w != nil {
+		if err := s.w.Flush(); err != nil {
+			s.err = fmt.Errorf("extsort: spill flush: %w", err)
+			return nil, s.err
+		}
 	}
 	vr := &verifyReader{
 		r: bufio.NewReaderSize(io.NewSectionReader(s.f, 0, s.n), 1<<16),

@@ -285,8 +285,10 @@ func (c *Campaign) lossRNGs() []*stats.RNG {
 // scheduled scan. Per scan, the host sweep fans out across the configured
 // workers, each (scan, host) pair drawing from an RNG seeded by the global
 // host index; the blacklist and loss filter then run serially in host order,
-// consuming lossRNGs[scan], and every certificate of a surviving chain goes
-// to sink with its scan, global host index and address.
+// consuming lossRNGs[scan]. Appearances come back with their leaves pending,
+// so only the sightings the filter keeps are materialized — signed, in a
+// second fan-out — before every certificate of a surviving chain goes to
+// sink, in host order, with its scan, global host index and address.
 func (c *Campaign) sweep(hosts []devicesim.Host, base int, lossRNGs []*stats.RNG, sink func(scan, host int, cert *x509lite.Certificate, ip netsim.IP)) {
 	results := make([][]devicesim.Appearance, len(hosts))
 	for scanIdx, plan := range c.schedule {
@@ -297,11 +299,23 @@ func (c *Campaign) sweep(hosts []devicesim.Host, base int, lossRNGs []*stats.RNG
 		})
 		lossRNG := lossRNGs[scanIdx]
 		for h, apps := range results {
+			kept := apps[:0]
 			for _, app := range apps {
 				prefix, routed := c.world.Internet.PrefixOf(app.IP)
 				if !routed || c.blacklist[plan.op][prefix] || lossRNG.Bool(c.cfg.MissProb) {
 					continue
 				}
+				kept = append(kept, app)
+			}
+			results[h] = kept
+		}
+		parallel.ForEach(c.cfg.Workers, len(hosts), func(h int) {
+			for _, app := range results[h] {
+				app.Materialize()
+			}
+		})
+		for h, apps := range results {
+			for _, app := range apps {
 				for _, cert := range app.Chain {
 					sink(scanIdx, base+h, cert, app.IP)
 				}

@@ -48,6 +48,7 @@ import (
 	"sort"
 
 	"securepki/internal/certlint"
+	"securepki/internal/extsort"
 	"securepki/internal/obs"
 	"securepki/internal/x509lite"
 )
@@ -65,9 +66,12 @@ const (
 	lintColPostEntry = 16
 )
 
-// Caps a hostile header must stay under before anything is allocated.
+// Caps a hostile header must stay under before anything is allocated; the
+// lint-table entry caps (ID length, version) are parseLintTable's.
 const (
 	maxLintColLints    = 4096
+	maxLintColID       = 256
+	maxLintColVersion  = 1 << 20
 	maxLintColTable    = 1 << 20
 	maxLintColDetail   = 1 << 16
 	maxLintColDetails  = maxIndexBytes
@@ -86,97 +90,217 @@ type LintColumn struct {
 	details []byte
 }
 
-// WriteLintColumn encodes one corpus run. Results must be sorted by
-// fingerprint with no duplicates (certlint.RunCorpus's contract) and every
-// finding must reference a linter in infos; infos must be ID-sorted with
-// unique IDs (Registry.Infos's contract).
-func WriteLintColumn(w io.Writer, results []certlint.CertFindings, infos []certlint.LinterInfo) error {
+// LintColumnWriter is the column's one encoder. Add takes one certificate's
+// findings at a time, in strictly ascending fingerprint order, and appends
+// them to the key, posting and detail arrays, which are memory-first
+// extsort.SpillFiles; Finish writes the column. Add checks everything the
+// reader would reject of what a writer controls — order, lint references,
+// severities and versions against the lint table, detail sizes and the
+// certificate and finding caps — so a rejected finding stops the encode
+// before Finish has emitted a byte.
+type LintColumnWriter struct {
+	lints   []certlint.LinterInfo
+	idx     map[string]int
+	lintTab []byte
+
+	keys, posts, details *extsort.SpillFile
+	certs, finds         uint64
+	last                 x509lite.Fingerprint
+
+	err error
+}
+
+// NewLintColumnWriter validates the lint table — infos must be ID-sorted with
+// unique IDs (Registry.Infos's contract) — and returns an empty encoder whose
+// three arrays hold up to a third of budget each in memory (<= 0 means
+// extsort.DefaultMemBudget) before moving to files in dir ("" means the OS
+// temp dir).
+func NewLintColumnWriter(infos []certlint.LinterInfo, dir string, budget int64) (*LintColumnWriter, error) {
 	if len(infos) > maxLintColLints {
-		return fmt.Errorf("snapshot: lint column: %d linters, cap %d", len(infos), maxLintColLints)
+		return nil, fmt.Errorf("snapshot: lint column: %d linters, cap %d", len(infos), maxLintColLints)
 	}
-	idx := make(map[string]int, len(infos))
-	var lintTab bytes.Buffer
-	var varint [binary.MaxVarintLen64]byte
+	if budget <= 0 {
+		budget = extsort.DefaultMemBudget
+	}
+	lw := &LintColumnWriter{lints: infos, idx: make(map[string]int, len(infos))}
 	for i, info := range infos {
 		if i > 0 && infos[i-1].ID >= info.ID {
-			return fmt.Errorf("snapshot: lint column: linter infos not ID-sorted at %q", info.ID)
+			return nil, fmt.Errorf("snapshot: lint column: linter infos not ID-sorted at %q", info.ID)
 		}
-		if info.Version < 1 {
-			return fmt.Errorf("snapshot: lint column: linter %s version %d", info.ID, info.Version)
+		if len(info.ID) == 0 || len(info.ID) > maxLintColID {
+			return nil, fmt.Errorf("snapshot: lint column: linter ID %q length %d outside [1, %d]", info.ID, len(info.ID), maxLintColID)
+		}
+		if info.Version < 1 || info.Version > maxLintColVersion {
+			return nil, fmt.Errorf("snapshot: lint column: linter %s version %d", info.ID, info.Version)
 		}
 		if info.Severity < 0 || int(info.Severity) >= certlint.NumSeverities {
-			return fmt.Errorf("snapshot: lint column: linter %s severity %d", info.ID, info.Severity)
+			return nil, fmt.Errorf("snapshot: lint column: linter %s severity %d", info.ID, info.Severity)
 		}
-		idx[info.ID] = i
-		lintTab.Write(varint[:binary.PutUvarint(varint[:], uint64(len(info.ID)))])
-		lintTab.WriteString(info.ID)
-		lintTab.Write(varint[:binary.PutUvarint(varint[:], uint64(info.Version))])
-		lintTab.WriteByte(byte(info.Severity))
+		lw.idx[info.ID] = i
+		lw.lintTab = binary.AppendUvarint(lw.lintTab, uint64(len(info.ID)))
+		lw.lintTab = append(lw.lintTab, info.ID...)
+		lw.lintTab = binary.AppendUvarint(lw.lintTab, uint64(info.Version))
+		lw.lintTab = append(lw.lintTab, byte(info.Severity))
 	}
-	if lintTab.Len() > maxLintColTable {
-		return fmt.Errorf("snapshot: lint column: lint table %d bytes, cap %d", lintTab.Len(), maxLintColTable)
+	if len(lw.lintTab) > maxLintColTable {
+		return nil, fmt.Errorf("snapshot: lint column: lint table %d bytes, cap %d", len(lw.lintTab), maxLintColTable)
 	}
+	lw.keys = extsort.NewSpillFile(dir, "lintcol-keys-*.spill", budget/3)
+	lw.posts = extsort.NewSpillFile(dir, "lintcol-post-*.spill", budget/3)
+	lw.details = extsort.NewSpillFile(dir, "lintcol-detail-*.spill", budget/3)
+	return lw, nil
+}
 
-	var keys, posts, details bytes.Buffer
-	var findCount uint64
-	for i, cf := range results {
-		if i > 0 && bytes.Compare(results[i-1].Fingerprint[:], cf.Fingerprint[:]) >= 0 {
-			return fmt.Errorf("snapshot: lint column: results not fingerprint-sorted at %d", i)
-		}
-		keys.Write(cf.Fingerprint[:])
-		var entry [8]byte
-		binary.LittleEndian.PutUint32(entry[0:], uint32(findCount))
-		binary.LittleEndian.PutUint32(entry[4:], uint32(len(cf.Findings)))
-		keys.Write(entry[:])
-		prevIdx := -1
-		for _, f := range cf.Findings {
-			li, ok := idx[f.LintID]
-			if !ok {
-				return fmt.Errorf("snapshot: lint column: finding references unregistered lint %q", f.LintID)
-			}
-			if li <= prevIdx {
-				return fmt.Errorf("snapshot: lint column: findings for %s not ID-sorted", cf.Fingerprint)
-			}
-			prevIdx = li
-			if len(f.Detail) > maxLintColDetail {
-				return fmt.Errorf("snapshot: lint column: detail %d bytes, cap %d", len(f.Detail), maxLintColDetail)
-			}
-			var post [lintColPostEntry]byte
-			binary.LittleEndian.PutUint32(post[0:], uint32(li))
-			binary.LittleEndian.PutUint32(post[4:], uint32(f.Severity))
-			binary.LittleEndian.PutUint32(post[8:], uint32(details.Len()))
-			binary.LittleEndian.PutUint32(post[12:], uint32(len(f.Detail)))
-			posts.Write(post[:])
-			details.WriteString(f.Detail)
-			findCount++
+// Add appends one certificate's findings, which must be sorted by lint ID
+// (RunCert's order). Errors are sticky.
+func (lw *LintColumnWriter) Add(cf certlint.CertFindings) error {
+	if lw.err != nil {
+		return lw.err
+	}
+	if err := lw.check(cf); err != nil {
+		lw.err = err
+		return err
+	}
+	var err error
+	keep := func(_ int, e error) {
+		if err == nil {
+			err = e
 		}
 	}
-	if details.Len() > maxLintColDetails {
-		return fmt.Errorf("snapshot: lint column: detail blob %d bytes, cap %d", details.Len(), maxLintColDetails)
+	var entry [lintColKeyEntry]byte
+	copy(entry[:], cf.Fingerprint[:])
+	binary.LittleEndian.PutUint32(entry[32:], uint32(lw.finds))
+	binary.LittleEndian.PutUint32(entry[36:], uint32(len(cf.Findings)))
+	keep(lw.keys.Write(entry[:]))
+	for _, f := range cf.Findings {
+		var post [lintColPostEntry]byte
+		binary.LittleEndian.PutUint32(post[0:], uint32(lw.idx[f.LintID]))
+		binary.LittleEndian.PutUint32(post[4:], uint32(f.Severity))
+		binary.LittleEndian.PutUint32(post[8:], uint32(lw.details.Len()))
+		binary.LittleEndian.PutUint32(post[12:], uint32(len(f.Detail)))
+		keep(lw.posts.Write(post[:]))
+		keep(io.WriteString(lw.details, f.Detail))
 	}
+	lw.certs++
+	lw.finds += uint64(len(cf.Findings))
+	lw.last = cf.Fingerprint
+	lw.err = err
+	return err
+}
 
-	var header [lintColHeaderLen]byte
-	copy(header[:8], MagicLintColumn)
-	binary.LittleEndian.PutUint64(header[8:], uint64(len(results)))
-	binary.LittleEndian.PutUint64(header[16:], findCount)
-	binary.LittleEndian.PutUint32(header[24:], uint32(len(infos)))
-	binary.LittleEndian.PutUint64(header[32:], uint64(lintTab.Len()))
-	binary.LittleEndian.PutUint64(header[40:], uint64(details.Len()))
-	headerSum := sha256.Sum256(header[:])
-
-	body := sha256.New()
-	for _, blob := range [][]byte{lintTab.Bytes(), keys.Bytes(), posts.Bytes(), details.Bytes()} {
-		body.Write(blob)
+// check validates one certificate's findings against the column's order,
+// its lint table and its caps, before Add writes any of it.
+func (lw *LintColumnWriter) check(cf certlint.CertFindings) error {
+	if lw.certs > 0 && bytes.Compare(lw.last[:], cf.Fingerprint[:]) >= 0 {
+		return fmt.Errorf("snapshot: lint column: results not fingerprint-sorted at %d", lw.certs)
 	}
-	var bodySum [32]byte
-	body.Sum(bodySum[:0])
-
-	for _, blob := range [][]byte{header[:], headerSum[:], lintTab.Bytes(), keys.Bytes(), posts.Bytes(), details.Bytes(), bodySum[:]} {
-		if _, err := w.Write(blob); err != nil {
-			return fmt.Errorf("snapshot: lint column write: %w", err)
+	if lw.certs+1 > maxCerts || lw.certs+1 > maxIndexBytes/lintColKeyEntry {
+		return fmt.Errorf("snapshot: lint column: %d certs exceed the key-array cap", lw.certs+1)
+	}
+	if lw.finds+uint64(len(cf.Findings)) > maxLintColFindings {
+		return fmt.Errorf("snapshot: lint column: %d findings, cap %d", lw.finds+uint64(len(cf.Findings)), uint64(maxLintColFindings))
+	}
+	if err := lw.checkFindings(cf); err != nil {
+		return err
+	}
+	details := uint64(lw.details.Len())
+	for _, f := range cf.Findings {
+		if details += uint64(len(f.Detail)); details > maxLintColDetails {
+			return fmt.Errorf("snapshot: lint column: detail blob %d bytes, cap %d", details, uint64(maxLintColDetails))
 		}
 	}
 	return nil
+}
+
+// checkFindings validates one certificate's findings on their own: each
+// names a linter of the table, with its severity and version, in table
+// order, and carries a detail within the cap.
+func (lw *LintColumnWriter) checkFindings(cf certlint.CertFindings) error {
+	prevIdx := -1
+	for _, f := range cf.Findings {
+		li, ok := lw.idx[f.LintID]
+		if !ok {
+			return fmt.Errorf("snapshot: lint column: finding references unregistered lint %q", f.LintID)
+		}
+		if li <= prevIdx {
+			return fmt.Errorf("snapshot: lint column: findings for %s not ID-sorted", cf.Fingerprint)
+		}
+		prevIdx = li
+		if info := lw.lints[li]; f.Severity != info.Severity || f.Version != info.Version {
+			return fmt.Errorf("snapshot: lint column: %s finding %s v%d contradicts lint table (%s v%d)",
+				f.LintID, f.Severity, f.Version, info.Severity, info.Version)
+		}
+		if len(f.Detail) > maxLintColDetail {
+			return fmt.Errorf("snapshot: lint column: detail %d bytes, cap %d", len(f.Detail), maxLintColDetail)
+		}
+	}
+	return nil
+}
+
+// Finish writes the column to w: header, header checksum, then the lint
+// table and the three arrays, hashed on their way out, and the body
+// checksum. The writer accepts nothing after it.
+func (lw *LintColumnWriter) Finish(w io.Writer) error {
+	if lw.err != nil {
+		return lw.err
+	}
+	lw.err = fmt.Errorf("snapshot: lint column already finished")
+	var header [lintColHeaderLen]byte
+	copy(header[:8], MagicLintColumn)
+	binary.LittleEndian.PutUint64(header[8:], lw.certs)
+	binary.LittleEndian.PutUint64(header[16:], lw.finds)
+	binary.LittleEndian.PutUint32(header[24:], uint32(len(lw.lints)))
+	binary.LittleEndian.PutUint64(header[32:], uint64(len(lw.lintTab)))
+	binary.LittleEndian.PutUint64(header[40:], uint64(lw.details.Len()))
+	headerSum := sha256.Sum256(header[:])
+	body := sha256.New()
+	out := io.MultiWriter(w, body)
+	if _, err := w.Write(append(header[:], headerSum[:]...)); err != nil {
+		return fmt.Errorf("snapshot: lint column write: %w", err)
+	}
+	if _, err := out.Write(lw.lintTab); err != nil {
+		return fmt.Errorf("snapshot: lint column write: %w", err)
+	}
+	for _, s := range []*extsort.SpillFile{lw.keys, lw.posts, lw.details} {
+		if err := s.VerifyCopy(out); err != nil {
+			return fmt.Errorf("snapshot: lint column write: %w", err)
+		}
+	}
+	if _, err := w.Write(body.Sum(nil)); err != nil {
+		return fmt.Errorf("snapshot: lint column write: %w", err)
+	}
+	return nil
+}
+
+// Close releases the arrays' memory and spill files. Safe to call more than
+// once.
+func (lw *LintColumnWriter) Close() error {
+	var first error
+	for _, s := range []*extsort.SpillFile{lw.keys, lw.posts, lw.details} {
+		if err := s.Remove(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// WriteLintColumn encodes one corpus run through a LintColumnWriter at the
+// default budget. Results must be sorted by fingerprint with no duplicates
+// (certlint.RunCorpus's contract) and every finding must match a linter in
+// infos, which must be ID-sorted with unique IDs (Registry.Infos's
+// contract). On a rejected input nothing is written to w.
+func WriteLintColumn(w io.Writer, results []certlint.CertFindings, infos []certlint.LinterInfo) error {
+	lw, err := NewLintColumnWriter(infos, "", 0)
+	if err != nil {
+		return err
+	}
+	defer lw.Close()
+	for _, cf := range results {
+		if err := lw.Add(cf); err != nil {
+			return err
+		}
+	}
+	return lw.Finish(w)
 }
 
 // WriteLintColumnFile writes the column to path through obs.WriteFileAtomic:
@@ -335,14 +459,14 @@ func parseLintTable(tab []byte, count uint32) ([]certlint.LinterInfo, error) {
 	rest := tab
 	for i := uint32(0); i < count; i++ {
 		idLen, n := binary.Uvarint(rest)
-		if n <= 0 || idLen == 0 || idLen > 256 || uint64(len(rest)-n) < idLen {
+		if n <= 0 || idLen == 0 || idLen > maxLintColID || uint64(len(rest)-n) < idLen {
 			return nil, fmt.Errorf("snapshot: lint column: lint table entry %d truncated", i)
 		}
 		rest = rest[n:]
 		id := string(rest[:idLen])
 		rest = rest[idLen:]
 		version, n := binary.Uvarint(rest)
-		if n <= 0 || version == 0 || version > 1<<20 {
+		if n <= 0 || version == 0 || version > maxLintColVersion {
 			return nil, fmt.Errorf("snapshot: lint column: lint %s bad version", id)
 		}
 		rest = rest[n:]

@@ -238,6 +238,18 @@ func TestWriteLintColumnRejects(t *testing.T) {
 			"severity",
 		},
 		{
+			"info ID over the reader's cap",
+			nil,
+			[]certlint.LinterInfo{{ID: strings.Repeat("a", maxLintColID+1), Version: 1}},
+			"length",
+		},
+		{
+			"info version over the reader's cap",
+			nil,
+			[]certlint.LinterInfo{{ID: "a", Version: maxLintColVersion + 1}},
+			"version",
+		},
+		{
 			"oversized detail",
 			[]certlint.CertFindings{{Fingerprint: lo, Findings: []certlint.Finding{{
 				LintID: "a_lint", Version: 1, Severity: certlint.Info,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -31,7 +32,8 @@ import (
 // budget, and the v3 IP/AS sightings accumulate in external-merge sorters.
 // What stays resident is per-certificate constant-size state (fingerprint,
 // SPKI, DER location — the v3 index needs it anyway) and the fingerprint
-// dedup map. The v3 sections build while the last scan shards compress.
+// dedup map. The v3 sections build while the last scan shards compress, and
+// Finish then drops all that only encoding needs.
 //
 // The output is byte-identical at any worker count, memory budget or
 // spill directory: shard boundaries come from the sizing knobs alone, and
@@ -76,7 +78,11 @@ type StreamWriterConfig struct {
 	// share each spills to disk. Outside it stay the per-certificate state,
 	// the certificate shard being filled, up to Workers shards held while
 	// they compress, and the observation columns of the scans not yet in a
-	// shard (up to 256 KiB each before they spill).
+	// shard (up to 256 KiB each before they spill). Finish releases all of
+	// it but the retained DERs' eighth and the per-certificate fingerprint
+	// and SPKI, which leaves the other seven eighths to a lint pass that
+	// follows (core.StreamSnapshot gives them to LintRuns and
+	// LintColumnWriter).
 	MemBudget int64
 	// V3 selects the indexed format; Finish then writes MagicV3 plus the
 	// five index sections. Off, Finish writes plain v2.
@@ -151,12 +157,6 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 
 // NumCerts returns how many distinct certificates have been interned.
 func (sw *StreamWriter) NumCerts() int { return len(sw.idx.fps) }
-
-// Lookup returns the ID of an already-interned fingerprint.
-func (sw *StreamWriter) Lookup(fp x509lite.Fingerprint) (scanstore.CertID, bool) {
-	id, ok := sw.byFP[fp]
-	return id, ok
-}
 
 // Intern deduplicates one certificate by fingerprint, appending it to the
 // table (and the pending cert shard) when new. The DER is copied; callers
@@ -356,8 +356,9 @@ func (sw *StreamWriter) land() error {
 	return nil
 }
 
-// Finish flushes everything and writes the complete snapshot to w. The
-// writer remains readable (EachCert) but accepts no further data.
+// Finish flushes everything, writes the complete snapshot to w and
+// releases the encode-only state. The writer remains readable (EachCert,
+// SPKI, NumCerts) but accepts no further data.
 func (sw *StreamWriter) Finish(w io.Writer) error {
 	if sw.err != nil {
 		return sw.err
@@ -489,8 +490,32 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	if sw.cfg.V3 {
 		sw.opt.Obs.Counter("snapshot.encode.index_bytes").Add(indexBytes)
 	}
-	return nil
+	return sw.release()
 }
+
+// release drops the encode-only state once Finish has written the
+// snapshot — the dedup map, the drained sorters and their buffers, the
+// payload spills and the per-scan column list (every column went with its
+// scan shard), the DER locations — so all that stays for a lint pass
+// (EachCert, SPKI, NumCerts) is the retained DERs and the per-certificate
+// fingerprint and SPKI. The writer then refuses further data.
+func (sw *StreamWriter) release() error {
+	err := sw.idx.close()
+	sw.idx.ips, sw.idx.ases, sw.idx.locs = nil, nil, nil
+	for _, pay := range []*payload{&sw.certPay, &sw.scanPay} {
+		if rerr := pay.data.Remove(); err == nil {
+			err = rerr
+		}
+		pay.tab = nil
+	}
+	sw.byFP, sw.cols = nil, nil
+	sw.pendLens, sw.pendDERs, sw.certVars, sw.ipVars = nil, nil, nil, nil
+	sw.err = errFinished
+	return err
+}
+
+// errFinished is the sticky error of a writer whose Finish has run.
+var errFinished = errors.New("snapshot: stream writer already finished")
 
 // emitObs records the snapshot.encode.* counters.
 func (sw *StreamWriter) emitObs(shardTab []streamShardEntry, obsCount uint64) {
