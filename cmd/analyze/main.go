@@ -20,11 +20,13 @@
 // certlint.json semantics.
 //
 // With -corpus the scan stage is replaced by loading a snapshot written by
-// scangen or analyze -save-corpus (any format; v2/v3 decode across
-// -workers). The world is still regenerated from -seed/-small so validation
-// runs against the same root store that issued the corpus — use the same
-// sizing flags as the run that wrote it. Ground truth is not persisted, so
-// the truth-based precision evaluation reports zeros on this path.
+// scangen, certscan or analyze -save-corpus, decoded across -workers. The
+// world is still regenerated from -seed/-small so validation runs against
+// the same root store that issued the corpus — use the same sizing flags as
+// the run that wrote it. Ground truth is not persisted, so the truth-based
+// precision evaluation reports zeros on this path. -save-corpus writes the
+// corpus as a snapshot whose AS index comes from the world's simulated
+// routing table.
 package main
 
 import (
@@ -50,8 +52,8 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		plotDir    = flag.String("plotdir", "", "also write gnuplot-ready .dat files and plots.gp to this directory")
 		asJSON     = flag.Bool("json", false, "print a machine-readable summary instead of experiment text")
-		corpus     = flag.String("corpus", "", "load the corpus from this snapshot instead of scanning (v1, v2 or v3)")
-		saveTo     = flag.String("save-corpus", "", "after the run, write the corpus as a v2 snapshot to this file")
+		corpus     = flag.String("corpus", "", "load the corpus from this snapshot instead of scanning")
+		saveTo     = flag.String("save-corpus", "", "after the run, write the corpus as a snapshot to this file")
 		lintOut    = flag.String("lint-out", "", "write the lint stage's findings as a sidecar column to this file")
 		lintIn     = flag.String("lint-in", "", "load findings from a persisted column instead of re-linting")
 		lintConf   = flag.String("lint-config", "", "certlint.json suppression/scoping config for the lint stage")
@@ -165,7 +167,7 @@ func main() {
 	}
 
 	if *saveTo != "" {
-		if err := obs.WriteFileAtomic(*saveTo, p.WriteSnapshot); err != nil {
+		if err := obs.WriteFileAtomic(*saveTo, p.WriteSnapshotV3); err != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", err)
 			os.Exit(1)
 		}

@@ -8,7 +8,7 @@
 //
 //	certscan -targets targets.txt [-workers 32] [-timeout 3s] [-repeat 1 -interval 2s]
 //	         [-retries 0] [-backoff 100ms] [-backoff-max 2s] [-scan-seed 1]
-//	         [-o corpus.spki [-format v2|v3]] [-json]
+//	         [-o corpus.spki] [-json]
 //	         [-metrics-out metrics.json] [-trace-out trace.jsonl]
 //	         [-events-out events.jsonl] [-debug-addr :6060] [-sample-interval 1s]
 //
@@ -34,8 +34,10 @@
 //
 // With -o the sweeps are also accumulated as a scan corpus — each sweep
 // becomes one scan, each grabbed certificate one (certificate, IP)
-// observation — and written as a snapshot that analyze/linkdev can load
-// (-format v3 adds the point-lookup indexes certquery serves from).
+// observation — and written as a snapshot that analyze/linkdev load and
+// certquery serves point lookups from. A live scan has no routing view, so
+// the snapshot's AS index is empty until scangen -upgrade -prefix2as
+// rebuilds it.
 // Only IPv4-literal targets can appear in the corpus (the observation model
 // is address-based); hostname targets are swept but skipped from the corpus
 // with a warning.
@@ -70,8 +72,7 @@ func main() {
 		scanSeed    = flag.Uint64("scan-seed", 1, "seed for the backoff jitter streams")
 		repeat      = flag.Int("repeat", 1, "number of sweeps")
 		interval    = flag.Duration("interval", 2*time.Second, "pause between sweeps")
-		outCorpus   = flag.String("o", "", "accumulate sweeps into a corpus and write it as a snapshot (see -format)")
-		outFormat   = flag.String("format", "v2", "snapshot format for -o: v2 (sharded columnar) or v3 (adds point-lookup indexes for certquery)")
+		outCorpus   = flag.String("o", "", "accumulate sweeps into a corpus and write it as a snapshot")
 		jsonOut     = flag.Bool("json", false, "print a JSON run summary (retry/failure counters) to stdout")
 		metricsOut  = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut    = flag.String("trace-out", "", "append per-sweep span events as JSON lines")
@@ -80,10 +81,6 @@ func main() {
 	flag.Parse()
 	if *targetsFile == "" {
 		fmt.Fprintln(os.Stderr, "certscan: -targets is required")
-		os.Exit(2)
-	}
-	if *outFormat != "v2" && *outFormat != "v3" {
-		fmt.Fprintf(os.Stderr, "certscan: unknown -format %q (want v2 or v3)\n", *outFormat)
 		os.Exit(2)
 	}
 	targets, err := readTargets(*targetsFile)
@@ -143,15 +140,12 @@ func main() {
 		}
 	}
 	if corpus != nil {
-		// A live scan has no routing view, so the v3 AS index is empty;
+		// A live scan has no routing view, so the AS index is empty;
 		// fingerprint/SPKI/IP lookups all work. The snapshot lands via a
 		// temp file and a rename, so a failed write leaves any previous
 		// file at -o as it was.
 		err := obs.WriteFileAtomic(*outCorpus, func(w io.Writer) error {
-			if *outFormat == "v3" {
-				return snapshot.WriteV3(w, corpus, snapshot.Options{Obs: reg})
-			}
-			return snapshot.Write(w, corpus, snapshot.Options{Obs: reg})
+			return snapshot.WriteV3(w, corpus, snapshot.Options{Obs: reg})
 		})
 		if err != nil {
 			fatal(err)

@@ -115,7 +115,7 @@ func TestChaosMatrixSnapshotIdentical(t *testing.T) {
 			t.Fatalf("sweep failed to converge: %+v", summary)
 		}
 		var buf bytes.Buffer
-		if err := snapshot.Write(&buf, corpus, snapshot.Options{}); err != nil {
+		if err := snapshot.WriteV3(&buf, corpus, snapshot.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes(), summary

@@ -99,7 +99,7 @@ func TestMutatedChaosSweep(t *testing.T) {
 			t.Fatalf("workers=%d: mutated sweep failed to converge: %+v", workers, summary)
 		}
 		var buf bytes.Buffer
-		if err := snapshot.Write(&buf, corpus, snapshot.Options{}); err != nil {
+		if err := snapshot.WriteV3(&buf, corpus, snapshot.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -143,7 +143,7 @@ func TestMutatedChaosSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cleanBuf bytes.Buffer
-	if err := snapshot.Write(&cleanBuf, corpus, snapshot.Options{}); err != nil {
+	if err := snapshot.WriteV3(&cleanBuf, corpus, snapshot.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(cleanBuf.Bytes(), ref) {

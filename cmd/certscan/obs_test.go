@@ -142,7 +142,7 @@ func TestObsSmoke(t *testing.T) {
 	if summary.OK == 0 || corpus == nil {
 		t.Fatalf("smoke sweep grabbed nothing: %+v", summary)
 	}
-	if err := snapshot.Write(io.Discard, corpus, snapshot.Options{Obs: reg}); err != nil {
+	if err := snapshot.WriteV3(io.Discard, corpus, snapshot.Options{Obs: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tf.Close(); err != nil {

@@ -6,6 +6,12 @@
 // Usage:
 //
 //	linkdev [-small] [-seed 1] [-max-ips 2] [-overlap 1] [-min-as 0.9]
+//	linkdev -corpus corpus.spki -prefixes corpus.spki.prefix2as
+//	        -asinfo corpus.spki.asinfo [-max-ips 2] [-overlap 1] [-min-as 0.9]
+//
+// -corpus reruns the study over a snapshot written by scangen, certscan or
+// analyze -save-corpus, with the network view taken from the RouteViews/
+// CAIDA-style dumps of scangen -dump-net instead of a regenerated world.
 package main
 
 import (
@@ -77,8 +83,6 @@ func runFromCorpus(corpusPath, prefixPath, asinfoPath string, lcfg linking.Confi
 		fatal(err)
 	}
 	defer cf.Close()
-	// snapshot.Read sniffs the format, so both v2 (scangen's default) and
-	// legacy v1 corpora load here.
 	corpus, err := snapshot.Read(cf, snapshot.Options{})
 	if err != nil {
 		fatal(err)

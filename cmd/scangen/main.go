@@ -4,20 +4,21 @@
 //
 // Usage:
 //
-//	scangen -o corpus.spki [-format v3|v2] [-workers 0]
+//	scangen -o corpus.spki [-workers 0]
 //	        [-devices 8600] [-sites 3700] [-seed 1] [-umich 30] [-rapid7 17]
 //	        [-chunk 8192] [-mem-budget 268435456] [-spill-dir /tmp]
 //	        [-metrics-out metrics.json]
-//	scangen -upgrade old.spki -o corpus.v3 [-format v3]
-//	        [-prefix2as corpus.prefix2as -asinfo corpus.asinfo]
+//	scangen -upgrade in.spki -o out.spki -prefix2as corpus.prefix2as
+//	        [-asinfo corpus.asinfo]
 //
 // -metrics-out writes the generation run's metric registry (core.*,
 // snapshot.* and parallel.*) as a versioned JSON document.
 //
-// The default output is the v2 sharded columnar snapshot (internal/snapshot);
-// -format v3 appends the point-lookup index sections that cmd/certquery and
-// internal/querystore serve from. Every streaming reader in this repo sniffs
-// the format, so either loads everywhere, as do legacy v1 gzip+gob files.
+// The output is a snapshot (internal/snapshot): the sharded columnar corpus
+// plus the point-lookup index sections that cmd/certquery and
+// internal/querystore serve from, with the AS index built from the
+// simulated routing table. analyze -corpus, linkdev -corpus and certinfo
+// -corpus load it too.
 //
 // -chunk streams the whole build — population, scans, snapshot encode — in
 // host chunks on bounded memory (core.StreamSnapshot): no resident world or
@@ -30,12 +31,12 @@
 // renamed into place, so a failed write leaves any previous file at -o
 // untouched — even when -upgrade rewrites its own input.
 //
-// -upgrade skips generation: it loads an existing snapshot (any format,
-// legacy v1 included) and rewrites it as -format. A loaded corpus carries no
-// network view, so an upgraded v3 file gets an empty AS index unless
-// -prefix2as (and optionally -asinfo) supply the RouteViews/CAIDA-style dumps
-// a -dump-net run wrote — then the AS index is rebuilt from that routing
-// table.
+// -upgrade skips generation: it loads an existing snapshot and rewrites it
+// with the AS index rebuilt from -prefix2as (and optionally -asinfo), the
+// RouteViews/CAIDA-style dumps a -dump-net run wrote. A snapshot written
+// without a network view — certscan -o, whose AS section is empty — gains
+// its AS index this way. -prefix2as is required: without it -upgrade exits
+// non-zero and leaves the input as it was.
 package main
 
 import (
@@ -53,10 +54,9 @@ import (
 func main() {
 	var (
 		out        = flag.String("out", "corpus.spki", "output corpus file")
-		format     = flag.String("format", "v2", "snapshot format: v3 (columnar + point-lookup indexes) or v2 (sharded columnar)")
-		workers    = flag.Int("workers", 0, "encoder worker pool for -format v2/v3 (0 = GOMAXPROCS); bytes identical at any setting")
-		upgrade    = flag.String("upgrade", "", "re-encode this existing snapshot (any format) as -format instead of generating")
-		prefix2as  = flag.String("prefix2as", "", "with -upgrade -format v3: RouteViews-style prefix dump to rebuild the AS index from")
+		workers    = flag.Int("workers", 0, "snapshot encoder worker pool (0 = GOMAXPROCS); bytes identical at any setting")
+		upgrade    = flag.String("upgrade", "", "rewrite this existing snapshot with the AS index rebuilt from -prefix2as instead of generating")
+		prefix2as  = flag.String("prefix2as", "", "with -upgrade (required): RouteViews-style prefix dump to rebuild the AS index from")
 		asinfo     = flag.String("asinfo", "", "with -prefix2as: AS-info dump (asn|org|country|type lines)")
 		dumpNet    = flag.Bool("dump-net", false, "also write <out>.prefix2as and <out>.asinfo (RouteViews/CAIDA-style datasets)")
 		devices    = flag.Int("devices", 0, "number of end-user devices (0 = default)")
@@ -74,12 +74,8 @@ func main() {
 	)
 	flag.StringVar(out, "o", "corpus.spki", "shorthand for -out")
 	flag.Parse()
-	if *format != "v2" && *format != "v3" {
-		fmt.Fprintf(os.Stderr, "scangen: unknown -format %q (want v2 or v3)\n", *format)
-		os.Exit(2)
-	}
 	if *upgrade != "" {
-		if err := upgradeSnapshot(*upgrade, *out, *format, *workers, *prefix2as, *asinfo, *metricsOut); err != nil {
+		if err := upgradeSnapshot(*upgrade, *out, *workers, *prefix2as, *asinfo, *metricsOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -126,7 +122,7 @@ func main() {
 		var stats *core.StreamStats
 		err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
 			var err error
-			stats, err = core.StreamSnapshot(cfg, *format == "v3", w, nil)
+			stats, err = core.StreamSnapshot(cfg, true, w, nil)
 			return err
 		})
 		if err != nil {
@@ -138,8 +134,8 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "streamed %d hosts in %d chunks (%d spills, %d bytes spilled)\n",
 			stats.Hosts, stats.Chunks, stats.Spills, stats.SpilledBytes)
-		fmt.Fprintf(os.Stderr, "wrote %s (%s, %d bytes): %d certs, %d scans\n",
-			*out, *format, info.Size(), stats.Certs, stats.Scans)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes): %d certs, %d scans\n",
+			*out, info.Size(), stats.Certs, stats.Scans)
 		if *metricsOut != "" {
 			if err := obs.WriteMetricsFile(*metricsOut, reg); err != nil {
 				fatal(err)
@@ -160,14 +156,11 @@ func main() {
 	fmt.Fprintf(os.Stderr, "scans: %d, unique certificates: %d\n", p.Corpus.NumScans(), p.Corpus.NumCerts())
 
 	err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
-		if *format == "v3" {
-			return snapshot.WriteV3(w, p.Corpus, snapshot.Options{
-				Workers: *workers,
-				Obs:     reg,
-				ASOf:    snapshot.InternetASOf(p.World.Internet),
-			})
-		}
-		return snapshot.Write(w, p.Corpus, snapshot.Options{Workers: *workers, Obs: reg})
+		return snapshot.WriteV3(w, p.Corpus, snapshot.Options{
+			Workers: *workers,
+			Obs:     reg,
+			ASOf:    snapshot.InternetASOf(p.World.Internet),
+		})
 	})
 	if err != nil {
 		fatal(err)
@@ -176,7 +169,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%s, %d bytes)\n", *out, *format, info.Size())
+	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, info.Size())
 
 	if *dumpNet {
 		err := obs.WriteFileAtomic(*out+".prefix2as", func(w io.Writer) error {

@@ -11,12 +11,19 @@ import (
 	"securepki/internal/snapshot"
 )
 
-// upgradeSnapshot re-encodes an existing snapshot file (any format — the
-// reader sniffs) as the requested format. Round-tripping through the full
+// upgradeSnapshot rewrites an existing snapshot with its AS index rebuilt
+// from a -dump-net routing table (prefix2as, plus asinfo when given), so a
+// snapshot written without a network view (certscan's) gains one. Without
+// prefix2as it fails before touching anything: a rewrite with no network
+// view would only empty the AS index. Round-tripping through the full
 // decode means the output inherits every integrity check the streaming
-// reader applies, and the rewrite is byte-deterministic at any worker count.
-// The output is replaced only once fully written, so in == out is safe.
-func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, metricsOut string) error {
+// reader applies, and the rewrite is byte-deterministic at any worker
+// count. The output is replaced only once fully written, so in == out is
+// safe.
+func upgradeSnapshot(in, out string, workers int, prefix2as, asinfo, metricsOut string) error {
+	if prefix2as == "" {
+		return fmt.Errorf("-upgrade needs -prefix2as: without a network view the rewrite would empty the AS index")
+	}
 	reg := obs.NewRegistry()
 	parallel.SetObserver(obs.NewParallelCollector(reg))
 	defer parallel.SetObserver(nil)
@@ -33,32 +40,20 @@ func upgradeSnapshot(in, out, format string, workers int, prefix2as, asinfo, met
 	fmt.Fprintf(os.Stderr, "read %s: %d certs, %d scans, %d observations\n",
 		in, c.NumCerts(), c.NumScans(), c.NumObservations())
 
-	opt := snapshot.Options{Workers: workers, Obs: reg}
-	if prefix2as != "" {
-		inet, err := readNetView(prefix2as, asinfo)
-		if err != nil {
-			return err
-		}
-		opt.ASOf = snapshot.InternetASOf(inet)
-		fmt.Fprintf(os.Stderr, "network view: %d ASes, %d prefixes\n", len(inet.ASes()), inet.NumPrefixes())
-	} else if format == "v3" {
-		fmt.Fprintf(os.Stderr, "no -prefix2as: the v3 AS index will be empty\n")
-	}
-
-	err = obs.WriteFileAtomic(out, func(w io.Writer) error {
-		if format == "v3" {
-			return snapshot.WriteV3(w, c, opt)
-		}
-		return snapshot.Write(w, c, opt)
-	})
+	inet, err := readNetView(prefix2as, asinfo)
 	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "network view: %d ASes, %d prefixes\n", len(inet.ASes()), inet.NumPrefixes())
+	opt := snapshot.Options{Workers: workers, Obs: reg, ASOf: snapshot.InternetASOf(inet)}
+	if err := obs.WriteFileAtomic(out, func(w io.Writer) error { return snapshot.WriteV3(w, c, opt) }); err != nil {
 		return err
 	}
 	info, err := os.Stat(out)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%s, %d bytes)\n", out, format, info.Size())
+	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", out, info.Size())
 	if metricsOut != "" {
 		return obs.WriteMetricsFile(metricsOut, reg)
 	}

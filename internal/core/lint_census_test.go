@@ -16,8 +16,8 @@ import (
 // TestSharedKeysCensusBothPaths: the census each build path hands the
 // shared-key linter equals the full per-key count map restricted to keys
 // more than one certificate carries — on the resident path from the
-// corpus, on the streamed path from a StreamWriter's SPKI table, which a v2
-// writer keeps as well as a v3 one.
+// corpus, on the streamed path from a StreamWriter's SPKI table, which the
+// writer keeps past Finish.
 func TestSharedKeysCensusBothPaths(t *testing.T) {
 	p := &Pipeline{Config: streamEquivConfig()}
 	if err := p.Generate(); err != nil {
@@ -45,24 +45,22 @@ func TestSharedKeysCensusBothPaths(t *testing.T) {
 	if !maps.Equal(resident, want) {
 		t.Errorf("resident census: %d keys, want the %d shared of %d", len(resident), len(want), len(full))
 	}
-	for _, v3 := range []bool{false, true} {
-		sw, err := snapshot.NewStreamWriter(snapshot.Options{}, snapshot.StreamWriterConfig{SpillDir: t.TempDir(), V3: v3, KeepDERs: true})
-		if err != nil {
+	sw, err := snapshot.NewStreamWriter(snapshot.Options{}, snapshot.StreamWriterConfig{SpillDir: t.TempDir(), KeepDERs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	for _, rec := range recs {
+		if _, _, err := sw.Intern(rec.Cert.Raw, rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint()); err != nil {
 			t.Fatal(err)
 		}
-		for _, rec := range recs {
-			if _, _, err := sw.Intern(rec.Cert.Raw, rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := sw.Finish(io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		streamed := certlint.SharedKeys(sw.NumCerts(), func(i int) x509lite.Fingerprint { return sw.SPKI(scanstore.CertID(i)) })
-		if !maps.Equal(streamed, want) {
-			t.Errorf("v3=%v streamed census: %d keys, want the %d shared of %d", v3, len(streamed), len(want), len(full))
-		}
-		sw.Close()
+	}
+	if err := sw.Finish(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	streamed := certlint.SharedKeys(sw.NumCerts(), func(i int) x509lite.Fingerprint { return sw.SPKI(scanstore.CertID(i)) })
+	if !maps.Equal(streamed, want) {
+		t.Errorf("streamed census: %d keys, want the %d shared of %d", len(streamed), len(want), len(full))
 	}
 }
 
@@ -70,7 +68,7 @@ func TestSharedKeysCensusBothPaths(t *testing.T) {
 // budget the streamed lint spills sorted finding runs, and the column they
 // merge into is still the resident one, byte for byte.
 func TestStreamLintSpillsRuns(t *testing.T) {
-	_, _, wantLint := inMemoryArtifacts(t, streamEquivConfig())
+	_, wantLint := inMemoryArtifacts(t, streamEquivConfig())
 	for _, workers := range []int{1, 4} {
 		cfg := streamEquivConfig()
 		cfg.Workers, cfg.Scan.Workers = workers, workers

@@ -180,24 +180,13 @@ func (p *Pipeline) Scan() error {
 	return nil
 }
 
-// WriteSnapshot serialises the corpus in the v2 sharded columnar format
-// (internal/snapshot), encoding shards across Config.Workers. Output bytes
-// do not depend on the worker count.
-func (p *Pipeline) WriteSnapshot(w io.Writer) error {
-	if p.Corpus == nil {
-		return fmt.Errorf("core: WriteSnapshot before Scan or LoadSnapshot")
-	}
-	if err := snapshot.Write(w, p.Corpus, snapshot.Options{Workers: p.Config.Workers, Obs: p.Config.Obs}); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
-}
-
-// WriteSnapshotV3 serialises the corpus in the v3 indexed format: the same
-// sharded payloads as v2 plus the point-lookup index sections that
-// cmd/certquery and internal/querystore serve from. When the pipeline has a
-// generated world, its simulated Internet provides the AS index; a corpus
-// loaded from disk has no network view, so the AS section is written empty.
+// WriteSnapshotV3 serialises the corpus as a snapshot (internal/snapshot):
+// the sharded columnar payloads plus the point-lookup index sections that
+// cmd/certquery and internal/querystore serve from, encoding shards across
+// Config.Workers. Output bytes do not depend on the worker count. When the
+// pipeline has a generated world, its simulated Internet provides the AS
+// index; without one there is no network view, and the AS section is
+// written empty.
 func (p *Pipeline) WriteSnapshotV3(w io.Writer) error {
 	if p.Corpus == nil {
 		return fmt.Errorf("core: WriteSnapshotV3 before Scan or LoadSnapshot")
@@ -213,10 +202,9 @@ func (p *Pipeline) WriteSnapshotV3(w io.Writer) error {
 }
 
 // LoadSnapshot replaces the pipeline's scan stage with a corpus read from a
-// snapshot in any on-disk format (v1 gob, v2 columnar, v3 indexed), decoding across
-// Config.Workers. Ground truth is not persisted, so p.Truth stays nil and
-// truth-based evaluations degrade to zeros; everything downstream of the
-// corpus (Validate, Link, Track) runs as usual.
+// snapshot, decoding across Config.Workers. Ground truth is not persisted,
+// so p.Truth stays nil and truth-based evaluations degrade to zeros;
+// everything downstream of the corpus (Validate, Link, Track) runs as usual.
 func (p *Pipeline) LoadSnapshot(r io.Reader) error {
 	c, err := snapshot.Read(r, snapshot.Options{Workers: p.Config.Workers, Obs: p.Config.Obs})
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 )
 
 // The snapshot golden contract: a pipeline whose corpus went through a
-// snapshot round trip — in either on-disk format, decoded serially or in
-// parallel — must produce a byte-identical JSON analysis summary to the
-// pipeline that never left memory. Ground truth is dropped by serialisation
+// snapshot round trip — decoded serially or in parallel — must produce a
+// byte-identical JSON analysis summary to the pipeline that never left
+// memory. Ground truth is dropped by serialisation
 // on every path, so the in-memory reference drops it too (nil Truth
 // evaluations degrade to zeros deterministically).
 func TestSnapshotLoadEquivalence(t *testing.T) {
@@ -25,13 +25,7 @@ func TestSnapshotLoadEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var v1, v2, v3 bytes.Buffer
-	if err := ref.Corpus.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.WriteSnapshot(&v2); err != nil {
-		t.Fatal(err)
-	}
+	var v3 bytes.Buffer
 	if err := ref.WriteSnapshotV3(&v3); err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +35,6 @@ func TestSnapshotLoadEquivalence(t *testing.T) {
 		data    []byte
 		workers int
 	}{
-		{"v1", v1.Bytes(), 1},
-		{"v2-serial", v2.Bytes(), 1},
-		{"v2-parallel", v2.Bytes(), 4},
 		{"v3-serial", v3.Bytes(), 1},
 		{"v3-parallel", v3.Bytes(), 4},
 	}

@@ -55,10 +55,11 @@ type StreamStats struct {
 // devicesim.Generator, scan results accumulate in a budget-bounded
 // scanner.ChunkStore, and the snapshot assembles through a
 // snapshot.StreamWriter whose bulky state lives on disk. No resident world,
-// corpus or index exists at any point, yet the bytes written to snapW (v2,
-// or v3 when v3 is true) and lintW (the lint sidecar column; nil skips the
-// lint pass) are identical to the in-memory pipeline's at any chunk size and
-// worker count — the streaming goldens pin this.
+// corpus or index exists at any point, yet the bytes written to snapW (the
+// snapshot) and lintW (the lint sidecar column; nil skips the lint pass)
+// are identical to the in-memory pipeline's at any chunk size and worker
+// count — the streaming goldens pin this. v3 must be true: snapshot v3 is
+// the only format, and false is an error.
 //
 // Its five stages (core.generate, core.scan, core.replay, core.snapshot,
 // core.lint) start through the helper the resident pipeline uses, so they
@@ -69,6 +70,9 @@ type StreamStats struct {
 // spill gets a core.spill span and a spill journal event, and the lint
 // column's write a lintcol.write event.
 func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, error) {
+	if !v3 {
+		return nil, fmt.Errorf("core: StreamSnapshot writes snapshot v3 only")
+	}
 	reg := cfg.Obs
 	stats := &StreamStats{}
 
@@ -121,14 +125,10 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	span.End()
 	readHeapHighWater(reg)
 
-	opt := snapshot.Options{Workers: cfg.Workers, Obs: cfg.Obs}
-	if v3 {
-		opt.ASOf = snapshot.InternetASOf(world.Internet)
-	}
+	opt := snapshot.Options{Workers: cfg.Workers, Obs: cfg.Obs, ASOf: snapshot.InternetASOf(world.Internet)}
 	sw, err := snapshot.NewStreamWriter(opt, snapshot.StreamWriterConfig{
 		SpillDir:  cfg.Stream.SpillDir,
 		MemBudget: cfg.Stream.MemBudget,
-		V3:        v3,
 		KeepDERs:  lintW != nil,
 	})
 	if err != nil {

@@ -21,10 +21,10 @@ func streamEquivConfig() Config {
 	return cfg
 }
 
-// inMemoryArtifacts runs the resident pipeline and returns its v2 snapshot,
-// v3 snapshot and lint column bytes — the reference the streaming path must
-// reproduce exactly.
-func inMemoryArtifacts(t *testing.T, cfg Config) (v2, v3, lint []byte) {
+// inMemoryArtifacts runs the resident pipeline and returns its snapshot and
+// lint column bytes — the reference the streaming path must reproduce
+// exactly.
+func inMemoryArtifacts(t *testing.T, cfg Config) (v3, lint []byte) {
 	t.Helper()
 	p := &Pipeline{Config: cfg}
 	if err := p.Generate(); err != nil {
@@ -34,24 +34,21 @@ func inMemoryArtifacts(t *testing.T, cfg Config) (v2, v3, lint []byte) {
 		t.Fatal(err)
 	}
 	p.Lint()
-	var v2buf, v3buf, lintBuf bytes.Buffer
-	if err := p.WriteSnapshot(&v2buf); err != nil {
-		t.Fatal(err)
-	}
+	var v3buf, lintBuf bytes.Buffer
 	if err := p.WriteSnapshotV3(&v3buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.WriteLintColumn(&lintBuf); err != nil {
 		t.Fatal(err)
 	}
-	return v2buf.Bytes(), v3buf.Bytes(), lintBuf.Bytes()
+	return v3buf.Bytes(), lintBuf.Bytes()
 }
 
 // TestStreamSnapshotMatchesInMemory is the streaming build's golden: at
 // chunk sizes that split every fleet (1), land mid-population (64) and
 // swallow the whole corpus (1<<20), across worker counts 1, 4 and 16, the
-// streamed v2 snapshot, v3 snapshot and lint column must be byte-identical
-// to the in-memory pipeline's. A tiny memory budget forces the chunk store
+// streamed snapshot and lint column must be byte-identical to the in-memory
+// pipeline's. A tiny memory budget forces the chunk store
 // and sorters through their spill paths on the same sweep. The mutated row
 // runs the same matrix over a 30%-frankencert population (internal/certmutate
 // via devicesim), proving the determinism contract holds for malformed DER
@@ -90,7 +87,7 @@ func TestStreamSnapshotMatchesInMemory(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			base := streamEquivConfig()
 			row.adjust(&base)
-			wantV2, wantV3, wantLint := inMemoryArtifacts(t, base)
+			wantV3, wantLint := inMemoryArtifacts(t, base)
 			lay, err := snapshot.ReadV3Layout(bytes.NewReader(wantV3), int64(len(wantV3)))
 			if err != nil {
 				t.Fatal(err)
@@ -115,30 +112,20 @@ func TestStreamSnapshotMatchesInMemory(t *testing.T) {
 						cfg.Stream.MemBudget = 1 << 16 // force chunk-store and sorter spills
 					}
 
-					var v2buf, lintBuf bytes.Buffer
-					stats, err := StreamSnapshot(cfg, false, &v2buf, &lintBuf)
+					var v3buf, lintBuf bytes.Buffer
+					stats, err := StreamSnapshot(cfg, true, &v3buf, &lintBuf)
 					if err != nil {
-						t.Fatalf("chunk=%d workers=%d v2: %v", chunk, workers, err)
+						t.Fatalf("chunk=%d workers=%d: %v", chunk, workers, err)
 					}
-					if !bytes.Equal(wantV2, v2buf.Bytes()) {
-						t.Fatalf("chunk=%d workers=%d: streamed v2 differs from in-memory (%d vs %d bytes)",
-							chunk, workers, len(wantV2), len(v2buf.Bytes()))
+					if !bytes.Equal(wantV3, v3buf.Bytes()) {
+						t.Fatalf("chunk=%d workers=%d: streamed v3 differs from in-memory (%d vs %d bytes)",
+							chunk, workers, len(wantV3), len(v3buf.Bytes()))
 					}
 					if !bytes.Equal(wantLint, lintBuf.Bytes()) {
 						t.Fatalf("chunk=%d workers=%d: streamed lint column differs from in-memory", chunk, workers)
 					}
 					if chunk == 64 && cfg.Stream.MemBudget > 0 && stats.Spills == 0 {
 						t.Fatalf("chunk=%d workers=%d: 64 KiB budget spilled nothing", chunk, workers)
-					}
-
-					var v3buf bytes.Buffer
-					cfg.Stream.SpillDir = t.TempDir()
-					if _, err := StreamSnapshot(cfg, true, &v3buf, nil); err != nil {
-						t.Fatalf("chunk=%d workers=%d v3: %v", chunk, workers, err)
-					}
-					if !bytes.Equal(wantV3, v3buf.Bytes()) {
-						t.Fatalf("chunk=%d workers=%d: streamed v3 differs from in-memory (%d vs %d bytes)",
-							chunk, workers, len(wantV3), len(v3buf.Bytes()))
 					}
 				}
 			}
@@ -171,5 +158,17 @@ func TestStreamSnapshotStats(t *testing.T) {
 	}
 	if stats.MergeFanIn < 1 {
 		t.Fatalf("stats.MergeFanIn = %d on a v3 run", stats.MergeFanIn)
+	}
+}
+
+// TestStreamSnapshotV3Only: snapshot v3 is the only format, so asking
+// StreamSnapshot for anything else is an error, not a silent v3.
+func TestStreamSnapshotV3Only(t *testing.T) {
+	var snap bytes.Buffer
+	if _, err := StreamSnapshot(streamEquivConfig(), false, &snap, nil); err == nil {
+		t.Fatal("StreamSnapshot with v3 = false succeeded")
+	}
+	if snap.Len() != 0 {
+		t.Fatalf("StreamSnapshot with v3 = false wrote %d bytes", snap.Len())
 	}
 }

@@ -59,8 +59,8 @@ func reportQPS(b *testing.B) {
 }
 
 // BenchmarkQueryLookup is the headline read-path comparison: a v3 point
-// lookup (cold map, hot cache, hot parallel) against the only thing v1/v2
-// offered — decode the whole snapshot, then Corpus.Lookup. The acceptance
+// lookup (cold map, hot cache, hot parallel) against the bulk read path —
+// decode the whole snapshot, then Corpus.Lookup. The acceptance
 // bar is point lookup ≥100× faster than the full decode.
 func BenchmarkQueryLookup(b *testing.B) {
 	_, fps, path, raw := qbenchSnapshot(b)

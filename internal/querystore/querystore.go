@@ -14,10 +14,10 @@
 // Close. Every section is checksum-verified and structurally validated at
 // open — sortedness, contiguous posting groups, in-bounds offsets — so the
 // lookup hot path indexes without rechecking; shard payloads are verified
-// against their table checksums lazily, on first inflation. Like v2, the
-// checksums catch corruption, not tampering: an attacker who can rewrite
-// the file can rewrite the digests to match (set Options.VerifyDigests when
-// the file is untrusted).
+// against their table checksums lazily, on first inflation. As for
+// snapshot.Read, the checksums catch corruption, not tampering: an attacker
+// who can rewrite the file can rewrite the digests to match (set
+// Options.VerifyDigests when the file is untrusted).
 //
 // The store is safe for concurrent readers; lookups scale across cores
 // because the hot path takes no locks (the cache is copy-on-write).
@@ -143,8 +143,8 @@ type Store struct {
 type sectionBytes struct{ keys, post []byte }
 
 // Open maps (or, failing that, opens for pread) a v3 snapshot file and
-// validates every index section. v1/v2 files are rejected with an error that
-// names the upgrade path — the point-lookup sections only exist in v3.
+// validates every index section. Any other file is rejected with an
+// explicit error.
 func Open(path string, opt Options) (*Store, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -187,9 +187,6 @@ func OpenReaderAt(ra io.ReaderAt, size int64, opt Options) (*Store, error) {
 func open(src mapping, size int64, opt Options) (*Store, error) {
 	lay, err := snapshot.ReadV3Layout(src, size)
 	if err != nil {
-		if bytes.Contains([]byte(err.Error()), []byte("not a v3 snapshot")) {
-			return nil, fmt.Errorf("%w (point lookups need v3: rewrite with scangen -upgrade <in> -o <out> -format v3)", err)
-		}
 		return nil, err
 	}
 	st := &Store{lay: lay, src: src, verify: opt.VerifyDigests}

@@ -2,6 +2,7 @@ package querystore
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/ed25519"
 	"encoding/binary"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -306,24 +308,36 @@ func TestStoreCacheBounded(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsOldFormats: v1/v2 files are refused with a pointer at the
-// upgrade path, not a panic or a garbage answer.
+// TestOpenRejectsOldFormats: files of the retired formats — a v2 magic,
+// v1's gzip stream — are refused with an explicit error, not a panic or a
+// garbage answer.
 func TestOpenRejectsOldFormats(t *testing.T) {
 	c := testCorpus(t, 8, 1, 4)
-	var v2 bytes.Buffer
-	if err := snapshot.Write(&v2, c, snapshot.Options{}); err != nil {
+	var v3 bytes.Buffer
+	if err := snapshot.WriteV3(&v3, c, snapshot.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "corpus.v2")
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(v3.Bytes())
+	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Open(path, Options{})
-	if err == nil {
-		t.Fatal("Open accepted a v2 snapshot")
-	}
-	if !bytes.Contains([]byte(err.Error()), []byte("-format v3")) {
-		t.Fatalf("error does not name the upgrade path: %v", err)
+	for name, data := range map[string][]byte{
+		"corpus.v2": append([]byte("SPKISNP2"), v3.Bytes()[8:]...),
+		"corpus.gz": gz.Bytes(),
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(path, Options{})
+		if err == nil {
+			t.Fatalf("Open accepted %s", name)
+		}
+		if !strings.Contains(err.Error(), "not a v3 snapshot") {
+			t.Fatalf("%s: error does not say the file is not a v3 snapshot: %v", name, err)
+		}
 	}
 }
 

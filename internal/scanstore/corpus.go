@@ -3,8 +3,9 @@
 // certificates"), the series of scans from both operators, and the
 // per-scan (certificate, IP) observations. It also provides the derived
 // indexes the analyses need — per-certificate observation lists, lifetimes,
-// and per-scan IP sets — plus a gzip/gob serialisation so generated corpora
-// can be written by cmd/scangen and consumed by the analysis binaries.
+// and per-scan IP sets. internal/snapshot persists a corpus on disk, so
+// generated corpora can be written by cmd/scangen and consumed by the
+// analysis binaries.
 package scanstore
 
 import (

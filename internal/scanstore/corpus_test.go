@@ -1,7 +1,6 @@
 package scanstore
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"fmt"
 	"math/big"
@@ -212,49 +211,6 @@ func TestValidateClassifiesAndPoolsIntermediates(t *testing.T) {
 	}
 	if counts[truststore.SelfSigned] != 1 {
 		t.Errorf("self-signed count = %d", counts[truststore.SelfSigned])
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	c := NewCorpus()
-	a := c.Intern(makeCert(t, "ser-a.example", 7))
-	b := c.Intern(makeCert(t, "ser-b.example", 8))
-	c.AddScan(UMich, day(0), []Observation{{Cert: a, IP: netsim.MakeIP(1, 1, 1, 1)}})
-	c.AddScan(Rapid7, day(7), []Observation{
-		{Cert: a, IP: netsim.MakeIP(1, 1, 1, 2)},
-		{Cert: b, IP: netsim.MakeIP(2, 2, 2, 2)},
-	})
-
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumCerts() != 2 || back.NumScans() != 2 {
-		t.Fatalf("round trip: %d certs, %d scans", back.NumCerts(), back.NumScans())
-	}
-	if back.Scan(1).Operator != Rapid7 || !back.Scan(1).Time.Equal(day(7)) {
-		t.Errorf("scan meta lost: %+v", back.Scan(1))
-	}
-	if len(back.Scan(1).Obs) != 2 {
-		t.Errorf("observations lost: %d", len(back.Scan(1).Obs))
-	}
-	// Fingerprints must survive: same certificates, same identity.
-	if back.Cert(a).Cert.Fingerprint() != c.Cert(a).Cert.Fingerprint() {
-		t.Error("fingerprint changed across serialisation")
-	}
-	idx := back.BuildIndex()
-	if lt, _ := idx.LifetimeDays(a); lt != 8 {
-		t.Errorf("lifetime after reload = %d", lt)
-	}
-}
-
-func TestReadFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadFrom(bytes.NewReader([]byte("not gzip"))); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 

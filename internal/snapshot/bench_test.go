@@ -24,36 +24,19 @@ const (
 var benchState struct {
 	once sync.Once
 	c    *scanstore.Corpus
-	v1   []byte
-	v2   []byte
 	v3   []byte
 }
 
-func benchCorpus(tb testing.TB) (*scanstore.Corpus, []byte, []byte) {
+func benchCorpus(tb testing.TB) (*scanstore.Corpus, []byte) {
 	benchState.once.Do(func() {
 		benchState.c = testCorpus(tb, benchCerts, benchScans, benchObsPer)
-		var v1 bytes.Buffer
-		if err := benchState.c.Write(&v1); err != nil {
-			tb.Fatal(err)
-		}
-		benchState.v1 = v1.Bytes()
-		var v2 bytes.Buffer
-		if err := Write(&v2, benchState.c, Options{}); err != nil {
-			tb.Fatal(err)
-		}
-		benchState.v2 = v2.Bytes()
 		var v3 bytes.Buffer
 		if err := WriteV3(&v3, benchState.c, Options{ASOf: testASOf}); err != nil {
 			tb.Fatal(err)
 		}
 		benchState.v3 = v3.Bytes()
 	})
-	return benchState.c, benchState.v1, benchState.v2
-}
-
-func benchCorpusV3(tb testing.TB) (*scanstore.Corpus, []byte) {
-	c, _, _ := benchCorpus(tb)
-	return c, benchState.v3
+	return benchState.c, benchState.v3
 }
 
 func reportCorpusRates(b *testing.B) {
@@ -73,31 +56,8 @@ func reportCorpusRates(b *testing.B) {
 }
 
 func BenchmarkSnapshotWrite(b *testing.B) {
-	c, v1, v2 := benchCorpus(b)
-	b.Run("v1-gob", func(b *testing.B) {
-		b.SetBytes(int64(len(v1)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := c.Write(io.Discard); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportCorpusRates(b)
-	})
-	b.Run("v2", func(b *testing.B) {
-		b.SetBytes(int64(len(v2)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := Write(io.Discard, c, Options{Workers: runtime.GOMAXPROCS(0)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportCorpusRates(b)
-	})
+	c, v3 := benchCorpus(b)
 	b.Run("v3", func(b *testing.B) {
-		_, v3 := benchCorpusV3(b)
 		b.SetBytes(int64(len(v3)))
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -111,7 +71,7 @@ func BenchmarkSnapshotWrite(b *testing.B) {
 }
 
 func BenchmarkSnapshotRead(b *testing.B) {
-	_, v1, v2 := benchCorpus(b)
+	_, v3 := benchCorpus(b)
 	run := func(name string, data []byte, workers int) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
@@ -129,10 +89,6 @@ func BenchmarkSnapshotRead(b *testing.B) {
 			reportCorpusRates(b)
 		})
 	}
-	run("v1-gob", v1, 1)
-	run("v2-serial", v2, 1)
-	run("v2-parallel", v2, runtime.GOMAXPROCS(0))
-	_, v3 := benchCorpusV3(b)
 	run("v3-serial", v3, 1)
 	run("v3-parallel", v3, runtime.GOMAXPROCS(0))
 }

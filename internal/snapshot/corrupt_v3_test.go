@@ -2,11 +2,15 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+
+	"securepki/internal/x509lite"
 )
 
 // validV3 returns encoded v3 bytes for a small multi-shard corpus with all
@@ -62,7 +66,136 @@ func patchV3Section(tb testing.TB, snap []byte, sec int, modify func(keys, post 
 	return out
 }
 
-// Every corrupted v3 input must produce an explicit error — no panic, no
+// checkReadRejects fails unless Read, serial and parallel, rejects input
+// with an error mentioning wantSub ("" for any error).
+func checkReadRejects(t *testing.T, input []byte, wantSub string) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		_, err := Read(bytes.NewReader(input), Options{Workers: workers})
+		if err == nil {
+			t.Fatalf("corrupt input accepted (workers=%d)", workers)
+		}
+		if wantSub != "" && !strings.Contains(err.Error(), wantSub) {
+			t.Fatalf("error %q does not mention %q", err, wantSub)
+		}
+	}
+}
+
+// Every corrupted container — magic, fixed header, shard table, shard
+// payloads — must produce an explicit error: no panic, no unbounded
+// allocation, never a silently wrong corpus. Files of the retired formats (a
+// v2 magic, v1's gzip stream) are bad magic like any other. Shard payloads
+// are checked by the random-access path only when it inflates them, so
+// these cases hold the streaming reader alone.
+func TestReadCorrupt(t *testing.T) {
+	snap := validV3(t)
+	lay, err := ReadV3Layout(bytes.NewReader(snap), int64(len(snap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gzBuf bytes.Buffer
+	zw := gzip.NewWriter(&gzBuf)
+	zw.Write(snap)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gz := gzBuf.Bytes()
+	tableLen := len(lay.Shards) * tableEntry
+	last := lay.Shards[len(lay.Shards)-1]
+
+	cases := []struct {
+		name    string
+		input   []byte
+		wantSub string // substring the error must mention, "" for any error
+	}{
+		{"empty", nil, "truncated header"},
+		{"one byte", []byte{0x53}, "truncated header"},
+		{"garbage", []byte("certainly not a snapshot of anything"), "bad magic"},
+		{"bad magic", append([]byte("SPKISNP9"), snap[8:]...), "bad magic"},
+		{"v2 magic", append([]byte("SPKISNP2"), snap[8:]...), "bad magic"},
+		{"v1 gzip file", gz, "bad magic"},
+		{"v1 truncated gzip", gz[:len(gz)-20], "bad magic"},
+		{"v1 header only", gz[:10], "bad magic"}, // the gzip member header alone
+		{"v1 garbage body", append(append([]byte(nil), gz[:10]...), []byte("not gob at all")...), "bad magic"},
+		{"truncated fixed header", snap[:20], "truncated header"},
+		{"truncated shard table", snap[:headerFixedV3+10], "truncated shard table"},
+		{"truncated header checksum", snap[:headerFixedV3+tableLen+V3SectionCount*idxTableEntry+3], "truncated header checksum"},
+		{"truncated payload", snap[:last.Off+int64(last.CompLen)-15], "truncated"}, // inside the last scan shard
+		{"trailing garbage", append(append([]byte(nil), snap...), 0xde, 0xad), "trailing bytes"},
+		{"flipped table bit", flipByte(snap, headerFixedV3+8), "header checksum mismatch"},
+		{"flipped payload bit", flipByte(snap, int(lay.Shards[0].Off)+10), "checksum mismatch"},
+		{
+			"absurd cert count",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint64(fixed[8:], 1<<40)
+			}),
+			"absurd counts",
+		},
+		{
+			"absurd shard count",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint32(fixed[32:], 1<<20)
+			}),
+			"exceed cap",
+		},
+		{
+			"cert count without shards",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint32(fixed[32:], 0)
+			}),
+			"shard/count mismatch",
+		},
+		{
+			"absurd shard raw length",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint64(table[16:], maxShardRaw+1)
+			}),
+			"raw bytes, cap",
+		},
+		{
+			"gzip bomb ratio",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint64(table[16:], maxShardRaw)
+			}),
+			"ratio cap",
+		},
+		{
+			"non-contiguous shards",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint64(table[tableEntry:], 9) // second shard's first
+			}),
+			"starts at",
+		},
+		{
+			"shards overrun count",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				binary.LittleEndian.PutUint64(table[8:], 9999) // first shard's count
+			}),
+			"overrun",
+		},
+		{
+			"lying raw length",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				n := binary.LittleEndian.Uint64(table[16:])
+				binary.LittleEndian.PutUint64(table[16:], n-1)
+			}),
+			"longer than advertised",
+		},
+		{
+			"observation count mismatch",
+			patchV3Header(t, snap, func(fixed, table, itable []byte) {
+				n := binary.LittleEndian.Uint64(fixed[24:])
+				binary.LittleEndian.PutUint64(fixed[24:], n+1)
+			}),
+			"observations",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { checkReadRejects(t, tc.input, tc.wantSub) })
+	}
+}
+
+// Every corrupted index input must produce an explicit error — no panic, no
 // out-of-bounds section read, never a silently wrong corpus. The same bytes
 // are pushed through both the streaming reader (Read) and the random-access
 // layout parser (ReadV3Layout + ValidateSection) that internal/querystore
@@ -183,15 +316,7 @@ func TestReadCorruptV3(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				_, err := Read(bytes.NewReader(tc.input), Options{Workers: workers})
-				if err == nil {
-					t.Fatalf("corrupt input accepted (workers=%d)", workers)
-				}
-				if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
-					t.Fatalf("error %q does not mention %q", err, tc.wantSub)
-				}
-			}
+			checkReadRejects(t, tc.input, tc.wantSub)
 			// The random-access path must reject the same bytes at open —
 			// except padding corruption, which lives outside the sections
 			// and is harmless to (because never read by) that path.
@@ -265,5 +390,120 @@ func nonZeroPad(tb testing.TB, snap []byte, lay *V3Layout) []byte {
 	}
 	out := append([]byte(nil), snap...)
 	out[end] = 0xcc
+	return out
+}
+
+// VerifyDigests must catch a digest column that disagrees with the DER — a
+// forgery the shard checksum alone would bless if an attacker rewrote both.
+func TestVerifyDigestsCatchesForgedColumn(t *testing.T) {
+	c := testCorpus(t, 5, 1, 4)
+	var lens []uint32
+	var ders []byte
+	var fps []x509lite.Fingerprint
+	for _, rec := range c.Certs() {
+		lens = append(lens, uint32(len(rec.Cert.Raw)))
+		ders = append(ders, rec.Cert.Raw...)
+		fps = append(fps, rec.Cert.Fingerprint())
+	}
+	raw := encodeCertShard(lens, ders, fps)
+	raw[len(raw)-1] ^= 0xff // last digest byte
+	if _, err := decodeCertShard(raw, 5, true); err == nil {
+		t.Fatal("forged digest column accepted with VerifyDigests")
+	} else if !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	// Without verification the forged digest is adopted (attestation model).
+	certs, err := decodeCertShard(raw, 5, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if certs[4].Fingerprint() == c.Cert(4).Cert.Fingerprint() {
+		t.Fatal("expected adopted forged digest to differ")
+	}
+}
+
+// A crafted scan shard whose per-scan observation counts wrap uint64 (5 and
+// 2^64-5 sum to 0, sliding under a naive total-observations cap) must be
+// rejected with an error before the counts reach make(), not panic the
+// decode worker with "makeslice: len out of range".
+func TestScanShardObsCountOverflow(t *testing.T) {
+	var raw []byte
+	for _, nObs := range []uint64{5, math.MaxUint64 - 4} {
+		raw = binary.AppendUvarint(raw, 0) // operator
+		raw = binary.AppendVarint(raw, 0)  // time delta
+		raw = binary.AppendUvarint(raw, 0) // nanoseconds
+		raw = binary.AppendUvarint(raw, nObs)
+	}
+	if _, err := decodeScanShard(raw, 2, 10); err == nil {
+		t.Fatal("overflowing observation counts accepted")
+	} else if !strings.Contains(err.Error(), "observations") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// forgeObsOverflow rewrites the last scan shard of a valid snapshot into one
+// whose per-scan observation counts wrap the uint64 running total back to
+// zero, re-lays the padding and index sections behind it, and recomputes the
+// shard and header checksums, so every integrity check passes and only the
+// scan-shard decoder itself can reject it — the shape a random bit-flip can
+// never produce.
+func forgeObsOverflow(tb testing.TB, snap []byte) []byte {
+	tb.Helper()
+	lay, err := ReadV3Layout(bytes.NewReader(snap), int64(len(snap)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// The last shard is always a scan shard.
+	last := len(lay.Shards) - 1
+	count := int(lay.Shards[last].Count)
+	var raw []byte
+	for i := 0; i < count; i++ {
+		raw = binary.AppendUvarint(raw, 0) // operator
+		raw = binary.AppendVarint(raw, 0)  // time delta
+		raw = binary.AppendUvarint(raw, 0) // nanoseconds
+		n := uint64(5)
+		if i == count-1 {
+			n = -uint64(5 * (count - 1)) // wraps the running total to zero
+			if count == 1 {
+				n = math.MaxUint64 // single-scan shard: one absurd claim
+			}
+		}
+		raw = binary.AppendUvarint(raw, n)
+	}
+	comp, err := gzipShard(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := append([]byte(nil), snap[:lay.Shards[last].Off]...)
+	out = append(out, comp...)
+	out = append(out, make([]byte, pad8(int64(len(out))))...)
+	for _, sec := range lay.Sections { // keys ‖ postings, then padding
+		out = append(out, snap[sec.KeysOff:sec.PostOff+int64(sec.PostLen)]...)
+		out = append(out, make([]byte, pad8(int64(len(out))))...)
+	}
+	entry := headerFixedV3 + last*tableEntry
+	binary.LittleEndian.PutUint64(out[entry+16:], uint64(len(raw)))
+	binary.LittleEndian.PutUint64(out[entry+24:], uint64(len(comp)))
+	sum := sha256.Sum256(comp)
+	copy(out[entry+32:], sum[:])
+	headLen := headerFixedV3 + len(lay.Shards)*tableEntry + V3SectionCount*idxTableEntry
+	head := sha256.Sum256(out[:headLen])
+	copy(out[headLen:], head[:])
+	return out
+}
+
+// The overflow shape must surface as an explicit Read error — not a decode
+// worker panic — when carried by a fully checksummed file.
+func TestReadObsCountOverflowFile(t *testing.T) {
+	forged := forgeObsOverflow(t, validV3(t))
+	if err := validateV3Random(forged); err != nil {
+		t.Fatalf("forged file should pass every header and section check, got: %v", err)
+	}
+	checkReadRejects(t, forged, "observations")
+}
+
+func flipByte(b []byte, i int) []byte {
+	out := append([]byte(nil), b...)
+	out[i] ^= 0xff
 	return out
 }

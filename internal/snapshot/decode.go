@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
@@ -15,175 +14,29 @@ import (
 	"securepki/internal/x509lite"
 )
 
-// headerFixed is the byte length of the fixed header before the shard table.
-const headerFixed = 8 + 3*8 + 2*4
-
 // tableEntry is the byte length of one shard-table entry.
 const tableEntry = 4*8 + 32
-
-// Read loads a corpus snapshot in any format: the first bytes select the
-// decoder (gzip magic → v1 gob via scanstore.ReadFrom, "SPKISNP2" → v2
-// columnar, "SPKISNP3" → v3 columnar + indexes). All input is treated as
-// hostile — truncation, corruption and absurd length fields yield explicit
-// errors, never panics or unbounded allocation.
-func Read(r io.Reader, opt Options) (*scanstore.Corpus, error) {
-	opt = opt.withDefaults()
-	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(2)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read magic: %w", err)
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		c, err := scanstore.ReadFrom(br)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: v1: %w", err)
-		}
-		opt.Obs.Counter("snapshot.decode.v1").Inc()
-		return c, nil
-	}
-	// Inputs shorter than a full magic fall through to readV2, whose own
-	// header read reports them as truncated or bad-magic.
-	if magic, err := br.Peek(8); err == nil && string(magic) == MagicV3 {
-		return readV3(br, opt)
-	}
-	return readV2(br, opt)
-}
 
 // inflateRatioBounds buckets rawLen*100/compLen per decoded shard; this data
 // compresses a few-fold, so percent buckets run 1x..50x.
 var inflateRatioBounds = []int64{100, 150, 200, 300, 500, 1000, 2000, 5000}
 
-// shardMeta is one decoded shard-table entry.
-type shardMeta struct {
-	first, count    uint64
-	rawLen, compLen uint64
-}
-
-func readV2(r io.Reader, opt Options) (*scanstore.Corpus, error) {
-	// Fixed header; the magic is judged on its own so a wrong-format file is
-	// reported as such rather than as a truncated header.
-	fixed := make([]byte, headerFixed)
-	if _, err := io.ReadFull(r, fixed[:8]); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated header: %w", err)
-	}
-	if string(fixed[:8]) != Magic {
-		return nil, fmt.Errorf("snapshot: bad magic %q", fixed[:8])
-	}
-	if _, err := io.ReadFull(r, fixed[8:]); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated header: %w", err)
-	}
-	certCount := binary.LittleEndian.Uint64(fixed[8:])
-	scanCount := binary.LittleEndian.Uint64(fixed[16:])
-	obsCount := binary.LittleEndian.Uint64(fixed[24:])
-	certShards := binary.LittleEndian.Uint32(fixed[32:])
-	scanShards := binary.LittleEndian.Uint32(fixed[36:])
-	if certCount > maxCerts || scanCount > maxScans {
-		return nil, fmt.Errorf("snapshot: absurd counts: %d certs, %d scans", certCount, scanCount)
-	}
-	nShards := uint64(certShards) + uint64(scanShards)
-	if nShards > maxShards {
-		return nil, fmt.Errorf("snapshot: %d shards exceed cap %d", nShards, maxShards)
-	}
-	if (certCount == 0) != (certShards == 0) || (scanCount == 0) != (scanShards == 0) {
-		return nil, fmt.Errorf("snapshot: shard/count mismatch: %d certs in %d shards, %d scans in %d shards",
-			certCount, certShards, scanCount, scanShards)
-	}
-
-	// Shard table + header checksum.
-	table := make([]byte, nShards*tableEntry)
-	if _, err := io.ReadFull(r, table); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated shard table: %w", err)
-	}
-	var wantHeadSum [32]byte
-	if _, err := io.ReadFull(r, wantHeadSum[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated header checksum: %w", err)
-	}
-	h := sha256.New()
-	h.Write(fixed)
-	h.Write(table)
-	if !bytes.Equal(h.Sum(nil), wantHeadSum[:]) {
-		return nil, fmt.Errorf("snapshot: header checksum mismatch")
-	}
-
-	metas := make([]shardMeta, nShards)
-	sums := make([][32]byte, nShards)
-	for i := range metas {
-		e := table[i*tableEntry:]
-		metas[i] = shardMeta{
-			first:   binary.LittleEndian.Uint64(e[0:]),
-			count:   binary.LittleEndian.Uint64(e[8:]),
-			rawLen:  binary.LittleEndian.Uint64(e[16:]),
-			compLen: binary.LittleEndian.Uint64(e[24:]),
-		}
-		copy(sums[i][:], e[32:64])
-		m := metas[i]
-		if m.rawLen > maxShardRaw {
-			return nil, fmt.Errorf("snapshot: shard %d claims %d raw bytes, cap %d", i, m.rawLen, maxShardRaw)
-		}
-		if m.rawLen > (m.compLen+1024)*maxExpansion {
-			return nil, fmt.Errorf("snapshot: shard %d expansion %d -> %d exceeds ratio cap", i, m.compLen, m.rawLen)
-		}
-		if m.compLen > maxShardRaw {
-			return nil, fmt.Errorf("snapshot: shard %d claims %d compressed bytes, cap %d", i, m.compLen, maxShardRaw)
-		}
-	}
-	// Shards must tile [0, certCount) and [0, scanCount) contiguously.
-	if err := checkTiling(metas[:certShards], certCount, "cert"); err != nil {
-		return nil, err
-	}
-	if err := checkTiling(metas[certShards:], scanCount, "scan"); err != nil {
-		return nil, err
-	}
-
-	// Pull every compressed payload off the stream serially (it is one
-	// reader), growing buffers only as bytes actually arrive.
-	comps := make([][]byte, nShards)
-	for i, m := range metas {
-		comp, err := readPayload(r, m.compLen)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: shard %d payload: %w", i, err)
-		}
-		comps[i] = comp
-	}
-
-	certParts, scanParts, err := decodeShards(metas, sums, comps, certShards, certCount, opt)
-	if err != nil {
-		return nil, err
-	}
-
-	// Trailing garbage is corruption, not padding.
-	var trail [1]byte
-	if n, _ := r.Read(trail[:]); n != 0 {
-		return nil, fmt.Errorf("snapshot: trailing bytes after last shard")
-	}
-
-	c, err := assembleCorpus(certParts, scanParts, obsCount)
-	if err != nil {
-		return nil, err
-	}
-	opt.Obs.Counter("snapshot.decode.shards").Add(int64(nShards))
-	opt.Obs.Counter("snapshot.decode.certs").Add(int64(certCount))
-	opt.Obs.Counter("snapshot.decode.scans").Add(int64(scanCount))
-	opt.Obs.Counter("snapshot.decode.observations").Add(int64(obsCount))
-	return c, nil
-}
-
 // decodeShards fans the decompression and column decode of every shard out
 // over the worker pool: checksum, inflate, split columns, and for
-// certificate shards re-parse every DER inside the worker. Shared by the v2
-// and v3 streaming readers, whose payload bytes are identical.
-func decodeShards(metas []shardMeta, sums [][32]byte, comps [][]byte, certShards uint32, certCount uint64, opt Options) ([][]*x509lite.Certificate, [][]decodedScan, error) {
-	nShards := len(metas)
+// certificate shards re-parse every DER inside the worker.
+func decodeShards(lay *V3Layout, comps [][]byte, opt Options) ([][]*x509lite.Certificate, [][]decodedScan, error) {
+	nShards := len(lay.Shards)
+	certShards := int(lay.CertShards)
 	certParts := make([][]*x509lite.Certificate, certShards)
-	scanParts := make([][]decodedScan, nShards-int(certShards))
+	scanParts := make([][]decodedScan, nShards-certShards)
 	errs := make([]error, nShards)
 	forEachShard(opt.Workers, nShards, func(i int) {
-		m := metas[i]
-		if sum := sha256.Sum256(comps[i]); sum != sums[i] {
+		sh := lay.Shards[i]
+		if sum := sha256.Sum256(comps[i]); sum != sh.Sum {
 			errs[i] = fmt.Errorf("snapshot: shard %d checksum mismatch", i)
 			return
 		}
-		raw, err := gunzipShard(comps[i], m.rawLen)
+		raw, err := gunzipShard(comps[i], sh.RawLen)
 		if err != nil {
 			errs[i] = fmt.Errorf("snapshot: shard %d: %w", i, err)
 			return
@@ -196,23 +49,23 @@ func decodeShards(metas []shardMeta, sums [][32]byte, comps [][]byte, certShards
 			opt.Obs.Histogram("snapshot.decode.inflate_ratio_pct", inflateRatioBounds).
 				Observe(int64(len(raw)) * 100 / int64(len(comps[i])))
 		}
-		if i < int(certShards) {
-			certs, err := decodeCertShard(raw, int(m.count), opt.VerifyDigests)
+		if i < certShards {
+			certs, err := decodeCertShard(raw, int(sh.Count), opt.VerifyDigests)
 			if err != nil {
 				errs[i] = fmt.Errorf("snapshot: cert shard %d: %w", i, err)
 				return
 			}
 			certParts[i] = certs
 			if opt.VerifyDigests {
-				opt.Obs.Counter("snapshot.decode.digest_verify").AddShard(i, int64(m.count))
+				opt.Obs.Counter("snapshot.decode.digest_verify").AddShard(i, int64(sh.Count))
 			}
 		} else {
-			scans, err := decodeScanShard(raw, int(m.count), certCount)
+			scans, err := decodeScanShard(raw, int(sh.Count), lay.CertCount)
 			if err != nil {
 				errs[i] = fmt.Errorf("snapshot: scan shard %d: %w", i, err)
 				return
 			}
-			scanParts[i-int(certShards)] = scans
+			scanParts[i-certShards] = scans
 		}
 	})
 	for _, err := range errs {
@@ -254,16 +107,16 @@ func assembleCorpus(certParts [][]*x509lite.Certificate, scanParts [][]decodedSc
 
 // checkTiling verifies that shard ranges cover [0, total) in order with no
 // gaps or overlaps.
-func checkTiling(metas []shardMeta, total uint64, kind string) error {
+func checkTiling(shards []V3Shard, total uint64, kind string) error {
 	var next uint64
-	for i, m := range metas {
-		if m.first != next {
-			return fmt.Errorf("snapshot: %s shard %d starts at %d, want %d", kind, i, m.first, next)
+	for i, sh := range shards {
+		if sh.First != next {
+			return fmt.Errorf("snapshot: %s shard %d starts at %d, want %d", kind, i, sh.First, next)
 		}
-		if m.count == 0 {
+		if sh.Count == 0 {
 			return fmt.Errorf("snapshot: %s shard %d is empty", kind, i)
 		}
-		next += m.count
+		next += sh.Count
 		if next > total {
 			return fmt.Errorf("snapshot: %s shards overrun count %d", kind, total)
 		}

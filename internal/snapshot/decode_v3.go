@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"fmt"
@@ -11,15 +12,22 @@ import (
 	"securepki/internal/scanstore"
 )
 
-// readV3 loads a complete corpus from a v3 stream. The payload decode is
-// exactly v2's; the appended index sections are then held to a stricter
-// standard than structural validity: the loader rebuilds the deterministic
-// sections (fingerprint, SPKI, IP, scan metadata) from the decoded corpus
-// and demands byte equality, so a v3 file whose indexes disagree with its
-// own payloads is rejected outright. The AS section cannot be rebuilt (the
-// writer's network view is not in the file), so it gets the full structural
-// validation instead.
-func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
+// Read loads a complete corpus from a snapshot stream. All input is treated
+// as hostile — truncation, corruption and absurd length fields yield
+// explicit errors, never panics or unbounded allocation, and anything but
+// the v3 magic is a "bad magic" error. The shard payloads are checksummed
+// and decoded across opt.Workers; the appended index sections are then held
+// to a stricter standard than structural validity: the loader rebuilds the
+// deterministic sections (fingerprint, SPKI, IP, scan metadata) from the
+// decoded corpus and demands byte equality, so a file whose indexes
+// disagree with its own payloads is rejected outright. The AS section
+// cannot be rebuilt (the writer's network view is not in the file), so it
+// gets the full structural validation instead.
+func Read(r io.Reader, opt Options) (*scanstore.Corpus, error) {
+	opt = opt.withDefaults()
+	r = bufio.NewReaderSize(r, 1<<16)
+	// The magic is judged on its own so a wrong-format file is reported as
+	// such rather than as a truncated header.
 	fixed := make([]byte, headerFixedV3)
 	if _, err := io.ReadFull(r, fixed[:8]); err != nil {
 		return nil, fmt.Errorf("snapshot: truncated header: %w", err)
@@ -58,14 +66,11 @@ func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 		return nil, err
 	}
 
-	// Shard payloads, decoded exactly like v2.
-	metas := make([]shardMeta, len(lay.Shards))
-	sums := make([][32]byte, len(lay.Shards))
+	// Pull every compressed payload off the stream serially (it is one
+	// reader), growing buffers only as bytes actually arrive.
 	comps := make([][]byte, len(lay.Shards))
 	off := int64(headerFixedV3) + int64(len(table)) + int64(len(itable)) + 32
 	for i, sh := range lay.Shards {
-		metas[i] = shardMeta{first: sh.First, count: sh.Count, rawLen: sh.RawLen, compLen: sh.CompLen}
-		sums[i] = sh.Sum
 		comp, err := readPayload(r, sh.CompLen)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: shard %d payload: %w", i, err)
@@ -73,7 +78,7 @@ func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 		comps[i] = comp
 		off += int64(sh.CompLen)
 	}
-	certParts, scanParts, err := decodeShards(metas, sums, comps, lay.CertShards, lay.CertCount, opt)
+	certParts, scanParts, err := decodeShards(lay, comps, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +108,7 @@ func readV3(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 		sections[i] = [2][]byte{keys, post}
 		indexBytes += int64(len(keys)) + int64(len(post))
 	}
+	// Trailing garbage is corruption, not padding.
 	var trail [1]byte
 	if n, _ := r.Read(trail[:]); n != 0 {
 		return nil, fmt.Errorf("snapshot: trailing bytes after last index section")
@@ -172,7 +178,7 @@ func readPadZeros(r io.Reader, n int64) error {
 // byte. The AS section is writer-dependent and is not rebuilt. Everything
 // stays in memory: the builder's sorters get an unbounded budget.
 func checkRebuiltSections(c *scanstore.Corpus, lay *V3Layout, sections [][2][]byte, workers int) error {
-	b, err := newSectionBuilder(true, nil, math.MaxInt64, "")
+	b, err := newSectionBuilder(nil, math.MaxInt64, "")
 	if err != nil {
 		return err
 	}

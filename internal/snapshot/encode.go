@@ -11,21 +11,14 @@ import (
 	"securepki/internal/x509lite"
 )
 
-// Write serialises the corpus in the v2 sharded columnar format. Validation
-// statuses are not persisted (run Validate after loading), matching the v1
-// contract. Output bytes are identical for any opt.Workers value. It is
-// StreamCorpus at the default memory budget, so a corpus whose encoder state
-// fits the budget is encoded without touching the file system.
-func Write(w io.Writer, c *scanstore.Corpus, opt Options) error {
-	return StreamCorpus(w, c, opt, StreamWriterConfig{})
-}
-
-// WriteV3 serialises the corpus in the v3 format: v2's sharded columnar
-// payloads followed by the five point-lookup index sections. Like Write, it
-// is StreamCorpus at the default memory budget, and its output is
-// byte-identical at any opt.Workers value.
+// WriteV3 serialises the corpus as a snapshot: the sharded columnar
+// payloads followed by the five point-lookup index sections. Validation
+// statuses are not persisted (run Validate after loading). It is
+// StreamCorpus at the default memory budget, so a corpus whose encoder
+// state fits the budget is encoded without touching the file system, and
+// its output is byte-identical at any opt.Workers value.
 func WriteV3(w io.Writer, c *scanstore.Corpus, opt Options) error {
-	return StreamCorpus(w, c, opt, StreamWriterConfig{V3: true})
+	return StreamCorpus(w, c, opt, StreamWriterConfig{})
 }
 
 // encodeCertShard lays out the three certificate columns: uvarint DER

@@ -21,17 +21,16 @@ import (
 // location once its shard is laid out), per scan (operator and time) and per
 // sighting (scan, IP, certificate, and the IP's AS when there is a network
 // view), and emits the five sections in the format's total orders. The
-// StreamWriter feeds it as a corpus streams in; readV3 feeds it from a
-// decoded corpus and compares the rebuilt sections with the file's. Without
-// sightings (a v2 writer) it only keeps the certificate and scan tables.
+// StreamWriter feeds it as a corpus streams in; Read feeds it from a
+// decoded corpus and compares the rebuilt sections with the file's.
 type sectionBuilder struct {
 	fps, spkis []x509lite.Fingerprint // CertID order
 	locs       []derLoc               // CertID order, one shard at a time
 	scans      []scanMeta             // ScanID order
 
 	asOf func(ip netsim.IP, at time.Time) (asn int, ok bool)
-	ips  *extsort.Sorter[ipRec] // nil: no sightings kept
-	ases *extsort.Sorter[asRec] // nil: no AS view
+	ips  *extsort.Sorter[ipRec] // nil once the StreamWriter releases it
+	ases *extsort.Sorter[asRec] // nil: no AS view, or released
 }
 
 // derLoc is where a certificate's DER lives: its shard, offset into the
@@ -52,15 +51,12 @@ type scanMeta struct {
 type ipRec struct{ ip, scan, cert uint32 }
 type asRec struct{ asn, cert uint32 }
 
-// newSectionBuilder returns an empty builder. With sightings set it keeps
-// (scan, IP, cert) records for the IP section, plus (AS, cert) records when
-// asOf is non-nil, in sorters that each buffer up to budget bytes of records
-// (and as much again to sort them) before spilling runs to dir.
-func newSectionBuilder(sightings bool, asOf func(netsim.IP, time.Time) (int, bool), budget int64, dir string) (*sectionBuilder, error) {
+// newSectionBuilder returns an empty builder. It keeps (scan, IP, cert)
+// records for the IP section, plus (AS, cert) records when asOf is non-nil,
+// in sorters that each buffer up to budget bytes of records (and as much
+// again to sort them) before spilling runs to dir.
+func newSectionBuilder(asOf func(netsim.IP, time.Time) (int, bool), budget int64, dir string) (*sectionBuilder, error) {
 	b := &sectionBuilder{}
-	if !sightings {
-		return b, nil
-	}
 	var err error
 	b.ips, err = extsort.NewSorter(extsort.Config[ipRec]{
 		Size: 12,
@@ -127,9 +123,6 @@ func (b *sectionBuilder) beginScan(op scanstore.Operator, at time.Time) {
 func (b *sectionBuilder) addSighting(ip netsim.IP, cert scanstore.CertID) error {
 	scan := len(b.scans) - 1
 	b.scans[scan].count++
-	if b.ips == nil {
-		return nil
-	}
 	if err := b.ips.Add(ipRec{ip: uint32(ip), scan: uint32(scan), cert: uint32(cert)}); err != nil {
 		return err
 	}
@@ -258,9 +251,6 @@ func (b *sectionBuilder) buildSPKI(order, refOf []uint32, out sectionOut) error 
 // not CertID order, so each (ip, scan) run's refs are sorted on the way out;
 // a run is the handful of certificates one address served in one scan.
 func (b *sectionBuilder) buildIP(refOf []uint32, out sectionOut) error {
-	if b.ips == nil {
-		return nil
-	}
 	keys, post := newSecWriter(out.keys), newSecWriter(out.post)
 	var run []uint32    // refs of the current (ip, scan) run
 	var cur, prev ipRec // the current run's key; the last record taken

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
 	"testing"
 
 	"securepki/internal/certlint"
@@ -40,53 +42,58 @@ func mutatedCorpus(tb testing.TB) *scanstore.Corpus {
 
 // FuzzReadSnapshot throws arbitrary bytes at the loader. The invariants: Read
 // never panics, never allocates unboundedly, and anything it accepts must
-// survive a write/read round trip unchanged. The seed corpus covers both
-// formats plus the interesting failure shapes; CI replays the seeds with
-// -fuzztime=0 so the harness itself stays exercised.
+// survive a write/read round trip unchanged. The seed corpus covers valid
+// files with and without an AS view, the retired formats' magics and the
+// interesting failure shapes; CI replays the seeds with -fuzztime=0 so the
+// harness itself stays exercised.
 func FuzzReadSnapshot(f *testing.F) {
 	c := testCorpus(f, 12, 3, 20)
-	v2 := encodeV2(f, c, Options{CertsPerShard: 5, ScansPerShard: 2})
-	var v1buf bytes.Buffer
-	if err := c.Write(&v1buf); err != nil {
+	v3 := encodeV3(f, c, Options{CertsPerShard: 5, ScansPerShard: 2, ASOf: testASOf})
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	zw.Write(v3)
+	if err := zw.Close(); err != nil {
 		f.Fatal(err)
 	}
-	v1 := v1buf.Bytes()
-	empty := encodeV2(f, scanstore.NewCorpus(), Options{})
-	v3 := encodeV3(f, c, Options{CertsPerShard: 5, ScansPerShard: 2, ASOf: testASOf})
-	emptyV3 := encodeV3(f, scanstore.NewCorpus(), Options{})
 
-	f.Add(v2)
-	f.Add(v1)
-	f.Add(empty)
-	f.Add(v2[:len(v2)/2])
-	f.Add(v1[:len(v1)/2])
-	f.Add(flipByte(v2, len(v2)-5))
-	f.Add(flipByte(v2, headerFixed+4))
-	f.Add(forgeObsOverflow(f, v2))
-	f.Add([]byte("SPKISNP2 but then nonsense"))
-	f.Add([]byte{0x1f, 0x8b, 0x01, 0x02})
-	f.Add([]byte{})
 	f.Add(v3)
-	f.Add(emptyV3)
+	f.Add(encodeV3(f, c, Options{CertsPerShard: 5, ScansPerShard: 2})) // empty AS section
+	f.Add(encodeV3(f, scanstore.NewCorpus(), Options{}))
 	f.Add(v3[:len(v3)/2])
 	f.Add(v3[:len(v3)-30]) // cuts into the index sections
 	f.Add(flipByte(v3, len(v3)-5))
 	f.Add(flipByte(v3, headerFixedV3+4))
+	f.Add(append(append([]byte(nil), v3...), 0xff))
+	f.Add(forgeObsOverflow(f, v3))
 	// A forged v3: structurally valid indexes that disagree with the
 	// payloads (scan 0's operator flipped, checksums recomputed).
 	f.Add(patchV3Section(f, v3, 4, func(keys, post []byte) {
 		keys[0] ^= 1
 	}))
+	// Header fields that lie behind a recomputed header checksum.
+	f.Add(patchV3Header(f, v3, func(fixed, table, itable []byte) {
+		binary.LittleEndian.PutUint64(fixed[8:], 1<<40)
+	}))
+	f.Add(patchV3Header(f, v3, func(fixed, table, itable []byte) {
+		binary.LittleEndian.PutUint64(table[16:], binary.LittleEndian.Uint64(table[16:])-1)
+	}))
+	f.Add(patchV3Header(f, v3, func(fixed, table, itable []byte) {
+		binary.LittleEndian.PutUint64(fixed[24:], binary.LittleEndian.Uint64(fixed[24:])+1)
+	}))
+	// Retired formats: a v2 magic and v1's gzip container.
+	f.Add(append([]byte("SPKISNP2"), v3[8:]...))
+	f.Add(gz.Bytes())
+	f.Add([]byte("SPKISNP2 but then nonsense"))
+	f.Add([]byte{0x1f, 0x8b, 0x01, 0x02})
 	f.Add([]byte("SPKISNP3 but then nonsense"))
-	// Mutated-population seeds: frankencert-style device certs through both
-	// container formats, plus a truncation landing inside the mutant DER.
-	mc := mutatedCorpus(f)
-	mutV2 := encodeV2(f, mc, Options{CertsPerShard: 16, ScansPerShard: 1})
-	mutV3 := encodeV3(f, mc, Options{CertsPerShard: 16, ScansPerShard: 1, ASOf: testASOf})
-	f.Add(mutV2)
+	f.Add([]byte{})
+	// Mutated-population seeds: frankencert-style device certs through the
+	// container, plus a truncation landing inside the mutant DER.
+	mutV3 := encodeV3(f, mutatedCorpus(f), Options{CertsPerShard: 16, ScansPerShard: 1, ASOf: testASOf})
 	f.Add(mutV3)
-	f.Add(mutV2[:2*len(mutV2)/3])
+	f.Add(mutV3[:2*len(mutV3)/3])
 	f.Add(flipByte(mutV3, len(mutV3)/2))
+	f.Add(forgeObsOverflow(f, mutV3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
@@ -98,7 +105,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		}
 		// Accepted input must round-trip: re-encode and re-read.
 		var buf bytes.Buffer
-		if err := Write(&buf, c, Options{Workers: 2}); err != nil {
+		if err := WriteV3(&buf, c, Options{Workers: 2}); err != nil {
 			t.Fatalf("accepted corpus fails to encode: %v", err)
 		}
 		again, err := Read(bytes.NewReader(buf.Bytes()), Options{Workers: 2})

@@ -15,7 +15,7 @@ func TestCodecMetricsDeterministic(t *testing.T) {
 	render := func(workers int) []byte {
 		reg := obs.NewRegistry()
 		opt := Options{Workers: workers, CertsPerShard: 16, ScansPerShard: 2, VerifyDigests: true, Obs: reg}
-		data := encodeV2(t, c, opt)
+		data := encodeV3(t, c, opt)
 		got, err := Read(bytes.NewReader(data), opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -35,21 +35,20 @@ func TestCodecMetricsDeterministic(t *testing.T) {
 }
 
 // TestCodecMetricsCounts spot-checks the counter semantics: encode and
-// decode agree on bytes, digest verifies cover every certificate, and the
-// v1 path marks itself.
+// decode agree on shard and index bytes, digest verifies cover every
+// certificate, and each load counts itself.
 func TestCodecMetricsCounts(t *testing.T) {
 	c := testCorpus(t, 40, 5, 60)
 	reg := obs.NewRegistry()
 	opt := Options{CertsPerShard: 16, ScansPerShard: 2, VerifyDigests: true, Obs: reg}
-	data := encodeV2(t, c, opt)
+	data := encodeV3(t, c, opt)
 	if _, err := Read(bytes.NewReader(data), opt); err != nil {
 		t.Fatal(err)
 	}
-	if enc, dec := reg.Counter("snapshot.encode.raw_bytes").Value(), reg.Counter("snapshot.decode.raw_bytes").Value(); enc != dec || enc == 0 {
-		t.Fatalf("raw bytes: encode %d, decode %d", enc, dec)
-	}
-	if enc, dec := reg.Counter("snapshot.encode.comp_bytes").Value(), reg.Counter("snapshot.decode.comp_bytes").Value(); enc != dec || enc == 0 {
-		t.Fatalf("comp bytes: encode %d, decode %d", enc, dec)
+	for _, what := range []string{"raw_bytes", "comp_bytes", "index_bytes"} {
+		if enc, dec := reg.Counter("snapshot.encode."+what).Value(), reg.Counter("snapshot.decode."+what).Value(); enc != dec || enc == 0 {
+			t.Fatalf("%s: encode %d, decode %d", what, enc, dec)
+		}
 	}
 	if got := reg.Counter("snapshot.decode.digest_verify").Value(); got != 40 {
 		t.Fatalf("digest_verify = %d, want 40", got)
@@ -57,16 +56,7 @@ func TestCodecMetricsCounts(t *testing.T) {
 	if got := reg.Counter("snapshot.decode.certs").Value(); got != 40 {
 		t.Fatalf("decode.certs = %d, want 40", got)
 	}
-
-	// The v1 path is counted, not shard-metered.
-	var v1 bytes.Buffer
-	if err := c.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(bytes.NewReader(v1.Bytes()), opt); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("snapshot.decode.v1").Value(); got != 1 {
-		t.Fatalf("decode.v1 = %d, want 1", got)
+	if got := reg.Counter("snapshot.decode.v3").Value(); got != 1 {
+		t.Fatalf("decode.v3 = %d, want 1", got)
 	}
 }

@@ -1,9 +1,10 @@
-// Package snapshot is the v2 on-disk corpus format: a sharded, columnar,
-// checksummed container replacing the serial gzip+gob blob of
-// scanstore.Write (v1). The paper's pipeline front-loads all of its cost
-// into corpus I/O — 222 full-IPv4 scans and ~80M certificates must be
-// loaded, parsed and indexed before any analysis runs — so the snapshot
-// layer is built around three ideas:
+// Package snapshot is the on-disk corpus format, snapshot v3: a sharded,
+// columnar, checksummed container of certificates and scans followed by
+// five point-lookup index sections. The paper's pipeline front-loads all of
+// its cost into corpus I/O — 222 full-IPv4 scans and ~80M certificates must
+// be loaded, parsed and indexed before any analysis runs — while its
+// applications (§6 linking, §7 tracking) ask point questions of one large
+// corpus. The format is built around four ideas:
 //
 //   - Sharding. Certificates and scans are split into fixed-size shards,
 //     each independently gzip-compressed and SHA-256-checksummed, so encode
@@ -15,37 +16,42 @@
 //   - Columns. Within a shard, like data sits together: certificate lengths,
 //     then DER bytes, then digests; scan metadata, then certificate-ID
 //     deltas, then IP deltas. Observations are varint delta-encoded per scan
-//     (consecutive sightings cluster in address space), which shrinks the
-//     uncompressed observation stream several-fold versus gob's per-struct
-//     framing — less to decompress, less to decode.
+//     (consecutive sightings cluster in address space), which keeps the
+//     uncompressed observation stream small — less to decompress, less to
+//     decode.
 //
-//   - Distrust. Every shard carries a SHA-256 of its compressed payload and
-//     the header carries a SHA-256 of itself, so truncation, bit rot and
-//     hostile edits fail with explicit errors instead of panics or OOM;
-//     decode enforces hard caps on every length field before allocating.
+//   - Indexes. Fixed-width, sorted key arrays after the payloads answer
+//     fingerprint, SPKI, IP and AS lookups plus per-scan metadata without
+//     decoding a shard (see v3.go); internal/querystore serves them from a
+//     mapped file.
 //
-// Read sniffs the format version: files beginning with the gzip magic are
-// delegated to scanstore.ReadFrom (v1) for migration, so every consumer of
-// this package reads both formats transparently. Writing v1 remains
-// available via scanstore.Write.
+//   - Distrust. Every shard and index section carries a SHA-256 and the
+//     header carries a SHA-256 of itself, so truncation, bit rot and hostile
+//     edits fail with explicit errors instead of panics or OOM; decode
+//     enforces hard caps on every length field before allocating.
 //
 // Layout (all header integers little-endian; see DESIGN.md "Snapshot
-// format v2" for the byte-level story):
+// format v3" for the byte-level story):
 //
-//	magic      [8]byte  "SPKISNP2"
-//	certCount  uint64
-//	scanCount  uint64
-//	obsCount   uint64
-//	certShards uint32
-//	scanShards uint32
+//	magic        [8]byte  "SPKISNP3"
+//	certCount    uint64
+//	scanCount    uint64
+//	obsCount     uint64
+//	certShards   uint32
+//	scanShards   uint32
+//	idxSections  uint32   must equal V3SectionCount
+//	reserved     uint32   must be zero
 //	shard table: certShards entries, then scanShards entries, each
-//	  first    uint64   first certificate / scan index in the shard
-//	  count    uint64   number of certificates / scans
-//	  rawLen   uint64   uncompressed payload length
-//	  compLen  uint64   compressed payload length
-//	  sum      [32]byte SHA-256 of the compressed payload
-//	headerSum  [32]byte SHA-256 of everything above
+//	  first      uint64   first certificate / scan index in the shard
+//	  count      uint64   number of certificates / scans
+//	  rawLen     uint64   uncompressed payload length
+//	  compLen    uint64   compressed payload length
+//	  sum        [32]byte SHA-256 of the compressed payload
+//	index table: idxSections entries (see v3.go)
+//	headerSum    [32]byte SHA-256 of everything above
 //	payloads, concatenated in table order
+//	zero padding to the next 8-byte file offset
+//	per section, in table order: keys, postings, zero padding to 8 bytes
 //
 // Certificate shard payload (uncompressed): count uvarint DER lengths, the
 // concatenated DER bytes, then count 32-byte SHA-256 digests. The stored
@@ -60,14 +66,14 @@
 //
 // There is one encoder, StreamWriter: certificates and sightings stream
 // into it, it compresses each shard as the shard fills, keeps what it
-// buffers in memory-first spills bounded by a budget, and builds the v3
-// index sections (see v3.go) from per-certificate and per-sighting input.
-// Write and WriteV3 feed it a resident corpus (StreamCorpus); the streaming
-// build feeds it scan results chunk by chunk; readV3 feeds the same section
-// builder from a decoded corpus to check a file's indexes against its
-// payloads. The output is byte-identical at any worker count or budget:
-// shard boundaries depend only on the data and the per-shard sizing knobs,
-// and workers change nothing but which goroutine compresses which shard.
+// buffers in memory-first spills bounded by a budget, and builds the index
+// sections from per-certificate and per-sighting input. WriteV3 feeds it a
+// resident corpus (StreamCorpus); the streaming build feeds it scan results
+// chunk by chunk; Read feeds the same section builder from a decoded corpus
+// to check a file's indexes against its payloads. The output is
+// byte-identical at any worker count or budget: shard boundaries depend
+// only on the data and the per-shard sizing knobs, and workers change
+// nothing but which goroutine compresses which shard.
 package snapshot
 
 import (
@@ -78,9 +84,6 @@ import (
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
 )
-
-// Magic opens every v2 snapshot.
-const Magic = "SPKISNP2"
 
 // Format caps, enforced by the writer and (distrustfully) by the reader.
 const (
@@ -128,7 +131,7 @@ type Options struct {
 	// WriteV3 uses it to build the AS → cert-set index (scangen passes the
 	// simulated Internet's Lookup). nil writes an empty AS section — v3 files
 	// produced without a network model simply answer no AS queries. The other
-	// index sections never depend on it. Ignored by Write (v2) and Read.
+	// index sections never depend on it. Ignored by Read.
 	ASOf func(ip netsim.IP, at time.Time) (asn int, ok bool)
 	// Obs receives codec metrics (snapshot.encode.* / snapshot.decode.*:
 	// per-shard raw/compressed byte counts, inflate ratios, digest-verify

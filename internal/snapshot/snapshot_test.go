@@ -108,20 +108,53 @@ func corpusEqual(tb testing.TB, want, got *scanstore.Corpus) {
 	}
 }
 
-func encodeV2(tb testing.TB, c *scanstore.Corpus, opt Options) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := Write(&buf, c, opt); err != nil {
-		tb.Fatal(err)
+// Pre-epoch scan times exercise the negative absolute-seconds branch.
+func TestRoundTripPreEpochTime(t *testing.T) {
+	c := testCorpus(t, 3, 0, 0)
+	if _, err := c.AddScan(scanstore.UMich, time.Date(1969, 7, 20, 20, 17, 40, 123, time.UTC),
+		[]scanstore.Observation{{Cert: 1, IP: 7}}); err != nil {
+		t.Fatal(err)
 	}
-	return buf.Bytes()
+	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{ASOf: testASOf})), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpusEqual(t, c, got)
 }
 
+// Loaded certificates must have memoized digests: Intern on the loaded corpus
+// must not redo SHA-256 work (digest column + ParseWithDigest adoption).
+func TestLoadedCertsMemoized(t *testing.T) {
+	c := testCorpus(t, 8, 2, 10)
+	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{})), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < got.NumCerts(); i++ {
+		cert := got.Cert(scanstore.CertID(i)).Cert
+		fp := cert.Fingerprint()
+		if a := testing.AllocsPerRun(20, func() {
+			if cert.Fingerprint() != fp {
+				t.Fatal("unstable fingerprint")
+			}
+		}); a != 0 {
+			t.Fatalf("cert %d Fingerprint allocates %.1f — digest not memoized on load", i, a)
+		}
+	}
+}
+
+// spillConfig is a StreamWriter configuration whose budget is small enough
+// that the sorters and section arrays take the disk path.
+func spillConfig(tb testing.TB) StreamWriterConfig {
+	return StreamWriterConfig{SpillDir: tb.TempDir(), MemBudget: 1 << 14}
+}
+
+// A corpus written through a spilling StreamWriter, without an AS view,
+// loads back unchanged, serial, parallel and with digest verification.
 func TestRoundTrip(t *testing.T) {
 	// Shard sizes chosen so both kinds of shard have a ragged final shard.
 	c := testCorpus(t, 150, 11, 400)
-	opt := Options{CertsPerShard: 64, ScansPerShard: 3}
-	raw := encodeV2(t, c, opt)
+	raw := streamEncode(t, c, Options{CertsPerShard: 64, ScansPerShard: 3}, spillConfig(t))
 
 	for _, tc := range []struct {
 		name string
@@ -141,67 +174,38 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// The file bytes must not depend on the worker count — shard boundaries are
-// fixed by the data, workers only pick who compresses what.
-func TestWriteDeterministicAcrossWorkers(t *testing.T) {
-	c := testCorpus(t, 90, 7, 120)
-	var ref []byte
-	for _, workers := range []int{1, 2, 5, 16} {
-		raw := encodeV2(t, c, Options{Workers: workers, CertsPerShard: 32, ScansPerShard: 2})
-		if ref == nil {
-			ref = raw
-			continue
-		}
-		if !bytes.Equal(ref, raw) {
-			t.Fatalf("Workers=%d produced different bytes than Workers=1", workers)
-		}
-	}
-}
-
-// Read must accept the v1 gzip+gob format transparently.
-func TestReadV1(t *testing.T) {
-	c := testCorpus(t, 40, 5, 60)
-	var buf bytes.Buffer
-	if err := c.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(buf.Bytes()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpusEqual(t, c, got)
-}
-
-// v1 and v2 must load to observably identical corpora.
-func TestV1V2Agree(t *testing.T) {
-	c := testCorpus(t, 64, 6, 200)
-	var v1 bytes.Buffer
-	if err := c.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := Read(bytes.NewReader(v1.Bytes()), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := Read(bytes.NewReader(encodeV2(t, c, Options{})), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpusEqual(t, fromV1, fromV2)
-}
-
+// The degenerate corpora load back: nothing at all, certificates that no
+// scan saw, and scans that saw nothing with no certificate interned — each
+// leaves one kind of shard, or both, absent from the file.
 func TestRoundTripEmpty(t *testing.T) {
-	c := scanstore.NewCorpus()
-	got, err := Read(bytes.NewReader(encodeV2(t, c, Options{})), Options{})
-	if err != nil {
-		t.Fatal(err)
+	scansOnly := scanstore.NewCorpus()
+	base := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
+	for s := 0; s < 3; s++ {
+		if _, err := scansOnly.AddScan(scanstore.Rapid7, base.AddDate(0, 0, s), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got.NumCerts() != 0 || got.NumScans() != 0 {
-		t.Fatalf("want empty corpus, got %d certs, %d scans", got.NumCerts(), got.NumScans())
+	for _, tc := range []struct {
+		name string
+		c    *scanstore.Corpus
+	}{
+		{"nothing", scanstore.NewCorpus()},
+		{"certs only", testCorpus(t, 5, 0, 0)},
+		{"empty scans only", scansOnly},
+	} {
+		raw := encodeV3(t, tc.c, Options{ASOf: testASOf, ScansPerShard: 2})
+		for _, workers := range []int{1, 4} {
+			got, err := Read(bytes.NewReader(raw), Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s (workers=%d): %v", tc.name, workers, err)
+			}
+			corpusEqual(t, tc.c, got)
+		}
 	}
 }
 
-// Scans with no observations and certificates never observed must survive.
+// Scans with no observations and certificates never observed must survive
+// one-certificate, one-scan shards, where whole scan shards carry nothing.
 func TestRoundTripSparse(t *testing.T) {
 	c := testCorpus(t, 10, 0, 0)
 	base := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -215,44 +219,27 @@ func TestRoundTripSparse(t *testing.T) {
 	if _, err := c.AddScan(scanstore.UMich, base.AddDate(0, 0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(encodeV2(t, c, Options{})), Options{})
-	if err != nil {
-		t.Fatal(err)
+	raw := encodeV3(t, c, Options{CertsPerShard: 1, ScansPerShard: 1})
+	for _, workers := range []int{1, 4} {
+		got, err := Read(bytes.NewReader(raw), Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		corpusEqual(t, c, got)
 	}
-	corpusEqual(t, c, got)
 }
 
-// Pre-epoch scan times exercise the negative absolute-seconds branch.
-func TestRoundTripPreEpochTime(t *testing.T) {
-	c := testCorpus(t, 3, 0, 0)
-	if _, err := c.AddScan(scanstore.UMich, time.Date(1969, 7, 20, 20, 17, 40, 123, time.UTC),
-		[]scanstore.Observation{{Cert: 1, IP: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(encodeV2(t, c, Options{})), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpusEqual(t, c, got)
-}
-
-// Loaded certificates must have memoized digests: Intern on the loaded corpus
-// must not redo SHA-256 work (digest column + ParseWithDigest adoption).
-func TestLoadedCertsMemoized(t *testing.T) {
-	c := testCorpus(t, 8, 2, 10)
-	got, err := Read(bytes.NewReader(encodeV2(t, c, Options{})), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < got.NumCerts(); i++ {
-		cert := got.Cert(scanstore.CertID(i)).Cert
-		fp := cert.Fingerprint()
-		if a := testing.AllocsPerRun(20, func() {
-			if cert.Fingerprint() != fp {
-				t.Fatal("unstable fingerprint")
-			}
-		}); a != 0 {
-			t.Fatalf("cert %d Fingerprint allocates %.1f — digest not memoized on load", i, a)
+// The file bytes must not depend on the worker count on the spilling
+// StreamWriter path either — shard boundaries are fixed by the data,
+// workers only pick who compresses what — and must equal the resident
+// write's.
+func TestWriteDeterministicAcrossWorkers(t *testing.T) {
+	c := testCorpus(t, 90, 7, 120)
+	ref := encodeV3(t, c, Options{Workers: 1, CertsPerShard: 32, ScansPerShard: 2, ASOf: testASOf})
+	for _, workers := range []int{1, 2, 5, 16} {
+		raw := streamEncode(t, c, Options{Workers: workers, CertsPerShard: 32, ScansPerShard: 2, ASOf: testASOf}, spillConfig(t))
+		if !bytes.Equal(ref, raw) {
+			t.Fatalf("spilling Workers=%d produced different bytes than the resident Workers=1 write", workers)
 		}
 	}
 }

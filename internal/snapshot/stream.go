@@ -17,27 +17,27 @@ import (
 	"securepki/internal/x509lite"
 )
 
-// StreamWriter is the snapshot encoder: it emits a v2 or v3 snapshot from
+// StreamWriter is the snapshot encoder: it emits a snapshot from
 // certificates and observations that arrive incrementally — Intern as
 // certificates are first seen (in global scan-major order), AddObs per
-// sighting — so no resident corpus is needed; Write and WriteV3 feed it from
-// one (StreamCorpus).
+// sighting — so no resident corpus is needed; WriteV3 feeds it from one
+// (StreamCorpus).
 //
 // Memory stays bounded. A certificate shard is handed to one of up to
 // Options.Workers compressors as its CertsPerShard-th certificate arrives,
 // and a scan shard as its ScansPerShard-th scan ends; compressed shards join
 // the certificate or scan payload in shard order. The payloads, the
-// per-scan observation columns, the retained DERs and the v3 section arrays
-// are memory-first spills that move to disk only past their share of the
-// budget, and the v3 IP/AS sightings accumulate in external-merge sorters.
+// per-scan observation columns, the retained DERs and the index section
+// arrays are memory-first spills that move to disk only past their share of
+// the budget, and the IP/AS sightings accumulate in external-merge sorters.
 // What stays resident is per-certificate constant-size state (fingerprint,
-// SPKI, DER location — the v3 index needs it anyway) and the fingerprint
-// dedup map. The v3 sections build while the last scan shards compress, and
+// SPKI, DER location — the index needs it anyway) and the fingerprint
+// dedup map. The sections build while the last scan shards compress, and
 // Finish then drops all that only encoding needs.
 //
 // The output is byte-identical at any worker count, memory budget or
 // spill directory: shard boundaries come from the sizing knobs alone, and
-// every v3 section is emitted in a total order over the data.
+// every index section is emitted in a total order over the data.
 type StreamWriter struct {
 	opt    Options
 	cfg    StreamWriterConfig
@@ -74,7 +74,7 @@ type StreamWriterConfig struct {
 	// extsort.DefaultMemBudget): the IP and AS sorters take a quarter of it
 	// each (an eighth for records, an eighth for the sort's second buffer),
 	// the certificate and scan payloads and the retained DERs an eighth
-	// each, and the ten v3 section arrays share the last eighth; beyond its
+	// each, and the ten section arrays share the last eighth; beyond its
 	// share each spills to disk. Outside it stay the per-certificate state,
 	// the certificate shard being filled, up to Workers shards held while
 	// they compress, and the observation columns of the scans not yet in a
@@ -84,9 +84,6 @@ type StreamWriterConfig struct {
 	// follows (core.StreamSnapshot gives them to LintRuns and
 	// LintColumnWriter).
 	MemBudget int64
-	// V3 selects the indexed format; Finish then writes MagicV3 plus the
-	// five index sections. Off, Finish writes plain v2.
-	V3 bool
 	// KeepDERs retains every interned DER so EachCert can replay the
 	// certificate table after Finish (the lint pass needs this).
 	KeepDERs bool
@@ -149,7 +146,7 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 		sw.ders = extsort.NewSpillFile(cfg.SpillDir, "snapshot-ders-*.spill", budget/8)
 	}
 	var err error
-	if sw.idx, err = newSectionBuilder(cfg.V3, opt.ASOf, budget/8, cfg.SpillDir); err != nil {
+	if sw.idx, err = newSectionBuilder(opt.ASOf, budget/8, cfg.SpillDir); err != nil {
 		return nil, err
 	}
 	return sw, nil
@@ -273,7 +270,7 @@ func (sw *StreamWriter) flushVars() error {
 }
 
 // MergeFanIn reports the widest k-way merge Finish will perform across the
-// index sorters (0 when the writer has no v3 sorters).
+// index sorters.
 func (sw *StreamWriter) MergeFanIn() int { return sw.idx.fanIn() }
 
 func (sw *StreamWriter) fail(err error) error {
@@ -367,22 +364,18 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 		return sw.fail(err)
 	}
 
-	// The v3 sections build while the scan shards compress.
+	// The index sections build while the scan shards compress.
 	var keys, posts [V3SectionCount]*extsort.SpillFile
-	built := make(chan error, 1)
-	if sw.cfg.V3 {
-		var out [V3SectionCount]sectionOut
-		for i := range out {
-			keys[i] = extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-keys-*.spill", sw.budget/80)
-			posts[i] = extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-post-*.spill", sw.budget/80)
-			defer keys[i].Remove()
-			defer posts[i].Remove()
-			out[i] = sectionOut{keys: keys[i], post: posts[i]}
-		}
-		go func() { built <- sw.idx.build(sw.opt.Workers, out) }()
-	} else {
-		built <- nil
+	var out [V3SectionCount]sectionOut
+	for i := range out {
+		keys[i] = extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-keys-*.spill", sw.budget/80)
+		posts[i] = extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-post-*.spill", sw.budget/80)
+		defer keys[i].Remove()
+		defer posts[i].Remove()
+		out[i] = sectionOut{keys: keys[i], post: posts[i]}
 	}
+	built := make(chan error, 1)
+	go func() { built <- sw.idx.build(sw.opt.Workers, out) }()
 	err := sw.flushVars()
 	if err == nil {
 		err = sw.flushScanShard()
@@ -407,20 +400,14 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	}
 
 	var head bytes.Buffer
-	if sw.cfg.V3 {
-		head.WriteString(MagicV3)
-	} else {
-		head.WriteString(Magic)
-	}
+	head.WriteString(MagicV3)
 	putU64(&head, uint64(len(sw.idx.fps)))
 	putU64(&head, uint64(len(sw.idx.scans)))
 	putU64(&head, obsCount)
 	putU32(&head, uint32(len(sw.certPay.tab)))
 	putU32(&head, uint32(len(sw.scanPay.tab)))
-	if sw.cfg.V3 {
-		putU32(&head, V3SectionCount)
-		putU32(&head, 0) // reserved
-	}
+	putU32(&head, V3SectionCount)
+	putU32(&head, 0) // reserved
 	for _, sh := range shardTab {
 		putU64(&head, uint64(sh.first))
 		putU64(&head, uint64(sh.count))
@@ -429,24 +416,22 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 		head.Write(sh.sum[:])
 	}
 	var indexBytes int64
-	if sw.cfg.V3 {
-		for i := range keys {
-			kind := uint32(i + 1)
-			h := sha256.New()
-			if err := keys[i].VerifyCopy(h); err != nil {
-				return sw.fail(err)
-			}
-			if err := posts[i].VerifyCopy(h); err != nil {
-				return sw.fail(err)
-			}
-			putU32(&head, kind)
-			putU32(&head, v3EntrySize(kind))
-			putU64(&head, uint64(keys[i].Len())/uint64(v3EntrySize(kind)))
-			putU64(&head, uint64(posts[i].Len()))
-			putU64(&head, 0) // reserved
-			head.Write(h.Sum(nil))
-			indexBytes += keys[i].Len() + posts[i].Len()
+	for i := range keys {
+		kind := uint32(i + 1)
+		h := sha256.New()
+		if err := keys[i].VerifyCopy(h); err != nil {
+			return sw.fail(err)
 		}
+		if err := posts[i].VerifyCopy(h); err != nil {
+			return sw.fail(err)
+		}
+		putU32(&head, kind)
+		putU32(&head, v3EntrySize(kind))
+		putU64(&head, uint64(keys[i].Len())/uint64(v3EntrySize(kind)))
+		putU64(&head, uint64(posts[i].Len()))
+		putU64(&head, 0) // reserved
+		head.Write(h.Sum(nil))
+		indexBytes += keys[i].Len() + posts[i].Len()
 	}
 	headSum := sha256.Sum256(head.Bytes())
 	head.Write(headSum[:])
@@ -458,38 +443,34 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 			return sw.fail(fmt.Errorf("snapshot: write payload: %w", err))
 		}
 	}
-	if sw.cfg.V3 {
-		off := int64(head.Len()) + sw.certPay.data.Len() + sw.scanPay.data.Len()
-		var zeros [8]byte
-		writePad := func() error {
-			n := pad8(off)
-			if n == 0 {
-				return nil
-			}
-			off += n
-			_, err := w.Write(zeros[:n])
-			return err
+	off := int64(head.Len()) + sw.certPay.data.Len() + sw.scanPay.data.Len()
+	var zeros [8]byte
+	writePad := func() error {
+		n := pad8(off)
+		if n == 0 {
+			return nil
 		}
+		off += n
+		_, err := w.Write(zeros[:n])
+		return err
+	}
+	if err := writePad(); err != nil {
+		return sw.fail(fmt.Errorf("snapshot: write padding: %w", err))
+	}
+	for i := range keys {
+		if err := keys[i].VerifyCopy(w); err != nil {
+			return sw.fail(fmt.Errorf("snapshot: write index section %d keys: %w", i, err))
+		}
+		if err := posts[i].VerifyCopy(w); err != nil {
+			return sw.fail(fmt.Errorf("snapshot: write index section %d postings: %w", i, err))
+		}
+		off += keys[i].Len() + posts[i].Len()
 		if err := writePad(); err != nil {
 			return sw.fail(fmt.Errorf("snapshot: write padding: %w", err))
 		}
-		for i := range keys {
-			if err := keys[i].VerifyCopy(w); err != nil {
-				return sw.fail(fmt.Errorf("snapshot: write index section %d keys: %w", i, err))
-			}
-			if err := posts[i].VerifyCopy(w); err != nil {
-				return sw.fail(fmt.Errorf("snapshot: write index section %d postings: %w", i, err))
-			}
-			off += keys[i].Len() + posts[i].Len()
-			if err := writePad(); err != nil {
-				return sw.fail(fmt.Errorf("snapshot: write padding: %w", err))
-			}
-		}
 	}
 	sw.emitObs(shardTab, obsCount)
-	if sw.cfg.V3 {
-		sw.opt.Obs.Counter("snapshot.encode.index_bytes").Add(indexBytes)
-	}
+	sw.opt.Obs.Counter("snapshot.encode.index_bytes").Add(indexBytes)
 	return sw.release()
 }
 
@@ -601,7 +582,7 @@ func (sw *StreamWriter) Close() error {
 
 // StreamCorpus encodes an already-resident corpus through a StreamWriter:
 // certificates interned in corpus ID order, then every scan's observations
-// in order. Write and WriteV3 are this at the default budget.
+// in order. WriteV3 is this at the default budget.
 func StreamCorpus(w io.Writer, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) error {
 	sw, err := NewStreamWriter(opt, cfg)
 	if err != nil {

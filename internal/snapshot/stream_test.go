@@ -54,45 +54,40 @@ func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWri
 
 // gzipFreeDigest pins a snapshot without depending on gzip's output: the
 // SHA-256 over the header's magic and counts and, per shard in table order,
-// its (first, count) and the SHA-256 of its inflated payload; then, for v3,
-// the five index-section checksums from ReadV3Layout.
+// its (first, count) and the SHA-256 of its inflated payload; then the five
+// index-section checksums from ReadV3Layout.
 func gzipFreeDigest(tb testing.TB, data []byte) []string {
 	tb.Helper()
-	v3 := string(data[:8]) == MagicV3
-	fixed := headerFixed
-	if v3 {
-		fixed = headerFixedV3
+	lay, err := ReadV3Layout(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	nShards := int(binary.LittleEndian.Uint32(data[32:]) + binary.LittleEndian.Uint32(data[36:]))
-	off := uint64(fixed + nShards*tableEntry + sha256.Size)
-	if v3 {
-		off += V3SectionCount * idxTableEntry
+	out := []string{shardDigest(tb, data[:32], data, lay)}
+	for _, sec := range lay.Sections {
+		out = append(out, fmt.Sprintf("%x", sec.Sum))
 	}
+	return out
+}
+
+// shardDigest is gzipFreeDigest's first entry with head in place of the
+// file's magic and counts.
+func shardDigest(tb testing.TB, head, data []byte, lay *V3Layout) string {
+	tb.Helper()
 	h := sha256.New()
-	h.Write(data[:32])
-	for i := 0; i < nShards; i++ {
-		e := data[fixed+i*tableEntry:]
-		compLen := binary.LittleEndian.Uint64(e[24:])
-		raw, err := gunzipShard(data[off:off+compLen], binary.LittleEndian.Uint64(e[16:]))
+	h.Write(head)
+	for _, sh := range lay.Shards {
+		raw, err := sh.Inflate(data[sh.Off : sh.Off+int64(sh.CompLen)])
 		if err != nil {
 			tb.Fatal(err)
 		}
 		sum := sha256.Sum256(raw)
-		h.Write(e[:16])
+		var firstCount [16]byte
+		binary.LittleEndian.PutUint64(firstCount[:], sh.First)
+		binary.LittleEndian.PutUint64(firstCount[8:], sh.Count)
+		h.Write(firstCount[:])
 		h.Write(sum[:])
-		off += compLen
 	}
-	out := []string{fmt.Sprintf("%x", h.Sum(nil))}
-	if v3 {
-		lay, err := ReadV3Layout(bytes.NewReader(data), int64(len(data)))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		for _, sec := range lay.Sections {
-			out = append(out, fmt.Sprintf("%x", sec.Sum))
-		}
-	}
-	return out
+	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 // checkPins fails unless data's gzip-free digest is want.
@@ -103,31 +98,42 @@ func checkPins(tb testing.TB, what string, data []byte, want []string) {
 	}
 }
 
-// The pins below were computed from the resident Write/WriteV3 encoders
-// that the StreamWriter replaced, so they hold the writer to the bytes
-// those produced.
+// The pins below were computed from the resident WriteV3 encoder that the
+// StreamWriter replaced, so they hold the writer to the bytes it produced.
 
-// TestStreamWriterMatchesV2 pins the writer's v2 output across shard
+// TestStreamWriterMatchesV2 holds v3's corpus shards to the retired v2
+// format they were lifted from: the two share the counts and the shard
+// payloads, so with v2's magic in front, the digest of v3's counts and
+// inflated shards must equal the pins the v2 writer produced, across shard
 // sizings that land partial and exact shard boundaries.
 func TestStreamWriterMatchesV2(t *testing.T) {
 	c := testCorpus(t, 300, 9, 500)
 	for _, row := range []struct {
-		opt  Options
-		pins []string
+		opt Options
+		pin string
 	}{
-		{Options{}, []string{"ad9be2478955cc15820570ebb3888e7032a07cb786bd2b779929e4a52eb9bf94"}},
-		{Options{CertsPerShard: 64, ScansPerShard: 2}, []string{"50fa1964e1cac1296af92f904f98269e98de57eee13371bda7560b7203c2a022"}},
-		{Options{CertsPerShard: 300, ScansPerShard: 9}, []string{"ff9021521bac7082aff23a0d87c9b13a82442e5f01e2fd07d1a65b1a78080b6d"}}, // exact boundaries
-		{Options{CertsPerShard: 1, ScansPerShard: 1}, []string{"c017fbc202d152a8c113b27ac7ab68b50921d5bd4b468bc5ac0a28edec7eb45b"}},
+		{Options{}, "ad9be2478955cc15820570ebb3888e7032a07cb786bd2b779929e4a52eb9bf94"},
+		{Options{CertsPerShard: 64, ScansPerShard: 2}, "50fa1964e1cac1296af92f904f98269e98de57eee13371bda7560b7203c2a022"},
+		{Options{CertsPerShard: 300, ScansPerShard: 9}, "ff9021521bac7082aff23a0d87c9b13a82442e5f01e2fd07d1a65b1a78080b6d"}, // exact boundaries
+		{Options{CertsPerShard: 1, ScansPerShard: 1}, "c017fbc202d152a8c113b27ac7ab68b50921d5bd4b468bc5ac0a28edec7eb45b"},
 	} {
 		got := streamEncode(t, c, row.opt, StreamWriterConfig{SpillDir: t.TempDir()})
-		checkPins(t, fmt.Sprintf("CertsPerShard=%d ScansPerShard=%d", row.opt.CertsPerShard, row.opt.ScansPerShard), got, row.pins)
+		lay, err := ReadV3Layout(bytes.NewReader(got), int64(len(got)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := append([]byte("SPKISNP2"), got[8:32]...)
+		if d := shardDigest(t, head, got, lay); d != row.pin {
+			t.Fatalf("CertsPerShard=%d ScansPerShard=%d: shards moved from v2:\n got %s\nwant %s",
+				row.opt.CertsPerShard, row.opt.ScansPerShard, d, row.pin)
+		}
 	}
 }
 
-// TestStreamWriterMatchesV3 does the same for the indexed format, AS view
-// included, with the column spill threshold crushed and a small budget so
-// every observation column, the sorters and the section arrays take the disk
+// TestStreamWriterMatchesV3 pins the writer's output, AS view included,
+// across shard sizings that land partial and exact shard boundaries, with
+// the column spill threshold crushed and a small budget so every
+// observation column, the sorters and the section arrays take the disk
 // path.
 func TestStreamWriterMatchesV3(t *testing.T) {
 	old := colSpillThreshold
@@ -160,13 +166,20 @@ func TestStreamWriterMatchesV3(t *testing.T) {
 			"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
 			sections[3],
 		}},
+		{Options{ASOf: testASOf, CertsPerShard: 300, ScansPerShard: 9}, append([]string{ // exact boundaries
+			"dcefbf9736cd9565036ddc76e1b41c768fe8bb86aca444cc6aa5963479a1b5f5",
+			"1f8e48955ac310a5d6563670c3660cefd6142391fb4884ce14eebf3cd41d3d44",
+		}, sections...)},
+		{Options{ASOf: testASOf, CertsPerShard: 1, ScansPerShard: 1}, append([]string{
+			"7e3c33139b4b56460cd714852c3409e22c56300eb1739c9c9e481cb9657cb198",
+			"58a757ec42a36193b40c14fbe041a500192158a16283f1288012523eaace2894",
+		}, sections...)},
 	} {
 		got := streamEncode(t, c, row.opt, StreamWriterConfig{
 			SpillDir:  t.TempDir(),
 			MemBudget: 1 << 16, // force sorter spill runs
-			V3:        true,
 		})
-		checkPins(t, fmt.Sprintf("ASOf=%v", row.opt.ASOf != nil), got, row.pins)
+		checkPins(t, fmt.Sprintf("ASOf=%v CertsPerShard=%d ScansPerShard=%d", row.opt.ASOf != nil, row.opt.CertsPerShard, row.opt.ScansPerShard), got, row.pins)
 		// The output must actually load, index check included.
 		if _, err := Read(bytes.NewReader(got), Options{}); err != nil {
 			t.Fatal(err)
@@ -177,16 +190,8 @@ func TestStreamWriterMatchesV3(t *testing.T) {
 // TestStreamWriterEmpty pins the degenerate corpus: no certs, no scans.
 func TestStreamWriterEmpty(t *testing.T) {
 	empty := "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-	for _, row := range []struct {
-		v3   bool
-		pins []string
-	}{
-		{false, []string{"6bc0f1f85b47d180795eb54f1b1ea7863caf9061549bc6a6ad4bcca1f5c41798"}},
-		{true, []string{"126bb431e0888831c49d5b2b8056558a8afca185ca6ce3109320f7825f374957", empty, empty, empty, empty, empty}},
-	} {
-		got := streamEncode(t, scanstore.NewCorpus(), Options{}, StreamWriterConfig{SpillDir: t.TempDir(), V3: row.v3})
-		checkPins(t, fmt.Sprintf("v3=%v", row.v3), got, row.pins)
-	}
+	got := streamEncode(t, scanstore.NewCorpus(), Options{}, StreamWriterConfig{SpillDir: t.TempDir()})
+	checkPins(t, "empty", got, []string{"126bb431e0888831c49d5b2b8056558a8afca185ca6ce3109320f7825f374957", empty, empty, empty, empty, empty})
 }
 
 // TestStreamWriterRepeatSightings covers the dedup paths the corpora above
@@ -280,25 +285,14 @@ func TestStreamWriterInternDedups(t *testing.T) {
 	}
 }
 
-// TestStreamCorpusMatchesWrite pins StreamCorpus, v2 and v3, under a
-// spill-forcing budget, and checks Write and WriteV3 — StreamCorpus at the
-// default budget — produce the same bytes.
+// TestStreamCorpusMatchesWrite pins StreamCorpus under a spill-forcing
+// budget, and checks WriteV3 — StreamCorpus at the default budget —
+// produces the same bytes.
 func TestStreamCorpusMatchesWrite(t *testing.T) {
 	c := testCorpus(t, 120, 5, 80)
 	cfg := StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: 1 << 14}
-
-	var got bytes.Buffer
-	if err := StreamCorpus(&got, c, Options{}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	checkPins(t, "StreamCorpus v2", got.Bytes(), []string{"424f46f92a48bccaaa006afbaa94c83a7f0fad6fee217490a8f2cc2d1c1a9cd5"})
-	if want := encodeV2(t, c, Options{}); !bytes.Equal(want, got.Bytes()) {
-		t.Fatal("StreamCorpus v2 under a small budget differs from Write")
-	}
-
 	opt := Options{ASOf: testASOf}
-	cfg.V3 = true
-	got.Reset()
+	var got bytes.Buffer
 	if err := StreamCorpus(&got, c, opt, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -316,20 +310,15 @@ func TestStreamCorpusMatchesWrite(t *testing.T) {
 }
 
 // TestResidentWriteNeedsNoTempDir: with TMPDIR pointing at a directory that
-// does not exist, Write, WriteV3 and Read of a small corpus still succeed —
+// does not exist, WriteV3 and Read of a small corpus still succeed —
 // everything the encoder buffers fits its memory share, so no spill file is
 // ever created.
 func TestResidentWriteNeedsNoTempDir(t *testing.T) {
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	c := testCorpus(t, 120, 5, 80)
-	for _, data := range [][]byte{
-		encodeV2(t, c, Options{}),
-		encodeV3(t, c, Options{ASOf: testASOf}),
-	} {
-		got, err := Read(bytes.NewReader(data), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		corpusEqual(t, c, got)
+	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{ASOf: testASOf})), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	corpusEqual(t, c, got)
 }

@@ -1,37 +1,24 @@
 package snapshot
 
-// Snapshot format v3: everything v2 is, plus appended point-lookup indexes.
+// The index sections of snapshot v3.
 //
-// v2 made bulk loads fast, but every point question ("which certs carry this
-// SPKI?", "what did this IP serve?") still decoded whole shards. v3 appends
-// four fixed-width, sorted, SHA-256-checksummed index sections after the
-// compressed payloads, laid out little-endian and 8-byte aligned so a reader
-// can mmap the file and binary-search the indexes without decoding a single
-// shard. A fifth section carries per-scan metadata so IP answers can name the
-// scan's operator and time without touching scan shards.
+// Bulk loads decode whole shards; a point question ("which certs carry this
+// SPKI?", "what did this IP serve?") must not. After the compressed payloads
+// a v3 file carries four fixed-width, sorted, SHA-256-checksummed index
+// sections, laid out little-endian and 8-byte aligned so a reader can mmap
+// the file and binary-search the indexes without decoding a single shard. A
+// fifth section carries per-scan metadata so IP answers can name the scan's
+// operator and time without touching scan shards.
 //
-// Layout (integers little-endian; see DESIGN.md "Snapshot format v3"):
+// Index table entry (the header layout is in the package doc; see DESIGN.md
+// "Snapshot format v3"):
 //
-//	magic        [8]byte  "SPKISNP3"
-//	certCount    uint64
-//	scanCount    uint64
-//	obsCount     uint64
-//	certShards   uint32
-//	scanShards   uint32
-//	idxSections  uint32   must equal V3SectionCount
-//	reserved     uint32   must be zero
-//	shard table  (certShards+scanShards) × 64-byte entries, exactly v2's
-//	index table  idxSections × 64-byte entries:
-//	  kind       uint32   1=fp 2=spki 3=ip 4=as 5=scanmeta, in that order
-//	  entrySize  uint32   fixed key-entry width for the kind
-//	  keyCount   uint64
-//	  postLen    uint64   posting-array byte length
-//	  reserved   uint64   must be zero
-//	  sum        [32]byte SHA-256 of keys ‖ postings
-//	headerSum    [32]byte SHA-256 of everything above
-//	payloads     compressed shards, concatenated in table order (v2's bytes)
-//	zero padding to the next 8-byte file offset
-//	per section, in table order: keys, postings, zero padding to 8 bytes
+//	kind       uint32   1=fp 2=spki 3=ip 4=as 5=scanmeta, in that order
+//	entrySize  uint32   fixed key-entry width for the kind
+//	keyCount   uint64
+//	postLen    uint64   posting-array byte length
+//	reserved   uint64   must be zero
+//	sum        [32]byte SHA-256 of keys ‖ postings
 //
 // Key entries per kind (reserved fields must be zero):
 //
@@ -275,12 +262,11 @@ func parseV3Fixed(fixed []byte) (*V3Layout, uint64, error) {
 }
 
 // parseV3Tables decodes the shard and index tables into lay, applying the
-// same per-shard caps and tiling discipline as v2 plus the per-section
-// metadata invariants.
+// per-shard caps, the tiling discipline and the per-section metadata
+// invariants.
 func parseV3Tables(lay *V3Layout, table, itable []byte) error {
 	nShards := len(table) / tableEntry
 	lay.Shards = make([]V3Shard, nShards)
-	metas := make([]shardMeta, nShards)
 	for i := range lay.Shards {
 		e := table[i*tableEntry:]
 		sh := V3Shard{
@@ -300,12 +286,11 @@ func parseV3Tables(lay *V3Layout, table, itable []byte) error {
 			return fmt.Errorf("snapshot: shard %d claims %d compressed bytes, cap %d", i, sh.CompLen, maxShardRaw)
 		}
 		lay.Shards[i] = sh
-		metas[i] = shardMeta{first: sh.First, count: sh.Count, rawLen: sh.RawLen, compLen: sh.CompLen}
 	}
-	if err := checkTiling(metas[:lay.CertShards], lay.CertCount, "cert"); err != nil {
+	if err := checkTiling(lay.Shards[:lay.CertShards], lay.CertCount, "cert"); err != nil {
 		return err
 	}
-	if err := checkTiling(metas[lay.CertShards:], lay.ScanCount, "scan"); err != nil {
+	if err := checkTiling(lay.Shards[lay.CertShards:], lay.ScanCount, "scan"); err != nil {
 		return err
 	}
 	for i := range lay.Sections {
