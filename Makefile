@@ -39,12 +39,13 @@ check: vet lint race
 fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/snapshot ./internal/x509lite
 
-# One iteration of each snapshot, query, lint and worker-pool benchmark —
-# catches benchmarks that no longer compile or crash without burning CI
-# minutes on timing.
+# One iteration of each snapshot, query, lint, worker-pool and external-sort
+# benchmark — catches benchmarks that no longer compile or crash without
+# burning CI minutes on timing.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Snapshot|Query|Lint' -benchtime=1x ./internal/snapshot ./internal/querystore ./internal/certlint
 	$(GO) test -run='^$$' -bench='ForEach' -benchtime=1x ./internal/parallel
+	$(GO) test -run='^$$' -bench='Sorter' -benchtime=1x ./internal/extsort
 
 # One cell of the chaos matrix under the race detector: a full certscan
 # sweep against a 30%-faulty population must produce a corpus snapshot

@@ -330,7 +330,7 @@ func BenchmarkAblationOverlapTolerance(b *testing.B) {
 		b.Run(map[int]string{0: "none", 1: "paper", 2: "loose"}[overlap], func(b *testing.B) {
 			cfg := linking.DefaultConfig()
 			cfg.MaxOverlapScans = overlap
-			linker := linking.NewLinker(p.Dataset, cfg)
+			linker := linking.NewLinker(p.Dataset, cfg, 0)
 			b.ResetTimer()
 			var linked float64
 			var purity float64
@@ -356,7 +356,7 @@ func BenchmarkAblationUniquenessThreshold(b *testing.B) {
 			b.ResetTimer()
 			var eligible int
 			for i := 0; i < b.N; i++ {
-				linker := linking.NewLinker(p.Dataset, cfg)
+				linker := linking.NewLinker(p.Dataset, cfg, 0)
 				eligible = linker.EligibleCount()
 			}
 			b.ReportMetric(float64(eligible), "eligible-certs")
@@ -476,14 +476,12 @@ func BenchmarkLinkerParallel(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := linking.DefaultConfig()
-			cfg.Workers = c.workers
 			numCerts := p.Corpus.NumCerts()
 			b.ReportAllocs()
 			b.ResetTimer()
 			var linked int
 			for i := 0; i < b.N; i++ {
-				linker := linking.NewLinker(p.Dataset, cfg)
+				linker := linking.NewLinker(p.Dataset, linking.DefaultConfig(), c.workers)
 				linked = linker.Link().LinkedCerts
 			}
 			b.ReportMetric(float64(linked), "linked-certs")

@@ -47,7 +47,7 @@ func main() {
 	var (
 		small      = flag.Bool("small", false, "use the reduced sizing (seconds instead of tens of seconds)")
 		seed       = flag.Uint64("seed", 0, "world seed (0 = default)")
-		workers    = flag.Int("workers", 0, "worker pool size for validation/indexing/linking (0 = GOMAXPROCS); output is identical at any setting")
+		workers    = flag.Int("workers", 0, "worker pool size for every stage (0 = GOMAXPROCS); output is identical at any setting")
 		exp        = flag.String("exp", "all", "comma-separated experiment IDs, or 'all'")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 		plotDir    = flag.String("plotdir", "", "also write gnuplot-ready .dat files and plots.gp to this directory")

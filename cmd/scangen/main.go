@@ -48,13 +48,12 @@ import (
 	"securepki/internal/core"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
-	"securepki/internal/snapshot"
 )
 
 func main() {
 	var (
 		out        = flag.String("out", "corpus.spki", "output corpus file")
-		workers    = flag.Int("workers", 0, "snapshot encoder worker pool (0 = GOMAXPROCS); bytes identical at any setting")
+		workers    = flag.Int("workers", 0, "worker pool size for every stage (0 = GOMAXPROCS); bytes identical at any setting")
 		upgrade    = flag.String("upgrade", "", "rewrite this existing snapshot with the AS index rebuilt from -prefix2as instead of generating")
 		prefix2as  = flag.String("prefix2as", "", "with -upgrade (required): RouteViews-style prefix dump to rebuild the AS index from")
 		asinfo     = flag.String("asinfo", "", "with -prefix2as: AS-info dump (asn|org|country|type lines)")
@@ -155,14 +154,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "scans: %d, unique certificates: %d\n", p.Corpus.NumScans(), p.Corpus.NumCerts())
 
-	err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
-		return snapshot.WriteV3(w, p.Corpus, snapshot.Options{
-			Workers: *workers,
-			Obs:     reg,
-			ASOf:    snapshot.InternetASOf(p.World.Internet),
-		})
-	})
-	if err != nil {
+	if err := obs.WriteFileAtomic(*out, p.WriteSnapshotV3); err != nil {
 		fatal(err)
 	}
 	info, err := os.Stat(*out)

@@ -39,7 +39,7 @@ func dataset(t *testing.T) *Dataset {
 			fixtureErr = err
 			return
 		}
-		corpus, _, err := camp.Run()
+		corpus, _, err := camp.Run(0)
 		if err != nil {
 			fixtureErr = err
 			return
@@ -368,13 +368,13 @@ func TestLooksLikeIPv4(t *testing.T) {
 	yes := []string{"1.2.3.4", "192.168.1.1", "255.255.255.255"}
 	no := []string{"", "fritz.box", "1.2.3", "1.2.3.4.5", "a.b.c.d", "1..2.3"}
 	for _, s := range yes {
-		if !looksLikeIPv4(s) {
-			t.Errorf("looksLikeIPv4(%q) = false", s)
+		if !x509lite.LooksLikeIPv4(s) {
+			t.Errorf("LooksLikeIPv4(%q) = false", s)
 		}
 	}
 	for _, s := range no {
-		if looksLikeIPv4(s) {
-			t.Errorf("looksLikeIPv4(%q) = true", s)
+		if x509lite.LooksLikeIPv4(s) {
+			t.Errorf("LooksLikeIPv4(%q) = true", s)
 		}
 	}
 }

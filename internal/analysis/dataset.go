@@ -54,11 +54,6 @@ func (d *Dataset) EachObserved(fn func(rec *scanstore.CertRecord, invalid bool))
 	}
 }
 
-// ASOf maps an observation to its AS at the scan's date.
-func (d *Dataset) ASOf(ip netsim.IP, at time.Time) *netsim.AS {
-	return d.Internet.Lookup(ip, at)
-}
-
 // ValidationBreakdown is the §4.2 headline table.
 type ValidationBreakdown struct {
 	Total  int

@@ -55,7 +55,7 @@ func ClassifyDevice(cert *x509lite.Certificate) string {
 		}
 	}
 	// An IP-address CN with no other hints is the classic consumer router.
-	if looksLikeIPv4(cert.Subject.CommonName) {
+	if x509lite.LooksLikeIPv4(cert.Subject.CommonName) {
 		return ClassRouter
 	}
 	return ClassUnknown
@@ -115,22 +115,4 @@ func (d *Dataset) DeviceTypes(topIssuers int) []DeviceTypeRow {
 		return rows[i].Class < rows[j].Class
 	})
 	return rows
-}
-
-func looksLikeIPv4(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if len(p) == 0 || len(p) > 3 {
-			return false
-		}
-		for _, c := range p {
-			if c < '0' || c > '9' {
-				return false
-			}
-		}
-	}
-	return true
 }

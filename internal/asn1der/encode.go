@@ -145,32 +145,30 @@ func (e *Encoder) OctetString(b []byte) { e.tlv(TagOctetString, b) }
 // Null appends a NULL value.
 func (e *Encoder) Null() { e.tlv(TagNull, nil) }
 
-// OID appends an OBJECT IDENTIFIER. It panics on OIDs with fewer than two
-// arcs or arcs that violate the X.660 first-two-arc constraints, since OIDs
-// in this codebase are compile-time constants.
-func (e *Encoder) OID(oid []int) {
-	content, err := oidContents(oid)
-	if err != nil {
-		panic(fmt.Sprintf("asn1der: %v", err))
-	}
-	e.tlv(TagOID, content)
-}
+// OID appends an OBJECT IDENTIFIER. Like OIDContents, it panics on an
+// invalid arc list.
+func (e *Encoder) OID(oid []int) { e.tlv(TagOID, OIDContents(oid)) }
 
-func oidContents(oid []int) ([]byte, error) {
+// OIDContents returns an OBJECT IDENTIFIER's DER content bytes, without tag
+// and length: the first two arcs packed into one value, then every value in
+// base 128. It panics on OIDs with fewer than two arcs or arcs that violate
+// the X.660 first-two-arc constraints, since OIDs in this codebase are
+// compile-time constants.
+func OIDContents(oid []int) []byte {
 	if len(oid) < 2 {
-		return nil, fmt.Errorf("OID needs at least 2 arcs, got %d", len(oid))
+		panic(fmt.Sprintf("asn1der: OID needs at least 2 arcs, got %d", len(oid)))
 	}
 	if oid[0] > 2 || (oid[0] < 2 && oid[1] >= 40) || oid[0] < 0 || oid[1] < 0 {
-		return nil, fmt.Errorf("invalid OID prefix %d.%d", oid[0], oid[1])
+		panic(fmt.Sprintf("asn1der: invalid OID prefix %d.%d", oid[0], oid[1]))
 	}
 	out := encodeBase128(nil, oid[0]*40+oid[1])
 	for _, arc := range oid[2:] {
 		if arc < 0 {
-			return nil, fmt.Errorf("negative OID arc %d", arc)
+			panic(fmt.Sprintf("asn1der: negative OID arc %d", arc))
 		}
 		out = encodeBase128(out, arc)
 	}
-	return out, nil
+	return out
 }
 
 func encodeBase128(dst []byte, v int) []byte {

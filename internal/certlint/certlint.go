@@ -106,26 +106,8 @@ func FormatSurvey(rows []SurveyRow) string {
 	return b.String()
 }
 
-func looksLikeIPv4(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if len(p) == 0 || len(p) > 3 {
-			return false
-		}
-		for _, c := range p {
-			if c < '0' || c > '9' {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func isPrivateIPString(s string) bool {
-	if !looksLikeIPv4(s) {
+	if !x509lite.LooksLikeIPv4(s) {
 		return false
 	}
 	return strings.HasPrefix(s, "10.") ||

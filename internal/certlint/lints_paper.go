@@ -69,7 +69,7 @@ func registerPaperLints(r *Registry) {
 		Describe: "Common Name is a literal IP address (46.9% of the paper's CNs)",
 		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
 			cn := c.Subject.CommonName
-			if looksLikeIPv4(cn) && !isPrivateIPString(cn) {
+			if x509lite.LooksLikeIPv4(cn) && !isPrivateIPString(cn) {
 				return "CN " + cn, true
 			}
 			return "", false

@@ -142,7 +142,7 @@ func ProfilesOf(c *x509lite.Certificate) Profile {
 			}
 		}
 	}
-	if looksLikeIPv4(c.Subject.CommonName) {
+	if x509lite.LooksLikeIPv4(c.Subject.CommonName) {
 		return p | ProfileRouter
 	}
 	return p | ProfileUnknownDevice

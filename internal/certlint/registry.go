@@ -15,8 +15,8 @@ import (
 // check's behaviour changes (so persisted findings can be attributed to the
 // exact rule that produced them), a severity, an applicability profile mask,
 // and the check itself. The shape follows pkimetal's linter registry —
-// named, versioned backends with declared concurrency — collapsed to
-// in-process pure functions.
+// named, versioned backends — collapsed to in-process pure functions, so
+// every check may run on any number of goroutines at once.
 type Linter struct {
 	// ID is the stable registry key, unique across the registry and never
 	// reused with different semantics. Lowercase snake_case.
@@ -32,11 +32,6 @@ type Linter struct {
 	// Profiles restricts the linter to certificates matching the mask;
 	// ProfileAll (zero) runs everywhere.
 	Profiles Profile
-	// NumInstances declares how many concurrent Check invocations the linter
-	// tolerates: 0 means unbounded (a pure function), N > 0 means at most N
-	// in flight at once — the engine serialises the surplus. Declared, not
-	// inferred, exactly like pkimetal's per-linter instance counts.
-	NumInstances int
 	// Check returns a detail string and whether the lint triggered. It must
 	// be deterministic in (certificate, context).
 	Check func(c *x509lite.Certificate, ctx *Context) (string, bool)
@@ -119,10 +114,6 @@ func (c *Context) Verifies() int64 { return c.verifies.Load() }
 type Registry struct {
 	linters []Linter
 	byID    map[string]int
-	// gates serialise linters with declared NumInstances > 0; built lazily
-	// at first run and keyed by linter index.
-	gatesOnce sync.Once
-	gates     map[int]chan struct{}
 
 	// sortIdx caches linter indexes in ID order — the engine walks it per
 	// certificate, so it must not be re-sorted in the hot loop.
@@ -152,9 +143,6 @@ func (r *Registry) Register(l Linter) error {
 	}
 	if l.Check == nil {
 		return fmt.Errorf("certlint: linter %s has no check", l.ID)
-	}
-	if l.NumInstances < 0 {
-		return fmt.Errorf("certlint: linter %s declares %d instances", l.ID, l.NumInstances)
 	}
 	if _, dup := r.byID[l.ID]; dup {
 		return fmt.Errorf("certlint: duplicate linter ID %s", l.ID)
@@ -214,20 +202,6 @@ func (r *Registry) sortedIndexes() []int {
 		})
 	})
 	return r.sortIdx
-}
-
-// gate returns the concurrency gate for linter index i, or nil when the
-// linter runs unbounded.
-func (r *Registry) gate(i int) chan struct{} {
-	r.gatesOnce.Do(func() {
-		r.gates = make(map[int]chan struct{})
-		for j, l := range r.linters {
-			if l.NumInstances > 0 {
-				r.gates[j] = make(chan struct{}, l.NumInstances)
-			}
-		}
-	})
-	return r.gates[i]
 }
 
 // defaultOnce builds the process-wide default registry a single time; the

@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"securepki/internal/x509lite"
@@ -35,7 +33,6 @@ func TestRegisterContract(t *testing.T) {
 		{"severity out of range", func(l *Linter) { l.Severity = Severity(9) }},
 		{"no description", func(l *Linter) { l.Describe = "" }},
 		{"no check", func(l *Linter) { l.Check = nil }},
-		{"negative instances", func(l *Linter) { l.NumInstances = -1 }},
 	}
 	for _, tc := range bad {
 		l := okLinter("b")
@@ -71,48 +68,6 @@ func TestLintersSortedAndLookup(t *testing.T) {
 	}
 	if _, ok := r.Lookup("nope"); ok {
 		t.Error("Lookup found an unregistered linter")
-	}
-}
-
-// TestNumInstancesGate proves the declared-concurrency contract: a linter
-// with NumInstances=1 never observes two in-flight Check calls, no matter
-// how many workers the corpus run uses.
-func TestNumInstancesGate(t *testing.T) {
-	var inFlight, maxSeen atomic.Int32
-	r := NewRegistry()
-	r.MustRegister(Linter{
-		ID: "gated", Version: 1, Severity: Info,
-		Describe:     "serialised synthetic linter",
-		NumInstances: 1,
-		Check: func(*x509lite.Certificate, *Context) (string, bool) {
-			n := inFlight.Add(1)
-			for {
-				m := maxSeen.Load()
-				if n <= m || maxSeen.CompareAndSwap(m, n) {
-					break
-				}
-			}
-			inFlight.Add(-1)
-			return "gated", true
-		},
-	})
-
-	certs := make([]*x509lite.Certificate, 64)
-	base := lintCert(t, nil)
-	for i := range certs {
-		certs[i] = base
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.RunCorpus(certs, nil, Options{Workers: 8})
-		}()
-	}
-	wg.Wait()
-	if m := maxSeen.Load(); m > 1 {
-		t.Errorf("gated linter saw %d concurrent checks, declared 1", m)
 	}
 }
 

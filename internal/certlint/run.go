@@ -3,7 +3,6 @@ package certlint
 import (
 	"bytes"
 	"sort"
-	"time"
 
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -19,11 +18,6 @@ type Options struct {
 	Config *Config
 	// Obs receives lint.* metrics; nil disables them.
 	Obs *obs.Registry
-	// Now supplies wall-clock readings for the volatile throughput metric.
-	// Commands inject time.Now; libraries and tests leave it nil, which
-	// skips the measurement entirely (internal packages never read the
-	// clock themselves — the repolint wallclock rule).
-	Now func() time.Time
 }
 
 // CertFindings pairs one certificate's fingerprint with its sorted findings.
@@ -48,7 +42,7 @@ func (r *Registry) RunCert(c *x509lite.Certificate, ctx *Context, cfg *Config) [
 		if mask := cfg.effectiveProfiles(l); mask != ProfileAll && mask&profiles == 0 {
 			continue
 		}
-		detail, hit := r.runCheck(i, l, c, ctx)
+		detail, hit := l.Check(c, ctx)
 		if !hit {
 			continue
 		}
@@ -67,15 +61,6 @@ func (r *Registry) RunCert(c *x509lite.Certificate, ctx *Context, cfg *Config) [
 	return out
 }
 
-// runCheck invokes one linter's check, honouring its declared concurrency.
-func (r *Registry) runCheck(i int, l Linter, c *x509lite.Certificate, ctx *Context) (string, bool) {
-	if g := r.gate(i); g != nil {
-		g <- struct{}{}
-		defer func() { <-g }()
-	}
-	return l.Check(c, ctx)
-}
-
 // sortFindings orders findings by (LintID, Severity) — the stable order
 // every consumer (reports, the findings column, the goldens) relies on.
 func sortFindings(fs []Finding) {
@@ -91,15 +76,8 @@ func sortFindings(fs []Finding) {
 // findings sorted by fingerprint. The output is byte-identical at any worker
 // count: each certificate is linted independently, parallel.Map preserves
 // input order, and the final fingerprint sort erases any residual input
-// ordering. Metrics are counted after the barrier so they are stable too;
-// only the lint.certs_per_sec histogram is volatile (and only measured when
-// Options.Now is injected).
+// ordering. Metrics are counted after the barrier, so they are stable too.
 func (r *Registry) RunCorpus(certs []*x509lite.Certificate, ctx *Context, opts Options) []CertFindings {
-	var start time.Time
-	if opts.Now != nil {
-		start = opts.Now()
-	}
-
 	results := parallel.Map(opts.Workers, len(certs), func(i int) CertFindings {
 		c := certs[i]
 		return CertFindings{
@@ -127,12 +105,6 @@ func (r *Registry) RunCorpus(certs []*x509lite.Certificate, ctx *Context, opts O
 		reg.Counter("lint.findings.warn").Add(bySev[Warn])
 		reg.Counter("lint.findings.error").Add(bySev[Error])
 		reg.Counter("lint.findings.fatal").Add(bySev[Fatal])
-		if opts.Now != nil {
-			if secs := opts.Now().Sub(start).Seconds(); secs > 0 {
-				reg.Histogram("lint.certs_per_sec", nil, obs.Volatile).
-					Observe(int64(float64(len(results)) / secs))
-			}
-		}
 	}
 	return results
 }

@@ -122,8 +122,7 @@ func TestRunCorpusSortedByFingerprint(t *testing.T) {
 	}
 }
 
-// TestRunCorpusMetrics checks the stable lint.* metrics and that the
-// volatile throughput histogram only appears when a clock is injected.
+// TestRunCorpusMetrics checks the stable lint.* metrics.
 func TestRunCorpusMetrics(t *testing.T) {
 	certs, ctx := corpusCerts(t, 97)
 	reg := obs.NewRegistry()
@@ -159,20 +158,6 @@ func TestRunCorpusMetrics(t *testing.T) {
 		reg.Counter("lint.findings.fatal").Value()
 	if sum != wantFindings {
 		t.Errorf("severity counters sum to %d, want %d", sum, wantFindings)
-	}
-	if n := reg.Histogram("lint.certs_per_sec", nil, obs.Volatile).Count(); n != 0 {
-		t.Errorf("throughput histogram observed %d times without a clock", n)
-	}
-
-	// With an injected fake clock the volatile histogram gets one sample.
-	clock := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
-	now := func() time.Time {
-		clock = clock.Add(250 * time.Millisecond)
-		return clock
-	}
-	Default().RunCorpus(certs, ctx, Options{Workers: 4, Obs: reg, Now: now})
-	if n := reg.Histogram("lint.certs_per_sec", nil, obs.Volatile).Count(); n != 1 {
-		t.Errorf("throughput histogram observed %d times with a clock, want 1", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package certmutate
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/big"
 	"sort"
 	"strings"
@@ -459,7 +458,7 @@ func filterClass(c Class) []Operator {
 // findExtension returns the index of the first Extension TLV carrying oid,
 // or -1.
 func findExtension(exts [][]byte, oid []int) int {
-	want := oidContentsOf(oid)
+	want := asn1der.OIDContents(oid)
 	for i, ext := range exts {
 		if bytes.Equal(extensionOID(ext), want) {
 			return i
@@ -482,18 +481,6 @@ func replaceOrAppendExtension(p *certParts, oid []int, repl []byte) error {
 	}
 	p.setExtensionList(exts)
 	return nil
-}
-
-// oidContentsOf encodes an OID and strips the 2-byte header, yielding the
-// raw contents RawOID-style comparisons use.
-func oidContentsOf(oid []int) []byte {
-	var e asn1der.Encoder
-	e.OID(oid)
-	b := e.Bytes()
-	if len(b) < 2 || int(b[1]) != len(b)-2 {
-		panic(fmt.Sprintf("certmutate: unexpected OID encoding %x", b))
-	}
-	return b[2:]
 }
 
 // rawTLV frames content under tag with a minimal definite length. The

@@ -483,10 +483,3 @@ func curve(name string, c *stats.CDF, xs []float64) string {
 	}
 	return stats.FormatSeries(name, c.Curve(xs))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

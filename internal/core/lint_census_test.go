@@ -71,7 +71,7 @@ func TestStreamLintSpillsRuns(t *testing.T) {
 	_, wantLint := inMemoryArtifacts(t, streamEquivConfig())
 	for _, workers := range []int{1, 4} {
 		cfg := streamEquivConfig()
-		cfg.Workers, cfg.Scan.Workers = workers, workers
+		cfg.Workers = workers
 		cfg.Stream = StreamConfig{ChunkSize: 64, MemBudget: 1 << 16, SpillDir: t.TempDir()}
 		reg := obs.NewRegistry()
 		cfg.Obs = reg

@@ -96,7 +96,7 @@ func TestPipelineObsDeterministic(t *testing.T) {
 		reg := obs.NewRegistry()
 		var traceBuf, journalBuf bytes.Buffer
 		cfg := equivConfig()
-		cfg.Workers, cfg.Scan.Workers = workers, workers
+		cfg.Workers = workers
 		cfg.Obs = reg
 		cfg.Tracer = obs.NewTracer(&traceBuf, obsFakeClock())
 		cfg.Journal = obs.NewJournal(&journalBuf, obsFakeClock(), 0)

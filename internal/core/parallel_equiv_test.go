@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
+
+	"securepki/internal/parallel"
 )
 
 // equivConfig shrinks the world so two full pipeline runs stay fast; the
@@ -93,3 +98,56 @@ func TestPipelineSerialParallelEquivalence(t *testing.T) {
 
 // wantEquivSummarySHA256 is the SHA-256 of equivConfig's Summarize JSON.
 const wantEquivSummarySHA256 = "077ac289af1f266e3515d84bc9fc65deed87e33b62d3091808f3316923233273"
+
+// dispatchLog is a parallel.Observer that counts pool dispatches and keeps
+// every one that was not a single serial block.
+type dispatchLog struct {
+	mu      sync.Mutex
+	n       int
+	blocked [][2]int // (block, items) of each dispatch cut into blocks
+}
+
+func (d *dispatchLog) ParallelDispatch(block, items int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.n++
+	if block != items {
+		d.blocked = append(d.blocked, [2]int{block, items})
+	}
+}
+
+// TestWorkersBoundsEveryStage: Config.Workers is the one worker knob of
+// both build paths. With GOMAXPROCS at 4 and Workers at 1, every pool
+// dispatch of core.Run and of core.StreamSnapshot must run its whole range
+// as one serial block.
+func TestWorkersBoundsEveryStage(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	defer parallel.SetObserver(nil)
+	for _, path := range []struct {
+		name  string
+		build func(cfg Config) error
+	}{
+		{"resident", func(cfg Config) error { _, err := Run(cfg); return err }},
+		{"streamed", func(cfg Config) error {
+			cfg.Stream = StreamConfig{ChunkSize: 64, MemBudget: 1 << 16, SpillDir: t.TempDir()}
+			_, err := StreamSnapshot(cfg, true, io.Discard, io.Discard)
+			return err
+		}},
+	} {
+		log := &dispatchLog{}
+		parallel.SetObserver(log)
+		cfg := streamEquivConfig()
+		cfg.Workers = 1
+		if err := path.build(cfg); err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		parallel.SetObserver(nil)
+		if log.n == 0 {
+			t.Fatalf("%s: no pool dispatch observed", path.name)
+		}
+		if len(log.blocked) > 0 {
+			t.Errorf("%s: %d of %d dispatches ran in blocks at Workers 1, (block, items) %v",
+				path.name, len(log.blocked), log.n, log.blocked)
+		}
+	}
+}

@@ -29,10 +29,10 @@ type Config struct {
 	World   devicesim.Config
 	Scan    scanner.Config
 	Linking linking.Config
-	// Workers bounds the pipeline's parallel stages — validation, index
-	// building and linking; <= 0 means GOMAXPROCS. The scan stage has its
-	// own knob (Scan.Workers). Results are byte-identical at any worker
-	// count; see DESIGN.md "Concurrency model & determinism".
+	// Workers bounds every parallel stage of both build paths — scan,
+	// validation, index building, lint, linking and the snapshot codec;
+	// <= 0 means GOMAXPROCS. Results are byte-identical at any worker count;
+	// see DESIGN.md "Concurrency model & determinism".
 	Workers int
 	// Obs receives the core.* stage counters (certs validated per status,
 	// sightings indexed, link coverage, chain-memo hits/misses) and is
@@ -165,7 +165,7 @@ func (p *Pipeline) Scan() error {
 	}
 	span := p.Config.stage("core.scan", stageScan)
 	signs, keygens := p.World.Signs(), p.World.Keygens()
-	corpus, truth, err := camp.Run()
+	corpus, truth, err := camp.Run(p.Config.Workers)
 	if err != nil {
 		return fmt.Errorf("core: scan: %w", err)
 	}
@@ -319,18 +319,14 @@ func (p *Pipeline) WriteLintColumn(w io.Writer) error {
 	return nil
 }
 
-// Link runs the §6 pipeline (stage 4). The pipeline-level Workers knob
-// applies unless the linking config pins its own.
+// Link runs the §6 pipeline (stage 4) across Config.Workers.
 func (p *Pipeline) Link() {
 	span := p.Config.stage("core.link", stageLink)
 	cfg := p.Config.Linking
-	if cfg.Workers == 0 {
-		cfg.Workers = p.Config.Workers
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = p.Config.Obs
 	}
-	p.Linker = linking.NewLinker(p.Dataset, cfg)
+	p.Linker = linking.NewLinker(p.Dataset, cfg, p.Config.Workers)
 	p.LinkResult = p.Linker.Link()
 	reg := p.Config.Obs
 	reg.Counter("core.link.invalid_total").Add(int64(p.Linker.InvalidTotal()))

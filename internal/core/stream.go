@@ -114,7 +114,7 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 
 	span = cfg.stage("core.scan", stageScan)
 	signs, keygens := world.Signs(), world.Keygens()
-	if err := camp.StreamRun(gen, cfg.Stream.ChunkSize, store); err != nil {
+	if err := camp.StreamRun(gen, cfg.Stream.ChunkSize, cfg.Workers, store); err != nil {
 		return nil, fmt.Errorf("core: stream scan: %w", err)
 	}
 	liveGauge.Set(int64(store.LiveChunks()))

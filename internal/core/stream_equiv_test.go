@@ -105,7 +105,6 @@ func TestStreamSnapshotMatchesInMemory(t *testing.T) {
 					cfg := streamEquivConfig()
 					row.adjust(&cfg)
 					cfg.Workers = workers
-					cfg.Scan.Workers = workers
 					cfg.Stream.ChunkSize = chunk
 					cfg.Stream.SpillDir = t.TempDir()
 					if chunk == 64 {

@@ -37,7 +37,7 @@ var wantWork = map[string]int64{
 func TestEd25519WorkCounters(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
 		cfg := SmallConfig()
-		cfg.Workers, cfg.Scan.Workers = workers, workers
+		cfg.Workers = workers
 		reg := obs.NewRegistry()
 		cfg.Obs = reg
 		p := &Pipeline{Config: cfg}

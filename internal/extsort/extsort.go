@@ -1,9 +1,10 @@
 // Package extsort is the external-merge substrate of the snapshot writer:
 // sorters over fixed-width records that buffer rows up to a memory budget,
-// spill sorted runs to checksummed temporary shards when the budget is hit,
-// and k-way merge every run back into one ordered stream. It also provides
-// memory-first, checksummed append-only spill files for byte payloads that
-// must transit disk between a streaming producer and the final output copy.
+// spill each sorted buffer as one run when the budget is hit, and k-way
+// merge every run back into one ordered stream. Runs are SpillFiles: the
+// memory-first, checksummed append-only files that also carry byte payloads
+// between a streaming producer and the final output copy. The k-way merge
+// itself (Merge) is generic, so sorters of other records share it.
 //
 // Order contract: a record's encoding is its sort key. Records come back in
 // ascending byte order of their encodings, so a multi-field order is a
@@ -14,17 +15,17 @@
 // happened to spill. Ordering by bytes is also what lets the run sort be an
 // LSD radix sort instead of a comparison sort.
 //
-// Distrust discipline (the snapshot package's rules): every run shard
-// carries a magic, its record width, an exact record count and a trailing
-// SHA-256 over header and payload. Readers reject width/size mismatches
-// before allocating and verify the digest as the run drains, so a truncated
-// or bit-flipped spill surfaces as an explicit error from Merge, never as a
-// silently wrong index.
+// Distrust discipline (the snapshot package's rules): every spilled run is a
+// sealed SpillFile, whose SHA-256, taken as the run is written, is checked
+// as the run drains, so a truncated or bit-flipped spill surfaces as an
+// explicit error from Merge, never as a silently wrong index.
 package extsort
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"slices"
 )
 
@@ -39,12 +40,12 @@ type Config[R any] struct {
 	// Decode reads one record back from src (exactly Size bytes).
 	Decode func(src []byte) R
 	// MemBudget caps the in-memory buffer, in encoded bytes; when an Add
-	// would hold more than this, the buffer spills to a sorted run shard.
+	// would hold more than this, the buffer spills as one sorted run.
 	// The radix sort needs a second buffer of the same size, which the
 	// sorter keeps from its first sort until Close, so a sorter holds up to
 	// twice MemBudget. <= 0 means DefaultMemBudget.
 	MemBudget int64
-	// Dir is where run shards are created ("" means the OS temp dir).
+	// Dir is where run files are created ("" means the OS temp dir).
 	Dir string
 }
 
@@ -58,14 +59,14 @@ type Sorter[R any] struct {
 	cfg  Config[R]
 	buf  []byte // encoded records, Size bytes each
 	tmp  []byte // the radix sort's second buffer, kept for the next run
-	runs []*runShard
+	runs []*SpillFile
 	err  error
 }
 
 // NewSorter validates the config and returns an empty sorter.
 func NewSorter[R any](cfg Config[R]) (*Sorter[R], error) {
-	if cfg.Size <= 0 || cfg.Size > maxRecordSize {
-		return nil, fmt.Errorf("extsort: record size %d outside (0, %d]", cfg.Size, maxRecordSize)
+	if cfg.Size <= 0 {
+		return nil, fmt.Errorf("extsort: record size %d, want > 0", cfg.Size)
 	}
 	if cfg.Encode == nil || cfg.Decode == nil {
 		return nil, fmt.Errorf("extsort: config needs Encode and Decode")
@@ -120,19 +121,20 @@ func (s *Sorter[R]) sortBuf() {
 	s.buf, s.tmp = radixSort(s.buf, s.tmp[:len(s.buf)], s.cfg.Size)
 }
 
-// spill sorts the buffer and writes it as one run shard.
+// spill sorts the buffer and writes it as one run: a SpillFile that goes to
+// disk at its first byte and is sealed at once.
 func (s *Sorter[R]) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
 	s.sortBuf()
-	run, err := writeRunShard(s.cfg.Dir, s.cfg.Size, s.buf)
-	if err != nil {
+	run := NewSpillFile(s.cfg.Dir, "extsort-run-*.spill", 0)
+	s.runs = append(s.runs, run)
+	if _, err := run.Write(s.buf); err != nil {
 		return err
 	}
-	s.runs = append(s.runs, run)
 	s.buf = s.buf[:0]
-	return nil
+	return run.Seal()
 }
 
 // grow returns b with room for n more bytes. Capacity doubles but stops at
@@ -207,109 +209,115 @@ func radixSort(buf, tmp []byte, size int) (sorted, spare []byte) {
 	return src, dst
 }
 
-// mergeSrc is one sorted source feeding the merge: a run shard reader or
-// the in-memory remainder. cur is its current record, valid until next.
-type mergeSrc struct {
-	cur  []byte
-	next func() ([]byte, bool, error)
-}
-
 // Merge sorts the in-memory remainder and streams every record, across all
 // runs, to fn in encoding order. Records already handed to fn before an
-// error must be discarded by the caller: a corrupt run shard is only
-// provably corrupt once its digest trailer is reached, so Merge guarantees
-// detection, not early abort. Merge consumes the sorter; Close releases the
-// run shards afterwards.
+// error must be discarded by the caller: a corrupt run is only provably
+// corrupt once it has drained and its digest is checked, so Merge
+// guarantees detection, not early abort. Merge consumes the sorter; Close
+// releases the runs afterwards.
 func (s *Sorter[R]) Merge(fn func(r R) error) error {
 	if s.err != nil {
 		return s.err
 	}
 	s.sortBuf()
-	size, decode := s.cfg.Size, s.cfg.Decode
-	if len(s.runs) == 0 {
-		for i := 0; i < len(s.buf); i += size {
-			if err := fn(decode(s.buf[i : i+size])); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	srcs := make([]*mergeSrc, 0, len(s.runs)+1)
-	for _, run := range s.runs {
-		rd, err := newRunReader(run, size)
+	size := s.cfg.Size
+	srcs := make([]func() ([]byte, bool, error), 0, len(s.runs)+1)
+	for i, run := range s.runs {
+		rd, err := run.Reader()
 		if err != nil {
 			return err
 		}
-		srcs = append(srcs, &mergeSrc{next: rd.next})
+		// Records come off a small buffer of their own, so the run's
+		// digest is taken over whole blocks, not record by record.
+		br := bufio.NewReaderSize(rd, 4<<10)
+		rec := make([]byte, size)
+		srcs = append(srcs, func() ([]byte, bool, error) {
+			if _, err := io.ReadFull(br, rec); err != nil {
+				if err == io.EOF {
+					return nil, false, nil
+				}
+				return nil, false, fmt.Errorf("extsort: run %d: %w", i, err)
+			}
+			return rec, true, nil
+		})
 	}
-	buf, pos := s.buf, 0
-	srcs = append(srcs, &mergeSrc{next: func() ([]byte, bool, error) {
-		if pos >= len(buf) {
+	rest := s.buf
+	srcs = append(srcs, func() ([]byte, bool, error) {
+		if len(rest) == 0 {
 			return nil, false, nil
 		}
-		pos += size
-		return buf[pos-size : pos], true, nil
-	}})
+		rec := rest[:size]
+		rest = rest[size:]
+		return rec, true, nil
+	})
+	return Merge(srcs, func(a, b []byte) bool { return bytes.Compare(a, b) < 0 },
+		func(rec []byte) error { return fn(s.cfg.Decode(rec)) })
+}
 
-	// A binary min-heap of live sources, ordered by current record. Equal
-	// records are identical, so which source yields first cannot matter.
-	heap := make([]*mergeSrc, 0, len(srcs))
-	for _, src := range srcs {
-		rec, ok, err := src.next()
+// Merge k-way merges sorted sources into fn in the order less defines. Each
+// source yields its next record per call, or false once it is drained; a
+// record need only stay valid until its source's next call. Which of two
+// equal records comes first is unspecified, so records that compare equal
+// must be interchangeable. The first error a source or fn returns ends the
+// merge and is returned.
+func Merge[T any](srcs []func() (T, bool, error), less func(a, b T) bool, fn func(T) error) error {
+	type head struct {
+		rec  T
+		next func() (T, bool, error)
+	}
+	// A binary min-heap of the live sources, ordered by current record.
+	h := make([]*head, 0, len(srcs))
+	for _, next := range srcs {
+		rec, ok, err := next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			src.cur = rec
-			heap = append(heap, src)
+			h = append(h, &head{rec, next})
 		}
 	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(heap, i)
+	down := func(i int) {
+		for {
+			m := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < len(h) && less(h[c].rec, h[m].rec) {
+					m = c
+				}
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
 	}
-	for len(heap) > 0 {
-		top := heap[0]
-		if err := fn(decode(top.cur)); err != nil {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		if err := fn(h[0].rec); err != nil {
 			return err
 		}
-		rec, ok, err := top.next()
+		rec, ok, err := h[0].next()
 		if err != nil {
 			return err
 		}
 		if ok {
-			top.cur = rec
+			h[0].rec = rec
 		} else {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		siftDown(heap, 0)
+		down(0)
 	}
 	return nil
 }
 
-// siftDown restores the heap property below position i.
-func siftDown(heap []*mergeSrc, i int) {
-	for {
-		min := i
-		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(heap) && bytes.Compare(heap[c].cur, heap[min].cur) < 0 {
-				min = c
-			}
-		}
-		if min == i {
-			return
-		}
-		heap[i], heap[min] = heap[min], heap[i]
-		i = min
-	}
-}
-
-// Close removes every spilled run shard. Safe to call more than once.
+// Close removes every spilled run. Safe to call more than once.
 func (s *Sorter[R]) Close() error {
 	var first error
 	for _, run := range s.runs {
-		if err := run.remove(); err != nil && first == nil {
+		if err := run.Remove(); err != nil && first == nil {
 			first = err
 		}
 	}

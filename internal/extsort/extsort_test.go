@@ -3,9 +3,11 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -88,7 +90,7 @@ func TestSorterMatchesInMemorySort(t *testing.T) {
 	}
 }
 
-// TestSorterCloseRemovesRuns checks no spill shards outlive Close.
+// TestSorterCloseRemovesRuns checks no run files outlive Close.
 func TestSorterCloseRemovesRuns(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewSorter(recConfig(dir, 16))
@@ -111,22 +113,23 @@ func TestSorterCloseRemovesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(left) != 0 {
-		t.Fatalf("spill shards left after Close: %v", left)
+		t.Fatalf("run files left after Close: %v", left)
 	}
 }
 
-// spillShardPath returns the single run shard a sorter has spilled.
-func spillShardPath(t *testing.T, dir string) string {
+// runPath returns the single run file a sorter has spilled.
+func runPath(t *testing.T, dir string) string {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join(dir, "extsort-run-*"))
 	if err != nil || len(paths) != 1 {
-		t.Fatalf("want exactly one run shard, got %v (err %v)", paths, err)
+		t.Fatalf("want exactly one run file, got %v (err %v)", paths, err)
 	}
 	return paths[0]
 }
 
-// corruptSorter builds a sorter with exactly one spilled run and hands the
-// shard path to mutate, then asserts Merge fails.
+// corruptSorter builds a sorter with exactly one spilled run, 8 records of
+// 8 bytes, and hands the run file's path to mutate, then asserts Merge
+// fails.
 func corruptSorter(t *testing.T, mutate func(path string)) {
 	t.Helper()
 	dir := t.TempDir()
@@ -143,10 +146,10 @@ func corruptSorter(t *testing.T, mutate func(path string)) {
 		t.Fatalf("want 1 run, got %d", s.Runs())
 	}
 	defer s.Close()
-	mutate(spillShardPath(t, dir))
+	mutate(runPath(t, dir))
 	err = s.Merge(func(rec) error { return nil })
 	if err == nil {
-		t.Fatal("Merge succeeded over a corrupt run shard")
+		t.Fatal("Merge succeeded over a corrupt run")
 	}
 	t.Logf("detected: %v", err)
 }
@@ -162,24 +165,25 @@ func rewrite(t *testing.T, path string, mutate func(b []byte) []byte) {
 	}
 }
 
-// TestMergeDetectsBitFlip: a payload bit flip fails the digest check.
+// TestMergeDetectsBitFlip: a record bit flip fails the digest check.
 func TestMergeDetectsBitFlip(t *testing.T) {
 	corruptSorter(t, func(path string) {
 		rewrite(t, path, func(b []byte) []byte {
-			b[runHeaderLen+3] ^= 0x40
+			b[3] ^= 0x40
 			return b
 		})
 	})
 }
 
-// TestMergeDetectsTruncation: a shard cut short fails before decoding.
+// TestMergeDetectsTruncation: a run cut short fails the digest check.
 func TestMergeDetectsTruncation(t *testing.T) {
 	corruptSorter(t, func(path string) {
 		rewrite(t, path, func(b []byte) []byte { return b[:len(b)-5] })
 	})
 }
 
-// TestMergeDetectsBadMagic: a foreign file is rejected up front.
+// TestMergeDetectsBadMagic: a foreign magic over a run's first 8 bytes
+// fails the digest check.
 func TestMergeDetectsBadMagic(t *testing.T) {
 	corruptSorter(t, func(path string) {
 		rewrite(t, path, func(b []byte) []byte {
@@ -189,7 +193,8 @@ func TestMergeDetectsBadMagic(t *testing.T) {
 	})
 }
 
-// TestMergeDetectsCountLie: an inflated record count is a size mismatch.
+// TestMergeDetectsCountLie: a huge little-endian record count over bytes
+// 16–23 fails the digest check.
 func TestMergeDetectsCountLie(t *testing.T) {
 	corruptSorter(t, func(path string) {
 		rewrite(t, path, func(b []byte) []byte {
@@ -199,7 +204,8 @@ func TestMergeDetectsCountLie(t *testing.T) {
 	})
 }
 
-// TestMergeDetectsWrongRecordSize: a width mismatch is rejected up front.
+// TestMergeDetectsWrongRecordSize: another record width over bytes 8–11
+// fails the digest check.
 func TestMergeDetectsWrongRecordSize(t *testing.T) {
 	corruptSorter(t, func(path string) {
 		rewrite(t, path, func(b []byte) []byte {
@@ -207,6 +213,66 @@ func TestMergeDetectsWrongRecordSize(t *testing.T) {
 			return b
 		})
 	})
+}
+
+// TestMergeSources drives the shared k-way merge directly: no sources, one
+// source, drained sources among live ones, equal records from two sources,
+// and a source that fails partway, which ends the merge with its error.
+func TestMergeSources(t *testing.T) {
+	from := func(recs ...int) func() (int, bool, error) {
+		return func() (int, bool, error) {
+			if len(recs) == 0 {
+				return 0, false, nil
+			}
+			r := recs[0]
+			recs = recs[1:]
+			return r, true, nil
+		}
+	}
+	merge := func(srcs ...func() (int, bool, error)) ([]int, error) {
+		var out []int
+		err := Merge(srcs, func(a, b int) bool { return a < b }, func(r int) error {
+			out = append(out, r)
+			return nil
+		})
+		return out, err
+	}
+	for _, tc := range []struct {
+		name string
+		srcs []func() (int, bool, error)
+		want []int
+	}{
+		{"no sources", nil, nil},
+		{"one source", []func() (int, bool, error){from(1, 2, 3)}, []int{1, 2, 3}},
+		{"empty sources", []func() (int, bool, error){from(), from(2, 4), from(), from(1, 3), from()}, []int{1, 2, 3, 4}},
+		{"equal records", []func() (int, bool, error){from(1, 5, 5, 9), from(5, 9)}, []int{1, 5, 5, 5, 9, 9}},
+	} {
+		got, err := merge(tc.srcs...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("%s: merged %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// The failing source yields 2 and 4, then an error: the merge hands on
+	// what sorts before the failed read and nothing after it.
+	boom := errors.New("boom")
+	calls := 0
+	failing := func() (int, bool, error) {
+		if calls++; calls == 3 {
+			return 0, false, boom
+		}
+		return 2 * calls, true, nil
+	}
+	got, err := merge(from(1, 3, 5, 7), failing)
+	if !errors.Is(err, boom) {
+		t.Fatalf("merge over a failing source returned %v, want %v", err, boom)
+	}
+	if want := []int{1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("merge over a failing source handed on %v, want %v", got, want)
+	}
 }
 
 // TestSpillFileRoundTrip writes across the memory limit, reads back twice,
@@ -347,6 +413,55 @@ func TestRadixSortMatchesByteOrder(t *testing.T) {
 					t.Fatalf("size %d n %d: record %d = %x, want %x", size, n, i, got[i*size:(i+1)*size], want[i])
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkSorterSpilledMerge sorts 2^18 12-byte records at a budget that
+// makes the merge fan-in 24 (23 spilled runs and the remainder), the
+// snapshot sorters' fan-in in a DefaultConfig streamed build at a 2 MiB
+// budget, and merges them back: Add with every spill, then Merge.
+func BenchmarkSorterSpilledMerge(b *testing.B) {
+	const n, runs = 1 << 18, 24
+	rng := stats.NewRNG(5)
+	keys := make([][12]byte, n)
+	for i := range keys {
+		binary.BigEndian.PutUint32(keys[i][:], rng.Uint32())
+		binary.BigEndian.PutUint64(keys[i][4:], rng.Uint64())
+	}
+	cfg := Config[[12]byte]{
+		Size:      12,
+		Encode:    func(dst []byte, r [12]byte) { copy(dst, r[:]) },
+		Decode:    func(src []byte) [12]byte { return [12]byte(src) },
+		MemBudget: n * 12 / runs,
+		Dir:       b.TempDir(),
+	}
+	b.SetBytes(n * 12)
+	for i := 0; i < b.N; i++ {
+		s, err := NewSorter(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := s.Add(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if s.FanIn() != runs {
+			b.Fatalf("merge fan-in %d, want %d", s.FanIn(), runs)
+		}
+		var last [12]byte
+		if err := s.Merge(func(r [12]byte) error {
+			if bytes.Compare(r[:], last[:]) < 0 {
+				return errors.New("merge out of order")
+			}
+			last = r
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

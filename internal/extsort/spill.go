@@ -4,152 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"hash"
 	"io"
 	"os"
 )
-
-// Run shard layout (integers little-endian):
-//
-//	magic      [8]byte  "SPKIRUN1"
-//	recordSize uint32
-//	reserved   uint32   must be zero
-//	count      uint64
-//	records    count × recordSize bytes, sorted
-//	digest     [32]byte SHA-256 of everything above
-//
-// The file ends exactly after the digest; any size mismatch is an error
-// before a single record is decoded.
-const (
-	runMagic     = "SPKIRUN1"
-	runHeaderLen = 8 + 4 + 4 + 8
-	runDigestLen = 32
-	// maxRecordSize bounds one record's encoded width; runs hold index
-	// rows (a few dozen bytes), so 64 KiB is absurdly generous and keeps a
-	// hostile header from sizing huge reads.
-	maxRecordSize = 1 << 16
-)
-
-// runShard is one spilled sorted run on disk.
-type runShard struct {
-	f     *os.File
-	path  string
-	count int64
-	size  int64 // total file size including header and digest
-}
-
-func (r *runShard) remove() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f = nil
-	if rmErr := os.Remove(r.path); err == nil {
-		err = rmErr
-	}
-	return err
-}
-
-// writeRunShard writes one sorted buffer of size-byte records as a run
-// shard in dir.
-func writeRunShard(dir string, size int, recs []byte) (*runShard, error) {
-	f, err := os.CreateTemp(dir, "extsort-run-*.spill")
-	if err != nil {
-		return nil, fmt.Errorf("extsort: create run shard: %w", err)
-	}
-	count := int64(len(recs) / size)
-	run := &runShard{f: f, path: f.Name(), count: count}
-	h := sha256.New()
-	w := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<16)
-
-	var head [runHeaderLen]byte
-	copy(head[:8], runMagic)
-	binary.LittleEndian.PutUint32(head[8:], uint32(size))
-	binary.LittleEndian.PutUint64(head[16:], uint64(count))
-	w.Write(head[:])
-	w.Write(recs)
-	if err := w.Flush(); err != nil {
-		run.remove()
-		return nil, fmt.Errorf("extsort: write run shard: %w", err)
-	}
-	var sum [runDigestLen]byte
-	h.Sum(sum[:0])
-	if _, err := f.Write(sum[:]); err != nil {
-		run.remove()
-		return nil, fmt.Errorf("extsort: write run shard digest: %w", err)
-	}
-	run.size = runHeaderLen + int64(len(recs)) + runDigestLen
-	return run, nil
-}
-
-// runReader streams one shard's records back, verifying the header up front
-// and the digest as the last record drains.
-type runReader struct {
-	r    *bufio.Reader
-	h    hash.Hash
-	rec  []byte
-	left int64
-}
-
-func newRunReader(run *runShard, size int) (*runReader, error) {
-	fi, err := run.f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("extsort: stat run shard: %w", err)
-	}
-	rd := &runReader{
-		r:   bufio.NewReaderSize(io.NewSectionReader(run.f, 0, fi.Size()), 1<<14),
-		h:   sha256.New(),
-		rec: make([]byte, size),
-	}
-	var head [runHeaderLen]byte
-	if _, err := io.ReadFull(rd.r, head[:]); err != nil {
-		return nil, fmt.Errorf("extsort: run shard %s: truncated header: %w", run.path, err)
-	}
-	rd.h.Write(head[:])
-	if string(head[:8]) != runMagic {
-		return nil, fmt.Errorf("extsort: run shard %s: bad magic", run.path)
-	}
-	if got := binary.LittleEndian.Uint32(head[8:]); got != uint32(size) {
-		return nil, fmt.Errorf("extsort: run shard %s: record size %d, want %d", run.path, got, size)
-	}
-	if rsv := binary.LittleEndian.Uint32(head[12:]); rsv != 0 {
-		return nil, fmt.Errorf("extsort: run shard %s: nonzero reserved field", run.path)
-	}
-	count := binary.LittleEndian.Uint64(head[16:])
-	want := runHeaderLen + int64(count)*int64(size) + runDigestLen
-	if int64(count) < 0 || want != fi.Size() {
-		return nil, fmt.Errorf("extsort: run shard %s: %d bytes on disk, header claims %d records (%d bytes)",
-			run.path, fi.Size(), count, want)
-	}
-	rd.left = int64(count)
-	return rd, nil
-}
-
-// next returns the following record, valid until the next call; ok=false
-// marks a cleanly verified end of run. A digest mismatch or short read is an
-// error.
-func (r *runReader) next() ([]byte, bool, error) {
-	if r.left == 0 {
-		var stored [runDigestLen]byte
-		if _, err := io.ReadFull(r.r, stored[:]); err != nil {
-			return nil, false, fmt.Errorf("extsort: run shard truncated digest: %w", err)
-		}
-		var sum [runDigestLen]byte
-		r.h.Sum(sum[:0])
-		if sum != stored {
-			return nil, false, fmt.Errorf("extsort: run shard digest mismatch (corrupt spill)")
-		}
-		return nil, false, nil
-	}
-	if _, err := io.ReadFull(r.r, r.rec); err != nil {
-		return nil, false, fmt.Errorf("extsort: run shard truncated: %w", err)
-	}
-	r.h.Write(r.rec)
-	r.left--
-	return r.rec, true, nil
-}
 
 // SpillFile is an append-only byte store that stays in memory until it
 // outgrows its limit, then moves to a temp file and appends there. Streaming

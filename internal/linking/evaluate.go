@@ -24,20 +24,13 @@ type FieldEval struct {
 	NumGroups      int
 }
 
-// Evaluate scores one field over the full eligible population, exactly as
-// Table 6 does: link on the field alone, then measure IP//24/AS consistency
-// of the resulting groups.
-func (l *Linker) Evaluate(f Feature) FieldEval {
-	return l.evalGroups(f, l.LinkOn(f, nil))
-}
-
 // evalGroups scores already-linked groups for one field. The per-group modal
 // counts fan out across the worker pool; the final sums are order-free
 // integer additions, so the score is identical at any worker count.
 func (l *Linker) evalGroups(f Feature, groups []Group) FieldEval {
 	ev := FieldEval{Feature: f, NumGroups: len(groups)}
 	type modal struct{ ip, s24, as, total int }
-	perGroup := parallel.Map(l.cfg.Workers, len(groups), func(i int) modal {
+	perGroup := parallel.Map(l.workers, len(groups), func(i int) modal {
 		im, sm, am, n := l.groupConsistencyCounts(groups[i])
 		return modal{im, sm, am, n}
 	})
@@ -102,7 +95,7 @@ func (l *Linker) EvaluateAll() []FieldEval {
 		ev     FieldEval
 		linked []scanstore.CertID
 	}
-	results := parallel.Map(l.cfg.Workers, int(numFeatures), func(fi int) fieldResult {
+	results := parallel.Map(l.workers, int(numFeatures), func(fi int) fieldResult {
 		f := Feature(fi)
 		groups := l.LinkOn(f, nil)
 		var linked []scanstore.CertID

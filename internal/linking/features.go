@@ -147,23 +147,5 @@ func joinIfAny(urls []string) (string, bool) {
 // linking (46.9% of all CNs), since linking devices by their address would
 // be circular.
 func IPFormattedCN(cert *x509lite.Certificate) bool {
-	return looksLikeIPv4(cert.Subject.CommonName)
-}
-
-func looksLikeIPv4(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if len(p) == 0 || len(p) > 3 {
-			return false
-		}
-		for _, c := range p {
-			if c < '0' || c > '9' {
-				return false
-			}
-		}
-	}
-	return true
+	return x509lite.LooksLikeIPv4(cert.Subject.CommonName)
 }

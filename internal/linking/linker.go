@@ -21,10 +21,6 @@ type Config struct {
 	// below this bound when building the final iterative linking (§6.4.3;
 	// the paper uses 90%).
 	MinASConsistency float64
-	// Workers bounds the linker's parallel passes (eligibility filtering,
-	// per-feature fan-out, group consistency checks); <= 0 means GOMAXPROCS.
-	// Results are identical at any worker count.
-	Workers int
 	// Obs receives the linking.* counters (candidate groups examined,
 	// groups confirmed by the overlap rule). Candidate sets are pure
 	// functions of the dataset, so the counts are worker-independent.
@@ -47,8 +43,9 @@ type certInfo struct {
 
 // Linker runs the §6 pipeline over a validated dataset.
 type Linker struct {
-	cfg Config
-	ds  *analysis.Dataset
+	cfg     Config
+	workers int
+	ds      *analysis.Dataset
 
 	eligible []certInfo
 	byID     map[scanstore.CertID]*certInfo
@@ -58,12 +55,14 @@ type Linker struct {
 }
 
 // NewLinker applies the §6.2 scan-duplicate rule to the dataset's invalid
-// certificates and prepares the eligible population. The per-certificate
-// uniqueness checks fan out across cfg.Workers; the eligible slice is then
-// assembled serially in certificate-ID order, so the population is identical
-// at any worker count.
-func NewLinker(ds *analysis.Dataset, cfg Config) *Linker {
-	l := &Linker{cfg: cfg, ds: ds, byID: make(map[scanstore.CertID]*certInfo)}
+// certificates and prepares the eligible population. Workers bounds the
+// linker's parallel passes (eligibility filtering, per-feature fan-out,
+// group consistency checks); <= 0 means GOMAXPROCS. The per-certificate
+// uniqueness checks fan out first; the eligible slice is then assembled
+// serially in certificate-ID order, so the population, like every result,
+// is identical at any worker count.
+func NewLinker(ds *analysis.Dataset, cfg Config, workers int) *Linker {
+	l := &Linker{cfg: cfg, workers: workers, ds: ds, byID: make(map[scanstore.CertID]*certInfo)}
 	certs := ds.Corpus.Certs()
 
 	// verdict per certificate: 0 not invalid/unseen, 1 excluded shared,
@@ -73,7 +72,7 @@ func NewLinker(ds *analysis.Dataset, cfg Config) *Linker {
 		shared
 		eligible
 	)
-	verdicts := parallel.Map(cfg.Workers, len(certs), func(i int) int8 {
+	verdicts := parallel.Map(workers, len(certs), func(i int) int8 {
 		rec := certs[i]
 		if !rec.Status.Invalid() {
 			return skip
@@ -165,7 +164,7 @@ type FeatureStat struct {
 // worker per feature (the AllFeatures fan-out); output stays in Table 5
 // column order because results are keyed by feature index.
 func (l *Linker) FeatureUniqueness() []FeatureStat {
-	return parallel.Map(l.cfg.Workers, int(numFeatures), func(fi int) FeatureStat {
+	return parallel.Map(l.workers, int(numFeatures), func(fi int) FeatureStat {
 		f := Feature(fi)
 		counts := make(map[string]int)
 		present := 0
@@ -273,7 +272,7 @@ func (l *Linker) LinkOn(f Feature, include map[scanstore.CertID]bool) []Group {
 	sort.Strings(values)
 	l.cfg.Obs.Counter("linking.candidates").Add(int64(len(values)))
 
-	checked := parallel.Map(l.cfg.Workers, len(values), func(i int) *Group {
+	checked := parallel.Map(l.workers, len(values), func(i int) *Group {
 		v := values[i]
 		members := cands[v]
 		if !l.linkable(members) {
@@ -295,11 +294,4 @@ func (l *Linker) LinkOn(f Feature, include map[scanstore.CertID]bool) []Group {
 	}
 	l.cfg.Obs.Counter("linking.groups.confirmed").Add(int64(len(out)))
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

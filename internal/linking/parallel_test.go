@@ -10,14 +10,10 @@ import (
 func TestLinkerSerialParallelEquivalence(t *testing.T) {
 	ds, _ := generated(t)
 
-	serialCfg := DefaultConfig()
-	serialCfg.Workers = 1
-	serial := NewLinker(ds, serialCfg)
+	serial := NewLinker(ds, DefaultConfig(), 1)
 
 	for _, workers := range []int{2, 4, 0} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		par := NewLinker(ds, cfg)
+		par := NewLinker(ds, DefaultConfig(), workers)
 
 		if serial.EligibleCount() != par.EligibleCount() ||
 			serial.ExcludedShared() != par.ExcludedShared() ||

@@ -1,5 +1,5 @@
 // Package obs is the repo's deterministic observability layer: a metric
-// registry (sharded atomic counters, gauges, fixed-bucket histograms) plus
+// registry (atomic counters, gauges, fixed-bucket histograms) plus
 // span tracing on an injected clock, with JSON renderings that are stable
 // enough to golden-test.
 //
@@ -8,10 +8,9 @@
 // not perturb determinism, and the *numbers themselves* must be
 // reproducible. Two rules follow:
 //
-//   - Counters are sharded across padded atomic cells so hot loops never
-//     contend, but Value() is the sum over shards — addition commutes, so a
-//     metric's value is independent of worker count and scheduling as long
-//     as the *events being counted* are deterministic.
+//   - A counter is one atomic and addition commutes, so a metric's value
+//     is independent of worker count and scheduling as long as the *events
+//     being counted* are deterministic.
 //   - Metrics whose event counts are inherently execution-dependent (shard
 //     geometry, wall-clock durations) are registered as volatile; the
 //     Stable() rendering excludes them, and that rendering is what golden
@@ -22,7 +21,6 @@
 package obs
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,21 +70,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// counterShards is the number of independent atomic cells per counter —
-// enough to decorrelate the worker pool without bloating snapshots.
-func counterShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 32 {
-		n = 32
-	}
-	// Round up to a power of two so AddShard can mask instead of mod.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // Counter returns the counter registered under name, creating it on first
 // use. Nil registries return nil (a valid no-op counter).
 func (r *Registry) Counter(name string, opts ...Option) *Counter {
@@ -98,8 +81,6 @@ func (r *Registry) Counter(name string, opts ...Option) *Counter {
 	c := r.counters[name]
 	if c == nil {
 		c = &Counter{name: name, volatile: isVolatile(opts)}
-		c.cells = make([]counterCell, counterShards())
-		c.mask = uint32(len(c.cells) - 1)
 		r.counters[name] = c
 	}
 	return c
@@ -144,57 +125,32 @@ func (r *Registry) Histogram(name string, bounds []int64, opts ...Option) *Histo
 	return h
 }
 
-// counterCell pads each atomic to its own cache line so sharded increments
-// from different workers never false-share.
-type counterCell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing sharded counter. The zero shard is
-// the default target; hot loops that already hold a number of their own (an
-// item index, a connection's worker index) should use AddShard to spread
-// contention. A nil *Counter is a no-op.
+// Counter is a monotonically increasing counter, one atomic. A nil
+// *Counter is a no-op.
 type Counter struct {
 	name     string
 	volatile bool
-	cells    []counterCell
-	mask     uint32
+	v        atomic.Int64
 }
 
-// Add increments the counter by n on the default shard.
+// Add increments the counter by n.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.cells[0].v.Add(n)
+	c.v.Add(n)
 }
 
-// Inc increments the counter by one on the default shard.
+// Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// AddShard increments by n on the cell selected by shard (masked into
-// range), so concurrent workers with distinct shard numbers never contend.
-// The shard choice never affects Value — addition commutes — so the number
-// need not be stable across runs, worker counts or schedules.
-func (c *Counter) AddShard(shard int, n int64) {
-	if c == nil {
-		return
-	}
-	c.cells[uint32(shard)&c.mask].v.Add(n)
-}
-
-// Value sums every shard. Safe to call concurrently with increments; the
+// Value returns the count. Safe to call concurrently with increments; the
 // result is then a momentary lower bound.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.cells {
-		total += c.cells[i].v.Load()
-	}
-	return total
+	return c.v.Load()
 }
 
 // Gauge is a settable instantaneous value. A nil *Gauge is a no-op.
@@ -228,10 +184,8 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Histogram counts observations into fixed buckets. Bucket counts are
-// plain atomics (not sharded): histograms sit on warm paths, not the
-// hottest loops, and per-bucket contention is already spread by value.
-// A nil *Histogram is a no-op.
+// Histogram counts observations into fixed buckets, one atomic each. A nil
+// *Histogram is a no-op.
 type Histogram struct {
 	name     string
 	volatile bool
@@ -296,8 +250,8 @@ type Snapshot struct {
 }
 
 // Snapshot renders every registered metric in sorted name order. The bytes
-// of its JSON encoding are a pure function of the metric values — shard
-// layout, registration order and worker count leave no trace.
+// of its JSON encoding are a pure function of the metric values —
+// registration order and worker count leave no trace.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{Version: MetricsVersion, Metrics: []Metric{}}
 	if r == nil {

@@ -9,7 +9,7 @@ import (
 
 // TestCounterShardingIndependence proves the core byte-stability claim: the
 // same event counts produce the same snapshot bytes regardless of how many
-// goroutines record them or which shards they hit.
+// goroutines record them.
 func TestCounterShardingIndependence(t *testing.T) {
 	render := func(workers int) []byte {
 		reg := NewRegistry()
@@ -25,7 +25,7 @@ func TestCounterShardingIndependence(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w * per; i < (w+1)*per; i++ {
-					c.AddShard(w, 3)
+					c.Add(3)
 					h.Observe(int64(i))
 				}
 			}(w)
@@ -46,8 +46,8 @@ func TestCounterValue(t *testing.T) {
 	c := reg.Counter("c")
 	c.Add(5)
 	c.Inc()
-	c.AddShard(7, 10)
-	c.AddShard(7777, 1) // masked into range, never out of bounds
+	c.Add(10)
+	c.Add(1)
 	if got := c.Value(); got != 17 {
 		t.Fatalf("Value = %d, want 17", got)
 	}
@@ -124,7 +124,7 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.Counter("c").Add(1)
-	reg.Counter("c").AddShard(3, 1)
+	reg.Counter("c").Inc()
 	reg.Gauge("g").Set(1)
 	reg.Gauge("g").Add(1)
 	reg.Histogram("h", []int64{1}).Observe(1)

@@ -59,9 +59,6 @@ type Config struct {
 	// blacklist is why its scans are consistently smaller (§4.1).
 	BlacklistProbUMich  float64
 	BlacklistProbRapid7 float64
-
-	// Workers for the per-scan host sweep; 0 means GOMAXPROCS.
-	Workers int
 }
 
 // DefaultConfig returns the campaign sizing used by the experiments.
@@ -248,13 +245,14 @@ func (c *Campaign) Blacklisted(op scanstore.Operator, p netsim.Prefix) bool {
 }
 
 // Run executes every scheduled scan in order and returns the corpus and the
-// ground truth: the whole population is swept as one chunk, interning each
-// sighting into the corpus in the order the sweep delivers it.
-func (c *Campaign) Run() (*scanstore.Corpus, *Truth, error) {
+// ground truth: the whole population is swept as one chunk across workers
+// goroutines (<= 0 means GOMAXPROCS), interning each sighting into the
+// corpus in the order the sweep delivers it.
+func (c *Campaign) Run(workers int) (*scanstore.Corpus, *Truth, error) {
 	corpus := scanstore.NewCorpus()
 	truth := &Truth{CertHosts: make(map[x509lite.Fingerprint]map[int]bool)}
 	obs := make([][]scanstore.Observation, len(c.schedule))
-	c.sweep(c.world.Hosts(), 0, c.lossRNGs(), func(scan, host int, cert *x509lite.Certificate, ip netsim.IP) {
+	c.sweep(c.world.Hosts(), 0, workers, c.lossRNGs(), func(scan, host int, cert *x509lite.Certificate, ip netsim.IP) {
 		obs[scan] = append(obs[scan], scanstore.Observation{Cert: corpus.Intern(cert), IP: ip})
 		fp := cert.Fingerprint()
 		set, ok := truth.CertHosts[fp]
@@ -282,18 +280,17 @@ func (c *Campaign) lossRNGs() []*stats.RNG {
 }
 
 // sweep advances hosts, whose global indexes start at base, through every
-// scheduled scan. Per scan, the host sweep fans out across the configured
-// workers, each (scan, host) pair drawing from an RNG seeded by the global
+// scheduled scan. Per scan, the host sweep fans out across workers, each (scan, host) pair drawing from an RNG seeded by the global
 // host index; the blacklist and loss filter then run serially in host order,
 // consuming lossRNGs[scan]. Appearances come back with their leaves pending,
 // so only the sightings the filter keeps are materialized — signed, in a
 // second fan-out — before every certificate of a surviving chain goes to
 // sink, in host order, with its scan, global host index and address.
-func (c *Campaign) sweep(hosts []devicesim.Host, base int, lossRNGs []*stats.RNG, sink func(scan, host int, cert *x509lite.Certificate, ip netsim.IP)) {
+func (c *Campaign) sweep(hosts []devicesim.Host, base, workers int, lossRNGs []*stats.RNG, sink func(scan, host int, cert *x509lite.Certificate, ip netsim.IP)) {
 	results := make([][]devicesim.Appearance, len(hosts))
 	for scanIdx, plan := range c.schedule {
 		start, end := plan.at, plan.at.Add(c.cfg.ScanWindow)
-		parallel.ForEach(c.cfg.Workers, len(hosts), func(h int) {
+		parallel.ForEach(workers, len(hosts), func(h int) {
 			seed := c.cfg.Seed ^ (uint64(scanIdx+1) << 32) ^ uint64(base+h)*0x9e3779b97f4a7c15
 			results[h] = hosts[h].Appearances(start, end, stats.NewRNG(seed))
 		})
@@ -309,7 +306,7 @@ func (c *Campaign) sweep(hosts []devicesim.Host, base int, lossRNGs []*stats.RNG
 			}
 			results[h] = kept
 		}
-		parallel.ForEach(c.cfg.Workers, len(hosts), func(h int) {
+		parallel.ForEach(workers, len(hosts), func(h int) {
 			for _, app := range results[h] {
 				app.Materialize()
 			}

@@ -35,7 +35,7 @@ func runTiny(t *testing.T) (*devicesim.World, *Campaign, *scanstore.Corpus, *Tru
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, truth, err := camp.Run()
+	corpus, truth, err := camp.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,13 +119,11 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccfg := tinyCampaignConfig()
-		ccfg.Workers = workers
-		camp, err := New(w, ccfg)
+		camp, err := New(w, tinyCampaignConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus, _, err := camp.Run()
+		corpus, _, err := camp.Run(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +176,7 @@ func TestRapid7SeesFewerHosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, _, err := camp.Run()
+	corpus, _, err := camp.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,10 +46,11 @@ type ObsRec struct {
 }
 
 // StreamRun executes the full schedule over the generator's population,
-// chunkSize hosts at a time (<= 0 means 8192), recording per-(chunk, scan)
+// chunkSize hosts at a time (<= 0 means 8192), each chunk swept across
+// workers goroutines (<= 0 means GOMAXPROCS), recording per-(chunk, scan)
 // sections into store. The campaign must have been compiled over
 // gen.World(). Ground truth is not captured on the streaming path.
-func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize int, store *ChunkStore) error {
+func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize, workers int, store *ChunkStore) error {
 	if chunkSize <= 0 {
 		chunkSize = 8192
 	}
@@ -66,7 +67,7 @@ func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize int, store *Chu
 		}
 		rec := newChunkRecord(len(c.schedule))
 		local := make(map[x509lite.Fingerprint]uint32)
-		c.sweep(hosts, base, lossRNGs, func(scan, _ int, cert *x509lite.Certificate, ip netsim.IP) {
+		c.sweep(hosts, base, workers, lossRNGs, func(scan, _ int, cert *x509lite.Certificate, ip netsim.IP) {
 			fp := cert.Fingerprint()
 			id, ok := local[fp]
 			if !ok {

@@ -230,73 +230,6 @@ func TestScanDay(t *testing.T) {
 	}
 }
 
-func TestMergeCorpora(t *testing.T) {
-	shared := makeCert(t, "shared.example", 20)
-	onlyA := makeCert(t, "only-a.example", 21)
-	onlyB := makeCert(t, "only-b.example", 22)
-
-	a := NewCorpus()
-	idSharedA := a.Intern(shared)
-	idOnlyA := a.Intern(onlyA)
-	a.AddScan(UMich, day(0), []Observation{
-		{Cert: idSharedA, IP: netsim.MakeIP(1, 1, 1, 1)},
-		{Cert: idOnlyA, IP: netsim.MakeIP(1, 1, 1, 2)},
-	})
-	a.AddScan(UMich, day(10), []Observation{{Cert: idSharedA, IP: netsim.MakeIP(1, 1, 1, 1)}})
-
-	b := NewCorpus()
-	idOnlyB := b.Intern(onlyB)
-	idSharedB := b.Intern(shared) // different internal ID than in a
-	b.AddScan(Rapid7, day(5), []Observation{
-		{Cert: idSharedB, IP: netsim.MakeIP(2, 2, 2, 2)},
-		{Cert: idOnlyB, IP: netsim.MakeIP(2, 2, 2, 3)},
-	})
-
-	merged, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.NumCerts() != 3 {
-		t.Fatalf("merged certs = %d, want 3 (shared deduplicated)", merged.NumCerts())
-	}
-	if merged.NumScans() != 3 {
-		t.Fatalf("merged scans = %d", merged.NumScans())
-	}
-	// Chronological interleaving: day 0 (UMich), day 5 (Rapid7), day 10.
-	if merged.Scan(0).Operator != UMich || merged.Scan(1).Operator != Rapid7 || merged.Scan(2).Operator != UMich {
-		t.Error("scans not interleaved chronologically")
-	}
-	// The shared cert's sightings span both sources.
-	id, ok := merged.Lookup(shared.Fingerprint())
-	if !ok {
-		t.Fatal("shared cert lost")
-	}
-	idx := merged.BuildIndex()
-	if got := len(idx.ScansSeen(id)); got != 3 {
-		t.Errorf("shared cert seen in %d scans, want 3", got)
-	}
-	if lt, _ := idx.LifetimeDays(id); lt != 11 {
-		t.Errorf("merged lifetime = %d, want 11", lt)
-	}
-	// Inputs untouched.
-	if a.NumCerts() != 2 || b.NumCerts() != 2 {
-		t.Error("merge mutated its inputs")
-	}
-}
-
-func TestMergeRejectsNil(t *testing.T) {
-	if _, err := Merge(NewCorpus(), nil); err == nil {
-		t.Error("nil input accepted")
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	m, err := Merge()
-	if err != nil || m.NumCerts() != 0 || m.NumScans() != 0 {
-		t.Errorf("empty merge: %v %d %d", err, m.NumCerts(), m.NumScans())
-	}
-}
-
 // Property: lifetime is consistent with FirstSeen/LastSeen for arbitrary
 // sighting patterns.
 func TestLifetimeConsistencyProperty(t *testing.T) {

@@ -41,10 +41,9 @@ func decodeShards(lay *V3Layout, comps [][]byte, opt Options) ([][]*x509lite.Cer
 			errs[i] = fmt.Errorf("snapshot: shard %d: %w", i, err)
 			return
 		}
-		// Shard i is a stable identity, so it doubles as the counter shard;
-		// ratios are pure functions of the file bytes.
-		opt.Obs.Counter("snapshot.decode.raw_bytes").AddShard(i, int64(len(raw)))
-		opt.Obs.Counter("snapshot.decode.comp_bytes").AddShard(i, int64(len(comps[i])))
+		// Byte counts and ratios are pure functions of the file bytes.
+		opt.Obs.Counter("snapshot.decode.raw_bytes").Add(int64(len(raw)))
+		opt.Obs.Counter("snapshot.decode.comp_bytes").Add(int64(len(comps[i])))
 		if len(comps[i]) > 0 {
 			opt.Obs.Histogram("snapshot.decode.inflate_ratio_pct", inflateRatioBounds).
 				Observe(int64(len(raw)) * 100 / int64(len(comps[i])))
@@ -57,7 +56,7 @@ func decodeShards(lay *V3Layout, comps [][]byte, opt Options) ([][]*x509lite.Cer
 			}
 			certParts[i] = certs
 			if opt.VerifyDigests {
-				opt.Obs.Counter("snapshot.decode.digest_verify").AddShard(i, int64(sh.Count))
+				opt.Obs.Counter("snapshot.decode.digest_verify").Add(int64(sh.Count))
 			}
 		} else {
 			scans, err := decodeScanShard(raw, int(sh.Count), lay.CertCount)

@@ -151,7 +151,7 @@ func (b *sectionBuilder) fanIn() int {
 	return n
 }
 
-// close releases the sorters' run shards.
+// close releases the sorters' runs.
 func (b *sectionBuilder) close() error {
 	var err error
 	if b.ips != nil {

@@ -24,7 +24,6 @@ package snapshot
 
 import (
 	"bytes"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -151,54 +150,30 @@ func (lr *LintRuns) spill() error {
 }
 
 // Merge hands every certificate's findings to fn in ascending fingerprint
-// order: the spilled runs and the sorted remainder, k-way merged. A corrupt
-// run fails with an explicit error, at the latest when its checksum is
-// checked as it drains, so fn may have seen records of a merge that fails;
-// a LintColumnWriter emits nothing before Finish, which is what makes that
-// safe.
+// order: the spilled runs and the sorted remainder, k-way merged by
+// extsort.Merge. A corrupt run fails with an explicit error, at the latest
+// when its checksum is checked as it drains, so fn may have seen records of
+// a merge that fails; a LintColumnWriter emits nothing before Finish, which
+// is what makes that safe. Fingerprints are unique across a corpus, so
+// valid runs never tie; the column writer rejects a duplicate.
 func (lr *LintRuns) Merge(fn func(certlint.CertFindings) error) error {
 	if lr.err != nil {
 		return lr.err
 	}
 	lr.sortSpans()
-	h := make(lintHeap, 0, len(lr.runs)+1)
-	push := func(src *lintSrc) error {
-		ok, err := src.next()
-		if ok {
-			h = append(h, src)
-		}
-		return err
-	}
+	srcs := make([]func() (certlint.CertFindings, bool, error), 0, len(lr.runs)+1)
 	for i, run := range lr.runs {
 		rd, err := run.spill.Reader()
 		if err != nil {
 			return err
 		}
-		if err := push(&lintSrc{lints: lr.lw.lints, name: fmt.Sprintf("lint run %d", i), r: rd, count: run.count}); err != nil {
-			return err
-		}
+		srcs = append(srcs, (&lintSrc{lints: lr.lw.lints, name: fmt.Sprintf("lint run %d", i), r: rd, count: run.count}).next)
 	}
 	remainder := &spanReader{buf: lr.buf, spans: lr.spans}
-	if err := push(&lintSrc{lints: lr.lw.lints, name: "lint run buffer", r: remainder, count: len(lr.spans)}); err != nil {
-		return err
-	}
-	heap.Init(&h)
-	for len(h) > 0 {
-		top := h[0]
-		if err := fn(top.cur); err != nil {
-			return err
-		}
-		ok, err := top.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return nil
+	srcs = append(srcs, (&lintSrc{lints: lr.lw.lints, name: "lint run buffer", r: remainder, count: len(lr.spans)}).next)
+	return extsort.Merge(srcs, func(a, b certlint.CertFindings) bool {
+		return bytes.Compare(a.Fingerprint[:], b.Fingerprint[:]) < 0
+	}, fn)
 }
 
 // Close removes every spilled run and drops the run buffer. Safe to call
@@ -215,7 +190,7 @@ func (lr *LintRuns) Close() error {
 }
 
 // lintSrc is one sorted source of the merge: a spilled run, read through
-// its SpillFile reader, or the sorted run buffer. cur is its current record.
+// its SpillFile reader, or the sorted run buffer.
 type lintSrc struct {
 	lints []certlint.LinterInfo
 	name  string
@@ -223,27 +198,27 @@ type lintSrc struct {
 
 	count, read int
 	detail      []byte // reused for each finding's detail
-	cur         certlint.CertFindings
 }
 
-// next decodes the source's following record into cur; false means the
-// source is drained, and for a spilled run that its checksum held.
-func (s *lintSrc) next() (bool, error) {
+// next decodes the source's following record; false means the source is
+// drained, and for a spilled run that its checksum held.
+func (s *lintSrc) next() (certlint.CertFindings, bool, error) {
 	if s.read == s.count {
 		var b [1]byte
 		if _, err := io.ReadFull(s.r, b[:]); err != io.EOF {
 			if err == nil {
 				err = fmt.Errorf("trailing bytes after %d records", s.count)
 			}
-			return false, fmt.Errorf("snapshot: %s: %w", s.name, err)
+			return certlint.CertFindings{}, false, fmt.Errorf("snapshot: %s: %w", s.name, err)
 		}
-		return false, nil
+		return certlint.CertFindings{}, false, nil
 	}
-	if err := s.decode(); err != nil {
-		return false, fmt.Errorf("snapshot: %s record %d: %w", s.name, s.read, err)
+	cf, err := s.decode()
+	if err != nil {
+		return cf, false, fmt.Errorf("snapshot: %s record %d: %w", s.name, s.read, err)
 	}
 	s.read++
-	return true, nil
+	return cf, true, nil
 }
 
 // spanReader reads the run buffer's records in the order of spans.
@@ -266,18 +241,18 @@ func (sr *spanReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// decode reads one run record into cur, checking every count and index
-// against the lint table and the detail cap before it allocates.
-func (s *lintSrc) decode() error {
+// decode reads one run record, checking every count and index against the
+// lint table and the detail cap before it allocates.
+func (s *lintSrc) decode() (certlint.CertFindings, error) {
 	r := s.r
 	var head [lintRecHead]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return fmt.Errorf("truncated: %w", err)
+		return certlint.CertFindings{}, fmt.Errorf("truncated: %w", err)
 	}
 	cf := certlint.CertFindings{Fingerprint: x509lite.Fingerprint(head[:32])}
 	count := binary.LittleEndian.Uint32(head[32:])
 	if uint64(count) > uint64(len(s.lints)) {
-		return fmt.Errorf("%d findings for %d linters", count, len(s.lints))
+		return cf, fmt.Errorf("%d findings for %d linters", count, len(s.lints))
 	}
 	if count > 0 {
 		cf.Findings = make([]certlint.Finding, count)
@@ -285,41 +260,22 @@ func (s *lintSrc) decode() error {
 	for i := range cf.Findings {
 		var fh [8]byte
 		if _, err := io.ReadFull(r, fh[:]); err != nil {
-			return fmt.Errorf("truncated: %w", err)
+			return cf, fmt.Errorf("truncated: %w", err)
 		}
 		li := binary.LittleEndian.Uint32(fh[:])
 		dlen := binary.LittleEndian.Uint32(fh[4:])
 		if uint64(li) >= uint64(len(s.lints)) {
-			return fmt.Errorf("finding references lint %d of %d", li, len(s.lints))
+			return cf, fmt.Errorf("finding references lint %d of %d", li, len(s.lints))
 		}
 		if dlen > maxLintColDetail {
-			return fmt.Errorf("detail %d bytes, cap %d", dlen, maxLintColDetail)
+			return cf, fmt.Errorf("detail %d bytes, cap %d", dlen, maxLintColDetail)
 		}
 		s.detail = slices.Grow(s.detail[:0], int(dlen))[:dlen]
 		if _, err := io.ReadFull(r, s.detail); err != nil {
-			return fmt.Errorf("truncated: %w", err)
+			return cf, fmt.Errorf("truncated: %w", err)
 		}
 		info := s.lints[li]
 		cf.Findings[i] = certlint.Finding{LintID: info.ID, Version: info.Version, Severity: info.Severity, Detail: string(s.detail)}
 	}
-	s.cur = cf
-	return nil
-}
-
-// lintHeap is the merge's min-heap of live sources, by current fingerprint.
-// Fingerprints are unique across a corpus, so ties cannot arise among valid
-// runs; the column writer rejects a duplicate.
-type lintHeap []*lintSrc
-
-func (h lintHeap) Len() int { return len(h) }
-func (h lintHeap) Less(i, j int) bool {
-	return bytes.Compare(h[i].cur.Fingerprint[:], h[j].cur.Fingerprint[:]) < 0
-}
-func (h lintHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *lintHeap) Push(x any)   { *h = append(*h, x.(*lintSrc)) }
-func (h *lintHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
+	return cf, nil
 }

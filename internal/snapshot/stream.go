@@ -77,12 +77,13 @@ type StreamWriterConfig struct {
 	// each, and the ten section arrays share the last eighth; beyond its
 	// share each spills to disk. Outside it stay the per-certificate state,
 	// the certificate shard being filled, up to Workers shards held while
-	// they compress, and the observation columns of the scans not yet in a
-	// shard (up to 256 KiB each before they spill). Finish releases all of
-	// it but the retained DERs' eighth and the per-certificate fingerprint
-	// and SPKI, which leaves the other seven eighths to a lint pass that
-	// follows (core.StreamSnapshot gives them to LintRuns and
-	// LintColumnWriter).
+	// they compress, the observation columns of the scans not yet in a
+	// shard (up to 256 KiB each before they spill), and, while Finish
+	// merges the sorters, 68 KiB of read buffers per spilled run. Finish
+	// releases all of it but the retained DERs' eighth and the
+	// per-certificate fingerprint and SPKI, which leaves the other seven
+	// eighths to a lint pass that follows (core.StreamSnapshot gives them to
+	// LintRuns and LintColumnWriter).
 	MemBudget int64
 	// KeepDERs retains every interned DER so EachCert can replay the
 	// certificate table after Finish (the lint pass needs this).

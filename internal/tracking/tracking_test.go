@@ -40,7 +40,7 @@ func tracker(t *testing.T) (*Tracker, *devicesim.World) {
 			fix.err = err
 			return
 		}
-		corpus, _, err := camp.Run()
+		corpus, _, err := camp.Run(0)
 		if err != nil {
 			fix.err = err
 			return
@@ -51,7 +51,7 @@ func tracker(t *testing.T) (*Tracker, *devicesim.World) {
 		}
 		corpus.Validate(store)
 		ds := analysis.NewDataset(corpus, world.Internet)
-		linker := linking.NewLinker(ds, linking.DefaultConfig())
+		linker := linking.NewLinker(ds, linking.DefaultConfig(), 0)
 		res := linker.Link()
 		fix.tracker = NewTracker(ds, res, linker)
 		fix.world = world

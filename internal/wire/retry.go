@@ -59,12 +59,8 @@ type Options struct {
 	// counters SweepStats is sourced from. nil disables instrumentation.
 	// Every metric recorded here is deterministic for a deterministic fault
 	// schedule: outcome per (target, attempt) is a pure function of the
-	// schedule, and sharded counters sum the same at any worker count.
+	// schedule, and counters sum the same at any worker count.
 	Obs *obs.Registry
-
-	// obsShard is the stable counter shard live increments target; ScanRetry
-	// sets it to the worker index so concurrent fetches never contend.
-	obsShard int
 }
 
 func (o Options) withDefaults() Options {
@@ -210,18 +206,18 @@ func FetchChainOpts(ctx context.Context, addr string, opts Options) ([][]byte, F
 	for attempt := 0; ; attempt++ {
 		chain, err := fetchAttempt(ctx, addr, opts.AttemptTimeout, opts.Dial)
 		fs.Attempts++
-		opts.Obs.Counter("wire.attempts").AddShard(opts.obsShard, 1)
+		opts.Obs.Counter("wire.attempts").Inc()
 		if err == nil {
-			opts.Obs.Counter("wire.attempt.ok").AddShard(opts.obsShard, 1)
+			opts.Obs.Counter("wire.attempt.ok").Inc()
 			return chain, fs, nil
 		}
-		opts.Obs.Counter("wire.attempt.fail."+Reason(err)).AddShard(opts.obsShard, 1)
+		opts.Obs.Counter("wire.attempt.fail." + Reason(err)).Inc()
 		fs.FailReasons = append(fs.FailReasons, Reason(err))
 		if attempt >= opts.Retries || Classify(err) != ClassRetryable || ctx.Err() != nil {
 			return nil, fs, err
 		}
 		delay := BackoffDelay(opts, attempt, jitter)
-		opts.Obs.Counter("wire.retries").AddShard(opts.obsShard, 1)
+		opts.Obs.Counter("wire.retries").Inc()
 		opts.Obs.Histogram("wire.backoff.delay_ms", backoffDelayBoundsMS).Observe(delay.Milliseconds())
 		if serr := opts.Sleep(ctx, delay); serr != nil {
 			return nil, fs, err // budget exhausted mid-backoff; report the fetch error

@@ -283,14 +283,11 @@ func ScanRetry(ctx context.Context, targets []string, workers int, opts Options)
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := range idx {
 				topts := opts
 				topts.Seed = deriveSeed(opts.Seed, uint64(i))
-				// Each worker owns a counter shard, so live wire.* metric
-				// increments never contend; the sums are shard-independent.
-				topts.obsShard = w
 				chain, fs, err := FetchChainOpts(ctx, targets[i], topts)
 				results[i] = Result{
 					Addr:        targets[i],
@@ -300,7 +297,7 @@ func ScanRetry(ctx context.Context, targets []string, workers int, opts Options)
 					Err:         err,
 				}
 			}
-		}(w)
+		}()
 	}
 feed:
 	for i := range targets {

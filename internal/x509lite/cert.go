@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math/big"
 	"net"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -46,6 +47,28 @@ func (n Name) String() string {
 // 925k certificates issued under a completely empty name.
 func (n Name) Empty() bool {
 	return n == Name{}
+}
+
+// LooksLikeIPv4 reports whether s is written as a dotted quad: four
+// dot-separated groups of one to three decimal digits. It checks the form
+// only, which is what the analysis, linking and lint rules on IP-formatted
+// Common Names ask.
+func LooksLikeIPv4(s string) bool {
+	parts := strings.Split(s, ".")
+	if len(parts) != 4 {
+		return false
+	}
+	for _, p := range parts {
+		if len(p) == 0 || len(p) > 3 {
+			return false
+		}
+		for _, c := range p {
+			if c < '0' || c > '9' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Fingerprint is the SHA-256 digest of a certificate or key, the identity

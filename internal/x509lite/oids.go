@@ -14,7 +14,11 @@
 // agnostic to the algorithm.
 package x509lite
 
-import "fmt"
+import (
+	"fmt"
+
+	"securepki/internal/asn1der"
+)
 
 // OID arc constants used by the codec.
 var (
@@ -43,52 +47,26 @@ var (
 // path dispatches on a byte comparison instead of decoding every OID into a
 // freshly allocated arc slice (Decoder.RawOID + rawOIDEqual are zero-alloc).
 var (
-	rawOIDCommonName       = oidContents(oidCommonName)
-	rawOIDCountry          = oidContents(oidCountry)
-	rawOIDLocality         = oidContents(oidLocality)
-	rawOIDOrganization     = oidContents(oidOrganization)
-	rawOIDOrganizationUnit = oidContents(oidOrganizationUnit)
+	rawOIDCommonName       = asn1der.OIDContents(oidCommonName)
+	rawOIDCountry          = asn1der.OIDContents(oidCountry)
+	rawOIDLocality         = asn1der.OIDContents(oidLocality)
+	rawOIDOrganization     = asn1der.OIDContents(oidOrganization)
+	rawOIDOrganizationUnit = asn1der.OIDContents(oidOrganizationUnit)
 
-	rawOIDEd25519 = oidContents(oidEd25519)
+	rawOIDEd25519 = asn1der.OIDContents(oidEd25519)
 
-	rawOIDExtSubjectKeyID     = oidContents(oidExtSubjectKeyID)
-	rawOIDExtKeyUsage         = oidContents(oidExtKeyUsage)
-	rawOIDExtSAN              = oidContents(oidExtSAN)
-	rawOIDExtBasicConstraints = oidContents(oidExtBasicConstraints)
-	rawOIDExtCRLDistribution  = oidContents(oidExtCRLDistribution)
-	rawOIDExtCertPolicies     = oidContents(oidExtCertPolicies)
-	rawOIDExtAuthorityKeyID   = oidContents(oidExtAuthorityKeyID)
-	rawOIDExtAIA              = oidContents(oidExtAIA)
+	rawOIDExtSubjectKeyID     = asn1der.OIDContents(oidExtSubjectKeyID)
+	rawOIDExtKeyUsage         = asn1der.OIDContents(oidExtKeyUsage)
+	rawOIDExtSAN              = asn1der.OIDContents(oidExtSAN)
+	rawOIDExtBasicConstraints = asn1der.OIDContents(oidExtBasicConstraints)
+	rawOIDExtCRLDistribution  = asn1der.OIDContents(oidExtCRLDistribution)
+	rawOIDExtCertPolicies     = asn1der.OIDContents(oidExtCertPolicies)
+	rawOIDExtAuthorityKeyID   = asn1der.OIDContents(oidExtAuthorityKeyID)
+	rawOIDExtAIA              = asn1der.OIDContents(oidExtAIA)
 
-	rawOIDAIAOCSP      = oidContents(oidAIAOCSP)
-	rawOIDAIACAIssuers = oidContents(oidAIACAIssuers)
+	rawOIDAIAOCSP      = asn1der.OIDContents(oidAIAOCSP)
+	rawOIDAIACAIssuers = asn1der.OIDContents(oidAIACAIssuers)
 )
-
-// oidContents renders an arc list as DER OID content bytes (first two arcs
-// packed, the rest base-128). Package-init only; parsing never calls it.
-func oidContents(arcs []int) []byte {
-	out := []byte{byte(arcs[0]*40 + arcs[1])}
-	for _, arc := range arcs[2:] {
-		var tmp [5]byte
-		n := 0
-		for {
-			tmp[n] = byte(arc & 0x7f)
-			n++
-			arc >>= 7
-			if arc == 0 {
-				break
-			}
-		}
-		for i := n - 1; i >= 0; i-- {
-			b := tmp[i]
-			if i > 0 {
-				b |= 0x80
-			}
-			out = append(out, b)
-		}
-	}
-	return out
-}
 
 func rawOIDEqual(a, b []byte) bool {
 	if len(a) != len(b) {
