@@ -131,12 +131,12 @@ ci: build vet fmt-check lint
 	$(MAKE) mem-smoke
 	$(MAKE) perfbench-check
 
-# Perf trajectory: snapshot + parse benchmarks rendered to machine-readable
-# JSON so future PRs have a baseline to compare against (certs/sec, MB/s,
-# allocs/op per benchmark).
+# Perf trajectory: snapshot, parse, query, lint and external-merge
+# benchmarks rendered to machine-readable JSON so future PRs have a baseline
+# to compare against (certs/sec, MB/s, allocs/op per benchmark).
 bench:
-	$(GO) test -run='^$$' -bench='Snapshot|Parse|Query|Lint' -benchmem \
-		./internal/snapshot ./internal/x509lite ./internal/querystore ./internal/certlint ./cmd/certquery \
+	$(GO) test -run='^$$' -bench='Snapshot|Parse|Query|Lint|Sorter' -benchmem \
+		./internal/snapshot ./internal/x509lite ./internal/querystore ./internal/certlint ./cmd/certquery ./internal/extsort \
 		| $(GO) run ./cmd/benchjson > BENCH_snapshot.json
 	@echo wrote BENCH_snapshot.json
 

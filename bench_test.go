@@ -330,7 +330,7 @@ func BenchmarkAblationOverlapTolerance(b *testing.B) {
 		b.Run(map[int]string{0: "none", 1: "paper", 2: "loose"}[overlap], func(b *testing.B) {
 			cfg := linking.DefaultConfig()
 			cfg.MaxOverlapScans = overlap
-			linker := linking.NewLinker(p.Dataset, cfg, 0)
+			linker := linking.NewLinker(p.Dataset, cfg, 0, nil)
 			b.ResetTimer()
 			var linked float64
 			var purity float64
@@ -356,7 +356,7 @@ func BenchmarkAblationUniquenessThreshold(b *testing.B) {
 			b.ResetTimer()
 			var eligible int
 			for i := 0; i < b.N; i++ {
-				linker := linking.NewLinker(p.Dataset, cfg, 0)
+				linker := linking.NewLinker(p.Dataset, cfg, 0, nil)
 				eligible = linker.EligibleCount()
 			}
 			b.ReportMetric(float64(eligible), "eligible-certs")
@@ -481,7 +481,7 @@ func BenchmarkLinkerParallel(b *testing.B) {
 			b.ResetTimer()
 			var linked int
 			for i := 0; i < b.N; i++ {
-				linker := linking.NewLinker(p.Dataset, linking.DefaultConfig(), c.workers)
+				linker := linking.NewLinker(p.Dataset, linking.DefaultConfig(), c.workers, nil)
 				linked = linker.Link().LinkedCerts
 			}
 			b.ReportMetric(float64(linked), "linked-certs")

@@ -104,7 +104,7 @@ func runFromCorpus(corpusPath, prefixPath, asinfoPath string, lcfg linking.Confi
 
 	corpus.Validate(truststore.NewStore())
 	ds := analysis.NewDataset(corpus, inet)
-	linker := linking.NewLinker(ds, lcfg, 0)
+	linker := linking.NewLinker(ds, lcfg, 0, nil)
 
 	fmt.Printf("corpus: %d certs, %d scans; eligible invalid: %d (excluded %d)\n\n",
 		corpus.NumCerts(), corpus.NumScans(), linker.EligibleCount(), linker.ExcludedShared())

@@ -47,10 +47,3 @@ func main() {
 			r.ASN, r.Org, r.TrackedDevices, 100*r.StaticFrac, 100*r.PerScanChurnFrac)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

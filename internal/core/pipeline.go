@@ -322,11 +322,7 @@ func (p *Pipeline) WriteLintColumn(w io.Writer) error {
 // Link runs the §6 pipeline (stage 4) across Config.Workers.
 func (p *Pipeline) Link() {
 	span := p.Config.stage("core.link", stageLink)
-	cfg := p.Config.Linking
-	if cfg.Obs == nil {
-		cfg.Obs = p.Config.Obs
-	}
-	p.Linker = linking.NewLinker(p.Dataset, cfg, p.Config.Workers)
+	p.Linker = linking.NewLinker(p.Dataset, p.Config.Linking, p.Config.Workers, p.Config.Obs)
 	p.LinkResult = p.Linker.Link()
 	reg := p.Config.Obs
 	reg.Counter("core.link.invalid_total").Add(int64(p.Linker.InvalidTotal()))

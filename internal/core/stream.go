@@ -10,7 +10,6 @@ import (
 	"securepki/internal/extsort"
 	"securepki/internal/netsim"
 	"securepki/internal/obs"
-	"securepki/internal/parallel"
 	"securepki/internal/scanner"
 	"securepki/internal/scanstore"
 	"securepki/internal/snapshot"
@@ -29,11 +28,12 @@ type StreamConfig struct {
 	// shares its budget, and what stays outside it, is documented at
 	// snapshot.StreamWriterConfig.MemBudget. The chunk store closes once
 	// replay drains it, and the writer keeps an eighth of the budget (its
-	// retained DERs) past Finish; lint takes the rest: half for its sorted
-	// finding runs, an eighth for each lint-column array. Outside the
-	// budget during lint stay one 2048-certificate parse batch, the
+	// retained certificate shards) past Finish; lint takes the rest: half
+	// for its sorted finding runs, an eighth for each lint-column array.
+	// Outside the budget during lint stay one certificate shard's layout
+	// (2048 certificates by default) and its parsed certificates, the
 	// shared-key census, the fingerprint and SPKI per certificate, and the
-	// run merge's read buffer per run.
+	// run merge's 4 KiB read buffer per spilled run.
 	MemBudget int64
 	// SpillDir hosts every spill file ("" means the OS temp dir).
 	SpillDir string
@@ -203,12 +203,13 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	return stats, nil
 }
 
-// streamLint lints the writer's retained DERs and emits the sidecar column,
-// byte-identical to Pipeline.Lint + WriteLintColumn: both run lintCorpus and
-// one column encoder. Here the findings do not stay resident: batches fill a
-// snapshot.LintRuns with half of the memory budget, which spills sorted runs
-// and merges them by fingerprint into a snapshot.LintColumnWriter holding
-// three eighths; the writer's retained DERs hold the last eighth.
+// streamLint lints the writer's retained certificate shards and emits the
+// sidecar column, byte-identical to Pipeline.Lint + WriteLintColumn: both
+// run lintCorpus and one column encoder. Here the findings do not stay
+// resident: each shard's findings fill a snapshot.LintRuns with half of the
+// memory budget, which spills sorted runs and merges them by fingerprint
+// into a snapshot.LintColumnWriter holding three eighths; the writer's
+// retained shards hold the last eighth.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	budget := cfg.Stream.MemBudget
 	if budget <= 0 {
@@ -221,9 +222,17 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	defer lw.Close()
 	runs := snapshot.NewLintRuns(lw, cfg.Stream.SpillDir, budget/2)
 	defer runs.Close()
+	// The writer parses one retained certificate shard at a time; every
+	// certificate it parses counts on core.lint.x509.parse.
+	parsed := cfg.Obs.Counter("core.lint.x509.parse")
 	err = lintCorpus(cfg, sw.NumCerts(),
 		func(i int) x509lite.Fingerprint { return sw.SPKI(scanstore.CertID(i)) },
-		func(lint func([]*x509lite.Certificate) error) error { return parsedBatches(sw, cfg, lint) },
+		func(lint func([]*x509lite.Certificate) error) error {
+			return sw.Certs(func(certs []*x509lite.Certificate) error {
+				parsed.Add(int64(len(certs)))
+				return lint(certs)
+			})
+		},
 		runs.Add)
 	if err != nil {
 		return err
@@ -238,44 +247,6 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	}
 	cfg.Journal.Emit("lintcol.write", "certs", fmt.Sprint(sw.NumCerts()))
 	return nil
-}
-
-// parsedBatches replays the writer's DERs to fn in batches of 2048
-// certificates, each batch parsed across cfg.Workers, so only one batch of
-// parsed certificates is resident. Every certificate parsed counts on
-// core.lint.x509.parse.
-func parsedBatches(sw *snapshot.StreamWriter, cfg Config, fn func([]*x509lite.Certificate) error) error {
-	const batch = 2048
-	parsed := cfg.Obs.Counter("core.lint.x509.parse")
-	ders := make([][]byte, 0, batch)
-	flush := func() error {
-		certs := make([]*x509lite.Certificate, len(ders))
-		errs := make([]error, len(ders))
-		parallel.ForEach(cfg.Workers, len(ders), func(i int) {
-			certs[i], errs[i] = x509lite.Parse(ders[i])
-		})
-		for i, err := range errs {
-			if err != nil {
-				// The DER came out of a checksummed spill of certs the scan
-				// itself parsed; a parse failure here is corruption.
-				return fmt.Errorf("lint batch: certificate %d failed to parse: %w", i, err)
-			}
-		}
-		parsed.Add(int64(len(certs)))
-		ders = ders[:0]
-		return fn(certs)
-	}
-	err := sw.EachCert(func(_ scanstore.CertID, _, _ x509lite.Fingerprint, der []byte) error {
-		ders = append(ders, append([]byte(nil), der...))
-		if len(ders) == batch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return flush()
 }
 
 // readHeapHighWater samples the heap high-water mark into a volatile gauge.

@@ -2,9 +2,12 @@
 // sorters over fixed-width records that buffer rows up to a memory budget,
 // spill each sorted buffer as one run when the budget is hit, and k-way
 // merge every run back into one ordered stream. Runs are SpillFiles: the
-// memory-first, checksummed append-only files that also carry byte payloads
-// between a streaming producer and the final output copy. The k-way merge
-// itself (Merge) is generic, so sorters of other records share it.
+// memory-first, checksummed append-only files that are the streamed build's
+// only spill file, carrying scan chunks, byte payloads and retained
+// certificate shards as well. A SpillFile reader holds no buffer, so each
+// caller sizes its own: Merge reads every run through 4 KiB, which is all a
+// spilled run costs outside the memory budget. The k-way merge itself
+// (Merge) is generic, so sorters of other records share it.
 //
 // Order contract: a record's encoding is its sort key. Records come back in
 // ascending byte order of their encodings, so a multi-field order is a

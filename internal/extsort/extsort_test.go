@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"securepki/internal/stats"
@@ -353,6 +354,45 @@ func TestSpillFileDetectsRot(t *testing.T) {
 	}
 	if _, err := io.ReadAll(rd); err == nil {
 		t.Fatal("Reader passed rotted bytes")
+	}
+}
+
+// TestReadEnd: a reader that has taken every record is at the spill's end,
+// where ReadEnd checks the digest; a record left unread is an error, and so
+// is rot in the records already handed out.
+func TestReadEnd(t *testing.T) {
+	dir := t.TempDir()
+	sf := NewSpillFile(dir, "end-*.spill", 0)
+	defer sf.Remove()
+	if _, err := sf.Write(bytes.Repeat([]byte("record"), 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	readEnd := func(records int) error {
+		rd, err := sf.Reader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(rd, make([]byte, 6*records)); err != nil {
+			t.Fatal(err)
+		}
+		return ReadEnd(rd)
+	}
+	if err := readEnd(100); err != nil {
+		t.Fatalf("at the end: %v", err)
+	}
+	if err := readEnd(99); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Fatalf("one record short of the end: err = %v, want trailing bytes", err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "end-*"))
+	if len(paths) != 1 {
+		t.Fatalf("want one spill file, got %v", paths)
+	}
+	rewrite(t, paths[0], func(b []byte) []byte { b[10] ^= 1; return b })
+	if err := readEnd(100); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("rotted records: err = %v, want digest mismatch", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
@@ -11,11 +12,12 @@ import (
 )
 
 // SpillFile is an append-only byte store that stays in memory until it
-// outgrows its limit, then moves to a temp file and appends there. Streaming
-// producers (shard payloads, observation columns, index sections) write
-// through it and the finish step reads it back, possibly more than once. A
-// spill that never outgrows its limit never touches the file system and is
-// never hashed; once on disk, a running digest taken at write time is
+// outgrows its limit, then moves to a temp file and appends there. It is the
+// streamed build's one spill file: sorted runs, scan chunks, shard payloads,
+// observation columns, index and lint-column arrays and retained certificate
+// shards all write through it, and a later step reads them back, possibly
+// more than once. A spill that never outgrows its limit never touches the file system
+// and is never hashed; once on disk, a running digest taken at write time is
 // checked on every read, so bytes that rot in between fail explicitly
 // instead of corrupting the output. It implements io.Writer.
 type SpillFile struct {
@@ -145,9 +147,11 @@ func (s *SpillFile) Len() int64 { return s.n }
 // Reader flushes pending writes and returns an independent reader over the
 // full spill contents. Multiple readers may be taken; each streams from the
 // start, and one over a file fails with an error instead of io.EOF if the
-// bytes read back do not match the write-time digest. Writing after the
-// first Reader call is a caller bug (the new bytes join subsequent readers
-// but not earlier ones).
+// bytes read back do not match the write-time digest. A reader over a file
+// holds no buffer: each Read is one read of the file, so a caller that reads
+// in small pieces buffers them itself, at the size it can afford. Writing
+// after the first Reader call is a caller bug (the new bytes join
+// subsequent readers but not earlier ones).
 func (s *SpillFile) Reader() (io.Reader, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -165,10 +169,7 @@ func (s *SpillFile) Reader() (io.Reader, error) {
 			return nil, s.err
 		}
 	}
-	vr := &verifyReader{
-		r: bufio.NewReaderSize(io.NewSectionReader(s.f, 0, s.n), 1<<16),
-		h: sha256.New(),
-	}
+	vr := &verifyReader{r: io.NewSectionReader(s.f, 0, s.n), h: sha256.New()}
 	s.h.Sum(vr.want[:0])
 	return vr, nil
 }
@@ -211,6 +212,21 @@ func (s *SpillFile) Remove() error {
 		err = rmErr
 	}
 	return err
+}
+
+// ReadEnd reads once past the last record a reader over a spill should
+// hold, which is where a spill's digest is checked: nil means the spill
+// ended there and its bytes held. A byte where the end should be is an
+// error too.
+func ReadEnd(r io.Reader) error {
+	var b [1]byte
+	if _, err := io.ReadFull(r, b[:]); err != io.EOF {
+		if err == nil {
+			err = errors.New("extsort: trailing bytes after the last record")
+		}
+		return err
+	}
+	return nil
 }
 
 // verifyReader hashes what it reads and, at EOF, reports a digest mismatch

@@ -21,11 +21,6 @@ type Config struct {
 	// below this bound when building the final iterative linking (§6.4.3;
 	// the paper uses 90%).
 	MinASConsistency float64
-	// Obs receives the linking.* counters (candidate groups examined,
-	// groups confirmed by the overlap rule). Candidate sets are pure
-	// functions of the dataset, so the counts are worker-independent.
-	// nil disables instrumentation.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -45,6 +40,7 @@ type certInfo struct {
 type Linker struct {
 	cfg     Config
 	workers int
+	obs     *obs.Registry
 	ds      *analysis.Dataset
 
 	eligible []certInfo
@@ -60,9 +56,12 @@ type Linker struct {
 // group consistency checks); <= 0 means GOMAXPROCS. The per-certificate
 // uniqueness checks fan out first; the eligible slice is then assembled
 // serially in certificate-ID order, so the population, like every result,
-// is identical at any worker count.
-func NewLinker(ds *analysis.Dataset, cfg Config, workers int) *Linker {
-	l := &Linker{cfg: cfg, workers: workers, ds: ds, byID: make(map[scanstore.CertID]*certInfo)}
+// is identical at any worker count. reg receives the linking.* counters
+// (candidate groups examined, groups confirmed by the overlap rule), which
+// are pure functions of the dataset and so worker-independent; nil
+// disables instrumentation.
+func NewLinker(ds *analysis.Dataset, cfg Config, workers int, reg *obs.Registry) *Linker {
+	l := &Linker{cfg: cfg, workers: workers, obs: reg, ds: ds, byID: make(map[scanstore.CertID]*certInfo)}
 	certs := ds.Corpus.Certs()
 
 	// verdict per certificate: 0 not invalid/unseen, 1 excluded shared,
@@ -270,7 +269,7 @@ func (l *Linker) LinkOn(f Feature, include map[scanstore.CertID]bool) []Group {
 		values = append(values, v)
 	}
 	sort.Strings(values)
-	l.cfg.Obs.Counter("linking.candidates").Add(int64(len(values)))
+	l.obs.Counter("linking.candidates").Add(int64(len(values)))
 
 	checked := parallel.Map(l.workers, len(values), func(i int) *Group {
 		v := values[i]
@@ -292,6 +291,6 @@ func (l *Linker) LinkOn(f Feature, include map[scanstore.CertID]bool) []Group {
 			out = append(out, *g)
 		}
 	}
-	l.cfg.Obs.Counter("linking.groups.confirmed").Add(int64(len(out)))
+	l.obs.Counter("linking.groups.confirmed").Add(int64(len(out)))
 	return out
 }

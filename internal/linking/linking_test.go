@@ -113,7 +113,7 @@ func buildFigure9(t *testing.T) *figure9 {
 
 func TestFigure9OverlapRule(t *testing.T) {
 	f9 := buildFigure9(t)
-	l := NewLinker(f9.ds, DefaultConfig(), 0)
+	l := NewLinker(f9.ds, DefaultConfig(), 0, nil)
 	if l.EligibleCount() != 8 {
 		t.Fatalf("eligible = %d, want 8", l.EligibleCount())
 	}
@@ -147,7 +147,7 @@ func TestFigure9ZeroOverlapAblation(t *testing.T) {
 	f9 := buildFigure9(t)
 	cfg := DefaultConfig()
 	cfg.MaxOverlapScans = 0
-	l := NewLinker(f9.ds, cfg, 0)
+	l := NewLinker(f9.ds, cfg, 0, nil)
 	groups := l.LinkOn(FeaturePublicKey, nil)
 	for _, g := range groups {
 		for _, id := range g.Certs {
@@ -190,7 +190,7 @@ func TestScanDuplicateRule(t *testing.T) {
 	})
 
 	ds := analysis.NewDataset(corpus, inet)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	// tri: >2 IPs -> excluded. alwaysTwo: exactly two in every scan ->
 	// excluded. two: two IPs once, then one -> kept. single: kept.
 	if l.EligibleCount() != 2 {
@@ -252,7 +252,7 @@ func generated(t *testing.T) (*analysis.Dataset, *scanner.Truth) {
 
 func TestTable5FeatureUniqueness(t *testing.T) {
 	ds, _ := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	stats := l.FeatureUniqueness()
 	by := map[Feature]FeatureStat{}
 	for _, s := range stats {
@@ -284,7 +284,7 @@ func TestTable5FeatureUniqueness(t *testing.T) {
 
 func TestTable6Evaluation(t *testing.T) {
 	ds, _ := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	evals := l.EvaluateAll()
 	by := map[Feature]FieldEval{}
 	for _, ev := range evals {
@@ -330,7 +330,7 @@ func TestTable6Evaluation(t *testing.T) {
 
 func TestIterativeLinking(t *testing.T) {
 	ds, _ := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	res := l.Link()
 	if len(res.Groups) == 0 {
 		t.Fatal("no linked groups")
@@ -372,7 +372,7 @@ func TestIterativeLinking(t *testing.T) {
 
 func TestLifetimeChange(t *testing.T) {
 	ds, _ := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	res := l.Link()
 	lc := l.EvaluateLifetimeChange(res)
 	// §6.4.4: linking reduces the single-scan fraction and raises the mean
@@ -389,7 +389,7 @@ func TestLifetimeChange(t *testing.T) {
 
 func TestGroundTruthPrecision(t *testing.T) {
 	ds, truth := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	res := l.Link()
 	rep := l.EvaluateTruth(res, truth)
 	if rep.GroupsEvaluated == 0 {
@@ -409,7 +409,7 @@ func TestGroundTruthPrecision(t *testing.T) {
 
 func TestFieldOrderAblation(t *testing.T) {
 	ds, truth := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	good := l.Link()
 	goodRep := l.EvaluateTruth(good, truth)
 	// Linking with the rejected timestamp fields first must hurt precision.

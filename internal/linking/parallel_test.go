@@ -10,10 +10,10 @@ import (
 func TestLinkerSerialParallelEquivalence(t *testing.T) {
 	ds, _ := generated(t)
 
-	serial := NewLinker(ds, DefaultConfig(), 1)
+	serial := NewLinker(ds, DefaultConfig(), 1, nil)
 
 	for _, workers := range []int{2, 4, 0} {
-		par := NewLinker(ds, DefaultConfig(), workers)
+		par := NewLinker(ds, DefaultConfig(), workers, nil)
 
 		if serial.EligibleCount() != par.EligibleCount() ||
 			serial.ExcludedShared() != par.ExcludedShared() ||

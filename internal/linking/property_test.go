@@ -10,7 +10,7 @@ import (
 
 func TestLinkInvariants(t *testing.T) {
 	ds, _ := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	res := l.Link()
 
 	// 1. Determinism: relinking yields the identical result.
@@ -101,7 +101,7 @@ func TestThresholdMonotonicity(t *testing.T) {
 	for _, maxIPs := range []int{1, 2, 3, 5} {
 		cfg := DefaultConfig()
 		cfg.MaxIPsPerScan = maxIPs
-		n := NewLinker(ds, cfg, 0).EligibleCount()
+		n := NewLinker(ds, cfg, 0, nil).EligibleCount()
 		if n < prev {
 			t.Fatalf("eligible count fell from %d to %d at threshold %d", prev, n, maxIPs)
 		}
@@ -117,7 +117,7 @@ func TestOverlapMonotonicity(t *testing.T) {
 	for _, overlap := range []int{0, 1, 2, 3} {
 		cfg := DefaultConfig()
 		cfg.MaxOverlapScans = overlap
-		l := NewLinker(ds, cfg, 0)
+		l := NewLinker(ds, cfg, 0, nil)
 		linked := 0
 		for _, g := range l.LinkOn(FeaturePublicKey, nil) {
 			linked += len(g.Certs)
@@ -131,7 +131,7 @@ func TestOverlapMonotonicity(t *testing.T) {
 
 func TestEvaluateAllConsistencyBounds(t *testing.T) {
 	ds, _ := generated(t)
-	l := NewLinker(ds, DefaultConfig(), 0)
+	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	for _, ev := range l.EvaluateAll() {
 		for name, v := range map[string]float64{
 			"IP": ev.IPConsistency, "/24": ev.S24Consistency, "AS": ev.ASConsistency,

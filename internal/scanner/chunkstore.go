@@ -1,10 +1,11 @@
 package scanner
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"os"
+	"io"
+
+	"securepki/internal/extsort"
 )
 
 // chunkRecord is one chunk's scan results: per scan, the certificates first
@@ -29,27 +30,27 @@ func (r *chunkRecord) addObs(scan int, o ObsRec) {
 	r.bytes += 8
 }
 
-// spilledChunk is a chunk record on disk: one temp file holding a section
-// per scan, each independently SHA-256 checksummed at write time. The
-// section table stays in the process, so the only trust placed in the file
-// is that its bytes did not rot between write and replay — exactly what the
-// digest check catches.
+// spilledChunk is a chunk record on disk: one sealed SpillFile holding a
+// section per scan, in scan order, and one reader that streams them back.
+// The section table stays in the process, so the only trust placed in the
+// file is that its bytes did not rot between write and replay — exactly
+// what the spill's digest catches once the last section is read.
 type spilledChunk struct {
-	f        *os.File
-	path     string
+	spill    *extsort.SpillFile
+	r        io.Reader
+	next     int // the section r is at
 	sections []chunkSection
 }
 
 type chunkSection struct {
-	off, len int64
-	sum      [32]byte
-	certs    int
-	obs      int
+	len        int64
+	certs, obs int
 }
 
 // ChunkStore accumulates chunk records in order, spilling whole chunks to
 // dir once live records exceed memBudget bytes. Replay access is by
-// (chunk, scan) section, the order the snapshot replay consumes them in.
+// (chunk, scan) section, the unit the snapshot replay consumes; a spilled
+// chunk's sections must be read in scan order, each once.
 type ChunkStore struct {
 	nScans    int
 	memBudget int64
@@ -113,57 +114,64 @@ func (cs *ChunkStore) Spills() int { return cs.spills }
 // SpilledBytes returns the total bytes written to spill files.
 func (cs *ChunkStore) SpilledBytes() int64 { return cs.spiltIn }
 
-// spillChunk writes chunk k's record to a temp file and drops it from the
-// live set.
+// spillChunk writes chunk k's record to a sealed spill file and drops it
+// from the live set.
 func (cs *ChunkStore) spillChunk(k int) error {
 	rec := cs.live[k]
-	f, err := os.CreateTemp(cs.dir, "scan-chunk-*.spill")
-	if err != nil {
-		return fmt.Errorf("scanner: create chunk spill: %w", err)
+	sp := &spilledChunk{
+		spill:    extsort.NewSpillFile(cs.dir, "scan-chunk-*.spill", 0),
+		sections: make([]chunkSection, cs.nScans),
 	}
-	sp := &spilledChunk{f: f, path: f.Name(), sections: make([]chunkSection, cs.nScans)}
-	var off int64
 	var buf []byte
 	for s := 0; s < cs.nScans; s++ {
 		buf = encodeSection(buf[:0], rec.certs[s], rec.obs[s])
-		if _, err := f.WriteAt(buf, off); err != nil {
-			sp.remove()
-			return fmt.Errorf("scanner: write chunk spill: %w", err)
-		}
-		sp.sections[s] = chunkSection{
-			off: off, len: int64(len(buf)),
-			sum:   sha256.Sum256(buf),
-			certs: len(rec.certs[s]), obs: len(rec.obs[s]),
-		}
-		off += int64(len(buf))
+		sp.spill.Write(buf) // a write error sticks, and Seal reports it
+		sp.sections[s] = chunkSection{len: int64(len(buf)), certs: len(rec.certs[s]), obs: len(rec.obs[s])}
 	}
+	err := sp.spill.Seal()
+	if err == nil {
+		sp.r, err = sp.spill.Reader()
+	}
+	if err != nil {
+		sp.spill.Remove()
+		return fmt.Errorf("scanner: write chunk spill: %w", err)
+	}
+	n := sp.spill.Len()
 	cs.spilled[k] = sp
 	cs.live[k] = nil
 	cs.liveBytes -= rec.bytes
 	cs.spills++
-	cs.spiltIn += off
+	cs.spiltIn += n
 	if cs.OnSpill != nil {
-		cs.OnSpill(k, off)
+		cs.OnSpill(k, n)
 	}
 	return nil
 }
 
 // Section returns chunk k's record for scan s: the certificates the chunk
-// first saw at that scan, and its observations. Spilled sections are read
-// back with their write-time digest verified; the returned slices are owned
-// by the caller for spilled chunks and shared with the store for live ones.
+// first saw at that scan, and its observations. A spilled chunk's sections
+// come back in scan order only, and its digest is checked as the last one
+// is read, so an earlier section may carry rot the replay fails on later.
+// The returned slices are owned by the caller for spilled chunks and shared
+// with the store for live ones.
 func (cs *ChunkStore) Section(k, s int) ([]NewCert, []ObsRec, error) {
 	if rec := cs.live[k]; rec != nil {
 		return rec.certs[s], rec.obs[s], nil
 	}
 	sp := cs.spilled[k]
+	if s != sp.next {
+		return nil, nil, fmt.Errorf("scanner: chunk %d scan %d read out of scan order (next is scan %d)", k, s, sp.next)
+	}
 	sec := sp.sections[s]
 	buf := make([]byte, sec.len)
-	if _, err := sp.f.ReadAt(buf, sec.off); err != nil {
+	if _, err := io.ReadFull(sp.r, buf); err != nil {
 		return nil, nil, fmt.Errorf("scanner: read chunk %d scan %d spill: %w", k, s, err)
 	}
-	if sha256.Sum256(buf) != sec.sum {
-		return nil, nil, fmt.Errorf("scanner: chunk %d scan %d spill digest mismatch (corrupt spill)", k, s)
+	sp.next++
+	if sp.next == len(sp.sections) {
+		if err := extsort.ReadEnd(sp.r); err != nil {
+			return nil, nil, fmt.Errorf("scanner: chunk %d spill: %w", k, err)
+		}
 	}
 	return decodeSection(buf, sec.certs, sec.obs, k, s)
 }
@@ -175,25 +183,13 @@ func (cs *ChunkStore) Close() error {
 		if sp == nil {
 			continue
 		}
-		if err := sp.remove(); err != nil && first == nil {
+		if err := sp.spill.Remove(); err != nil && first == nil {
 			first = err
 		}
 	}
 	cs.spilled = nil
 	cs.live = nil
 	return first
-}
-
-func (sp *spilledChunk) remove() error {
-	if sp.f == nil {
-		return nil
-	}
-	err := sp.f.Close()
-	sp.f = nil
-	if rmErr := os.Remove(sp.path); err == nil {
-		err = rmErr
-	}
-	return err
 }
 
 // encodeSection lays out one (chunk, scan) section: per cert fp, SPKI,

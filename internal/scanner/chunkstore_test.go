@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -98,10 +99,25 @@ func TestChunkStoreBudgetKeepsRecentLive(t *testing.T) {
 	}
 }
 
+// spillPath returns the one spill file in dir: the store's spilled chunk.
+func spillPath(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("%d files in the spill dir, want the one spilled chunk", len(entries))
+	}
+	return filepath.Join(dir, entries[0].Name())
+}
+
 // TestChunkStoreDetectsCorruption flips one payload byte in a spilled chunk
-// and demands an explicit digest error from Section, not silent bad data.
+// and demands an explicit digest error once its sections are read, not
+// silent bad data.
 func TestChunkStoreDetectsCorruption(t *testing.T) {
-	cs := NewChunkStore(2, 1, t.TempDir())
+	dir := t.TempDir()
+	cs := NewChunkStore(2, 1, dir)
 	defer cs.Close()
 	fillStore(t, cs, 1, 2)
 	sp := cs.spilled[0]
@@ -109,33 +125,62 @@ func TestChunkStoreDetectsCorruption(t *testing.T) {
 		t.Fatal("chunk not spilled")
 	}
 	// Flip a byte inside section 1's range.
-	sec := sp.sections[1]
-	buf := []byte{0xff}
-	if _, err := sp.f.WriteAt(buf, sec.off+sec.len/2); err != nil {
+	f, err := os.OpenFile(spillPath(t, dir), os.O_RDWR, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xff}, sp.sections[0].len+sp.sections[1].len/2); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	// The section before the flip still reads; the digest is checked with
+	// the last section.
+	if _, _, err := cs.Section(0, 0); err != nil {
+		t.Fatalf("clean section before the corruption: %v", err)
 	}
 	if _, _, err := cs.Section(0, 1); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("corrupt section error = %v, want digest mismatch", err)
-	}
-	// Untouched sections still read.
-	if _, _, err := cs.Section(0, 0); err != nil {
-		t.Fatalf("clean section after sibling corruption: %v", err)
 	}
 }
 
 // TestChunkStoreDetectsTruncation chops the spill file short and demands a
 // read error for the section past the cut.
 func TestChunkStoreDetectsTruncation(t *testing.T) {
-	cs := NewChunkStore(2, 1, t.TempDir())
+	dir := t.TempDir()
+	cs := NewChunkStore(2, 1, dir)
 	defer cs.Close()
 	fillStore(t, cs, 1, 2)
 	sp := cs.spilled[0]
-	sec := sp.sections[1]
-	if err := os.Truncate(sp.path, sec.off+sec.len/2); err != nil {
+	if err := os.Truncate(spillPath(t, dir), sp.sections[0].len+sp.sections[1].len/2); err != nil {
 		t.Fatal(err)
+	}
+	if _, _, err := cs.Section(0, 0); err != nil {
+		t.Fatalf("section before the cut: %v", err)
 	}
 	if _, _, err := cs.Section(0, 1); err == nil {
 		t.Fatal("truncated section read succeeded")
+	}
+}
+
+// TestChunkStoreSectionsInScanOrder: a spilled chunk streams its sections
+// back in scan order, each once; asking for any other is an explicit error.
+func TestChunkStoreSectionsInScanOrder(t *testing.T) {
+	cs := NewChunkStore(3, 1, t.TempDir())
+	defer cs.Close()
+	fillStore(t, cs, 1, 3)
+	if _, _, err := cs.Section(0, 1); err == nil || !strings.Contains(err.Error(), "out of scan order") {
+		t.Fatalf("section 1 before section 0: err = %v, want out of scan order", err)
+	}
+	if _, _, err := cs.Section(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cs.Section(0, 0); err == nil || !strings.Contains(err.Error(), "out of scan order") {
+		t.Fatalf("section 0 read twice: err = %v, want out of scan order", err)
+	}
+	for s := 1; s < 3; s++ {
+		if _, _, err := cs.Section(0, s); err != nil {
+			t.Fatalf("Section(0,%d) in order: %v", s, err)
+		}
 	}
 }
 

@@ -25,11 +25,13 @@ import (
 // Certificates intern chunk-locally (a fingerprint map per chunk, never a
 // global one), and each chunk records, per scan, the certificates first seen
 // in that chunk at that scan plus the (local cert, IP) observations. The
-// ChunkStore holds those records, spilling whole chunks to checksummed temp
-// files past a memory budget; replaying the records scan-major —
-// scan 0 across chunks 0..K, then scan 1, … — reconstructs the exact global
-// first-seen intern order of the in-memory path, which is what makes the
-// streaming snapshot byte-identical to the resident one.
+// ChunkStore holds those records, spilling whole chunks past a memory budget
+// as one checksummed extsort.SpillFile each; replaying the records
+// scan-major — scan 0 across chunks 0..K, then scan 1, … — reconstructs the
+// exact global first-seen intern order of the in-memory path, which is what
+// makes the streaming snapshot byte-identical to the resident one. That
+// replay asks each chunk for its sections in increasing scan order, so a
+// spilled chunk reads back as one sequential stream.
 
 // NewCert is one certificate first observed by a chunk at a given scan.
 type NewCert struct {

@@ -407,18 +407,26 @@ func TestVerifyDigestsCatchesForgedColumn(t *testing.T) {
 	}
 	raw := encodeCertShard(lens, ders, fps)
 	raw[len(raw)-1] ^= 0xff // last digest byte
-	if _, err := decodeCertShard(raw, 5, true); err == nil {
+	if _, err := decodeCertShard(raw, 5, true, 1); err == nil {
 		t.Fatal("forged digest column accepted with VerifyDigests")
 	} else if !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	// Without verification the forged digest is adopted (attestation model).
-	certs, err := decodeCertShard(raw, 5, false)
+	certs, err := decodeCertShard(raw, 5, false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if certs[4].Fingerprint() == c.Cert(4).Cert.Fingerprint() {
 		t.Fatal("expected adopted forged digest to differ")
+	}
+	// Two forged digests parsed across 4 workers: the error names the
+	// lower index, whichever worker reaches its certificate first.
+	raw[len(raw)-1-3*32] ^= 0xff // cert 1's last digest byte
+	for range 20 {
+		if _, err := decodeCertShard(raw, 5, true, 4); err == nil || !strings.Contains(err.Error(), "cert 1 digest mismatch") {
+			t.Fatalf("two forged digests at 4 workers: err = %v, want cert 1's", err)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"securepki/internal/netsim"
+	"securepki/internal/parallel"
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
@@ -49,7 +50,7 @@ func decodeShards(lay *V3Layout, comps [][]byte, opt Options) ([][]*x509lite.Cer
 				Observe(int64(len(raw)) * 100 / int64(len(comps[i])))
 		}
 		if i < certShards {
-			certs, err := decodeCertShard(raw, int(sh.Count), opt.VerifyDigests)
+			certs, err := decodeCertShard(raw, int(sh.Count), opt.VerifyDigests, 1)
 			if err != nil {
 				errs[i] = fmt.Errorf("snapshot: cert shard %d: %w", i, err)
 				return
@@ -173,18 +174,21 @@ func gunzipShard(comp []byte, rawLen uint64) ([]byte, error) {
 	return raw, nil
 }
 
-// decodeCertShard splits the three certificate columns and parses every DER.
-func decodeCertShard(raw []byte, count int, verify bool) ([]*x509lite.Certificate, error) {
+// decodeCertShard splits the three certificate columns and parses every
+// DER across workers, adopting the stored digests (verify first compares
+// each against its DER). An error names the lowest-indexed certificate that
+// failed, at any worker count.
+func decodeCertShard(raw []byte, count int, verify bool, workers int) ([]*x509lite.Certificate, error) {
 	// Every certificate occupies at least one length byte plus its 32-byte
 	// digest, so a count the payload cannot back is rejected before any
 	// count-sized allocation happens.
 	if uint64(count)*33 > uint64(len(raw)) {
 		return nil, fmt.Errorf("payload of %d bytes cannot hold %d certificates", len(raw), count)
 	}
-	lens := make([]int, count)
+	offs := make([]int, count+1) // DER i is offs[i]:offs[i+1] of the DER column
 	off := 0
 	var total uint64
-	for i := range lens {
+	for i := range count {
 		v, n := binary.Uvarint(raw[off:])
 		if n <= 0 {
 			return nil, fmt.Errorf("length column truncated at cert %d", i)
@@ -192,8 +196,8 @@ func decodeCertShard(raw []byte, count int, verify bool) ([]*x509lite.Certificat
 		if v == 0 || v > MaxCertDER {
 			return nil, fmt.Errorf("cert %d claims %d DER bytes, cap %d", i, v, MaxCertDER)
 		}
-		lens[i] = int(v)
 		total += v
+		offs[i+1] = int(total)
 		off += n
 	}
 	if uint64(len(raw)-off) != total+uint64(count)*32 {
@@ -202,22 +206,24 @@ func decodeCertShard(raw []byte, count int, verify bool) ([]*x509lite.Certificat
 	ders := raw[off : off+int(total)]
 	fps := raw[off+int(total):]
 	certs := make([]*x509lite.Certificate, count)
-	pos := 0
-	for i := range certs {
-		der := ders[pos : pos+lens[i]]
-		pos += lens[i]
-		var fp x509lite.Fingerprint
-		copy(fp[:], fps[i*32:])
+	errs := make([]error, count)
+	parallel.ForEach(workers, count, func(i int) {
+		der, fp := ders[offs[i]:offs[i+1]], x509lite.Fingerprint(fps[i*32:])
 		if verify {
 			if got := x509lite.FingerprintBytes(der); got != fp {
-				return nil, fmt.Errorf("cert %d digest mismatch: stored %s, computed %s", i, fp, got)
+				errs[i] = fmt.Errorf("cert %d digest mismatch: stored %s, computed %s", i, fp, got)
+				return
 			}
 		}
-		cert, err := x509lite.ParseWithDigest(der, fp)
-		if err != nil {
-			return nil, fmt.Errorf("cert %d: %w", i, err)
+		var err error
+		if certs[i], err = x509lite.ParseWithDigest(der, fp); err != nil {
+			errs[i] = fmt.Errorf("cert %d: %w", i, err)
 		}
-		certs[i] = cert
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return certs, nil
 }

@@ -8,8 +8,8 @@ package snapshot
 // buffer is sorted by fingerprint and spilled as one run, an
 // extsort.SpillFile on disk. Merge k-way merges the runs and the in-memory
 // remainder back into one ascending stream, reading every run sequentially
-// through its own buffer, so the fan-in is the total findings size over the
-// budget, whatever the parse batch.
+// through a 4 KiB buffer of its own, so the fan-in is the total findings
+// size over the budget, whatever the parse batch.
 //
 // Run record layout (integers little-endian); a run is its records in
 // ascending fingerprint order, checksummed by its SpillFile:
@@ -23,6 +23,7 @@ package snapshot
 // table; Add has checked each finding against it before encoding.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -167,7 +168,10 @@ func (lr *LintRuns) Merge(fn func(certlint.CertFindings) error) error {
 		if err != nil {
 			return err
 		}
-		srcs = append(srcs, (&lintSrc{lints: lr.lw.lints, name: fmt.Sprintf("lint run %d", i), r: rd, count: run.count}).next)
+		// Records come off a small buffer of their own; the spill reader
+		// holds none.
+		br := bufio.NewReaderSize(rd, 4<<10)
+		srcs = append(srcs, (&lintSrc{lints: lr.lw.lints, name: fmt.Sprintf("lint run %d", i), r: br, count: run.count}).next)
 	}
 	remainder := &spanReader{buf: lr.buf, spans: lr.spans}
 	srcs = append(srcs, (&lintSrc{lints: lr.lw.lints, name: "lint run buffer", r: remainder, count: len(lr.spans)}).next)
@@ -204,11 +208,7 @@ type lintSrc struct {
 // drained, and for a spilled run that its checksum held.
 func (s *lintSrc) next() (certlint.CertFindings, bool, error) {
 	if s.read == s.count {
-		var b [1]byte
-		if _, err := io.ReadFull(s.r, b[:]); err != io.EOF {
-			if err == nil {
-				err = fmt.Errorf("trailing bytes after %d records", s.count)
-			}
+		if err := extsort.ReadEnd(s.r); err != nil {
 			return certlint.CertFindings{}, false, fmt.Errorf("snapshot: %s: %w", s.name, err)
 		}
 		return certlint.CertFindings{}, false, nil

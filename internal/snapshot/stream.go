@@ -27,9 +27,10 @@ import (
 // Options.Workers compressors as its CertsPerShard-th certificate arrives,
 // and a scan shard as its ScansPerShard-th scan ends; compressed shards join
 // the certificate or scan payload in shard order. The payloads, the
-// per-scan observation columns, the retained DERs and the index section
-// arrays are memory-first spills that move to disk only past their share of
-// the budget, and the IP/AS sightings accumulate in external-merge sorters.
+// per-scan observation columns, the retained certificate shards and the
+// index section arrays are memory-first spills that move to disk only past
+// their share of the budget, and the IP/AS sightings accumulate in
+// external-merge sorters.
 // What stays resident is per-certificate constant-size state (fingerprint,
 // SPKI, DER location — the index needs it anyway) and the fingerprint
 // dedup map. The sections build while the last scan shards compress, and
@@ -53,7 +54,7 @@ type StreamWriter struct {
 	certPay, scanPay payload
 	certShards       int // certificate shards handed to compressors so far
 
-	ders *extsort.SpillFile // KeepDERs: every interned DER, for EachCert
+	kept *extsort.SpillFile // KeepDERs: every certificate shard's layout, for Certs
 
 	cols      []*scanCols // per scan, ScanID order
 	scansDone int         // scans already laid out in scan shards
@@ -73,20 +74,21 @@ type StreamWriterConfig struct {
 	// MemBudget bounds what the writer buffers in memory (<= 0 means
 	// extsort.DefaultMemBudget): the IP and AS sorters take a quarter of it
 	// each (an eighth for records, an eighth for the sort's second buffer),
-	// the certificate and scan payloads and the retained DERs an eighth
-	// each, and the ten section arrays share the last eighth; beyond its
-	// share each spills to disk. Outside it stay the per-certificate state,
-	// the certificate shard being filled, up to Workers shards held while
-	// they compress, the observation columns of the scans not yet in a
-	// shard (up to 256 KiB each before they spill), and, while Finish
-	// merges the sorters, 68 KiB of read buffers per spilled run. Finish
-	// releases all of it but the retained DERs' eighth and the
-	// per-certificate fingerprint and SPKI, which leaves the other seven
-	// eighths to a lint pass that follows (core.StreamSnapshot gives them to
-	// LintRuns and LintColumnWriter).
+	// the certificate and scan payloads and the retained certificate shards
+	// an eighth each, and the ten section arrays share the last eighth;
+	// beyond its share each spills to disk. Outside it stay the
+	// per-certificate state, the certificate shard being filled, up to
+	// Workers shards held while they compress, the observation columns of
+	// the scans not yet in a shard (up to 256 KiB each before they spill),
+	// and, while Finish merges the sorters, a 4 KiB read buffer per spilled
+	// run. Finish releases all of it but the retained shards' eighth, the
+	// certificate shard table and the per-certificate fingerprint and SPKI,
+	// which leaves the other seven eighths to a lint pass that follows
+	// (core.StreamSnapshot gives them to LintRuns and LintColumnWriter).
 	MemBudget int64
-	// KeepDERs retains every interned DER so EachCert can replay the
-	// certificate table after Finish (the lint pass needs this).
+	// KeepDERs retains every certificate shard's uncompressed layout, the
+	// bytes the payload compresses, so Certs can hand the certificates to a
+	// lint pass after Finish.
 	KeepDERs bool
 }
 
@@ -144,7 +146,7 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 	sw.certPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
 	sw.scanPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
 	if cfg.KeepDERs {
-		sw.ders = extsort.NewSpillFile(cfg.SpillDir, "snapshot-ders-*.spill", budget/8)
+		sw.kept = extsort.NewSpillFile(cfg.SpillDir, "snapshot-certs-*.spill", budget/8)
 	}
 	var err error
 	if sw.idx, err = newSectionBuilder(opt.ASOf, budget/8, cfg.SpillDir); err != nil {
@@ -178,14 +180,6 @@ func (sw *StreamWriter) Intern(der []byte, fp, spki x509lite.Fingerprint) (scans
 	sw.idx.addCert(fp, spki)
 	sw.pendLens = append(sw.pendLens, uint32(len(der)))
 	sw.pendDERs = append(sw.pendDERs, der...)
-	if sw.ders != nil {
-		head := append(append(fp[:], spki[:]...), 0, 0, 0, 0)
-		binary.LittleEndian.PutUint32(head[64:], uint32(len(der)))
-		sw.ders.Write(head)
-		if _, err := sw.ders.Write(der); err != nil {
-			return 0, false, sw.fail(err)
-		}
-	}
 	if len(sw.pendLens) >= sw.opt.CertsPerShard {
 		if err := sw.flushCertShard(); err != nil {
 			return 0, false, sw.fail(err)
@@ -293,6 +287,11 @@ func (sw *StreamWriter) flushCertShard() error {
 	sw.certShards++
 	raw := encodeCertShard(sw.pendLens, sw.pendDERs, sw.idx.fps[first:])
 	sw.pendLens, sw.pendDERs = sw.pendLens[:0], sw.pendDERs[:0]
+	if sw.kept != nil {
+		if _, err := sw.kept.Write(raw); err != nil {
+			return err
+		}
+	}
 	return sw.compress(&sw.certPay, first, count, raw)
 }
 
@@ -355,14 +354,17 @@ func (sw *StreamWriter) land() error {
 }
 
 // Finish flushes everything, writes the complete snapshot to w and
-// releases the encode-only state. The writer remains readable (EachCert,
-// SPKI, NumCerts) but accepts no further data.
+// releases the encode-only state. The writer remains readable (Certs, SPKI,
+// NumCerts) but accepts no further data.
 func (sw *StreamWriter) Finish(w io.Writer) error {
 	if sw.err != nil {
 		return sw.err
 	}
 	if err := sw.flushCertShard(); err != nil {
 		return sw.fail(err)
+	}
+	if sw.kept != nil {
+		sw.kept.Seal() // the retained shards are whole; a flush error sticks for Certs
 	}
 
 	// The index sections build while the scan shards compress.
@@ -479,8 +481,9 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 // snapshot — the dedup map, the drained sorters and their buffers, the
 // payload spills and the per-scan column list (every column went with its
 // scan shard), the DER locations — so all that stays for a lint pass
-// (EachCert, SPKI, NumCerts) is the retained DERs and the per-certificate
-// fingerprint and SPKI. The writer then refuses further data.
+// (Certs, SPKI, NumCerts) is the retained certificate shards, their table
+// rows and the per-certificate fingerprint and SPKI. The writer then
+// refuses further data.
 func (sw *StreamWriter) release() error {
 	err := sw.idx.close()
 	sw.idx.ips, sw.idx.ases, sw.idx.locs = nil, nil, nil
@@ -488,8 +491,8 @@ func (sw *StreamWriter) release() error {
 		if rerr := pay.data.Remove(); err == nil {
 			err = rerr
 		}
-		pay.tab = nil
 	}
+	sw.scanPay.tab = nil
 	sw.byFP, sw.cols = nil, nil
 	sw.pendLens, sw.pendDERs, sw.certVars, sw.ipVars = nil, nil, nil, nil
 	sw.err = errFinished
@@ -515,39 +518,37 @@ func (sw *StreamWriter) emitObs(shardTab []streamShardEntry, obsCount uint64) {
 	reg.Counter("snapshot.encode.comp_bytes").Add(comp)
 }
 
-// EachCert replays every interned certificate's DER in ID order (requires
-// KeepDERs). The DER slice is only valid during the callback.
-func (sw *StreamWriter) EachCert(fn func(id scanstore.CertID, fp, spki x509lite.Fingerprint, der []byte) error) error {
-	if sw.ders == nil {
-		return fmt.Errorf("snapshot: EachCert without KeepDERs")
+// Certs hands fn every interned certificate in ID order, one certificate
+// shard at a time, each parsed across Options.Workers with its stored
+// digest adopted. It needs KeepDERs and a finished writer. The retained
+// shards' digest is checked after the last shard, so a caller must discard
+// what it derived when Certs fails.
+func (sw *StreamWriter) Certs(fn func([]*x509lite.Certificate) error) error {
+	if sw.kept == nil {
+		return fmt.Errorf("snapshot: Certs without KeepDERs")
 	}
-	rd, err := sw.ders.Reader()
+	if sw.err != errFinished {
+		return fmt.Errorf("snapshot: Certs before Finish")
+	}
+	rd, err := sw.kept.Reader()
 	if err != nil {
 		return err
 	}
-	var head [68]byte
-	var der []byte
-	for id := 0; id < len(sw.idx.fps); id++ {
-		if _, err := io.ReadFull(rd, head[:]); err != nil {
-			return fmt.Errorf("snapshot: DER spill truncated: %w", err)
+	for i, sh := range sw.certPay.tab {
+		raw := make([]byte, sh.rawLen)
+		if _, err := io.ReadFull(rd, raw); err != nil {
+			return fmt.Errorf("snapshot: retained cert shard %d: %w", i, err)
 		}
-		var fp, spki x509lite.Fingerprint
-		copy(fp[:], head[:32])
-		copy(spki[:], head[32:64])
-		dlen := binary.LittleEndian.Uint32(head[64:])
-		if dlen == 0 || dlen > MaxCertDER {
-			return fmt.Errorf("snapshot: DER spill corrupt length %d", dlen)
+		certs, err := decodeCertShard(raw, sh.count, false, sw.opt.Workers)
+		if err != nil {
+			return fmt.Errorf("snapshot: retained cert shard %d: %w", i, err)
 		}
-		if cap(der) < int(dlen) {
-			der = make([]byte, dlen)
-		}
-		der = der[:dlen]
-		if _, err := io.ReadFull(rd, der); err != nil {
-			return fmt.Errorf("snapshot: DER spill truncated: %w", err)
-		}
-		if err := fn(scanstore.CertID(id), fp, spki, der); err != nil {
+		if err := fn(certs); err != nil {
 			return err
 		}
+	}
+	if err := extsort.ReadEnd(rd); err != nil {
+		return fmt.Errorf("snapshot: retained cert shards: %w", err)
 	}
 	return nil
 }
@@ -570,8 +571,8 @@ func (sw *StreamWriter) Close() error {
 	}
 	keep(sw.certPay.data.Remove())
 	keep(sw.scanPay.data.Remove())
-	if sw.ders != nil {
-		keep(sw.ders.Remove())
+	if sw.kept != nil {
+		keep(sw.kept.Remove())
 	}
 	keep(sw.idx.close())
 	for _, c := range sw.cols {

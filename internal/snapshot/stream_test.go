@@ -5,8 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -227,38 +230,116 @@ func TestStreamWriterRepeatSightings(t *testing.T) {
 	}
 }
 
-// TestStreamWriterEachCert checks DER retention: every interned certificate
-// replays in ID order with its exact bytes and digests.
-func TestStreamWriterEachCert(t *testing.T) {
-	c := testCorpus(t, 40, 2, 50)
-	sw, err := NewStreamWriter(Options{}, StreamWriterConfig{SpillDir: t.TempDir(), KeepDERs: true})
+// keptWriter interns c's certificates into a writer that keeps them, with
+// its spills in dir, and finishes it.
+func keptWriter(t *testing.T, c *scanstore.Corpus, opt Options, budget int64, dir string) *StreamWriter {
+	t.Helper()
+	sw, err := NewStreamWriter(opt, StreamWriterConfig{SpillDir: dir, MemBudget: budget, KeepDERs: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sw.Close()
+	t.Cleanup(func() { sw.Close() })
 	for i := 0; i < c.NumCerts(); i++ {
 		cert := c.Cert(scanstore.CertID(i)).Cert
 		if _, _, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	next := 0
-	err = sw.EachCert(func(id scanstore.CertID, fp, spki x509lite.Fingerprint, der []byte) error {
-		cert := c.Cert(id).Cert
-		if int(id) != next {
-			t.Fatalf("EachCert out of order: got %d, want %d", id, next)
+	if err := sw.Certs(func([]*x509lite.Certificate) error { return nil }); err == nil || !strings.Contains(err.Error(), "before Finish") {
+		t.Fatalf("Certs before Finish: err = %v", err)
+	}
+	if err := sw.Finish(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	return sw
+}
+
+// TestStreamWriterCerts checks certificate retention: after Finish every
+// interned certificate comes back parsed, in ID order, one certificate
+// shard at a time, with its exact DER, fingerprint and SPKI — from shards
+// kept in memory and from shards spilled to disk, with a shard size that
+// does not divide the count, at one worker and at four.
+func TestStreamWriterCerts(t *testing.T) {
+	c := testCorpus(t, 40, 2, 50)
+	for _, tc := range []struct {
+		name    string
+		budget  int64
+		workers int
+	}{
+		{"in memory", 0, 1},
+		{"on disk", 1 << 10, 4},
+	} {
+		dir := t.TempDir()
+		sw := keptWriter(t, c, Options{Workers: tc.workers, CertsPerShard: 7}, tc.budget, dir)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		next++
-		if !bytes.Equal(der, cert.Raw) || fp != cert.Fingerprint() || spki != cert.PublicKeyFingerprint() {
-			t.Fatalf("EachCert %d: payload mismatch", id)
+		if onDisk := len(files) == 1; onDisk != (tc.budget != 0) {
+			t.Fatalf("%s: %d files left in the spill dir after Finish", tc.name, len(files))
 		}
-		return nil
-	})
+		next := 0
+		var sizes []int
+		err = sw.Certs(func(certs []*x509lite.Certificate) error {
+			sizes = append(sizes, len(certs))
+			for _, cert := range certs {
+				want := c.Cert(scanstore.CertID(next)).Cert
+				if !bytes.Equal(cert.Raw, want.Raw) || cert.Fingerprint() != want.Fingerprint() ||
+					cert.PublicKeyFingerprint() != want.PublicKeyFingerprint() {
+					t.Fatalf("%s: certificate %d differs from the one interned", tc.name, next)
+				}
+				next++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := []int{7, 7, 7, 7, 7, 5}; !slices.Equal(sizes, want) {
+			t.Fatalf("%s: shard sizes %v, want %v", tc.name, sizes, want)
+		}
+	}
+
+	sw, err := NewStreamWriter(Options{}, StreamWriterConfig{SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next != c.NumCerts() {
-		t.Fatalf("EachCert visited %d of %d certs", next, c.NumCerts())
+	defer sw.Close()
+	if err := sw.Finish(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Certs(func([]*x509lite.Certificate) error { return nil }); err == nil || !strings.Contains(err.Error(), "without KeepDERs") {
+		t.Fatalf("Certs without KeepDERs: err = %v", err)
+	}
+}
+
+// TestStreamWriterCertsDetectsRot flips a bit in the retained shards on
+// disk, the only file Finish leaves in the spill dir. The bit is in the
+// last digest, which the parse adopts unchecked, so only the spill's own
+// digest can catch it, and Certs must fail with it.
+func TestStreamWriterCertsDetectsRot(t *testing.T) {
+	c := testCorpus(t, 40, 2, 50)
+	dir := t.TempDir()
+	sw := keptWriter(t, c, Options{CertsPerShard: 7}, 1<<10, dir)
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 {
+		t.Fatalf("%d files left in the spill dir after Finish, want the retained shards", len(files))
+	}
+	path := filepath.Join(dir, files[0].Name())
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 1
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	err = sw.Certs(func([]*x509lite.Certificate) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("Certs over rotted shards: err = %v, want a digest mismatch", err)
 	}
 }
 

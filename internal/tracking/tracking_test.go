@@ -51,7 +51,7 @@ func tracker(t *testing.T) (*Tracker, *devicesim.World) {
 		}
 		corpus.Validate(store)
 		ds := analysis.NewDataset(corpus, world.Internet)
-		linker := linking.NewLinker(ds, linking.DefaultConfig(), 0)
+		linker := linking.NewLinker(ds, linking.DefaultConfig(), 0, nil)
 		res := linker.Link()
 		fix.tracker = NewTracker(ds, res, linker)
 		fix.world = world

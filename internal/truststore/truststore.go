@@ -61,8 +61,6 @@ func (s Status) String() string {
 		return "bad-signature"
 	case BadVersion:
 		return "bad-version"
-	case Expired:
-		return "expired"
 	default:
 		return "unknown"
 	}

@@ -45,7 +45,7 @@ var (
 
 // Raw DER content encodings of the arcs above, precomputed so the parse hot
 // path dispatches on a byte comparison instead of decoding every OID into a
-// freshly allocated arc slice (Decoder.RawOID + rawOIDEqual are zero-alloc).
+// freshly allocated arc slice (Decoder.RawOID + bytes.Equal are zero-alloc).
 var (
 	rawOIDCommonName       = asn1der.OIDContents(oidCommonName)
 	rawOIDCountry          = asn1der.OIDContents(oidCountry)
@@ -67,30 +67,6 @@ var (
 	rawOIDAIAOCSP      = asn1der.OIDContents(oidAIAOCSP)
 	rawOIDAIACAIssuers = asn1der.OIDContents(oidAIACAIssuers)
 )
-
-func rawOIDEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func oidEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 // OIDString renders an OID in dotted form ("2.5.29.17").
 func OIDString(oid []int) string {

@@ -1,6 +1,7 @@
 package x509lite
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"fmt"
@@ -176,7 +177,7 @@ func parseAlgorithm(d *asn1der.Decoder) error {
 	if err != nil {
 		return err
 	}
-	if !rawOIDEqual(oid, rawOIDEd25519) {
+	if !bytes.Equal(oid, rawOIDEd25519) {
 		arcs, err := asn1der.ParseOID(oid)
 		if err != nil {
 			return fmt.Errorf("unsupported algorithm (undecodable OID)")
@@ -211,15 +212,15 @@ func parseName(d *asn1der.Decoder) (Name, error) {
 				return n, err
 			}
 			switch {
-			case rawOIDEqual(oid, rawOIDCommonName):
+			case bytes.Equal(oid, rawOIDCommonName):
 				n.CommonName = val
-			case rawOIDEqual(oid, rawOIDCountry):
+			case bytes.Equal(oid, rawOIDCountry):
 				n.Country = val
-			case rawOIDEqual(oid, rawOIDLocality):
+			case bytes.Equal(oid, rawOIDLocality):
 				n.Locality = val
-			case rawOIDEqual(oid, rawOIDOrganization):
+			case bytes.Equal(oid, rawOIDOrganization):
 				n.Organization = val
-			case rawOIDEqual(oid, rawOIDOrganizationUnit):
+			case bytes.Equal(oid, rawOIDOrganizationUnit):
 				n.OrganizationalUnit = val
 			}
 		}
@@ -280,7 +281,7 @@ func parseExtensions(cert *Certificate, wrap *asn1der.Decoder) error {
 func parseExtensionValue(cert *Certificate, oid, value []byte) error {
 	d := *asn1der.NewDecoder(value)
 	switch {
-	case rawOIDEqual(oid, rawOIDExtBasicConstraints):
+	case bytes.Equal(oid, rawOIDExtBasicConstraints):
 		bc, err := d.SequenceV()
 		if err != nil {
 			return parseErr("basicConstraints", err)
@@ -293,7 +294,7 @@ func parseExtensionValue(cert *Certificate, oid, value []byte) error {
 			}
 			cert.IsCA = isCA
 		}
-	case rawOIDEqual(oid, rawOIDExtKeyUsage):
+	case bytes.Equal(oid, rawOIDExtKeyUsage):
 		bits, err := d.BitString()
 		if err != nil {
 			return parseErr("keyUsage", err)
@@ -301,13 +302,13 @@ func parseExtensionValue(cert *Certificate, oid, value []byte) error {
 		if len(bits) > 0 {
 			cert.KeyUsage = int(bits[0])
 		}
-	case rawOIDEqual(oid, rawOIDExtSubjectKeyID):
+	case bytes.Equal(oid, rawOIDExtSubjectKeyID):
 		id, err := d.OctetString()
 		if err != nil {
 			return parseErr("subjectKeyID", err)
 		}
 		cert.SubjectKeyID = id
-	case rawOIDEqual(oid, rawOIDExtAuthorityKeyID):
+	case bytes.Equal(oid, rawOIDExtAuthorityKeyID):
 		aki, err := d.SequenceV()
 		if err != nil {
 			return parseErr("authorityKeyID", err)
@@ -321,7 +322,7 @@ func parseExtensionValue(cert *Certificate, oid, value []byte) error {
 				cert.AuthorityKeyID = content
 			}
 		}
-	case rawOIDEqual(oid, rawOIDExtSAN):
+	case bytes.Equal(oid, rawOIDExtSAN):
 		san, err := d.SequenceV()
 		if err != nil {
 			return parseErr("subjectAltName", err)
@@ -348,13 +349,13 @@ func parseExtensionValue(cert *Certificate, oid, value []byte) error {
 				cert.IPAddresses = append(cert.IPAddresses, net.IP(content))
 			}
 		}
-	case rawOIDEqual(oid, rawOIDExtCRLDistribution):
+	case bytes.Equal(oid, rawOIDExtCRLDistribution):
 		urls, err := parseCRLDistribution(&d)
 		if err != nil {
 			return err
 		}
 		cert.CRLDistributionPoints = urls
-	case rawOIDEqual(oid, rawOIDExtAIA):
+	case bytes.Equal(oid, rawOIDExtAIA):
 		aia, err := d.SequenceV()
 		if err != nil {
 			return parseErr("authorityInfoAccess", err)
@@ -376,13 +377,13 @@ func parseExtensionValue(cert *Certificate, oid, value []byte) error {
 				continue
 			}
 			switch {
-			case rawOIDEqual(method, rawOIDAIAOCSP):
+			case bytes.Equal(method, rawOIDAIAOCSP):
 				cert.OCSPServer = append(cert.OCSPServer, string(content))
-			case rawOIDEqual(method, rawOIDAIACAIssuers):
+			case bytes.Equal(method, rawOIDAIACAIssuers):
 				cert.IssuingCertificateURL = append(cert.IssuingCertificateURL, string(content))
 			}
 		}
-	case rawOIDEqual(oid, rawOIDExtCertPolicies):
+	case bytes.Equal(oid, rawOIDExtCertPolicies):
 		pols, err := d.SequenceV()
 		if err != nil {
 			return parseErr("certificatePolicies", err)

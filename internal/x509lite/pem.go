@@ -91,7 +91,7 @@ func (c *Certificate) Text() string {
 	for _, oid := range c.PolicyOIDs {
 		fmt.Fprintf(&b, "    Policy: %s\n", OIDString(oid))
 	}
-	fmt.Fprintf(&b, "    Signature: %x...\n", c.Signature[:minInt(16, len(c.Signature))])
+	fmt.Fprintf(&b, "    Signature: %x...\n", c.Signature[:min(16, len(c.Signature))])
 	fmt.Fprintf(&b, "    SHA-256 Fingerprint: %s\n", c.Fingerprint())
 	fmt.Fprintf(&b, "    Self-Issued: %v, Self-Signed: %v\n", c.SelfIssued(), c.SelfSigned())
 	return b.String()
@@ -102,11 +102,4 @@ func orNone(s string) string {
 		return "(empty)"
 	}
 	return s
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
