@@ -39,13 +39,14 @@ check: vet lint race
 fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/snapshot ./internal/x509lite
 
-# One iteration of each snapshot, query, lint, worker-pool and external-sort
-# benchmark — catches benchmarks that no longer compile or crash without
-# burning CI minutes on timing.
+# One iteration of each snapshot, query, lint, worker-pool, external-sort,
+# certificate-construction and sighting-index benchmark — catches benchmarks
+# that no longer compile or crash without burning CI minutes on timing.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Snapshot|Query|Lint' -benchtime=1x ./internal/snapshot ./internal/querystore ./internal/certlint
 	$(GO) test -run='^$$' -bench='ForEach' -benchtime=1x ./internal/parallel
 	$(GO) test -run='^$$' -bench='Sorter' -benchtime=1x ./internal/extsort
+	$(GO) test -run='^$$' -bench='Create|BuildIndex' -benchtime=1x ./internal/x509lite ./internal/scanstore
 
 # One cell of the chaos matrix under the race detector: a full certscan
 # sweep against a 30%-faulty population must produce a corpus snapshot
@@ -131,12 +132,13 @@ ci: build vet fmt-check lint
 	$(MAKE) mem-smoke
 	$(MAKE) perfbench-check
 
-# Perf trajectory: snapshot, parse, query, lint and external-merge
-# benchmarks rendered to machine-readable JSON so future PRs have a baseline
-# to compare against (certs/sec, MB/s, allocs/op per benchmark).
+# Perf trajectory: snapshot, parse, certificate-construction, query, lint,
+# external-merge and sighting-index benchmarks rendered to machine-readable
+# JSON so future PRs have a baseline to compare against (certs/sec, MB/s,
+# allocs/op per benchmark).
 bench:
-	$(GO) test -run='^$$' -bench='Snapshot|Parse|Query|Lint|Sorter' -benchmem \
-		./internal/snapshot ./internal/x509lite ./internal/querystore ./internal/certlint ./cmd/certquery ./internal/extsort \
+	$(GO) test -run='^$$' -bench='Snapshot|Parse|Create|Query|Lint|Sorter|BuildIndex' -benchmem \
+		./internal/snapshot ./internal/x509lite ./internal/querystore ./internal/certlint ./cmd/certquery ./internal/extsort ./internal/scanstore \
 		| $(GO) run ./cmd/benchjson > BENCH_snapshot.json
 	@echo wrote BENCH_snapshot.json
 

@@ -12,6 +12,7 @@ package asn1der
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 )
 
@@ -42,18 +43,31 @@ const (
 
 const constructed = 0x20
 
-// Encoder incrementally builds a DER document. Values are appended in order;
-// Bytes returns the accumulated encoding. The zero value is ready to use.
+// Encoder incrementally builds a DER document in one buffer. Values are
+// appended in order; Bytes returns the accumulated encoding. A constructed
+// value is built in place: its tag and a one-byte length placeholder go
+// first, the build callback appends the contents to the same buffer, and the
+// length is back-patched once the contents are known, moving them up only
+// when the length needs the long form (128 bytes or more). Primitive values
+// append their contents directly, without an intermediate slice. The zero
+// value is ready to use.
 type Encoder struct {
 	buf []byte
 }
 
 // Bytes returns the encoded document. The returned slice aliases the
-// encoder's buffer; callers that keep encoding must copy it first.
+// encoder's buffer; callers that keep encoding must copy it first. Inside a
+// build callback it is the whole document so far, the enclosing values'
+// unpatched headers included.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
+// Len returns the number of bytes encoded so far. Inside a build callback
+// it is an offset into the whole document, so e.Bytes()[start:] after a
+// nested value returns is that value's complete encoding.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow makes room for at least n more bytes without another allocation.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Raw appends pre-encoded DER bytes verbatim.
 func (e *Encoder) Raw(der []byte) { e.buf = append(e.buf, der...) }
@@ -64,19 +78,55 @@ func (e *Encoder) tlv(tag byte, content []byte) {
 	e.buf = append(e.buf, content...)
 }
 
-func (e *Encoder) length(n int) {
-	switch {
-	case n < 0x80:
-		e.buf = append(e.buf, byte(n))
-	case n <= 0xff:
-		e.buf = append(e.buf, 0x81, byte(n))
-	case n <= 0xffff:
-		e.buf = append(e.buf, 0x82, byte(n>>8), byte(n))
-	case n <= 0xffffff:
-		e.buf = append(e.buf, 0x83, byte(n>>16), byte(n>>8), byte(n))
-	default:
-		e.buf = append(e.buf, 0x84, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
+func (e *Encoder) stringTLV(tag byte, s string) {
+	e.buf = append(e.buf, tag)
+	e.length(len(s))
+	e.buf = append(e.buf, s...)
+}
+
+func (e *Encoder) length(n int) { e.buf = appendLength(e.buf, n) }
+
+// appendLength appends the DER length octets of n: one for n < 128, else
+// 0x80|k followed by n in k big-endian octets.
+func appendLength(dst []byte, n int) []byte {
+	if n < 0x80 {
+		return append(dst, byte(n))
 	}
+	k := 4
+	switch {
+	case n <= 0xff:
+		k = 1
+	case n <= 0xffff:
+		k = 2
+	case n <= 0xffffff:
+		k = 3
+	}
+	dst = append(dst, 0x80|byte(k))
+	for i := k - 1; i >= 0; i-- {
+		dst = append(dst, byte(n>>(8*i)))
+	}
+	return dst
+}
+
+// begin appends tag and a one-byte length placeholder and returns the offset
+// at which the value's contents start.
+func (e *Encoder) begin(tag byte) int {
+	e.buf = append(e.buf, tag, 0)
+	return len(e.buf)
+}
+
+// end back-patches the length of the value whose contents started at start.
+// A short-form length fills the placeholder; a long form needs more
+// octets, so the contents move up by that many first.
+func (e *Encoder) end(start int) {
+	n := len(e.buf) - start
+	var octets [5]byte
+	l := appendLength(octets[:0], n)
+	if extra := len(l) - 1; extra > 0 {
+		e.buf = append(e.buf, make([]byte, extra)...)
+		copy(e.buf[start+extra:], e.buf[start:start+n])
+	}
+	copy(e.buf[start-1:], l)
 }
 
 // Bool appends a BOOLEAN (DER: 0xff for true, 0x00 for false).
@@ -85,31 +135,44 @@ func (e *Encoder) Bool(v bool) {
 	if v {
 		b = 0xff
 	}
-	e.tlv(TagBoolean, []byte{b})
+	e.buf = append(e.buf, TagBoolean, 1, b)
 }
 
-// Int appends an INTEGER with the minimal two's-complement encoding.
+// Int appends an INTEGER with the minimal two's-complement encoding: the
+// eight bytes of v, less every leading byte that only repeats the sign of
+// the byte after it.
 func (e *Encoder) Int(v int64) {
-	e.BigInt(big.NewInt(v))
-}
-
-// BigInt appends an arbitrary-precision INTEGER.
-func (e *Encoder) BigInt(v *big.Int) {
-	e.tlv(TagInteger, intContents(v))
-}
-
-func intContents(v *big.Int) []byte {
-	if v.Sign() == 0 {
-		return []byte{0}
-	}
-	if v.Sign() > 0 {
-		b := v.Bytes()
-		if b[0]&0x80 != 0 {
-			return append([]byte{0}, b...)
+	n := 8
+	for ; n > 1; n-- {
+		top, next := byte(v>>(8*(n-1))), byte(v>>(8*(n-2)))
+		if !(top == 0x00 && next&0x80 == 0) && !(top == 0xff && next&0x80 != 0) {
+			break
 		}
-		return b
 	}
-	// Two's complement for negatives: find the minimal byte length.
+	e.buf = append(e.buf, TagInteger, byte(n))
+	for i := n - 1; i >= 0; i-- {
+		e.buf = append(e.buf, byte(v>>(8*i)))
+	}
+}
+
+// BigInt appends an arbitrary-precision INTEGER. A non-negative value is
+// written straight into the buffer: BitLen/8+1 bytes hold its magnitude plus
+// the leading zero a set top bit needs.
+func (e *Encoder) BigInt(v *big.Int) {
+	if v.Sign() < 0 {
+		e.tlv(TagInteger, negativeIntContents(v))
+		return
+	}
+	n := v.BitLen()/8 + 1
+	e.buf = append(e.buf, TagInteger)
+	e.length(n)
+	e.buf = append(e.buf, make([]byte, n)...)
+	v.FillBytes(e.buf[len(e.buf)-n:])
+}
+
+// negativeIntContents returns the minimal two's-complement contents of a
+// negative INTEGER.
+func negativeIntContents(v *big.Int) []byte {
 	n := (v.BitLen() / 8) + 1
 	for {
 		mod := new(big.Int).Lsh(big.NewInt(1), uint(8*n))
@@ -133,42 +196,54 @@ func intContents(v *big.Int) []byte {
 // BitString appends a BIT STRING with zero unused bits (the only form X.509
 // key and signature fields use).
 func (e *Encoder) BitString(b []byte) {
-	content := make([]byte, 0, len(b)+1)
-	content = append(content, 0)
-	content = append(content, b...)
-	e.tlv(TagBitString, content)
+	e.buf = append(e.buf, TagBitString)
+	e.length(len(b) + 1)
+	e.buf = append(e.buf, 0)
+	e.buf = append(e.buf, b...)
 }
 
 // OctetString appends an OCTET STRING.
 func (e *Encoder) OctetString(b []byte) { e.tlv(TagOctetString, b) }
 
+// OctetStringOf appends an OCTET STRING whose contents are the DER that
+// build produces, the way an X.509 extension wraps its value.
+func (e *Encoder) OctetStringOf(build func(*Encoder)) {
+	e.constructedTLV(TagOctetString, build)
+}
+
 // Null appends a NULL value.
-func (e *Encoder) Null() { e.tlv(TagNull, nil) }
+func (e *Encoder) Null() { e.buf = append(e.buf, TagNull, 0) }
 
 // OID appends an OBJECT IDENTIFIER. Like OIDContents, it panics on an
 // invalid arc list.
-func (e *Encoder) OID(oid []int) { e.tlv(TagOID, OIDContents(oid)) }
+func (e *Encoder) OID(oid []int) {
+	start := e.begin(TagOID)
+	e.buf = appendOID(e.buf, oid)
+	e.end(start)
+}
 
 // OIDContents returns an OBJECT IDENTIFIER's DER content bytes, without tag
 // and length: the first two arcs packed into one value, then every value in
 // base 128. It panics on OIDs with fewer than two arcs or arcs that violate
 // the X.660 first-two-arc constraints, since OIDs in this codebase are
 // compile-time constants.
-func OIDContents(oid []int) []byte {
+func OIDContents(oid []int) []byte { return appendOID(nil, oid) }
+
+func appendOID(dst []byte, oid []int) []byte {
 	if len(oid) < 2 {
 		panic(fmt.Sprintf("asn1der: OID needs at least 2 arcs, got %d", len(oid)))
 	}
 	if oid[0] > 2 || (oid[0] < 2 && oid[1] >= 40) || oid[0] < 0 || oid[1] < 0 {
 		panic(fmt.Sprintf("asn1der: invalid OID prefix %d.%d", oid[0], oid[1]))
 	}
-	out := encodeBase128(nil, oid[0]*40+oid[1])
+	dst = encodeBase128(dst, oid[0]*40+oid[1])
 	for _, arc := range oid[2:] {
 		if arc < 0 {
 			panic(fmt.Sprintf("asn1der: negative OID arc %d", arc))
 		}
-		out = encodeBase128(out, arc)
+		dst = encodeBase128(dst, arc)
 	}
-	return out
+	return dst
 }
 
 func encodeBase128(dst []byte, v int) []byte {
@@ -187,15 +262,15 @@ func encodeBase128(dst []byte, v int) []byte {
 }
 
 // UTF8String appends a UTF8String.
-func (e *Encoder) UTF8String(s string) { e.tlv(TagUTF8String, []byte(s)) }
+func (e *Encoder) UTF8String(s string) { e.stringTLV(TagUTF8String, s) }
 
 // PrintableString appends a PrintableString. The caller is responsible for
 // the character-set restriction; X.509 consumers in this repo treat it as
 // opaque bytes.
-func (e *Encoder) PrintableString(s string) { e.tlv(TagPrintableString, []byte(s)) }
+func (e *Encoder) PrintableString(s string) { e.stringTLV(TagPrintableString, s) }
 
 // IA5String appends an IA5String.
-func (e *Encoder) IA5String(s string) { e.tlv(TagIA5String, []byte(s)) }
+func (e *Encoder) IA5String(s string) { e.stringTLV(TagIA5String, s) }
 
 // Time appends a UTCTime for years in [1950, 2050) and a GeneralizedTime
 // otherwise, per RFC 5280 §4.1.2.5. Certificates in the studied corpus carry
@@ -203,7 +278,7 @@ func (e *Encoder) IA5String(s string) { e.tlv(TagIA5String, []byte(s)) }
 func (e *Encoder) Time(t time.Time) {
 	t = t.UTC()
 	if y := t.Year(); y >= 1950 && y < 2050 {
-		e.tlv(TagUTCTime, []byte(t.Format("060102150405Z")))
+		e.timeTLV(TagUTCTime, t, "060102150405Z")
 		return
 	}
 	e.GeneralizedTime(t)
@@ -211,8 +286,13 @@ func (e *Encoder) Time(t time.Time) {
 
 // GeneralizedTime appends a GeneralizedTime regardless of year.
 func (e *Encoder) GeneralizedTime(t time.Time) {
-	t = t.UTC()
-	e.tlv(TagGeneralizedTime, []byte(t.Format("20060102150405Z")))
+	e.timeTLV(TagGeneralizedTime, t.UTC(), "20060102150405Z")
+}
+
+func (e *Encoder) timeTLV(tag byte, t time.Time, layout string) {
+	start := e.begin(tag)
+	e.buf = t.AppendFormat(e.buf, layout)
+	e.end(start)
 }
 
 // Sequence appends a SEQUENCE whose contents are produced by build.
@@ -233,9 +313,15 @@ func (e *Encoder) ContextExplicit(n int, build func(*Encoder)) {
 }
 
 // ContextImplicitPrimitive appends a primitive implicit [n] tag with the
-// given raw contents (used for SAN dNSName/iPAddress entries).
+// given raw contents (used for SAN iPAddress entries).
 func (e *Encoder) ContextImplicitPrimitive(n int, content []byte) {
 	e.tlv(byte(ClassContextSpecific|n), content)
+}
+
+// ContextImplicitString is ContextImplicitPrimitive with a string's bytes as
+// the contents (SAN dNSName and URI entries).
+func (e *Encoder) ContextImplicitString(n int, s string) {
+	e.stringTLV(byte(ClassContextSpecific|n), s)
 }
 
 // ContextImplicitConstructed appends a constructed implicit [n] tag.
@@ -243,8 +329,10 @@ func (e *Encoder) ContextImplicitConstructed(n int, build func(*Encoder)) {
 	e.constructedTLV(byte(ClassContextSpecific|constructed|n), build)
 }
 
+// constructedTLV appends tag, then the contents build appends to this same
+// encoder, then back-patches the length.
 func (e *Encoder) constructedTLV(tag byte, build func(*Encoder)) {
-	var inner Encoder
-	build(&inner)
-	e.tlv(tag, inner.buf)
+	start := e.begin(tag)
+	build(e)
+	e.end(start)
 }

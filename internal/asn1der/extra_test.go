@@ -152,3 +152,46 @@ func TestOctetStringRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Constructed values are built in place and their lengths back-patched, the
+// contents moving up when the length needs the long form. At every
+// length-form boundary, nested two deep and followed by a sibling, the
+// result must equal DER assembled by hand.
+func TestBackPatchAtLengthBoundaries(t *testing.T) {
+	header := map[int][]byte{ // SEQUENCE tag and length, by content length
+		127:   {0x30, 0x7f},
+		128:   {0x30, 0x81, 0x80},
+		255:   {0x30, 0x81, 0xff},
+		256:   {0x30, 0x82, 0x01, 0x00},
+		65535: {0x30, 0x82, 0xff, 0xff},
+		65536: {0x30, 0x83, 0x01, 0x00, 0x00},
+	}
+	outerHeader := map[int][]byte{ // outer content: inner TLV plus a NULL
+		127:   {0x30, 0x81, 0x83},             // 2+127+2
+		128:   {0x30, 0x81, 0x85},             // 3+128+2
+		255:   {0x30, 0x82, 0x01, 0x04},       // 3+255+2
+		256:   {0x30, 0x82, 0x01, 0x06},       // 4+256+2
+		65535: {0x30, 0x83, 0x01, 0x00, 0x05}, // 4+65535+2
+		65536: {0x30, 0x83, 0x01, 0x00, 0x07}, // 5+65536+2
+	}
+	for _, n := range []int{127, 128, 255, 256, 65535, 65536} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i % 251)
+		}
+		var e Encoder
+		e.Sequence(func(e *Encoder) {
+			e.Sequence(func(e *Encoder) { e.Raw(payload) })
+			e.Null()
+		})
+		var want []byte
+		want = append(want, outerHeader[n]...)
+		want = append(want, header[n]...)
+		want = append(want, payload...)
+		want = append(want, TagNull, 0x00)
+		if !bytes.Equal(e.Bytes(), want) {
+			got := e.Bytes()
+			t.Errorf("content %d: got %d bytes starting %x, want %d starting %x", n, len(got), got[:min(len(got), 8)], len(want), want[:8])
+		}
+	}
+}

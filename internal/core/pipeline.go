@@ -5,8 +5,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sort"
 	"time"
 
@@ -108,13 +110,32 @@ const (
 )
 
 // stage marks a stage boundary on either build path: progress gauge, journal
-// event, tracer span. Stages begin at serial program points, so the journal
-// line sequence is the same at any worker count.
-func (c *Config) stage(name string, ordinal int64) *obs.Span {
+// event, tracer span, and the runtime/pprof label stage=<name> on the
+// calling goroutine. Stages begin at serial program points, so the journal
+// line sequence is the same at any worker count. The goroutines a stage fans
+// out to inherit its label, so a CPU profile of a build (a
+// /debug/pprof/profile capture, or go tool pprof -tags) splits by stage.
+func (c *Config) stage(name string, ordinal int64) stageSpan {
 	c.Obs.Gauge("progress.stage").Set(ordinal)
 	c.Journal.Emit("stage.start", "stage", name)
-	return c.Tracer.Start(name)
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("stage", name)))
+	return stageSpan{c.Tracer.Start(name)}
 }
+
+// stageSpan is a running stage's tracer span.
+type stageSpan struct{ span *obs.Span }
+
+// End ends the span and restores the labels the goroutine had before the
+// stage: none, since stages run one after another, never nested, on a
+// goroutine the build does not otherwise label.
+func (s stageSpan) End() {
+	s.span.End()
+	clearStageLabel()
+}
+
+// clearStageLabel removes a stage's profiler label from the calling
+// goroutine.
+func clearStageLabel() { pprof.SetGoroutineLabels(context.Background()) }
 
 // Run executes the full pipeline.
 func Run(cfg Config) (*Pipeline, error) {
@@ -136,7 +157,7 @@ func Run(cfg Config) (*Pipeline, error) {
 
 // Generate builds the world (stage 1).
 func (p *Pipeline) Generate() error {
-	span := p.Config.stage("core.generate", stageGenerate)
+	defer p.Config.stage("core.generate", stageGenerate).End()
 	w, err := devicesim.BuildWorld(p.Config.World)
 	if err != nil {
 		return fmt.Errorf("core: generate: %w", err)
@@ -150,7 +171,6 @@ func (p *Pipeline) Generate() error {
 	reg.Counter("core.generate.x509.sign").Add(w.Signs())
 	reg.Counter("core.generate.x509.keygen").Add(w.Keygens())
 	reg.Gauge("progress.hosts_done").Set(int64(len(w.Devices)))
-	span.End()
 	return nil
 }
 
@@ -163,7 +183,7 @@ func (p *Pipeline) Scan() error {
 	if err != nil {
 		return fmt.Errorf("core: scan: %w", err)
 	}
-	span := p.Config.stage("core.scan", stageScan)
+	defer p.Config.stage("core.scan", stageScan).End()
 	signs, keygens := p.World.Signs(), p.World.Keygens()
 	corpus, truth, err := camp.Run(p.Config.Workers)
 	if err != nil {
@@ -176,7 +196,6 @@ func (p *Pipeline) Scan() error {
 	reg.Counter("core.scan.scans").Add(int64(corpus.NumScans()))
 	reg.Counter("core.scan.observations").Add(int64(corpus.NumObservations()))
 	reg.Counter("core.corpus.certs").Add(int64(corpus.NumCerts()))
-	span.End()
 	return nil
 }
 
@@ -218,7 +237,7 @@ func (p *Pipeline) LoadSnapshot(r io.Reader) error {
 // (stage 3) and builds the analysis dataset. Both fan out across
 // Config.Workers.
 func (p *Pipeline) Validate() error {
-	span := p.Config.stage("core.validate", stageValidate)
+	defer p.Config.stage("core.validate", stageValidate).End()
 	store := truststore.NewStore()
 	for _, r := range p.World.Roots() {
 		store.AddRoot(r)
@@ -244,7 +263,6 @@ func (p *Pipeline) Validate() error {
 		reg.Counter("core.validate.x509.verify").Add(store.Verifies())
 		reg.Counter("core.index.sightings").Add(int64(p.Corpus.NumObservations()))
 	}
-	span.End()
 	return nil
 }
 
@@ -254,7 +272,7 @@ func (p *Pipeline) Validate() error {
 // stored a self-signature verdict on every certificate it self-checked, so
 // only the others pay a verify here.
 func (p *Pipeline) Lint() {
-	span := p.Config.stage("core.lint", stageLint)
+	defer p.Config.stage("core.lint", stageLint).End()
 	certs := make([]*x509lite.Certificate, p.Corpus.NumCerts())
 	for i, rec := range p.Corpus.Certs() {
 		certs[i] = rec.Cert
@@ -272,7 +290,6 @@ func (p *Pipeline) Lint() {
 			}
 			return nil
 		})
-	span.End()
 }
 
 // lintCorpus is the lint stage of both build paths. It takes the key-sharing
@@ -321,7 +338,7 @@ func (p *Pipeline) WriteLintColumn(w io.Writer) error {
 
 // Link runs the §6 pipeline (stage 4) across Config.Workers.
 func (p *Pipeline) Link() {
-	span := p.Config.stage("core.link", stageLink)
+	defer p.Config.stage("core.link", stageLink).End()
 	p.Linker = linking.NewLinker(p.Dataset, p.Config.Linking, p.Config.Workers, p.Config.Obs)
 	p.LinkResult = p.Linker.Link()
 	reg := p.Config.Obs
@@ -330,15 +347,13 @@ func (p *Pipeline) Link() {
 	reg.Counter("core.link.excluded_shared").Add(int64(p.Linker.ExcludedShared()))
 	reg.Counter("core.link.groups").Add(int64(len(p.LinkResult.Groups)))
 	reg.Counter("core.link.linked_certs").Add(int64(p.LinkResult.LinkedCerts))
-	span.End()
 }
 
 // Track derives device entities (stage 5).
 func (p *Pipeline) Track() {
-	span := p.Config.stage("core.track", stageTrack)
+	defer p.Config.stage("core.track", stageTrack).End()
 	p.Tracker = tracking.NewTracker(p.Dataset, p.LinkResult, p.Linker)
 	p.Config.Obs.Counter("core.track.entities").Add(int64(len(p.Tracker.Entities())))
-	span.End()
 }
 
 // Year is the §7 trackability threshold.

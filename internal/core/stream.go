@@ -75,6 +75,9 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	}
 	reg := cfg.Obs
 	stats := &StreamStats{}
+	// An error return leaves its stage open; it must not leave the stage's
+	// profiler label on the caller's goroutine.
+	defer clearStageLabel()
 
 	span := cfg.stage("core.generate", stageGenerate)
 	gen, err := devicesim.NewGenerator(cfg.World)

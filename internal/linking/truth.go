@@ -38,10 +38,6 @@ func (p PrecisionReport) GroupPurity() float64 {
 func (l *Linker) EvaluateTruth(res Result, truth *scanner.Truth) PrecisionReport {
 	rep := PrecisionReport{PerFeaturePurity: make(map[Feature]float64)}
 
-	hostOf := func(id scanstore.CertID) (int, bool) {
-		return truth.SoleHost(l.ds.Corpus.Cert(id).Cert.Fingerprint())
-	}
-
 	type featCount struct{ pure, total int }
 	perFeature := make(map[Feature]*featCount)
 	var pureCerts, linkedCertsKnown int
@@ -56,7 +52,7 @@ func (l *Linker) EvaluateTruth(res Result, truth *scanner.Truth) PrecisionReport
 		known := true
 		for _, id := range g.Certs {
 			groupOf[id] = gi + 1
-			h, ok := hostOf(id)
+			h, ok := truth.SoleHost(id)
 			if !ok {
 				known = false
 				break
@@ -88,7 +84,7 @@ func (l *Linker) EvaluateTruth(res Result, truth *scanner.Truth) PrecisionReport
 	certsByHost := make(map[int][]scanstore.CertID)
 	for i := range l.eligible {
 		id := l.eligible[i].id
-		if h, ok := hostOf(id); ok {
+		if h, ok := truth.SoleHost(id); ok {
 			certsByHost[h] = append(certsByHost[h], id)
 		}
 	}

@@ -80,37 +80,34 @@ func DefaultConfig() Config {
 
 // Truth is the simulation ground truth the paper lacked: which host produced
 // each certificate. The linking evaluation uses it to measure real
-// precision, complementing the paper's IP/AS-consistency proxies.
+// precision, complementing the paper's IP/AS-consistency proxies. It only
+// ever answers "did exactly one host serve this certificate, and which?",
+// so it keeps one entry per certificate, not a host set.
 type Truth struct {
-	// CertHosts maps certificate fingerprints to the set of host indexes
-	// (world.Hosts() order) that ever served them.
-	CertHosts map[x509lite.Fingerprint]map[int]bool
+	// hosts is indexed by scanstore.CertID: the host index (world.Hosts()
+	// order) that served the certificate, or -1 once a second host did.
+	hosts []int32
 }
 
-// HostsFor returns the host set for a fingerprint. A nil Truth — a corpus
-// loaded from a snapshot, where ground truth was never captured — knows no
-// hosts for anything.
-func (t *Truth) HostsFor(fp x509lite.Fingerprint) map[int]bool {
-	if t == nil {
-		return nil
+// observe records that host served certificate id. Certificates are
+// interned in first-sighting order, so a new id is always the next index.
+func (t *Truth) observe(id scanstore.CertID, host int) {
+	if int(id) == len(t.hosts) {
+		t.hosts = append(t.hosts, int32(host))
+	} else if t.hosts[id] != int32(host) {
+		t.hosts[id] = -1
 	}
-	return t.CertHosts[fp]
 }
 
 // SoleHost returns the host index if exactly one host ever served the
-// certificate. On a nil Truth every certificate is unknown.
-func (t *Truth) SoleHost(fp x509lite.Fingerprint) (int, bool) {
-	if t == nil {
+// certificate. A nil Truth — a corpus loaded from a snapshot, where ground
+// truth was never captured — knows no hosts for anything, and neither does
+// a Truth asked about a certificate it never saw.
+func (t *Truth) SoleHost(id scanstore.CertID) (int, bool) {
+	if t == nil || id < 0 || int(id) >= len(t.hosts) || t.hosts[id] < 0 {
 		return 0, false
 	}
-	hs := t.CertHosts[fp]
-	if len(hs) != 1 {
-		return 0, false
-	}
-	for h := range hs {
-		return h, true
-	}
-	return 0, false
+	return int(t.hosts[id]), true
 }
 
 // plannedScan is one scheduled snapshot.
@@ -247,20 +244,16 @@ func (c *Campaign) Blacklisted(op scanstore.Operator, p netsim.Prefix) bool {
 // Run executes every scheduled scan in order and returns the corpus and the
 // ground truth: the whole population is swept as one chunk across workers
 // goroutines (<= 0 means GOMAXPROCS), interning each sighting into the
-// corpus in the order the sweep delivers it.
+// corpus in the order the sweep delivers it and recording its host in Truth
+// under the certificate's CertID, one compare per sighting.
 func (c *Campaign) Run(workers int) (*scanstore.Corpus, *Truth, error) {
 	corpus := scanstore.NewCorpus()
-	truth := &Truth{CertHosts: make(map[x509lite.Fingerprint]map[int]bool)}
+	truth := &Truth{}
 	obs := make([][]scanstore.Observation, len(c.schedule))
 	c.sweep(c.world.Hosts(), 0, workers, c.lossRNGs(), func(scan, host int, cert *x509lite.Certificate, ip netsim.IP) {
-		obs[scan] = append(obs[scan], scanstore.Observation{Cert: corpus.Intern(cert), IP: ip})
-		fp := cert.Fingerprint()
-		set, ok := truth.CertHosts[fp]
-		if !ok {
-			set = make(map[int]bool)
-			truth.CertHosts[fp] = set
-		}
-		set[host] = true
+		id := corpus.Intern(cert)
+		obs[scan] = append(obs[scan], scanstore.Observation{Cert: id, IP: ip})
+		truth.observe(id, host)
 	})
 	for i, plan := range c.schedule {
 		if _, err := corpus.AddScan(plan.op, plan.at, obs[i]); err != nil {

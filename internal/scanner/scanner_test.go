@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"securepki/internal/devicesim"
+	"securepki/internal/netsim"
 	"securepki/internal/scanstore"
 	"securepki/internal/stats"
+	"securepki/internal/x509lite"
 )
 
 func tinyWorld(t *testing.T) *devicesim.World {
@@ -213,40 +215,38 @@ func TestRapid7SeesFewerHosts(t *testing.T) {
 }
 
 func TestTruthTracksHosts(t *testing.T) {
-	w, _, corpus, truth := runTiny(t)
-	if len(truth.CertHosts) == 0 {
-		t.Fatal("truth empty")
-	}
-	// Every interned cert that was observed must have at least one host.
+	_, _, corpus, truth := runTiny(t)
+	// Every interned certificate was observed, so Truth holds a host entry
+	// for it. Site intermediates are served by many hosts; device certs
+	// mostly one.
 	idx := corpus.BuildIndex()
+	multi, single := 0, 0
 	for _, rec := range corpus.Certs() {
 		if len(idx.Sightings(rec.ID)) == 0 {
-			continue
+			t.Fatalf("cert %d interned without a sighting", rec.ID)
 		}
-		if len(truth.HostsFor(rec.Cert.Fingerprint())) == 0 {
-			t.Fatalf("cert %d has sightings but no truth hosts", rec.ID)
-		}
-	}
-	// Site intermediates are served by many hosts; device certs mostly one.
-	multi, single := 0, 0
-	for _, hosts := range truth.CertHosts {
-		if len(hosts) > 1 {
-			multi++
-		} else {
+		if _, ok := truth.SoleHost(rec.ID); ok {
 			single++
+		} else {
+			multi++
 		}
 	}
-	if single == 0 || multi == 0 {
+	if single == 0 {
+		t.Fatal("truth empty: no certificate has a sole host")
+	}
+	if multi == 0 {
 		t.Errorf("host-diversity degenerate: single=%d multi=%d", single, multi)
 	}
-	_ = w
+	if _, ok := truth.SoleHost(scanstore.CertID(corpus.NumCerts())); ok {
+		t.Error("a certificate the scans never returned has a sole host")
+	}
 }
 
 func TestSoleHost(t *testing.T) {
 	_, _, corpus, truth := runTiny(t)
 	found := false
 	for _, rec := range corpus.Certs() {
-		if h, ok := truth.SoleHost(rec.Cert.Fingerprint()); ok {
+		if h, ok := truth.SoleHost(rec.ID); ok {
 			if h < 0 {
 				t.Fatalf("negative host index %d", h)
 			}
@@ -256,6 +256,70 @@ func TestSoleHost(t *testing.T) {
 	}
 	if !found {
 		t.Error("no certificate has a sole host")
+	}
+	var none *Truth
+	if _, ok := none.SoleHost(0); ok {
+		t.Error("a nil Truth knows a host")
+	}
+}
+
+// Truth keeps one host per certificate and forgets it at the second, so
+// SoleHost must agree with the full host set a naive sink builds from its
+// own sweep of the same world, for every certificate, at SmallConfig's
+// sizing and any worker count.
+func TestTruthMatchesNaiveHostSets(t *testing.T) {
+	build := func() (*devicesim.World, *Campaign) {
+		wcfg := devicesim.DefaultConfig()
+		wcfg.NumDevices, wcfg.NumSites = 1500, 650
+		w, err := devicesim.BuildWorld(wcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.UMichScans, cfg.Rapid7Scans = 16, 8
+		camp, err := New(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, camp
+	}
+	for _, workers := range []int{1, 4} {
+		// Hosts advance as they are scanned, so each sweep gets a fresh world.
+		w, camp := build()
+		hostSets := make(map[x509lite.Fingerprint]map[int]bool)
+		camp.sweep(w.Hosts(), 0, workers, camp.lossRNGs(), func(_, host int, cert *x509lite.Certificate, _ netsim.IP) {
+			fp := cert.Fingerprint()
+			if hostSets[fp] == nil {
+				hostSets[fp] = make(map[int]bool)
+			}
+			hostSets[fp][host] = true
+		})
+		_, camp = build()
+		corpus, truth, err := camp.Run(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hostSets) != corpus.NumCerts() {
+			t.Fatalf("workers=%d: naive sweep saw %d certificates, Run interned %d", workers, len(hostSets), corpus.NumCerts())
+		}
+		sole := 0
+		for _, rec := range corpus.Certs() {
+			hosts := hostSets[rec.Cert.Fingerprint()]
+			wantHost, wantOK := -1, len(hosts) == 1
+			for h := range hosts {
+				wantHost = h
+			}
+			gotHost, gotOK := truth.SoleHost(rec.ID)
+			if gotOK != wantOK || (wantOK && gotHost != wantHost) {
+				t.Fatalf("workers=%d cert %d: SoleHost = %d, %v; naive host set %v", workers, rec.ID, gotHost, gotOK, hosts)
+			}
+			if gotOK {
+				sole++
+			}
+		}
+		if sole == 0 || sole == corpus.NumCerts() {
+			t.Fatalf("workers=%d: %d of %d certificates have a sole host; want some but not all", workers, sole, corpus.NumCerts())
+		}
 	}
 }
 

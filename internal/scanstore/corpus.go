@@ -10,7 +10,7 @@ package scanstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"securepki/internal/netsim"
@@ -182,22 +182,27 @@ type Sighting struct {
 	IP   netsim.IP
 }
 
-// scanIPs is one certificate's distinct advertising IPs within one scan,
-// sorted ascending — precomputed so the linking loops stop re-deduplicating
-// and re-sorting on every call.
-type scanIPs struct {
-	Scan ScanID
-	IPs  []netsim.IP
-}
-
 // Index is the per-certificate view of the corpus the linking and lifetime
 // analyses consume. Build it once with BuildIndex after all scans are added.
-// All accessors return precomputed slices; callers must not modify them.
+//
+// It holds three flat arrays, each sized exactly, with an offset array over
+// each: every sighting, grouped by certificate and ordered by scan within
+// one; the runs, one per (certificate, scan) the certificate appeared in,
+// grouped by certificate and ascending by scan; and each run's distinct
+// advertising IPs, sorted ascending, in run order. A certificate's sightings
+// are sightings[sightingOff[id]:sightingOff[id+1]], its runs
+// runScans[runOff[id]:runOff[id+1]], and run r's IPs ips[ipOff[r]:ipOff[r+1]].
+// Accessors return capacity-capped sub-slices of these arrays, so an append
+// to one reallocates instead of overwriting its neighbour; an empty result
+// is nil. Callers must not modify the elements.
 type Index struct {
-	corpus    *Corpus
-	sightings [][]Sighting // by CertID, ordered by scan
-	scansSeen [][]ScanID   // by CertID: distinct scans, ascending
-	perScan   [][]scanIPs  // by CertID: distinct sorted IPs per scan, by scan
+	corpus      *Corpus
+	sightings   []Sighting
+	sightingOff []int // by CertID, len NumCerts+1
+	runScans    []ScanID
+	runOff      []int // by CertID, len NumCerts+1
+	ips         []netsim.IP
+	ipOff       []int // by run, len(runScans)+1
 }
 
 // BuildIndex inverts the scan → observation mapping into per-certificate
@@ -209,101 +214,113 @@ func (c *Corpus) BuildIndex() *Index {
 }
 
 // BuildIndexWorkers is BuildIndex with an explicit worker count (<= 0 means
-// GOMAXPROCS). The inversion is a counting sort into one backing array: a
-// first pass counts each certificate's sightings, a prefix sum turns the
-// counts into offsets, and a second pass over the scans in order fills each
-// certificate's range, so its sightings arrive in scan order. Each range is
-// capacity-capped, so an append to one certificate's sightings reallocates
-// instead of overwriting the next certificate's; a never-observed
-// certificate keeps nil sightings.
+// GOMAXPROCS). The inversion is a counting sort: a first pass counts each
+// certificate's sightings, a prefix sum turns the counts into offsets, and a
+// second pass over the scans in order fills each certificate's range, so its
+// sightings arrive in scan order. The runs and their IPs are then derived in
+// two fan-outs around a serial prefix sum: the first sorts and deduplicates
+// each run's IPs in place in a scratch copy of the sighting IPs and counts
+// every certificate's runs and distinct IPs; the second copies them into
+// arrays of exactly the summed sizes. Each certificate writes only its own
+// ranges, so the index is identical at any worker count.
 func (c *Corpus) BuildIndexWorkers(workers int) *Index {
-	idx := &Index{corpus: c, sightings: make([][]Sighting, len(c.certs))}
-	start := make([]int, len(c.certs)) // sighting counts, then first offsets
+	n := len(c.certs)
+	total := c.NumObservations()
+	idx := &Index{corpus: c, sightingOff: make([]int, n+1), runOff: make([]int, n+1)}
 	for _, scan := range c.scans {
 		for _, obs := range scan.Obs {
-			start[obs.Cert]++
+			idx.sightingOff[obs.Cert+1]++
 		}
 	}
-	total := 0
-	for i, n := range start {
-		start[i] = total
-		total += n
+	for i := range n {
+		idx.sightingOff[i+1] += idx.sightingOff[i]
 	}
-	next := append([]int(nil), start...) // fill cursors
-	backing := make([]Sighting, total)
+	next := slices.Clone(idx.sightingOff[:n]) // fill cursors
+	idx.sightings = make([]Sighting, total)
 	for _, scan := range c.scans {
 		for _, obs := range scan.Obs {
-			backing[next[obs.Cert]] = Sighting{Scan: scan.ID, IP: obs.IP}
+			idx.sightings[next[obs.Cert]] = Sighting{Scan: scan.ID, IP: obs.IP}
 			next[obs.Cert]++
 		}
 	}
-	for i, lo := range start {
-		if hi := next[i]; hi > lo {
-			idx.sightings[i] = backing[lo:hi:hi]
+
+	// distinct[s] is, for the sighting s that opens a run, how many distinct
+	// IPs the run has; they sit sorted at scratch[s:s+distinct[s]].
+	scratch := make([]netsim.IP, total)
+	distinct := make([]int, total)
+	certIPs := make([]int, n+1) // distinct IPs per certificate, then offsets
+	parallel.ForEach(workers, n, func(id int) {
+		lo, hi := idx.sightingOff[id], idx.sightingOff[id+1]
+		var runs, ips int
+		for a := lo; a < hi; {
+			b := a
+			for b < hi && idx.sightings[b].Scan == idx.sightings[a].Scan {
+				scratch[b] = idx.sightings[b].IP
+				b++
+			}
+			run := scratch[a:b]
+			slices.Sort(run)
+			k := len(slices.Compact(run))
+			distinct[a] = k
+			runs++
+			ips += k
+			a = b
 		}
+		idx.runOff[id+1] = runs
+		certIPs[id+1] = ips
+	})
+	for i := range n {
+		idx.runOff[i+1] += idx.runOff[i]
+		certIPs[i+1] += certIPs[i]
 	}
-	idx.precompute(workers)
+	idx.runScans = make([]ScanID, idx.runOff[n])
+	idx.ipOff = make([]int, idx.runOff[n]+1)
+	idx.ips = make([]netsim.IP, certIPs[n])
+	idx.ipOff[idx.runOff[n]] = certIPs[n]
+	parallel.ForEach(workers, n, func(id int) {
+		lo, hi := idx.sightingOff[id], idx.sightingOff[id+1]
+		r, at := idx.runOff[id], certIPs[id]
+		for a := lo; a < hi; r++ {
+			k := distinct[a]
+			idx.runScans[r] = idx.sightings[a].Scan
+			idx.ipOff[r] = at
+			at += copy(idx.ips[at:], scratch[a:a+k])
+			for a < hi && idx.sightings[a].Scan == idx.runScans[r] {
+				a++
+			}
+		}
+	})
 	return idx
 }
 
-// precompute derives the per-certificate scan lists and per-scan IP sets from
-// the sighting lists. Sightings arrive grouped by scan (scans are inverted in
-// order), so each certificate's list splits into contiguous runs.
-func (i *Index) precompute(workers int) {
-	n := len(i.sightings)
-	i.scansSeen = make([][]ScanID, n)
-	i.perScan = make([][]scanIPs, n)
-	parallel.ForEach(workers, n, func(id int) {
-		s := i.sightings[id]
-		if len(s) == 0 {
-			return
-		}
-		var scans []ScanID
-		var runs []scanIPs
-		for lo := 0; lo < len(s); {
-			hi := lo
-			for hi < len(s) && s[hi].Scan == s[lo].Scan {
-				hi++
-			}
-			ips := make([]netsim.IP, 0, hi-lo)
-			for _, sg := range s[lo:hi] {
-				dup := false
-				for _, ip := range ips {
-					if ip == sg.IP {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					ips = append(ips, sg.IP)
-				}
-			}
-			sort.Slice(ips, func(a, b int) bool { return ips[a] < ips[b] })
-			scans = append(scans, s[lo].Scan)
-			runs = append(runs, scanIPs{Scan: s[lo].Scan, IPs: ips})
-			lo = hi
-		}
-		i.scansSeen[id] = scans
-		i.perScan[id] = runs
-	})
+// capped returns s[lo:hi] with its capacity cut at hi, or nil when empty.
+func capped[T any](s []T, lo, hi int) []T {
+	if lo == hi {
+		return nil
+	}
+	return s[lo:hi:hi]
 }
 
 // Sightings returns every appearance of the certificate, in scan order.
-func (i *Index) Sightings(id CertID) []Sighting { return i.sightings[id] }
+func (i *Index) Sightings(id CertID) []Sighting {
+	return capped(i.sightings, i.sightingOff[id], i.sightingOff[id+1])
+}
 
 // ScansSeen returns the distinct scan IDs in which the certificate appeared,
-// ascending. The slice is precomputed; do not modify it.
-func (i *Index) ScansSeen(id CertID) []ScanID { return i.scansSeen[id] }
+// ascending.
+func (i *Index) ScansSeen(id CertID) []ScanID {
+	return capped(i.runScans, i.runOff[id], i.runOff[id+1])
+}
 
 // IPsInScan returns the distinct IPs that advertised the certificate in one
 // scan — the quantity the §6.2 scan-duplicate rule thresholds — sorted
-// ascending. The slice is precomputed; do not modify it.
+// ascending.
 func (i *Index) IPsInScan(id CertID, scan ScanID) []netsim.IP {
-	for _, run := range i.perScan[id] {
-		if run.Scan == scan {
-			return run.IPs
+	for r := i.runOff[id]; r < i.runOff[id+1]; r++ {
+		if i.runScans[r] == scan {
+			return capped(i.ips, i.ipOff[r], i.ipOff[r+1])
 		}
-		if run.Scan > scan {
+		if i.runScans[r] > scan {
 			break // runs are ascending
 		}
 	}
@@ -313,7 +330,7 @@ func (i *Index) IPsInScan(id CertID, scan ScanID) []netsim.IP {
 // FirstSeen returns the time of the first scan that observed the certificate
 // and false if it was never observed.
 func (i *Index) FirstSeen(id CertID) (time.Time, bool) {
-	s := i.sightings[id]
+	s := i.Sightings(id)
 	if len(s) == 0 {
 		return time.Time{}, false
 	}
@@ -322,7 +339,7 @@ func (i *Index) FirstSeen(id CertID) (time.Time, bool) {
 
 // LastSeen returns the time of the last scan that observed the certificate.
 func (i *Index) LastSeen(id CertID) (time.Time, bool) {
-	s := i.sightings[id]
+	s := i.Sightings(id)
 	if len(s) == 0 {
 		return time.Time{}, false
 	}
@@ -345,25 +362,19 @@ func (i *Index) LifetimeDays(id CertID) (int, bool) {
 // AvgIPsPerScan returns the certificate's mean count of distinct advertising
 // IPs over the scans in which it appeared (Figure 7's x-axis).
 func (i *Index) AvgIPsPerScan(id CertID) float64 {
-	runs := i.perScan[id]
-	if len(runs) == 0 {
+	lo, hi := i.runOff[id], i.runOff[id+1]
+	if lo == hi {
 		return 0
 	}
-	total := 0
-	for _, run := range runs {
-		total += len(run.IPs)
-	}
-	return float64(total) / float64(len(runs))
+	return float64(i.ipOff[hi]-i.ipOff[lo]) / float64(hi-lo)
 }
 
 // MaxIPsInAnyScan returns the maximum distinct advertising IPs in any single
 // scan, the input to the §6.2 uniqueness rule.
 func (i *Index) MaxIPsInAnyScan(id CertID) int {
-	max := 0
-	for _, run := range i.perScan[id] {
-		if len(run.IPs) > max {
-			max = len(run.IPs)
-		}
+	most := 0
+	for r := i.runOff[id]; r < i.runOff[id+1]; r++ {
+		most = max(most, i.ipOff[r+1]-i.ipOff[r])
 	}
-	return max
+	return most
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"slices"
 	"testing"
 
 	"securepki/internal/netsim"
@@ -113,18 +114,131 @@ func TestBuildIndexSerialParallelEquivalence(t *testing.T) {
 }
 
 // TestBuildIndexExtEmpty pins the empty corpus: no certs, no scans. The test
-// dates from the external-merge build; it now covers the counting-sort build
-// at the default, serial and fanned-out worker counts.
+// dates from the external-merge build; it now covers the offset-array build
+// at the default, serial and fanned-out worker counts: every backing array
+// is empty and every offset array holds only its leading zero.
 func TestBuildIndexExtEmpty(t *testing.T) {
 	c := NewCorpus()
 	for _, idx := range []*Index{c.BuildIndex(), c.BuildIndexWorkers(1), c.BuildIndexWorkers(8)} {
 		if idx == nil {
 			t.Fatal("nil index for empty corpus")
 		}
-		if len(idx.sightings) != 0 || len(idx.scansSeen) != 0 || len(idx.perScan) != 0 {
-			t.Fatalf("empty corpus: %d sighting lists, %d scan lists, %d per-scan lists; want none",
-				len(idx.sightings), len(idx.scansSeen), len(idx.perScan))
+		if len(idx.sightings) != 0 || len(idx.runScans) != 0 || len(idx.ips) != 0 {
+			t.Fatalf("empty corpus: %d sightings, %d runs, %d IPs; want none",
+				len(idx.sightings), len(idx.runScans), len(idx.ips))
 		}
+		zero := []int{0}
+		if !reflect.DeepEqual(idx.sightingOff, zero) || !reflect.DeepEqual(idx.runOff, zero) || !reflect.DeepEqual(idx.ipOff, zero) {
+			t.Fatalf("empty corpus: offsets %v %v %v; want [0] each", idx.sightingOff, idx.runOff, idx.ipOff)
+		}
+	}
+}
+
+// refIndex is the per-certificate index built the way it was before the
+// offset arrays: one sighting list per certificate, in scan order, and per
+// scan it appeared in, its distinct IPs sorted.
+type refIndex struct {
+	sightings [][]Sighting
+	scans     [][]ScanID
+	ips       []map[ScanID][]netsim.IP
+}
+
+func buildRefIndex(c *Corpus) refIndex {
+	ref := refIndex{
+		sightings: make([][]Sighting, c.NumCerts()),
+		scans:     make([][]ScanID, c.NumCerts()),
+		ips:       make([]map[ScanID][]netsim.IP, c.NumCerts()),
+	}
+	for _, scan := range c.Scans() {
+		for _, obs := range scan.Obs {
+			ref.sightings[obs.Cert] = append(ref.sightings[obs.Cert], Sighting{Scan: scan.ID, IP: obs.IP})
+		}
+	}
+	for id, s := range ref.sightings {
+		ref.ips[id] = make(map[ScanID][]netsim.IP)
+		for _, sg := range s {
+			if !slices.Contains(ref.ips[id][sg.Scan], sg.IP) {
+				ref.ips[id][sg.Scan] = append(ref.ips[id][sg.Scan], sg.IP)
+			}
+			if n := len(ref.scans[id]); n == 0 || ref.scans[id][n-1] != sg.Scan {
+				ref.scans[id] = append(ref.scans[id], sg.Scan)
+			}
+		}
+		for _, ips := range ref.ips[id] {
+			slices.Sort(ips)
+		}
+	}
+	return ref
+}
+
+// checkIndexAgainstReference builds c's index at the worker count and
+// checks every accessor against buildRefIndex, per certificate and scan.
+// Then it appends to every slice an accessor returns and checks everything
+// again: a returned slice must never share spare capacity with another.
+func checkIndexAgainstReference(t testing.TB, c *Corpus, workers int) {
+	t.Helper()
+	ref := buildRefIndex(c)
+	idx := c.BuildIndexWorkers(workers)
+	check := func(pass string) {
+		t.Helper()
+		for id := range c.NumCerts() {
+			cid := CertID(id)
+			if got := idx.Sightings(cid); !reflect.DeepEqual(got, ref.sightings[id]) {
+				t.Fatalf("%s, workers=%d cert %d: Sightings %v, want %v", pass, workers, id, got, ref.sightings[id])
+			}
+			if got := idx.ScansSeen(cid); !reflect.DeepEqual(got, ref.scans[id]) {
+				t.Fatalf("%s, workers=%d cert %d: ScansSeen %v, want %v", pass, workers, id, got, ref.scans[id])
+			}
+			total, most := 0, 0
+			for s := range c.NumScans() {
+				want := ref.ips[id][ScanID(s)]
+				if got := idx.IPsInScan(cid, ScanID(s)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s, workers=%d cert %d scan %d: IPsInScan %v, want %v", pass, workers, id, s, got, want)
+				}
+				total += len(want)
+				most = max(most, len(want))
+			}
+			wantAvg := 0.0
+			if len(ref.scans[id]) > 0 {
+				wantAvg = float64(total) / float64(len(ref.scans[id]))
+			}
+			if got := idx.AvgIPsPerScan(cid); got != wantAvg {
+				t.Fatalf("%s, workers=%d cert %d: AvgIPsPerScan %v, want %v", pass, workers, id, got, wantAvg)
+			}
+			if got := idx.MaxIPsInAnyScan(cid); got != most {
+				t.Fatalf("%s, workers=%d cert %d: MaxIPsInAnyScan %d, want %d", pass, workers, id, got, most)
+			}
+			first, okFirst := idx.FirstSeen(cid)
+			last, okLast := idx.LastSeen(cid)
+			days, okDays := idx.LifetimeDays(cid)
+			if s := ref.sightings[id]; len(s) == 0 {
+				if okFirst || okLast || okDays {
+					t.Fatalf("%s, workers=%d cert %d: never observed but has a lifetime", pass, workers, id)
+				}
+			} else {
+				wantFirst, wantLast := c.Scan(s[0].Scan).Time, c.Scan(s[len(s)-1].Scan).Time
+				if !first.Equal(wantFirst) || !last.Equal(wantLast) || days != int(wantLast.Sub(wantFirst).Hours()/24)+1 {
+					t.Fatalf("%s, workers=%d cert %d: seen %v..%v over %d days", pass, workers, id, first, last, days)
+				}
+			}
+		}
+	}
+	check("fresh")
+	for id := range c.NumCerts() {
+		cid := CertID(id)
+		_ = append(idx.Sightings(cid), Sighting{Scan: -1, IP: 0xffffffff})
+		_ = append(idx.ScansSeen(cid), -1)
+		for _, s := range idx.ScansSeen(cid) {
+			_ = append(idx.IPsInScan(cid, s), 0xffffffff)
+		}
+	}
+	check("after appends")
+}
+
+func TestIndexMatchesReference(t *testing.T) {
+	c := buildSyntheticCorpus(t)
+	for _, workers := range []int{1, 8} {
+		checkIndexAgainstReference(t, c, workers)
 	}
 }
 

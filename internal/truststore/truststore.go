@@ -85,10 +85,14 @@ const maxChainDepth = 8
 // against them. It is not safe for concurrent mutation; concurrent Verify
 // calls after setup are safe (the chain cache takes its own lock).
 type Store struct {
-	roots        map[x509lite.Fingerprint]*x509lite.Certificate
-	rootsByName  map[string][]*x509lite.Certificate
-	inters       map[x509lite.Fingerprint]*x509lite.Certificate
-	intersByName map[string][]*x509lite.Certificate
+	roots  map[x509lite.Fingerprint]*x509lite.Certificate
+	inters map[x509lite.Fingerprint]*x509lite.Certificate
+	// rootsByName and intersByName key candidates by their exact subject
+	// Name. Its rendered String is not injective — {O: "x, CN=y"} and
+	// {O: "x", CN: "y"} both render "O=x, CN=y" — so keying by it would
+	// offer a parent whose subject is not the child's issuer name.
+	rootsByName  map[x509lite.Name][]*x509lite.Certificate
+	intersByName map[x509lite.Name][]*x509lite.Certificate
 
 	// chainMu guards chainUp, the memoized issuer-side chain resolution:
 	// issuer fingerprint → chain from that issuer to a trusted root (issuer
@@ -116,9 +120,9 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		roots:        make(map[x509lite.Fingerprint]*x509lite.Certificate),
-		rootsByName:  make(map[string][]*x509lite.Certificate),
+		rootsByName:  make(map[x509lite.Name][]*x509lite.Certificate),
 		inters:       make(map[x509lite.Fingerprint]*x509lite.Certificate),
-		intersByName: make(map[string][]*x509lite.Certificate),
+		intersByName: make(map[x509lite.Name][]*x509lite.Certificate),
 		chainUp:      make(map[x509lite.Fingerprint][]*x509lite.Certificate),
 	}
 }
@@ -163,8 +167,7 @@ func (s *Store) AddRoot(c *x509lite.Certificate) {
 		return
 	}
 	s.roots[fp] = c
-	name := c.Subject.String()
-	s.rootsByName[name] = append(s.rootsByName[name], c)
+	s.rootsByName[c.Subject] = append(s.rootsByName[c.Subject], c)
 	s.dropChainCache()
 }
 
@@ -179,8 +182,7 @@ func (s *Store) AddIntermediate(c *x509lite.Certificate) {
 		return
 	}
 	s.inters[fp] = c
-	name := c.Subject.String()
-	s.intersByName[name] = append(s.intersByName[name], c)
+	s.intersByName[c.Subject] = append(s.intersByName[c.Subject], c)
 	s.dropChainCache()
 }
 
@@ -235,14 +237,13 @@ func (s *Store) Verify(c *x509lite.Certificate) Result {
 // to a root is resolved through the memoized chainFrom, so a CA that signed
 // thousands of leaves has its upward chain built exactly once.
 func (s *Store) trustedChain(c *x509lite.Certificate) []*x509lite.Certificate {
-	issuerName := c.Issuer.String()
-	for _, root := range s.rootsByName[issuerName] {
+	for _, root := range s.rootsByName[c.Issuer] {
 		if s.signedBy(c, root) {
 			return []*x509lite.Certificate{c, root}
 		}
 	}
 	leafFP := c.Fingerprint()
-	for _, inter := range s.intersByName[issuerName] {
+	for _, inter := range s.intersByName[c.Issuer] {
 		fp := inter.Fingerprint()
 		if fp == leafFP {
 			continue // the leaf itself, pooled as a CA, is not its own parent
@@ -303,13 +304,12 @@ func (s *Store) buildChain(c *x509lite.Certificate, depth int, visited map[x509l
 	if depth >= maxChainDepth {
 		return nil
 	}
-	issuerName := c.Issuer.String()
-	for _, root := range s.rootsByName[issuerName] {
+	for _, root := range s.rootsByName[c.Issuer] {
 		if s.signedBy(c, root) {
 			return []*x509lite.Certificate{c, root}
 		}
 	}
-	for _, inter := range s.intersByName[issuerName] {
+	for _, inter := range s.intersByName[c.Issuer] {
 		fp := inter.Fingerprint()
 		if visited[fp] {
 			continue
@@ -331,7 +331,7 @@ func (s *Store) buildChain(c *x509lite.Certificate, depth int, visited map[x509l
 // signedByAnyKnown reports whether any pooled certificate's key verifies c's
 // signature (i.e. c was genuinely signed by another, untrusted certificate).
 func (s *Store) signedByAnyKnown(c *x509lite.Certificate) bool {
-	for _, inter := range s.intersByName[c.Issuer.String()] {
+	for _, inter := range s.intersByName[c.Issuer] {
 		if s.signedBy(c, inter) {
 			return true
 		}

@@ -420,3 +420,62 @@ func TestVerifiesCountsSignatureChecks(t *testing.T) {
 		t.Fatalf("Verifies = %d, want 3: two root checks for the leaf, one self-check", got)
 	}
 }
+
+// A parent is found by its exact subject name, not by the name's rendered
+// string: {O: "x, CN=y"} and {O: "x", CN: "y"} both render "O=x, CN=y", but
+// a certificate issued by the second does not chain to a CA named the first,
+// even under that CA's key (openssl verify rejects it too). Matching
+// rendered strings made such a leaf Valid, both through a root and through a
+// pooled intermediate.
+func TestIssuerNameMatchedExactly(t *testing.T) {
+	lookalike := x509lite.Name{Organization: "x, CN=y"}
+	issuer := x509lite.Name{Organization: "x", CommonName: "y"}
+	if lookalike.String() != issuer.String() {
+		t.Fatalf("names render %q and %q; the test needs a collision", lookalike, issuer)
+	}
+	issue := func(name x509lite.Name, seed byte, issuer x509lite.Name, signer ed25519.PrivateKey, isCA bool) ca {
+		t.Helper()
+		pub, priv := key(seed)
+		der, err := x509lite.CreateCertificate(&x509lite.Template{
+			Version: 3, SerialNumber: newSerial(),
+			Subject: name, Issuer: issuer,
+			NotBefore: time.Date(2011, 1, 1, 0, 0, 0, 0, time.UTC),
+			NotAfter:  time.Date(2029, 1, 1, 0, 0, 0, 0, time.UTC),
+			IsCA:      isCA, IncludeBasicConstraints: isCA,
+		}, pub, signer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := x509lite.Parse(der)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ca{cert: cert, priv: priv}
+	}
+	leafName := x509lite.Name{CommonName: "device.example"}
+
+	// Through a root named like the leaf's issuer.
+	_, rootPriv := key(0x61)
+	root := issue(lookalike, 0x61, lookalike, rootPriv, true)
+	s := NewStore()
+	s.AddRoot(root.cert)
+	if got := s.Verify(issue(leafName, 0x62, issuer, root.priv, false).cert).Status; got == Valid {
+		t.Error("leaf issued by {O=x, CN=y} chains to root {O=\"x, CN=y\"}")
+	}
+	if got := s.Verify(issue(leafName, 0x63, lookalike, root.priv, false).cert).Status; got != Valid {
+		t.Errorf("leaf issued by the root's exact name: %v, want valid", got)
+	}
+
+	// Through a pooled intermediate named like the leaf's issuer.
+	top := makeCA(t, 0x64, "Exact Root")
+	inter := issue(lookalike, 0x65, top.cert.Subject, top.priv, true)
+	s = NewStore()
+	s.AddRoot(top.cert)
+	s.AddIntermediate(inter.cert)
+	if got := s.Verify(issue(leafName, 0x66, issuer, inter.priv, false).cert).Status; got == Valid {
+		t.Error("leaf issued by {O=x, CN=y} chains through intermediate {O=\"x, CN=y\"}")
+	}
+	if got := s.Verify(issue(leafName, 0x67, lookalike, inter.priv, false).cert).Status; got != Valid {
+		t.Errorf("leaf issued by the intermediate's exact name: %v, want valid", got)
+	}
+}

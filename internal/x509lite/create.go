@@ -49,7 +49,9 @@ type Template struct {
 // CreateCertificate builds and signs a DER certificate binding pub to the
 // template's subject, signed by signer (the issuer's private key). For a
 // self-signed certificate, pass the key pair's own halves and identical
-// Subject/Issuer names.
+// Subject/Issuer names. The whole certificate is encoded in one buffer: the
+// TBS is signed where it lies, and the DER is copied out once at its exact
+// size.
 func CreateCertificate(tmpl *Template, pub ed25519.PublicKey, signer ed25519.PrivateKey) ([]byte, error) {
 	if tmpl.SerialNumber == nil {
 		return nil, fmt.Errorf("x509lite: template missing serial number")
@@ -61,51 +63,58 @@ func CreateCertificate(tmpl *Template, pub ed25519.PublicKey, signer ed25519.Pri
 		return nil, fmt.Errorf("x509lite: bad signer key length %d", len(signer))
 	}
 
-	var tbs asn1der.Encoder
-	tbs.Sequence(func(e *asn1der.Encoder) {
-		// version [0] EXPLICIT; omitted entirely for v1 per RFC 5280.
-		if tmpl.Version != 1 {
-			e.ContextExplicit(0, func(e *asn1der.Encoder) {
-				e.Int(int64(tmpl.Version - 1))
-			})
+	var e asn1der.Encoder
+	e.Grow(createBufSize)
+	e.Sequence(func(e *asn1der.Encoder) {
+		tbsStart := e.Len()
+		e.Sequence(func(e *asn1der.Encoder) { encodeTBS(e, tmpl, pub) })
+		sig := ed25519.Sign(signer, e.Bytes()[tbsStart:])
+		if tmpl.CorruptSignature {
+			sig[0] ^= 0xff
 		}
-		e.BigInt(tmpl.SerialNumber)
-		encodeAlgorithm(e)
-		encodeName(e, tmpl.Issuer)
-		e.Sequence(func(e *asn1der.Encoder) { // validity
-			if tmpl.ForceGeneralizedTime {
-				e.GeneralizedTime(tmpl.NotBefore)
-				e.GeneralizedTime(tmpl.NotAfter)
-			} else {
-				e.Time(tmpl.NotBefore)
-				e.Time(tmpl.NotAfter)
-			}
-		})
-		encodeName(e, tmpl.Subject)
-		e.Sequence(func(e *asn1der.Encoder) { // SubjectPublicKeyInfo
-			encodeAlgorithm(e)
-			e.BitString(pub)
-		})
-		if exts := buildExtensions(tmpl); exts != nil && tmpl.Version != 1 {
-			e.ContextExplicit(3, func(e *asn1der.Encoder) {
-				e.Raw(exts)
-			})
-		}
-	})
-	tbsDER := append([]byte(nil), tbs.Bytes()...)
-
-	sig := ed25519.Sign(signer, tbsDER)
-	if tmpl.CorruptSignature {
-		sig[0] ^= 0xff
-	}
-
-	var cert asn1der.Encoder
-	cert.Sequence(func(e *asn1der.Encoder) {
-		e.Raw(tbsDER)
 		encodeAlgorithm(e)
 		e.BitString(sig)
 	})
-	return cert.Bytes(), nil
+	der := make([]byte, e.Len())
+	copy(der, e.Bytes())
+	return der, nil
+}
+
+// createBufSize is CreateCertificate's first buffer: room for the
+// simulator's richest certificates (~510 bytes), so a certificate is encoded
+// without regrowing the buffer.
+const createBufSize = 1024
+
+// encodeTBS appends the contents of the TBSCertificate SEQUENCE.
+func encodeTBS(e *asn1der.Encoder, tmpl *Template, pub ed25519.PublicKey) {
+	// version [0] EXPLICIT; omitted entirely for v1 per RFC 5280.
+	if tmpl.Version != 1 {
+		e.ContextExplicit(0, func(e *asn1der.Encoder) {
+			e.Int(int64(tmpl.Version - 1))
+		})
+	}
+	e.BigInt(tmpl.SerialNumber)
+	encodeAlgorithm(e)
+	encodeName(e, tmpl.Issuer)
+	e.Sequence(func(e *asn1der.Encoder) { // validity
+		if tmpl.ForceGeneralizedTime {
+			e.GeneralizedTime(tmpl.NotBefore)
+			e.GeneralizedTime(tmpl.NotAfter)
+		} else {
+			e.Time(tmpl.NotBefore)
+			e.Time(tmpl.NotAfter)
+		}
+	})
+	encodeName(e, tmpl.Subject)
+	e.Sequence(func(e *asn1der.Encoder) { // SubjectPublicKeyInfo
+		encodeAlgorithm(e)
+		e.BitString(pub)
+	})
+	if tmpl.Version != 1 && hasExtensions(tmpl) {
+		e.ContextExplicit(3, func(e *asn1der.Encoder) {
+			e.Sequence(func(e *asn1der.Encoder) { encodeExtensions(e, tmpl) })
+		})
+	}
 }
 
 func encodeAlgorithm(e *asn1der.Encoder) {
@@ -116,45 +125,55 @@ func encodeAlgorithm(e *asn1der.Encoder) {
 
 func encodeName(e *asn1der.Encoder, n Name) {
 	e.Sequence(func(e *asn1der.Encoder) {
-		attr := func(oid []int, v string) {
-			if v == "" {
-				return
-			}
-			e.Set(func(e *asn1der.Encoder) {
-				e.Sequence(func(e *asn1der.Encoder) {
-					e.OID(oid)
-					e.UTF8String(v)
-				})
-			})
-		}
-		attr(oidCountry, n.Country)
-		attr(oidLocality, n.Locality)
-		attr(oidOrganization, n.Organization)
-		attr(oidOrganizationUnit, n.OrganizationalUnit)
-		attr(oidCommonName, n.CommonName)
+		encodeAttribute(e, oidCountry, n.Country)
+		encodeAttribute(e, oidLocality, n.Locality)
+		encodeAttribute(e, oidOrganization, n.Organization)
+		encodeAttribute(e, oidOrganizationUnit, n.OrganizationalUnit)
+		encodeAttribute(e, oidCommonName, n.CommonName)
 	})
 }
 
-// buildExtensions renders the extension list, or nil if the template
-// requests none.
-func buildExtensions(tmpl *Template) []byte {
-	var list asn1der.Encoder
-	n := 0
-	ext := func(oid []int, critical bool, value func(*asn1der.Encoder)) {
-		n++
-		list.Sequence(func(e *asn1der.Encoder) {
-			e.OID(oid)
-			if critical {
-				e.Bool(true)
-			}
-			var inner asn1der.Encoder
-			value(&inner)
-			e.OctetString(inner.Bytes())
-		})
+// encodeAttribute appends one single-attribute RDN, or nothing for an empty
+// value.
+func encodeAttribute(e *asn1der.Encoder, oid []int, v string) {
+	if v == "" {
+		return
 	}
+	e.Set(func(e *asn1der.Encoder) {
+		e.Sequence(func(e *asn1der.Encoder) {
+			e.OID(oid)
+			e.UTF8String(v)
+		})
+	})
+}
 
+// hasExtensions reports whether the template requests any extension, which
+// is when encodeExtensions appends at least one.
+func hasExtensions(tmpl *Template) bool {
+	return tmpl.IncludeBasicConstraints || tmpl.KeyUsage != 0 ||
+		len(tmpl.SubjectKeyID) > 0 || len(tmpl.AuthorityKeyID) > 0 ||
+		len(tmpl.DNSNames) > 0 || len(tmpl.IPAddresses) > 0 ||
+		len(tmpl.CRLDistributionPoints) > 0 ||
+		len(tmpl.IssuingCertificateURL) > 0 || len(tmpl.OCSPServer) > 0 ||
+		len(tmpl.PolicyOIDs) > 0
+}
+
+// encodeExtension appends one Extension: its OID, the critical flag when
+// set, and the value build encodes inside the extnValue OCTET STRING.
+func encodeExtension(e *asn1der.Encoder, oid []int, critical bool, value func(*asn1der.Encoder)) {
+	e.Sequence(func(e *asn1der.Encoder) {
+		e.OID(oid)
+		if critical {
+			e.Bool(true)
+		}
+		e.OctetStringOf(value)
+	})
+}
+
+// encodeExtensions appends the contents of the Extensions SEQUENCE.
+func encodeExtensions(e *asn1der.Encoder, tmpl *Template) {
 	if tmpl.IncludeBasicConstraints {
-		ext(oidExtBasicConstraints, true, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtBasicConstraints, true, func(e *asn1der.Encoder) {
 			e.Sequence(func(e *asn1der.Encoder) {
 				if tmpl.IsCA {
 					e.Bool(true)
@@ -163,27 +182,27 @@ func buildExtensions(tmpl *Template) []byte {
 		})
 	}
 	if tmpl.KeyUsage != 0 {
-		ext(oidExtKeyUsage, true, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtKeyUsage, true, func(e *asn1der.Encoder) {
 			e.BitString([]byte{byte(tmpl.KeyUsage)})
 		})
 	}
 	if len(tmpl.SubjectKeyID) > 0 {
-		ext(oidExtSubjectKeyID, false, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtSubjectKeyID, false, func(e *asn1der.Encoder) {
 			e.OctetString(tmpl.SubjectKeyID)
 		})
 	}
 	if len(tmpl.AuthorityKeyID) > 0 {
-		ext(oidExtAuthorityKeyID, false, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtAuthorityKeyID, false, func(e *asn1der.Encoder) {
 			e.Sequence(func(e *asn1der.Encoder) {
 				e.ContextImplicitPrimitive(0, tmpl.AuthorityKeyID)
 			})
 		})
 	}
 	if len(tmpl.DNSNames) > 0 || len(tmpl.IPAddresses) > 0 {
-		ext(oidExtSAN, false, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtSAN, false, func(e *asn1der.Encoder) {
 			e.Sequence(func(e *asn1der.Encoder) {
 				for _, dns := range tmpl.DNSNames {
-					e.ContextImplicitPrimitive(2, []byte(dns))
+					e.ContextImplicitString(2, dns)
 				}
 				for _, ip := range tmpl.IPAddresses {
 					v4 := ip.To4()
@@ -196,13 +215,13 @@ func buildExtensions(tmpl *Template) []byte {
 		})
 	}
 	if len(tmpl.CRLDistributionPoints) > 0 {
-		ext(oidExtCRLDistribution, false, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtCRLDistribution, false, func(e *asn1der.Encoder) {
 			e.Sequence(func(e *asn1der.Encoder) {
 				for _, url := range tmpl.CRLDistributionPoints {
 					e.Sequence(func(e *asn1der.Encoder) { // DistributionPoint
 						e.ContextImplicitConstructed(0, func(e *asn1der.Encoder) { // distributionPoint
 							e.ContextImplicitConstructed(0, func(e *asn1der.Encoder) { // fullName
-								e.ContextImplicitPrimitive(6, []byte(url)) // uniformResourceIdentifier
+								e.ContextImplicitString(6, url) // uniformResourceIdentifier
 							})
 						})
 					})
@@ -211,25 +230,25 @@ func buildExtensions(tmpl *Template) []byte {
 		})
 	}
 	if len(tmpl.IssuingCertificateURL) > 0 || len(tmpl.OCSPServer) > 0 {
-		ext(oidExtAIA, false, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtAIA, false, func(e *asn1der.Encoder) {
 			e.Sequence(func(e *asn1der.Encoder) {
 				for _, url := range tmpl.OCSPServer {
 					e.Sequence(func(e *asn1der.Encoder) {
 						e.OID(oidAIAOCSP)
-						e.ContextImplicitPrimitive(6, []byte(url))
+						e.ContextImplicitString(6, url)
 					})
 				}
 				for _, url := range tmpl.IssuingCertificateURL {
 					e.Sequence(func(e *asn1der.Encoder) {
 						e.OID(oidAIACAIssuers)
-						e.ContextImplicitPrimitive(6, []byte(url))
+						e.ContextImplicitString(6, url)
 					})
 				}
 			})
 		})
 	}
 	if len(tmpl.PolicyOIDs) > 0 {
-		ext(oidExtCertPolicies, false, func(e *asn1der.Encoder) {
+		encodeExtension(e, oidExtCertPolicies, false, func(e *asn1der.Encoder) {
 			e.Sequence(func(e *asn1der.Encoder) {
 				for _, oid := range tmpl.PolicyOIDs {
 					e.Sequence(func(e *asn1der.Encoder) {
@@ -239,11 +258,4 @@ func buildExtensions(tmpl *Template) []byte {
 			})
 		})
 	}
-
-	if n == 0 {
-		return nil
-	}
-	var wrapped asn1der.Encoder
-	wrapped.Sequence(func(e *asn1der.Encoder) { e.Raw(list.Bytes()) })
-	return wrapped.Bytes()
 }

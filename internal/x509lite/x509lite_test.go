@@ -444,19 +444,6 @@ func TestBigSerialNumbers(t *testing.T) {
 	}
 }
 
-func BenchmarkCreateCertificate(b *testing.B) {
-	seed := make([]byte, ed25519.SeedSize)
-	priv := ed25519.NewKeyFromSeed(seed)
-	pub := priv.Public().(ed25519.PublicKey)
-	tmpl := baseTemplate()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := CreateCertificate(tmpl, pub, priv); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParse(b *testing.B) {
 	seed := make([]byte, ed25519.SeedSize)
 	priv := ed25519.NewKeyFromSeed(seed)
