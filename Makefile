@@ -40,13 +40,16 @@ fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/snapshot ./internal/x509lite
 
 # One iteration of each snapshot, query, lint, worker-pool, external-sort,
-# certificate-construction and sighting-index benchmark — catches benchmarks
-# that no longer compile or crash without burning CI minutes on timing.
+# certificate-construction and sighting-index benchmark, and of every
+# experiment row over one DefaultConfig pipeline (BenchmarkExperiments) —
+# catches benchmarks that no longer compile or crash without burning CI
+# minutes on timing.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Snapshot|Query|Lint' -benchtime=1x ./internal/snapshot ./internal/querystore ./internal/certlint
 	$(GO) test -run='^$$' -bench='ForEach' -benchtime=1x ./internal/parallel
 	$(GO) test -run='^$$' -bench='Sorter' -benchtime=1x ./internal/extsort
 	$(GO) test -run='^$$' -bench='Create|BuildIndex' -benchtime=1x ./internal/x509lite ./internal/scanstore
+	$(GO) test -run='^$$' -bench='^BenchmarkExperiments$$' -benchtime=1x .
 
 # One cell of the chaos matrix under the race detector: a full certscan
 # sweep against a 30%-faulty population must produce a corpus snapshot

@@ -1,11 +1,10 @@
 package securepki
 
-// One benchmark per table and figure of the paper's evaluation, plus
-// ablation benches for the design choices DESIGN.md calls out. The expensive
-// part — generating the world and scanning it — happens once, outside every
-// timer; each bench then measures regenerating its result from the corpus
-// and reports the experiment's headline number as a custom metric so `go
-// test -bench` output doubles as a results table.
+// One loop over the experiment registry, plus ablation benches for the
+// design choices DESIGN.md calls out and the validate, linker and end-to-end
+// benches. The expensive part — building the DefaultConfig pipeline —
+// happens once, outside every timer; each experiment sub-benchmark then
+// measures rendering its row from the stages' outputs.
 
 import (
 	"crypto/ed25519"
@@ -36,288 +35,23 @@ func pipeline(b *testing.B) *Pipeline {
 	return benchPipe
 }
 
-func BenchmarkFigure1ScanDiscrepancy(b *testing.B) {
+// BenchmarkExperiments times each registry row, one sub-benchmark per
+// Experiments() entry, rendering its text from the finished pipeline.
+func BenchmarkExperiments(b *testing.B) {
 	p := pipeline(b)
-	days := p.Dataset.CoScanDays()
-	if len(days) == 0 {
-		b.Fatal("no co-scan days")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var deficit float64
-	for i := 0; i < b.N; i++ {
-		rep := p.Dataset.ScanDiscrepancy(days[0])
-		deficit = rep.Rapid7Deficit()
-	}
-	b.ReportMetric(100*deficit, "rapid7-deficit-%")
-}
-
-func BenchmarkSection41Blacklist(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var explained float64
-	for i := 0; i < b.N; i++ {
-		rep := p.Dataset.BlacklistAttribution()
-		explained = rep.ExplainedUMichOnly
-	}
-	b.ReportMetric(100*explained, "explained-%")
-}
-
-func BenchmarkFigure2CertCounts(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var mean float64
-	for i := 0; i < b.N; i++ {
-		counts := p.Dataset.CertCounts()
-		var sum float64
-		for _, c := range counts {
-			sum += c.InvalidFraction()
-		}
-		mean = sum / float64(len(counts))
-	}
-	b.ReportMetric(100*mean, "per-scan-invalid-%")
-}
-
-func BenchmarkSection42Validation(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		frac = p.Dataset.Validation().InvalidFraction
-	}
-	b.ReportMetric(100*frac, "invalid-%")
-}
-
-func BenchmarkFigure3ValidityPeriods(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var med float64
-	for i := 0; i < b.N; i++ {
-		med = p.Dataset.Longevity().InvalidPeriods.Median()
-	}
-	b.ReportMetric(med/365.25, "invalid-median-years")
-}
-
-func BenchmarkFigure4Lifetimes(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var med float64
-	for i := 0; i < b.N; i++ {
-		med = p.Dataset.Longevity().InvalidLifetimes.Median()
-	}
-	b.ReportMetric(med, "invalid-median-days")
-}
-
-func BenchmarkFigure5NotBeforeGap(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var far float64
-	for i := 0; i < b.N; i++ {
-		far = p.Dataset.Longevity().Beyond1000Frac
-	}
-	b.ReportMetric(100*far, "gap>1000d-%")
-}
-
-func BenchmarkFigure6KeySharing(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sharing float64
-	for i := 0; i < b.N; i++ {
-		sharing = p.Dataset.KeySharing().SharingInvalidFrac
-	}
-	b.ReportMetric(100*sharing, "sharing-%")
-}
-
-func BenchmarkTable1TopIssuers(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var rows int
-	for i := 0; i < b.N; i++ {
-		rep := p.Dataset.Issuers(5)
-		rows = len(rep.TopValid) + len(rep.TopInvalid)
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-func BenchmarkSection53IssuerKeys(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var keys int
-	for i := 0; i < b.N; i++ {
-		keys = p.Dataset.Issuers(5).InvalidParentKeys
-	}
-	b.ReportMetric(float64(keys), "invalid-parent-keys")
-}
-
-func BenchmarkFigure7HostDiversity(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var p99 float64
-	for i := 0; i < b.N; i++ {
-		p99 = p.Dataset.HostDiversity().ValidAvgIPs.Percentile(0.99)
-	}
-	b.ReportMetric(p99, "valid-p99-ips")
-}
-
-func BenchmarkFigure8ASDiversity(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var share float64
-	for i := 0; i < b.N; i++ {
-		share = p.Dataset.ASDiversity(5).TopASInvalidShare
-	}
-	b.ReportMetric(100*share, "top-as-invalid-%")
-}
-
-func BenchmarkTable2ASTypes(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var transit float64
-	for i := 0; i < b.N; i++ {
-		rep := p.Dataset.ASDiversity(5)
-		for typ, frac := range rep.InvalidByType {
-			if typ.String() == "Transit/Access" {
-				transit = frac
+	for _, e := range Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				experimentText = e.Run(p)
 			}
-		}
+		})
 	}
-	b.ReportMetric(100*transit, "invalid-transit-%")
 }
 
-func BenchmarkTable3TopASes(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(p.Dataset.ASDiversity(5).TopInvalidASes)
-	}
-	b.ReportMetric(float64(n), "rows")
-}
-
-func BenchmarkTable4DeviceTypes(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var router float64
-	for i := 0; i < b.N; i++ {
-		rows := p.Dataset.DeviceTypes(50)
-		if len(rows) > 0 {
-			router = rows[0].Fraction
-		}
-	}
-	b.ReportMetric(100*router, "top-class-%")
-}
-
-func BenchmarkTable5FeatureUniqueness(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var pk float64
-	for i := 0; i < b.N; i++ {
-		for _, s := range p.Linker.FeatureUniqueness() {
-			if s.Feature == linking.FeaturePublicKey {
-				pk = s.NonUniqueFrac
-			}
-		}
-	}
-	b.ReportMetric(100*pk, "pk-nonunique-%")
-}
-
-func BenchmarkFigure9OverlapRule(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var groups int
-	for i := 0; i < b.N; i++ {
-		groups = len(p.Linker.LinkOn(linking.FeaturePublicKey, nil))
-	}
-	b.ReportMetric(float64(groups), "pk-groups")
-}
-
-func BenchmarkTable6LinkingConsistency(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var asCons float64
-	for i := 0; i < b.N; i++ {
-		for _, ev := range p.Linker.EvaluateAll() {
-			if ev.Feature == linking.FeaturePublicKey {
-				asCons = ev.ASConsistency
-			}
-		}
-	}
-	b.ReportMetric(100*asCons, "pk-as-consistency-%")
-}
-
-func BenchmarkFigure10GroupSizes(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var frac float64
-	for i := 0; i < b.N; i++ {
-		res := p.Linker.Link()
-		frac = res.LinkedFraction()
-	}
-	b.ReportMetric(100*frac, "linked-%")
-}
-
-func BenchmarkSection644LifetimeChange(b *testing.B) {
-	p := pipeline(b)
-	res := p.LinkResult
-	b.ReportAllocs()
-	b.ResetTimer()
-	var after float64
-	for i := 0; i < b.N; i++ {
-		after = p.Linker.EvaluateLifetimeChange(res).MeanLifetimeAfter
-	}
-	b.ReportMetric(after, "mean-lifetime-after-days")
-}
-
-func BenchmarkSection72Trackable(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		gain = p.Tracker.Trackable(Year).Gain()
-	}
-	b.ReportMetric(100*gain, "gain-%")
-}
-
-func BenchmarkSection73Movement(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var moves int
-	for i := 0; i < b.N; i++ {
-		moves = p.Tracker.Movement(Year, 10).DevicesChanging
-	}
-	b.ReportMetric(float64(moves), "devices-changing-as")
-}
-
-func BenchmarkFigure11Reassignment(b *testing.B) {
-	p := pipeline(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var static int
-	for i := 0; i < b.N; i++ {
-		static = p.Tracker.Reassignment(Year, 10).MostlyStaticASes
-	}
-	b.ReportMetric(float64(static), "mostly-static-ases")
-}
+// experimentText keeps the last rendered row live, so the compiler cannot
+// drop the call being timed.
+var experimentText string
 
 // --- ablations -----------------------------------------------------------
 

@@ -14,10 +14,14 @@
 // appends one JSON line per pipeline-stage span.
 //
 // -lint-out persists the lint stage's findings as the checksummed sidecar
-// column certquery serves on /v1/lint; -lint-in replaces the lint stage with
-// findings loaded from such a column (the lint/lintcuts experiments then cut
-// the persisted findings); -lint-config scopes or suppresses linters with
-// certlint.json semantics.
+// column certquery serves on /v1/lint; -lint-in replaces the lint stage's
+// findings with those loaded from such a column; -lint-config scopes or
+// suppresses linters with certlint.json semantics. Both lint experiments
+// read the findings the run ends with: lint surveys them by validity and
+// lintcuts cuts them by device class, issuer and AS.
+//
+// The §6 linking study is -exp table5,table6,fig10,s644,truth and the §7
+// tracking study -exp s72,fig11,s73.
 //
 // With -corpus the scan stage is replaced by loading a snapshot written by
 // scangen, certscan or analyze -save-corpus, decoded across -workers. The

@@ -34,7 +34,7 @@
 //
 // With -o the sweeps are also accumulated as a scan corpus — each sweep
 // becomes one scan, each grabbed certificate one (certificate, IP)
-// observation — and written as a snapshot that analyze/linkdev load and
+// observation — and written as a snapshot that analyze -corpus loads and
 // certquery serves point lookups from. A live scan has no routing view, so
 // the snapshot's AS index is empty until scangen -upgrade -prefix2as
 // rebuilds it.

@@ -17,8 +17,8 @@
 // The output is a snapshot (internal/snapshot): the sharded columnar corpus
 // plus the point-lookup index sections that cmd/certquery and
 // internal/querystore serve from, with the AS index built from the
-// simulated routing table. analyze -corpus, linkdev -corpus and certinfo
-// -corpus load it too.
+// simulated routing table. analyze -corpus and certinfo -corpus load it
+// too.
 //
 // -chunk streams the whole build — population, scans, snapshot encode — in
 // host chunks on bounded memory (core.StreamSnapshot): no resident world or

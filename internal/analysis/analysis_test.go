@@ -48,8 +48,8 @@ func dataset(t *testing.T) *Dataset {
 		for _, r := range world.Roots() {
 			store.AddRoot(r)
 		}
-		corpus.Validate(store)
-		fixture = NewDataset(corpus, world.Internet)
+		corpus.ValidateWorkers(store, 0)
+		fixture = NewDatasetWorkers(corpus, world.Internet, 0)
 	})
 	if fixtureErr != nil {
 		t.Fatal(fixtureErr)
@@ -376,24 +376,5 @@ func TestLooksLikeIPv4(t *testing.T) {
 		if x509lite.LooksLikeIPv4(s) {
 			t.Errorf("LooksLikeIPv4(%q) = true", s)
 		}
-	}
-}
-
-func TestSlash24Discrepancy(t *testing.T) {
-	d := dataset(t)
-	days := d.CoScanDays()
-	if len(days) == 0 {
-		t.Fatal("no co-scan days")
-	}
-	rep := d.Slash24Discrepancy(days[0])
-	if rep.TotalSlash24s == 0 {
-		t.Fatal("no /24s observed")
-	}
-	if rep.UMichOnly24s+rep.Rapid7Only24s+rep.MixedSlash24s != rep.TotalSlash24s {
-		t.Error("/24 partition does not sum")
-	}
-	// Rapid7's bigger blacklist leaves more /24s visible only to UMich.
-	if rep.UMichOnly24s <= rep.Rapid7Only24s {
-		t.Errorf("UMich-only /24s (%d) not above Rapid7-only (%d)", rep.UMichOnly24s, rep.Rapid7Only24s)
 	}
 }

@@ -25,15 +25,10 @@ type Dataset struct {
 	Internet *netsim.Internet
 }
 
-// NewDataset builds the per-certificate index and wraps the inputs. The
-// corpus must already have been validated (Corpus.Validate), or every
-// certificate will count as valid.
-func NewDataset(corpus *scanstore.Corpus, inet *netsim.Internet) *Dataset {
-	return NewDatasetWorkers(corpus, inet, 0)
-}
-
-// NewDatasetWorkers is NewDataset with an explicit worker count for the
-// index build (<= 0 means GOMAXPROCS); the index is identical at any count.
+// NewDatasetWorkers builds the per-certificate index across workers (<= 0
+// means GOMAXPROCS; the index is identical at any count) and wraps the
+// inputs. The corpus must already have been validated
+// (Corpus.ValidateWorkers), or every certificate will count as valid.
 func NewDatasetWorkers(corpus *scanstore.Corpus, inet *netsim.Internet, workers int) *Dataset {
 	return &Dataset{Corpus: corpus, Index: corpus.BuildIndexWorkers(workers), Internet: inet}
 }

@@ -228,52 +228,3 @@ func (d *Dataset) BlacklistAttribution() BlacklistReport {
 	}
 	return rep
 }
-
-// Slash24Report is the footnote-6 refinement of Figure 1: how the
-// operator-unique hosts distribute over /24 networks.
-type Slash24Report struct {
-	Day time.Time
-	// TotalSlash24s seen by either operator that day.
-	TotalSlash24s int
-	// UMichOnly24s / Rapid7Only24s are /24s from which only one operator
-	// saw any host at all — the blacklist signature at fine granularity.
-	UMichOnly24s  int
-	Rapid7Only24s int
-	// MixedSlash24s saw hosts from both operators.
-	MixedSlash24s int
-}
-
-// Slash24Discrepancy computes the /24-granularity view of a co-scan day.
-func (d *Dataset) Slash24Discrepancy(day time.Time) Slash24Report {
-	um := hostSet(d.scansOnDay(day, scanstore.UMich))
-	r7 := hostSet(d.scansOnDay(day, scanstore.Rapid7))
-	type pres struct{ um, r7 bool }
-	per := make(map[netsim.IP]*pres)
-	get := func(ip netsim.IP) *pres {
-		key := ip.Slash24()
-		p, ok := per[key]
-		if !ok {
-			p = &pres{}
-			per[key] = p
-		}
-		return p
-	}
-	for ip := range um {
-		get(ip).um = true
-	}
-	for ip := range r7 {
-		get(ip).r7 = true
-	}
-	rep := Slash24Report{Day: day, TotalSlash24s: len(per)}
-	for _, p := range per {
-		switch {
-		case p.um && p.r7:
-			rep.MixedSlash24s++
-		case p.um:
-			rep.UMichOnly24s++
-		default:
-			rep.Rapid7Only24s++
-		}
-	}
-	return rep
-}

@@ -16,7 +16,8 @@ import (
 // findings: given a corpus lint run — live from certlint.RunCorpus or loaded
 // back from a persisted findings column — it cuts the findings by device
 // class, by issuer, and by dominant AS, so a structural defect can be traced
-// to the population that ships it.
+// to the population that ships it. LintSurvey splits the same run by
+// validity.
 
 // LintCutRow aggregates the findings attributed to one group.
 type LintCutRow struct {
@@ -202,4 +203,78 @@ func formatLintCutTable(b *strings.Builder, title string, rows []LintCutRow) {
 		fmt.Fprintf(b, "%-46s %8d %9d  %s (%d)\n", label, r.Certs, r.Findings, r.TopLint, r.TopLintN)
 	}
 	b.WriteString("\n")
+}
+
+// LintSurveyRow is one lint's prevalence among the observed valid and
+// invalid certificates.
+type LintSurveyRow struct {
+	LintID       string
+	Severity     certlint.Severity
+	ValidFrac    float64
+	InvalidFrac  float64
+	ValidCount   int
+	InvalidCount int
+}
+
+// LintSurvey reports per-lint prevalence among valid and invalid
+// certificates — the executable version of §5's "invalid certificates are a
+// fundamentally different population". It joins findings against the
+// dataset as LintCuts does: the fractions are over observed certificates,
+// and findings for certificates never observed on the wire are excluded.
+// Rows are sorted by invalid prevalence, then lint ID.
+func (d *Dataset) LintSurvey(findings map[x509lite.Fingerprint][]certlint.Finding) []LintSurveyRow {
+	type agg struct {
+		sev            certlint.Severity
+		valid, invalid int
+	}
+	rows := make(map[string]*agg)
+	var nValid, nInvalid int
+	d.EachObserved(func(rec *scanstore.CertRecord, invalid bool) {
+		if invalid {
+			nInvalid++
+		} else {
+			nValid++
+		}
+		for _, f := range findings[rec.Cert.Fingerprint()] {
+			a, ok := rows[f.LintID]
+			if !ok {
+				a = &agg{sev: f.Severity}
+				rows[f.LintID] = a
+			}
+			if invalid {
+				a.invalid++
+			} else {
+				a.valid++
+			}
+		}
+	})
+
+	out := make([]LintSurveyRow, 0, len(rows))
+	for id, a := range rows {
+		row := LintSurveyRow{LintID: id, Severity: a.sev, ValidCount: a.valid, InvalidCount: a.invalid}
+		if nValid > 0 {
+			row.ValidFrac = float64(a.valid) / float64(nValid)
+		}
+		if nInvalid > 0 {
+			row.InvalidFrac = float64(a.invalid) / float64(nInvalid)
+		}
+		out = append(out, row)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].InvalidFrac != out[j].InvalidFrac {
+			return out[i].InvalidFrac > out[j].InvalidFrac
+		}
+		return out[i].LintID < out[j].LintID
+	})
+	return out
+}
+
+// FormatLintSurvey renders survey rows as a table.
+func FormatLintSurvey(rows []LintSurveyRow) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-28s %-8s %10s %10s\n", "lint", "severity", "valid", "invalid")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-28s %-8s %9.1f%% %9.1f%%\n", r.LintID, r.Severity, 100*r.ValidFrac, 100*r.InvalidFrac)
+	}
+	return b.String()
 }

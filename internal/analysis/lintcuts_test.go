@@ -1,11 +1,17 @@
 package analysis
 
 import (
+	"crypto/ed25519"
+	"math/big"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"securepki/internal/certlint"
+	"securepki/internal/netsim"
+	"securepki/internal/scanstore"
+	"securepki/internal/truststore"
 	"securepki/internal/x509lite"
 )
 
@@ -115,5 +121,104 @@ func TestLintCutsExcludesUnobserved(t *testing.T) {
 	}
 	if got.BySeverity[certlint.Fatal] != base.BySeverity[certlint.Fatal] {
 		t.Error("ghost FATAL finding counted")
+	}
+}
+
+// surveyCert is a self-signed device certificate under its own key,
+// altered by mutate.
+func surveyCert(t *testing.T, key byte, mutate func(*x509lite.Template)) *x509lite.Certificate {
+	t.Helper()
+	seed := make([]byte, ed25519.SeedSize)
+	seed[0] = key
+	priv := ed25519.NewKeyFromSeed(seed)
+	tmpl := &x509lite.Template{
+		Version:      3,
+		SerialNumber: big.NewInt(int64(key)),
+		Subject:      x509lite.Name{CommonName: "device.example"},
+		Issuer:       x509lite.Name{CommonName: "device.example"},
+		NotBefore:    time.Date(2013, 3, 1, 0, 0, 0, 0, time.UTC),
+		NotAfter:     time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC),
+		DNSNames:     []string{"device.example"},
+		OCSPServer:   []string{"http://ocsp.example"},
+	}
+	if mutate != nil {
+		mutate(tmpl)
+	}
+	der, err := x509lite.CreateCertificate(tmpl, priv.Public().(ed25519.PublicKey), priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := x509lite.Parse(der)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cert
+}
+
+// TestLintSurvey: the survey splits one lint run by validity. Three invalid
+// device certificates with pathologies and two clean valid ones are
+// observed. A sixth certificate is in the corpus but never observed, and a
+// seventh fingerprint is not in the corpus at all; the findings of neither
+// count, and neither enters a denominator.
+func TestLintSurvey(t *testing.T) {
+	bad1 := surveyCert(t, 1, func(tmpl *x509lite.Template) { tmpl.Subject = x509lite.Name{} })
+	bad2 := surveyCert(t, 2, func(tmpl *x509lite.Template) { tmpl.NotAfter = tmpl.NotBefore.AddDate(0, 0, -1) })
+	bad3 := surveyCert(t, 3, func(tmpl *x509lite.Template) { tmpl.Subject.CommonName = "192.168.0.1" })
+	good1 := surveyCert(t, 4, nil)
+	good2 := surveyCert(t, 5, nil)
+	unseen := surveyCert(t, 6, func(tmpl *x509lite.Template) { tmpl.Subject = x509lite.Name{} })
+
+	corpus := scanstore.NewCorpus()
+	var obs []scanstore.Observation
+	for i, c := range []*x509lite.Certificate{bad1, bad2, bad3, good1, good2} {
+		id := corpus.Intern(c)
+		corpus.Cert(id).Status = truststore.SelfSigned
+		if c == good1 || c == good2 {
+			corpus.Cert(id).Status = truststore.Valid
+		}
+		obs = append(obs, scanstore.Observation{Cert: id, IP: netsim.MakeIP(20, 0, 0, byte(i+1))})
+	}
+	corpus.Cert(corpus.Intern(unseen)).Status = truststore.SelfSigned
+	if _, err := corpus.AddScan(scanstore.UMich, time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC), obs); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDatasetWorkers(corpus, nil, 1)
+
+	certs := []*x509lite.Certificate{bad1, bad2, bad3, good1, good2, unseen}
+	findings := FindingsByFingerprint(certlint.Default().RunCorpus(certs, &certlint.Context{}, certlint.Options{Workers: 1}))
+	var ghost x509lite.Fingerprint
+	ghost[0] = 0xFF
+	findings[ghost] = []certlint.Finding{{LintID: "ghost", Version: 1, Severity: certlint.Fatal, Detail: "x"}}
+
+	rows := d.LintSurvey(findings)
+	if len(rows) == 0 {
+		t.Fatal("empty survey")
+	}
+	byID := map[string]LintSurveyRow{}
+	for _, r := range rows {
+		byID[r.LintID] = r
+	}
+	// The unobserved sixth certificate also has an empty subject.
+	if r := byID["subject_empty"]; r.InvalidCount != 1 || r.ValidCount != 0 || r.InvalidFrac != 1.0/3 {
+		t.Errorf("subject_empty = %+v", r)
+	}
+	if r := byID["validity_negative"]; r.InvalidFrac <= 0 {
+		t.Errorf("validity_negative = %+v", r)
+	}
+	// All five observed certificates are self-signed.
+	if r := byID["self_signed"]; r.ValidCount != 2 || r.InvalidCount != 3 || r.ValidFrac != 1 || r.InvalidFrac != 1 {
+		t.Errorf("self_signed = %+v", r)
+	}
+	if r, ok := byID["ghost"]; ok {
+		t.Errorf("finding for a fingerprint outside the corpus counted: %+v", r)
+	}
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1].InvalidFrac < rows[i].InvalidFrac {
+			t.Errorf("rows unsorted: %s (%.2f) before %s (%.2f)",
+				rows[i-1].LintID, rows[i-1].InvalidFrac, rows[i].LintID, rows[i].InvalidFrac)
+		}
+	}
+	if out := FormatLintSurvey(rows); !strings.Contains(out, "self_signed") {
+		t.Errorf("formatted survey lacks self_signed:\n%s", out)
 	}
 }

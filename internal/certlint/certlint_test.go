@@ -11,6 +11,12 @@ import (
 
 var serial int64 = 500
 
+// RunAll lints one certificate against the default registry with optional
+// population context.
+func RunAll(c *x509lite.Certificate, ctx *Context) []Finding {
+	return Default().RunCert(c, ctx, nil)
+}
+
 func lintCert(t *testing.T, mutate func(*x509lite.Template)) *x509lite.Certificate {
 	t.Helper()
 	serial++
@@ -185,40 +191,6 @@ func TestSharedKeyNeedsContext(t *testing.T) {
 	ctx = &Context{KeyCount: map[x509lite.Fingerprint]int{c.PublicKeyFingerprint(): 1}}
 	if hasLint(RunAll(c, ctx), "key_shared") {
 		t.Error("key_shared fired for unique key")
-	}
-}
-
-func TestSurvey(t *testing.T) {
-	var certs []*x509lite.Certificate
-	// Three "invalid" device certs with pathologies, two clean "valid" ones.
-	bad1 := lintCert(t, func(tmpl *x509lite.Template) { tmpl.Subject = x509lite.Name{} })
-	bad2 := lintCert(t, func(tmpl *x509lite.Template) { tmpl.NotAfter = tmpl.NotBefore.AddDate(0, 0, -1) })
-	bad3 := lintCert(t, func(tmpl *x509lite.Template) { tmpl.Subject.CommonName = "192.168.0.1" })
-	good1 := lintCert(t, nil)
-	good2 := lintCert(t, nil)
-	certs = append(certs, bad1, bad2, bad3, good1, good2)
-	invalidSet := map[*x509lite.Certificate]bool{bad1: true, bad2: true, bad3: true}
-
-	rows := Survey(certs, func(c *x509lite.Certificate) bool { return invalidSet[c] })
-	if len(rows) == 0 {
-		t.Fatal("empty survey")
-	}
-	byID := map[string]SurveyRow{}
-	for _, r := range rows {
-		byID[r.LintID] = r
-	}
-	if r := byID["subject_empty"]; r.InvalidCount != 1 || r.ValidCount != 0 {
-		t.Errorf("subject_empty = %+v", r)
-	}
-	if r := byID["validity_negative"]; r.InvalidFrac <= 0 {
-		t.Errorf("validity_negative = %+v", r)
-	}
-	// All five are self-signed.
-	if r := byID["self_signed"]; r.ValidCount != 2 || r.InvalidCount != 3 {
-		t.Errorf("self_signed = %+v", r)
-	}
-	if out := FormatSurvey(rows); len(out) == 0 {
-		t.Error("empty formatted survey")
 	}
 }
 

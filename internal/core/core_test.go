@@ -1,13 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"securepki/internal/analysis"
+	"securepki/internal/certlint"
+	"securepki/internal/obs"
 )
 
 var (
@@ -16,10 +22,14 @@ var (
 	pipeErr  error
 )
 
+// pipeline is the shared SmallConfig run, with a metric registry so tests
+// can see what the reporting layer computes.
 func pipeline(t *testing.T) *Pipeline {
 	t.Helper()
 	pipeOnce.Do(func() {
-		pipe, pipeErr = Run(SmallConfig())
+		cfg := SmallConfig()
+		cfg.Obs = obs.NewRegistry()
+		pipe, pipeErr = Run(cfg)
 	})
 	if pipeErr != nil {
 		t.Fatal(pipeErr)
@@ -70,6 +80,74 @@ func TestEveryExperimentRuns(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("experiment %s missing from registry", want)
 		}
+	}
+}
+
+// TestReportingRecomputesNothing: Summarize and the experiment rows read
+// what the stages computed, so running them all moves no stable metric. The
+// linker's counters are the witness that nothing links again: they stay at
+// what Link left, 18,435 candidate groups and 1,492 confirmed.
+func TestReportingRecomputesNothing(t *testing.T) {
+	p := pipeline(t)
+	reg := p.Config.Obs
+	before := reg.Snapshot().Stable().EncodeJSON()
+	Summarize(p)
+	for _, exp := range Experiments() {
+		exp.Run(p)
+	}
+	if after := reg.Snapshot().Stable().EncodeJSON(); !bytes.Equal(after, before) {
+		t.Errorf("reporting moved the metrics:\n%s\nvs:\n%s", before, after)
+	}
+	for name, want := range map[string]int64{"linking.candidates": 18435, "linking.groups.confirmed": 1492} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestLintRowReadsLintStage: the lint row surveys the lint stage's findings,
+// so a LintConfig that disables self_signed takes it out of the row, and
+// every survey count equals a count taken over LintResults. The lint stage
+// reruns on a copy of the shared pipeline, which stays as Run left it.
+func TestLintRowReadsLintStage(t *testing.T) {
+	q := *pipeline(t)
+	q.Config.Obs = nil
+	q.Config.LintConfig = &certlint.Config{Lints: map[string]*certlint.LintConfig{"self_signed": {Disabled: true}}}
+	q.Lint()
+
+	type split struct{ valid, invalid int }
+	want := map[string]split{}
+	for _, cf := range q.LintResults {
+		id, ok := q.Corpus.Lookup(cf.Fingerprint)
+		if !ok || len(q.Dataset.Index.Sightings(id)) == 0 {
+			continue
+		}
+		invalid := q.Corpus.Cert(id).Status.Invalid()
+		for _, f := range cf.Findings {
+			c := want[f.LintID]
+			if invalid {
+				c.invalid++
+			} else {
+				c.valid++
+			}
+			want[f.LintID] = c
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("lint stage found nothing")
+	}
+	if _, ok := want["self_signed"]; ok {
+		t.Fatal("lint stage reported self_signed, which the config disables")
+	}
+	got := map[string]split{}
+	for _, r := range q.Dataset.LintSurvey(analysis.FindingsByFingerprint(q.LintResults)) {
+		got[r.LintID] = split{r.ValidCount, r.InvalidCount}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("survey counts %v, lint stage's %v", got, want)
+	}
+	if out := runLint(&q); strings.Contains(out, "self_signed") {
+		t.Errorf("lint row reports the disabled self_signed linter:\n%s", out)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"securepki/internal/linking"
 	"securepki/internal/stats"
 	"securepki/internal/truststore"
-	"securepki/internal/x509lite"
 )
 
 // Experiment regenerates one table or figure of the paper's evaluation.
@@ -354,17 +353,25 @@ func runTable5(p *Pipeline) string {
 
 func runFig9(p *Pipeline) string {
 	// The canonical three-group scenario is exercised by unit tests
-	// (TestFigure9OverlapRule); at corpus scale we report how many candidate
-	// value-groups the overlap rule rejects for the top field.
-	all := p.Linker.LinkOn(linking.FeaturePublicKey, nil)
-	return fmt.Sprintf("public-key value-groups passing the overlap rule: %d\n", len(all))
+	// (TestFigure9OverlapRule); at corpus scale we report how many
+	// public-key value-groups pass the overlap rule.
+	return fmt.Sprintf("public-key value-groups passing the overlap rule: %d\n", publicKeyEval(p.LinkResult).NumGroups)
+}
+
+// publicKeyEval is the public key's Table 6 evaluation, which Link kept.
+func publicKeyEval(res linking.Result) linking.FieldEval {
+	for _, ev := range res.Evals {
+		if ev.Feature == linking.FeaturePublicKey {
+			return ev
+		}
+	}
+	return linking.FieldEval{}
 }
 
 func runTable6(p *Pipeline) string {
-	evals := p.Linker.EvaluateAll()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %10s %10s %8s %8s %8s\n", "feature", "linked", "uniquely", "IP", "/24", "AS")
-	for _, ev := range evals {
+	for _, ev := range p.LinkResult.Evals {
 		fmt.Fprintf(&b, "%-14s %10d %10d %7.1f%% %7.1f%% %7.1f%%\n",
 			ev.Feature, ev.TotalLinked, ev.UniquelyLinked,
 			100*ev.IPConsistency, 100*ev.S24Consistency, 100*ev.ASConsistency)
@@ -438,9 +445,6 @@ func runTruth(p *Pipeline) string {
 }
 
 func runLint(p *Pipeline) string {
-	if p.LintResults == nil {
-		p.Lint()
-	}
 	var b strings.Builder
 	var bySev [certlint.NumSeverities]int
 	flagged := 0
@@ -456,23 +460,12 @@ func runLint(p *Pipeline) string {
 		certlint.Default().Len(), flagged, len(p.LintResults),
 		bySev[certlint.Info], bySev[certlint.Warn], bySev[certlint.Error], bySev[certlint.Fatal])
 
-	var certs []*x509lite.Certificate
-	invalid := make(map[*x509lite.Certificate]bool)
-	for _, rec := range p.Corpus.Certs() {
-		certs = append(certs, rec.Cert)
-		if rec.Status.Invalid() {
-			invalid[rec.Cert] = true
-		}
-	}
-	rows := certlint.Survey(certs, func(c *x509lite.Certificate) bool { return invalid[c] })
-	b.WriteString(certlint.FormatSurvey(rows))
+	rows := p.Dataset.LintSurvey(analysis.FindingsByFingerprint(p.LintResults))
+	b.WriteString(analysis.FormatLintSurvey(rows))
 	return b.String()
 }
 
 func runLintCuts(p *Pipeline) string {
-	if p.LintResults == nil {
-		p.Lint()
-	}
 	rep := p.Dataset.LintCuts(analysis.FindingsByFingerprint(p.LintResults), 5)
 	return analysis.FormatLintCuts(rep)
 }

@@ -94,10 +94,32 @@ func TestPipelineSerialParallelEquivalence(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(sbuf.Bytes())); got != wantEquivSummarySHA256 {
 		t.Errorf("serial summary SHA-256 = %s, want %s", got, wantEquivSummarySHA256)
 	}
+
+	// The text of every experiment obeys the same contract.
+	sText, pText := experimentsText(ps), experimentsText(pp)
+	if !bytes.Equal(sText, pText) {
+		t.Errorf("experiment text not byte-identical:\nserial:\n%s\nparallel:\n%s", sText, pText)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(sText)); got != wantEquivExperimentsSHA256 {
+		t.Errorf("serial experiments SHA-256 = %s, want %s", got, wantEquivExperimentsSHA256)
+	}
 }
 
 // wantEquivSummarySHA256 is the SHA-256 of equivConfig's Summarize JSON.
 const wantEquivSummarySHA256 = "077ac289af1f266e3515d84bc9fc65deed87e33b62d3091808f3316923233273"
+
+// wantEquivExperimentsSHA256 is the SHA-256 of equivConfig's experimentsText.
+const wantEquivExperimentsSHA256 = "449bf830ecb92aa9f6c813ce43abc3cb1cbb00e212d3cb8e6c43fcba8248c371"
+
+// experimentsText is every experiment's text, "== <id>\n<text>\n" per row in
+// registry order.
+func experimentsText(p *Pipeline) []byte {
+	var b bytes.Buffer
+	for _, e := range Experiments() {
+		fmt.Fprintf(&b, "== %s\n%s\n", e.ID, e.Run(p))
+	}
+	return b.Bytes()
+}
 
 // dispatchLog is a parallel.Observer that counts pool dispatches and keeps
 // every one that was not a single serial block.

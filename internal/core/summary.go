@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"securepki/internal/linking"
 	"securepki/internal/netsim"
 )
 
@@ -102,11 +101,7 @@ func Summarize(p *Pipeline) Summary {
 	for _, f := range p.LinkResult.Rejected {
 		s.RejectedFields = append(s.RejectedFields, f.String())
 	}
-	for _, ev := range p.Linker.EvaluateAll() {
-		if ev.Feature == linking.FeaturePublicKey {
-			s.PKASConsistency = ev.ASConsistency
-		}
-	}
+	s.PKASConsistency = publicKeyEval(p.LinkResult).ASConsistency
 	truth := p.Linker.EvaluateTruth(p.LinkResult, p.Truth)
 	s.GroundTruthPurity = truth.GroupPurity()
 	s.PairRecall = truth.PairRecall

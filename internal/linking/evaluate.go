@@ -142,6 +142,10 @@ type Result struct {
 	// (27.4M of 69.5M = 39.4%).
 	LinkedCerts   int
 	EligibleCerts int
+	// Evals is Table 6, the evaluation Link ordered the fields by: one
+	// FieldEval per feature, in feature order. LinkWithOrder evaluates
+	// nothing and leaves it nil.
+	Evals []FieldEval
 }
 
 // LinkedFraction returns LinkedCerts / EligibleCerts.
@@ -169,7 +173,7 @@ func (l *Linker) LinkWithOrder(order []Feature) Result {
 }
 
 func (l *Linker) linkWithEvals(evals []FieldEval) Result {
-	res := Result{EligibleCerts: len(l.eligible)}
+	res := Result{EligibleCerts: len(l.eligible), Evals: evals}
 	accepted := make([]FieldEval, 0, len(evals))
 	for _, ev := range evals {
 		if ev.TotalLinked == 0 {

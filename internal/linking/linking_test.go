@@ -3,6 +3,7 @@ package linking
 import (
 	"crypto/ed25519"
 	"math/big"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -108,7 +109,7 @@ func buildFigure9(t *testing.T) *figure9 {
 		{Cert: c5, IP: ip(4)},
 		{Cert: c8, IP: ip(5)},
 	})
-	return &figure9{corpus: corpus, ds: analysis.NewDataset(corpus, inet), certs: ids}
+	return &figure9{corpus: corpus, ds: analysis.NewDatasetWorkers(corpus, inet, 0), certs: ids}
 }
 
 func TestFigure9OverlapRule(t *testing.T) {
@@ -189,7 +190,7 @@ func TestScanDuplicateRule(t *testing.T) {
 		{Cert: single, IP: ip(8)},
 	})
 
-	ds := analysis.NewDataset(corpus, inet)
+	ds := analysis.NewDatasetWorkers(corpus, inet, 0)
 	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	// tri: >2 IPs -> excluded. alwaysTwo: exactly two in every scan ->
 	// excluded. two: two IPs once, then one -> kept. single: kept.
@@ -240,8 +241,8 @@ func generated(t *testing.T) (*analysis.Dataset, *scanner.Truth) {
 		for _, r := range world.Roots() {
 			store.AddRoot(r)
 		}
-		corpus.Validate(store)
-		linkFixture.ds = analysis.NewDataset(corpus, world.Internet)
+		corpus.ValidateWorkers(store, 0)
+		linkFixture.ds = analysis.NewDatasetWorkers(corpus, world.Internet, 0)
 		linkFixture.truth = truth
 	})
 	if linkFixture.err != nil {
@@ -286,8 +287,16 @@ func TestTable6Evaluation(t *testing.T) {
 	ds, _ := generated(t)
 	l := NewLinker(ds, DefaultConfig(), 0, nil)
 	evals := l.EvaluateAll()
+	// Link keeps the evaluation it ordered the fields by, one per feature in
+	// feature order, so no reader has to link every field again.
+	if got := l.Link().Evals; !reflect.DeepEqual(got, evals) {
+		t.Errorf("Link kept %d evaluations, not EvaluateAll's %d", len(got), len(evals))
+	}
 	by := map[Feature]FieldEval{}
-	for _, ev := range evals {
+	for i, ev := range evals {
+		if ev.Feature != Feature(i) {
+			t.Errorf("evaluation %d is of %v, want feature order", i, ev.Feature)
+		}
 		by[ev.Feature] = ev
 	}
 	// Public key links the most certificates.

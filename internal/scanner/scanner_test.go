@@ -219,7 +219,7 @@ func TestTruthTracksHosts(t *testing.T) {
 	// Every interned certificate was observed, so Truth holds a host entry
 	// for it. Site intermediates are served by many hosts; device certs
 	// mostly one.
-	idx := corpus.BuildIndex()
+	idx := corpus.BuildIndexWorkers(0)
 	multi, single := 0, 0
 	for _, rec := range corpus.Certs() {
 		if len(idx.Sightings(rec.ID)) == 0 {

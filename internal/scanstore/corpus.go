@@ -142,18 +142,12 @@ func (c *Corpus) Scan(id ScanID) *Scan { return c.scans[id] }
 // Scans returns all scans in chronological order.
 func (c *Corpus) Scans() []*Scan { return c.scans }
 
-// Validate classifies every interned certificate against the store,
+// ValidateWorkers classifies every interned certificate against the store,
 // pooling every CA-flagged certificate as an intermediate first so that
 // transvalid chains complete (§4.2). It returns counts per status.
-// Validation fans out across GOMAXPROCS workers; use ValidateWorkers to pin
-// the worker count. Calling it again re-classifies without growing the store
-// (AddIntermediate is idempotent).
-func (c *Corpus) Validate(store *truststore.Store) map[truststore.Status]int {
-	return c.ValidateWorkers(store, 0)
-}
-
-// ValidateWorkers is Validate with an explicit worker count (<= 0 means
-// GOMAXPROCS). Results are identical at any worker count: each certificate's
+// Validation fans out across workers (<= 0 means GOMAXPROCS). Calling it
+// again re-classifies without growing the store (AddIntermediate is
+// idempotent). Results are identical at any worker count: each certificate's
 // Status is written only by the worker that verifies it, the status counts
 // are tallied serially after the barrier, and the store's chain cache fills
 // with values that do not depend on scheduling.
@@ -183,7 +177,8 @@ type Sighting struct {
 }
 
 // Index is the per-certificate view of the corpus the linking and lifetime
-// analyses consume. Build it once with BuildIndex after all scans are added.
+// analyses consume. Build it once with BuildIndexWorkers after all scans are
+// added.
 //
 // It holds three flat arrays, each sized exactly, with an offset array over
 // each: every sighting, grouped by certificate and ordered by scan within
@@ -205,24 +200,19 @@ type Index struct {
 	ipOff       []int // by run, len(runScans)+1
 }
 
-// BuildIndex inverts the scan → observation mapping into per-certificate
-// sighting lists and precomputes the per-scan views (distinct scans, distinct
-// IPs per scan) that the §6 loops hammer. The precompute fans out across
-// GOMAXPROCS workers; use BuildIndexWorkers to pin the count.
-func (c *Corpus) BuildIndex() *Index {
-	return c.BuildIndexWorkers(0)
-}
-
-// BuildIndexWorkers is BuildIndex with an explicit worker count (<= 0 means
-// GOMAXPROCS). The inversion is a counting sort: a first pass counts each
-// certificate's sightings, a prefix sum turns the counts into offsets, and a
-// second pass over the scans in order fills each certificate's range, so its
-// sightings arrive in scan order. The runs and their IPs are then derived in
-// two fan-outs around a serial prefix sum: the first sorts and deduplicates
-// each run's IPs in place in a scratch copy of the sighting IPs and counts
-// every certificate's runs and distinct IPs; the second copies them into
-// arrays of exactly the summed sizes. Each certificate writes only its own
-// ranges, so the index is identical at any worker count.
+// BuildIndexWorkers inverts the scan → observation mapping into
+// per-certificate sighting lists and precomputes the per-scan views
+// (distinct scans, distinct IPs per scan) that the §6 loops hammer, across
+// workers (<= 0 means GOMAXPROCS). The inversion is a counting sort: a first
+// pass counts each certificate's sightings, a prefix sum turns the counts
+// into offsets, and a second pass over the scans in order fills each
+// certificate's range, so its sightings arrive in scan order. The runs and
+// their IPs are then derived in two fan-outs around a serial prefix sum: the
+// first sorts and deduplicates each run's IPs in place in a scratch copy of
+// the sighting IPs and counts every certificate's runs and distinct IPs; the
+// second copies them into arrays of exactly the summed sizes. Each
+// certificate writes only its own ranges, so the index is identical at any
+// worker count.
 func (c *Corpus) BuildIndexWorkers(workers int) *Index {
 	n := len(c.certs)
 	total := c.NumObservations()

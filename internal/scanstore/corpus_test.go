@@ -92,7 +92,7 @@ func TestLifetimeSemantics(t *testing.T) {
 	c.AddScan(UMich, day(7), []Observation{
 		{Cert: b, IP: netsim.MakeIP(5, 6, 7, 8)},
 	})
-	idx := c.BuildIndex()
+	idx := c.BuildIndexWorkers(0)
 
 	// Paper §5.1: single sighting → 1 day; sightings a week apart → 8 days.
 	if lt, ok := idx.LifetimeDays(a); !ok || lt != 1 {
@@ -106,7 +106,7 @@ func TestLifetimeSemantics(t *testing.T) {
 func TestLifetimeUnseen(t *testing.T) {
 	c := NewCorpus()
 	id := c.Intern(makeCert(t, "ghost.example", 5))
-	idx := c.BuildIndex()
+	idx := c.BuildIndexWorkers(0)
 	if _, ok := idx.LifetimeDays(id); ok {
 		t.Error("unseen cert reported a lifetime")
 	}
@@ -128,7 +128,7 @@ func TestIPsInScanAndMax(t *testing.T) {
 		{Cert: id, IP: ipA}, // duplicate sighting same scan, same IP
 	})
 	c.AddScan(UMich, day(3), []Observation{{Cert: id, IP: ipA}})
-	idx := c.BuildIndex()
+	idx := c.BuildIndexWorkers(0)
 
 	ips := idx.IPsInScan(id, 0)
 	if len(ips) != 2 || ips[0] != ipA || ips[1] != ipB {
@@ -198,7 +198,7 @@ func TestValidateClassifiesAndPoolsIntermediates(t *testing.T) {
 
 	store := truststore.NewStore()
 	store.AddRoot(root)
-	counts := c.Validate(store)
+	counts := c.ValidateWorkers(store, 0)
 
 	if c.Cert(leafID).Status != truststore.Valid {
 		t.Errorf("transvalid leaf = %v", c.Cert(leafID).Status)
@@ -253,7 +253,7 @@ func TestLifetimeConsistencyProperty(t *testing.T) {
 			}
 			at = at.AddDate(0, 0, int(scanGaps[i]%30)+1)
 		}
-		idx := c.BuildIndex()
+		idx := c.BuildIndexWorkers(0)
 		lt, ok := idx.LifetimeDays(id)
 		if !sawAny {
 			return !ok
@@ -300,6 +300,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.BuildIndex()
+		c.BuildIndexWorkers(0)
 	}
 }

@@ -119,7 +119,7 @@ func TestBuildIndexSerialParallelEquivalence(t *testing.T) {
 // is empty and every offset array holds only its leading zero.
 func TestBuildIndexExtEmpty(t *testing.T) {
 	c := NewCorpus()
-	for _, idx := range []*Index{c.BuildIndex(), c.BuildIndexWorkers(1), c.BuildIndexWorkers(8)} {
+	for _, idx := range []*Index{c.BuildIndexWorkers(0), c.BuildIndexWorkers(1), c.BuildIndexWorkers(8)} {
 		if idx == nil {
 			t.Fatal("nil index for empty corpus")
 		}
@@ -286,7 +286,7 @@ func TestValidateReentrant(t *testing.T) {
 
 	store := truststore.NewStore()
 	store.AddRoot(root)
-	first := c.Validate(store)
+	first := c.ValidateWorkers(store, 0)
 	inters := store.NumIntermediates()
 	if inters != 1 {
 		t.Fatalf("expected the CA cert pooled once, got %d intermediates", inters)
@@ -296,7 +296,7 @@ func TestValidateReentrant(t *testing.T) {
 		statuses[i] = c.Cert(CertID(i)).Status
 	}
 	for round := 0; round < 2; round++ {
-		again := c.Validate(store)
+		again := c.ValidateWorkers(store, 0)
 		if !reflect.DeepEqual(first, again) {
 			t.Errorf("re-validation changed counts: %v then %v", first, again)
 		}

@@ -49,8 +49,8 @@ func tracker(t *testing.T) (*Tracker, *devicesim.World) {
 		for _, r := range world.Roots() {
 			store.AddRoot(r)
 		}
-		corpus.Validate(store)
-		ds := analysis.NewDataset(corpus, world.Internet)
+		corpus.ValidateWorkers(store, 0)
+		ds := analysis.NewDatasetWorkers(corpus, world.Internet, 0)
 		linker := linking.NewLinker(ds, linking.DefaultConfig(), 0, nil)
 		res := linker.Link()
 		fix.tracker = NewTracker(ds, res, linker)

@@ -140,7 +140,7 @@ func (s *Store) ChainCacheStats() (hits, misses uint64) {
 // created. It depends only on which certificates were verified, not on how
 // many goroutines verified them: the chain memo fills once per issuer under
 // its lock, and a self-check runs once per certificate provided no two
-// goroutines verify the same certificate at once (Corpus.Validate never
+// goroutines verify the same certificate at once (Corpus.ValidateWorkers never
 // does).
 func (s *Store) Verifies() int64 { return s.verifies.Load() }
 
@@ -173,7 +173,7 @@ func (s *Store) AddRoot(c *x509lite.Certificate) {
 
 // AddIntermediate pools a CA certificate observed in the scans so that
 // transvalid chains can be completed. Duplicate fingerprints are ignored
-// without touching the store (idempotent): Corpus.Validate pools every
+// without touching the store (idempotent): Corpus.ValidateWorkers pools every
 // CA-flagged certificate on each call, and re-validation must not re-add
 // them or flush the memoized chains.
 func (s *Store) AddIntermediate(c *x509lite.Certificate) {

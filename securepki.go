@@ -5,8 +5,10 @@
 // way the paper did, links invalid certificates back to the devices that
 // issued them (§6), and tracks those devices across the address space (§7).
 //
-// The package is a thin facade over the internal pipeline; all examples,
-// binaries and benchmarks drive the system exclusively through it.
+// The package is a thin facade over the internal pipeline. The examples
+// start from it; the commands in cmd/ drive internal/core directly, and the
+// benchmarks beside it also use the linking, truststore and x509lite
+// packages for their ablation and stage benches.
 //
 // Quick start:
 //
