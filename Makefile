@@ -40,16 +40,17 @@ fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/snapshot ./internal/x509lite
 
 # One iteration of each snapshot, query, lint, worker-pool, external-sort,
-# certificate-construction and sighting-index benchmark, and of every
-# experiment row over one DefaultConfig pipeline (BenchmarkExperiments) —
-# catches benchmarks that no longer compile or crash without burning CI
-# minutes on timing.
+# certificate-construction and sighting-index benchmark, and, over one
+# DefaultConfig pipeline, of every experiment row (BenchmarkExperiments) and
+# of the serial and parallel linker (BenchmarkLinkerParallel) — catches
+# benchmarks that no longer compile or crash without burning CI minutes on
+# timing.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='Snapshot|Query|Lint' -benchtime=1x ./internal/snapshot ./internal/querystore ./internal/certlint
 	$(GO) test -run='^$$' -bench='ForEach' -benchtime=1x ./internal/parallel
 	$(GO) test -run='^$$' -bench='Sorter' -benchtime=1x ./internal/extsort
 	$(GO) test -run='^$$' -bench='Create|BuildIndex' -benchtime=1x ./internal/x509lite ./internal/scanstore
-	$(GO) test -run='^$$' -bench='^BenchmarkExperiments$$' -benchtime=1x .
+	$(GO) test -run='^$$' -bench='^(BenchmarkExperiments|BenchmarkLinkerParallel)$$' -benchtime=1x .
 
 # One cell of the chaos matrix under the race detector: a full certscan
 # sweep against a 30%-faulty population must produce a corpus snapshot
@@ -136,12 +137,14 @@ ci: build vet fmt-check lint
 	$(MAKE) perfbench-check
 
 # Perf trajectory: snapshot, parse, certificate-construction, query, lint,
-# external-merge and sighting-index benchmarks rendered to machine-readable
-# JSON so future PRs have a baseline to compare against (certs/sec, MB/s,
-# allocs/op per benchmark).
+# external-merge, sighting-index and linker benchmarks rendered to
+# machine-readable JSON so future PRs have a baseline to compare against
+# (certs/sec, MB/s, B/op, allocs/op per benchmark). The linker bench builds
+# one DefaultConfig pipeline first, outside its timer.
 bench:
-	$(GO) test -run='^$$' -bench='Snapshot|Parse|Create|Query|Lint|Sorter|BuildIndex' -benchmem \
-		./internal/snapshot ./internal/x509lite ./internal/querystore ./internal/certlint ./cmd/certquery ./internal/extsort ./internal/scanstore \
+	{ $(GO) test -run='^$$' -bench='Snapshot|Parse|Create|Query|Lint|Sorter|BuildIndex' -benchmem \
+		./internal/snapshot ./internal/x509lite ./internal/querystore ./internal/certlint ./cmd/certquery ./internal/extsort ./internal/scanstore; \
+	  $(GO) test -run='^$$' -bench='^BenchmarkLinkerParallel$$' -benchmem .; } \
 		| $(GO) run ./cmd/benchjson > BENCH_snapshot.json
 	@echo wrote BENCH_snapshot.json
 

@@ -2,7 +2,10 @@ package certlint
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -28,10 +31,13 @@ type CertFindings struct {
 
 // RunCert lints one certificate: every enabled, applicable linter in ID
 // order, findings sorted by (LintID, Severity). The sort is part of the
-// persisted-format contract — see Severity.
+// persisted-format contract — see Severity. The findings collect in a
+// fixed array, which append leaves only for a certificate that draws more,
+// and return as one slice of their exact count (nil for none).
 func (r *Registry) RunCert(c *x509lite.Certificate, ctx *Context, cfg *Config) []Finding {
 	profiles := ProfilesOf(c)
-	var out []Finding
+	var hits [8]Finding
+	out := hits[:0]
 	var subject, issuer string
 	named := false
 	for _, i := range r.sortedIndexes() {
@@ -57,18 +63,18 @@ func (r *Registry) RunCert(c *x509lite.Certificate, ctx *Context, cfg *Config) [
 		}
 		out = append(out, Finding{LintID: l.ID, Version: l.Version, Severity: l.Severity, Detail: detail})
 	}
+	if len(out) == 0 {
+		return nil
+	}
 	sortFindings(out)
-	return out
+	return slices.Clone(out)
 }
 
 // sortFindings orders findings by (LintID, Severity) — the stable order
 // every consumer (reports, the findings column, the goldens) relies on.
 func sortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(a, b int) bool {
-		if fs[a].LintID != fs[b].LintID {
-			return fs[a].LintID < fs[b].LintID
-		}
-		return fs[a].Severity < fs[b].Severity
+	slices.SortStableFunc(fs, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.LintID, b.LintID), cmp.Compare(a.Severity, b.Severity))
 	})
 }
 

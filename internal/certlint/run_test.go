@@ -92,6 +92,27 @@ func renderCorpus(results []CertFindings) []byte {
 	return b.Bytes()
 }
 
+// RunCert's allocation contract: findings collect in a fixed array and
+// leave as one slice of their exact count. On the notbefore_ancient fixture
+// (four findings) it measures 9, with or without -race: that slice and
+// eight inside the linters and ProfilesOf (details, a search string, a SAN
+// set, a DNS label split). Findings grown by append (1, 2, 4) would make it
+// 11; a reflection sort, or a strings.Split back in LooksLikeIPv4, would
+// also pass the budget.
+const runCertAllocBudget = 10
+
+func TestRunCertAllocBudget(t *testing.T) {
+	c := lintCert(t, fixtures()["notbefore_ancient"].trigger)
+	reg := Default()
+	if got := reg.RunCert(c, nil, nil); len(got) != 4 || cap(got) != len(got) {
+		t.Fatalf("RunCert returned %d findings with capacity %d, want 4 of exact size", len(got), cap(got))
+	}
+	allocs := testing.AllocsPerRun(200, func() { reg.RunCert(c, nil, nil) })
+	if allocs > runCertAllocBudget {
+		t.Errorf("RunCert allocates %.1f times on a four-finding certificate, budget %d", allocs, runCertAllocBudget)
+	}
+}
+
 // TestRunCorpusWorkerEquivalence is the determinism golden: the serial run
 // and every parallel run must render to identical bytes.
 func TestRunCorpusWorkerEquivalence(t *testing.T) {

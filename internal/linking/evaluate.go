@@ -1,6 +1,7 @@
 package linking
 
 import (
+	"slices"
 	"sort"
 
 	"securepki/internal/netsim"
@@ -52,37 +53,45 @@ func (l *Linker) evalGroups(f Feature, groups []Group) FieldEval {
 
 // groupConsistencyCounts implements the paper's §6.4.1 example: over all of
 // the group's sightings, how many fall on the modal IP, modal /24 and modal
-// AS (the denominators are the sighting count).
+// AS (the denominators are the sighting count). Sorted, each modal count is
+// the longest run; a /24 is an IP with its low byte cleared, so the sorted
+// IPs stay sorted as /24s. The buffers start on the stack and cover a
+// group's sightings in all but the largest groups.
 func (l *Linker) groupConsistencyCounts(g Group) (ipMax, s24Max, asMax, total int) {
-	ips := make(map[netsim.IP]int)
-	s24s := make(map[netsim.IP]int)
-	ases := make(map[int]int)
+	var ipBuf [64]netsim.IP
+	var asBuf [64]int
+	ips, ases := ipBuf[:0], asBuf[:0]
 	for _, id := range g.Certs {
 		for _, sg := range l.ds.Index.Sightings(id) {
-			total++
-			ips[sg.IP]++
-			s24s[sg.IP.Slash24()]++
+			ips = append(ips, sg.IP)
 			if as := l.ds.Internet.Lookup(sg.IP, l.ds.Corpus.Scan(sg.Scan).Time); as != nil {
-				ases[as.ASN]++
+				ases = append(ases, as.ASN)
 			}
 		}
 	}
-	for _, n := range ips {
-		if n > ipMax {
-			ipMax = n
-		}
+	slices.Sort(ips)
+	ipMax = longestRun(ips)
+	for i := range ips {
+		ips[i] = ips[i].Slash24()
 	}
-	for _, n := range s24s {
-		if n > s24Max {
-			s24Max = n
+	s24Max = longestRun(ips)
+	slices.Sort(ases)
+	asMax = longestRun(ases)
+	return ipMax, s24Max, asMax, len(ips)
+}
+
+// longestRun returns the length of the longest run of equal elements.
+func longestRun[T comparable](s []T) int {
+	best := 0
+	for lo := 0; lo < len(s); {
+		hi := lo + 1
+		for hi < len(s) && s[hi] == s[lo] {
+			hi++
 		}
+		best = max(best, hi-lo)
+		lo = hi
 	}
-	for _, n := range ases {
-		if n > asMax {
-			asMax = n
-		}
-	}
-	return ipMax, s24Max, asMax, total
+	return best
 }
 
 // EvaluateAll produces Table 6: every field scored independently, with the
@@ -93,30 +102,31 @@ func (l *Linker) groupConsistencyCounts(g Group) (ipMax, s24Max, asMax, total in
 func (l *Linker) EvaluateAll() []FieldEval {
 	type fieldResult struct {
 		ev     FieldEval
-		linked []scanstore.CertID
+		groups []Group
 	}
-	results := parallel.Map(l.workers, int(numFeatures), func(fi int) fieldResult {
-		f := Feature(fi)
-		groups := l.LinkOn(f, nil)
-		var linked []scanstore.CertID
-		for _, g := range groups {
-			linked = append(linked, g.Certs...)
-		}
-		return fieldResult{ev: l.evalGroups(f, groups), linked: linked}
+	results := perFeature(l, func(sc *scratch, f Feature) fieldResult {
+		groups := l.linkOn(sc, f, nil)
+		return fieldResult{ev: l.evalGroups(f, groups), groups: groups}
 	})
 
-	linkedBy := make(map[scanstore.CertID]int)
-	lastField := make(map[scanstore.CertID]Feature)
+	// only[i] is 1 + the one feature that links eligible certificate i, 0
+	// when none does and -1 when several do.
+	only := make([]int8, len(l.eligible))
 	for fi, r := range results {
-		for _, id := range r.linked {
-			linkedBy[id]++
-			lastField[id] = Feature(fi)
+		for _, g := range r.groups {
+			for _, id := range g.Certs {
+				if i := l.byID[id]; only[i] == 0 {
+					only[i] = int8(fi + 1)
+				} else {
+					only[i] = -1
+				}
+			}
 		}
 	}
-	unique := make(map[Feature]int)
-	for id, n := range linkedBy {
-		if n == 1 {
-			unique[lastField[id]]++
+	var unique [numFeatures]int
+	for _, o := range only {
+		if o > 0 {
+			unique[o-1]++
 		}
 	}
 	evals := make([]FieldEval, 0, numFeatures)
@@ -196,7 +206,7 @@ func (l *Linker) linkWithEvals(evals []FieldEval) Result {
 }
 
 func (l *Linker) runIterative(res *Result) {
-	remaining := make(map[scanstore.CertID]bool, len(l.eligible))
+	remaining := make([]bool, len(l.byID))
 	for i := range l.eligible {
 		remaining[l.eligible[i].id] = true
 	}
@@ -206,7 +216,7 @@ func (l *Linker) runIterative(res *Result) {
 			res.Groups = append(res.Groups, g)
 			res.LinkedCerts += len(g.Certs)
 			for _, id := range g.Certs {
-				delete(remaining, id)
+				remaining[id] = false
 			}
 		}
 	}
@@ -241,7 +251,7 @@ func (l *Linker) EvaluateLifetimeChange(res Result) LifetimeChange {
 	var lc LifetimeChange
 	var nBefore, singleBefore int
 	var sumBefore float64
-	linked := make(map[scanstore.CertID]bool)
+	linked := make([]bool, len(l.byID))
 	for _, g := range res.Groups {
 		for _, id := range g.Certs {
 			linked[id] = true
@@ -281,20 +291,20 @@ func (l *Linker) EvaluateLifetimeChange(res Result) LifetimeChange {
 	}
 	// Each linked group becomes one entity spanning first to last sighting.
 	for _, g := range res.Groups {
-		var first, last int
+		var first, last scanstore.ScanID
 		var scansSeen int
 		for i, id := range g.Certs {
-			info := l.byID[id]
-			if i == 0 || info.firstScan < first {
-				first = info.firstScan
+			info := &l.eligible[l.byID[id]]
+			if i == 0 || info.first < first {
+				first = info.first
 			}
-			if i == 0 || info.lastScan > last {
-				last = info.lastScan
+			if i == 0 || info.last > last {
+				last = info.last
 			}
 			scansSeen += len(l.ds.Index.ScansSeen(id))
 		}
-		firstT := l.ds.Corpus.Scan(scanstore.ScanID(first)).Time
-		lastT := l.ds.Corpus.Scan(scanstore.ScanID(last)).Time
+		firstT := l.ds.Corpus.Scan(first).Time
+		lastT := l.ds.Corpus.Scan(last).Time
 		days := lastT.Sub(firstT).Hours()/24 + 1
 		nAfter++
 		sumAfter += days

@@ -21,9 +21,10 @@
 package linking
 
 import (
+	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
 	"securepki/internal/x509lite"
 )
@@ -87,59 +88,100 @@ func (f Feature) String() string {
 // the certificate does not carry the feature (no SAN list, no CRL endpoint…).
 // Values are opaque strings; equality is the only operation linking needs.
 func Value(cert *x509lite.Certificate, f Feature) (value string, ok bool) {
+	var r renderer
+	b, ok := r.render(cert, f)
+	return string(b), ok
+}
+
+// renderer writes the bytes of Value into buffers it keeps, so the linker
+// keys a certificate without allocating, except for what has to be sorted
+// as strings first: SAN IP addresses and a second policy OID.
+type renderer struct {
+	buf   []byte
+	parts []string
+}
+
+// render returns Value(cert, f) as bytes valid until the next call.
+func (r *renderer) render(cert *x509lite.Certificate, f Feature) ([]byte, bool) {
+	b := r.buf[:0]
 	switch f {
 	case FeaturePublicKey:
-		return cert.PublicKeyFingerprint().String(), true
+		fp := cert.PublicKeyFingerprint()
+		b = hex.AppendEncode(b, fp[:])
 	case FeatureNotBefore:
-		return fmt.Sprintf("%d", cert.NotBefore.Unix()), true
+		b = strconv.AppendInt(b, cert.NotBefore.Unix(), 10)
 	case FeatureNotAfter:
-		return fmt.Sprintf("%d", cert.NotAfter.Unix()), true
+		b = strconv.AppendInt(b, cert.NotAfter.Unix(), 10)
 	case FeatureCommonName:
-		cn := cert.Subject.CommonName
-		if cn == "" {
-			return "", false
+		if cert.Subject.CommonName == "" {
+			return nil, false
 		}
-		return cn, true
+		b = append(b, cert.Subject.CommonName...)
 	case FeatureIssuerSerial:
-		return cert.Issuer.String() + "|" + cert.SerialNumber.String(), true
+		b = cert.Issuer.AppendTo(b)
+		b = append(b, '|')
+		if sn := cert.SerialNumber; sn != nil && sn.IsInt64() {
+			b = strconv.AppendInt(b, sn.Int64(), 10)
+		} else {
+			b = sn.Append(b, 10) // "<nil>" for a nil serial, as String renders it
+		}
 	case FeatureSAN:
 		if len(cert.DNSNames) == 0 && len(cert.IPAddresses) == 0 {
-			return "", false
+			return nil, false
 		}
-		parts := append([]string(nil), cert.DNSNames...)
+		parts := append(r.parts[:0], cert.DNSNames...)
 		for _, ip := range cert.IPAddresses {
 			parts = append(parts, ip.String())
 		}
-		sort.Strings(parts)
-		return strings.Join(parts, ","), true
+		b = r.join(b, parts)
 	case FeatureCRL:
-		return joinIfAny(cert.CRLDistributionPoints)
+		return r.joinIfAny(b, cert.CRLDistributionPoints)
 	case FeatureAIA:
-		return joinIfAny(cert.IssuingCertificateURL)
+		return r.joinIfAny(b, cert.IssuingCertificateURL)
 	case FeatureOCSP:
-		return joinIfAny(cert.OCSPServer)
+		return r.joinIfAny(b, cert.OCSPServer)
 	case FeatureOID:
-		if len(cert.PolicyOIDs) == 0 {
-			return "", false
+		switch len(cert.PolicyOIDs) {
+		case 0:
+			return nil, false
+		case 1: // nothing to sort
+			b = x509lite.AppendOID(b, cert.PolicyOIDs[0])
+		default:
+			parts := r.parts[:0]
+			for _, oid := range cert.PolicyOIDs {
+				parts = append(parts, x509lite.OIDString(oid))
+			}
+			b = r.join(b, parts)
 		}
-		parts := make([]string, 0, len(cert.PolicyOIDs))
-		for _, oid := range cert.PolicyOIDs {
-			parts = append(parts, x509lite.OIDString(oid))
-		}
-		sort.Strings(parts)
-		return strings.Join(parts, ","), true
 	default:
-		return "", false
+		return nil, false
 	}
+	r.buf = b
+	return b, true
 }
 
-func joinIfAny(urls []string) (string, bool) {
+// joinIfAny renders a URL list: absent when empty, else sorted and joined.
+func (r *renderer) joinIfAny(b []byte, urls []string) ([]byte, bool) {
 	if len(urls) == 0 {
-		return "", false
+		return nil, false
 	}
-	sorted := append([]string(nil), urls...)
-	sort.Strings(sorted)
-	return strings.Join(sorted, ","), true
+	b = r.join(b, append(r.parts[:0], urls...))
+	r.buf = b
+	return b, true
+}
+
+// join appends parts, sorted, comma-separated, and keeps parts' array for
+// the next call.
+func (r *renderer) join(b []byte, parts []string) []byte {
+	slices.Sort(parts)
+	for i, p := range parts {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, p...)
+	}
+	r.parts = parts[:0]
+	return b
 }
 
 // IPFormattedCN reports whether the certificate's Common Name is a literal

@@ -245,16 +245,32 @@ func (c *Campaign) Blacklisted(op scanstore.Operator, p netsim.Prefix) bool {
 // ground truth: the whole population is swept as one chunk across workers
 // goroutines (<= 0 means GOMAXPROCS), interning each sighting into the
 // corpus in the order the sweep delivers it and recording its host in Truth
-// under the certificate's CertID, one compare per sighting.
+// under the certificate's CertID, one compare per sighting. The sweep
+// delivers scans in order, so one buffer collects each scan's observations
+// and each scan keeps an exact-size copy of them.
 func (c *Campaign) Run(workers int) (*scanstore.Corpus, *Truth, error) {
 	corpus := scanstore.NewCorpus()
 	truth := &Truth{}
 	obs := make([][]scanstore.Observation, len(c.schedule))
+	var buf []scanstore.Observation
+	cur := 0 // the scan buf collects
+	flush := func() {
+		if len(buf) > 0 {
+			obs[cur] = make([]scanstore.Observation, len(buf))
+			copy(obs[cur], buf)
+			buf = buf[:0]
+		}
+	}
 	c.sweep(c.world.Hosts(), 0, workers, c.lossRNGs(), func(scan, host int, cert *x509lite.Certificate, ip netsim.IP) {
+		if scan != cur {
+			flush()
+			cur = scan
+		}
 		id := corpus.Intern(cert)
-		obs[scan] = append(obs[scan], scanstore.Observation{Cert: id, IP: ip})
+		buf = append(buf, scanstore.Observation{Cert: id, IP: ip})
 		truth.observe(id, host)
 	})
+	flush()
 	for i, plan := range c.schedule {
 		if _, err := corpus.AddScan(plan.op, plan.at, obs[i]); err != nil {
 			return nil, nil, err

@@ -104,6 +104,10 @@ func TestRunProducesObservations(t *testing.T) {
 		if len(s.Obs) > 0 {
 			nonEmpty++
 		}
+		// Each scan keeps an exact-size copy, not a list grown by append.
+		if cap(s.Obs) != len(s.Obs) {
+			t.Errorf("scan %d holds %d observations in a list of capacity %d", s.ID, len(s.Obs), cap(s.Obs))
+		}
 	}
 	if nonEmpty != corpus.NumScans() {
 		t.Errorf("only %d/%d scans observed anything", nonEmpty, corpus.NumScans())

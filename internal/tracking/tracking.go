@@ -46,7 +46,7 @@ type Tracker struct {
 // becomes its own entity.
 func NewTracker(ds *analysis.Dataset, res linking.Result, linker *linking.Linker) *Tracker {
 	t := &Tracker{ds: ds}
-	inGroup := make(map[scanstore.CertID]bool)
+	inGroup := make([]bool, ds.Corpus.NumCerts())
 	for _, g := range res.Groups {
 		e := &Entity{Certs: g.Certs, Linked: true}
 		for _, id := range g.Certs {

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"math/big"
 	"net"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -25,22 +24,31 @@ type Name struct {
 // String renders the name like openssl's oneline format, e.g.
 // "C=DE, O=AVM, CN=fritz.box". An entirely empty name renders as "".
 func (n Name) String() string {
-	var s string
-	add := func(prefix, v string) {
-		if v == "" {
-			return
+	var buf [64]byte
+	return string(n.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the name, rendered as String renders it, to dst.
+func (n Name) AppendTo(dst []byte) []byte {
+	start := len(dst)
+	for _, attr := range [...]struct{ prefix, v string }{
+		{"C", n.Country},
+		{"L", n.Locality},
+		{"O", n.Organization},
+		{"OU", n.OrganizationalUnit},
+		{"CN", n.CommonName},
+	} {
+		if attr.v == "" {
+			continue
 		}
-		if s != "" {
-			s += ", "
+		if len(dst) > start {
+			dst = append(dst, ", "...)
 		}
-		s += prefix + "=" + v
+		dst = append(dst, attr.prefix...)
+		dst = append(dst, '=')
+		dst = append(dst, attr.v...)
 	}
-	add("C", n.Country)
-	add("L", n.Locality)
-	add("O", n.Organization)
-	add("OU", n.OrganizationalUnit)
-	add("CN", n.CommonName)
-	return s
+	return dst
 }
 
 // Empty reports whether no attribute is populated — the corpus contains
@@ -54,21 +62,24 @@ func (n Name) Empty() bool {
 // only, which is what the analysis, linking and lint rules on IP-formatted
 // Common Names ask.
 func LooksLikeIPv4(s string) bool {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return false
-	}
-	for _, p := range parts {
-		if len(p) == 0 || len(p) > 3 {
-			return false
-		}
-		for _, c := range p {
-			if c < '0' || c > '9' {
+	groups, digits := 1, 0
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '.':
+			if digits == 0 {
 				return false
 			}
+			groups++
+			digits = 0
+		case c >= '0' && c <= '9':
+			if digits++; digits > 3 {
+				return false
+			}
+		default:
+			return false
 		}
 	}
-	return true
+	return groups == 4 && digits > 0
 }
 
 // Fingerprint is the SHA-256 digest of a certificate or key, the identity

@@ -15,7 +15,7 @@
 package x509lite
 
 import (
-	"fmt"
+	"strconv"
 
 	"securepki/internal/asn1der"
 )
@@ -69,13 +69,15 @@ var (
 )
 
 // OIDString renders an OID in dotted form ("2.5.29.17").
-func OIDString(oid []int) string {
-	s := ""
+func OIDString(oid []int) string { return string(AppendOID(nil, oid)) }
+
+// AppendOID appends the OID, rendered as OIDString renders it, to dst.
+func AppendOID(dst []byte, oid []int) []byte {
 	for i, arc := range oid {
 		if i > 0 {
-			s += "."
+			dst = append(dst, '.')
 		}
-		s += fmt.Sprintf("%d", arc)
+		dst = strconv.AppendInt(dst, int64(arc), 10)
 	}
-	return s
+	return dst
 }

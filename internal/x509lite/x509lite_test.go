@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,6 +328,67 @@ func TestNameString(t *testing.T) {
 	want := "C=DE, O=Lancom Systems, CN=www.lancom-systems.de"
 	if got := n.String(); got != want {
 		t.Errorf("Name.String() = %q, want %q", got, want)
+	}
+}
+
+// AppendTo appends exactly String's rendering after whatever dst holds:
+// the separator depends on what the name itself has written, not on dst.
+func TestNameAppendTo(t *testing.T) {
+	for _, tc := range []struct {
+		n    Name
+		want string
+	}{
+		{Name{}, ""},
+		{Name{CommonName: "fritz.box"}, "CN=fritz.box"},
+		{Name{Locality: "Berlin", OrganizationalUnit: "Fleet"}, "L=Berlin, OU=Fleet"},
+		{Name{Country: "DE", Locality: "Berlin", Organization: "AVM", OrganizationalUnit: "Fleet", CommonName: "fritz.box"},
+			"C=DE, L=Berlin, O=AVM, OU=Fleet, CN=fritz.box"},
+		{Name{Organization: "x, CN=y"}, "O=x, CN=y"},
+	} {
+		if got := tc.n.String(); got != tc.want {
+			t.Errorf("%#v.String() = %q, want %q", tc.n, got, tc.want)
+		}
+		if got := string(tc.n.AppendTo([]byte("head|"))); got != "head|"+tc.want {
+			t.Errorf("%#v.AppendTo(head|) = %q, want %q", tc.n, got, "head|"+tc.want)
+		}
+	}
+}
+
+// LooksLikeIPv4 scans bytes where it once split on dots; it must agree with
+// the split form on every input.
+func TestLooksLikeIPv4MatchesSplitForm(t *testing.T) {
+	split := func(s string) bool {
+		parts := strings.Split(s, ".")
+		if len(parts) != 4 {
+			return false
+		}
+		for _, p := range parts {
+			if len(p) == 0 || len(p) > 3 {
+				return false
+			}
+			for _, c := range p {
+				if c < '0' || c > '9' {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	inputs := []string{
+		"", ".", "...", "....", "1.2.3.4", "192.168.178.1", "255.255.255.255", "999.999.999.999",
+		"1.2.3", "1.2.3.4.5", "1..2.3", ".1.2.3", "1.2.3.", "1234.1.1.1", "1.2.3.4567",
+		"a.b.c.d", "1.2.3.x", "fritz.box", "1.2.3.4 ", " 1.2.3.4", "1.2.3.\xff", "١.٢.٣.٤", "0.0.0.0",
+	}
+	for _, s := range inputs {
+		if got, want := LooksLikeIPv4(s), split(s); got != want {
+			t.Errorf("LooksLikeIPv4(%q) = %v, split form %v", s, got, want)
+		}
+	}
+	if err := quick.CheckEqual(LooksLikeIPv4, split, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if a := testing.AllocsPerRun(100, func() { LooksLikeIPv4("192.168.178.1") }); a != 0 {
+		t.Errorf("LooksLikeIPv4 allocates %.1f times per call", a)
 	}
 }
 
