@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -55,6 +56,49 @@ func dataset(t *testing.T) *Dataset {
 		t.Fatal(fixtureErr)
 	}
 	return fixture
+}
+
+// TestReportsComputeOnce: ASDiversity, Longevity, Issuers and KeySharing
+// compute once per argument. Goroutines asking for them at once all get
+// the one report, equal to the shared fixture's; asking again allocates
+// nothing and hands back that report; a new argument is a new report.
+func TestReportsComputeOnce(t *testing.T) {
+	shared := dataset(t)
+	d := NewDatasetWorkers(shared.Corpus, shared.Internet, 0)
+	type reports struct {
+		as      ASDiversityReport
+		lon     LongevityReport
+		issuers IssuerReport
+		keys    KeySharingReport
+	}
+	all := func(d *Dataset) reports {
+		return reports{d.ASDiversity(5), d.Longevity(), d.Issuers(5), d.KeySharing()}
+	}
+	got := make([]reports, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = all(d)
+		}()
+	}
+	wg.Wait()
+	want := all(shared)
+	for g, r := range got {
+		if !reflect.DeepEqual(r, want) {
+			t.Fatalf("goroutine %d got reports that differ from the fixture's", g)
+		}
+		if r.lon.ValidPeriods != got[0].lon.ValidPeriods || &r.issuers.TopInvalid[0] != &got[0].issuers.TopInvalid[0] {
+			t.Fatalf("goroutine %d got a report of its own", g)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { all(d) }); allocs != 0 {
+		t.Errorf("a second call of the four reports allocates %.0f times, want 0", allocs)
+	}
+	if top1 := d.Issuers(1); len(top1.TopInvalid) != 1 || len(got[0].issuers.TopInvalid) != 5 {
+		t.Errorf("Issuers(1) lists %d invalid issuers, Issuers(5) %d", len(top1.TopInvalid), len(got[0].issuers.TopInvalid))
+	}
 }
 
 func TestValidationBreakdownShape(t *testing.T) {

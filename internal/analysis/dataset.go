@@ -10,6 +10,7 @@
 package analysis
 
 import (
+	"sync"
 	"time"
 
 	"securepki/internal/netsim"
@@ -19,10 +20,48 @@ import (
 
 // Dataset bundles the corpus (already validated), its index, and the Internet
 // model used to map addresses to prefixes and ASes.
+//
+// ASDiversity, Longevity, Issuers and KeySharing each compute their report
+// once per argument, however many callers and goroutines ask: the
+// experiment rows, Summarize and the figure export share one computation.
+// The reports are shared, so callers must not modify them, and the corpus
+// must not be validated again under a Dataset that has handed them out.
 type Dataset struct {
 	Corpus   *scanstore.Corpus
 	Index    *scanstore.Index
 	Internet *netsim.Internet
+
+	longevity  memo[LongevityReport]
+	keySharing memo[KeySharingReport]
+	mu         sync.Mutex // guards the two maps below
+	asDiv      map[int]*memo[ASDiversityReport]
+	issuers    map[int]*memo[IssuerReport]
+}
+
+// memo holds one report, computed by the first caller of get.
+type memo[T any] struct {
+	once sync.Once
+	v    T
+}
+
+func (m *memo[T]) get(compute func() T) T {
+	m.once.Do(func() { m.v = compute() })
+	return m.v
+}
+
+// memoOf returns the memo for arg in byArg, adding it on first use.
+func memoOf[T any](d *Dataset, byArg *map[int]*memo[T], arg int) *memo[T] {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	m := (*byArg)[arg]
+	if m == nil {
+		if *byArg == nil {
+			*byArg = make(map[int]*memo[T])
+		}
+		m = new(memo[T])
+		(*byArg)[arg] = m
+	}
+	return m
 }
 
 // NewDatasetWorkers builds the per-certificate index across workers (<= 0

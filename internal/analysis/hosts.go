@@ -83,9 +83,14 @@ type ASDiversityReport struct {
 	TopInvalidASes []stats.RankedItem
 }
 
-// ASDiversity computes Figure 8 and Tables 2–3. Each certificate is
-// attributed to the AS from which it was most frequently advertised.
+// ASDiversity computes Figure 8 and Tables 2–3, once per topN. Each
+// certificate is attributed to the AS from which it was most frequently
+// advertised.
 func (d *Dataset) ASDiversity(topN int) ASDiversityReport {
+	return memoOf(d, &d.asDiv, topN).get(func() ASDiversityReport { return d.asDiversity(topN) })
+}
+
+func (d *Dataset) asDiversity(topN int) ASDiversityReport {
 	validPerAS := stats.NewCounter()
 	invalidPerAS := stats.NewCounter()
 	validTypes := make(map[netsim.ASType]int)

@@ -25,8 +25,13 @@ type IssuerReport struct {
 
 const emptyIssuerLabel = "(Empty string)"
 
-// Issuers computes Table 1 and §5.3 over the observed corpus.
+// Issuers computes Table 1 and §5.3 over the observed corpus, once per
+// topN.
 func (d *Dataset) Issuers(topN int) IssuerReport {
+	return memoOf(d, &d.issuers, topN).get(func() IssuerReport { return d.issuersReport(topN) })
+}
+
+func (d *Dataset) issuersReport(topN int) IssuerReport {
 	validCN := stats.NewCounter()
 	invalidCN := stats.NewCounter()
 	validKeys := stats.NewCounter()

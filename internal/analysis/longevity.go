@@ -40,8 +40,10 @@ func dateOf(t time.Time) time.Time {
 	return time.Date(t.Year(), t.Month(), t.Day(), 0, 0, 0, 0, time.UTC)
 }
 
-// Longevity computes the §5.1 report.
-func (d *Dataset) Longevity() LongevityReport {
+// Longevity computes the §5.1 report, once.
+func (d *Dataset) Longevity() LongevityReport { return d.longevity.get(d.longevityReport) }
+
+func (d *Dataset) longevityReport() LongevityReport {
 	var validVP, invalidVP, validLT, invalidLT, gaps []float64
 	var negative, invalidTotal, singleScan, sameDay, negGap, far int
 
@@ -118,8 +120,10 @@ type KeySharingReport struct {
 	InvalidKeys int
 }
 
-// KeySharing computes §5.2 over the observed corpus.
-func (d *Dataset) KeySharing() KeySharingReport {
+// KeySharing computes §5.2 over the observed corpus, once.
+func (d *Dataset) KeySharing() KeySharingReport { return d.keySharing.get(d.keySharingReport) }
+
+func (d *Dataset) keySharingReport() KeySharingReport {
 	validKeys := stats.NewCounter()
 	invalidKeys := stats.NewCounter()
 	var nValid, nInvalid int

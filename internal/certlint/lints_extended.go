@@ -1,8 +1,14 @@
 package certlint
 
 import (
-	"fmt"
+	"bytes"
+	"cmp"
+	"net"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"securepki/internal/x509lite"
 )
@@ -20,119 +26,116 @@ func registerExtendedLints(r *Registry) {
 	r.MustRegister(Linter{
 		ID: "serial_nonpositive", Version: 1, Severity: Error,
 		Describe: "serial number is zero or negative (RFC 5280 §4.1.2.2 requires a positive integer)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if c.SerialNumber == nil {
-				return "serial absent", true
+				return append(dst, "serial absent"...), true
 			}
 			if c.SerialNumber.Sign() <= 0 {
-				return "serial " + c.SerialNumber.String(), true
+				return c.SerialNumber.Append(append(dst, "serial "...), 10), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "serial_absurd_length", Version: 1, Severity: Fatal,
 		Describe: "serial number longer than 20 octets (RFC 5280 cap; strict parsers reject)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if c.SerialNumber == nil {
-				return "", false
+				return dst, false
 			}
-			if n := len(c.SerialNumber.Bytes()); n > 20 {
-				return fmt.Sprintf("serial is %d octets", n), true
+			if n := (c.SerialNumber.BitLen() + 7) / 8; n > 20 { // len(Bytes()), uncopied
+				dst = strconv.AppendInt(append(dst, "serial is "...), int64(n), 10)
+				return append(dst, " octets"...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "san_duplicate", Version: 1, Severity: Warn,
 		Describe: "Subject Alternative Name lists the same name twice",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			seen := make(map[string]bool, len(c.DNSNames)+len(c.IPAddresses))
-			for _, d := range c.DNSNames {
-				k := "dns:" + strings.ToLower(d)
-				if seen[k] {
-					return "duplicate SAN " + d, true
-				}
-				seen[k] = true
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			// dNSNames repeat when they lower-case alike; IP addresses when
+			// they print alike, an IPv4 address and its IPv6-mapped form
+			// included.
+			dns := c.DNSNames
+			if j := firstRepeat(len(dns), func(a, b int) int { return compareLower(dns[a], dns[b]) }); j >= 0 {
+				return append(append(dst, "duplicate SAN "...), dns[j]...), true
 			}
-			for _, ip := range c.IPAddresses {
-				k := "ip:" + ip.String()
-				if seen[k] {
-					return "duplicate SAN " + ip.String(), true
-				}
-				seen[k] = true
+			ips := c.IPAddresses
+			if j := firstRepeat(len(ips), func(a, b int) int { return compareIP(ips[a], ips[b]) }); j >= 0 {
+				return append(append(dst, "duplicate SAN "...), ips[j].String()...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "time_encoding_mismatch", Version: 1, Severity: Error,
 		Describe: "validity time DER encoding violates RFC 5280 §4.1.2.5 (GeneralizedTime before 2050 or UTCTime from 2050 on)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			bad := func(year int, generalized bool) bool {
 				if year <= 1 { // zero time: field never parsed
 					return false
 				}
 				return generalized != (year >= 2050)
 			}
+			field, year, generalized := "", 0, false
 			switch {
 			case bad(c.NotBefore.Year(), c.NotBeforeGeneralized):
-				return fmt.Sprintf("NotBefore year %d encoded as %s", c.NotBefore.Year(), timeTagName(c.NotBeforeGeneralized)), true
+				field, year, generalized = "NotBefore", c.NotBefore.Year(), c.NotBeforeGeneralized
 			case bad(c.NotAfter.Year(), c.NotAfterGeneralized):
-				return fmt.Sprintf("NotAfter year %d encoded as %s", c.NotAfter.Year(), timeTagName(c.NotAfterGeneralized)), true
+				field, year, generalized = "NotAfter", c.NotAfter.Year(), c.NotAfterGeneralized
+			default:
+				return dst, false
 			}
-			return "", false
+			dst = strconv.AppendInt(append(append(dst, field...), " year "...), int64(year), 10)
+			return append(append(dst, " encoded as "...), timeTagName(generalized)...), true
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "basicconstraints_missing_ca", Version: 1, Severity: Warn,
 		Describe: "certificate asserts CA powers (keyCertSign or a CA-styled name) without a basicConstraints extension",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if c.BasicConstraintsValid {
-				return "", false
+				return dst, false
 			}
 			if c.KeyUsage&keyUsageCertSign != 0 {
-				return "keyCertSign without basicConstraints", true
+				return append(dst, "keyCertSign without basicConstraints"...), true
 			}
-			cn := strings.ToLower(c.Subject.CommonName)
-			if strings.Contains(cn, "certificate authority") || strings.HasSuffix(cn, " ca") || strings.Contains(cn, "root ca") {
-				return "CA-styled name without basicConstraints: " + c.Subject.CommonName, true
+			cn := c.Subject.CommonName
+			if containsFold(cn, "certificate authority") || hasSuffixFold(cn, " ca") || containsFold(cn, "root ca") {
+				return append(append(dst, "CA-styled name without basicConstraints: "...), cn...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "key_usage_missing", Version: 1, Severity: Info,
 		Describe: "leaf certificate without a KeyUsage extension",
 		Profiles: ProfileLeaf,
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if c.KeyUsage == 0 {
-				return "no KeyUsage extension", true
-			}
-			return "", false
+		Detail:   "no KeyUsage extension",
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			return dst, c.KeyUsage == 0
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "dns_name_malformed", Version: 1, Severity: Warn,
 		Describe: "SAN dNSName is not a well-formed DNS name (bad label length, characters or wildcard position)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			for _, d := range c.DNSNames {
 				if !wellFormedDNSName(d) {
-					return "malformed dNSName " + fmt.Sprintf("%q", d), true
+					return strconv.AppendQuote(append(dst, "malformed dNSName "...), d), true
 				}
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "revocation_expected_enterprise", Version: 1, Severity: Warn,
 		Describe: "enterprise-class device certificate (VPN, firewall, remote admin) without revocation plumbing",
 		Profiles: ProfileVPN | ProfileFirewall | ProfileRemoteAdmin,
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if len(c.CRLDistributionPoints) == 0 && len(c.OCSPServer) == 0 && len(c.IssuingCertificateURL) == 0 {
-				return "enterprise device without revocation endpoints", true
-			}
-			return "", false
+		Detail:   "enterprise device without revocation endpoints",
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			return dst, len(c.CRLDistributionPoints) == 0 && len(c.OCSPServer) == 0 && len(c.IssuingCertificateURL) == 0
 		},
 	})
 }
@@ -151,9 +154,16 @@ func wellFormedDNSName(s string) bool {
 	if s == "" || len(s) > 253 {
 		return false
 	}
-	labels := strings.Split(s, ".")
-	for i, l := range labels {
-		if l == "*" && i == 0 && len(labels) > 1 {
+	for start := 0; start <= len(s); {
+		end := strings.IndexByte(s[start:], '.')
+		if end < 0 {
+			end = len(s)
+		} else {
+			end += start
+		}
+		l := s[start:end]
+		if start == 0 && l == "*" && end < len(s) {
+			start = end + 1
 			continue
 		}
 		if len(l) == 0 || len(l) > 63 {
@@ -162,8 +172,8 @@ func wellFormedDNSName(s string) bool {
 		if l[0] == '-' || l[len(l)-1] == '-' {
 			return false
 		}
-		for _, ch := range []byte(l) {
-			switch {
+		for i := 0; i < len(l); i++ {
+			switch ch := l[i]; {
 			case ch >= 'a' && ch <= 'z':
 			case ch >= 'A' && ch <= 'Z':
 			case ch >= '0' && ch <= '9':
@@ -172,6 +182,66 @@ func wellFormedDNSName(s string) bool {
 				return false
 			}
 		}
+		start = end + 1
 	}
 	return true
+}
+
+// firstRepeat returns the index of the first of n elements that compares
+// equal to an earlier one, or -1. A short list is compared pair by pair; a
+// long one is sorted as a list of indexes, so a hostile SAN list costs
+// n log n comparisons, not n².
+func firstRepeat(n int, compare func(a, b int) int) int {
+	if n <= 16 {
+		for j := 1; j < n; j++ {
+			for i := 0; i < j; i++ {
+				if compare(i, j) == 0 {
+					return j
+				}
+			}
+		}
+		return -1
+	}
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, compare)
+	first := -1
+	for k := 1; k < n; k++ {
+		// Equal elements sort together in index order, so the second of
+		// each run is its first repeat.
+		if compare(order[k-1], order[k]) == 0 && (first < 0 || order[k] < first) {
+			first = order[k]
+		}
+	}
+	return first
+}
+
+// compareLower orders strings.ToLower(a) against strings.ToLower(b) without
+// building either: rune by rune through unicode.ToLower, an invalid byte
+// reading as utf8.RuneError, as strings.ToLower reads it.
+func compareLower(a, b string) int {
+	for a != "" && b != "" {
+		ra, wa := utf8.DecodeRuneInString(a)
+		rb, wb := utf8.DecodeRuneInString(b)
+		if c := cmp.Compare(unicode.ToLower(ra), unicode.ToLower(rb)); c != 0 {
+			return c
+		}
+		a, b = a[wa:], b[wb:]
+	}
+	return cmp.Compare(len(a), len(b))
+}
+
+// compareIP orders IP addresses so that two compare equal exactly when
+// their String forms are equal: an IPv4 address and its IPv6-mapped form
+// are one address.
+func compareIP(a, b net.IP) int {
+	if a4 := a.To4(); a4 != nil {
+		a = a4
+	}
+	if b4 := b.To4(); b4 != nil {
+		b = b4
+	}
+	return cmp.Or(cmp.Compare(len(a), len(b)), bytes.Compare(a, b))
 }

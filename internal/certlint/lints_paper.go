@@ -1,7 +1,7 @@
 package certlint
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"securepki/internal/x509lite"
@@ -17,62 +17,62 @@ func registerPaperLints(r *Registry) {
 	r.MustRegister(Linter{
 		ID: "validity_negative", Version: 1, Severity: Error,
 		Describe: "NotAfter precedes NotBefore (5.38% of the paper's invalid certs)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if d := c.ValidityDays(); d < 0 {
-				return fmt.Sprintf("validity is %.0f days", d), true
+				dst = strconv.AppendFloat(append(dst, "validity is "...), d, 'f', 0, 64)
+				return append(dst, " days"...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "validity_excessive", Version: 1, Severity: Info,
 		Describe: "validity period over 10 years (invalid median was 20y)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if d := c.ValidityDays(); d > 3653 {
-				return fmt.Sprintf("validity is %.1f years", d/365.25), true
+				dst = strconv.AppendFloat(append(dst, "validity is "...), d/365.25, 'f', 1, 64)
+				return append(dst, " years"...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "validity_beyond_y3000", Version: 1, Severity: Warn,
 		Describe: "NotAfter in the year 3000 or later",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if c.NotAfter.Year() >= 3000 {
-				return fmt.Sprintf("NotAfter is %d", c.NotAfter.Year()), true
+				return strconv.AppendInt(append(dst, "NotAfter is "...), int64(c.NotAfter.Year()), 10), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "subject_empty", Version: 1, Severity: Warn,
 		Describe: "entirely empty subject (925k certs in the paper)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if c.Subject.Empty() {
-				return "subject has no attributes", true
-			}
-			return "", false
+		Detail:   "subject has no attributes",
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			return dst, c.Subject.Empty()
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "subject_private_ip", Version: 1, Severity: Warn,
 		Describe: "Common Name is a private (RFC 1918) address",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if isPrivateIPString(c.Subject.CommonName) {
-				return "CN " + c.Subject.CommonName, true
+				return append(append(dst, "CN "...), c.Subject.CommonName...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "subject_ip", Version: 1, Severity: Info,
 		Describe: "Common Name is a literal IP address (46.9% of the paper's CNs)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			cn := c.Subject.CommonName
 			if x509lite.LooksLikeIPv4(cn) && !isPrivateIPString(cn) {
-				return "CN " + cn, true
+				return append(append(dst, "CN "...), cn...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
@@ -81,79 +81,72 @@ func registerPaperLints(r *Registry) {
 		ID: "san_missing", Version: 2, Severity: Warn,
 		Describe: "leaf certificate without a Subject Alternative Name",
 		Profiles: ProfileLeaf,
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if len(c.DNSNames) == 0 && len(c.IPAddresses) == 0 {
-				return "no SAN extension", true
-			}
-			return "", false
+		Detail:   "no SAN extension",
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			return dst, len(c.DNSNames) == 0 && len(c.IPAddresses) == 0
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "revocation_missing", Version: 1, Severity: Info,
 		Describe: "no CRL, OCSP or AIA endpoint (99%+ of invalid certs)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if len(c.CRLDistributionPoints) == 0 && len(c.OCSPServer) == 0 && len(c.IssuingCertificateURL) == 0 {
-				return "no revocation endpoints", true
-			}
-			return "", false
+		Detail:   "no revocation endpoints",
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			return dst, len(c.CRLDistributionPoints) == 0 && len(c.OCSPServer) == 0 && len(c.IssuingCertificateURL) == 0
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "version_bogus", Version: 2, Severity: Fatal,
 		Describe: "X.509 version other than 1 or 3 (the paper saw 2, 4, 13)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if c.Version != 1 && c.Version != 3 {
-				return fmt.Sprintf("version %d", c.Version), true
+				return strconv.AppendInt(append(dst, "version "...), int64(c.Version), 10), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "version_v1_leaf", Version: 2, Severity: Warn,
 		Describe: "version 1 leaf certificate (cannot distinguish CA from leaf)",
 		Profiles: ProfileLeaf,
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
-			if c.Version == 1 {
-				return "v1 certificate", true
-			}
-			return "", false
+		Detail:   "v1 certificate",
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
+			return dst, c.Version == 1
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "notbefore_ancient", Version: 1, Severity: Warn,
 		Describe: "NotBefore before 2008 (firmware epoch clocks)",
-		Check: func(c *x509lite.Certificate, _ *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, _ *Context) ([]byte, bool) {
 			if c.NotBefore.Year() > 1 && c.NotBefore.Before(time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC)) {
-				return "NotBefore " + c.NotBefore.Format("2006-01-02"), true
+				return c.NotBefore.AppendFormat(append(dst, "NotBefore "...), "2006-01-02"), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "self_signed", Version: 1, Severity: Info,
 		Describe: "certificate verifies under its own key",
-		Check: func(c *x509lite.Certificate, ctx *Context) (string, bool) {
+		Detail:   "self-signed",
+		Check: func(dst []byte, c *x509lite.Certificate, ctx *Context) ([]byte, bool) {
 			selfSigned, checked := c.SelfSignedVerdict()
 			if checked && ctx != nil {
 				ctx.verifies.Add(1)
 			}
-			if selfSigned {
-				return "self-signed", true
-			}
-			return "", false
+			return dst, selfSigned
 		},
 	})
 	r.MustRegister(Linter{
 		ID: "key_shared", Version: 1, Severity: Error,
 		Describe: "public key appears in other certificates (47% of the paper's invalid certs)",
-		Check: func(c *x509lite.Certificate, ctx *Context) (string, bool) {
+		Check: func(dst []byte, c *x509lite.Certificate, ctx *Context) ([]byte, bool) {
 			if ctx == nil || ctx.KeyCount == nil {
-				return "", false
+				return dst, false
 			}
 			if n := ctx.KeyCount[c.PublicKeyFingerprint()]; n > 1 {
-				return fmt.Sprintf("key shared by %d certificates", n), true
+				dst = strconv.AppendInt(append(dst, "key shared by "...), int64(n), 10)
+				return append(dst, " certificates"...), true
 			}
-			return "", false
+			return dst, false
 		},
 	})
 }

@@ -32,9 +32,13 @@ type Linter struct {
 	// Profiles restricts the linter to certificates matching the mask;
 	// ProfileAll (zero) runs everywhere.
 	Profiles Profile
-	// Check returns a detail string and whether the lint triggered. It must
-	// be deterministic in (certificate, context).
-	Check func(c *x509lite.Certificate, ctx *Context) (string, bool)
+	// Detail is the detail of every finding whose Check appends none: the
+	// whole detail of a linter whose findings all read the same.
+	Detail string
+	// Check reports whether the lint triggered and, when the finding's
+	// detail varies, appends it to dst, returning the extended buffer. It
+	// must be deterministic in (certificate, context) and must not keep dst.
+	Check func(dst []byte, c *x509lite.Certificate, ctx *Context) ([]byte, bool)
 }
 
 // LinterInfo is the persisted identity of a linter: what the findings column

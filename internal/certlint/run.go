@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
@@ -33,23 +34,30 @@ type CertFindings struct {
 // order, findings sorted by (LintID, Severity). The sort is part of the
 // persisted-format contract — see Severity. The findings collect in a
 // fixed array, which append leaves only for a certificate that draws more,
-// and return as one slice of their exact count (nil for none).
+// and the details Checks append in one pooled buffer; they return as one
+// slice of their exact count (nil for none) whose appended details share
+// one string, the only two allocations. A fixed Detail is not copied.
 func (r *Registry) RunCert(c *x509lite.Certificate, ctx *Context, cfg *Config) []Finding {
 	profiles := ProfilesOf(c)
 	var hits [8]Finding
-	out := hits[:0]
+	var ends [8]int // where each hit's appended detail ends in details
+	out, detailEnds := hits[:0], ends[:0]
+	scratch := detailBufs.Get().(*[]byte)
+	details := (*scratch)[:0]
 	var subject, issuer string
 	named := false
 	for _, i := range r.sortedIndexes() {
-		l := r.linters[i]
+		l := &r.linters[i]
 		if lc := cfg.lintConfig(l.ID); lc != nil && lc.Disabled {
 			continue
 		}
-		if mask := cfg.effectiveProfiles(l); mask != ProfileAll && mask&profiles == 0 {
+		if mask := cfg.effectiveProfiles(*l); mask != ProfileAll && mask&profiles == 0 {
 			continue
 		}
-		detail, hit := l.Check(c, ctx)
-		if !hit {
+		mark := len(details)
+		var hit bool
+		if details, hit = l.Check(details, c, ctx); !hit {
+			details = details[:mark]
 			continue
 		}
 		if cfg != nil {
@@ -58,17 +66,36 @@ func (r *Registry) RunCert(c *x509lite.Certificate, ctx *Context, cfg *Config) [
 				named = true
 			}
 			if cfg.suppressed(l.ID, subject, issuer) {
+				details = details[:mark]
 				continue
 			}
 		}
-		out = append(out, Finding{LintID: l.ID, Version: l.Version, Severity: l.Severity, Detail: detail})
+		out = append(out, Finding{LintID: l.ID, Version: l.Version, Severity: l.Severity, Detail: l.Detail})
+		detailEnds = append(detailEnds, len(details))
 	}
+	all := string(details)
+	*scratch = details[:0]
+	detailBufs.Put(scratch)
 	if len(out) == 0 {
 		return nil
+	}
+	start := 0
+	for k, end := range detailEnds {
+		if end > start {
+			out[k].Detail = all[start:end]
+		}
+		start = end
 	}
 	sortFindings(out)
 	return slices.Clone(out)
 }
+
+// detailBufs holds the buffers RunCert gathers finding details in, one per
+// concurrent call.
+var detailBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 512)
+	return &b
+}}
 
 // sortFindings orders findings by (LintID, Severity) — the stable order
 // every consumer (reports, the findings column, the goldens) relies on.

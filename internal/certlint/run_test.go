@@ -93,13 +93,14 @@ func renderCorpus(results []CertFindings) []byte {
 }
 
 // RunCert's allocation contract: findings collect in a fixed array and
-// leave as one slice of their exact count. On the notbefore_ancient fixture
-// (four findings) it measures 9, with or without -race: that slice and
-// eight inside the linters and ProfilesOf (details, a search string, a SAN
-// set, a DNS label split). Findings grown by append (1, 2, 4) would make it
-// 11; a reflection sort, or a strings.Split back in LooksLikeIPv4, would
-// also pass the budget.
-const runCertAllocBudget = 10
+// leave as one slice of their exact count, the details Checks append as one
+// string gathered in a pooled buffer, and fixed details are not copied; the
+// linters and ProfilesOf allocate nothing else. On the notbefore_ancient
+// fixture (four findings, two details formatted) it measures 2, with or
+// without -race. A detail formatted through fmt or made a string of its
+// own, a lower-cased copy of a name, a SAN set or a DNS label split would
+// each break the budget.
+const runCertAllocBudget = 2
 
 func TestRunCertAllocBudget(t *testing.T) {
 	c := lintCert(t, fixtures()["notbefore_ancient"].trigger)

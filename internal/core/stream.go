@@ -26,10 +26,13 @@ type StreamConfig struct {
 	// MemBudget bounds, in bytes, both the chunk store's live set and the
 	// snapshot writer's buffers (<= 0 means 256 MiB each); how the writer
 	// shares its budget, and what stays outside it, is documented at
-	// snapshot.StreamWriterConfig.MemBudget. The chunk store closes once
-	// replay drains it, and the writer keeps an eighth of the budget (its
-	// retained certificate shards) past Finish; lint takes the rest: half
-	// for its sorted finding runs, an eighth for each lint-column array.
+	// snapshot.StreamWriterConfig.MemBudget: during replay, chiefly up to
+	// Workers shards in flight, each shard's parts and the compressed
+	// blocks it fills until its payload takes them. The chunk store closes
+	// once replay drains it, and the writer keeps an eighth of the budget
+	// (its retained certificate shards) past Finish; lint takes the rest:
+	// half for its sorted finding runs, an eighth for each lint-column
+	// array.
 	// Outside the budget during lint stay one certificate shard's layout
 	// (2048 certificates by default) and its parsed certificates, the
 	// shared-key census, the fingerprint and SPKI per certificate, and the

@@ -102,6 +102,18 @@ func (s *Sorter[R]) Add(r R) error {
 	return nil
 }
 
+// Grow reserves buffer room for n more records, up to the memory budget,
+// so a caller that knows how many records are coming spares the buffer its
+// regrowth.
+func (s *Sorter[R]) Grow(n int) {
+	size := int64(s.cfg.Size)
+	full := (s.cfg.MemBudget + size - 1) / size * size // the length Add spills at
+	want := min(int64(len(s.buf))+int64(n)*size, full)
+	if int64(cap(s.buf)) < want {
+		s.buf = slices.Grow(s.buf, int(want)-len(s.buf))
+	}
+}
+
 // Runs returns how many sorted runs have spilled to disk. The merge fan-in
 // is Runs()+1 when the in-memory remainder is non-empty.
 func (s *Sorter[R]) Runs() int { return len(s.runs) }

@@ -92,6 +92,49 @@ func TestSorterMatchesInMemorySort(t *testing.T) {
 }
 
 // TestSorterCloseRemovesRuns checks no run files outlive Close.
+// TestSorterGrow: Grow reserves room for the records announced, never past
+// the length the sorter spills at, so the records that follow never move
+// the buffer, and the sorted output is unchanged.
+func TestSorterGrow(t *testing.T) {
+	for _, tc := range []struct {
+		budget  int64
+		records int
+		want    int // buffer capacity after Grow, in bytes
+	}{
+		{1 << 20, 100, 800},         // fits: exactly the records
+		{804, 1000, 808},            // capped at the 101 records Add spills at
+		{1 << 20, 0, 0},             // nothing announced, nothing reserved
+		{800, 100, 800},             // budget a whole number of records
+		{1 << 20, 1 << 17, 1 << 20}, // capped at the budget
+	} {
+		s, err := NewSorter(recConfig(t.TempDir(), tc.budget))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Grow(tc.records)
+		if cap(s.buf) < tc.want || cap(s.buf) > tc.want*9/8+128 { // allocator size classes
+			t.Errorf("budget %d, %d records: capacity %d, want %d", tc.budget, tc.records, cap(s.buf), tc.want)
+		}
+		buf := s.buf[:cap(s.buf)]
+		var in []rec
+		for i := 0; i < tc.records && i < tc.want/8; i++ {
+			r := rec{key: uint32(tc.records - i), seq: uint32(i)}
+			in = append(in, r)
+			if err := s.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(in) > 0 && s.Runs() == 0 && &s.buf[:1][0] != &buf[0] {
+			t.Errorf("budget %d: an Add after Grow moved the buffer", tc.budget)
+		}
+		slices.SortFunc(in, func(a, b rec) int { return int(a.key) - int(b.key) })
+		if got := drain(t, s); !slices.Equal(got, in) {
+			t.Errorf("budget %d: sorted output differs", tc.budget)
+		}
+		s.Close()
+	}
+}
+
 func TestSorterCloseRemovesRuns(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewSorter(recConfig(dir, 16))
@@ -354,6 +397,114 @@ func TestSpillFileDetectsRot(t *testing.T) {
 	}
 	if _, err := io.ReadAll(rd); err == nil {
 		t.Fatal("Reader passed rotted bytes")
+	}
+}
+
+// TestSpillFileWriteString: WriteString stores what Write([]byte(s))
+// does, in memory and spilled: the same bytes and, on disk, the same
+// digest, with pieces longer than the file writer's buffer among them; and
+// rot in a spill written by WriteString is still caught.
+func TestSpillFileWriteString(t *testing.T) {
+	rng := stats.NewRNG(11)
+	var pieces []string
+	for i := 0; i < 200; i++ {
+		n := rng.Intn(3000)
+		if i%50 == 7 {
+			n = 150 << 10
+		}
+		b := make([]byte, n)
+		for j := range b {
+			b[j] = byte(rng.Uint32())
+		}
+		pieces = append(pieces, string(b))
+	}
+	for _, limit := range []int64{0, 50 << 10, 1 << 30} {
+		dir := t.TempDir()
+		viaBytes := NewSpillFile(dir, "bytes-*.spill", limit)
+		viaString := NewSpillFile(dir, "string-*.spill", limit)
+		for _, p := range pieces {
+			if _, err := viaBytes.Write([]byte(p)); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := viaString.WriteString(p); err != nil || n != len(p) {
+				t.Fatalf("limit %d: WriteString = %d, %v; want %d", limit, n, err, len(p))
+			}
+		}
+		var want, got bytes.Buffer
+		if err := viaBytes.VerifyCopy(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := viaString.VerifyCopy(&got); err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) || viaString.Len() != viaBytes.Len() {
+			t.Fatalf("limit %d: WriteString stored %d bytes, Write %d, or they differ", limit, viaString.Len(), viaBytes.Len())
+		}
+		if onDisk := viaString.f != nil; onDisk != (limit < int64(want.Len())) {
+			t.Fatalf("limit %d: on disk %v", limit, onDisk)
+		} else if onDisk && !bytes.Equal(viaString.h.Sum(nil), viaBytes.h.Sum(nil)) {
+			t.Fatalf("limit %d: WriteString's digest differs from Write's", limit)
+		}
+		viaBytes.Remove()
+		viaString.Remove()
+	}
+
+	dir := t.TempDir()
+	sf := NewSpillFile(dir, "rot-*.spill", 1024)
+	defer sf.Remove()
+	for _, p := range pieces[:20] {
+		if _, err := sf.WriteString(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sf.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	paths, _ := filepath.Glob(filepath.Join(dir, "rot-*"))
+	if len(paths) != 1 {
+		t.Fatalf("want one spill file, got %v", paths)
+	}
+	rewrite(t, paths[0], func(b []byte) []byte { b[len(b)/2] ^= 1; return b })
+	if err := sf.VerifyCopy(&bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("rotted WriteString spill: err = %v, want digest mismatch", err)
+	}
+}
+
+// TestSpillFileWriteBlock: a spill in memory keeps a written block as is,
+// and later writes do not reach into its spare capacity; a spill past its
+// limit writes the block through like Write. Either way it reads back
+// what was written.
+func TestSpillFileWriteBlock(t *testing.T) {
+	for _, limit := range []int64{0, 1 << 20} {
+		dir := t.TempDir()
+		sf := NewSpillFile(dir, "block-*.spill", limit)
+		block := make([]byte, 100, 200)
+		for i := range block {
+			block[i] = byte(i)
+		}
+		if _, err := sf.Write([]byte("head")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sf.WriteBlock(block); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sf.Write([]byte("tail")); err != nil {
+			t.Fatal(err)
+		}
+		if limit > 0 {
+			if len(sf.mem) != 3 || &sf.mem[1][0] != &block[0] {
+				t.Fatalf("in memory: the block was copied, blocks %d", len(sf.mem))
+			}
+			if spare := block[100:200]; !bytes.Equal(spare, make([]byte, 100)) {
+				t.Fatal("a later write reached into the block's spare capacity")
+			}
+		}
+		want := append(append([]byte("head"), block...), "tail"...)
+		var got bytes.Buffer
+		if err := sf.VerifyCopy(&got); err != nil || !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("limit %d: read back %q, want %q (err %v)", limit, got.Bytes(), want, err)
+		}
+		sf.Remove()
 	}
 }
 

@@ -25,8 +25,9 @@ type SpillFile struct {
 	limit        int64
 	n            int64 // bytes written
 
-	// In memory: blocks filled in order, each twice the size of the last,
-	// so growing never copies what is already held.
+	// In memory: blocks filled in order, each twice the size of the last
+	// up to maxBlock, so growing never copies what is already held and
+	// leaves at most one block's spare room.
 	mem [][]byte
 
 	// Set once the spill has moved to disk; w is dropped again by Seal.
@@ -41,7 +42,7 @@ type SpillFile struct {
 // Memory block sizes: the first block, and the cap the doubling stops at.
 const (
 	minBlock = 4 << 10
-	maxBlock = 1 << 20
+	maxBlock = 64 << 10
 )
 
 // NewSpillFile returns an empty spill that holds up to limit bytes in
@@ -61,12 +62,7 @@ func (s *SpillFile) Write(p []byte) (int, error) {
 	}
 	if s.f == nil {
 		if s.n+int64(len(p)) <= s.limit {
-			if k := len(s.mem) - 1; k >= 0 && cap(s.mem[k])-len(s.mem[k]) >= len(p) {
-				s.mem[k] = append(s.mem[k], p...)
-				s.n += int64(len(p))
-			} else {
-				s.appendMem(p)
-			}
+			appendMem(s, p)
 			return len(p), nil
 		}
 		if err := s.toDisk(); err != nil {
@@ -82,9 +78,58 @@ func (s *SpillFile) Write(p []byte) (int, error) {
 	return n, s.err
 }
 
+// WriteString appends str like Write([]byte(str)), without converting it.
+func (s *SpillFile) WriteString(str string) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	if s.sealed {
+		return 0, fmt.Errorf("extsort: write to a sealed spill")
+	}
+	if s.f == nil {
+		if s.n+int64(len(str)) <= s.limit {
+			appendMem(s, str)
+			return len(str), nil
+		}
+		if err := s.toDisk(); err != nil {
+			return 0, err
+		}
+	}
+	// On disk the digest needs the bytes, so each piece is copied into the
+	// file writer's free buffer space and written, and hashed, from there.
+	n := 0
+	for n < len(str) {
+		if s.w.Available() == 0 {
+			if err := s.w.Flush(); err != nil {
+				s.err = fmt.Errorf("extsort: spill write: %w", err)
+				return n, s.err
+			}
+		}
+		piece := append(s.w.AvailableBuffer(), str[n:n+min(len(str)-n, s.w.Available())]...)
+		m, err := s.Write(piece)
+		n += m
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// WriteBlock appends b like Write, but a spill still in memory keeps b
+// itself as its next block instead of copying it, so the caller must not
+// touch b again. Later writes never reach into b's spare capacity.
+func (s *SpillFile) WriteBlock(b []byte) (int, error) {
+	if s.f != nil || s.err != nil || s.sealed || s.n+int64(len(b)) > s.limit {
+		return s.Write(b)
+	}
+	s.mem = append(s.mem, b[:len(b):len(b)])
+	s.n += int64(len(b))
+	return len(b), nil
+}
+
 // appendMem copies p into the memory blocks, opening the next block when
 // the last is full. A block never reaches past the limit.
-func (s *SpillFile) appendMem(p []byte) {
+func appendMem[T string | []byte](s *SpillFile, p T) {
 	s.n += int64(len(p))
 	for len(p) > 0 {
 		k := len(s.mem)

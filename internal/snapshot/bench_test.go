@@ -92,3 +92,34 @@ func BenchmarkSnapshotRead(b *testing.B) {
 	run("v3-serial", v3, 1)
 	run("v3-parallel", v3, runtime.GOMAXPROCS(0))
 }
+
+// benchLintCerts sizes the lint-column bench at about the benchmark
+// world's certificate count.
+const benchLintCerts = 10000
+
+func BenchmarkLintColumnWrite(b *testing.B) {
+	results, infos := testLintResults(benchLintCerts), testLintInfos()
+	var out countingWriter
+	if err := WriteLintColumn(&out, results, infos); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(out.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteLintColumn(io.Discard, results, infos); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)*benchLintCerts/secs, "certs/sec")
+	}
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter struct{ n int64 }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}

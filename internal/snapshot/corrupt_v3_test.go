@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -405,7 +406,11 @@ func TestVerifyDigestsCatchesForgedColumn(t *testing.T) {
 		ders = append(ders, rec.Cert.Raw...)
 		fps = append(fps, rec.Cert.Fingerprint())
 	}
-	raw := encodeCertShard(lens, ders, fps)
+	var shard bytes.Buffer
+	if err := writeCertShard(&shard, appendLenCol(nil, lens), ders, fps); err != nil {
+		t.Fatal(err)
+	}
+	raw := shard.Bytes()
 	raw[len(raw)-1] ^= 0xff // last digest byte
 	if _, err := decodeCertShard(raw, 5, true, 1); err == nil {
 		t.Fatal("forged digest column accepted with VerifyDigests")
@@ -478,10 +483,14 @@ func forgeObsOverflow(tb testing.TB, snap []byte) []byte {
 		}
 		raw = binary.AppendUvarint(raw, n)
 	}
-	comp, err := gzipShard(raw)
+	blocks, err := gzipShard(func(w io.Writer) error {
+		_, err := w.Write(raw)
+		return err
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	comp := bytes.Join(blocks, nil)
 	out := append([]byte(nil), snap[:lay.Shards[last].Off]...)
 	out = append(out, comp...)
 	out = append(out, make([]byte, pad8(int64(len(out))))...)

@@ -21,59 +21,74 @@ func WriteV3(w io.Writer, c *scanstore.Corpus, opt Options) error {
 	return StreamCorpus(w, c, opt, StreamWriterConfig{})
 }
 
-// encodeCertShard lays out the three certificate columns: uvarint DER
-// lengths, the concatenated DER bytes, 32-byte digests.
-func encodeCertShard(lens []uint32, ders []byte, fps []x509lite.Fingerprint) []byte {
-	size := len(ders) + 32*len(fps)
+// appendLenCol appends the certificate shard's first column, the uvarint
+// DER lengths.
+func appendLenCol(dst []byte, lens []uint32) []byte {
 	for _, l := range lens {
-		size += uvarintLen(uint64(l))
+		dst = binary.AppendUvarint(dst, uint64(l))
 	}
-	out := make([]byte, 0, size)
-	for _, l := range lens {
-		out = binary.AppendUvarint(out, uint64(l))
-	}
-	out = append(out, ders...)
-	for _, fp := range fps {
-		out = append(out, fp[:]...)
-	}
-	return out
+	return dst
 }
 
-// encodeScanShard lays out the scan metadata column followed by the
-// certificate-ID and IP delta columns. Deltas restart from a zero base at
-// each scan boundary (the writer's columns do this as they accumulate) so
-// shards, and scans, decode independently.
-func encodeScanShard(meta []scanMeta, cols []*scanCols) ([]byte, error) {
-	size := 0
-	for _, c := range cols {
-		size += int(c.cert.Len() + c.ip.Len())
+// writeCertShard writes a certificate shard's three columns to w: the
+// uvarint DER lengths (lenCol), the concatenated DER bytes, 32-byte digests.
+func writeCertShard(w io.Writer, lenCol, ders []byte, fps []x509lite.Fingerprint) error {
+	if _, err := w.Write(lenCol); err != nil {
+		return err
 	}
-	out := make([]byte, 0, size+len(meta)*4*binary.MaxVarintLen64)
+	if _, err := w.Write(ders); err != nil {
+		return err
+	}
+	for i := range fps {
+		if _, err := w.Write(fps[i][:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendScanMeta appends a scan shard's metadata column, which precedes the
+// certificate-ID and IP delta columns of its scans. Deltas restart from a
+// zero base at each scan boundary (the writer's columns do this as they
+// accumulate) so shards, and scans, decode independently.
+func appendScanMeta(dst []byte, meta []scanMeta) []byte {
 	prevSec := int64(0)
 	for i, s := range meta {
-		out = binary.AppendUvarint(out, uint64(s.op))
+		dst = binary.AppendUvarint(dst, uint64(s.op))
 		sec := s.at.Unix()
 		if i == 0 {
-			out = binary.AppendVarint(out, sec)
+			dst = binary.AppendVarint(dst, sec)
 		} else {
-			out = binary.AppendVarint(out, sec-prevSec)
+			dst = binary.AppendVarint(dst, sec-prevSec)
 		}
 		prevSec = sec
-		out = binary.AppendUvarint(out, uint64(s.at.Nanosecond()))
-		out = binary.AppendUvarint(out, s.count)
+		dst = binary.AppendUvarint(dst, uint64(s.at.Nanosecond()))
+		dst = binary.AppendUvarint(dst, s.count)
 	}
-	buf := bytes.NewBuffer(out)
-	for _, c := range cols {
-		if err := c.cert.VerifyCopy(buf); err != nil {
-			return nil, err
+	return dst
+}
+
+// compBlock is the size of the blocks a shard's compressed bytes land in.
+const compBlock = 64 << 10
+
+// blockWriter keeps what is written to it in compBlock-byte blocks, so
+// output of unknown length is never copied to grow a buffer.
+type blockWriter struct{ blocks [][]byte }
+
+func (bw *blockWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		k := len(bw.blocks) - 1
+		if k < 0 || len(bw.blocks[k]) == cap(bw.blocks[k]) {
+			bw.blocks = append(bw.blocks, make([]byte, 0, compBlock))
+			k++
 		}
+		b := bw.blocks[k]
+		m := copy(b[len(b):cap(b)], p)
+		bw.blocks[k] = b[:len(b)+m]
+		p = p[m:]
 	}
-	for _, c := range cols {
-		if err := c.ip.VerifyCopy(buf); err != nil {
-			return nil, err
-		}
-	}
-	return buf.Bytes(), nil
+	return n, nil
 }
 
 // gzipWriters recycles shard compressors: a flate writer's state is far
@@ -81,26 +96,34 @@ func encodeScanShard(meta []scanMeta, cols []*scanCols) ([]byte, error) {
 // writer.
 var gzipWriters sync.Pool
 
-func gzipShard(raw []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(len(raw)/2 + 64)
+// gzipShard compresses the raw shard bytes that write produces into blocks:
+// full compBlock-byte blocks and a last one cut to its length, so a landed
+// shard holds no spare room.
+func gzipShard(write func(io.Writer) error) ([][]byte, error) {
+	var out blockWriter
 	zw, _ := gzipWriters.Get().(*gzip.Writer)
 	if zw == nil {
 		var err error
-		if zw, err = gzip.NewWriterLevel(&buf, shardCompression); err != nil {
+		if zw, err = gzip.NewWriterLevel(&out, shardCompression); err != nil {
 			return nil, err
 		}
 	} else {
-		zw.Reset(&buf)
+		zw.Reset(&out)
 	}
-	defer gzipWriters.Put(zw)
-	if _, err := zw.Write(raw); err != nil {
+	defer func() {
+		zw.Reset(nil) // a pooled compressor must not keep the blocks alive
+		gzipWriters.Put(zw)
+	}()
+	if err := write(zw); err != nil {
 		return nil, err
 	}
 	if err := zw.Close(); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	if k := len(out.blocks) - 1; k >= 0 && len(out.blocks[k]) < compBlock {
+		out.blocks[k] = bytes.Clone(out.blocks[k])
+	}
+	return out.blocks, nil
 }
 
 func putU64(b *bytes.Buffer, v uint64) {

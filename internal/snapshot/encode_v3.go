@@ -100,18 +100,33 @@ func (b *sectionBuilder) addCert(fp, spki x509lite.Fingerprint) {
 	b.spkis = append(b.spkis, spki)
 }
 
+// reserve sizes the per-certificate arrays for certs certificates and the
+// sighting sorters for as many sightings.
+func (b *sectionBuilder) reserve(certs, sightings int) {
+	b.fps = slices.Grow(b.fps, certs)
+	b.spkis = slices.Grow(b.spkis, certs)
+	b.locs = slices.Grow(b.locs, certs)
+	b.ips.Grow(sightings)
+	if b.ases != nil {
+		b.ases.Grow(sightings)
+	}
+}
+
 // placeShard locates the next certificate shard's DERs, given their
-// lengths in CertID order. Offsets replay encodeCertShard's layout: the
-// uvarint length column precedes the concatenated DER bytes.
-func (b *sectionBuilder) placeShard(shard uint32, lens []uint32) {
+// lengths in CertID order, and returns the length of the shard's uvarint
+// length column, which precedes the concatenated DER bytes
+// (writeCertShard's layout).
+func (b *sectionBuilder) placeShard(shard uint32, lens []uint32) int {
 	off := uint32(0)
 	for _, l := range lens {
 		off += uint32(uvarintLen(uint64(l)))
 	}
+	lenColLen := int(off)
 	for _, l := range lens {
 		b.locs = append(b.locs, derLoc{shard: shard, off: off, dlen: l})
 		off += l
 	}
+	return lenColLen
 }
 
 // beginScan opens the next scan; sightings that follow belong to it.
@@ -354,7 +369,9 @@ func (b *sectionBuilder) buildScanMeta(out sectionOut) error {
 	return keys.flush()
 }
 
-// secWriter batches a section array's little-endian words on their way to w.
+// secWriter batches a section array's little-endian words on their way to
+// w 4 KiB at a time: w is a spill, which buffers on its own, or Read's check
+// against the file's bytes.
 type secWriter struct {
 	w   io.Writer
 	buf []byte
@@ -362,7 +379,7 @@ type secWriter struct {
 }
 
 func newSecWriter(w io.Writer) *secWriter {
-	return &secWriter{w: w, buf: make([]byte, 0, 64<<10)}
+	return &secWriter{w: w, buf: make([]byte, 0, 4<<10)}
 }
 
 // entry returns the batch's next n bytes for the caller to fill completely.

@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 
 	"securepki/internal/certlint"
@@ -106,6 +107,7 @@ type LintColumnWriter struct {
 	keys, posts, details *extsort.SpillFile
 	certs, finds         uint64
 	last                 x509lite.Fingerprint
+	entries              []byte // Add's key entry and posting entries, reused
 
 	err error
 }
@@ -167,19 +169,23 @@ func (lw *LintColumnWriter) Add(cf certlint.CertFindings) error {
 			err = e
 		}
 	}
-	var entry [lintColKeyEntry]byte
-	copy(entry[:], cf.Fingerprint[:])
-	binary.LittleEndian.PutUint32(entry[32:], uint32(lw.finds))
-	binary.LittleEndian.PutUint32(entry[36:], uint32(len(cf.Findings)))
-	keep(lw.keys.Write(entry[:]))
+	e := slices.Grow(lw.entries[:0], lintColKeyEntry+lintColPostEntry*len(cf.Findings))
+	e = append(e, cf.Fingerprint[:]...)
+	e = binary.LittleEndian.AppendUint32(e, uint32(lw.finds))
+	e = binary.LittleEndian.AppendUint32(e, uint32(len(cf.Findings)))
+	detailOff := lw.details.Len()
 	for _, f := range cf.Findings {
-		var post [lintColPostEntry]byte
-		binary.LittleEndian.PutUint32(post[0:], uint32(lw.idx[f.LintID]))
-		binary.LittleEndian.PutUint32(post[4:], uint32(f.Severity))
-		binary.LittleEndian.PutUint32(post[8:], uint32(lw.details.Len()))
-		binary.LittleEndian.PutUint32(post[12:], uint32(len(f.Detail)))
-		keep(lw.posts.Write(post[:]))
-		keep(io.WriteString(lw.details, f.Detail))
+		e = binary.LittleEndian.AppendUint32(e, uint32(lw.idx[f.LintID]))
+		e = binary.LittleEndian.AppendUint32(e, uint32(f.Severity))
+		e = binary.LittleEndian.AppendUint32(e, uint32(detailOff))
+		e = binary.LittleEndian.AppendUint32(e, uint32(len(f.Detail)))
+		detailOff += int64(len(f.Detail))
+	}
+	lw.entries = e
+	keep(lw.keys.Write(e[:lintColKeyEntry]))
+	keep(lw.posts.Write(e[lintColKeyEntry:]))
+	for _, f := range cf.Findings {
+		keep(lw.details.WriteString(f.Detail))
 	}
 	lw.certs++
 	lw.finds += uint64(len(cf.Findings))

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,11 +54,9 @@ func testLintResults(n int) []certlint.CertFindings {
 }
 
 func sortCertFindings(results []certlint.CertFindings) {
-	for i := 1; i < len(results); i++ {
-		for j := i; j > 0 && bytes.Compare(results[j].Fingerprint[:], results[j-1].Fingerprint[:]) < 0; j-- {
-			results[j], results[j-1] = results[j-1], results[j]
-		}
-	}
+	slices.SortFunc(results, func(a, b certlint.CertFindings) int {
+		return bytes.Compare(a.Fingerprint[:], b.Fingerprint[:])
+	})
 }
 
 func encodeLintColumn(tb testing.TB, results []certlint.CertFindings, infos []certlint.LinterInfo) []byte {

@@ -48,7 +48,8 @@ type StreamWriter struct {
 	byFP map[x509lite.Fingerprint]scanstore.CertID
 
 	pendLens []uint32 // the certificate shard being filled: DER lengths
-	pendDERs []byte   // and the DERs, concatenated
+	pendDERs []byte   // and the DERs, concatenated, which go with the shard
+	derHint  int      // capacity for the next pendDERs: the last shard's DER bytes
 
 	inflight         []*shardJob // shards compressing, in submission order
 	certPay, scanPay payload
@@ -78,10 +79,13 @@ type StreamWriterConfig struct {
 	// an eighth each, and the ten section arrays share the last eighth;
 	// beyond its share each spills to disk. Outside it stay the
 	// per-certificate state, the certificate shard being filled, up to
-	// Workers shards held while they compress, the observation columns of
-	// the scans not yet in a shard (up to 256 KiB each before they spill),
-	// and, while Finish merges the sorters, a 4 KiB read buffer per spilled
-	// run. Finish releases all of it but the retained shards' eighth, the
+	// Workers shards in flight — each shard's parts (a certificate shard's
+	// length column and DER buffer, a scan shard's metadata column and
+	// observation columns) and the 64 KiB blocks its compressed bytes fill,
+	// until its payload takes them — the observation columns of the scans
+	// not yet in a shard (up to 256 KiB each before they spill), and, while
+	// Finish merges the sorters, a 4 KiB read buffer per spilled run.
+	// Finish releases all of it but the retained shards' eighth, the
 	// certificate shard table and the per-certificate fingerprint and SPKI,
 	// which leaves the other seven eighths to a lint pass that follows
 	// (core.StreamSnapshot gives them to LintRuns and LintColumnWriter).
@@ -107,14 +111,14 @@ type payload struct {
 }
 
 // shardJob is one shard on its way through a compressor to dst. The
-// goroutine that compresses it fills comp, entry.cLen, entry.sum and err,
+// goroutine that compresses it fills blocks, entry.cLen, entry.sum and err,
 // then closes done.
 type shardJob struct {
-	dst   *payload
-	entry streamShardEntry
-	comp  []byte
-	err   error
-	done  chan struct{}
+	dst    *payload
+	entry  streamShardEntry
+	blocks [][]byte // the compressed shard
+	err    error
+	done   chan struct{}
 }
 
 // scanCols is one scan's two delta-encoded observation columns.
@@ -155,6 +159,14 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 	return sw, nil
 }
 
+// reserve sizes the per-certificate arrays and the dedup map for certs
+// certificates, and the sighting sorters for as many sightings, each
+// sorter still capped at its budget.
+func (sw *StreamWriter) reserve(certs, sightings int) {
+	sw.byFP = make(map[x509lite.Fingerprint]scanstore.CertID, certs)
+	sw.idx.reserve(certs, sightings)
+}
+
 // NumCerts returns how many distinct certificates have been interned.
 func (sw *StreamWriter) NumCerts() int { return len(sw.idx.fps) }
 
@@ -179,6 +191,9 @@ func (sw *StreamWriter) Intern(der []byte, fp, spki x509lite.Fingerprint) (scans
 	sw.byFP[fp] = id
 	sw.idx.addCert(fp, spki)
 	sw.pendLens = append(sw.pendLens, uint32(len(der)))
+	if sw.pendDERs == nil {
+		sw.pendDERs = make([]byte, 0, sw.derHint)
+	}
 	sw.pendDERs = append(sw.pendDERs, der...)
 	if len(sw.pendLens) >= sw.opt.CertsPerShard {
 		if err := sw.flushCertShard(); err != nil {
@@ -275,49 +290,74 @@ func (sw *StreamWriter) fail(err error) error {
 	return sw.err
 }
 
-// flushCertShard lays out the pending certificate shard, records its DER
-// locations for the fingerprint index, and hands it to a compressor.
+// flushCertShard records the pending certificate shard's DER locations for
+// the fingerprint index and hands its columns to a compressor, and to the
+// retained shards under KeepDERs. The shard takes the pending DER buffer
+// with it.
 func (sw *StreamWriter) flushCertShard() error {
 	count := len(sw.pendLens)
 	if count == 0 {
 		return nil
 	}
 	first := len(sw.idx.fps) - count
-	sw.idx.placeShard(uint32(sw.certShards), sw.pendLens)
+	lenColLen := sw.idx.placeShard(uint32(sw.certShards), sw.pendLens)
 	sw.certShards++
-	raw := encodeCertShard(sw.pendLens, sw.pendDERs, sw.idx.fps[first:])
-	sw.pendLens, sw.pendDERs = sw.pendLens[:0], sw.pendDERs[:0]
+	lenCol := appendLenCol(make([]byte, 0, lenColLen), sw.pendLens)
+	ders, fps := sw.pendDERs, sw.idx.fps[first:]
+	sw.pendLens, sw.pendDERs, sw.derHint = sw.pendLens[:0], nil, len(ders)
 	if sw.kept != nil {
-		if _, err := sw.kept.Write(raw); err != nil {
+		if err := writeCertShard(sw.kept, lenCol, ders, fps); err != nil {
 			return err
 		}
 	}
-	return sw.compress(&sw.certPay, first, count, raw)
+	rawLen := len(lenCol) + len(ders) + 32*len(fps)
+	return sw.compress(&sw.certPay, first, count, rawLen, func(w io.Writer) error {
+		return writeCertShard(w, lenCol, ders, fps)
+	})
 }
 
-// flushScanShard lays out the scans not yet in a shard as the next scan
-// shard, releases their columns, and hands the shard to a compressor.
+// flushScanShard hands the scans not yet in a shard to a compressor as the
+// next scan shard: their metadata column, then their certificate-ID and IP
+// columns, which the compressor reads in place and then releases.
 func (sw *StreamWriter) flushScanShard() error {
 	lo, hi := sw.scansDone, len(sw.cols)
 	if lo == hi {
 		return nil
 	}
-	raw, err := encodeScanShard(sw.idx.scans[lo:hi], sw.cols[lo:hi])
-	if err != nil {
-		return err
-	}
-	for _, c := range sw.cols[lo:hi] {
-		c.cert.Remove()
-		c.ip.Remove()
+	meta := appendScanMeta(make([]byte, 0, (hi-lo)*4*binary.MaxVarintLen64), sw.idx.scans[lo:hi])
+	cols := sw.cols[lo:hi]
+	rawLen := len(meta)
+	for _, c := range cols {
+		rawLen += int(c.cert.Len() + c.ip.Len())
 	}
 	sw.scansDone = hi
-	return sw.compress(&sw.scanPay, lo, hi-lo, raw)
+	return sw.compress(&sw.scanPay, lo, hi-lo, rawLen, func(w io.Writer) error {
+		if _, err := w.Write(meta); err != nil {
+			return err
+		}
+		for _, c := range cols {
+			if err := c.cert.VerifyCopy(w); err != nil {
+				return err
+			}
+		}
+		for _, c := range cols {
+			if err := c.ip.VerifyCopy(w); err != nil {
+				return err
+			}
+		}
+		for _, c := range cols {
+			c.cert.Remove()
+			c.ip.Remove()
+		}
+		return nil
+	})
 }
 
 // compress starts one shard compressing on its own goroutine, first landing
 // the oldest in-flight shard when Workers are already busy, so memory and
-// CPU stay bounded and each payload stays in shard order.
-func (sw *StreamWriter) compress(dst *payload, first, count int, raw []byte) error {
+// CPU stay bounded and each payload stays in shard order. write produces
+// the shard's rawLen uncompressed bytes.
+func (sw *StreamWriter) compress(dst *payload, first, count, rawLen int, write func(io.Writer) error) error {
 	if len(sw.inflight) >= parallel.Workers(sw.opt.Workers) {
 		if err := sw.land(); err != nil {
 			return err
@@ -325,29 +365,39 @@ func (sw *StreamWriter) compress(dst *payload, first, count int, raw []byte) err
 	}
 	job := &shardJob{
 		dst:   dst,
-		entry: streamShardEntry{first: first, count: count, rawLen: int64(len(raw))},
+		entry: streamShardEntry{first: first, count: count, rawLen: int64(rawLen)},
 		done:  make(chan struct{}),
 	}
 	sw.inflight = append(sw.inflight, job)
 	go func() {
 		defer close(job.done)
-		job.comp, job.err = gzipShard(raw)
-		job.entry.cLen = int64(len(job.comp))
-		job.entry.sum = sha256.Sum256(job.comp)
+		if job.blocks, job.err = gzipShard(write); job.err != nil {
+			return
+		}
+		h := sha256.New()
+		for _, b := range job.blocks {
+			h.Write(b)
+			job.entry.cLen += int64(len(b))
+		}
+		h.Sum(job.entry.sum[:0])
 	}()
 	return nil
 }
 
-// land waits for the oldest in-flight shard and appends it to its payload.
+// land waits for the oldest in-flight shard and hands its blocks to its
+// payload.
 func (sw *StreamWriter) land() error {
 	job := sw.inflight[0]
 	<-job.done
+	sw.inflight[0] = nil
 	sw.inflight = sw.inflight[1:]
 	if job.err != nil {
 		return fmt.Errorf("snapshot: compress shard: %w", job.err)
 	}
-	if _, err := job.dst.data.Write(job.comp); err != nil {
-		return err
+	for _, b := range job.blocks {
+		if _, err := job.dst.data.WriteBlock(b); err != nil {
+			return err
+		}
 	}
 	job.dst.tab = append(job.dst.tab, job.entry)
 	return nil
@@ -584,14 +634,24 @@ func (sw *StreamWriter) Close() error {
 
 // StreamCorpus encodes an already-resident corpus through a StreamWriter:
 // certificates interned in corpus ID order, then every scan's observations
-// in order. WriteV3 is this at the default budget.
+// in order. WriteV3 is this at the default budget. The corpus sizes the
+// writer up front: its per-certificate arrays, its dedup map, its sorters'
+// buffers (within their budget) and each certificate shard's DER buffer.
 func StreamCorpus(w io.Writer, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) error {
 	sw, err := NewStreamWriter(opt, cfg)
 	if err != nil {
 		return err
 	}
 	defer sw.Close()
-	for i := 0; i < c.NumCerts(); i++ {
+	n, per := c.NumCerts(), sw.opt.CertsPerShard
+	sw.reserve(n, c.NumObservations())
+	for i := 0; i < n; i++ {
+		if i%per == 0 { // the next shard's DER buffer, sized exactly
+			sw.derHint = 0
+			for j := i; j < min(i+per, n); j++ {
+				sw.derHint += len(c.Cert(scanstore.CertID(j)).Cert.Raw)
+			}
+		}
 		cert := c.Cert(scanstore.CertID(i)).Cert
 		if _, _, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
 			return err
