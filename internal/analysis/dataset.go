@@ -21,9 +21,10 @@ import (
 // Dataset bundles the corpus (already validated), its index, and the Internet
 // model used to map addresses to prefixes and ASes.
 //
-// ASDiversity, Longevity, Issuers and KeySharing each compute their report
-// once per argument, however many callers and goroutines ask: the
-// experiment rows, Summarize and the figure export share one computation.
+// CertCounts, ASDiversity, Longevity, Issuers and KeySharing each compute
+// their report once per argument, however many callers and goroutines ask:
+// the experiment rows, Summarize and the figure export share one
+// computation, as LintCuts shares ASDiversity's dominant-AS attribution.
 // The reports are shared, so callers must not modify them, and the corpus
 // must not be validated again under a Dataset that has handed them out.
 type Dataset struct {
@@ -31,6 +32,8 @@ type Dataset struct {
 	Index    *scanstore.Index
 	Internet *netsim.Internet
 
+	certCounts memo[[]ScanCount]
+	dominant   memo[[]asAttribution]
 	longevity  memo[LongevityReport]
 	keySharing memo[KeySharingReport]
 	mu         sync.Mutex // guards the two maps below
@@ -137,17 +140,25 @@ func (s ScanCount) InvalidFraction() float64 {
 }
 
 // CertCounts computes Figure 2's series plus the per-scan invalid-fraction
-// summary of §4.2 (paper: 59.6%–73.7%, mean 65.0%).
+// summary of §4.2 (paper: 59.6%–73.7%, mean 65.0%), once per Dataset.
 func (d *Dataset) CertCounts() []ScanCount {
+	return d.certCounts.get(d.countCerts)
+}
+
+// countCerts counts each scan's distinct certificates. A certificate is new
+// to a scan when its stamp, the last scan that counted it (plus one), is
+// not this scan's.
+func (d *Dataset) countCerts() []ScanCount {
 	out := make([]ScanCount, 0, d.Corpus.NumScans())
+	stamp := make([]int32, d.Corpus.NumCerts())
 	for _, scan := range d.Corpus.Scans() {
 		sc := ScanCount{Scan: scan.ID, Operator: scan.Operator, Time: scan.Time}
-		seen := make(map[scanstore.CertID]bool)
+		mark := int32(scan.ID) + 1
 		for _, obs := range scan.Obs {
-			if seen[obs.Cert] {
+			if stamp[obs.Cert] == mark {
 				continue
 			}
-			seen[obs.Cert] = true
+			stamp[obs.Cert] = mark
 			if d.Invalid(obs.Cert) {
 				sc.Invalid++
 			} else {

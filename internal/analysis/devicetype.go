@@ -2,8 +2,8 @@ package analysis
 
 import (
 	"sort"
-	"strings"
 
+	"securepki/internal/certlint"
 	"securepki/internal/scanstore"
 	"securepki/internal/stats"
 	"securepki/internal/x509lite"
@@ -11,8 +11,9 @@ import (
 
 // The paper's Table 4 was produced by manually inspecting the certificates of
 // the top 50 invalid issuers (model numbers in names, loading the device web
-// pages). This classifier is the codified equivalent: a rule base over
-// issuer and subject strings. Rules are ordered; first match wins.
+// pages). This classifier is the codified equivalent: certlint's rule base
+// over issuer and subject strings, whose device-class profile
+// (certlint.ProfilesOf) names the class. Rules are ordered; first match wins.
 
 // DeviceClass labels from Table 4.
 const (
@@ -26,37 +27,30 @@ const (
 	ClassOther       = "Other (IPTV, IP phone, Alternate CA, Printer)"
 )
 
-type deviceRule struct {
-	class    string
-	patterns []string // matched case-insensitively against issuer CN + subject CN
+// deviceClasses names the class of each device-class profile but the
+// unknown one.
+var deviceClasses = [...]struct {
+	profile certlint.Profile
+	class   string
+}{
+	{certlint.ProfileVPN, ClassVPN},
+	{certlint.ProfileFirewall, ClassFirewall},
+	{certlint.ProfileStorage, ClassStorage},
+	{certlint.ProfileCamera, ClassIPCamera},
+	{certlint.ProfileRemoteAdmin, ClassRemoteAdmin},
+	{certlint.ProfileOtherDevice, ClassOther},
+	{certlint.ProfileRouter, ClassRouter},
 }
 
-var deviceRules = []deviceRule{
-	{ClassVPN, []string{"vpn", "securegate", "ike", "ipsec"}},
-	{ClassFirewall, []string{"fw ", "firewall", "perimeter"}},
-	{ClassStorage, []string{"wd2go", "remotewd", "mycloud", "nas", "storage"}},
-	{ClassIPCamera, []string{"ipcam", "camera", "netcam", "dvr"}},
-	{ClassRemoteAdmin, []string{"vmware", "ilo", "idrac", "appliance", "esx", "management"}},
-	{ClassOther, []string{"printer", "iptv", "ip phone", "voip", "embedded https"}},
-	{ClassRouter, []string{"fritz", "lancom", "router", "gateway", "dsl", "cable modem", "192.168.", "10.0.", "myfritz"}},
-}
-
-// ClassifyDevice assigns a Table 4 class to one certificate.
+// ClassifyDevice assigns a Table 4 class to one certificate: the class of
+// the device-class profile certlint.ProfilesOf derives from its issuer CN,
+// subject CN and SANs, which it reads in place.
 func ClassifyDevice(cert *x509lite.Certificate) string {
-	hay := strings.ToLower(cert.Issuer.CommonName + " | " + cert.Subject.CommonName)
-	for _, dns := range cert.DNSNames {
-		hay += " | " + strings.ToLower(dns)
-	}
-	for _, rule := range deviceRules {
-		for _, p := range rule.patterns {
-			if strings.Contains(hay, p) {
-				return rule.class
-			}
+	p := certlint.ProfilesOf(cert)
+	for _, c := range deviceClasses {
+		if p&c.profile != 0 {
+			return c.class
 		}
-	}
-	// An IP-address CN with no other hints is the classic consumer router.
-	if x509lite.LooksLikeIPv4(cert.Subject.CommonName) {
-		return ClassRouter
 	}
 	return ClassUnknown
 }

@@ -98,34 +98,22 @@ func (d *Dataset) asDiversity(topN int) ASDiversityReport {
 	var validASCounts, invalidASCounts []float64
 	var nValid, nInvalid int
 
+	attr := d.dominantASes()
 	d.EachObserved(func(rec *scanstore.CertRecord, invalid bool) {
-		seen := make(map[int]int) // ASN -> observation count
-		var domAS *netsim.AS
-		domCount := 0
-		for _, sg := range d.Index.Sightings(rec.ID) {
-			as := d.Internet.Lookup(sg.IP, d.Corpus.Scan(sg.Scan).Time)
-			if as == nil {
-				continue
-			}
-			seen[as.ASN]++
-			if seen[as.ASN] > domCount {
-				domCount = seen[as.ASN]
-				domAS = as
-			}
-		}
-		if domAS == nil {
+		a := attr[rec.ID]
+		if a.dom == nil {
 			return
 		}
 		if invalid {
 			nInvalid++
-			invalidASCounts = append(invalidASCounts, float64(len(seen)))
-			invalidPerAS.Inc(domAS.Name())
-			invalidTypes[domAS.Type]++
+			invalidASCounts = append(invalidASCounts, float64(a.distinct))
+			invalidPerAS.Inc(a.dom.Name())
+			invalidTypes[a.dom.Type]++
 		} else {
 			nValid++
-			validASCounts = append(validASCounts, float64(len(seen)))
-			validPerAS.Inc(domAS.Name())
-			validTypes[domAS.Type]++
+			validASCounts = append(validASCounts, float64(a.distinct))
+			validPerAS.Inc(a.dom.Name())
+			validTypes[a.dom.Type]++
 		}
 	})
 
@@ -152,6 +140,50 @@ func (d *Dataset) asDiversity(topN int) ASDiversityReport {
 		rep.InvalidByType[typ] = float64(n) / float64(nInvalid)
 	}
 	return rep
+}
+
+// asAttribution is one certificate's AS view: the AS that advertised it
+// most often, nil when no sighting maps to one, and how many distinct ASes
+// advertised it.
+type asAttribution struct {
+	dom      *netsim.AS
+	distinct int
+}
+
+// dominantASes attributes each certificate, indexed by CertID, to the AS
+// that advertised it most often, once per Dataset; ASDiversity and LintCuts
+// share it. Of two ASes with the same count, the one that reached it first
+// in sighting order wins.
+func (d *Dataset) dominantASes() []asAttribution {
+	return d.dominant.get(func() []asAttribution {
+		out := make([]asAttribution, d.Corpus.NumCerts())
+		type asCount struct{ asn, n int }
+		var seen []asCount // this certificate's ASes, reused across certificates
+		for id := range out {
+			seen = seen[:0]
+			a := &out[id]
+			domCount := 0
+			for _, sg := range d.Index.Sightings(scanstore.CertID(id)) {
+				as := d.Internet.Lookup(sg.IP, d.Corpus.Scan(sg.Scan).Time)
+				if as == nil {
+					continue
+				}
+				k := 0
+				for k < len(seen) && seen[k].asn != as.ASN {
+					k++
+				}
+				if k == len(seen) {
+					seen = append(seen, asCount{asn: as.ASN})
+				}
+				seen[k].n++
+				if seen[k].n > domCount {
+					domCount, a.dom = seen[k].n, as
+				}
+			}
+			a.distinct = len(seen)
+		}
+		return out
+	})
 }
 
 // FormatASTypeTable renders Table 2.

@@ -99,6 +99,8 @@ func (d *Dataset) LintCuts(findings map[x509lite.Fingerprint][]certlint.Finding,
 		a.add(fs)
 	}
 
+	attr := d.dominantASes()
+	asNames := make(map[*netsim.AS]string)
 	d.EachObserved(func(rec *scanstore.CertRecord, invalid bool) {
 		fs := findings[rec.Cert.Fingerprint()]
 		if len(fs) == 0 {
@@ -120,24 +122,14 @@ func (d *Dataset) LintCuts(findings map[x509lite.Fingerprint][]certlint.Finding,
 		}
 		accumInto(byIssuer, issuer, fs)
 
-		// Dominant-AS attribution, same rule as ASDiversity: the AS that
-		// advertised the certificate most often wins.
-		seen := make(map[int]int)
-		var domAS *netsim.AS
-		domCount := 0
-		for _, sg := range d.Index.Sightings(rec.ID) {
-			as := d.Internet.Lookup(sg.IP, d.Corpus.Scan(sg.Scan).Time)
-			if as == nil {
-				continue
+		// The dominant AS, as ASDiversity attributes it.
+		if as := attr[rec.ID].dom; as != nil {
+			name, ok := asNames[as]
+			if !ok {
+				name = as.Name()
+				asNames[as] = name
 			}
-			seen[as.ASN]++
-			if seen[as.ASN] > domCount {
-				domCount = seen[as.ASN]
-				domAS = as
-			}
-		}
-		if domAS != nil {
-			accumInto(byAS, domAS.Name(), fs)
+			accumInto(byAS, name, fs)
 		}
 	})
 

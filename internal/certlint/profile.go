@@ -13,9 +13,9 @@ import (
 // exactly one structural profile (leaf / subordinate / root, judged from
 // basicConstraints and self-issuance the way pkimetal's ProfileId groups do)
 // plus exactly one device-class profile mapped from the devicesim population
-// (the same issuer/subject rule base analysis.ClassifyDevice codifies from
-// the paper's Table 4). A linter declares the union of profiles it applies
-// to; zero means "every certificate".
+// (the issuer/subject rule base behind the paper's Table 4, whose classes
+// analysis.ClassifyDevice reads from it). A linter declares the union of
+// profiles it applies to; zero means "every certificate".
 type Profile uint16
 
 // Structural profiles.
@@ -102,8 +102,9 @@ func ParseProfile(name string) (Profile, bool) {
 
 // deviceClassRule maps substring patterns over the lower-cased issuer CN,
 // subject CN and SANs to a device-class profile. Rules are ordered; first
-// match wins — the same discipline as analysis.ClassifyDevice, restated here
-// so the lint layer stays a leaf beside x509lite.
+// match wins. This is the one device rule base: analysis.ClassifyDevice
+// names Table 4's classes from the profile it yields, so the lint layer
+// stays a leaf beside x509lite.
 type deviceClassRule struct {
 	profile  Profile
 	patterns []string

@@ -28,11 +28,14 @@ type StreamConfig struct {
 	// shares its budget, and what stays outside it, is documented at
 	// snapshot.StreamWriterConfig.MemBudget: during replay, chiefly up to
 	// Workers shards in flight, each shard's parts and the compressed
-	// blocks it fills until its payload takes them. The chunk store closes
-	// once replay drains it, and the writer keeps an eighth of the budget
-	// (its retained certificate shards) past Finish; lint takes the rest:
-	// half for its sorted finding runs, an eighth for each lint-column
-	// array.
+	// blocks it fills until its payload takes them, a pooled compressor
+	// per shard in flight, and the certificate bytes of the spilled chunk
+	// sections whose DERs the pending and in-flight certificate shards
+	// reference (a section's observations are read apart from them, so
+	// they are not kept). The chunk store closes once
+	// replay drains it, and the writer keeps an eighth of the budget (its
+	// retained certificate shards) past Finish; lint takes the rest: half
+	// for its sorted finding runs, an eighth for each lint-column array.
 	// Outside the budget during lint stay one certificate shard's layout
 	// (2048 certificates by default) and its parsed certificates, the
 	// shared-key census, the fingerprint and SPKI per certificate, and the
@@ -158,6 +161,8 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 			if err != nil {
 				return nil, fmt.Errorf("core: stream replay: %w", err)
 			}
+			// The writer keeps each new DER until its shard lands; a
+			// section's certificate slices are not reused, so it may.
 			for _, nc := range certs {
 				id, _, err := sw.Intern(nc.DER, nc.FP, nc.SPKI)
 				if err != nil {

@@ -15,8 +15,9 @@
 // equal encodings are identical, so no tie-break exists to get wrong, and
 // the merged stream is a pure function of the multiset of records handed to
 // Add — never of the memory budget, the spill directory, or how many runs
-// happened to spill. Ordering by bytes is also what lets the run sort be an
-// LSD radix sort instead of a comparison sort.
+// happened to spill. Ordering by bytes is also what lets the run sort be a
+// radix sort instead of a comparison sort: an MSD radix sort that works in
+// place, so a sorter's records are the only buffer it holds.
 //
 // Distrust discipline (the snapshot package's rules): every spilled run is a
 // sealed SpillFile, whose SHA-256, taken as the run is written, is checked
@@ -27,8 +28,10 @@ package extsort
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 )
 
@@ -43,10 +46,9 @@ type Config[R any] struct {
 	// Decode reads one record back from src (exactly Size bytes).
 	Decode func(src []byte) R
 	// MemBudget caps the in-memory buffer, in encoded bytes; when an Add
-	// would hold more than this, the buffer spills as one sorted run.
-	// The radix sort needs a second buffer of the same size, which the
-	// sorter keeps from its first sort until Close, so a sorter holds up to
-	// twice MemBudget. <= 0 means DefaultMemBudget.
+	// would hold more than this, the buffer spills as one sorted run. The
+	// run sort works in place, so the buffer is all a sorter holds in
+	// memory besides the merge's read buffers. <= 0 means DefaultMemBudget.
 	MemBudget int64
 	// Dir is where run files are created ("" means the OS temp dir).
 	Dir string
@@ -61,7 +63,6 @@ const DefaultMemBudget = 256 << 20
 type Sorter[R any] struct {
 	cfg  Config[R]
 	buf  []byte // encoded records, Size bytes each
-	tmp  []byte // the radix sort's second buffer, kept for the next run
 	runs []*SpillFile
 	err  error
 }
@@ -118,6 +119,15 @@ func (s *Sorter[R]) Grow(n int) {
 // is Runs()+1 when the in-memory remainder is non-empty.
 func (s *Sorter[R]) Runs() int { return len(s.runs) }
 
+// SpilledBytes returns how many bytes the spilled runs hold.
+func (s *Sorter[R]) SpilledBytes() int64 {
+	var n int64
+	for _, run := range s.runs {
+		n += run.Len()
+	}
+	return n
+}
+
 // FanIn returns the number of sorted sources the next Merge will combine.
 func (s *Sorter[R]) FanIn() int {
 	n := len(s.runs)
@@ -127,22 +137,13 @@ func (s *Sorter[R]) FanIn() int {
 	return n
 }
 
-// sortBuf radix-sorts the buffer in place (swapping it with the spare
-// buffer when the pass count is odd).
-func (s *Sorter[R]) sortBuf() {
-	if cap(s.tmp) < len(s.buf) {
-		s.tmp = make([]byte, len(s.buf))
-	}
-	s.buf, s.tmp = radixSort(s.buf, s.tmp[:len(s.buf)], s.cfg.Size)
-}
-
 // spill sorts the buffer and writes it as one run: a SpillFile that goes to
 // disk at its first byte and is sealed at once.
 func (s *Sorter[R]) spill() error {
 	if len(s.buf) == 0 {
 		return nil
 	}
-	s.sortBuf()
+	radixSort(s.buf, s.cfg.Size, 0)
 	run := NewSpillFile(s.cfg.Dir, "extsort-run-*.spill", 0)
 	s.runs = append(s.runs, run)
 	if _, err := run.Write(s.buf); err != nil {
@@ -168,60 +169,179 @@ func grow(b []byte, n int, limit int64) []byte {
 	return slices.Grow(b, c-len(b))
 }
 
-// radixSort orders the size-byte records in buf by their bytes: an LSD radix
-// sort over byte positions, last to first, that skips every position on
-// which all records agree (the high bytes of small IDs). It returns the
-// sorted records and the spare buffer — buf and tmp, possibly swapped.
-func radixSort(buf, tmp []byte, size int) (sorted, spare []byte) {
-	n := len(buf) / size
-	if n < 2 {
-		return buf, tmp
+// insertionMax is the largest bucket radixSort finishes by insertion
+// rather than by another radix pass.
+const insertionMax = 16
+
+// sweepMin is the smallest bucket, in records, radixSort places by sweep
+// rather than by cycle. On the sorter and snapshot-write benchmarks either
+// partition alone is slower than the two split here; a cutoff of 1024
+// reads the same and one of 16384 slower.
+const sweepMin = 4096
+
+// radixSort orders the size-byte records in buf, which agree on their first
+// d bytes, by their bytes, in place: an MSD radix sort that partitions the
+// records on one byte position at a time, skipping every position on which
+// all records of a bucket agree (the high bytes of small IDs), and finishes
+// buckets of at most insertionMax records by insertion. Records move by
+// swapping, so it allocates nothing.
+func radixSort(buf []byte, size, d int) {
+	if len(buf)/size <= insertionMax {
+		insertionSort(buf, size, d)
+		return
 	}
-	counts := make([][256]int, size)
-	for i := 0; i < len(buf); i += size {
-		for j, b := range buf[i : i+size] {
-			counts[j][b]++
+	if d = firstDiff(buf, size, d); d == size {
+		return
+	}
+	// vals lists the byte values present, ascending, so a bucket's loops
+	// run over its values, not all 256; it is built without a branch.
+	var count [256]int
+	for i := d; i < len(buf); i += size {
+		count[buf[i]]++
+	}
+	var vals [256]uint8
+	k := 0
+	for b, c := range count {
+		vals[k] = uint8(b)
+		k -= (-c) >> 63 // c > 0
+	}
+	// Bucket v spans [next[v], end[v]); next[v] is where its next unplaced
+	// record goes.
+	var next, end [256]int
+	off := 0
+	for _, v := range vals[:k] {
+		next[v] = off
+		off += count[v] * size
+		end[v] = off
+	}
+	if len(buf) >= sweepMin*size {
+		unfinished := vals
+		sweep(buf, size, d, &next, &end, unfinished[:k])
+	} else {
+		cycle(buf, size, d, &next, &end, vals[:k])
+	}
+	if d+1 == size {
+		return
+	}
+	lo := 0
+	for _, v := range vals[:k] {
+		n := count[v] * size
+		if n > size {
+			radixSort(buf[lo:lo+n], size, d+1)
+		}
+		lo += n
+	}
+}
+
+// cycle moves every record of buf to its bucket on byte d by following
+// cycles: the record at bucket b's next slot moves to its own bucket's next
+// slot, the record there takes its place, and so on until one that belongs
+// to b arrives. Every record moves at most once.
+func cycle(buf []byte, size, d int, next, end *[256]int, vals []uint8) {
+	for _, b := range vals {
+		for i := next[b]; i < end[b]; i = next[b] {
+			v := buf[i+d]
+			if v == b {
+				next[b] = i + size
+				continue
+			}
+			j := next[v]
+			next[v] = j + size
+			swapRecords(buf, i, j, size)
 		}
 	}
-	src, dst := buf, tmp
-	for j := size - 1; j >= 0; j-- {
-		c := &counts[j]
-		// Uniformity is a property of the multiset, so probing the first
-		// record — even after earlier passes moved it — is sound.
-		if c[src[j]] == n {
-			continue
-		}
-		off := 0
-		for b, k := range c {
-			c[b] = off
-			off += k * size
-		}
-		// The common widths move as fixed-size arrays, without a memmove call.
-		switch size {
-		case 8:
-			for i := 0; i+8 <= len(src); i += 8 {
-				r := (*[8]byte)(src[i:])
-				p := c[r[j]]
-				c[r[j]] = p + 8
-				*(*[8]byte)(dst[p:]) = *r
+}
+
+// sweep moves every record of buf to its bucket on byte d in rounds: each
+// round sends every unplaced record of each unfinished bucket (vals, which
+// it reorders) to its own bucket's next slot, and the record that comes
+// back waits for the next round. The loop does not branch on the data and
+// its swaps do not wait on each other, so on large buckets it outruns
+// cycle, each of whose swaps waits for the one before.
+func sweep(buf []byte, size, d int, next, end *[256]int, vals []uint8) {
+	// Once one bucket is unfinished, the records left in it are its own.
+	for len(vals) > 1 {
+		left := vals[:0]
+		for _, b := range vals {
+			stop := end[b]
+			for i := next[b]; i < stop; i += size {
+				v := buf[i+d]
+				j := next[v]
+				next[v] = j + size
+				swapRecords(buf, i, j, size)
 			}
-		case 12:
-			for i := 0; i+12 <= len(src); i += 12 {
-				r := (*[12]byte)(src[i:])
-				p := c[r[j]]
-				c[r[j]] = p + 12
-				*(*[12]byte)(dst[p:]) = *r
-			}
-		default:
-			for i := 0; i < len(src); i += size {
-				p := c[src[i+j]]
-				c[src[i+j]] = p + size
-				copy(dst[p:p+size], src[i:i+size])
+			if next[b] < stop {
+				left = append(left, b)
 			}
 		}
-		src, dst = dst, src
+		vals = left
 	}
-	return src, dst
+}
+
+// firstDiff returns the first byte position from d on at which the records
+// of buf do not all agree, or size if they agree everywhere. It compares
+// records with the first, which is cheaper than counting a position whose
+// bytes are all alike.
+func firstDiff(buf []byte, size, d int) int {
+	lo, first := size, buf[:size]
+	switch size { // the common widths compare as big-endian words
+	case 8:
+		f := binary.BigEndian.Uint64(first)
+		for i := size; i < len(buf) && lo > d; i += size {
+			if x := binary.BigEndian.Uint64(buf[i:]) ^ f; x != 0 {
+				lo = min(lo, bits.LeadingZeros64(x)/8)
+			}
+		}
+		return lo
+	case 12:
+		f, g := binary.BigEndian.Uint64(first), binary.BigEndian.Uint32(first[8:])
+		for i := size; i < len(buf) && lo > d; i += size {
+			if x := binary.BigEndian.Uint64(buf[i:]) ^ f; x != 0 {
+				lo = min(lo, bits.LeadingZeros64(x)/8)
+			} else if y := binary.BigEndian.Uint32(buf[i+8:]) ^ g; y != 0 {
+				lo = min(lo, 8+bits.LeadingZeros32(y)/8)
+			}
+		}
+		return lo
+	}
+	for i := size; i < len(buf) && lo > d; i += size {
+		rec := buf[i : i+size]
+		for j := d; j < lo; j++ {
+			if rec[j] != first[j] {
+				lo = j
+				break
+			}
+		}
+	}
+	return lo
+}
+
+// insertionSort sorts the records of buf, which agree on their first d
+// bytes, by insertion.
+func insertionSort(buf []byte, size, d int) {
+	for i := size; i < len(buf); i += size {
+		for j := i; j > 0 && bytes.Compare(buf[j+d:j+size], buf[j-size+d:j]) < 0; j -= size {
+			swapRecords(buf, j-size, j, size)
+		}
+	}
+}
+
+// swapRecords exchanges the size-byte records at byte offsets i and j. The
+// common widths move as fixed-size arrays, without a loop.
+func swapRecords(buf []byte, i, j, size int) {
+	switch size {
+	case 8:
+		a, b := (*[8]byte)(buf[i:]), (*[8]byte)(buf[j:])
+		*a, *b = *b, *a
+	case 12:
+		a, b := (*[12]byte)(buf[i:]), (*[12]byte)(buf[j:])
+		*a, *b = *b, *a
+	default:
+		a, b := buf[i:i+size], buf[j:j+size]
+		for k := range a {
+			a[k], b[k] = b[k], a[k]
+		}
+	}
 }
 
 // Merge sorts the in-memory remainder and streams every record, across all
@@ -234,8 +354,16 @@ func (s *Sorter[R]) Merge(fn func(r R) error) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.sortBuf()
+	radixSort(s.buf, s.cfg.Size, 0)
 	size := s.cfg.Size
+	if len(s.runs) == 0 { // nothing spilled: the sorted buffer is the stream, without the heap
+		for i := 0; i < len(s.buf); i += size {
+			if err := fn(s.cfg.Decode(s.buf[i : i+size])); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	srcs := make([]func() ([]byte, bool, error), 0, len(s.runs)+1)
 	for i, run := range s.runs {
 		rd, err := run.Reader()
@@ -337,6 +465,6 @@ func (s *Sorter[R]) Close() error {
 		}
 	}
 	s.runs = nil
-	s.buf, s.tmp = nil, nil
+	s.buf = nil
 	return first
 }

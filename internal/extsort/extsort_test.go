@@ -49,44 +49,58 @@ func drain(t *testing.T, s *Sorter[rec]) []rec {
 }
 
 // TestSorterMatchesInMemorySort proves the external path (tiny budget, many
-// runs) produces exactly the stable in-memory sort, for several budgets.
+// runs) produces exactly the stable in-memory sort, for several budgets and
+// key shapes: heavy collisions, one key, ascending, descending and two
+// keys.
 func TestSorterMatchesInMemorySort(t *testing.T) {
 	rng := stats.NewRNG(42)
 	const n = 5000
-	input := make([]rec, n)
-	for i := range input {
-		input[i] = rec{key: uint32(rng.Intn(300)), seq: uint32(i)} // heavy key collisions
+	keys := map[string]func(i int) uint32{
+		"collisions": func(int) uint32 { return uint32(rng.Intn(300)) },
+		"all-equal":  func(int) uint32 { return 7 },
+		"ascending":  func(i int) uint32 { return uint32(i) },
+		"descending": func(i int) uint32 { return uint32(n - i) },
+		"two-valued": func(int) uint32 { return uint32(rng.Intn(2)) << 24 },
 	}
-	want := append([]rec(nil), input...)
-	sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
+	for _, name := range []string{"collisions", "all-equal", "ascending", "descending", "two-valued"} {
+		input := make([]rec, n)
+		for i := range input {
+			input[i] = rec{key: keys[name](i), seq: uint32(i)}
+		}
+		want := append([]rec(nil), input...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].key < want[j].key })
 
-	for _, budget := range []int64{1, 64, 4 << 10, 1 << 30} {
-		s, err := NewSorter(recConfig(t.TempDir(), budget))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range input {
-			if err := s.Add(r); err != nil {
-				t.Fatalf("budget %d: Add: %v", budget, err)
+		for _, budget := range []int64{1, 64, 4 << 10, 1 << 30} {
+			if budget < 4<<10 && name != "collisions" {
+				continue // hundreds of runs or more: one shape is enough
 			}
-		}
-		if budget == 1 && s.Runs() == 0 {
-			t.Fatalf("budget 1: expected spilled runs")
-		}
-		if budget == 1<<30 && s.Runs() != 0 {
-			t.Fatalf("budget 1<<30: unexpected spill")
-		}
-		got := drain(t, s)
-		if len(got) != len(want) {
-			t.Fatalf("budget %d: %d records, want %d", budget, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("budget %d: record %d = %+v, want %+v (stability violated)", budget, i, got[i], want[i])
+			s, err := NewSorter(recConfig(t.TempDir(), budget))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+			for _, r := range input {
+				if err := s.Add(r); err != nil {
+					t.Fatalf("%s budget %d: Add: %v", name, budget, err)
+				}
+			}
+			if budget <= 4<<10 && s.Runs() < 3 {
+				t.Fatalf("%s budget %d: %d spilled runs, want at least 3", name, budget, s.Runs())
+			}
+			if budget == 1<<30 && s.Runs() != 0 {
+				t.Fatalf("%s budget 1<<30: unexpected spill", name)
+			}
+			got := drain(t, s)
+			if len(got) != len(want) {
+				t.Fatalf("%s budget %d: %d records, want %d", name, budget, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s budget %d: record %d = %+v, want %+v (stability violated)", name, budget, i, got[i], want[i])
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 		}
 	}
 }
@@ -580,30 +594,78 @@ func TestSpillFileSeal(t *testing.T) {
 	}
 }
 
-// TestRadixSortMatchesByteOrder checks the run sort against a comparison
-// sort over odd and even record widths, with shared high bytes (skipped
-// passes) and duplicates.
+// TestRadixSortMatchesByteOrder checks the in-place run sort against a
+// comparison sort over odd and even record widths and input shapes: shared
+// high bytes (skipped positions) with duplicates, fully random bytes, and
+// all-equal, already-sorted, reversed and two-valued records, at sizes on
+// both sides of the insertion cutoff.
 func TestRadixSortMatchesByteOrder(t *testing.T) {
 	rng := stats.NewRNG(3)
-	for _, size := range []int{1, 5, 8, 12} {
-		for _, n := range []int{0, 1, 2, 1000} {
-			buf := make([]byte, n*size)
+	shapes := []struct {
+		name string
+		fill func(buf []byte, size int)
+	}{
+		{"low-half", func(buf []byte, size int) {
 			for i := range buf {
 				if i%size >= size/2 { // the high half stays zero
 					buf[i] = byte(rng.Intn(7))
 				}
 			}
-			want := make([][]byte, n)
-			for i := range want {
-				want[i] = append([]byte(nil), buf[i*size:(i+1)*size]...)
+		}},
+		{"random", func(buf []byte, size int) {
+			for i := range buf {
+				buf[i] = byte(rng.Intn(256))
 			}
-			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
-			got, _ := radixSort(buf, make([]byte, len(buf)), size)
-			for i := range want {
-				if !bytes.Equal(got[i*size:(i+1)*size], want[i]) {
-					t.Fatalf("size %d n %d: record %d = %x, want %x", size, n, i, got[i*size:(i+1)*size], want[i])
+		}},
+		{"all-equal", func(buf []byte, size int) {
+			for i := range buf {
+				buf[i] = byte(i%size) * 37
+			}
+		}},
+		{"sorted", func(buf []byte, size int) { fillCounting(buf, size, false) }},
+		{"reversed", func(buf []byte, size int) { fillCounting(buf, size, true) }},
+		{"two-valued", func(buf []byte, size int) {
+			for i := 0; i < len(buf); i += size {
+				v := byte(rng.Intn(2)) * 0x81
+				for j := i; j < i+size; j++ {
+					buf[j] = v
 				}
 			}
+		}},
+	}
+	for _, size := range []int{1, 5, 8, 12, 13} {
+		for _, shape := range shapes {
+			for _, n := range []int{0, 1, 2, insertionMax, insertionMax + 1, 1000, 5000} {
+				buf := make([]byte, n*size)
+				shape.fill(buf, size)
+				want := make([][]byte, n)
+				for i := range want {
+					want[i] = append([]byte(nil), buf[i*size:(i+1)*size]...)
+				}
+				sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i], want[j]) < 0 })
+				radixSort(buf, size, 0)
+				for i := range want {
+					if got := buf[i*size : (i+1)*size]; !bytes.Equal(got, want[i]) {
+						t.Fatalf("size %d %s n %d: record %d = %x, want %x", size, shape.name, n, i, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// fillCounting fills buf with size-byte records counting up from zero in
+// big-endian order, or down to zero when reversed.
+func fillCounting(buf []byte, size int, reversed bool) {
+	n := len(buf) / size
+	for r := 0; r < n; r++ {
+		v := uint64(r)
+		if reversed {
+			v = uint64(n - 1 - r)
+		}
+		for j := size - 1; j >= 0; j-- {
+			buf[r*size+j] = byte(v)
+			v >>= 8
 		}
 	}
 }

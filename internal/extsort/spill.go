@@ -186,6 +186,9 @@ func (s *SpillFile) Seal() error {
 	return nil
 }
 
+// OnDisk reports whether the spill has moved to its file.
+func (s *SpillFile) OnDisk() bool { return s.f != nil }
+
 // Len returns the number of bytes written so far.
 func (s *SpillFile) Len() int64 { return s.n }
 

@@ -25,10 +25,31 @@ type FieldEval struct {
 	NumGroups      int
 }
 
+// featureEval is one feature's Table 6 score and the eligible indices of
+// the certificates it links.
+type featureEval struct {
+	ev     FieldEval
+	linked []int32
+}
+
+// evalFeature links f over every eligible certificate and scores its
+// groups straight from their record runs, building no Group.
+func (l *Linker) evalFeature(sc *scratch, f Feature) featureEval {
+	groups, _ := l.confirm(sc, f, l.records(sc, f, nil, true))
+	ev := l.evalGroups(f, groups)
+	linked := make([]int32, 0, ev.TotalLinked)
+	for _, run := range groups {
+		for _, rec := range run {
+			linked = append(linked, rec.idx)
+		}
+	}
+	return featureEval{ev: ev, linked: linked}
+}
+
 // evalGroups scores already-linked groups for one field. The per-group modal
 // counts fan out across the worker pool; the final sums are order-free
 // integer additions, so the score is identical at any worker count.
-func (l *Linker) evalGroups(f Feature, groups []Group) FieldEval {
+func (l *Linker) evalGroups(f Feature, groups [][]record) FieldEval {
 	ev := FieldEval{Feature: f, NumGroups: len(groups)}
 	type modal struct{ ip, s24, as, total int }
 	perGroup := parallel.Map(l.workers, len(groups), func(i int) modal {
@@ -37,7 +58,7 @@ func (l *Linker) evalGroups(f Feature, groups []Group) FieldEval {
 	})
 	var ipMax, s24Max, asMax, total int
 	for i, m := range perGroup {
-		ev.TotalLinked += len(groups[i].Certs)
+		ev.TotalLinked += len(groups[i])
 		ipMax += m.ip
 		s24Max += m.s24
 		asMax += m.as
@@ -57,12 +78,12 @@ func (l *Linker) evalGroups(f Feature, groups []Group) FieldEval {
 // the longest run; a /24 is an IP with its low byte cleared, so the sorted
 // IPs stay sorted as /24s. The buffers start on the stack and cover a
 // group's sightings in all but the largest groups.
-func (l *Linker) groupConsistencyCounts(g Group) (ipMax, s24Max, asMax, total int) {
+func (l *Linker) groupConsistencyCounts(run []record) (ipMax, s24Max, asMax, total int) {
 	var ipBuf [64]netsim.IP
 	var asBuf [64]int
 	ips, ases := ipBuf[:0], asBuf[:0]
-	for _, id := range g.Certs {
-		for _, sg := range l.ds.Index.Sightings(id) {
+	for _, rec := range run {
+		for _, sg := range l.ds.Index.Sightings(l.eligible[rec.idx].id) {
 			ips = append(ips, sg.IP)
 			if as := l.ds.Internet.Lookup(sg.IP, l.ds.Corpus.Scan(sg.Scan).Time); as != nil {
 				ases = append(ases, as.ASN)
@@ -100,26 +121,17 @@ func longestRun[T comparable](s []T) int {
 // every field twice); the cross-field uniqueness merge runs serially in
 // Table 6 column order.
 func (l *Linker) EvaluateAll() []FieldEval {
-	type fieldResult struct {
-		ev     FieldEval
-		groups []Group
-	}
-	results := perFeature(l, func(sc *scratch, f Feature) fieldResult {
-		groups := l.linkOn(sc, f, nil)
-		return fieldResult{ev: l.evalGroups(f, groups), groups: groups}
-	})
+	results := perFeature(l, l.evalFeature)
 
 	// only[i] is 1 + the one feature that links eligible certificate i, 0
 	// when none does and -1 when several do.
 	only := make([]int8, len(l.eligible))
 	for fi, r := range results {
-		for _, g := range r.groups {
-			for _, id := range g.Certs {
-				if i := l.byID[id]; only[i] == 0 {
-					only[i] = int8(fi + 1)
-				} else {
-					only[i] = -1
-				}
+		for _, i := range r.linked {
+			if only[i] == 0 {
+				only[i] = int8(fi + 1)
+			} else {
+				only[i] = -1
 			}
 		}
 	}

@@ -365,33 +365,37 @@ func (l *Linker) linkable(run []record) bool {
 func (l *Linker) LinkOn(f Feature, include []bool) []Group {
 	sc := l.scratches.Get().(*scratch)
 	defer l.scratches.Put(sc)
-	return l.linkOn(sc, f, include)
-}
-
-// linkOn is LinkOn on sc's buffers.
-func (l *Linker) linkOn(sc *scratch, f Feature, include []bool) []Group {
-	groups, candidates := l.sweep(sc, f, l.records(sc, f, include, true))
-	l.obs.Counter("linking.candidates").Add(int64(candidates))
-	l.obs.Counter("linking.groups.confirmed").Add(int64(len(groups)))
+	groups, _ := l.sweep(sc, f, l.records(sc, f, include, true))
 	return groups
 }
 
-// sweep forms the groups of f from its sorted records in one pass: each
-// run of one value is a candidate group, and the value of each group that
-// passes the overlap rule is rendered to order the groups by it.
-func (l *Linker) sweep(sc *scratch, f Feature, recs []record) (groups []Group, candidates int) {
+// confirm splits f's sorted records into runs of one value, each a
+// candidate group, and returns the runs that pass the overlap rule, in
+// place in recs, and how many candidates there were. It counts both.
+func (l *Linker) confirm(sc *scratch, f Feature, recs []record) (confirmed [][]record, candidates int) {
 	l.runs(sc, f, recs, func(run []record) {
 		candidates++
-		if !l.linkable(run) {
-			return
+		if l.linkable(run) {
+			confirmed = append(confirmed, run)
 		}
+	})
+	l.obs.Counter("linking.candidates").Add(int64(candidates))
+	l.obs.Counter("linking.groups.confirmed").Add(int64(len(confirmed)))
+	return confirmed, candidates
+}
+
+// sweep forms the groups of f from its sorted records: the value of each
+// confirmed run is rendered to order the groups by it.
+func (l *Linker) sweep(sc *scratch, f Feature, recs []record) (groups []Group, candidates int) {
+	confirmed, candidates := l.confirm(sc, f, recs)
+	for _, run := range confirmed {
 		g := Group{Feature: f, Value: string(l.render(&sc.r, run[0], f)), Certs: make([]scanstore.CertID, len(run))}
 		for j, rec := range run {
 			g.Certs[j] = l.eligible[rec.idx].id
 		}
 		slices.Sort(g.Certs)
 		groups = append(groups, g)
-	})
+	}
 	slices.SortFunc(groups, func(a, b Group) int { return strings.Compare(a.Value, b.Value) })
 	return groups, candidates
 }

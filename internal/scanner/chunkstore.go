@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"securepki/internal/extsort"
 )
@@ -60,7 +61,8 @@ type ChunkStore struct {
 	spilled   []*spilledChunk // by chunk index; nil while live
 	liveBytes int64
 	spills    int
-	spiltIn   int64 // total bytes written to spill files
+	spiltIn   int64  // total bytes written to spill files
+	obsBuf    []byte // a spilled section's observation bytes, reused
 
 	// OnSpill, when non-nil, observes each chunk spill (chunk index, bytes
 	// written); core hangs its mem.* gauges and core.spill spans here.
@@ -162,9 +164,21 @@ func (cs *ChunkStore) Section(k, s int) ([]NewCert, []ObsRec, error) {
 	if s != sp.next {
 		return nil, nil, fmt.Errorf("scanner: chunk %d scan %d read out of scan order (next is scan %d)", k, s, sp.next)
 	}
+	// The certificates and the observations are read into buffers of
+	// their own: the certificates' DERs are slices of theirs, which a
+	// caller may keep, while the observations are decoded into ObsRecs, so
+	// their bytes go to a buffer the store reuses.
 	sec := sp.sections[s]
-	buf := make([]byte, sec.len)
-	if _, err := io.ReadFull(sp.r, buf); err != nil {
+	obsLen := 8 * int64(sec.obs)
+	if obsLen > sec.len {
+		return nil, nil, fmt.Errorf("scanner: chunk %d scan %d spill section malformed", k, s)
+	}
+	certBuf := make([]byte, sec.len-obsLen)
+	cs.obsBuf = slices.Grow(cs.obsBuf[:0], int(obsLen))[:obsLen]
+	if _, err := io.ReadFull(sp.r, certBuf); err != nil {
+		return nil, nil, fmt.Errorf("scanner: read chunk %d scan %d spill: %w", k, s, err)
+	}
+	if _, err := io.ReadFull(sp.r, cs.obsBuf); err != nil {
 		return nil, nil, fmt.Errorf("scanner: read chunk %d scan %d spill: %w", k, s, err)
 	}
 	sp.next++
@@ -173,7 +187,7 @@ func (cs *ChunkStore) Section(k, s int) ([]NewCert, []ObsRec, error) {
 			return nil, nil, fmt.Errorf("scanner: chunk %d spill: %w", k, err)
 		}
 	}
-	return decodeSection(buf, sec.certs, sec.obs, k, s)
+	return decodeSection(certBuf, cs.obsBuf, sec.certs, sec.obs, k, s)
 }
 
 // Close removes every spill file. Safe to call more than once.
@@ -209,7 +223,9 @@ func encodeSection(out []byte, certs []NewCert, obs []ObsRec) []byte {
 	return out
 }
 
-func decodeSection(buf []byte, nCerts, nObs, k, s int) ([]NewCert, []ObsRec, error) {
+// decodeSection decodes one section from its certificate bytes and its
+// observation bytes; the certificates' DERs are slices of certBuf.
+func decodeSection(buf, obsBuf []byte, nCerts, nObs, k, s int) ([]NewCert, []ObsRec, error) {
 	corrupt := func() error {
 		return fmt.Errorf("scanner: chunk %d scan %d spill section malformed", k, s)
 	}
@@ -233,7 +249,7 @@ func decodeSection(buf []byte, nCerts, nObs, k, s int) ([]NewCert, []ObsRec, err
 		buf = buf[n+int(dlen):]
 		certs = append(certs, c)
 	}
-	if len(buf) != nObs*8 {
+	if len(buf) != 0 || len(obsBuf) != nObs*8 {
 		return nil, nil, corrupt()
 	}
 	var obs []ObsRec
@@ -242,8 +258,8 @@ func decodeSection(buf []byte, nCerts, nObs, k, s int) ([]NewCert, []ObsRec, err
 	}
 	for i := 0; i < nObs; i++ {
 		obs = append(obs, ObsRec{
-			Local: binary.LittleEndian.Uint32(buf[i*8:]),
-			IP:    binary.LittleEndian.Uint32(buf[i*8+4:]),
+			Local: binary.LittleEndian.Uint32(obsBuf[i*8:]),
+			IP:    binary.LittleEndian.Uint32(obsBuf[i*8+4:]),
 		})
 	}
 	return certs, obs, nil

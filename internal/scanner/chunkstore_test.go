@@ -185,24 +185,27 @@ func TestChunkStoreSectionsInScanOrder(t *testing.T) {
 }
 
 // TestDecodeSectionRejectsMalformed drives decodeSection with structurally
-// broken payloads: short cert headers, overlong DER claims, trailing bytes.
+// broken payloads: short cert headers, overlong DER claims, trailing bytes,
+// short observations.
 func TestDecodeSectionRejectsMalformed(t *testing.T) {
 	var good NewCert
 	good.FP[0], good.SPKI[0] = 1, 2
 	good.DER = []byte{1, 2, 3}
 	enc := encodeSection(nil, []NewCert{good}, []ObsRec{{Local: 0, IP: 7}})
+	certPart, obsPart := enc[:len(enc)-8], enc[len(enc)-8:]
 
-	cases := map[string][]byte{
-		"short header":   enc[:40],
-		"truncated der":  enc[:66],
-		"trailing bytes": append(append([]byte(nil), enc...), 0),
+	cases := map[string][2][]byte{
+		"short header":       {certPart[:40], obsPart},
+		"truncated der":      {certPart[:66], obsPart},
+		"trailing bytes":     {append(append([]byte(nil), certPart...), 0), obsPart},
+		"short observations": {certPart, obsPart[:7]},
 	}
-	for name, buf := range cases {
-		if _, _, err := decodeSection(buf, 1, 1, 0, 0); err == nil {
+	for name, parts := range cases {
+		if _, _, err := decodeSection(parts[0], parts[1], 1, 1, 0, 0); err == nil {
 			t.Fatalf("%s: decode succeeded", name)
 		}
 	}
-	certs, obs, err := decodeSection(enc, 1, 1, 0, 0)
+	certs, obs, err := decodeSection(certPart, obsPart, 1, 1, 0, 0)
 	if err != nil || len(certs) != 1 || len(obs) != 1 {
 		t.Fatalf("clean decode: certs=%d obs=%d err=%v", len(certs), len(obs), err)
 	}

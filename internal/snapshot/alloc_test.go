@@ -15,10 +15,10 @@ import (
 // single-iteration run would count in full.
 
 // TestWriteV3AllocBound: over the bench corpus WriteV3 allocates about
-// 3.4× its output, most of it the index sections and the sighting sorters'
-// record and radix buffers. A shard copied to be laid out, compressed into
-// a regrown buffer or copied again to land, or sorters grown by doubling,
-// would take it past 4×.
+// 2.5× its output, most of it the index sections and the sighting sorters'
+// records. A shard copied to be laid out, compressed into a regrown buffer
+// or copied again to land, or sorters grown by doubling, would take it
+// past 4×.
 func TestWriteV3AllocBound(t *testing.T) {
 	c, v3 := benchCorpus(t)
 	res := testing.Benchmark(func(b *testing.B) {

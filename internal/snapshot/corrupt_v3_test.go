@@ -398,16 +398,14 @@ func nonZeroPad(tb testing.TB, snap []byte, lay *V3Layout) []byte {
 // forgery the shard checksum alone would bless if an attacker rewrote both.
 func TestVerifyDigestsCatchesForgedColumn(t *testing.T) {
 	c := testCorpus(t, 5, 1, 4)
-	var lens []uint32
-	var ders []byte
+	var ders [][]byte
 	var fps []x509lite.Fingerprint
 	for _, rec := range c.Certs() {
-		lens = append(lens, uint32(len(rec.Cert.Raw)))
-		ders = append(ders, rec.Cert.Raw...)
+		ders = append(ders, rec.Cert.Raw)
 		fps = append(fps, rec.Cert.Fingerprint())
 	}
 	var shard bytes.Buffer
-	if err := writeCertShard(&shard, appendLenCol(nil, lens), ders, fps); err != nil {
+	if err := writeCertShard(&shard, appendLenCol(nil, ders), ders, fps); err != nil {
 		t.Fatal(err)
 	}
 	raw := shard.Bytes()

@@ -187,13 +187,13 @@ func checkRebuiltSections(c *scanstore.Corpus, lay *V3Layout, sections [][2][]by
 	for _, rec := range certs {
 		b.addCert(rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint())
 	}
-	var lens []uint32
+	var ders [][]byte
 	for i, sh := range lay.Shards[:lay.CertShards] {
-		lens = lens[:0]
+		ders = ders[:0]
 		for _, rec := range certs[sh.First : sh.First+sh.Count] {
-			lens = append(lens, uint32(len(rec.Cert.Raw)))
+			ders = append(ders, rec.Cert.Raw)
 		}
-		b.placeShard(uint32(i), lens)
+		b.placeShard(uint32(i), ders)
 	}
 	for _, s := range c.Scans() {
 		b.beginScan(s.Operator, s.Time)

@@ -23,21 +23,23 @@ func WriteV3(w io.Writer, c *scanstore.Corpus, opt Options) error {
 
 // appendLenCol appends the certificate shard's first column, the uvarint
 // DER lengths.
-func appendLenCol(dst []byte, lens []uint32) []byte {
-	for _, l := range lens {
-		dst = binary.AppendUvarint(dst, uint64(l))
+func appendLenCol(dst []byte, ders [][]byte) []byte {
+	for _, der := range ders {
+		dst = binary.AppendUvarint(dst, uint64(len(der)))
 	}
 	return dst
 }
 
 // writeCertShard writes a certificate shard's three columns to w: the
-// uvarint DER lengths (lenCol), the concatenated DER bytes, 32-byte digests.
-func writeCertShard(w io.Writer, lenCol, ders []byte, fps []x509lite.Fingerprint) error {
+// uvarint DER lengths (lenCol), the DER bytes in order, 32-byte digests.
+func writeCertShard(w io.Writer, lenCol []byte, ders [][]byte, fps []x509lite.Fingerprint) error {
 	if _, err := w.Write(lenCol); err != nil {
 		return err
 	}
-	if _, err := w.Write(ders); err != nil {
-		return err
+	for _, der := range ders {
+		if _, err := w.Write(der); err != nil {
+			return err
+		}
 	}
 	for i := range fps {
 		if _, err := w.Write(fps[i][:]); err != nil {

@@ -53,8 +53,8 @@ type asRec struct{ asn, cert uint32 }
 
 // newSectionBuilder returns an empty builder. It keeps (scan, IP, cert)
 // records for the IP section, plus (AS, cert) records when asOf is non-nil,
-// in sorters that each buffer up to budget bytes of records (and as much
-// again to sort them) before spilling runs to dir.
+// in sorters that each buffer up to budget bytes of records, sorted in
+// place, before spilling runs to dir.
 func newSectionBuilder(asOf func(netsim.IP, time.Time) (int, bool), budget int64, dir string) (*sectionBuilder, error) {
 	b := &sectionBuilder{}
 	var err error
@@ -112,21 +112,20 @@ func (b *sectionBuilder) reserve(certs, sightings int) {
 	}
 }
 
-// placeShard locates the next certificate shard's DERs, given their
-// lengths in CertID order, and returns the length of the shard's uvarint
-// length column, which precedes the concatenated DER bytes
-// (writeCertShard's layout).
-func (b *sectionBuilder) placeShard(shard uint32, lens []uint32) int {
+// placeShard locates the next certificate shard's DERs, given in CertID
+// order, and returns the length of the shard's uvarint length column, which
+// precedes the DER bytes (writeCertShard's layout), and of the DER bytes.
+func (b *sectionBuilder) placeShard(shard uint32, ders [][]byte) (lenColLen, derLen int) {
 	off := uint32(0)
-	for _, l := range lens {
-		off += uint32(uvarintLen(uint64(l)))
+	for _, der := range ders {
+		off += uint32(uvarintLen(uint64(len(der))))
 	}
-	lenColLen := int(off)
-	for _, l := range lens {
-		b.locs = append(b.locs, derLoc{shard: shard, off: off, dlen: l})
-		off += l
+	lenColLen = int(off)
+	for _, der := range ders {
+		b.locs = append(b.locs, derLoc{shard: shard, off: off, dlen: uint32(len(der))})
+		off += uint32(len(der))
 	}
-	return lenColLen
+	return lenColLen, int(off) - lenColLen
 }
 
 // beginScan opens the next scan; sightings that follow belong to it.
@@ -162,6 +161,18 @@ func (b *sectionBuilder) fanIn() int {
 	}
 	if b.ases != nil && b.ases.FanIn() > n {
 		n = b.ases.FanIn()
+	}
+	return n
+}
+
+// spilledBytes reports how many bytes the sorters' spilled runs hold.
+func (b *sectionBuilder) spilledBytes() int64 {
+	var n int64
+	if b.ips != nil {
+		n = b.ips.SpilledBytes()
+	}
+	if b.ases != nil {
+		n += b.ases.SpilledBytes()
 	}
 	return n
 }

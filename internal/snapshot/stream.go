@@ -26,15 +26,16 @@ import (
 // Memory stays bounded. A certificate shard is handed to one of up to
 // Options.Workers compressors as its CertsPerShard-th certificate arrives,
 // and a scan shard as its ScansPerShard-th scan ends; compressed shards join
-// the certificate or scan payload in shard order. The payloads, the
+// the certificate or scan payload in shard order. A certificate shard holds
+// the DERs it was handed, not copies, until it lands. The payloads, the
 // per-scan observation columns, the retained certificate shards and the
 // index section arrays are memory-first spills that move to disk only past
 // their share of the budget, and the IP/AS sightings accumulate in
 // external-merge sorters.
 // What stays resident is per-certificate constant-size state (fingerprint,
 // SPKI, DER location — the index needs it anyway) and the fingerprint
-// dedup map. The sections build while the last scan shards compress, and
-// Finish then drops all that only encoding needs.
+// dedup map of Intern's callers. The sections build while the last scan
+// shards compress, and Finish then drops all that only encoding needs.
 //
 // The output is byte-identical at any worker count, memory budget or
 // spill directory: shard boundaries come from the sizing knobs alone, and
@@ -45,11 +46,9 @@ type StreamWriter struct {
 	budget int64 // MemBudget, defaulted
 
 	idx  *sectionBuilder
-	byFP map[x509lite.Fingerprint]scanstore.CertID
+	byFP map[x509lite.Fingerprint]scanstore.CertID // Intern's dedup; nil until its first call
 
-	pendLens []uint32 // the certificate shard being filled: DER lengths
-	pendDERs []byte   // and the DERs, concatenated, which go with the shard
-	derHint  int      // capacity for the next pendDERs: the last shard's DER bytes
+	pendDERs [][]byte // the certificate shard being filled: its DERs, as handed in
 
 	inflight         []*shardJob // shards compressing, in submission order
 	certPay, scanPay payload
@@ -59,6 +58,8 @@ type StreamWriter struct {
 
 	cols      []*scanCols // per scan, ScanID order
 	scansDone int         // scans already laid out in scan shards
+	colCap    int64       // each observation column's in-memory share
+	spilled   int64       // bytes of laid-out observation columns on disk
 
 	// The current scan's delta bases, and varints batched on their way to
 	// its columns.
@@ -73,22 +74,28 @@ type StreamWriterConfig struct {
 	// SpillDir hosts every spill file ("" = OS temp).
 	SpillDir string
 	// MemBudget bounds what the writer buffers in memory (<= 0 means
-	// extsort.DefaultMemBudget): the IP and AS sorters take a quarter of it
-	// each (an eighth for records, an eighth for the sort's second buffer),
-	// the certificate and scan payloads and the retained certificate shards
-	// an eighth each, and the ten section arrays share the last eighth;
-	// beyond its share each spills to disk. Outside it stay the
-	// per-certificate state, the certificate shard being filled, up to
-	// Workers shards in flight — each shard's parts (a certificate shard's
-	// length column and DER buffer, a scan shard's metadata column and
-	// observation columns) and the 64 KiB blocks its compressed bytes fill,
-	// until its payload takes them — the observation columns of the scans
-	// not yet in a shard (up to 256 KiB each before they spill), and, while
-	// Finish merges the sorters, a 4 KiB read buffer per spilled run.
-	// Finish releases all of it but the retained shards' eighth, the
-	// certificate shard table and the per-certificate fingerprint and SPKI,
-	// which leaves the other seven eighths to a lint pass that follows
-	// (core.StreamSnapshot gives them to LintRuns and LintColumnWriter).
+	// extsort.DefaultMemBudget): the IP and AS sorters take three
+	// sixteenths of it each, all of it for records, since they sort in
+	// place; the certificate and scan payloads, the retained certificate
+	// shards and the observation columns an eighth each, and the ten
+	// section arrays share the last eighth; beyond its share each spills
+	// to disk. The columns' eighth covers the open scan shard and up to
+	// Workers scan shards in flight, 2·ScansPerShard columns each, so a
+	// column holds at most an eighth of the budget over
+	// 2·ScansPerShard·(1+Workers) in memory before it spills. Outside the
+	// budget stay the per-certificate state, the DERs of the certificate
+	// shard being filled and of up to Workers shards in flight (the
+	// caller's own buffers, which the writer only references), each
+	// in-flight shard's other parts (a certificate shard's length column, a
+	// scan shard's metadata column) and the 64 KiB blocks its compressed
+	// bytes fill until its payload takes them, a pooled compressor per
+	// shard in flight, the current scan's batched varints and, once its
+	// columns spill, their 64 KiB write buffers, and, while Finish merges
+	// the sorters, a 4 KiB read buffer per spilled run. Finish releases all
+	// of it but the retained shards' eighth, the certificate shard table
+	// and the per-certificate fingerprint and SPKI, which leaves the other
+	// seven eighths to a lint pass that follows (core.StreamSnapshot gives
+	// them to LintRuns and LintColumnWriter).
 	MemBudget int64
 	// KeepDERs retains every certificate shard's uncompressed layout, the
 	// bytes the payload compresses, so Certs can hand the certificates to a
@@ -128,10 +135,10 @@ type scanCols struct{ cert, ip *extsort.SpillFile }
 // SpillFile write, which spares every sighting two of them.
 const varBatch = 4 << 10
 
-// colSpillThreshold is the per-column in-memory cap before it moves to
-// disk. It is a variable only so tests can shrink it to force the spill
-// path.
-var colSpillThreshold = 256 << 10
+// colSpillThreshold caps each observation column's in-memory share below
+// what the budget gives it. It is a variable only so tests can shrink it to
+// force the spill path.
+var colSpillThreshold = math.MaxInt
 
 // NewStreamWriter prepares an empty streaming writer. It creates no file:
 // each spill moves to cfg.SpillDir only when it outgrows its memory share.
@@ -145,7 +152,7 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 		opt:    opt,
 		cfg:    cfg,
 		budget: budget,
-		byFP:   make(map[x509lite.Fingerprint]scanstore.CertID),
+		colCap: min(budget/8/int64(2*opt.ScansPerShard*(1+parallel.Workers(opt.Workers))), int64(colSpillThreshold)),
 	}
 	sw.certPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
 	sw.scanPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
@@ -153,26 +160,19 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 		sw.kept = extsort.NewSpillFile(cfg.SpillDir, "snapshot-certs-*.spill", budget/8)
 	}
 	var err error
-	if sw.idx, err = newSectionBuilder(opt.ASOf, budget/8, cfg.SpillDir); err != nil {
+	if sw.idx, err = newSectionBuilder(opt.ASOf, budget*3/16, cfg.SpillDir); err != nil {
 		return nil, err
 	}
 	return sw, nil
-}
-
-// reserve sizes the per-certificate arrays and the dedup map for certs
-// certificates, and the sighting sorters for as many sightings, each
-// sorter still capped at its budget.
-func (sw *StreamWriter) reserve(certs, sightings int) {
-	sw.byFP = make(map[x509lite.Fingerprint]scanstore.CertID, certs)
-	sw.idx.reserve(certs, sightings)
 }
 
 // NumCerts returns how many distinct certificates have been interned.
 func (sw *StreamWriter) NumCerts() int { return len(sw.idx.fps) }
 
 // Intern deduplicates one certificate by fingerprint, appending it to the
-// table (and the pending cert shard) when new. The DER is copied; callers
-// may reuse the buffer. Returns the ID and whether the cert was new.
+// table (and the pending cert shard) when new. The writer keeps der, not a
+// copy, until the certificate's shard lands, so the caller must not modify
+// it. Returns the ID and whether the cert was new.
 func (sw *StreamWriter) Intern(der []byte, fp, spki x509lite.Fingerprint) (scanstore.CertID, bool, error) {
 	if sw.err != nil {
 		return 0, false, sw.err
@@ -180,27 +180,41 @@ func (sw *StreamWriter) Intern(der []byte, fp, spki x509lite.Fingerprint) (scans
 	if id, ok := sw.byFP[fp]; ok {
 		return id, false, nil
 	}
+	id, err := sw.add(der, fp, spki)
+	if err != nil {
+		return 0, false, err
+	}
+	if sw.byFP == nil {
+		sw.byFP = make(map[x509lite.Fingerprint]scanstore.CertID)
+	}
+	sw.byFP[fp] = id
+	return id, true, nil
+}
+
+// add appends a certificate that is not yet in the table to it and to the
+// pending cert shard, which keeps der until it lands.
+func (sw *StreamWriter) add(der []byte, fp, spki x509lite.Fingerprint) (scanstore.CertID, error) {
+	if sw.err != nil {
+		return 0, sw.err
+	}
 	n := len(sw.idx.fps)
 	if len(der) == 0 || len(der) > MaxCertDER {
-		return 0, false, sw.fail(fmt.Errorf("snapshot: cert %d DER length %d outside (0, %d]", n, len(der), MaxCertDER))
+		return 0, sw.fail(fmt.Errorf("snapshot: cert %d DER length %d outside (0, %d]", n, len(der), MaxCertDER))
 	}
 	if n >= maxCerts {
-		return 0, false, sw.fail(fmt.Errorf("snapshot: %d certificates exceed format cap", n+1))
+		return 0, sw.fail(fmt.Errorf("snapshot: %d certificates exceed format cap", n+1))
 	}
-	id := scanstore.CertID(n)
-	sw.byFP[fp] = id
 	sw.idx.addCert(fp, spki)
-	sw.pendLens = append(sw.pendLens, uint32(len(der)))
 	if sw.pendDERs == nil {
-		sw.pendDERs = make([]byte, 0, sw.derHint)
+		sw.pendDERs = make([][]byte, 0, sw.opt.CertsPerShard)
 	}
-	sw.pendDERs = append(sw.pendDERs, der...)
-	if len(sw.pendLens) >= sw.opt.CertsPerShard {
+	sw.pendDERs = append(sw.pendDERs, der)
+	if len(sw.pendDERs) >= sw.opt.CertsPerShard {
 		if err := sw.flushCertShard(); err != nil {
-			return 0, false, sw.fail(err)
+			return 0, sw.fail(err)
 		}
 	}
-	return id, true, nil
+	return scanstore.CertID(n), nil
 }
 
 // BeginScan opens the next scan (chronological, like Corpus.AddScan); all
@@ -219,7 +233,7 @@ func (sw *StreamWriter) BeginScan(op scanstore.Operator, at time.Time) error {
 	if n := len(scans); n > 0 && at.Before(scans[n-1].at) {
 		return sw.fail(fmt.Errorf("snapshot: scan at %v begun after %v", at, scans[n-1].at))
 	}
-	if err := sw.flushVars(); err != nil {
+	if err := sw.endScan(); err != nil {
 		return sw.fail(err)
 	}
 	if len(scans)-sw.scansDone == sw.opt.ScansPerShard {
@@ -230,8 +244,8 @@ func (sw *StreamWriter) BeginScan(op scanstore.Operator, at time.Time) error {
 	sw.prevC, sw.prevIP = 0, 0 // deltas restart at each scan
 	sw.idx.beginScan(op, at)
 	sw.cols = append(sw.cols, &scanCols{
-		cert: extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-col-*.spill", int64(colSpillThreshold)),
-		ip:   extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-col-*.spill", int64(colSpillThreshold)),
+		cert: extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-col-*.spill", sw.colCap),
+		ip:   extsort.NewSpillFile(sw.cfg.SpillDir, "snapshot-col-*.spill", sw.colCap),
 	})
 	return nil
 }
@@ -279,6 +293,18 @@ func (sw *StreamWriter) flushVars() error {
 	return err
 }
 
+// endScan moves the current scan's batched varints into its columns and
+// seals them, so a column that spilled drops its write buffer while it
+// waits for its shard.
+func (sw *StreamWriter) endScan() error {
+	if err := sw.flushVars(); err != nil || len(sw.cols) == 0 {
+		return err
+	}
+	c := sw.cols[len(sw.cols)-1]
+	c.cert.Seal()
+	return c.ip.Seal()
+}
+
 // MergeFanIn reports the widest k-way merge Finish will perform across the
 // index sorters.
 func (sw *StreamWriter) MergeFanIn() int { return sw.idx.fanIn() }
@@ -292,25 +318,24 @@ func (sw *StreamWriter) fail(err error) error {
 
 // flushCertShard records the pending certificate shard's DER locations for
 // the fingerprint index and hands its columns to a compressor, and to the
-// retained shards under KeepDERs. The shard takes the pending DER buffer
-// with it.
+// retained shards under KeepDERs. The shard takes the pending DERs with it.
 func (sw *StreamWriter) flushCertShard() error {
-	count := len(sw.pendLens)
+	count := len(sw.pendDERs)
 	if count == 0 {
 		return nil
 	}
 	first := len(sw.idx.fps) - count
-	lenColLen := sw.idx.placeShard(uint32(sw.certShards), sw.pendLens)
+	lenColLen, derLen := sw.idx.placeShard(uint32(sw.certShards), sw.pendDERs)
 	sw.certShards++
-	lenCol := appendLenCol(make([]byte, 0, lenColLen), sw.pendLens)
+	lenCol := appendLenCol(make([]byte, 0, lenColLen), sw.pendDERs)
 	ders, fps := sw.pendDERs, sw.idx.fps[first:]
-	sw.pendLens, sw.pendDERs, sw.derHint = sw.pendLens[:0], nil, len(ders)
+	sw.pendDERs = nil
 	if sw.kept != nil {
 		if err := writeCertShard(sw.kept, lenCol, ders, fps); err != nil {
 			return err
 		}
 	}
-	rawLen := len(lenCol) + len(ders) + 32*len(fps)
+	rawLen := len(lenCol) + derLen + 32*len(fps)
 	return sw.compress(&sw.certPay, first, count, rawLen, func(w io.Writer) error {
 		return writeCertShard(w, lenCol, ders, fps)
 	})
@@ -329,6 +354,7 @@ func (sw *StreamWriter) flushScanShard() error {
 	rawLen := len(meta)
 	for _, c := range cols {
 		rawLen += int(c.cert.Len() + c.ip.Len())
+		sw.spilled += onDisk(c.cert, c.ip)
 	}
 	sw.scansDone = hi
 	return sw.compress(&sw.scanPay, lo, hi-lo, rawLen, func(w io.Writer) error {
@@ -429,7 +455,7 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	}
 	built := make(chan error, 1)
 	go func() { built <- sw.idx.build(sw.opt.Workers, out) }()
-	err := sw.flushVars()
+	err := sw.endScan()
 	if err == nil {
 		err = sw.flushScanShard()
 	}
@@ -450,6 +476,10 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	var obsCount uint64
 	for _, s := range sw.idx.scans {
 		obsCount += s.count
+	}
+	spilled := sw.spilled + sw.idx.spilledBytes() + onDisk(sw.certPay.data, sw.scanPay.data, sw.kept)
+	for i := range keys {
+		spilled += onDisk(keys[i], posts[i])
 	}
 
 	var head bytes.Buffer
@@ -524,6 +554,7 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	}
 	sw.emitObs(shardTab, obsCount)
 	sw.opt.Obs.Counter("snapshot.encode.index_bytes").Add(indexBytes)
+	sw.opt.Obs.Counter("snapshot.encode.spilled_bytes").Add(spilled)
 	return sw.release()
 }
 
@@ -544,7 +575,7 @@ func (sw *StreamWriter) release() error {
 	}
 	sw.scanPay.tab = nil
 	sw.byFP, sw.cols = nil, nil
-	sw.pendLens, sw.pendDERs, sw.certVars, sw.ipVars = nil, nil, nil, nil
+	sw.pendDERs, sw.certVars, sw.ipVars = nil, nil, nil
 	sw.err = errFinished
 	return err
 }
@@ -566,6 +597,17 @@ func (sw *StreamWriter) emitObs(shardTab []streamShardEntry, obsCount uint64) {
 	}
 	reg.Counter("snapshot.encode.raw_bytes").Add(raw)
 	reg.Counter("snapshot.encode.comp_bytes").Add(comp)
+}
+
+// onDisk sums the bytes held by the spills that moved to disk.
+func onDisk(spills ...*extsort.SpillFile) int64 {
+	var n int64
+	for _, s := range spills {
+		if s != nil && s.OnDisk() {
+			n += s.Len()
+		}
+	}
+	return n
 }
 
 // Certs hands fn every interned certificate in ID order, one certificate
@@ -633,27 +675,22 @@ func (sw *StreamWriter) Close() error {
 }
 
 // StreamCorpus encodes an already-resident corpus through a StreamWriter:
-// certificates interned in corpus ID order, then every scan's observations
-// in order. WriteV3 is this at the default budget. The corpus sizes the
-// writer up front: its per-certificate arrays, its dedup map, its sorters'
-// buffers (within their budget) and each certificate shard's DER buffer.
+// certificates appended in corpus ID order, then every scan's observations
+// in order. WriteV3 is this at the default budget. A corpus holds each
+// certificate once, so no dedup map is built, and its DERs are immutable,
+// so the shards reference them. The corpus sizes the writer up front: its
+// per-certificate arrays and its sorters' buffers (within their budget).
 func StreamCorpus(w io.Writer, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) error {
 	sw, err := NewStreamWriter(opt, cfg)
 	if err != nil {
 		return err
 	}
 	defer sw.Close()
-	n, per := c.NumCerts(), sw.opt.CertsPerShard
-	sw.reserve(n, c.NumObservations())
+	n := c.NumCerts()
+	sw.idx.reserve(n, c.NumObservations())
 	for i := 0; i < n; i++ {
-		if i%per == 0 { // the next shard's DER buffer, sized exactly
-			sw.derHint = 0
-			for j := i; j < min(i+per, n); j++ {
-				sw.derHint += len(c.Cert(scanstore.CertID(j)).Cert.Raw)
-			}
-		}
 		cert := c.Cert(scanstore.CertID(i)).Cert
-		if _, _, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
+		if _, err := sw.add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
 			return err
 		}
 	}

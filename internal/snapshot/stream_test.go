@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"securepki/internal/extsort"
+	"securepki/internal/obs"
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
 )
@@ -298,6 +300,17 @@ func TestStreamWriterCerts(t *testing.T) {
 		if want := []int{7, 7, 7, 7, 7, 5}; !slices.Equal(sizes, want) {
 			t.Fatalf("%s: shard sizes %v, want %v", tc.name, sizes, want)
 		}
+		// The writer references the DERs it is handed; what it retained is
+		// byte for byte the uncompressed certificate payload the snapshot
+		// holds.
+		var kept bytes.Buffer
+		if err := sw.kept.VerifyCopy(&kept); err != nil {
+			t.Fatal(err)
+		}
+		if want := certPayload(t, encodeV3(t, c, Options{CertsPerShard: 7})); !bytes.Equal(kept.Bytes(), want) {
+			t.Fatalf("%s: retained shards (%d bytes) differ from the snapshot's certificate shards (%d bytes)",
+				tc.name, kept.Len(), len(want))
+		}
 	}
 
 	sw, err := NewStreamWriter(Options{}, StreamWriterConfig{SpillDir: t.TempDir()})
@@ -310,6 +323,112 @@ func TestStreamWriterCerts(t *testing.T) {
 	}
 	if err := sw.Certs(func([]*x509lite.Certificate) error { return nil }); err == nil || !strings.Contains(err.Error(), "without KeepDERs") {
 		t.Fatalf("Certs without KeepDERs: err = %v", err)
+	}
+}
+
+// certPayload returns a snapshot's certificate shards, inflated and
+// concatenated.
+func certPayload(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	lay, err := ReadV3Layout(bytes.NewReader(snap), int64(len(snap)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for _, sh := range lay.Shards[:lay.CertShards] {
+		raw, err := sh.Inflate(snap[sh.Off : sh.Off+int64(sh.CompLen)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, raw...)
+	}
+	return out
+}
+
+// TestColumnSpillFollowsBudget: an observation column stays in memory up to
+// its share of the columns' eighth of the budget, so a 100k-sighting scan
+// written at the default budget spills nothing (a fixed 256 KiB cap once
+// sent its IP column to disk), while at 64 KiB the columns, and more, spill
+// and snapshot.encode.spilled_bytes reports it.
+func TestColumnSpillFollowsBudget(t *testing.T) {
+	c := testCorpus(t, 50, 1, 100000)
+	spilled := func(budget int64) int64 {
+		reg := obs.NewRegistry()
+		var buf bytes.Buffer
+		opt := Options{Workers: 2, ASOf: testASOf, Obs: reg}
+		if err := StreamCorpus(&buf, c, opt, StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: budget}); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("snapshot.encode.spilled_bytes").Value()
+	}
+	if n := spilled(0); n != 0 {
+		t.Errorf("default budget: %d bytes spilled, want 0", n)
+	}
+	if n := spilled(64 << 10); n <= 0 {
+		t.Errorf("64 KiB budget: %d bytes spilled, want some", n)
+	}
+}
+
+// TestColumnsStayInTheirEighth: at a small budget the observation columns
+// of the open scan shard and of the scan shards in flight hold at most an
+// eighth of the budget in memory. Each column of the open shard spills past
+// its share, at most Workers shards are in flight beside it, and the shares
+// of all those shards' columns add up to no more than the eighth.
+func TestColumnsStayInTheirEighth(t *testing.T) {
+	const budget = 256 << 10
+	c := testCorpus(t, 50, 12, 3000)
+	for _, workers := range []int{1, 3} {
+		opt := Options{Workers: workers, ScansPerShard: 2, ASOf: testASOf}
+		sw, err := NewStreamWriter(opt, StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all := int64(2*opt.ScansPerShard*(1+workers)) * sw.colCap; all > budget/8 {
+			t.Fatalf("workers=%d: columns may hold %d bytes, over the eighth %d", workers, all, budget/8)
+		}
+		for i := 0; i < c.NumCerts(); i++ {
+			cert := c.Cert(scanstore.CertID(i)).Cert
+			if _, _, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spills := 0
+		check := func() {
+			if len(sw.inflight) > workers {
+				t.Fatalf("workers=%d: %d shards in flight", workers, len(sw.inflight))
+			}
+			for _, cols := range sw.cols[sw.scansDone:] {
+				for _, col := range []*extsort.SpillFile{cols.cert, cols.ip} {
+					if col.OnDisk() {
+						spills++
+					} else if col.Len() > sw.colCap {
+						t.Fatalf("workers=%d: a column holds %d bytes in memory, share %d", workers, col.Len(), sw.colCap)
+					}
+				}
+			}
+		}
+		for s := 0; s < c.NumScans(); s++ {
+			scan := c.Scan(scanstore.ScanID(s))
+			if err := sw.BeginScan(scan.Operator, scan.Time); err != nil {
+				t.Fatal(err)
+			}
+			for i, o := range scan.Obs {
+				if err := sw.AddObs(o.Cert, o.IP); err != nil {
+					t.Fatal(err)
+				}
+				if i%256 == 0 {
+					check()
+				}
+			}
+			check()
+		}
+		if err := sw.Finish(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		sw.Close()
+		if spills == 0 {
+			t.Fatalf("workers=%d: no column spilled; the test corpus is too small for its budget", workers)
+		}
 	}
 }
 
