@@ -37,7 +37,7 @@ check: vet lint race
 # are regenerated deterministically from the certmutate operator battery, so
 # this target also proves every mutation class still seeds.
 fuzz-seeds:
-	$(GO) test -run=Fuzz ./internal/snapshot ./internal/x509lite
+	$(GO) test -run=Fuzz ./internal/snapshot ./internal/querystore ./internal/x509lite
 
 # One iteration of each snapshot, query, lint, worker-pool, external-sort,
 # certificate-construction and sighting-index benchmark, and, over one

@@ -218,7 +218,11 @@ func runFromSnapshot(cfg core.Config, path string) (*core.Pipeline, error) {
 		return nil, err
 	}
 	defer f.Close()
-	if err := p.LoadSnapshot(f); err != nil {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.LoadSnapshot(f, fi.Size()); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {

@@ -90,7 +90,7 @@ func lintCorpus(tb testing.TB, c *scanstore.Corpus, path string) []certlint.Cert
 		ctx.KeyCount[rec.Cert.PublicKeyFingerprint()]++
 	}
 	results := certlint.Default().RunCorpus(certs, ctx, certlint.Options{Workers: 2})
-	if err := snapshot.WriteLintColumnFile(path, results, certlint.Default().Infos()); err != nil {
+	if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return snapshot.WriteLintColumn(w, results, certlint.Default().Infos()) }); err != nil {
 		tb.Fatal(err)
 	}
 	return results

@@ -16,7 +16,7 @@ import (
 // snapshot written without a network view (certscan's) gains one. Without
 // prefix2as it fails before touching anything: a rewrite with no network
 // view would only empty the AS index. Round-tripping through the full
-// decode means the output inherits every integrity check the streaming
+// decode means the output inherits every integrity check the whole-corpus
 // reader applies, and the rewrite is byte-deterministic at any worker
 // count. The output is replaced only once fully written, so in == out is
 // safe.
@@ -32,7 +32,12 @@ func upgradeSnapshot(in, out string, workers int, prefix2as, asinfo, metricsOut 
 	if err != nil {
 		return err
 	}
-	c, err := snapshot.Read(f, snapshot.Options{Workers: workers, Obs: reg})
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	c, err := snapshot.Read(f, fi.Size(), snapshot.Options{Workers: workers, Obs: reg})
 	f.Close()
 	if err != nil {
 		return fmt.Errorf("reading %s: %w", in, err)

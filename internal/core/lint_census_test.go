@@ -45,7 +45,7 @@ func TestSharedKeysCensusBothPaths(t *testing.T) {
 	if !maps.Equal(resident, want) {
 		t.Errorf("resident census: %d keys, want the %d shared of %d", len(resident), len(want), len(full))
 	}
-	sw, err := snapshot.NewStreamWriter(snapshot.Options{}, snapshot.StreamWriterConfig{SpillDir: t.TempDir(), KeepDERs: true})
+	sw, err := snapshot.NewStreamWriter(snapshot.Options{}, snapshot.StreamWriterConfig{SpillDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

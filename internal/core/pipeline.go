@@ -221,11 +221,12 @@ func (p *Pipeline) WriteSnapshotV3(w io.Writer) error {
 }
 
 // LoadSnapshot replaces the pipeline's scan stage with a corpus read from a
-// snapshot, decoding across Config.Workers. Ground truth is not persisted,
-// so p.Truth stays nil and truth-based evaluations degrade to zeros;
-// everything downstream of the corpus (Validate, Link, Track) runs as usual.
-func (p *Pipeline) LoadSnapshot(r io.Reader) error {
-	c, err := snapshot.Read(r, snapshot.Options{Workers: p.Config.Workers, Obs: p.Config.Obs})
+// snapshot of size bytes, decoding across Config.Workers. Ground truth is
+// not persisted, so p.Truth stays nil and truth-based evaluations degrade
+// to zeros; everything downstream of the corpus (Validate, Link, Track)
+// runs as usual.
+func (p *Pipeline) LoadSnapshot(ra io.ReaderAt, size int64) error {
+	c, err := snapshot.Read(ra, size, snapshot.Options{Workers: p.Config.Workers, Obs: p.Config.Obs})
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}

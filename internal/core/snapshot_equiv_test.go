@@ -45,7 +45,7 @@ func TestSnapshotLoadEquivalence(t *testing.T) {
 			if err := p.Generate(); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.LoadSnapshot(bytes.NewReader(tc.data)); err != nil {
+			if err := p.LoadSnapshot(bytes.NewReader(tc.data), int64(len(tc.data))); err != nil {
 				t.Fatal(err)
 			}
 			if p.Truth != nil {

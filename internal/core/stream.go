@@ -32,14 +32,15 @@ type StreamConfig struct {
 	// per shard in flight, and the certificate bytes of the spilled chunk
 	// sections whose DERs the pending and in-flight certificate shards
 	// reference (a section's observations are read apart from them, so
-	// they are not kept). The chunk store closes once
-	// replay drains it, and the writer keeps an eighth of the budget (its
-	// retained certificate shards) past Finish; lint takes the rest: half
-	// for its sorted finding runs, an eighth for each lint-column array.
-	// Outside the budget during lint stay one certificate shard's layout
-	// (2048 certificates by default) and its parsed certificates, the
-	// shared-key census, the fingerprint and SPKI per certificate, and the
-	// run merge's 4 KiB read buffer per spilled run.
+	// they are not kept); one eighth of the writer's budget is unused. The
+	// chunk store closes once replay drains it, and the writer keeps an
+	// eighth of the budget (its certificate payload, which lint reads back)
+	// past Finish; lint takes the rest: half for its sorted finding runs,
+	// an eighth for each lint-column array. Outside the budget during lint
+	// stay one certificate shard, compressed and inflated (2048
+	// certificates by default), and its parsed certificates, the shared-key
+	// census, the fingerprint and SPKI per certificate, and the run merge's
+	// 4 KiB read buffer per spilled run.
 	MemBudget int64
 	// SpillDir hosts every spill file ("" means the OS temp dir).
 	SpillDir string
@@ -138,7 +139,6 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	sw, err := snapshot.NewStreamWriter(opt, snapshot.StreamWriterConfig{
 		SpillDir:  cfg.Stream.SpillDir,
 		MemBudget: cfg.Stream.MemBudget,
-		KeepDERs:  lintW != nil,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: stream snapshot: %w", err)
@@ -214,13 +214,14 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	return stats, nil
 }
 
-// streamLint lints the writer's retained certificate shards and emits the
-// sidecar column, byte-identical to Pipeline.Lint + WriteLintColumn: both
-// run lintCorpus and one column encoder. Here the findings do not stay
+// streamLint lints the certificates of the snapshot the writer just
+// finished, read back from its certificate payload, and emits the sidecar
+// column, byte-identical to Pipeline.Lint + WriteLintColumn: both run
+// lintCorpus and one column encoder. Here the findings do not stay
 // resident: each shard's findings fill a snapshot.LintRuns with half of the
 // memory budget, which spills sorted runs and merges them by fingerprint
 // into a snapshot.LintColumnWriter holding three eighths; the writer's
-// retained shards hold the last eighth.
+// certificate payload holds the last eighth.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	budget := cfg.Stream.MemBudget
 	if budget <= 0 {
@@ -233,7 +234,7 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	defer lw.Close()
 	runs := snapshot.NewLintRuns(lw, cfg.Stream.SpillDir, budget/2)
 	defer runs.Close()
-	// The writer parses one retained certificate shard at a time; every
+	// The writer parses one certificate shard at a time; every
 	// certificate it parses counts on core.lint.x509.parse.
 	parsed := cfg.Obs.Counter("core.lint.x509.parse")
 	err = lintCorpus(cfg, sw.NumCerts(),

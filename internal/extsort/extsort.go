@@ -3,8 +3,7 @@
 // spill each sorted buffer as one run when the budget is hit, and k-way
 // merge every run back into one ordered stream. Runs are SpillFiles: the
 // memory-first, checksummed append-only files that are the streamed build's
-// only spill file, carrying scan chunks, byte payloads and retained
-// certificate shards as well. A SpillFile reader holds no buffer, so each
+// only spill file, carrying scan chunks and byte payloads as well. A SpillFile reader holds no buffer, so each
 // caller sizes its own: Merge reads every run through 4 KiB, which is all a
 // spilled run costs outside the memory budget. The k-way merge itself
 // (Merge) is generic, so sorters of other records share it.

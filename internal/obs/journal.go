@@ -40,9 +40,7 @@ type Journal struct {
 	w    io.Writer
 	err  error
 	seq  uint64
-	tail []Event
-	head int
-	n    int
+	tail ring[Event]
 }
 
 // NewJournal returns a journal writing one JSON object per line to w (nil
@@ -52,7 +50,7 @@ func NewJournal(w io.Writer, now func() time.Time, tailCap int) *Journal {
 	if tailCap <= 0 {
 		tailCap = DefaultJournalTail
 	}
-	return &Journal{w: w, now: now, tail: make([]Event, tailCap)}
+	return &Journal{w: w, now: now, tail: newRing[Event](tailCap)}
 }
 
 // Emit appends one event. kv lists attributes as alternating key, value
@@ -77,11 +75,7 @@ func (j *Journal) Emit(typ string, kv ...string) {
 		Type:  typ,
 		Attrs: attrs,
 	}
-	j.tail[j.head] = ev
-	j.head = (j.head + 1) % len(j.tail)
-	if j.n < len(j.tail) {
-		j.n++
-	}
+	j.tail.push(ev)
 	if j.w == nil {
 		return
 	}
@@ -102,11 +96,7 @@ func (j *Journal) Tail() []Event {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, 0, j.n)
-	for i := 0; i < j.n; i++ {
-		out = append(out, j.tail[(j.head-j.n+i+len(j.tail))%len(j.tail)])
-	}
-	return out
+	return j.tail.all()
 }
 
 // Seq reports how many events have been emitted.

@@ -58,9 +58,7 @@ type Sampler struct {
 type sampleRing struct {
 	typ      string
 	volatile bool
-	head     int // next write slot
-	n        int // valid samples (≤ cap)
-	samples  []samplePoint
+	samples  ring[samplePoint]
 }
 
 // samplePoint is one observation of one metric at one tick.
@@ -102,7 +100,7 @@ func (s *Sampler) Tick() {
 	for _, m := range snap.Metrics {
 		r := s.series[m.Name]
 		if r == nil {
-			r = &sampleRing{typ: m.Type, volatile: m.Volatile, samples: make([]samplePoint, s.cfg.Capacity)}
+			r = &sampleRing{typ: m.Type, volatile: m.Volatile, samples: newRing[samplePoint](s.cfg.Capacity)}
 			s.series[m.Name] = r
 		}
 		p := samplePoint{tick: s.ticks, unixMS: now.UnixMilli()}
@@ -116,11 +114,7 @@ func (s *Sampler) Tick() {
 			p.p90, _ = m.Quantile(0.90)
 			p.p99, _ = m.Quantile(0.99)
 		}
-		r.samples[r.head] = p
-		r.head = (r.head + 1) % len(r.samples)
-		if r.n < len(r.samples) {
-			r.n++
-		}
+		r.samples.push(p)
 	}
 }
 
@@ -203,9 +197,9 @@ func (s *Sampler) document(stableOnly bool) SamplesDoc {
 		if stableOnly && r.volatile {
 			continue
 		}
-		se := Series{Name: name, Type: r.typ, Volatile: r.volatile, Samples: make([]SamplePoint, 0, r.n)}
-		for i := 0; i < r.n; i++ {
-			p := r.samples[(r.head-r.n+i+len(r.samples))%len(r.samples)]
+		points := r.samples.all()
+		se := Series{Name: name, Type: r.typ, Volatile: r.volatile, Samples: make([]SamplePoint, 0, len(points))}
+		for _, p := range points {
 			sp := SamplePoint{Tick: p.tick, UnixMS: p.unixMS}
 			switch r.typ {
 			case "counter", "gauge":

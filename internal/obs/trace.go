@@ -22,9 +22,7 @@ type Tracer struct {
 	mu   sync.Mutex
 	w    io.Writer
 	err  error
-	tail []SpanRecord // bounded ring of completed spans (KeepTail)
-	head int
-	n    int
+	tail ring[SpanRecord] // completed spans (KeepTail)
 }
 
 // SpanRecord is one completed span retained for /statusz: the per-stage
@@ -44,12 +42,7 @@ func (t *Tracer) KeepTail(n int) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n <= 0 {
-		t.tail, t.head, t.n = nil, 0, 0
-		return
-	}
-	t.tail = make([]SpanRecord, n)
-	t.head, t.n = 0, 0
+	t.tail = newRing[SpanRecord](max(n, 0))
 }
 
 // Tail returns the retained completed spans, oldest first.
@@ -59,11 +52,7 @@ func (t *Tracer) Tail() []SpanRecord {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.tail[(t.head-t.n+i+len(t.tail))%len(t.tail)])
-	}
-	return out
+	return t.tail.all()
 }
 
 // NewTracer returns a tracer writing one JSON object per line to w, with
@@ -147,13 +136,7 @@ func (s *Span) End() time.Duration {
 	t := s.tracer
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.tail != nil {
-		t.tail[t.head] = SpanRecord{Name: s.Name, Start: s.Timer.StartedAt(), Dur: d, Attrs: s.attrs}
-		t.head = (t.head + 1) % len(t.tail)
-		if t.n < len(t.tail) {
-			t.n++
-		}
-	}
+	t.tail.push(SpanRecord{Name: s.Name, Start: s.Timer.StartedAt(), Dur: d, Attrs: s.attrs})
 	if t.w == nil {
 		return d
 	}

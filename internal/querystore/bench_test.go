@@ -143,7 +143,7 @@ func BenchmarkQueryLookup(b *testing.B) {
 		// shard, parse every certificate, then one map lookup.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c, err := snapshot.Read(bytes.NewReader(raw), snapshot.Options{})
+			c, err := snapshot.Read(bytes.NewReader(raw), int64(len(raw)), snapshot.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

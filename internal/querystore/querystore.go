@@ -7,17 +7,21 @@
 // certificate bodies, one shard inflation that a small hot-shard cache
 // amortises across clustered queries.
 //
-// Zero-copy rules: index sections are served directly from the mapped file
-// (or from buffers read once at open, on the io.ReaderAt fallback); they are
-// never written to. Certificate DER always comes out of a decompressed heap
-// buffer, never aliases the mapping, so parsed certificates stay valid after
-// Close. Every section is checksum-verified and structurally validated at
-// open — sortedness, contiguous posting groups, in-bounds offsets — so the
-// lookup hot path indexes without rechecking; shard payloads are verified
-// against their table checksums lazily, on first inflation. As for
-// snapshot.Read, the checksums catch corruption, not tampering: an attacker
-// who can rewrite the file can rewrite the digests to match (set
-// Options.VerifyDigests when the file is untrusted).
+// Both readers judge a file by the same rules: open frames it with
+// snapshot.ReadV3Layout, the judge snapshot.Read runs on too (magic, header
+// checksum, caps, exact size, zero padding), so whatever Read accepts opens
+// here. Zero-copy rules: index sections are served directly from the mapped
+// file (or from buffers read once at open, on the io.ReaderAt fallback);
+// they are never written to. Certificate DER always comes out of a
+// decompressed heap buffer, never aliases the mapping, so parsed
+// certificates stay valid after Close. Every section is checksum-verified
+// and structurally validated at open — sortedness, contiguous posting
+// groups, in-bounds offsets — so the lookup hot path indexes without
+// rechecking; shard payloads go through V3Shard.Inflate, Read's shard check,
+// lazily, on first inflation. As for snapshot.Read, the checksums catch
+// corruption, not tampering: an attacker who can rewrite the file can
+// rewrite the digests to match (set Options.VerifyDigests when the file is
+// untrusted).
 //
 // The store is safe for concurrent readers; lookups scale across cores
 // because the hot path takes no locks (the cache is copy-on-write).
@@ -74,44 +78,29 @@ type mapping interface {
 // platforms without it, which routes every open through the fallback.
 var mmapOpen func(f *os.File, size int64) (mapping, error)
 
-// fileMapping is the io.ReaderAt fallback over an open file.
-type fileMapping struct{ f *os.File }
-
-func (m *fileMapping) ReadAt(p []byte, off int64) (int, error) { return m.f.ReadAt(p, off) }
-
-func (m *fileMapping) Bytes(off, n int64) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	buf := make([]byte, n)
-	if _, err := m.f.ReadAt(buf, off); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func (m *fileMapping) Close() error { return m.f.Close() }
-
-// readerAtMapping adapts any io.ReaderAt (OpenReaderAt's seam).
+// readerAtMapping is the io.ReaderAt fallback: an open file where mmap is
+// unavailable or disabled (closer is the file), or OpenReaderAt's source
+// (closer nil, as the caller keeps it). Bytes reads into a fresh buffer, and
+// a range past the end fails in ReadAt.
 type readerAtMapping struct {
-	ra   io.ReaderAt
-	size int64
+	io.ReaderAt
+	closer io.Closer
 }
-
-func (m *readerAtMapping) ReadAt(p []byte, off int64) (int, error) { return m.ra.ReadAt(p, off) }
 
 func (m *readerAtMapping) Bytes(off, n int64) ([]byte, error) {
-	if n == 0 {
-		return nil, nil
-	}
 	buf := make([]byte, n)
-	if _, err := m.ra.ReadAt(buf, off); err != nil {
+	if k, err := m.ReadAt(buf, off); k < len(buf) {
 		return nil, err
 	}
 	return buf, nil
 }
 
-func (m *readerAtMapping) Close() error { return nil }
+func (m *readerAtMapping) Close() error {
+	if m.closer == nil {
+		return nil
+	}
+	return m.closer.Close()
+}
 
 // Store answers point lookups over one open v3 snapshot. Safe for
 // concurrent use after Open returns.
@@ -164,7 +153,7 @@ func Open(path string, opt Options) (*Store, error) {
 		}
 	}
 	if src == nil {
-		src = &fileMapping{f: f}
+		src = &readerAtMapping{ReaderAt: f, closer: f}
 	}
 	st, err := open(src, size, opt)
 	if err != nil {
@@ -177,11 +166,7 @@ func Open(path string, opt Options) (*Store, error) {
 // OpenReaderAt opens a store over any random-access source — the fallback
 // path made explicit, used by tests and in-memory tooling.
 func OpenReaderAt(ra io.ReaderAt, size int64, opt Options) (*Store, error) {
-	st, err := open(&readerAtMapping{ra: ra, size: size}, size, opt)
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
+	return open(&readerAtMapping{ReaderAt: ra}, size, opt)
 }
 
 func open(src mapping, size int64, opt Options) (*Store, error) {

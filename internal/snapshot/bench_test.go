@@ -78,7 +78,7 @@ func BenchmarkSnapshotRead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c, err := Read(bytes.NewReader(data), Options{Workers: workers})
+				c, err := Read(bytes.NewReader(data), int64(len(data)), Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -72,7 +72,7 @@ func patchV3Section(tb testing.TB, snap []byte, sec int, modify func(keys, post 
 func checkReadRejects(t *testing.T, input []byte, wantSub string) {
 	t.Helper()
 	for _, workers := range []int{1, 4} {
-		_, err := Read(bytes.NewReader(input), Options{Workers: workers})
+		_, err := Read(bytes.NewReader(input), int64(len(input)), Options{Workers: workers})
 		if err == nil {
 			t.Fatalf("corrupt input accepted (workers=%d)", workers)
 		}
@@ -87,7 +87,7 @@ func checkReadRejects(t *testing.T, input []byte, wantSub string) {
 // allocation, never a silently wrong corpus. Files of the retired formats (a
 // v2 magic, v1's gzip stream) are bad magic like any other. Shard payloads
 // are checked by the random-access path only when it inflates them, so
-// these cases hold the streaming reader alone.
+// these cases hold the whole-corpus reader alone.
 func TestReadCorrupt(t *testing.T) {
 	snap := validV3(t)
 	lay, err := ReadV3Layout(bytes.NewReader(snap), int64(len(snap)))
@@ -198,9 +198,9 @@ func TestReadCorrupt(t *testing.T) {
 
 // Every corrupted index input must produce an explicit error — no panic, no
 // out-of-bounds section read, never a silently wrong corpus. The same bytes
-// are pushed through both the streaming reader (Read) and the random-access
-// layout parser (ReadV3Layout + ValidateSection) that internal/querystore
-// uses, since a hostile file reaches both.
+// are pushed through both the whole-corpus reader (Read) and the
+// random-access layout parser (ReadV3Layout + ValidateSection) that
+// internal/querystore uses, since a hostile file reaches both.
 func TestReadCorruptV3(t *testing.T) {
 	snap := validV3(t)
 	lay, err := ReadV3Layout(bytes.NewReader(snap), int64(len(snap)))
@@ -318,13 +318,9 @@ func TestReadCorruptV3(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkReadRejects(t, tc.input, tc.wantSub)
-			// The random-access path must reject the same bytes at open —
-			// except padding corruption, which lives outside the sections
-			// and is harmless to (because never read by) that path.
-			if tc.name != "non-zero padding" {
-				if err := validateV3Random(tc.input); err == nil {
-					t.Fatal("corrupt input accepted by random-access validation")
-				}
+			// The random-access path must reject the same bytes at open.
+			if err := validateV3Random(tc.input); err == nil {
+				t.Fatal("corrupt input accepted by random-access validation")
 			}
 		})
 	}
@@ -351,7 +347,7 @@ func validateV3Random(snap []byte) error {
 }
 
 // A structurally valid file whose indexes lie about the payloads must be
-// rejected by the streaming reader's rebuild-compare — the corruption class
+// rejected by the whole-corpus reader's rebuild-compare — the corruption class
 // checksums cannot catch because the forger recomputed them.
 func TestReadV3IndexDisagreesWithPayloads(t *testing.T) {
 	snap := validV3(t)
@@ -364,7 +360,7 @@ func TestReadV3IndexDisagreesWithPayloads(t *testing.T) {
 	if err := validateV3Random(forged); err != nil {
 		t.Fatalf("forged section should pass structural validation, got: %v", err)
 	}
-	_, err := Read(bytes.NewReader(forged), Options{})
+	_, err := Read(bytes.NewReader(forged), int64(len(forged)), Options{})
 	if err == nil {
 		t.Fatal("index/payload disagreement accepted")
 	}

@@ -1,9 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
-	"compress/gzip"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,10 +19,11 @@ const tableEntry = 4*8 + 32
 // compresses a few-fold, so percent buckets run 1x..50x.
 var inflateRatioBounds = []int64{100, 150, 200, 300, 500, 1000, 2000, 5000}
 
-// decodeShards fans the decompression and column decode of every shard out
-// over the worker pool: checksum, inflate, split columns, and for
-// certificate shards re-parse every DER inside the worker.
-func decodeShards(lay *V3Layout, comps [][]byte, opt Options) ([][]*x509lite.Certificate, [][]decodedScan, error) {
+// decodeShards fans the read, check, decompression and column decode of
+// every shard out over the worker pool: each worker reads its shard's
+// payload, puts it through V3Shard.Inflate, splits the columns and, for
+// certificate shards, re-parses every DER.
+func decodeShards(ra io.ReaderAt, lay *V3Layout, opt Options) ([][]*x509lite.Certificate, [][]decodedScan, error) {
 	nShards := len(lay.Shards)
 	certShards := int(lay.CertShards)
 	certParts := make([][]*x509lite.Certificate, certShards)
@@ -33,21 +31,22 @@ func decodeShards(lay *V3Layout, comps [][]byte, opt Options) ([][]*x509lite.Cer
 	errs := make([]error, nShards)
 	forEachShard(opt.Workers, nShards, func(i int) {
 		sh := lay.Shards[i]
-		if sum := sha256.Sum256(comps[i]); sum != sh.Sum {
-			errs[i] = fmt.Errorf("snapshot: shard %d checksum mismatch", i)
+		comp, err := readAt(ra, sh.Off, int64(sh.CompLen))
+		if err != nil {
+			errs[i] = fmt.Errorf("snapshot: shard %d payload: %w", i, err)
 			return
 		}
-		raw, err := gunzipShard(comps[i], sh.RawLen)
+		raw, err := sh.Inflate(comp)
 		if err != nil {
 			errs[i] = fmt.Errorf("snapshot: shard %d: %w", i, err)
 			return
 		}
 		// Byte counts and ratios are pure functions of the file bytes.
 		opt.Obs.Counter("snapshot.decode.raw_bytes").Add(int64(len(raw)))
-		opt.Obs.Counter("snapshot.decode.comp_bytes").Add(int64(len(comps[i])))
-		if len(comps[i]) > 0 {
+		opt.Obs.Counter("snapshot.decode.comp_bytes").Add(int64(len(comp)))
+		if len(comp) > 0 {
 			opt.Obs.Histogram("snapshot.decode.inflate_ratio_pct", inflateRatioBounds).
-				Observe(int64(len(raw)) * 100 / int64(len(comps[i])))
+				Observe(int64(len(raw)) * 100 / int64(len(comp)))
 		}
 		if i < certShards {
 			certs, err := decodeCertShard(raw, int(sh.Count), opt.VerifyDigests, 1)
@@ -125,53 +124,6 @@ func checkTiling(shards []V3Shard, total uint64, kind string) error {
 		return fmt.Errorf("snapshot: %s shards cover %d of %d", kind, next, total)
 	}
 	return nil
-}
-
-// readPayload reads exactly n bytes, growing the buffer as data arrives so a
-// hostile length field cannot force a huge up-front allocation.
-func readPayload(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	if n <= chunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("truncated: %w", err)
-		}
-		return buf, nil
-	}
-	buf := make([]byte, 0, chunk)
-	for uint64(len(buf)) < n {
-		take := n - uint64(len(buf))
-		if take > chunk {
-			take = chunk
-		}
-		lo := len(buf)
-		buf = append(buf, make([]byte, take)...)
-		if _, err := io.ReadFull(r, buf[lo:]); err != nil {
-			return nil, fmt.Errorf("truncated: %w", err)
-		}
-	}
-	return buf, nil
-}
-
-// gunzipShard inflates a shard payload, insisting on the exact advertised
-// length: shorter is truncation, longer is a lying header (or a bomb).
-func gunzipShard(comp []byte, rawLen uint64) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		return nil, fmt.Errorf("gzip: %w", err)
-	}
-	raw := make([]byte, rawLen)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("gzip payload shorter than advertised: %w", err)
-	}
-	var extra [1]byte
-	if n, _ := zr.Read(extra[:]); n != 0 {
-		return nil, fmt.Errorf("gzip payload longer than advertised")
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("gzip close: %w", err)
-	}
-	return raw, nil
 }
 
 // decodeCertShard splits the three certificate columns and parses every

@@ -1,9 +1,7 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math"
@@ -12,106 +10,41 @@ import (
 	"securepki/internal/scanstore"
 )
 
-// Read loads a complete corpus from a snapshot stream. All input is treated
-// as hostile — truncation, corruption and absurd length fields yield
-// explicit errors, never panics or unbounded allocation, and anything but
-// the v3 magic is a "bad magic" error. The shard payloads are checksummed
-// and decoded across opt.Workers; the appended index sections are then held
-// to a stricter standard than structural validity: the loader rebuilds the
+// Read loads a complete corpus from a snapshot of size bytes. All input is
+// treated as hostile: ReadV3Layout judges the framing (magic, header
+// checksum, caps, exact size, zero padding), so anything but the v3 magic is
+// a "bad magic" error and no read below can allocate past the file's checked
+// size. The shard payloads are read, checked through V3Shard.Inflate and
+// decoded across opt.Workers; the appended index sections are then held to a
+// stricter standard than structural validity: the loader rebuilds the
 // deterministic sections (fingerprint, SPKI, IP, scan metadata) from the
 // decoded corpus and demands byte equality, so a file whose indexes
 // disagree with its own payloads is rejected outright. The AS section
 // cannot be rebuilt (the writer's network view is not in the file), so it
 // gets the full structural validation instead.
-func Read(r io.Reader, opt Options) (*scanstore.Corpus, error) {
+func Read(ra io.ReaderAt, size int64, opt Options) (*scanstore.Corpus, error) {
 	opt = opt.withDefaults()
-	r = bufio.NewReaderSize(r, 1<<16)
-	// The magic is judged on its own so a wrong-format file is reported as
-	// such rather than as a truncated header.
-	fixed := make([]byte, headerFixedV3)
-	if _, err := io.ReadFull(r, fixed[:8]); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated header: %w", err)
-	}
-	if string(fixed[:8]) != MagicV3 {
-		return nil, fmt.Errorf("snapshot: bad magic %q", fixed[:8])
-	}
-	if _, err := io.ReadFull(r, fixed[8:]); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated header: %w", err)
-	}
-	lay, nShards, err := parseV3Fixed(fixed)
+	lay, err := ReadV3Layout(ra, size)
 	if err != nil {
 		return nil, err
 	}
-
-	table := make([]byte, nShards*tableEntry)
-	if _, err := io.ReadFull(r, table); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated shard table: %w", err)
-	}
-	itable := make([]byte, V3SectionCount*idxTableEntry)
-	if _, err := io.ReadFull(r, itable); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated index table: %w", err)
-	}
-	var wantHeadSum [32]byte
-	if _, err := io.ReadFull(r, wantHeadSum[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: truncated header checksum: %w", err)
-	}
-	h := sha256.New()
-	h.Write(fixed)
-	h.Write(table)
-	h.Write(itable)
-	if !bytes.Equal(h.Sum(nil), wantHeadSum[:]) {
-		return nil, fmt.Errorf("snapshot: header checksum mismatch")
-	}
-	if err := parseV3Tables(lay, table, itable); err != nil {
-		return nil, err
-	}
-
-	// Pull every compressed payload off the stream serially (it is one
-	// reader), growing buffers only as bytes actually arrive.
-	comps := make([][]byte, len(lay.Shards))
-	off := int64(headerFixedV3) + int64(len(table)) + int64(len(itable)) + 32
-	for i, sh := range lay.Shards {
-		comp, err := readPayload(r, sh.CompLen)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: shard %d payload: %w", i, err)
-		}
-		comps[i] = comp
-		off += int64(sh.CompLen)
-	}
-	certParts, scanParts, err := decodeShards(lay, comps, opt)
+	certParts, scanParts, err := decodeShards(ra, lay, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Index sections, with the alignment padding verified to be zeros.
-	if err := readPadZeros(r, pad8(off)); err != nil {
-		return nil, err
-	}
-	off += pad8(off)
 	var indexBytes int64
 	sections := make([][2][]byte, V3SectionCount)
-	for i := range lay.Sections {
-		sec := lay.Sections[i]
-		keys, err := readPayload(r, uint64(sec.KeysLen()))
+	for i, sec := range lay.Sections {
+		keys, err := readAt(ra, sec.KeysOff, sec.KeysLen())
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: index section %d keys: %w", i, err)
 		}
-		post, err := readPayload(r, sec.PostLen)
+		post, err := readAt(ra, sec.PostOff, int64(sec.PostLen))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: index section %d postings: %w", i, err)
 		}
-		off += sec.KeysLen() + int64(sec.PostLen)
-		if err := readPadZeros(r, pad8(off)); err != nil {
-			return nil, err
-		}
-		off += pad8(off)
 		sections[i] = [2][]byte{keys, post}
 		indexBytes += int64(len(keys)) + int64(len(post))
-	}
-	// Trailing garbage is corruption, not padding.
-	var trail [1]byte
-	if n, _ := r.Read(trail[:]); n != 0 {
-		return nil, fmt.Errorf("snapshot: trailing bytes after last index section")
 	}
 	// Structural validation of the file's sections and the rebuild from the
 	// decoded corpus (below) are independent, so with workers to spare they
@@ -147,29 +80,11 @@ func Read(r io.Reader, opt Options) (*scanstore.Corpus, error) {
 
 	opt.Obs.Counter("snapshot.decode.v3").Inc()
 	opt.Obs.Counter("snapshot.decode.index_bytes").Add(indexBytes)
-	opt.Obs.Counter("snapshot.decode.shards").Add(int64(nShards))
+	opt.Obs.Counter("snapshot.decode.shards").Add(int64(len(lay.Shards)))
 	opt.Obs.Counter("snapshot.decode.certs").Add(int64(lay.CertCount))
 	opt.Obs.Counter("snapshot.decode.scans").Add(int64(lay.ScanCount))
 	opt.Obs.Counter("snapshot.decode.observations").Add(int64(lay.ObsCount))
 	return c, nil
-}
-
-// readPadZeros consumes n alignment bytes and rejects any non-zero filler —
-// padding is not a place to smuggle bytes past the checksums.
-func readPadZeros(r io.Reader, n int64) error {
-	if n == 0 {
-		return nil
-	}
-	var pad [8]byte
-	if _, err := io.ReadFull(r, pad[:n]); err != nil {
-		return fmt.Errorf("snapshot: truncated padding: %w", err)
-	}
-	for _, b := range pad[:n] {
-		if b != 0 {
-			return fmt.Errorf("snapshot: non-zero padding byte")
-		}
-	}
-	return nil
 }
 
 // checkRebuiltSections feeds the decoded corpus, placed in the file's own

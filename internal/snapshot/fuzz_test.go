@@ -99,7 +99,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		c, err := Read(bytes.NewReader(data), Options{Workers: 2})
+		c, err := Read(bytes.NewReader(data), int64(len(data)), Options{Workers: 2})
 		if err != nil {
 			return
 		}
@@ -108,7 +108,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		if err := WriteV3(&buf, c, Options{Workers: 2}); err != nil {
 			t.Fatalf("accepted corpus fails to encode: %v", err)
 		}
-		again, err := Read(bytes.NewReader(buf.Bytes()), Options{Workers: 2})
+		again, err := Read(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())), Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("re-encoded corpus fails to load: %v", err)
 		}

@@ -50,7 +50,6 @@ import (
 
 	"securepki/internal/certlint"
 	"securepki/internal/extsort"
-	"securepki/internal/obs"
 	"securepki/internal/x509lite"
 )
 
@@ -307,14 +306,6 @@ func WriteLintColumn(w io.Writer, results []certlint.CertFindings, infos []certl
 		}
 	}
 	return lw.Finish(w)
-}
-
-// WriteLintColumnFile writes the column to path through obs.WriteFileAtomic:
-// on any error, a rejected findings set included, path keeps its old bytes.
-func WriteLintColumnFile(path string, results []certlint.CertFindings, infos []certlint.LinterInfo) error {
-	return obs.WriteFileAtomic(path, func(w io.Writer) error {
-		return WriteLintColumn(w, results, infos)
-	})
 }
 
 // ReadLintColumn parses and fully validates a findings column. Every

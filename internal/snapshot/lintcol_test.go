@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"securepki/internal/certlint"
+	"securepki/internal/obs"
 	"securepki/internal/x509lite"
 )
 
@@ -112,7 +114,7 @@ func TestLintColumnRoundTrip(t *testing.T) {
 func TestLintColumnFileRoundTrip(t *testing.T) {
 	results := testLintResults(9)
 	path := filepath.Join(t.TempDir(), "corpus.lint")
-	if err := WriteLintColumnFile(path, results, testLintInfos()); err != nil {
+	if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, results, testLintInfos()) }); err != nil {
 		t.Fatal(err)
 	}
 	lc, err := ReadLintColumnFile(path)
@@ -129,7 +131,7 @@ func TestLintColumnFileRoundTrip(t *testing.T) {
 func TestLintColumnFileFailureKeepsOld(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "corpus.lint")
-	if err := WriteLintColumnFile(path, testLintResults(9), testLintInfos()); err != nil {
+	if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, testLintResults(9), testLintInfos()) }); err != nil {
 		t.Fatal(err)
 	}
 	want, err := os.ReadFile(path)
@@ -138,7 +140,7 @@ func TestLintColumnFileFailureKeepsOld(t *testing.T) {
 	}
 	unsorted := testLintResults(2)
 	unsorted[0], unsorted[1] = unsorted[1], unsorted[0]
-	if err := WriteLintColumnFile(path, unsorted, testLintInfos()); err == nil || !strings.Contains(err.Error(), "not fingerprint-sorted") {
+	if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, unsorted, testLintInfos()) }); err == nil || !strings.Contains(err.Error(), "not fingerprint-sorted") {
 		t.Fatalf("rewrite with unsorted results: err = %v, want the sort check", err)
 	}
 	got, err := os.ReadFile(path)

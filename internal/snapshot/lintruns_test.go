@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"securepki/internal/certlint"
+	"securepki/internal/obs"
 	"securepki/internal/x509lite"
 )
 
@@ -164,7 +166,7 @@ func TestLintRunsCorruptSpill(t *testing.T) {
 // writer used to emit: a finding whose severity contradicts the lint table
 // (the reader then refused the file) and one whose version does (read back
 // silently as the table's version). Both are rejected before a byte is
-// written, directly, through sorted runs, and through WriteLintColumnFile,
+// written, directly, through sorted runs, and through an atomic file write,
 // which leaves the old column byte-identical.
 func TestLintColumnRejectsTableContradictions(t *testing.T) {
 	for _, tc := range []struct {
@@ -198,15 +200,15 @@ func TestLintColumnRejectsTableContradictions(t *testing.T) {
 			}
 
 			path := filepath.Join(t.TempDir(), "corpus.lint")
-			if err := WriteLintColumnFile(path, testLintResults(9), testLintInfos()); err != nil {
+			if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, testLintResults(9), testLintInfos()) }); err != nil {
 				t.Fatal(err)
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteLintColumnFile(path, results, testLintInfos()); err == nil {
-				t.Fatal("WriteLintColumnFile accepted a contradicting finding")
+			if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, results, testLintInfos()) }); err == nil {
+				t.Fatal("an atomic write of WriteLintColumn accepted a contradicting finding")
 			}
 			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("failed rewrite left %d bytes, was %d (err %v)", len(got), len(want), err)

@@ -16,7 +16,7 @@ func TestCodecMetricsDeterministic(t *testing.T) {
 		reg := obs.NewRegistry()
 		opt := Options{Workers: workers, CertsPerShard: 16, ScansPerShard: 2, VerifyDigests: true, Obs: reg}
 		data := encodeV3(t, c, opt)
-		got, err := Read(bytes.NewReader(data), opt)
+		got, err := Read(bytes.NewReader(data), int64(len(data)), opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -42,7 +42,7 @@ func TestCodecMetricsCounts(t *testing.T) {
 	reg := obs.NewRegistry()
 	opt := Options{CertsPerShard: 16, ScansPerShard: 2, VerifyDigests: true, Obs: reg}
 	data := encodeV3(t, c, opt)
-	if _, err := Read(bytes.NewReader(data), opt); err != nil {
+	if _, err := Read(bytes.NewReader(data), int64(len(data)), opt); err != nil {
 		t.Fatal(err)
 	}
 	for _, what := range []string{"raw_bytes", "comp_bytes", "index_bytes"} {

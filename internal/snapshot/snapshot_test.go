@@ -115,7 +115,8 @@ func TestRoundTripPreEpochTime(t *testing.T) {
 		[]scanstore.Observation{{Cert: 1, IP: 7}}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{ASOf: testASOf})), Options{})
+	raw := encodeV3(t, c, Options{ASOf: testASOf})
+	got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,8 @@ func TestRoundTripPreEpochTime(t *testing.T) {
 // must not redo SHA-256 work (digest column + ParseWithDigest adoption).
 func TestLoadedCertsMemoized(t *testing.T) {
 	c := testCorpus(t, 8, 2, 10)
-	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{})), Options{})
+	raw := encodeV3(t, c, Options{})
+	got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func TestRoundTrip(t *testing.T) {
 		{"verify-digests", Options{Workers: 4, VerifyDigests: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := Read(bytes.NewReader(raw), tc.opt)
+			got, err := Read(bytes.NewReader(raw), int64(len(raw)), tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +197,7 @@ func TestRoundTripEmpty(t *testing.T) {
 	} {
 		raw := encodeV3(t, tc.c, Options{ASOf: testASOf, ScansPerShard: 2})
 		for _, workers := range []int{1, 4} {
-			got, err := Read(bytes.NewReader(raw), Options{Workers: workers})
+			got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s (workers=%d): %v", tc.name, workers, err)
 			}
@@ -221,7 +223,7 @@ func TestRoundTripSparse(t *testing.T) {
 	}
 	raw := encodeV3(t, c, Options{CertsPerShard: 1, ScansPerShard: 1})
 	for _, workers := range []int{1, 4} {
-		got, err := Read(bytes.NewReader(raw), Options{Workers: workers})
+		got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

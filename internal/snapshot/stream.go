@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"securepki/internal/extsort"
@@ -26,16 +27,17 @@ import (
 // Memory stays bounded. A certificate shard is handed to one of up to
 // Options.Workers compressors as its CertsPerShard-th certificate arrives,
 // and a scan shard as its ScansPerShard-th scan ends; compressed shards join
-// the certificate or scan payload in shard order. A certificate shard holds
-// the DERs it was handed, not copies, until it lands. The payloads, the
-// per-scan observation columns, the retained certificate shards and the
-// index section arrays are memory-first spills that move to disk only past
-// their share of the budget, and the IP/AS sightings accumulate in
-// external-merge sorters.
+// the certificate or scan payload in shard order, each written once. A
+// certificate shard holds the DERs it was handed, not copies, until it
+// lands. The payloads, the per-scan observation columns and the index
+// section arrays are memory-first spills that move to disk only past their
+// share of the budget, and the IP/AS sightings accumulate in external-merge
+// sorters.
 // What stays resident is per-certificate constant-size state (fingerprint,
 // SPKI, DER location — the index needs it anyway) and the fingerprint
 // dedup map of Intern's callers. The sections build while the last scan
-// shards compress, and Finish then drops all that only encoding needs.
+// shards compress, and Finish then drops all that only encoding needs but
+// the certificate payload, which Certs reads back for a lint pass.
 //
 // The output is byte-identical at any worker count, memory budget or
 // spill directory: shard boundaries come from the sizing knobs alone, and
@@ -53,8 +55,6 @@ type StreamWriter struct {
 	inflight         []*shardJob // shards compressing, in submission order
 	certPay, scanPay payload
 	certShards       int // certificate shards handed to compressors so far
-
-	kept *extsort.SpillFile // KeepDERs: every certificate shard's layout, for Certs
 
 	cols      []*scanCols // per scan, ScanID order
 	scansDone int         // scans already laid out in scan shards
@@ -76,10 +76,10 @@ type StreamWriterConfig struct {
 	// MemBudget bounds what the writer buffers in memory (<= 0 means
 	// extsort.DefaultMemBudget): the IP and AS sorters take three
 	// sixteenths of it each, all of it for records, since they sort in
-	// place; the certificate and scan payloads, the retained certificate
-	// shards and the observation columns an eighth each, and the ten
-	// section arrays share the last eighth; beyond its share each spills
-	// to disk. The columns' eighth covers the open scan shard and up to
+	// place; the certificate and scan payloads and the observation columns
+	// an eighth each, and the ten section arrays share another eighth, which
+	// leaves the last eighth unused; beyond its share each spills to disk.
+	// The columns' eighth covers the open scan shard and up to
 	// Workers scan shards in flight, 2·ScansPerShard columns each, so a
 	// column holds at most an eighth of the budget over
 	// 2·ScansPerShard·(1+Workers) in memory before it spills. Outside the
@@ -92,37 +92,27 @@ type StreamWriterConfig struct {
 	// shard in flight, the current scan's batched varints and, once its
 	// columns spill, their 64 KiB write buffers, and, while Finish merges
 	// the sorters, a 4 KiB read buffer per spilled run. Finish releases all
-	// of it but the retained shards' eighth, the certificate shard table
-	// and the per-certificate fingerprint and SPKI, which leaves the other
-	// seven eighths to a lint pass that follows (core.StreamSnapshot gives
-	// them to LintRuns and LintColumnWriter).
+	// of it but the certificate payload's eighth, the certificate shard
+	// table and the per-certificate fingerprint and SPKI, which leaves the
+	// other seven eighths to a lint pass that follows (core.StreamSnapshot
+	// gives them to LintRuns and LintColumnWriter).
 	MemBudget int64
-	// KeepDERs retains every certificate shard's uncompressed layout, the
-	// bytes the payload compresses, so Certs can hand the certificates to a
-	// lint pass after Finish.
-	KeepDERs bool
 }
 
-// streamShardEntry is one shard-table row.
-type streamShardEntry struct {
-	first, count int
-	rawLen, cLen int64
-	sum          [32]byte
-}
-
-// payload is one kind of shard's compressed bytes and table rows, in shard
-// order: certificate shards precede scan shards in the file.
+// payload is one kind of shard's compressed bytes and table rows (Off
+// unset), in shard order: certificate shards precede scan shards in the
+// file.
 type payload struct {
 	data *extsort.SpillFile
-	tab  []streamShardEntry
+	tab  []V3Shard
 }
 
 // shardJob is one shard on its way through a compressor to dst. The
-// goroutine that compresses it fills blocks, entry.cLen, entry.sum and err,
-// then closes done.
+// goroutine that compresses it fills blocks, entry.CompLen, entry.Sum and
+// err, then closes done.
 type shardJob struct {
 	dst    *payload
-	entry  streamShardEntry
+	entry  V3Shard
 	blocks [][]byte // the compressed shard
 	err    error
 	done   chan struct{}
@@ -156,9 +146,6 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 	}
 	sw.certPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
 	sw.scanPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
-	if cfg.KeepDERs {
-		sw.kept = extsort.NewSpillFile(cfg.SpillDir, "snapshot-certs-*.spill", budget/8)
-	}
 	var err error
 	if sw.idx, err = newSectionBuilder(opt.ASOf, budget*3/16, cfg.SpillDir); err != nil {
 		return nil, err
@@ -317,8 +304,8 @@ func (sw *StreamWriter) fail(err error) error {
 }
 
 // flushCertShard records the pending certificate shard's DER locations for
-// the fingerprint index and hands its columns to a compressor, and to the
-// retained shards under KeepDERs. The shard takes the pending DERs with it.
+// the fingerprint index and hands its columns to a compressor. The shard
+// takes the pending DERs with it.
 func (sw *StreamWriter) flushCertShard() error {
 	count := len(sw.pendDERs)
 	if count == 0 {
@@ -330,11 +317,6 @@ func (sw *StreamWriter) flushCertShard() error {
 	lenCol := appendLenCol(make([]byte, 0, lenColLen), sw.pendDERs)
 	ders, fps := sw.pendDERs, sw.idx.fps[first:]
 	sw.pendDERs = nil
-	if sw.kept != nil {
-		if err := writeCertShard(sw.kept, lenCol, ders, fps); err != nil {
-			return err
-		}
-	}
 	rawLen := len(lenCol) + derLen + 32*len(fps)
 	return sw.compress(&sw.certPay, first, count, rawLen, func(w io.Writer) error {
 		return writeCertShard(w, lenCol, ders, fps)
@@ -391,7 +373,7 @@ func (sw *StreamWriter) compress(dst *payload, first, count, rawLen int, write f
 	}
 	job := &shardJob{
 		dst:   dst,
-		entry: streamShardEntry{first: first, count: count, rawLen: int64(rawLen)},
+		entry: V3Shard{First: uint64(first), Count: uint64(count), RawLen: uint64(rawLen)},
 		done:  make(chan struct{}),
 	}
 	sw.inflight = append(sw.inflight, job)
@@ -403,9 +385,9 @@ func (sw *StreamWriter) compress(dst *payload, first, count, rawLen int, write f
 		h := sha256.New()
 		for _, b := range job.blocks {
 			h.Write(b)
-			job.entry.cLen += int64(len(b))
+			job.entry.CompLen += uint64(len(b))
 		}
-		h.Sum(job.entry.sum[:0])
+		h.Sum(job.entry.Sum[:0])
 	}()
 	return nil
 }
@@ -438,9 +420,6 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	}
 	if err := sw.flushCertShard(); err != nil {
 		return sw.fail(err)
-	}
-	if sw.kept != nil {
-		sw.kept.Seal() // the retained shards are whole; a flush error sticks for Certs
 	}
 
 	// The index sections build while the scan shards compress.
@@ -477,7 +456,7 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	for _, s := range sw.idx.scans {
 		obsCount += s.count
 	}
-	spilled := sw.spilled + sw.idx.spilledBytes() + onDisk(sw.certPay.data, sw.scanPay.data, sw.kept)
+	spilled := sw.spilled + sw.idx.spilledBytes() + onDisk(sw.certPay.data, sw.scanPay.data)
 	for i := range keys {
 		spilled += onDisk(keys[i], posts[i])
 	}
@@ -492,11 +471,11 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	putU32(&head, V3SectionCount)
 	putU32(&head, 0) // reserved
 	for _, sh := range shardTab {
-		putU64(&head, uint64(sh.first))
-		putU64(&head, uint64(sh.count))
-		putU64(&head, uint64(sh.rawLen))
-		putU64(&head, uint64(sh.cLen))
-		head.Write(sh.sum[:])
+		putU64(&head, sh.First)
+		putU64(&head, sh.Count)
+		putU64(&head, sh.RawLen)
+		putU64(&head, sh.CompLen)
+		head.Write(sh.Sum[:])
 	}
 	var indexBytes int64
 	for i := range keys {
@@ -559,19 +538,20 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 }
 
 // release drops the encode-only state once Finish has written the
-// snapshot — the dedup map, the drained sorters and their buffers, the
-// payload spills and the per-scan column list (every column went with its
-// scan shard), the DER locations — so all that stays for a lint pass
-// (Certs, SPKI, NumCerts) is the retained certificate shards, their table
-// rows and the per-certificate fingerprint and SPKI. The writer then
-// refuses further data.
+// snapshot — the dedup map, the drained sorters and their buffers, the scan
+// payload and the per-scan column list (every column went with its scan
+// shard), the DER locations — so all that stays for a lint pass (Certs,
+// SPKI, NumCerts) is the sealed certificate payload, its table rows and the
+// per-certificate fingerprint and SPKI. Close removes the payload. The
+// writer then refuses further data.
 func (sw *StreamWriter) release() error {
 	err := sw.idx.close()
 	sw.idx.ips, sw.idx.ases, sw.idx.locs = nil, nil, nil
-	for _, pay := range []*payload{&sw.certPay, &sw.scanPay} {
-		if rerr := pay.data.Remove(); err == nil {
-			err = rerr
-		}
+	if serr := sw.certPay.data.Seal(); err == nil {
+		err = serr
+	}
+	if rerr := sw.scanPay.data.Remove(); err == nil {
+		err = rerr
 	}
 	sw.scanPay.tab = nil
 	sw.byFP, sw.cols = nil, nil
@@ -584,19 +564,19 @@ func (sw *StreamWriter) release() error {
 var errFinished = errors.New("snapshot: stream writer already finished")
 
 // emitObs records the snapshot.encode.* counters.
-func (sw *StreamWriter) emitObs(shardTab []streamShardEntry, obsCount uint64) {
+func (sw *StreamWriter) emitObs(shardTab []V3Shard, obsCount uint64) {
 	reg := sw.opt.Obs
 	reg.Counter("snapshot.encode.shards").Add(int64(len(shardTab)))
 	reg.Counter("snapshot.encode.certs").Add(int64(len(sw.idx.fps)))
 	reg.Counter("snapshot.encode.scans").Add(int64(len(sw.idx.scans)))
 	reg.Counter("snapshot.encode.observations").Add(int64(obsCount))
-	var raw, comp int64
+	var raw, comp uint64
 	for _, sh := range shardTab {
-		raw += sh.rawLen
-		comp += sh.cLen
+		raw += sh.RawLen
+		comp += sh.CompLen
 	}
-	reg.Counter("snapshot.encode.raw_bytes").Add(raw)
-	reg.Counter("snapshot.encode.comp_bytes").Add(comp)
+	reg.Counter("snapshot.encode.raw_bytes").Add(int64(raw))
+	reg.Counter("snapshot.encode.comp_bytes").Add(int64(comp))
 }
 
 // onDisk sums the bytes held by the spills that moved to disk.
@@ -611,36 +591,36 @@ func onDisk(spills ...*extsort.SpillFile) int64 {
 }
 
 // Certs hands fn every interned certificate in ID order, one certificate
-// shard at a time, each parsed across Options.Workers with its stored
-// digest adopted. It needs KeepDERs and a finished writer. The retained
-// shards' digest is checked after the last shard, so a caller must discard
-// what it derived when Certs fails.
+// shard at a time: it reads each shard back from the certificate payload
+// Finish sealed, puts it through V3Shard.Inflate and parses it across
+// Options.Workers with its stored digest adopted. The certificates are the
+// snapshot's own bytes, and a shard that rotted in the payload's spill
+// fails its checksum before fn sees it. It needs a finished writer.
 func (sw *StreamWriter) Certs(fn func([]*x509lite.Certificate) error) error {
-	if sw.kept == nil {
-		return fmt.Errorf("snapshot: Certs without KeepDERs")
-	}
 	if sw.err != errFinished {
 		return fmt.Errorf("snapshot: Certs before Finish")
 	}
-	rd, err := sw.kept.Reader()
+	rd, err := sw.certPay.data.Reader()
 	if err != nil {
 		return err
 	}
+	var comp []byte
 	for i, sh := range sw.certPay.tab {
-		raw := make([]byte, sh.rawLen)
-		if _, err := io.ReadFull(rd, raw); err != nil {
-			return fmt.Errorf("snapshot: retained cert shard %d: %w", i, err)
+		comp = slices.Grow(comp[:0], int(sh.CompLen))[:sh.CompLen]
+		if _, err := io.ReadFull(rd, comp); err != nil {
+			return fmt.Errorf("snapshot: cert shard %d: %w", i, err)
 		}
-		certs, err := decodeCertShard(raw, sh.count, false, sw.opt.Workers)
+		raw, err := sh.Inflate(comp)
 		if err != nil {
-			return fmt.Errorf("snapshot: retained cert shard %d: %w", i, err)
+			return fmt.Errorf("snapshot: cert shard %d: %w", i, err)
+		}
+		certs, err := decodeCertShard(raw, int(sh.Count), false, sw.opt.Workers)
+		if err != nil {
+			return fmt.Errorf("snapshot: cert shard %d: %w", i, err)
 		}
 		if err := fn(certs); err != nil {
 			return err
 		}
-	}
-	if err := extsort.ReadEnd(rd); err != nil {
-		return fmt.Errorf("snapshot: retained cert shards: %w", err)
 	}
 	return nil
 }
@@ -663,9 +643,6 @@ func (sw *StreamWriter) Close() error {
 	}
 	keep(sw.certPay.data.Remove())
 	keep(sw.scanPay.data.Remove())
-	if sw.kept != nil {
-		keep(sw.kept.Remove())
-	}
 	keep(sw.idx.close())
 	for _, c := range sw.cols {
 		keep(c.cert.Remove())

@@ -186,7 +186,7 @@ func TestStreamWriterMatchesV3(t *testing.T) {
 		})
 		checkPins(t, fmt.Sprintf("ASOf=%v CertsPerShard=%d ScansPerShard=%d", row.opt.ASOf != nil, row.opt.CertsPerShard, row.opt.ScansPerShard), got, row.pins)
 		// The output must actually load, index check included.
-		if _, err := Read(bytes.NewReader(got), Options{}); err != nil {
+		if _, err := Read(bytes.NewReader(got), int64(len(got)), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,16 +227,16 @@ func TestStreamWriterRepeatSightings(t *testing.T) {
 		"cffc5fb6ba4b02cab0a41e185253a5e1f5efb1a9c1e93a5931973bd248a4d7e1",
 		"6bf533e74e592955ff2c5873eb9706a42c946124110c10a18fe953eb350329f0",
 	})
-	if _, err := Read(bytes.NewReader(data), Options{}); err != nil {
+	if _, err := Read(bytes.NewReader(data), int64(len(data)), Options{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// keptWriter interns c's certificates into a writer that keeps them, with
-// its spills in dir, and finishes it.
+// keptWriter interns c's certificates into a writer with its spills in
+// dir, and finishes it.
 func keptWriter(t *testing.T, c *scanstore.Corpus, opt Options, budget int64, dir string) *StreamWriter {
 	t.Helper()
-	sw, err := NewStreamWriter(opt, StreamWriterConfig{SpillDir: dir, MemBudget: budget, KeepDERs: true})
+	sw, err := NewStreamWriter(opt, StreamWriterConfig{SpillDir: dir, MemBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +256,12 @@ func keptWriter(t *testing.T, c *scanstore.Corpus, opt Options, budget int64, di
 	return sw
 }
 
-// TestStreamWriterCerts checks certificate retention: after Finish every
-// interned certificate comes back parsed, in ID order, one certificate
-// shard at a time, with its exact DER, fingerprint and SPKI — from shards
-// kept in memory and from shards spilled to disk, with a shard size that
-// does not divide the count, at one worker and at four.
+// TestStreamWriterCerts checks the read-back for lint: after Finish every
+// interned certificate comes back parsed from the certificate payload, in
+// ID order, one certificate shard at a time, with its exact DER,
+// fingerprint and SPKI — from a payload kept in memory and from one spilled
+// to disk, with a shard size that does not divide the count, at one worker
+// and at four.
 func TestStreamWriterCerts(t *testing.T) {
 	c := testCorpus(t, 40, 2, 50)
 	for _, tc := range []struct {
@@ -300,49 +301,7 @@ func TestStreamWriterCerts(t *testing.T) {
 		if want := []int{7, 7, 7, 7, 7, 5}; !slices.Equal(sizes, want) {
 			t.Fatalf("%s: shard sizes %v, want %v", tc.name, sizes, want)
 		}
-		// The writer references the DERs it is handed; what it retained is
-		// byte for byte the uncompressed certificate payload the snapshot
-		// holds.
-		var kept bytes.Buffer
-		if err := sw.kept.VerifyCopy(&kept); err != nil {
-			t.Fatal(err)
-		}
-		if want := certPayload(t, encodeV3(t, c, Options{CertsPerShard: 7})); !bytes.Equal(kept.Bytes(), want) {
-			t.Fatalf("%s: retained shards (%d bytes) differ from the snapshot's certificate shards (%d bytes)",
-				tc.name, kept.Len(), len(want))
-		}
 	}
-
-	sw, err := NewStreamWriter(Options{}, StreamWriterConfig{SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-	if err := sw.Finish(io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Certs(func([]*x509lite.Certificate) error { return nil }); err == nil || !strings.Contains(err.Error(), "without KeepDERs") {
-		t.Fatalf("Certs without KeepDERs: err = %v", err)
-	}
-}
-
-// certPayload returns a snapshot's certificate shards, inflated and
-// concatenated.
-func certPayload(t *testing.T, snap []byte) []byte {
-	t.Helper()
-	lay, err := ReadV3Layout(bytes.NewReader(snap), int64(len(snap)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []byte
-	for _, sh := range lay.Shards[:lay.CertShards] {
-		raw, err := sh.Inflate(snap[sh.Off : sh.Off+int64(sh.CompLen)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, raw...)
-	}
-	return out
 }
 
 // TestColumnSpillFollowsBudget: an observation column stays in memory up to
@@ -432,10 +391,11 @@ func TestColumnsStayInTheirEighth(t *testing.T) {
 	}
 }
 
-// TestStreamWriterCertsDetectsRot flips a bit in the retained shards on
+// TestStreamWriterCertsDetectsRot flips a bit in the certificate payload on
 // disk, the only file Finish leaves in the spill dir. The bit is in the
-// last digest, which the parse adopts unchecked, so only the spill's own
-// digest can catch it, and Certs must fail with it.
+// last shard, whose checksum must catch it before the shard is handed out:
+// Certs fails with the shard's checksum mismatch after the shards before
+// it.
 func TestStreamWriterCertsDetectsRot(t *testing.T) {
 	c := testCorpus(t, 40, 2, 50)
 	dir := t.TempDir()
@@ -445,7 +405,7 @@ func TestStreamWriterCertsDetectsRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(files) != 1 {
-		t.Fatalf("%d files left in the spill dir after Finish, want the retained shards", len(files))
+		t.Fatalf("%d files left in the spill dir after Finish, want the certificate payload", len(files))
 	}
 	path := filepath.Join(dir, files[0].Name())
 	data, err := os.ReadFile(path)
@@ -456,9 +416,16 @@ func TestStreamWriterCertsDetectsRot(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	err = sw.Certs(func([]*x509lite.Certificate) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "digest mismatch") {
-		t.Fatalf("Certs over rotted shards: err = %v, want a digest mismatch", err)
+	handed := 0
+	err = sw.Certs(func(certs []*x509lite.Certificate) error {
+		handed += len(certs)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Certs over a rotted shard: err = %v, want a checksum mismatch", err)
+	}
+	if handed != 35 {
+		t.Fatalf("Certs handed out %d certificates before the rotted shard, want 35", handed)
 	}
 }
 
@@ -516,7 +483,8 @@ func TestStreamCorpusMatchesWrite(t *testing.T) {
 func TestResidentWriteNeedsNoTempDir(t *testing.T) {
 	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
 	c := testCorpus(t, 120, 5, 80)
-	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{ASOf: testASOf})), Options{})
+	raw := encodeV3(t, c, Options{ASOf: testASOf})
+	got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

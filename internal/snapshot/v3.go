@@ -49,6 +49,7 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -123,15 +124,33 @@ type V3Shard struct {
 }
 
 // Inflate checksums and decompresses the shard's payload, insisting on the
-// exact advertised uncompressed length.
+// exact advertised lengths: shorter is truncation, longer is a lying header
+// (or a bomb). It is the one shard check: Read, StreamWriter.Certs and
+// internal/querystore put every shard through it, and name the shard in
+// the errors they wrap.
 func (sh V3Shard) Inflate(comp []byte) ([]byte, error) {
 	if uint64(len(comp)) != sh.CompLen {
-		return nil, fmt.Errorf("snapshot: shard payload is %d bytes, table says %d", len(comp), sh.CompLen)
+		return nil, fmt.Errorf("payload is %d bytes, table says %d", len(comp), sh.CompLen)
 	}
 	if sum := sha256.Sum256(comp); sum != sh.Sum {
-		return nil, fmt.Errorf("snapshot: shard checksum mismatch")
+		return nil, fmt.Errorf("checksum mismatch")
 	}
-	return gunzipShard(comp, sh.RawLen)
+	zr, err := gzip.NewReader(bytes.NewReader(comp))
+	if err != nil {
+		return nil, fmt.Errorf("gzip: %w", err)
+	}
+	raw := make([]byte, sh.RawLen)
+	if _, err := io.ReadFull(zr, raw); err != nil {
+		return nil, fmt.Errorf("gzip payload shorter than advertised: %w", err)
+	}
+	var extra [1]byte
+	if n, _ := zr.Read(extra[:]); n != 0 {
+		return nil, fmt.Errorf("gzip payload longer than advertised")
+	}
+	if err := zr.Close(); err != nil {
+		return nil, fmt.Errorf("gzip close: %w", err)
+	}
+	return raw, nil
 }
 
 // V3Section is one index-table entry plus its resolved file offsets.
@@ -149,10 +168,10 @@ type V3Section struct {
 func (s V3Section) KeysLen() int64 { return int64(s.KeyCount) * int64(s.EntrySize) }
 
 // V3Layout is the parsed header of a v3 file: counts, shard table and index
-// table with absolute offsets, everything a random-access reader needs to
-// serve lookups without streaming the file. ReadV3Layout is the only
-// constructor; it verifies the header checksum and every structural bound
-// against the file size before returning.
+// table with absolute offsets, everything a reader needs to find each shard
+// and section without scanning the file. ReadV3Layout is the only
+// constructor; it verifies the header checksum, every structural bound and
+// the file's exact size and zero padding before returning.
 type V3Layout struct {
 	CertCount, ScanCount, ObsCount uint64
 	CertShards, ScanShards         uint32
@@ -161,71 +180,112 @@ type V3Layout struct {
 	Size                           int64 // exact file size the layout demands
 }
 
-// ReadV3Layout parses and validates a v3 header from a random-access source.
-// It reads only the header region (fixed header, shard table, index table,
-// checksum) plus the alignment padding; payloads and sections stay untouched.
-// All input is hostile: every count is capped before the allocation it sizes,
-// and the resulting layout is checked against the actual file size so no
-// later read can run off the end.
+// ReadV3Layout is the one judge of a v3 file's framing, for Read and for
+// the random-access readers alike. It checks the magic first, so a file of
+// another format is reported as such, then reads the header region (fixed
+// header, shard table, index table, checksum), naming the region a short
+// file cuts into, and the alignment padding, which must be zeros: padding is
+// not a place to smuggle bytes past the checksums. The file must end exactly
+// where the layout does; shorter is truncation, longer is trailing garbage.
+// Payloads and sections stay unread. All input is hostile: every count is
+// capped and every region checked against size before the allocation it
+// sizes, so nothing is allocated past what the file holds.
 func ReadV3Layout(ra io.ReaderAt, size int64) (*V3Layout, error) {
-	fixed := make([]byte, headerFixedV3)
-	if size < headerFixedV3 {
-		return nil, fmt.Errorf("snapshot: %d bytes is too short for a v3 header", size)
+	var off int64
+	region := func(n int64, what string) ([]byte, error) {
+		if size-off < n {
+			return nil, fmt.Errorf("snapshot: truncated %s: file is %d bytes", what, size)
+		}
+		p, err := readAt(ra, off, n)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: read %s: %w", what, err)
+		}
+		off += n
+		return p, nil
 	}
-	if _, err := ra.ReadAt(fixed, 0); err != nil {
-		return nil, fmt.Errorf("snapshot: read v3 header: %w", err)
+	magic, err := region(8, "header")
+	if err != nil {
+		return nil, err
 	}
-	if string(fixed[:8]) != MagicV3 {
-		return nil, fmt.Errorf("snapshot: not a v3 snapshot (magic %q)", fixed[:8])
+	if string(magic) != MagicV3 {
+		return nil, fmt.Errorf("snapshot: bad magic %q: not a v3 snapshot", magic)
 	}
+	rest, err := region(headerFixedV3-8, "header")
+	if err != nil {
+		return nil, err
+	}
+	fixed := append(magic, rest...)
 	lay, nShards, err := parseV3Fixed(fixed)
 	if err != nil {
 		return nil, err
 	}
-
-	tableLen := int64(nShards) * tableEntry
-	idxLen := int64(V3SectionCount) * idxTableEntry
-	headerLen := int64(headerFixedV3) + tableLen + idxLen + 32
-	if size < headerLen {
-		return nil, fmt.Errorf("snapshot: %d bytes is too short for the v3 header tables", size)
+	table, err := region(int64(nShards)*tableEntry, "shard table")
+	if err != nil {
+		return nil, err
 	}
-	tables := make([]byte, tableLen+idxLen+32)
-	if _, err := ra.ReadAt(tables, headerFixedV3); err != nil {
-		return nil, fmt.Errorf("snapshot: read v3 tables: %w", err)
+	itable, err := region(V3SectionCount*idxTableEntry, "index table")
+	if err != nil {
+		return nil, err
 	}
-	table := tables[:tableLen]
-	itable := tables[tableLen : tableLen+idxLen]
+	sum, err := region(32, "header checksum")
+	if err != nil {
+		return nil, err
+	}
 	h := sha256.New()
 	h.Write(fixed)
 	h.Write(table)
 	h.Write(itable)
-	if !bytes.Equal(h.Sum(nil), tables[tableLen+idxLen:]) {
+	if !bytes.Equal(h.Sum(nil), sum) {
 		return nil, fmt.Errorf("snapshot: header checksum mismatch")
 	}
 	if err := parseV3Tables(lay, table, itable); err != nil {
 		return nil, err
 	}
 
-	// Resolve absolute offsets and demand the file is exactly the right size:
-	// shorter is truncation, longer is trailing garbage.
-	off := headerLen
+	// Resolve absolute offsets, noting where each run of padding starts.
+	var pads [1 + V3SectionCount]int64
 	for i := range lay.Shards {
 		lay.Shards[i].Off = off
 		off += int64(lay.Shards[i].CompLen)
 	}
-	off += pad8(off)
+	pads[0], off = off, off+pad8(off)
 	for i := range lay.Sections {
 		lay.Sections[i].KeysOff = off
 		off += lay.Sections[i].KeysLen()
 		lay.Sections[i].PostOff = off
 		off += int64(lay.Sections[i].PostLen)
-		off += pad8(off)
+		pads[1+i], off = off, off+pad8(off)
 	}
 	lay.Size = off
-	if size != lay.Size {
-		return nil, fmt.Errorf("snapshot: file is %d bytes, v3 layout wants %d", size, lay.Size)
+	if size < lay.Size {
+		return nil, fmt.Errorf("snapshot: truncated: file is %d bytes, v3 layout wants %d", size, lay.Size)
+	}
+	if size > lay.Size {
+		return nil, fmt.Errorf("snapshot: trailing bytes: file is %d bytes, v3 layout wants %d", size, lay.Size)
+	}
+	for _, at := range pads {
+		pad, err := readAt(ra, at, pad8(at))
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: read padding: %w", err)
+		}
+		for _, b := range pad {
+			if b != 0 {
+				return nil, fmt.Errorf("snapshot: non-zero padding byte after offset %d", at)
+			}
+		}
 	}
 	return lay, nil
+}
+
+// readAt reads the n bytes at off into a fresh buffer. A read that fills it
+// succeeded, even where the source also reports io.EOF for reaching its end
+// (bytes.Reader does for an empty read there).
+func readAt(ra io.ReaderAt, off, n int64) ([]byte, error) {
+	p := make([]byte, n)
+	if k, err := ra.ReadAt(p, off); k < len(p) {
+		return nil, err
+	}
+	return p, nil
 }
 
 // parseV3Fixed validates the fixed header fields. The index-section count is
@@ -388,9 +448,9 @@ func validateV3SectionMeta(i int, sec V3Section, lay *V3Layout) error {
 
 // ValidateSection applies the full structural checks to one section's bytes:
 // sorted keys, contiguous (never overlapping) posting groups, and every
-// offset and reference in bounds. Both readers call it — the streaming loader
-// before trusting the file, the random-access store at open so lookups can
-// index without rechecking.
+// offset and reference in bounds. Both readers call it — the whole-corpus
+// loader before trusting the file, the random-access store at open so
+// lookups can index without rechecking.
 func (lay *V3Layout) ValidateSection(i int, keys, post []byte) error {
 	sec := lay.Sections[i]
 	if int64(len(keys)) != sec.KeysLen() || uint64(len(post)) != sec.PostLen {

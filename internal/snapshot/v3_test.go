@@ -46,7 +46,7 @@ func TestV3RoundTrip(t *testing.T) {
 		{"verify-digests", Options{Workers: 4, VerifyDigests: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := Read(bytes.NewReader(raw), tc.opt)
+			got, err := Read(bytes.NewReader(raw), int64(len(raw)), tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +56,8 @@ func TestV3RoundTrip(t *testing.T) {
 }
 
 func TestV3RoundTripEmpty(t *testing.T) {
-	got, err := Read(bytes.NewReader(encodeV3(t, scanstore.NewCorpus(), Options{})), Options{})
+	raw := encodeV3(t, scanstore.NewCorpus(), Options{})
+	got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,8 @@ func TestV3RoundTripSparse(t *testing.T) {
 	if _, err := c.AddScan(scanstore.UMich, base.AddDate(0, 0, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(encodeV3(t, c, Options{ASOf: testASOf})), Options{})
+	raw := encodeV3(t, c, Options{ASOf: testASOf})
+	got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestLookupAgreesAcrossFormats(t *testing.T) {
 	c := testCorpus(t, 80, 6, 150)
 	raw := encodeV3(t, c, Options{CertsPerShard: 33, ASOf: testASOf})
 	for _, workers := range []int{1, 4} {
-		got, err := Read(bytes.NewReader(raw), Options{Workers: workers})
+		got, err := Read(bytes.NewReader(raw), int64(len(raw)), Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
