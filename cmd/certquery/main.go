@@ -6,7 +6,7 @@
 // Usage:
 //
 //	certquery -corpus corpus.v3 [-lint findings.lc] [-addr 127.0.0.1:0]
-//	          [-cache 16] [-no-mmap] [-verify] [-linger 0]
+//	          [-cache 16] [-verify] [-linger 0]
 //	          [-metrics-out metrics.json] [-events-out events.jsonl]
 //	          [-access-log access.jsonl] [-debug-addr :6060] [-sample-interval 1s]
 //
@@ -53,7 +53,6 @@ func main() {
 		lintPath   = flag.String("lint", "", "findings sidecar column to serve on /v1/lint (written by analyze -lint-out)")
 		addr       = flag.String("addr", "127.0.0.1:0", "listen address (port 0 = ephemeral, printed to stdout)")
 		cache      = flag.Int("cache", 16, "hot-shard cache size (decompressed cert shards kept resident)")
-		noMmap     = flag.Bool("no-mmap", false, "use pread instead of mmap for the snapshot file")
 		verify     = flag.Bool("verify", false, "re-hash every served certificate against its index fingerprint")
 		linger     = flag.Duration("linger", 0, "serve for this long then exit (0 = until interrupted)")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document on exit")
@@ -75,7 +74,6 @@ func main() {
 	st, err := querystore.Open(*corpus, querystore.Options{
 		CacheShards:   *cache,
 		VerifyDigests: *verify,
-		DisableMmap:   *noMmap,
 		Obs:           reg,
 		Journal:       live.Journal,
 	})

@@ -12,7 +12,7 @@
 //	        [-asinfo corpus.asinfo]
 //
 // -metrics-out writes the generation run's metric registry (core.*,
-// snapshot.* and parallel.*) as a versioned JSON document.
+// snapshot.*, mem.* and parallel.*) as a versioned JSON document.
 //
 // The output is a snapshot (internal/snapshot): the sharded columnar corpus
 // plus the point-lookup index sections that cmd/certquery and
@@ -20,12 +20,12 @@
 // simulated routing table. analyze -corpus and certinfo -corpus load it
 // too.
 //
-// -chunk streams the whole build — population, scans, snapshot encode — in
-// host chunks on bounded memory (core.StreamSnapshot): no resident world or
-// corpus ever exists, the chunk store and the snapshot encoder each hold at
-// most -mem-budget of buffers and spill the rest to -spill-dir (the
-// encoder's per-certificate table stays resident), and the output bytes are
-// identical to the resident pipeline's at any chunk size.
+// The build streams — population, scans, snapshot encode — in host chunks
+// on bounded memory (core.StreamSnapshot): no resident world or corpus ever
+// exists, the chunk store and the snapshot encoder each hold at most
+// -mem-budget of buffers and spill the rest to -spill-dir (the encoder's
+// per-certificate table stays resident), and the output bytes are identical
+// to the resident pipeline's at any -chunk size.
 //
 // Snapshots are written through a temp file in the output's directory and
 // renamed into place, so a failed write leaves any previous file at -o
@@ -46,6 +46,7 @@ import (
 	"os"
 
 	"securepki/internal/core"
+	"securepki/internal/devicesim"
 	"securepki/internal/obs"
 	"securepki/internal/parallel"
 )
@@ -64,9 +65,9 @@ func main() {
 		umich      = flag.Int("umich", 0, "UMich scan count (0 = default)")
 		rapid7     = flag.Int("rapid7", 0, "Rapid7 scan count (0 = default)")
 		small      = flag.Bool("small", false, "use the reduced sizing")
-		chunkSize  = flag.Int("chunk", 0, "stream the build in chunks of this many hosts on bounded memory (0 = resident pipeline); bytes identical at any setting")
-		memBudget  = flag.Int64("mem-budget", 0, "with -chunk: bound the chunk store's and the encoder's buffers to this many bytes each; overflow spills to disk (0 = 256 MiB)")
-		spillDir   = flag.String("spill-dir", "", "with -chunk: directory for spill files (\"\" = OS temp dir)")
+		chunkSize  = flag.Int("chunk", 0, "stream the build in chunks of this many hosts (0 = 8192); bytes identical at any setting")
+		memBudget  = flag.Int64("mem-budget", 0, "bound the chunk store's and the encoder's buffers to this many bytes each; overflow spills to disk (0 = 256 MiB)")
+		spillDir   = flag.String("spill-dir", "", "directory for spill files (\"\" = OS temp dir)")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		mutateFrac = flag.Float64("mutate-frac", 0, "apply frankencert-style mutations to this fraction of devices (0 = none, 1 = all); deterministic per device")
 		mutateSeed = flag.Uint64("mutate-seed", 0, "mutation schedule seed (0 = derive from the world seed)")
@@ -112,65 +113,40 @@ func main() {
 	cfg.Obs = reg
 	cfg.Workers = *workers
 
-	if *chunkSize > 0 {
-		if *dumpNet {
-			fmt.Fprintln(os.Stderr, "scangen: -dump-net needs the resident pipeline; drop -chunk")
-			os.Exit(2)
-		}
-		cfg.Stream = core.StreamConfig{ChunkSize: *chunkSize, MemBudget: *memBudget, SpillDir: *spillDir}
-		var stats *core.StreamStats
-		err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
-			var err error
-			stats, err = core.StreamSnapshot(cfg, true, w, nil)
-			return err
-		})
-		if err != nil {
-			fatal(err)
-		}
-		info, err := os.Stat(*out)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "streamed %d hosts in %d chunks (%d spills, %d bytes spilled)\n",
-			stats.Hosts, stats.Chunks, stats.Spills, stats.SpilledBytes)
-		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes): %d certs, %d scans\n",
-			*out, info.Size(), stats.Certs, stats.Scans)
-		if *metricsOut != "" {
-			if err := obs.WriteMetricsFile(*metricsOut, reg); err != nil {
-				fatal(err)
-			}
-		}
-		return
-	}
-
-	p := &core.Pipeline{Config: cfg}
-	if err := p.Generate(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "world: %d devices, %d sites, %d ASes, %d prefixes\n",
-		len(p.World.Devices), len(p.World.Sites), len(p.World.Internet.ASes()), p.World.Internet.NumPrefixes())
-	if err := p.Scan(); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "scans: %d, unique certificates: %d\n", p.Corpus.NumScans(), p.Corpus.NumCerts())
-
-	if err := obs.WriteFileAtomic(*out, p.WriteSnapshotV3); err != nil {
+	cfg.Stream = core.StreamConfig{ChunkSize: *chunkSize, MemBudget: *memBudget, SpillDir: *spillDir}
+	var stats *core.StreamStats
+	err := obs.WriteFileAtomic(*out, func(w io.Writer) error {
+		var err error
+		stats, err = core.StreamSnapshot(cfg, true, w, nil)
+		return err
+	})
+	if err != nil {
 		fatal(err)
 	}
 	info, err := os.Stat(*out)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, info.Size())
+	fmt.Fprintf(os.Stderr, "streamed %d hosts in %d chunks (%d spills, %d bytes spilled)\n",
+		stats.Hosts, stats.Chunks, stats.Spills, stats.SpilledBytes)
+	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes): %d certs, %d scans\n",
+		*out, info.Size(), stats.Certs, stats.Scans)
 
 	if *dumpNet {
-		err := obs.WriteFileAtomic(*out+".prefix2as", func(w io.Writer) error {
-			return p.World.Internet.WriteRouteViews(w, cfg.World.Start)
+		// The network view is the generator's base world, built before any
+		// host is drawn.
+		gen, err := devicesim.NewGenerator(cfg.World)
+		if err != nil {
+			fatal(err)
+		}
+		inet := gen.World().Internet
+		err = obs.WriteFileAtomic(*out+".prefix2as", func(w io.Writer) error {
+			return inet.WriteRouteViews(w, cfg.World.Start)
 		})
 		if err != nil {
 			fatal(err)
 		}
-		if err := obs.WriteFileAtomic(*out+".asinfo", p.World.Internet.WriteASInfo); err != nil {
+		if err := obs.WriteFileAtomic(*out+".asinfo", inet.WriteASInfo); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s.prefix2as and %s.asinfo\n", *out, *out)

@@ -35,12 +35,13 @@ type StreamConfig struct {
 	// they are not kept); one eighth of the writer's budget is unused. The
 	// chunk store closes once replay drains it, and the writer keeps an
 	// eighth of the budget (its certificate payload, which lint reads back)
-	// past Finish; lint takes the rest: half for its sorted finding runs,
-	// an eighth for each lint-column array. Outside the budget during lint
-	// stay one certificate shard, compressed and inflated (2048
-	// certificates by default), and its parsed certificates, the shared-key
-	// census, the fingerprint and SPKI per certificate, and the run merge's
-	// 4 KiB read buffer per spilled run.
+	// past Finish; lint takes half for the lint-column writer's sorted
+	// finding runs, and the last three eighths are unused. Outside the
+	// budget during lint stay one certificate shard, compressed and
+	// inflated (2048 certificates by default), and its parsed certificates,
+	// the shared-key census, the fingerprint and SPKI per certificate, and,
+	// while the column is written, the run merges' 4 KiB read buffer per
+	// spilled run and a 64 KiB output buffer.
 	MemBudget int64
 	// SpillDir hosts every spill file ("" means the OS temp dir).
 	SpillDir string
@@ -218,22 +219,20 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 // finished, read back from its certificate payload, and emits the sidecar
 // column, byte-identical to Pipeline.Lint + WriteLintColumn: both run
 // lintCorpus and one column encoder. Here the findings do not stay
-// resident: each shard's findings fill a snapshot.LintRuns with half of the
-// memory budget, which spills sorted runs and merges them by fingerprint
-// into a snapshot.LintColumnWriter holding three eighths; the writer's
-// certificate payload holds the last eighth.
+// resident: each shard's findings go to a snapshot.LintColumnWriter whose
+// run buffer holds half of the memory budget and spills sorted runs, which
+// Finish merges by fingerprint into the column; the writer's certificate
+// payload holds an eighth, and the last three eighths are unused.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	budget := cfg.Stream.MemBudget
 	if budget <= 0 {
 		budget = extsort.DefaultMemBudget
 	}
-	lw, err := snapshot.NewLintColumnWriter(certlint.Default().Infos(), cfg.Stream.SpillDir, budget/8*3)
+	lw, err := snapshot.NewLintColumnWriter(certlint.Default().Infos(), cfg.Stream.SpillDir, budget/2)
 	if err != nil {
 		return err
 	}
 	defer lw.Close()
-	runs := snapshot.NewLintRuns(lw, cfg.Stream.SpillDir, budget/2)
-	defer runs.Close()
 	// The writer parses one certificate shard at a time; every
 	// certificate it parses counts on core.lint.x509.parse.
 	parsed := cfg.Obs.Counter("core.lint.x509.parse")
@@ -245,15 +244,12 @@ func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 				return lint(certs)
 			})
 		},
-		runs.Add)
+		lw.Add)
 	if err != nil {
 		return err
 	}
-	cfg.Obs.Gauge("mem.lint_runs").Set(int64(runs.Runs()))
+	cfg.Obs.Gauge("mem.lint_runs").Set(int64(lw.Runs()))
 	readHeapHighWater(cfg.Obs)
-	if err := runs.Merge(lw.Add); err != nil {
-		return err
-	}
 	if err := lw.Finish(lintW); err != nil {
 		return err
 	}

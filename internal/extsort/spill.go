@@ -13,13 +13,13 @@ import (
 
 // SpillFile is an append-only byte store that stays in memory until it
 // outgrows its limit, then moves to a temp file and appends there. It is the
-// streamed build's one spill file: sorted runs, scan chunks, shard payloads,
-// observation columns and index and lint-column arrays all write through
-// it, and a later step reads them back, possibly more than once. A spill
-// that never outgrows its limit never touches the file system and is never
-// hashed; once on disk, a running digest taken at write time is
-// checked on every read, so bytes that rot in between fail explicitly
-// instead of corrupting the output. It implements io.Writer.
+// streamed build's one spill file: sorted runs (the sorters' and the lint
+// column's), scan chunks, shard payloads, observation columns and index
+// arrays all write through it, and a later step reads them back, possibly
+// more than once. A spill that never outgrows its limit never touches the
+// file system and is never hashed; once on disk, a running digest taken at
+// write time is checked on every read, so bytes that rot in between fail
+// explicitly instead of corrupting the output. It implements io.Writer.
 type SpillFile struct {
 	dir, pattern string
 	limit        int64

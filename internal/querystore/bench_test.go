@@ -84,13 +84,13 @@ func BenchmarkQueryLookup(b *testing.B) {
 
 	for _, mode := range []struct {
 		name string
-		opt  Options
+		open func(b *testing.B) (*Store, error)
 	}{
-		{"hot", Options{}},
-		{"hot-pread", Options{DisableMmap: true}},
+		{"hot", func(*testing.B) (*Store, error) { return Open(path, Options{}) }},
+		{"hot-pread", func(b *testing.B) (*Store, error) { return openPread(b, path, Options{}) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			st, err := Open(path, mode.opt)
+			st, err := mode.open(b)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -53,9 +53,6 @@ type Options struct {
 	// VerifyDigests re-hashes every DER served by ByFingerprint against the
 	// index fingerprint — the tamper check, at one SHA-256 per hit.
 	VerifyDigests bool
-	// DisableMmap forces the io.ReaderAt fallback even where mmap is
-	// available. Mostly for tests and A/B benchmarks.
-	DisableMmap bool
 	// Obs receives query.* metrics; nil disables instrumentation.
 	Obs *obs.Registry
 	// Journal receives "query.shard_error" events when a shard read or
@@ -79,7 +76,7 @@ type mapping interface {
 var mmapOpen func(f *os.File, size int64) (mapping, error)
 
 // readerAtMapping is the io.ReaderAt fallback: an open file where mmap is
-// unavailable or disabled (closer is the file), or OpenReaderAt's source
+// unavailable or fails (closer is the file), or OpenReaderAt's source
 // (closer nil, as the caller keeps it). Bytes reads into a fresh buffer, and
 // a range past the end fails in ReadAt.
 type readerAtMapping struct {
@@ -146,7 +143,7 @@ func Open(path string, opt Options) (*Store, error) {
 	}
 	size := fi.Size()
 	var src mapping
-	if !opt.DisableMmap && mmapOpen != nil {
+	if mmapOpen != nil {
 		if m, err := mmapOpen(f, size); err == nil {
 			src = m
 			f.Close() // the mapping outlives the descriptor

@@ -102,6 +102,21 @@ func writeV3File(tb testing.TB, c *scanstore.Corpus, opt snapshot.Options) strin
 	return path
 }
 
+// openPread opens a store on the io.ReaderAt path over the file at path,
+// which stays open until the test ends.
+func openPread(tb testing.TB, path string, opt Options) (*Store, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	tb.Cleanup(func() { f.Close() })
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return OpenReaderAt(f, fi.Size(), opt)
+}
+
 // TestStoreLookupsMatchCorpus drives every lookup against brute force over
 // the source corpus, on both the mmap and the pread path.
 func TestStoreLookupsMatchCorpus(t *testing.T) {
@@ -110,14 +125,14 @@ func TestStoreLookupsMatchCorpus(t *testing.T) {
 
 	for _, mode := range []struct {
 		name string
-		opt  Options
+		open func(t *testing.T) (*Store, error)
 	}{
-		{"mmap", Options{}},
-		{"pread", Options{DisableMmap: true}},
-		{"verify", Options{VerifyDigests: true}},
+		{"mmap", func(*testing.T) (*Store, error) { return Open(path, Options{}) }},
+		{"pread", func(t *testing.T) (*Store, error) { return openPread(t, path, Options{}) }},
+		{"verify", func(*testing.T) (*Store, error) { return Open(path, Options{VerifyDigests: true}) }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			st, err := Open(path, mode.opt)
+			st, err := mode.open(t)
 			if err != nil {
 				t.Fatal(err)
 			}

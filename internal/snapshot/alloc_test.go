@@ -34,9 +34,10 @@ func TestWriteV3AllocBound(t *testing.T) {
 	}
 }
 
-// TestWriteLintColumnAllocBound: WriteLintColumn allocates about 1.2× its
-// output, the three arrays' memory blocks. A heap copy per key or posting
-// entry, or per detail string, would take it past 1.5×.
+// TestWriteLintColumnAllocBound: WriteLintColumn allocates about 1.1× its
+// output: the run records and their spans, each grown once to the batch's
+// size, and a 64 KiB output buffer. Either grown by doubling, or a heap copy
+// per key or posting entry or per detail string, would take it past 1.5×.
 func TestWriteLintColumnAllocBound(t *testing.T) {
 	results, infos := testLintResults(benchLintCerts), testLintInfos()
 	var out countingWriter

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,6 +112,49 @@ func BenchmarkLintColumnWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(b.N)*benchLintCerts/secs, "certs/sec")
+	}
+}
+
+// BenchmarkLintColumnWriteSpilled is the streamed build's column write:
+// the bench corpus arrives in 2,048-certificate batches, in reverse, and a
+// 256 KiB budget spills two sorted runs, which Finish merges with the
+// sorted remainder once to check them and once per array.
+func BenchmarkLintColumnWriteSpilled(b *testing.B) {
+	results, infos := testLintResults(benchLintCerts), testLintInfos()
+	var out countingWriter
+	if err := WriteLintColumn(&out, results, infos); err != nil {
+		b.Fatal(err)
+	}
+	slices.Reverse(results)
+	dir := b.TempDir()
+	b.SetBytes(out.n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	runs := 0
+	for i := 0; i < b.N; i++ {
+		lw, err := NewLintColumnWriter(infos, dir, 256<<10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for lo := 0; lo < len(results); lo += 2048 {
+			if err := lw.Add(results[lo:min(lo+2048, len(results))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runs = lw.Runs()
+		if err := lw.Finish(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := lw.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if runs < 2 {
+		b.Fatalf("%d runs spilled at a 256 KiB budget, want at least 2", runs)
+	}
+	b.ReportMetric(float64(runs), "runs")
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(b.N)*benchLintCerts/secs, "certs/sec")
 	}

@@ -39,6 +39,7 @@ package snapshot
 // The file ends exactly after bodySum; trailing bytes are an error.
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
@@ -90,32 +91,68 @@ type LintColumn struct {
 	details []byte
 }
 
-// LintColumnWriter is the column's one encoder. Add takes one certificate's
-// findings at a time, in strictly ascending fingerprint order, and appends
-// them to the key, posting and detail arrays, which are memory-first
-// extsort.SpillFiles; Finish writes the column. Add checks everything the
-// reader would reject of what a writer controls — order, lint references,
+// LintColumnWriter is the column's one encoder. Add takes certificates'
+// findings a batch at a time, in any order, and encodes each certificate as
+// one run record into a run buffer; whenever the buffer fills its budget it
+// is sorted by fingerprint and spilled as one run, an extsort.SpillFile on
+// disk. Add checks each finding once, as it is encoded, against everything
+// the reader would reject of what a writer controls — lint references,
 // severities and versions against the lint table, detail sizes and the
-// certificate and finding caps — so a rejected finding stops the encode
-// before Finish has emitted a byte.
+// certificate and finding caps — so a run never holds one the column would
+// refuse. Finish merges the runs and the sorted remainder four times: once
+// to check them, so that any rejection writes nothing, then once for each
+// array, straight into the output. When nothing spilled, each pass walks the
+// sorted buffer instead. Every run is read through a 4 KiB buffer of its
+// own, so the fan-in is the total findings size over the budget, whatever
+// the batch size. Not safe for concurrent use.
+//
+// Run record layout (integers little-endian); a run is its records in
+// ascending fingerprint order, checksummed by its SpillFile:
+//
+//	fp        [32]byte
+//	count     uint32   findings that follow, at most the lint-table size
+//	count ×   lintIdx uint32 (< lint-table size), detailLen uint32
+//	          (<= maxLintColDetail)
+//	details   the findings' detail bytes, concatenated
+//
+// The lint ID, version and severity come back from the lint table.
 type LintColumnWriter struct {
 	lints   []certlint.LinterInfo
 	idx     map[string]int
 	lintTab []byte
 
-	keys, posts, details *extsort.SpillFile
-	certs, finds         uint64
-	last                 x509lite.Fingerprint
-	entries              []byte // Add's key entry and posting entries, reused
+	dir   string
+	limit int64
+
+	buf   []byte     // the run being filled: encoded records
+	spans []lintSpan // its records, in buf
+	runs  []lintRun  // spilled runs, in spill order
+
+	certs, finds, details uint64 // what Add has taken, for the header
 
 	err error
 }
 
+// lintRecHead is a run record's fixed part: fingerprint and finding count.
+const lintRecHead = 32 + 4
+
+// lintSpan locates one record in the run buffer; lintSpanSize is what it
+// costs there, counted against the budget with the record.
+type lintSpan struct{ off, end int }
+
+const lintSpanSize = 16
+
+// lintRun is one spilled run and how many records it holds.
+type lintRun struct {
+	spill *extsort.SpillFile
+	count int
+}
+
 // NewLintColumnWriter validates the lint table — infos must be ID-sorted with
 // unique IDs (Registry.Infos's contract) — and returns an empty encoder whose
-// three arrays hold up to a third of budget each in memory (<= 0 means
-// extsort.DefaultMemBudget) before moving to files in dir ("" means the OS
-// temp dir).
+// run buffer, record bookkeeping included, holds up to budget bytes (<= 0
+// means extsort.DefaultMemBudget) before it spills a sorted run to dir (""
+// means the OS temp dir).
 func NewLintColumnWriter(infos []certlint.LinterInfo, dir string, budget int64) (*LintColumnWriter, error) {
 	if len(infos) > maxLintColLints {
 		return nil, fmt.Errorf("snapshot: lint column: %d linters, cap %d", len(infos), maxLintColLints)
@@ -123,7 +160,7 @@ func NewLintColumnWriter(infos []certlint.LinterInfo, dir string, budget int64) 
 	if budget <= 0 {
 		budget = extsort.DefaultMemBudget
 	}
-	lw := &LintColumnWriter{lints: infos, idx: make(map[string]int, len(infos))}
+	lw := &LintColumnWriter{lints: infos, idx: make(map[string]int, len(infos)), dir: dir, limit: budget}
 	for i, info := range infos {
 		if i > 0 && infos[i-1].ID >= info.ID {
 			return nil, fmt.Errorf("snapshot: lint column: linter infos not ID-sorted at %q", info.ID)
@@ -146,81 +183,56 @@ func NewLintColumnWriter(infos []certlint.LinterInfo, dir string, budget int64) 
 	if len(lw.lintTab) > maxLintColTable {
 		return nil, fmt.Errorf("snapshot: lint column: lint table %d bytes, cap %d", len(lw.lintTab), maxLintColTable)
 	}
-	lw.keys = extsort.NewSpillFile(dir, "lintcol-keys-*.spill", budget/3)
-	lw.posts = extsort.NewSpillFile(dir, "lintcol-post-*.spill", budget/3)
-	lw.details = extsort.NewSpillFile(dir, "lintcol-detail-*.spill", budget/3)
 	return lw, nil
 }
 
-// Add appends one certificate's findings, which must be sorted by lint ID
-// (RunCert's order). Errors are sticky.
-func (lw *LintColumnWriter) Add(cf certlint.CertFindings) error {
+// Add takes a batch of certificates' findings, in any order; each
+// certificate's findings must be sorted by lint ID (RunCert's order). No
+// fingerprint may come twice, which Finish checks. Errors are sticky.
+func (lw *LintColumnWriter) Add(results []certlint.CertFindings) error {
 	if lw.err != nil {
 		return lw.err
 	}
-	if err := lw.check(cf); err != nil {
-		lw.err = err
-		return err
-	}
-	var err error
-	keep := func(_ int, e error) {
-		if err == nil {
-			err = e
+	// Size the run for the batch as far as the budget lets it grow, so a
+	// batch that fits grows the buffers once.
+	size := 0
+	for _, cf := range results {
+		size += lintRecHead + 8*len(cf.Findings)
+		for _, f := range cf.Findings {
+			size += len(f.Detail)
 		}
 	}
-	e := slices.Grow(lw.entries[:0], lintColKeyEntry+lintColPostEntry*len(cf.Findings))
-	e = append(e, cf.Fingerprint[:]...)
-	e = binary.LittleEndian.AppendUint32(e, uint32(lw.finds))
-	e = binary.LittleEndian.AppendUint32(e, uint32(len(cf.Findings)))
-	detailOff := lw.details.Len()
-	for _, f := range cf.Findings {
-		e = binary.LittleEndian.AppendUint32(e, uint32(lw.idx[f.LintID]))
-		e = binary.LittleEndian.AppendUint32(e, uint32(f.Severity))
-		e = binary.LittleEndian.AppendUint32(e, uint32(detailOff))
-		e = binary.LittleEndian.AppendUint32(e, uint32(len(f.Detail)))
-		detailOff += int64(len(f.Detail))
+	if room := lw.limit - int64(len(lw.buf)+len(lw.spans)*lintSpanSize); room > 0 {
+		lw.reserve(int(min(int64(size), room)))
+		lw.spans = slices.Grow(lw.spans, int(min(int64(len(results)), room/lintSpanSize)))
 	}
-	lw.entries = e
-	keep(lw.keys.Write(e[:lintColKeyEntry]))
-	keep(lw.posts.Write(e[lintColKeyEntry:]))
-	for _, f := range cf.Findings {
-		keep(lw.details.WriteString(f.Detail))
-	}
-	lw.certs++
-	lw.finds += uint64(len(cf.Findings))
-	lw.last = cf.Fingerprint
-	lw.err = err
-	return err
-}
-
-// check validates one certificate's findings against the column's order,
-// its lint table and its caps, before Add writes any of it.
-func (lw *LintColumnWriter) check(cf certlint.CertFindings) error {
-	if lw.certs > 0 && bytes.Compare(lw.last[:], cf.Fingerprint[:]) >= 0 {
-		return fmt.Errorf("snapshot: lint column: results not fingerprint-sorted at %d", lw.certs)
-	}
-	if lw.certs+1 > maxCerts || lw.certs+1 > maxIndexBytes/lintColKeyEntry {
-		return fmt.Errorf("snapshot: lint column: %d certs exceed the key-array cap", lw.certs+1)
-	}
-	if lw.finds+uint64(len(cf.Findings)) > maxLintColFindings {
-		return fmt.Errorf("snapshot: lint column: %d findings, cap %d", lw.finds+uint64(len(cf.Findings)), uint64(maxLintColFindings))
-	}
-	if err := lw.checkFindings(cf); err != nil {
-		return err
-	}
-	details := uint64(lw.details.Len())
-	for _, f := range cf.Findings {
-		if details += uint64(len(f.Detail)); details > maxLintColDetails {
-			return fmt.Errorf("snapshot: lint column: detail blob %d bytes, cap %d", details, uint64(maxLintColDetails))
+	for _, cf := range results {
+		if err := lw.add(cf); err != nil {
+			lw.err = err
+			return err
 		}
 	}
 	return nil
 }
 
-// checkFindings validates one certificate's findings on their own: each
-// names a linter of the table, with its severity and version, in table
-// order, and carries a detail within the cap.
-func (lw *LintColumnWriter) checkFindings(cf certlint.CertFindings) error {
+// add checks one certificate's findings and encodes them as one record.
+func (lw *LintColumnWriter) add(cf certlint.CertFindings) error {
+	if lw.certs+1 > maxCerts || lw.certs+1 > maxIndexBytes/lintColKeyEntry {
+		return fmt.Errorf("snapshot: lint column: %d certs exceed the key-array cap", lw.certs+1)
+	}
+	finds := lw.finds + uint64(len(cf.Findings))
+	if finds > maxLintColFindings {
+		return fmt.Errorf("snapshot: lint column: %d findings, cap %d", finds, uint64(maxLintColFindings))
+	}
+	n := lintRecHead + 8*len(cf.Findings)
+	for _, f := range cf.Findings {
+		n += len(f.Detail)
+	}
+	lw.reserve(n)
+	off := len(lw.buf)
+	b := append(lw.buf, cf.Fingerprint[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cf.Findings)))
+	details := lw.details
 	prevIdx := -1
 	for _, f := range cf.Findings {
 		li, ok := lw.idx[f.LintID]
@@ -238,38 +250,145 @@ func (lw *LintColumnWriter) checkFindings(cf certlint.CertFindings) error {
 		if len(f.Detail) > maxLintColDetail {
 			return fmt.Errorf("snapshot: lint column: detail %d bytes, cap %d", len(f.Detail), maxLintColDetail)
 		}
+		if details += uint64(len(f.Detail)); details > maxLintColDetails {
+			return fmt.Errorf("snapshot: lint column: detail blob %d bytes, cap %d", details, uint64(maxLintColDetails))
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(li))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(f.Detail)))
+	}
+	for _, f := range cf.Findings {
+		b = append(b, f.Detail...)
+	}
+	lw.buf = b
+	lw.spans = append(lw.spans, lintSpan{off, len(b)})
+	lw.certs++
+	lw.finds, lw.details = finds, details
+	if int64(len(lw.buf)+len(lw.spans)*lintSpanSize) >= lw.limit {
+		return lw.spill()
 	}
 	return nil
 }
 
+// reserve makes room for n more bytes in the run buffer. Capacity doubles
+// but stops at the budget, or at exactly the room needed past it, so the
+// buffer never holds much more than its budget.
+func (lw *LintColumnWriter) reserve(n int) {
+	if cap(lw.buf)-len(lw.buf) >= n {
+		return
+	}
+	c := max(2*cap(lw.buf), len(lw.buf)+n, 4<<10)
+	if int64(c) > lw.limit {
+		c = int(max(lw.limit, int64(len(lw.buf)+n)))
+	}
+	lw.buf = slices.Grow(lw.buf, c-len(lw.buf))
+}
+
+// Runs returns how many runs have spilled to disk.
+func (lw *LintColumnWriter) Runs() int { return len(lw.runs) }
+
+// sortSpans orders the run buffer's records by fingerprint.
+func (lw *LintColumnWriter) sortSpans() {
+	slices.SortFunc(lw.spans, func(a, b lintSpan) int {
+		return bytes.Compare(lw.buf[a.off:a.off+32], lw.buf[b.off:b.off+32])
+	})
+}
+
+// spill writes the run buffer as one sorted run on disk and empties it,
+// keeping its capacity for the next run.
+func (lw *LintColumnWriter) spill() error {
+	lw.sortSpans()
+	run := extsort.NewSpillFile(lw.dir, "lint-run-*.spill", 0)
+	lw.runs = append(lw.runs, lintRun{spill: run, count: len(lw.spans)})
+	for _, sp := range lw.spans {
+		if _, err := run.Write(lw.buf[sp.off:sp.end]); err != nil {
+			return err
+		}
+	}
+	lw.buf, lw.spans = lw.buf[:0], lw.spans[:0]
+	return run.Seal()
+}
+
 // Finish writes the column to w: header, header checksum, then the lint
 // table and the three arrays, hashed on their way out, and the body
-// checksum. The writer accepts nothing after it.
+// checksum. A first merge checks that no fingerprint repeats and that every
+// spilled run held, so a rejection writes nothing; a run that rots after it
+// fails a later merge, past the bytes already written. The writer accepts
+// nothing after Finish.
 func (lw *LintColumnWriter) Finish(w io.Writer) error {
 	if lw.err != nil {
 		return lw.err
 	}
 	lw.err = fmt.Errorf("snapshot: lint column already finished")
+	lw.sortSpans()
+	var prev x509lite.Fingerprint
+	k := 0
+	err := lw.merge(func(rec []byte) error {
+		if k > 0 && bytes.Compare(prev[:], rec[:32]) >= 0 {
+			return fmt.Errorf("snapshot: lint column: results not fingerprint-sorted at %d: %s after %s", k, x509lite.Fingerprint(rec[:32]), prev)
+		}
+		prev = x509lite.Fingerprint(rec[:32])
+		k++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+
 	var header [lintColHeaderLen]byte
 	copy(header[:8], MagicLintColumn)
 	binary.LittleEndian.PutUint64(header[8:], lw.certs)
 	binary.LittleEndian.PutUint64(header[16:], lw.finds)
 	binary.LittleEndian.PutUint32(header[24:], uint32(len(lw.lints)))
 	binary.LittleEndian.PutUint64(header[32:], uint64(len(lw.lintTab)))
-	binary.LittleEndian.PutUint64(header[40:], uint64(lw.details.Len()))
+	binary.LittleEndian.PutUint64(header[40:], lw.details)
 	headerSum := sha256.Sum256(header[:])
-	body := sha256.New()
-	out := io.MultiWriter(w, body)
 	if _, err := w.Write(append(header[:], headerSum[:]...)); err != nil {
 		return fmt.Errorf("snapshot: lint column write: %w", err)
 	}
-	if _, err := out.Write(lw.lintTab); err != nil {
-		return fmt.Errorf("snapshot: lint column write: %w", err)
+	body := sha256.New()
+	out := bufio.NewWriterSize(io.MultiWriter(w, body), 64<<10)
+	out.Write(lw.lintTab)
+	var e [lintColKeyEntry]byte
+	var post, detail uint32
+	passes := []func(rec []byte) error{
+		func(rec []byte) error { // keys
+			count := binary.LittleEndian.Uint32(rec[32:])
+			copy(e[:32], rec)
+			binary.LittleEndian.PutUint32(e[32:], post)
+			binary.LittleEndian.PutUint32(e[36:], count)
+			post += count
+			_, err := out.Write(e[:])
+			return err
+		},
+		func(rec []byte) error { // postings
+			count := int(binary.LittleEndian.Uint32(rec[32:]))
+			pairs := rec[lintRecHead : lintRecHead+8*count]
+			for i := 0; i < len(pairs); i += 8 {
+				li, dlen := binary.LittleEndian.Uint32(pairs[i:]), binary.LittleEndian.Uint32(pairs[i+4:])
+				binary.LittleEndian.PutUint32(e[0:], li)
+				binary.LittleEndian.PutUint32(e[4:], uint32(lw.lints[li].Severity))
+				binary.LittleEndian.PutUint32(e[8:], detail)
+				binary.LittleEndian.PutUint32(e[12:], dlen)
+				detail += dlen
+				if _, err := out.Write(e[:lintColPostEntry]); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		func(rec []byte) error { // details
+			count := int(binary.LittleEndian.Uint32(rec[32:]))
+			_, err := out.Write(rec[lintRecHead+8*count:])
+			return err
+		},
 	}
-	for _, s := range []*extsort.SpillFile{lw.keys, lw.posts, lw.details} {
-		if err := s.VerifyCopy(out); err != nil {
+	for _, pass := range passes {
+		if err := lw.merge(pass); err != nil {
 			return fmt.Errorf("snapshot: lint column write: %w", err)
 		}
+	}
+	if err := out.Flush(); err != nil {
+		return fmt.Errorf("snapshot: lint column write: %w", err)
 	}
 	if _, err := w.Write(body.Sum(nil)); err != nil {
 		return fmt.Errorf("snapshot: lint column write: %w", err)
@@ -277,33 +396,134 @@ func (lw *LintColumnWriter) Finish(w io.Writer) error {
 	return nil
 }
 
-// Close releases the arrays' memory and spill files. Safe to call more than
-// once.
+// merge hands every record to fn in ascending fingerprint order: the sorted
+// run buffer's when nothing spilled, else the spilled runs' and the
+// buffer's, k-way merged by extsort.Merge. A record stays valid only until
+// fn returns. A spilled run's records are checked against the lint table
+// and the detail cap as they are read, and its digest once it drains.
+func (lw *LintColumnWriter) merge(fn func(rec []byte) error) error {
+	if len(lw.runs) == 0 {
+		for _, sp := range lw.spans {
+			if err := fn(lw.buf[sp.off:sp.end]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	srcs := make([]func() ([]byte, bool, error), 0, len(lw.runs)+1)
+	for i, run := range lw.runs {
+		rd, err := run.spill.Reader()
+		if err != nil {
+			return err
+		}
+		// Records come off a small buffer of their own; the spill reader
+		// holds none.
+		src := &lintRunReader{r: bufio.NewReaderSize(rd, 4<<10), run: i, count: run.count, lints: len(lw.lints)}
+		srcs = append(srcs, src.next)
+	}
+	spans := lw.spans
+	srcs = append(srcs, func() ([]byte, bool, error) {
+		if len(spans) == 0 {
+			return nil, false, nil
+		}
+		sp := spans[0]
+		spans = spans[1:]
+		return lw.buf[sp.off:sp.end], true, nil
+	})
+	return extsort.Merge(srcs, func(a, b []byte) bool { return bytes.Compare(a[:32], b[:32]) < 0 }, fn)
+}
+
+// lintRunReader reads one spilled run's records back into a buffer it reuses.
+type lintRunReader struct {
+	r                io.Reader
+	run, count, read int
+	lints            int
+	rec              []byte
+}
+
+// next reads the run's following record; false means the run is drained and
+// its digest held.
+func (s *lintRunReader) next() ([]byte, bool, error) {
+	if s.read == s.count {
+		if err := extsort.ReadEnd(s.r); err != nil {
+			return nil, false, fmt.Errorf("snapshot: lint run %d: %w", s.run, err)
+		}
+		return nil, false, nil
+	}
+	rec, err := s.record()
+	if err != nil {
+		return nil, false, fmt.Errorf("snapshot: lint run %d record %d: %w", s.run, s.read, err)
+	}
+	s.read++
+	return rec, true, nil
+}
+
+// record reads one record, checking its finding count, lint indexes and
+// detail lengths against the lint table and the cap before it reads what
+// they claim.
+func (s *lintRunReader) record() ([]byte, error) {
+	rec, err := s.readMore(s.rec[:0], lintRecHead)
+	if err != nil {
+		return nil, err
+	}
+	count := binary.LittleEndian.Uint32(rec[32:])
+	if uint64(count) > uint64(s.lints) {
+		return nil, fmt.Errorf("%d findings for %d linters", count, s.lints)
+	}
+	if rec, err = s.readMore(rec, 8*int(count)); err != nil {
+		return nil, err
+	}
+	details := 0
+	for i := lintRecHead; i < len(rec); i += 8 {
+		li, dlen := binary.LittleEndian.Uint32(rec[i:]), binary.LittleEndian.Uint32(rec[i+4:])
+		if uint64(li) >= uint64(s.lints) {
+			return nil, fmt.Errorf("finding references lint %d of %d", li, s.lints)
+		}
+		if dlen > maxLintColDetail {
+			return nil, fmt.Errorf("detail %d bytes, cap %d", dlen, maxLintColDetail)
+		}
+		details += int(dlen)
+	}
+	rec, err = s.readMore(rec, details)
+	s.rec = rec
+	return rec, err
+}
+
+// readMore extends rec by n bytes read from the run.
+func (s *lintRunReader) readMore(rec []byte, n int) ([]byte, error) {
+	rec = slices.Grow(rec, n)
+	if _, err := io.ReadFull(s.r, rec[len(rec):len(rec)+n]); err != nil {
+		return nil, fmt.Errorf("truncated: %w", err)
+	}
+	return rec[:len(rec)+n], nil
+}
+
+// Close removes every spilled run and drops the run buffer. Safe to call
+// more than once.
 func (lw *LintColumnWriter) Close() error {
 	var first error
-	for _, s := range []*extsort.SpillFile{lw.keys, lw.posts, lw.details} {
-		if err := s.Remove(); err != nil && first == nil {
+	for _, run := range lw.runs {
+		if err := run.spill.Remove(); err != nil && first == nil {
 			first = err
 		}
 	}
+	lw.runs, lw.buf, lw.spans = nil, nil, nil
 	return first
 }
 
 // WriteLintColumn encodes one corpus run through a LintColumnWriter at the
-// default budget. Results must be sorted by fingerprint with no duplicates
-// (certlint.RunCorpus's contract) and every finding must match a linter in
-// infos, which must be ID-sorted with unique IDs (Registry.Infos's
-// contract). On a rejected input nothing is written to w.
+// default budget. Results may come in any order, but no fingerprint may
+// repeat, and every finding must match a linter in infos, which must be
+// ID-sorted with unique IDs (Registry.Infos's contract). On a rejected input
+// nothing is written to w.
 func WriteLintColumn(w io.Writer, results []certlint.CertFindings, infos []certlint.LinterInfo) error {
 	lw, err := NewLintColumnWriter(infos, "", 0)
 	if err != nil {
 		return err
 	}
 	defer lw.Close()
-	for _, cf := range results {
-		if err := lw.Add(cf); err != nil {
-			return err
-		}
+	if err := lw.Add(results); err != nil {
+		return err
 	}
 	return lw.Finish(w)
 }

@@ -15,6 +15,7 @@ import (
 
 	"securepki/internal/certlint"
 	"securepki/internal/obs"
+	"securepki/internal/stats"
 	"securepki/internal/x509lite"
 )
 
@@ -138,10 +139,10 @@ func TestLintColumnFileFailureKeepsOld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsorted := testLintResults(2)
-	unsorted[0], unsorted[1] = unsorted[1], unsorted[0]
-	if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, unsorted, testLintInfos()) }); err == nil || !strings.Contains(err.Error(), "not fingerprint-sorted") {
-		t.Fatalf("rewrite with unsorted results: err = %v, want the sort check", err)
+	repeated := testLintResults(2)
+	repeated[1].Fingerprint = repeated[0].Fingerprint
+	if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, repeated, testLintInfos()) }); err == nil || !strings.Contains(err.Error(), "not fingerprint-sorted") {
+		t.Fatalf("rewrite with a repeated fingerprint: err = %v, want the sort check", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -179,12 +180,7 @@ func TestLintColumnEmpty(t *testing.T) {
 
 func TestWriteLintColumnRejects(t *testing.T) {
 	infos := testLintInfos()
-	fpA := x509lite.FingerprintBytes([]byte("a"))
-	fpB := x509lite.FingerprintBytes([]byte("b"))
-	lo, hi := fpA, fpB
-	if bytes.Compare(lo[:], hi[:]) > 0 {
-		lo, hi = hi, lo
-	}
+	fp := x509lite.FingerprintBytes([]byte("a"))
 	find := func(id string) certlint.Finding {
 		for _, info := range infos {
 			if info.ID == id {
@@ -201,23 +197,18 @@ func TestWriteLintColumnRejects(t *testing.T) {
 		wantSub string
 	}{
 		{
-			"unsorted results",
-			[]certlint.CertFindings{{Fingerprint: hi}, {Fingerprint: lo}},
-			infos, "not fingerprint-sorted",
-		},
-		{
 			"duplicate fingerprint",
-			[]certlint.CertFindings{{Fingerprint: lo}, {Fingerprint: lo}},
+			[]certlint.CertFindings{{Fingerprint: fp}, {Fingerprint: fp}},
 			infos, "not fingerprint-sorted",
 		},
 		{
 			"unknown lint ID",
-			[]certlint.CertFindings{{Fingerprint: lo, Findings: []certlint.Finding{{LintID: "ghost", Version: 1}}}},
+			[]certlint.CertFindings{{Fingerprint: fp, Findings: []certlint.Finding{{LintID: "ghost", Version: 1}}}},
 			infos, "unregistered lint",
 		},
 		{
 			"findings out of order",
-			[]certlint.CertFindings{{Fingerprint: lo, Findings: []certlint.Finding{find("b_lint"), find("a_lint")}}},
+			[]certlint.CertFindings{{Fingerprint: fp, Findings: []certlint.Finding{find("b_lint"), find("a_lint")}}},
 			infos, "not ID-sorted",
 		},
 		{
@@ -252,7 +243,7 @@ func TestWriteLintColumnRejects(t *testing.T) {
 		},
 		{
 			"oversized detail",
-			[]certlint.CertFindings{{Fingerprint: lo, Findings: []certlint.Finding{{
+			[]certlint.CertFindings{{Fingerprint: fp, Findings: []certlint.Finding{{
 				LintID: "a_lint", Version: 1, Severity: certlint.Info,
 				Detail: strings.Repeat("x", maxLintColDetail+1),
 			}}}},
@@ -457,5 +448,239 @@ func TestLintColumnFromRunCorpus(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lc.Lints, infos) {
 		t.Error("registry identity drifted through the column")
+	}
+}
+
+// lintColEncodeCases are the inputs the writer is pinned on, with the
+// SHA-256 of the column the former bytes.Buffer encoder wrote for each.
+func lintColEncodeCases() []struct {
+	name    string
+	results []certlint.CertFindings
+	sha     string
+} {
+	clean := make([]certlint.CertFindings, 6)
+	for i := range clean {
+		clean[i].Fingerprint = x509lite.FingerprintBytes([]byte(fmt.Sprintf("clean-%d", i)))
+	}
+	sortCertFindings(clean)
+	big := testLintResults(5)
+	big[2].Findings = []certlint.Finding{{LintID: "a_lint", Version: 1, Severity: certlint.Info, Detail: strings.Repeat("d", maxLintColDetail)}}
+	return []struct {
+		name    string
+		results []certlint.CertFindings
+		sha     string
+	}{
+		{"no results", nil, "d071cbfd43dac7e84822c6a746147d7ce11ecd1936537850b9e39f9b8ecc954c"},
+		{"zero-finding certificates", clean, "cb428b7c5f09d89de30450995b2327dff279445cacec4c70fe3542fda8422eee"},
+		{"64 KiB detail", big, "6412d865abdad978763fd1605222a72b7c91d0d66fcea6f43c23c080b1463895"},
+		{"mixed", testLintResults(300), "b31c288b64fbe92b813418097cfef59ee80af05ebce9c45426847248cfcd31f0"},
+	}
+}
+
+// encodeBatches runs results through a LintColumnWriter with budget bytes
+// (spilling a run whenever that fills), in batches of 7, and reports how
+// many runs spilled.
+func encodeBatches(t *testing.T, results []certlint.CertFindings, budget int64) (col []byte, runs int) {
+	t.Helper()
+	lw, err := NewLintColumnWriter(testLintInfos(), t.TempDir(), budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	for lo := 0; lo < len(results); lo += 7 {
+		if err := lw.Add(results[lo:min(lo+7, len(results))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := lw.Finish(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), lw.Runs()
+}
+
+// TestLintColumnWriterMatchesPinned: the writer reproduces the former
+// encoder's bytes — no results, certificates without findings, a detail at
+// the 64 KiB cap, a mixed corpus — through WriteLintColumn at the default
+// budget, and from batches that arrive in reverse or in a seeded shuffle,
+// at an unbounded budget and at a budget so small that every record spills
+// its own run.
+func TestLintColumnWriterMatchesPinned(t *testing.T) {
+	for _, tc := range lintColEncodeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := WriteLintColumn(&buf, tc.results, testLintInfos()); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sha {
+				t.Fatalf("WriteLintColumn SHA-256 %s, want %s", got, tc.sha)
+			}
+			reversed := slices.Clone(tc.results)
+			slices.Reverse(reversed)
+			shuffled := slices.Clone(tc.results)
+			stats.NewRNG(1).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			for _, order := range []struct {
+				name    string
+				results []certlint.CertFindings
+			}{{"reversed", reversed}, {"shuffled", shuffled}} {
+				col, runs := encodeBatches(t, order.results, 0)
+				if !bytes.Equal(col, buf.Bytes()) || runs != 0 {
+					t.Fatalf("%s, unbounded: %d runs, bytes equal: %v", order.name, runs, bytes.Equal(col, buf.Bytes()))
+				}
+				col, runs = encodeBatches(t, order.results, 1)
+				if !bytes.Equal(col, buf.Bytes()) || runs != len(tc.results) {
+					t.Fatalf("%s, spilling: %d runs for %d certs, bytes equal: %v", order.name, runs, len(tc.results), bytes.Equal(col, buf.Bytes()))
+				}
+			}
+		})
+	}
+}
+
+// TestLintRunsCorruptSpill: a lint run that rots on disk between its spill
+// and Finish fails Finish with an explicit error — a checksum mismatch, a
+// truncation or a record the lint table refutes — before a byte is written,
+// rather than feeding the column wrong findings.
+func TestLintRunsCorruptSpill(t *testing.T) {
+	results := testLintResults(200)
+	for _, tc := range []struct {
+		name    string
+		mutate  func(b []byte) []byte
+		wantSub string
+	}{
+		{"bit flip in a detail", func(b []byte) []byte {
+			i := bytes.Index(b, []byte("detail"))
+			b[i] ^= 0x20
+			return b
+		}, "corrupt spill"},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-5] }, "truncated"},
+		{"finding count lie", func(b []byte) []byte { b[32] = 0xff; return b }, "findings for 4 linters"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			lw, err := NewLintColumnWriter(testLintInfos(), dir, 4<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lw.Close()
+			if err := lw.Add(results); err != nil {
+				t.Fatal(err)
+			}
+			paths, _ := filepath.Glob(filepath.Join(dir, "lint-run-*"))
+			if len(paths) < 2 || len(paths) != lw.Runs() {
+				t.Fatalf("%d run files for %d runs, want at least 2", len(paths), lw.Runs())
+			}
+			b, err := os.ReadFile(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(paths[0], tc.mutate(b), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			err = lw.Finish(&out)
+			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
+				t.Fatalf("Finish over a corrupted run: err = %v, want it to mention %q", err, tc.wantSub)
+			}
+			if out.Len() != 0 {
+				t.Fatalf("Finish over a corrupted run wrote %d bytes", out.Len())
+			}
+		})
+	}
+}
+
+// TestLintColumnRepeatAcrossRuns: a fingerprint that comes twice, in two
+// spilled runs, fails Finish's check merge, and nothing is written.
+func TestLintColumnRepeatAcrossRuns(t *testing.T) {
+	results := testLintResults(50)
+	// At one byte every record spills its own run, so the repeat and its
+	// original land in different runs.
+	lw, err := NewLintColumnWriter(testLintInfos(), t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	if err := lw.Add(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Add(results[20:21]); err != nil {
+		t.Fatal(err)
+	}
+	if lw.Runs() != len(results)+1 {
+		t.Fatalf("%d runs for %d records", lw.Runs(), len(results)+1)
+	}
+	var out bytes.Buffer
+	if err := lw.Finish(&out); err == nil || !strings.Contains(err.Error(), "not fingerprint-sorted") {
+		t.Fatalf("Finish with a repeated fingerprint: err = %v, want the sort check", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("rejected column wrote %d bytes", out.Len())
+	}
+}
+
+// TestLintColumnRejectsTableContradictions reproduces two columns the
+// writer used to emit: a finding whose severity contradicts the lint table
+// (the reader then refused the file) and one whose version does (read back
+// silently as the table's version). Both are rejected before a byte is
+// written, by WriteLintColumn, by the writer's Add, and through an atomic
+// file write, which leaves the old column byte-identical.
+func TestLintColumnRejectsTableContradictions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    certlint.Finding
+	}{
+		{"severity", certlint.Finding{LintID: "b_lint", Version: 2, Severity: certlint.Error}},
+		{"version", certlint.Finding{LintID: "b_lint", Version: 7, Severity: certlint.Warn}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			results := testLintResults(9)
+			results[4].Findings = []certlint.Finding{tc.f}
+			var buf bytes.Buffer
+			err := WriteLintColumn(&buf, results, testLintInfos())
+			if err == nil || !strings.Contains(err.Error(), "contradicts lint table") {
+				t.Fatalf("WriteLintColumn: err = %v, want the lint-table check", err)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("rejected column wrote %d bytes", buf.Len())
+			}
+
+			lw, err := NewLintColumnWriter(testLintInfos(), t.TempDir(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lw.Close()
+			if err := lw.Add(results); err == nil || !strings.Contains(err.Error(), "contradicts lint table") {
+				t.Fatalf("LintColumnWriter.Add: err = %v, want the lint-table check", err)
+			}
+
+			path := filepath.Join(t.TempDir(), "corpus.lint")
+			if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, testLintResults(9), testLintInfos()) }); err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := obs.WriteFileAtomic(path, func(w io.Writer) error { return WriteLintColumn(w, results, testLintInfos()) }); err == nil {
+				t.Fatal("an atomic write of WriteLintColumn accepted a contradicting finding")
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("failed rewrite left %d bytes, was %d (err %v)", len(got), len(want), err)
+			}
+		})
+	}
+}
+
+// TestLintColumnWriterRejectsLate: a finished writer takes nothing more.
+func TestLintColumnWriterRejectsLate(t *testing.T) {
+	lw, err := NewLintColumnWriter(testLintInfos(), "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lw.Close()
+	if err := lw.Finish(&bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lw.Add([]certlint.CertFindings{{Fingerprint: x509lite.FingerprintBytes([]byte("late"))}}); err == nil {
+		t.Fatal("Add after Finish accepted")
 	}
 }

@@ -95,7 +95,7 @@ type StreamWriterConfig struct {
 	// of it but the certificate payload's eighth, the certificate shard
 	// table and the per-certificate fingerprint and SPKI, which leaves the
 	// other seven eighths to a lint pass that follows (core.StreamSnapshot
-	// gives them to LintRuns and LintColumnWriter).
+	// gives four of them to the LintColumnWriter's run buffer).
 	MemBudget int64
 }
 

@@ -75,18 +75,6 @@ func (c *CDF) Max() float64 {
 	return c.sorted[len(c.sorted)-1]
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty CDF.
-func (c *CDF) Mean() float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range c.sorted {
-		sum += v
-	}
-	return sum / float64(len(c.sorted))
-}
-
 // Point is one (X, Y) sample of a rendered curve.
 type Point struct {
 	X, Y float64
@@ -190,30 +178,4 @@ func SharePairs(counts []int, n int) []Point {
 		pts = append(pts, Point{X: float64(idx+1) / float64(len(curve)), Y: curve[idx]})
 	}
 	return pts
-}
-
-// Histogram counts occurrences of integer-valued samples.
-type Histogram struct {
-	counts map[int]int
-	n      int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{counts: make(map[int]int)} }
-
-// Add records one observation of v.
-func (h *Histogram) Add(v int) { h.counts[v]++; h.n++ }
-
-// Count returns the number of observations of v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.n }
-
-// Fraction returns the fraction of observations equal to v.
-func (h *Histogram) Fraction(v int) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.n)
 }

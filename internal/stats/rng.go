@@ -72,24 +72,6 @@ func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal draw (Box–Muller).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
-// LogNormal returns a draw from a log-normal distribution whose underlying
-// normal has the given mean mu and standard deviation sigma.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Exponential returns a draw from an exponential distribution with the given
 // mean. It panics if mean <= 0.
 func (r *RNG) Exponential(mean float64) float64 {
@@ -115,19 +97,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 		}
 		return xm / math.Pow(u, 1/alpha)
 	}
-}
-
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Shuffle randomly permutes n elements using the provided swap function.
