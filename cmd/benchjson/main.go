@@ -17,6 +17,15 @@
 // metrics map; the snapshot benchmarks use this to record the process peak
 // RSS ("peak-rss-B", from getrusage) next to certs/sec, so the artifact
 // tracks the memory envelope alongside throughput.
+//
+// With -compare, it instead checks a fresh run against a committed report:
+//
+//	go test -run='^$' -bench=Snapshot -benchmem -count=5 ./internal/snapshot | benchjson -compare BENCH_snapshot.json
+//
+// Each benchmark needs at least five runs; their median B/op and allocs/op
+// may exceed the report's by at most 5%, or benchjson exits 1. ns/op deltas
+// are printed for information only: on a shared machine wall time moves
+// further than any useful threshold.
 package main
 
 import (
@@ -25,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -110,15 +120,43 @@ func mergeMetrics(rep *Report, paths []string) error {
 
 func main() {
 	metricsFiles := flag.String("metrics", "", "comma-separated obs metrics documents (-metrics-out output) to merge into the report")
+	baseline := flag.String("compare", "", "check the benchmark output on stdin against this report instead of converting it")
 	flag.Parse()
-	rep := Report{Context: map[string]string{}, Benchmarks: []Benchmark{}}
+	rep, err := readBench(os.Stdin)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	if *baseline != "" {
+		regressed, err := compareFile(os.Stdout, *baseline, rep)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(2)
+		}
+		if regressed {
+			os.Exit(1)
+		}
+		return
+	}
 	if *metricsFiles != "" {
 		if err := mergeMetrics(&rep, strings.Split(*metricsFiles, ",")); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
 	}
-	sc := bufio.NewScanner(os.Stdin)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+// readBench parses `go test -bench` output: every result line, in order,
+// and the first goos/goarch/pkg/cpu header of each kind.
+func readBench(r io.Reader) (Report, error) {
+	rep := Report{Context: map[string]string{}, Benchmarks: []Benchmark{}}
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -141,16 +179,7 @@ func main() {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
+	return rep, sc.Err()
 }
 
 // parseBenchLine parses one result line:

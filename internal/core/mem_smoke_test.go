@@ -17,10 +17,9 @@ import (
 // ceiling. A resident pipeline at this size holds every host and
 // observation live at once; the streaming path must not, so a leak back
 // toward resident behaviour trips the ceiling long before it ooms a real
-// 10⁶-device run. The ceilings sit a third or more above this build's
-// 22–38 MiB heap and 52–56 MiB RSS (45,137 certificates), and below the
-// 56–71 MiB and 97–99 MiB a lint that keeps every finding until one final
-// sort reaches.
+// 10⁶-device run. The ceilings sit well above this build's 16–23 MiB heap
+// and 42–45 MiB RSS (45,137 certificates), and below the 56–71 MiB and
+// 97–99 MiB a lint that keeps every finding until one final sort reaches.
 //
 // Knobs (all env vars):
 //

@@ -24,24 +24,30 @@ type StreamConfig struct {
 	// 8192). Output bytes are identical at every setting.
 	ChunkSize int
 	// MemBudget bounds, in bytes, both the chunk store's live set and the
-	// snapshot writer's buffers (<= 0 means 256 MiB each); how the writer
-	// shares its budget, and what stays outside it, is documented at
-	// snapshot.StreamWriterConfig.MemBudget: during replay, chiefly up to
-	// Workers shards in flight, each shard's parts and the compressed
-	// blocks it fills until its payload takes them, a pooled compressor
-	// per shard in flight, and the certificate bytes of the spilled chunk
-	// sections whose DERs the pending and in-flight certificate shards
-	// reference (a section's observations are read apart from them, so
-	// they are not kept); one eighth of the writer's budget is unused. The
-	// chunk store closes once replay drains it, and the writer keeps an
-	// eighth of the budget (its certificate payload, which lint reads back)
-	// past Finish; lint takes half for the lint-column writer's sorted
-	// finding runs, and the last three eighths are unused. Outside the
-	// budget during lint stay one certificate shard, compressed and
-	// inflated (2048 certificates by default), and its parsed certificates,
-	// the shared-key census, the fingerprint and SPKI per certificate, and,
-	// while the column is written, the run merges' 4 KiB read buffer per
-	// spilled run and a 64 KiB output buffer.
+	// snapshot writer's buffers (<= 0 means 256 MiB each). The chunk
+	// store's live set counts the record of the chunk being scanned as well
+	// as the finished ones: as that record grows, the oldest finished
+	// chunks spill. How the writer shares its budget, and what stays
+	// outside it, is documented at snapshot.StreamWriterConfig.MemBudget:
+	// its shard compressors take its last eighth, at least one and at most
+	// Workers (one at budgets under ~9.6 MB, which that eighth has no room
+	// for), and as many shards are in flight; outside it during replay stay
+	// chiefly each in-flight shard's parts and the compressed blocks it
+	// fills until its payload takes them, and the certificate bytes of the
+	// spilled chunk sections whose DERs the pending and in-flight
+	// certificate shards reference (a section's observations are read apart
+	// from them, so they are not kept). The observation columns' share
+	// keeps its bound for Workers shards in flight, which still holds when
+	// fewer are. The chunk store closes once replay drains it, and the
+	// writer keeps an eighth of the budget (its certificate payload, which
+	// lint reads back) past Finish, which drops the compressors; lint takes
+	// half for the lint-column writer's sorted finding runs, and the last
+	// three eighths are unused. Outside the budget during lint stay one
+	// certificate shard, compressed and inflated (2048 certificates by
+	// default), and its parsed certificates, the shared-key census, the
+	// fingerprint and SPKI per certificate, and, while the column is
+	// written, the run merges' 4 KiB read buffer per spilled run and a
+	// 64 KiB output buffer.
 	MemBudget int64
 	// SpillDir hosts every spill file ("" means the OS temp dir).
 	SpillDir string
@@ -72,8 +78,9 @@ type StreamStats struct {
 // Its five stages (core.generate, core.scan, core.replay, core.snapshot,
 // core.lint) start through the helper the resident pipeline uses, so they
 // set progress.stage, journal stage.start and open a span. The cfg.Obs
-// registry also receives the mem.* gauges (live chunks, spilled runs,
-// spilled bytes, merge fan-in, lint runs, and a volatile heap high-water)
+// registry also receives the mem.* gauges (live chunks, the chunk store's
+// live high water, spilled runs, spilled bytes, merge fan-in, lint runs,
+// and a volatile heap high-water)
 // on top of the stage counters the substrates already emit; each chunk
 // spill gets a core.spill span and a spill journal event, and the lint
 // column's write a lintcol.write event.
@@ -129,6 +136,7 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 		return nil, fmt.Errorf("core: stream scan: %w", err)
 	}
 	liveGauge.Set(int64(store.LiveChunks()))
+	reg.Gauge("mem.chunk_live_high_water").Set(store.LiveHighWater())
 	stats.Chunks = store.NumChunks()
 	reg.Counter("core.scan.scans").Add(int64(len(sched)))
 	reg.Counter("core.scan.x509.sign").Add(world.Signs() - signs)

@@ -49,9 +49,10 @@ type chunkSection struct {
 }
 
 // ChunkStore accumulates chunk records in order, spilling whole chunks to
-// dir once live records exceed memBudget bytes. Replay access is by
-// (chunk, scan) section, the unit the snapshot replay consumes; a spilled
-// chunk's sections must be read in scan order, each once.
+// dir, oldest first, while the live records and the record being built
+// exceed memBudget bytes. Replay access is by (chunk, scan) section, the
+// unit the snapshot replay consumes; a spilled chunk's sections must be
+// read in scan order, each once.
 type ChunkStore struct {
 	nScans    int
 	memBudget int64
@@ -59,7 +60,11 @@ type ChunkStore struct {
 
 	live      []*chunkRecord  // by chunk index; nil once spilled
 	spilled   []*spilledChunk // by chunk index; nil while live
+	oldest    int             // the oldest live chunk: every chunk before it spilled
 	liveBytes int64
+	building  *chunkRecord // the record StreamRun is filling; nil between chunks
+	highWater int64        // the most liveBytes plus building's bytes reached
+	err       error        // a spill that failed while building grew
 	spills    int
 	spiltIn   int64  // total bytes written to spill files
 	obsBuf    []byte // a spilled section's observation bytes, reused
@@ -78,20 +83,51 @@ func NewChunkStore(nScans int, memBudget int64, dir string) *ChunkStore {
 	return &ChunkStore{nScans: nScans, memBudget: memBudget, dir: dir}
 }
 
-// Add appends the next chunk's record, spilling the oldest live chunks
-// while the live set exceeds the budget. Spilling policy never affects
-// replay output — only which medium a section is read back from.
-func (cs *ChunkStore) Add(rec *chunkRecord) error {
+// beginChunk starts the record of the next chunk, which addCert and addObs
+// grow and endChunk adds.
+func (cs *ChunkStore) beginChunk() {
+	cs.building = newChunkRecord(cs.nScans)
+}
+
+// addCert and addObs grow the record being built, spilling the oldest live
+// chunks while their bytes plus the record's exceed the budget. The record
+// only grows, so each chunk spilled here is one endChunk would spill for
+// the complete record: the spills are the same, only earlier, and the chunk
+// being filled never sits beside live chunks the budget has no room for.
+func (cs *ChunkStore) addCert(scan int, c NewCert) {
+	cs.building.addCert(scan, c)
+	cs.makeRoom()
+}
+
+func (cs *ChunkStore) addObs(scan int, o ObsRec) {
+	cs.building.addObs(scan, o)
+	cs.makeRoom()
+}
+
+func (cs *ChunkStore) makeRoom() {
+	n := cs.building.bytes
+	for cs.err == nil && cs.oldest < len(cs.live) && cs.liveBytes+n > cs.memBudget {
+		cs.err = cs.spillChunk(cs.oldest)
+	}
+	cs.highWater = max(cs.highWater, cs.liveBytes+n)
+}
+
+// endChunk adds the record being built as the next chunk, or reports the
+// spill that failed while it grew. If the record alone exceeds the budget,
+// every older chunk is gone by now, and it spills too. Spilling policy
+// never affects replay output — only which medium a section is read back
+// from.
+func (cs *ChunkStore) endChunk() error {
+	rec := cs.building
+	cs.building = nil
+	if cs.err != nil {
+		return cs.err
+	}
 	cs.live = append(cs.live, rec)
 	cs.spilled = append(cs.spilled, nil)
 	cs.liveBytes += rec.bytes
-	for k := 0; cs.liveBytes > cs.memBudget && k < len(cs.live); k++ {
-		if cs.live[k] == nil {
-			continue
-		}
-		if err := cs.spillChunk(k); err != nil {
-			return err
-		}
+	if cs.liveBytes > cs.memBudget {
+		return cs.spillChunk(len(cs.live) - 1)
 	}
 	return nil
 }
@@ -116,8 +152,13 @@ func (cs *ChunkStore) Spills() int { return cs.spills }
 // SpilledBytes returns the total bytes written to spill files.
 func (cs *ChunkStore) SpilledBytes() int64 { return cs.spiltIn }
 
-// spillChunk writes chunk k's record to a sealed spill file and drops it
-// from the live set.
+// LiveHighWater returns the most bytes the store has held live at once,
+// counting the record being built: at most the budget, unless one chunk's
+// record alone exceeds it, and then that record's size.
+func (cs *ChunkStore) LiveHighWater() int64 { return cs.highWater }
+
+// spillChunk writes chunk k, the oldest live one, to a sealed spill file
+// and drops it from the live set.
 func (cs *ChunkStore) spillChunk(k int) error {
 	rec := cs.live[k]
 	sp := &spilledChunk{
@@ -141,6 +182,7 @@ func (cs *ChunkStore) spillChunk(k int) error {
 	n := sp.spill.Len()
 	cs.spilled[k] = sp
 	cs.live[k] = nil
+	cs.oldest = k + 1
 	cs.liveBytes -= rec.bytes
 	cs.spills++
 	cs.spiltIn += n

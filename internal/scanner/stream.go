@@ -25,8 +25,9 @@ import (
 // Certificates intern chunk-locally (a fingerprint map per chunk, never a
 // global one), and each chunk records, per scan, the certificates first seen
 // in that chunk at that scan plus the (local cert, IP) observations. The
-// ChunkStore holds those records, spilling whole chunks past a memory budget
-// as one checksummed extsort.SpillFile each; replaying the records
+// ChunkStore holds those records and counts the one being filled against its
+// memory budget, spilling whole chunks past it, oldest first, as one
+// checksummed extsort.SpillFile each; replaying the records
 // scan-major — scan 0 across chunks 0..K, then scan 1, … — reconstructs the
 // exact global first-seen intern order of the in-memory path, which is what
 // makes the streaming snapshot byte-identical to the resident one. That
@@ -67,7 +68,7 @@ func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize, workers int, s
 		if hosts == nil {
 			break
 		}
-		rec := newChunkRecord(len(c.schedule))
+		store.beginChunk()
 		local := make(map[x509lite.Fingerprint]uint32)
 		c.sweep(hosts, base, workers, lossRNGs, func(scan, _ int, cert *x509lite.Certificate, ip netsim.IP) {
 			fp := cert.Fingerprint()
@@ -75,11 +76,11 @@ func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize, workers int, s
 			if !ok {
 				id = uint32(len(local))
 				local[fp] = id
-				rec.addCert(scan, NewCert{FP: fp, SPKI: cert.PublicKeyFingerprint(), DER: cert.Raw})
+				store.addCert(scan, NewCert{FP: fp, SPKI: cert.PublicKeyFingerprint(), DER: cert.Raw})
 			}
-			rec.addObs(scan, ObsRec{Local: id, IP: uint32(ip)})
+			store.addObs(scan, ObsRec{Local: id, IP: uint32(ip)})
 		})
-		if err := store.Add(rec); err != nil {
+		if err := store.endChunk(); err != nil {
 			return err
 		}
 		base += len(hosts)

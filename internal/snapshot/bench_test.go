@@ -56,19 +56,26 @@ func reportCorpusRates(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotWrite writes the bench corpus at the default budget
+// (v3, WriteV3) and at the streamed benchmark's 2 MiB (v3-2MiB), where the
+// writer keeps one compressor and its spills go to disk.
 func BenchmarkSnapshotWrite(b *testing.B) {
 	c, v3 := benchCorpus(b)
-	b.Run("v3", func(b *testing.B) {
-		b.SetBytes(int64(len(v3)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := WriteV3(io.Discard, c, Options{Workers: runtime.GOMAXPROCS(0), ASOf: testASOf}); err != nil {
-				b.Fatal(err)
+	run := func(name string, cfg StreamWriterConfig) {
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(v3)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := StreamCorpus(io.Discard, c, Options{Workers: runtime.GOMAXPROCS(0), ASOf: testASOf}, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		reportCorpusRates(b)
-	})
+			reportCorpusRates(b)
+		})
+	}
+	run("v3", StreamWriterConfig{})
+	run("v3-2MiB", StreamWriterConfig{SpillDir: b.TempDir(), MemBudget: 2 << 20})
 }
 
 func BenchmarkSnapshotRead(b *testing.B) {

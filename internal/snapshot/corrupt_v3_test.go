@@ -477,7 +477,11 @@ func forgeObsOverflow(tb testing.TB, snap []byte) []byte {
 		}
 		raw = binary.AppendUvarint(raw, n)
 	}
-	blocks, err := gzipShard(func(w io.Writer) error {
+	zw, err := gzip.NewWriterLevel(nil, shardCompression)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blocks, err := gzipShard(zw, func(w io.Writer) error {
 		_, err := w.Write(raw)
 		return err
 	})

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"io"
-	"sync"
 
 	"securepki/internal/scanstore"
 	"securepki/internal/x509lite"
@@ -93,29 +92,19 @@ func (bw *blockWriter) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// gzipWriters recycles shard compressors: a flate writer's state is far
-// larger than a typical shard, and Reset yields the same stream as a new
-// writer.
-var gzipWriters sync.Pool
+// compressorBytes is what one shard compressor holds once it has
+// written: a gzip.BestSpeed writer's deflate state, whatever the shard's
+// size (TestCompressorBytes measures it).
+const compressorBytes = 1204768
 
-// gzipShard compresses the raw shard bytes that write produces into blocks:
-// full compBlock-byte blocks and a last one cut to its length, so a landed
-// shard holds no spare room.
-func gzipShard(write func(io.Writer) error) ([][]byte, error) {
+// gzipShard compresses the raw shard bytes that write produces through zw
+// into blocks: full compBlock-byte blocks and a last one cut to its length,
+// so a landed shard holds no spare room. Reset makes zw's stream that of a
+// new writer, so the bytes do not depend on what zw compressed before.
+func gzipShard(zw *gzip.Writer, write func(io.Writer) error) ([][]byte, error) {
 	var out blockWriter
-	zw, _ := gzipWriters.Get().(*gzip.Writer)
-	if zw == nil {
-		var err error
-		if zw, err = gzip.NewWriterLevel(&out, shardCompression); err != nil {
-			return nil, err
-		}
-	} else {
-		zw.Reset(&out)
-	}
-	defer func() {
-		zw.Reset(nil) // a pooled compressor must not keep the blocks alive
-		gzipWriters.Put(zw)
-	}()
+	zw.Reset(&out)
+	defer zw.Reset(nil) // an idle compressor must not keep the blocks alive
 	if err := write(zw); err != nil {
 		return nil, err
 	}

@@ -231,17 +231,21 @@ func TestRoundTripSparse(t *testing.T) {
 	}
 }
 
-// The file bytes must not depend on the worker count on the spilling
-// StreamWriter path either — shard boundaries are fixed by the data,
-// workers only pick who compresses what — and must equal the resident
-// write's.
+// The file bytes must not depend on the worker count or the budget on the
+// StreamWriter path either — shard boundaries are fixed by the data, and
+// workers and the compressors the budget has room for (one at 16 KiB,
+// 64 KiB and 2 MiB, Workers at the default) only pick who compresses what
+// and how many shards are in flight — and must equal the resident write's.
 func TestWriteDeterministicAcrossWorkers(t *testing.T) {
 	c := testCorpus(t, 90, 7, 120)
 	ref := encodeV3(t, c, Options{Workers: 1, CertsPerShard: 32, ScansPerShard: 2, ASOf: testASOf})
-	for _, workers := range []int{1, 2, 5, 16} {
-		raw := streamEncode(t, c, Options{Workers: workers, CertsPerShard: 32, ScansPerShard: 2, ASOf: testASOf}, spillConfig(t))
-		if !bytes.Equal(ref, raw) {
-			t.Fatalf("spilling Workers=%d produced different bytes than the resident Workers=1 write", workers)
+	for _, budget := range []int64{1 << 14, 64 << 10, 2 << 20, 0} {
+		for _, workers := range []int{1, 2, 4, 5, 16} {
+			raw := streamEncode(t, c, Options{Workers: workers, CertsPerShard: 32, ScansPerShard: 2, ASOf: testASOf},
+				StreamWriterConfig{SpillDir: t.TempDir(), MemBudget: budget})
+			if !bytes.Equal(ref, raw) {
+				t.Fatalf("budget %d, Workers=%d produced different bytes than the resident Workers=1 write", budget, workers)
+			}
 		}
 	}
 }

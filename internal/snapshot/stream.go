@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -24,10 +25,13 @@ import (
 // sighting — so no resident corpus is needed; WriteV3 feeds it from one
 // (StreamCorpus).
 //
-// Memory stays bounded. A certificate shard is handed to one of up to
-// Options.Workers compressors as its CertsPerShard-th certificate arrives,
-// and a scan shard as its ScansPerShard-th scan ends; compressed shards join
-// the certificate or scan payload in shard order, each written once. A
+// Memory stays bounded. A certificate shard is handed to one of the
+// writer's compressors as its CertsPerShard-th certificate arrives, and a
+// scan shard as its ScansPerShard-th scan ends; compressed shards join the
+// certificate or scan payload in shard order, each written once. The writer
+// builds its compressors as shards first need them, as many as its budget
+// has room for (at least one, at most Options.Workers), and drops them once
+// the last shard lands. A
 // certificate shard holds the DERs it was handed, not copies, until it
 // lands. The payloads, the per-scan observation columns and the index
 // section arrays are memory-first spills that move to disk only past their
@@ -52,7 +56,9 @@ type StreamWriter struct {
 
 	pendDERs [][]byte // the certificate shard being filled: its DERs, as handed in
 
-	inflight         []*shardJob // shards compressing, in submission order
+	inflight         []*shardJob    // shards compressing, in submission order
+	compressors      int            // how many compressors the writer keeps, so shards in flight
+	idle             []*gzip.Writer // built compressors no shard in flight holds
 	certPay, scanPay payload
 	certShards       int // certificate shards handed to compressors so far
 
@@ -77,25 +83,31 @@ type StreamWriterConfig struct {
 	// extsort.DefaultMemBudget): the IP and AS sorters take three
 	// sixteenths of it each, all of it for records, since they sort in
 	// place; the certificate and scan payloads and the observation columns
-	// an eighth each, and the ten section arrays share another eighth, which
-	// leaves the last eighth unused; beyond its share each spills to disk.
-	// The columns' eighth covers the open scan shard and up to
-	// Workers scan shards in flight, 2·ScansPerShard columns each, so a
-	// column holds at most an eighth of the budget over
-	// 2·ScansPerShard·(1+Workers) in memory before it spills. Outside the
-	// budget stay the per-certificate state, the DERs of the certificate
-	// shard being filled and of up to Workers shards in flight (the
-	// caller's own buffers, which the writer only references), each
-	// in-flight shard's other parts (a certificate shard's length column, a
-	// scan shard's metadata column) and the 64 KiB blocks its compressed
-	// bytes fill until its payload takes them, a pooled compressor per
-	// shard in flight, the current scan's batched varints and, once its
-	// columns spill, their 64 KiB write buffers, and, while Finish merges
-	// the sorters, a 4 KiB read buffer per spilled run. Finish releases all
-	// of it but the certificate payload's eighth, the certificate shard
-	// table and the per-certificate fingerprint and SPKI, which leaves the
-	// other seven eighths to a lint pass that follows (core.StreamSnapshot
-	// gives four of them to the LintColumnWriter's run buffer).
+	// an eighth each, and the ten section arrays share another eighth;
+	// beyond its share each spills to disk. The shard compressors take the
+	// last eighth: as many as fit at compressorBytes (~1.2 MB) each, but at
+	// least one and at most Workers, and as many shards are in flight at
+	// once. So a budget under ~9.6 MB, such as 2 or 4 MiB, keeps one
+	// compressor that its eighth has no room for, and the default keeps
+	// Workers (up to 27).
+	// The columns' eighth covers the open scan shard and up to Workers scan
+	// shards in flight, 2·ScansPerShard columns each, so a column holds at
+	// most an eighth of the budget over 2·ScansPerShard·(1+Workers) in
+	// memory before it spills; with fewer compressors than Workers fewer
+	// shards are in flight, and that bound still holds. Outside the budget
+	// stay the per-certificate state, the DERs of the certificate shard
+	// being filled and of the shards in flight (the caller's own buffers,
+	// which the writer only references), each in-flight shard's other parts
+	// (a certificate shard's length column, a scan shard's metadata column)
+	// and the 64 KiB blocks its compressed bytes fill until its payload
+	// takes them, the current scan's batched varints and, once its columns
+	// spill, their 64 KiB write buffers, and, while Finish merges the
+	// sorters, a 4 KiB read buffer per spilled run. Finish drops the
+	// compressors once the last shard lands and releases all the rest but
+	// the certificate payload's eighth, the certificate shard table and the
+	// per-certificate fingerprint and SPKI, which leaves the other seven
+	// eighths to a lint pass that follows (core.StreamSnapshot gives four of
+	// them to the LintColumnWriter's run buffer).
 	MemBudget int64
 }
 
@@ -107,12 +119,13 @@ type payload struct {
 	tab  []V3Shard
 }
 
-// shardJob is one shard on its way through a compressor to dst. The
+// shardJob is one shard on its way through its compressor zw to dst. The
 // goroutine that compresses it fills blocks, entry.CompLen, entry.Sum and
-// err, then closes done.
+// err, then closes done; zw goes back to the writer when the shard lands.
 type shardJob struct {
 	dst    *payload
 	entry  V3Shard
+	zw     *gzip.Writer
 	blocks [][]byte // the compressed shard
 	err    error
 	done   chan struct{}
@@ -138,11 +151,13 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 	if budget <= 0 {
 		budget = extsort.DefaultMemBudget
 	}
+	workers := parallel.Workers(opt.Workers)
 	sw := &StreamWriter{
-		opt:    opt,
-		cfg:    cfg,
-		budget: budget,
-		colCap: min(budget/8/int64(2*opt.ScansPerShard*(1+parallel.Workers(opt.Workers))), int64(colSpillThreshold)),
+		opt:         opt,
+		cfg:         cfg,
+		budget:      budget,
+		compressors: int(min(max(budget/8/compressorBytes, 1), int64(workers))),
+		colCap:      min(budget/8/int64(2*opt.ScansPerShard*(1+workers)), int64(colSpillThreshold)),
 	}
 	sw.certPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
 	sw.scanPay.data = extsort.NewSpillFile(cfg.SpillDir, "snapshot-payload-*.spill", budget/8)
@@ -362,24 +377,36 @@ func (sw *StreamWriter) flushScanShard() error {
 }
 
 // compress starts one shard compressing on its own goroutine, first landing
-// the oldest in-flight shard when Workers are already busy, so memory and
+// the oldest in-flight shard when every compressor is busy, so memory and
 // CPU stay bounded and each payload stays in shard order. write produces
 // the shard's rawLen uncompressed bytes.
 func (sw *StreamWriter) compress(dst *payload, first, count, rawLen int, write func(io.Writer) error) error {
-	if len(sw.inflight) >= parallel.Workers(sw.opt.Workers) {
+	if len(sw.inflight) >= sw.compressors {
 		if err := sw.land(); err != nil {
+			return err
+		}
+	}
+	// Each shard in flight holds one compressor, so one is idle or may
+	// still be built.
+	var zw *gzip.Writer
+	if n := len(sw.idle); n > 0 {
+		zw, sw.idle = sw.idle[n-1], sw.idle[:n-1]
+	} else {
+		var err error
+		if zw, err = gzip.NewWriterLevel(nil, shardCompression); err != nil {
 			return err
 		}
 	}
 	job := &shardJob{
 		dst:   dst,
 		entry: V3Shard{First: uint64(first), Count: uint64(count), RawLen: uint64(rawLen)},
+		zw:    zw,
 		done:  make(chan struct{}),
 	}
 	sw.inflight = append(sw.inflight, job)
 	go func() {
 		defer close(job.done)
-		if job.blocks, job.err = gzipShard(write); job.err != nil {
+		if job.blocks, job.err = gzipShard(job.zw, write); job.err != nil {
 			return
 		}
 		h := sha256.New()
@@ -392,13 +419,14 @@ func (sw *StreamWriter) compress(dst *payload, first, count, rawLen int, write f
 	return nil
 }
 
-// land waits for the oldest in-flight shard and hands its blocks to its
-// payload.
+// land waits for the oldest in-flight shard, takes its compressor back and
+// hands its blocks to its payload.
 func (sw *StreamWriter) land() error {
 	job := sw.inflight[0]
 	<-job.done
 	sw.inflight[0] = nil
 	sw.inflight = sw.inflight[1:]
+	sw.idle = append(sw.idle, job.zw)
 	if job.err != nil {
 		return fmt.Errorf("snapshot: compress shard: %w", job.err)
 	}
@@ -441,6 +469,7 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 	for err == nil && len(sw.inflight) > 0 {
 		err = sw.land()
 	}
+	sw.idle = nil // the last shard has landed
 	if berr := <-built; err == nil {
 		err = berr
 	}
@@ -628,13 +657,13 @@ func (sw *StreamWriter) Certs(fn func([]*x509lite.Certificate) error) error {
 // SPKI returns the public-key fingerprint of an interned certificate.
 func (sw *StreamWriter) SPKI(id scanstore.CertID) x509lite.Fingerprint { return sw.idx.spkis[id] }
 
-// Close waits for in-flight compressors and releases every spill and
-// sorter. Safe to call more than once.
+// Close waits for in-flight compressors, drops them and releases every
+// spill and sorter. Safe to call more than once.
 func (sw *StreamWriter) Close() error {
 	for _, job := range sw.inflight {
 		<-job.done
 	}
-	sw.inflight = nil
+	sw.inflight, sw.idle = nil, nil
 	var first error
 	keep := func(err error) {
 		if err != nil && first == nil {

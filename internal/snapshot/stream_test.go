@@ -19,16 +19,28 @@ import (
 	"securepki/internal/x509lite"
 )
 
-// streamEncode replays a corpus through the StreamWriter by hand:
+// streamEncode replays a corpus through the StreamWriter by hand
+// (streamFill) and finishes it.
+func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) []byte {
+	tb.Helper()
+	sw := streamFill(tb, c, opt, cfg)
+	var buf bytes.Buffer
+	if err := sw.Finish(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// streamFill feeds a corpus to a new StreamWriter, which the test closes:
 // certificates interned in corpus ID order, then every scan's observations
 // in order, checking the IDs Intern hands out.
-func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) []byte {
+func streamFill(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) *StreamWriter {
 	tb.Helper()
 	sw, err := NewStreamWriter(opt, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	defer sw.Close()
+	tb.Cleanup(func() { sw.Close() })
 	for i := 0; i < c.NumCerts(); i++ {
 		cert := c.Cert(scanstore.CertID(i)).Cert
 		id, fresh, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
@@ -50,11 +62,7 @@ func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWri
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := sw.Finish(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
+	return sw
 }
 
 // gzipFreeDigest pins a snapshot without depending on gzip's output: the
