@@ -14,10 +14,11 @@
 // appends one JSON line per pipeline-stage span.
 //
 // -lint-out persists the lint stage's findings as the checksummed sidecar
-// column certquery serves on /v1/lint; -lint-in replaces the lint stage's
-// findings with those loaded from such a column; -lint-config scopes or
-// suppresses linters with certlint.json semantics. Both lint experiments
-// read the findings the run ends with: lint surveys them by validity and
+// column certquery serves on /v1/lint; -lint-in replaces the lint stage with
+// the findings loaded from such a column, so nothing is re-linted;
+// -lint-config scopes or suppresses linters with certlint.json semantics,
+// and does not apply to findings -lint-in loads. Both lint experiments read
+// the findings the run ends with: lint surveys them by validity and
 // lintcuts cuts them by device class, issuer and AS.
 //
 // The §6 linking study is -exp table5,table6,fig10,s644,truth and the §7
@@ -60,7 +61,7 @@ func main() {
 		saveTo     = flag.String("save-corpus", "", "after the run, write the corpus as a snapshot to this file")
 		lintOut    = flag.String("lint-out", "", "write the lint stage's findings as a sidecar column to this file")
 		lintIn     = flag.String("lint-in", "", "load findings from a persisted column instead of re-linting")
-		lintConf   = flag.String("lint-config", "", "certlint.json suppression/scoping config for the lint stage")
+		lintConf   = flag.String("lint-config", "", "certlint.json suppression/scoping config for the lint stage; it does not apply to findings -lint-in loads")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics as a versioned JSON document")
 		traceOut   = flag.String("trace-out", "", "append pipeline-stage span events as JSON lines")
 	)
@@ -124,16 +125,22 @@ func main() {
 	// The pipeline span wraps the stage spans core.Pipeline emits; its Timer
 	// replaces the old free-standing stats.Timer in the progress line.
 	span := tracer.Start("analyze.pipeline")
-	var p *core.Pipeline
-	var err error
+	p := &core.Pipeline{Config: cfg}
+	scan, lint := p.Scan, func() error { p.Lint(); return nil }
 	if *corpus != "" {
-		p, err = runFromSnapshot(cfg, *corpus)
-	} else {
-		p, err = core.Run(cfg)
+		scan = func() error { return loadSnapshot(p, *corpus) }
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "analyze:", err)
-		os.Exit(1)
+	if *lintIn != "" {
+		lint = func() error { return loadLintColumn(p, *lintIn) }
+	}
+	stages := []func() error{p.Generate, scan, p.Validate, lint,
+		func() error { p.Link(); return nil },
+		func() error { p.Track(); return nil }}
+	for _, stage := range stages {
+		if err := stage(); err != nil {
+			fmt.Fprintln(os.Stderr, "analyze:", err)
+			os.Exit(1)
+		}
 	}
 	span.SetAttrInt("certs", int64(p.Corpus.NumCerts()))
 	span.SetAttrInt("scans", int64(p.Corpus.NumScans()))
@@ -141,20 +148,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "pipeline complete in %v (%d certs, %d scans)\n\n",
 		span.Timer, p.Corpus.NumCerts(), p.Corpus.NumScans())
 
-	if *lintIn != "" {
-		lc, err := snapshot.ReadLintColumnFile(*lintIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			os.Exit(1)
-		}
-		results := make([]certlint.CertFindings, lc.CertCount())
-		for k := range results {
-			results[k] = certlint.CertFindings{Fingerprint: lc.Fingerprint(k), Findings: lc.FindingsAt(k)}
-		}
-		p.LintResults = results
-		fmt.Fprintf(os.Stderr, "lint findings loaded from %s (%d certs, %d findings)\n\n",
-			*lintIn, lc.CertCount(), lc.FindingCount())
-	}
 	if *lintOut != "" {
 		if err := obs.WriteFileAtomic(*lintOut, p.WriteLintColumn); err != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", err)
@@ -205,31 +198,35 @@ func main() {
 	}
 }
 
-// runFromSnapshot replaces the scan stage with a snapshot load: the world is
-// regenerated from the config (roots and topology), the corpus comes from
-// disk, and validation/linking/tracking run as usual. Truth stays nil.
-func runFromSnapshot(cfg core.Config, path string) (*core.Pipeline, error) {
-	p := &core.Pipeline{Config: cfg}
-	if err := p.Generate(); err != nil {
-		return nil, err
-	}
+// loadSnapshot replaces the scan stage with a snapshot load: the corpus
+// comes from disk, decoded across the pipeline's workers, and Truth stays
+// nil.
+func loadSnapshot(p *core.Pipeline, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := p.LoadSnapshot(f, fi.Size()); err != nil {
-		return nil, err
+	return p.LoadSnapshot(f, fi.Size())
+}
+
+// loadLintColumn replaces the lint stage with the findings of a persisted
+// lint column.
+func loadLintColumn(p *core.Pipeline, path string) error {
+	lc, err := snapshot.ReadLintColumnFile(path)
+	if err != nil {
+		return err
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
+	results := make([]certlint.CertFindings, lc.CertCount())
+	for k := range results {
+		results[k] = certlint.CertFindings{Fingerprint: lc.Fingerprint(k), Findings: lc.FindingsAt(k)}
 	}
-	p.Lint()
-	p.Link()
-	p.Track()
-	return p, nil
+	p.LintResults = results
+	fmt.Fprintf(os.Stderr, "lint findings loaded from %s (%d certs, %d findings)\n\n",
+		path, lc.CertCount(), lc.FindingCount())
+	return nil
 }

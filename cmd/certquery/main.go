@@ -83,7 +83,7 @@ func main() {
 	defer st.Close()
 	stats := st.Stats()
 	fmt.Fprintf(os.Stderr, "certquery: %s: %d certs, %d scans, %d observations, %d IP keys, %d AS keys\n",
-		*corpus, stats.Certs, stats.Scans, stats.Observations, stats.IPKeys, stats.ASKys)
+		*corpus, stats.Certs, stats.Scans, stats.Observations, stats.IPKeys, stats.ASKeys)
 
 	var lint *snapshot.LintColumn
 	if *lintPath != "" {

@@ -157,7 +157,7 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) int {
 	st := s.st.Stats()
 	return writeJSON(w, http.StatusOK, healthJSON{
 		Status: "ok", Certs: st.Certs, Scans: st.Scans,
-		Observations: st.Observations, IPKeys: st.IPKeys, ASKeys: st.ASKys,
+		Observations: st.Observations, IPKeys: st.IPKeys, ASKeys: st.ASKeys,
 	})
 }
 

@@ -181,14 +181,46 @@ func TestWritePlotData(t *testing.T) {
 	if err := WritePlotData(p, dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fig1.dat", "fig2.dat", "fig3.dat", "fig4.dat", "fig5.dat", "fig6.dat", "fig7.dat", "fig8.dat", "fig10.dat", "fig11.dat", "plots.gp"} {
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	names := []string{"fig1.dat", "fig2.dat", "fig3.dat", "fig4.dat", "fig5.dat", "fig6.dat", "fig7.dat", "fig8.dat", "fig10.dat", "fig11.dat", "plots.gp"}
+	written := map[string][]byte{}
+	before := map[string]os.FileInfo{}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(data) == 0 {
 			t.Errorf("%s is empty", name)
 		}
+		written[name] = data
+		if before[name], err = os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A second call over the same directory replaces every file by rename,
+	// never rewriting one in place, and leaves no temp file behind.
+	if err := WritePlotData(p, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		path := filepath.Join(dir, name)
+		after, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if os.SameFile(before[name], after) {
+			t.Errorf("%s was rewritten in place", name)
+		}
+		if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, written[name]) {
+			t.Errorf("%s differs after the second write (err %v)", name, err)
+		}
+	}
+	if tmp, err := filepath.Glob(filepath.Join(dir, "*.tmp-*")); err != nil || len(tmp) != 0 {
+		t.Errorf("temp files left behind: %v (err %v)", tmp, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != len(names) {
+		t.Errorf("%d entries in the plot dir, want %d (err %v)", len(entries), len(names), err)
 	}
 	// Data files must be numeric rows after the header.
 	data, _ := os.ReadFile(filepath.Join(dir, "fig3.dat"))

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"securepki/internal/linking"
+	"securepki/internal/obs"
 	"securepki/internal/stats"
 )
 
@@ -18,8 +20,12 @@ func WritePlotData(p *Pipeline, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: plot dir: %w", err)
 	}
+	// Each file is replaced whole or not at all, as every tool output is.
 	write := func(name, contents string) error {
-		return os.WriteFile(filepath.Join(dir, name), []byte(contents), 0o644)
+		return obs.WriteFileAtomic(filepath.Join(dir, name), func(w io.Writer) error {
+			_, err := io.WriteString(w, contents)
+			return err
+		})
 	}
 
 	// fig1: per-/8 uniqueness on the first co-scan day.

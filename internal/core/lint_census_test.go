@@ -51,7 +51,7 @@ func TestSharedKeysCensusBothPaths(t *testing.T) {
 	}
 	defer sw.Close()
 	for _, rec := range recs {
-		if _, _, err := sw.Intern(rec.Cert.Raw, rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint()); err != nil {
+		if _, err := sw.Add(rec.Cert.Raw, rec.Cert.Fingerprint(), rec.Cert.PublicKeyFingerprint()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"securepki/internal/certlint"
 	"securepki/internal/devicesim"
 	"securepki/internal/extsort"
-	"securepki/internal/netsim"
 	"securepki/internal/obs"
 	"securepki/internal/scanner"
 	"securepki/internal/scanstore"
@@ -33,16 +32,19 @@ type StreamConfig struct {
 	// Workers (one at budgets under ~9.6 MB, which that eighth has no room
 	// for), and as many shards are in flight; outside it during replay stay
 	// chiefly each in-flight shard's parts and the compressed blocks it
-	// fills until its payload takes them, and the certificate bytes of the
+	// fills until its payload takes them, the certificate bytes of the
 	// spilled chunk sections whose DERs the pending and in-flight
 	// certificate shards reference (a section's observations are read apart
-	// from them, so they are not kept). The observation columns' share
-	// keeps its bound for Workers shards in flight, which still holds when
-	// fewer are. The chunk store closes once replay drains it, and the
-	// writer keeps an eighth of the budget (its certificate payload, which
-	// lint reads back) past Finish, which drops the compressors; lint takes
-	// half for the lint-column writer's sorted finding runs, and the last
-	// three eighths are unused. Outside the budget during lint stay one
+	// from them, so they are not kept), and the replay's own state, a
+	// fingerprint map and per-chunk ID lists holding an entry per
+	// certificate, which is garbage once scanner.ChunkStore.Replay returns,
+	// before Finish. The observation columns' share keeps its bound for
+	// Workers shards in flight, which still holds when fewer are. The
+	// chunk store closes once replay drains it, and the writer keeps an
+	// eighth of the budget (its certificate payload, which lint reads back)
+	// past Finish, which drops the compressors; lint takes half for the
+	// lint-column writer's sorted finding runs, and the last three eighths
+	// are unused. Outside the budget during lint stay one
 	// certificate shard, compressed and inflated (2048 certificates by
 	// default), and its parsed certificates, the shared-key census, the
 	// fingerprint and SPKI per certificate, and, while the column is
@@ -154,41 +156,13 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 	}
 	defer sw.Close()
 
-	// Scan-major replay: for each scan, every chunk's section in chunk order.
-	// A chunk's new-cert lists replay in the order its local IDs were
-	// assigned, so maps[k] incrementally extends to translate local IDs; the
-	// global intern order this produces is exactly the in-memory path's.
+	// The store replays the corpus in the resident path's first-sighting
+	// order. The writer keeps each new DER until its shard lands; the store
+	// never modifies them, so it may.
 	span = cfg.stage("core.replay", stageReplay)
-	var obsCount int64
-	maps := make([][]scanstore.CertID, store.NumChunks())
-	for s := range sched {
-		if err := sw.BeginScan(sched[s].Operator, sched[s].Time); err != nil {
-			return nil, fmt.Errorf("core: stream replay: %w", err)
-		}
-		for k := 0; k < store.NumChunks(); k++ {
-			certs, obsRecs, err := store.Section(k, s)
-			if err != nil {
-				return nil, fmt.Errorf("core: stream replay: %w", err)
-			}
-			// The writer keeps each new DER until its shard lands; a
-			// section's certificate slices are not reused, so it may.
-			for _, nc := range certs {
-				id, _, err := sw.Intern(nc.DER, nc.FP, nc.SPKI)
-				if err != nil {
-					return nil, fmt.Errorf("core: stream replay: %w", err)
-				}
-				maps[k] = append(maps[k], id)
-			}
-			for _, o := range obsRecs {
-				if int(o.Local) >= len(maps[k]) {
-					return nil, fmt.Errorf("core: stream replay: chunk %d references local cert %d of %d", k, o.Local, len(maps[k]))
-				}
-				if err := sw.AddObs(maps[k][o.Local], netsim.IP(o.IP)); err != nil {
-					return nil, fmt.Errorf("core: stream replay: %w", err)
-				}
-				obsCount++
-			}
-		}
+	obsCount, err := store.Replay(sched, sw)
+	if err != nil {
+		return nil, fmt.Errorf("core: stream replay: %w", err)
 	}
 	span.End()
 	// Replay has drained the chunk store: its live chunks and spills go

@@ -252,9 +252,9 @@ func (s *Store) Close() error {
 
 // Stats describes the opened snapshot.
 type Stats struct {
-	Certs, Scans  int
-	Observations  uint64
-	IPKeys, ASKys int
+	Certs, Scans   int
+	Observations   uint64
+	IPKeys, ASKeys int
 }
 
 // Stats returns corpus and index cardinalities.
@@ -264,7 +264,7 @@ func (s *Store) Stats() Stats {
 		Scans:        int(s.lay.ScanCount),
 		Observations: s.lay.ObsCount,
 		IPKeys:       int(s.lay.Sections[2].KeyCount),
-		ASKys:        int(s.lay.Sections[3].KeyCount),
+		ASKeys:       int(s.lay.Sections[3].KeyCount),
 	}
 }
 

@@ -277,8 +277,8 @@ func TestStoreWithoutASIndex(t *testing.T) {
 	if _, ok, err := st.ByAS(64512); err != nil || ok {
 		t.Fatalf("ByAS on AS-less snapshot: ok=%v err=%v", ok, err)
 	}
-	if st.Stats().ASKys != 0 {
-		t.Fatalf("ASKys = %d, want 0", st.Stats().ASKys)
+	if st.Stats().ASKeys != 0 {
+		t.Fatalf("ASKeys = %d, want 0", st.Stats().ASKeys)
 	}
 	rec := c.Cert(0)
 	if _, ok, err := st.ByFingerprint(rec.Cert.Fingerprint()); err != nil || !ok {

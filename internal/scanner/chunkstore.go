@@ -5,28 +5,32 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"time"
 
 	"securepki/internal/extsort"
+	"securepki/internal/netsim"
+	"securepki/internal/scanstore"
+	"securepki/internal/x509lite"
 )
 
 // chunkRecord is one chunk's scan results: per scan, the certificates first
 // seen by this chunk at that scan and the chunk-local observations.
 type chunkRecord struct {
-	certs [][]NewCert
-	obs   [][]ObsRec
+	certs [][]newCert
+	obs   [][]obsRec
 	bytes int64
 }
 
 func newChunkRecord(nScans int) *chunkRecord {
-	return &chunkRecord{certs: make([][]NewCert, nScans), obs: make([][]ObsRec, nScans)}
+	return &chunkRecord{certs: make([][]newCert, nScans), obs: make([][]obsRec, nScans)}
 }
 
-func (r *chunkRecord) addCert(scan int, c NewCert) {
+func (r *chunkRecord) addCert(scan int, c newCert) {
 	r.certs[scan] = append(r.certs[scan], c)
 	r.bytes += int64(len(c.DER)) + 72
 }
 
-func (r *chunkRecord) addObs(scan int, o ObsRec) {
+func (r *chunkRecord) addObs(scan int, o obsRec) {
 	r.obs[scan] = append(r.obs[scan], o)
 	r.bytes += 8
 }
@@ -50,9 +54,8 @@ type chunkSection struct {
 
 // ChunkStore accumulates chunk records in order, spilling whole chunks to
 // dir, oldest first, while the live records and the record being built
-// exceed memBudget bytes. Replay access is by (chunk, scan) section, the
-// unit the snapshot replay consumes; a spilled chunk's sections must be
-// read in scan order, each once.
+// exceed memBudget bytes. Replay streams them back as one corpus, reading
+// each (chunk, scan) section once, every spilled chunk in scan order.
 type ChunkStore struct {
 	nScans    int
 	memBudget int64
@@ -75,10 +78,11 @@ type ChunkStore struct {
 }
 
 // NewChunkStore returns an empty store for a campaign of nScans scans.
-// memBudget <= 0 means 256 MiB; dir "" means the OS temp dir.
+// memBudget <= 0 means extsort.DefaultMemBudget; dir "" means the OS temp
+// dir.
 func NewChunkStore(nScans int, memBudget int64, dir string) *ChunkStore {
 	if memBudget <= 0 {
-		memBudget = 256 << 20
+		memBudget = extsort.DefaultMemBudget
 	}
 	return &ChunkStore{nScans: nScans, memBudget: memBudget, dir: dir}
 }
@@ -94,12 +98,12 @@ func (cs *ChunkStore) beginChunk() {
 // only grows, so each chunk spilled here is one endChunk would spill for
 // the complete record: the spills are the same, only earlier, and the chunk
 // being filled never sits beside live chunks the budget has no room for.
-func (cs *ChunkStore) addCert(scan int, c NewCert) {
+func (cs *ChunkStore) addCert(scan int, c newCert) {
 	cs.building.addCert(scan, c)
 	cs.makeRoom()
 }
 
-func (cs *ChunkStore) addObs(scan int, o ObsRec) {
+func (cs *ChunkStore) addObs(scan int, o obsRec) {
 	cs.building.addObs(scan, o)
 	cs.makeRoom()
 }
@@ -192,13 +196,13 @@ func (cs *ChunkStore) spillChunk(k int) error {
 	return nil
 }
 
-// Section returns chunk k's record for scan s: the certificates the chunk
+// section returns chunk k's record for scan s: the certificates the chunk
 // first saw at that scan, and its observations. A spilled chunk's sections
 // come back in scan order only, and its digest is checked as the last one
 // is read, so an earlier section may carry rot the replay fails on later.
-// The returned slices are owned by the caller for spilled chunks and shared
-// with the store for live ones.
-func (cs *ChunkStore) Section(k, s int) ([]NewCert, []ObsRec, error) {
+// The returned slices are fresh for spilled chunks and the live record's
+// own otherwise; the store modifies neither, so a sink may keep the DERs.
+func (cs *ChunkStore) section(k, s int) ([]newCert, []obsRec, error) {
 	if rec := cs.live[k]; rec != nil {
 		return rec.certs[s], rec.obs[s], nil
 	}
@@ -208,7 +212,7 @@ func (cs *ChunkStore) Section(k, s int) ([]NewCert, []ObsRec, error) {
 	}
 	// The certificates and the observations are read into buffers of
 	// their own: the certificates' DERs are slices of theirs, which a
-	// caller may keep, while the observations are decoded into ObsRecs, so
+	// caller may keep, while the observations are decoded into obsRecs, so
 	// their bytes go to a buffer the store reuses.
 	sec := sp.sections[s]
 	obsLen := 8 * int64(sec.obs)
@@ -232,6 +236,71 @@ func (cs *ChunkStore) Section(k, s int) ([]NewCert, []ObsRec, error) {
 	return decodeSection(certBuf, cs.obsBuf, sec.certs, sec.obs, k, s)
 }
 
+// Sink receives the corpus a ChunkStore replays, in first-sighting order:
+// snapshot.StreamWriter is one.
+type Sink interface {
+	// BeginScan opens the next scan; the sightings that follow belong to
+	// it.
+	BeginScan(op scanstore.Operator, at time.Time) error
+	// Add appends a certificate new to the corpus and returns its corpus
+	// ID. The sink may keep der: the store never modifies it.
+	Add(der []byte, fp, spki x509lite.Fingerprint) (scanstore.CertID, error)
+	// AddObs records one sighting of an added certificate in the current
+	// scan.
+	AddObs(id scanstore.CertID, ip netsim.IP) error
+}
+
+// Replay streams the store into sink as one corpus: scan by scan, in
+// sched's order, every chunk's section in chunk order. A chunk numbers its
+// certificates locally in the order it first saw them, so each chunk's
+// list from local number to corpus ID grows as its sections stream by; a
+// certificate no earlier chunk or scan produced goes to sink.Add, and every
+// sighting to sink.AddObs under its corpus ID. The IDs follow the resident
+// corpus's first-sighting order exactly. The fingerprint map behind that
+// holds one entry per certificate and is garbage once Replay returns.
+// Replay returns how many sightings it replayed. It reads every section
+// once, so it runs once per store.
+func (cs *ChunkStore) Replay(sched []scanstore.Scan, sink Sink) (int64, error) {
+	if len(sched) != cs.nScans {
+		return 0, fmt.Errorf("scanner: replay of %d scans over a chunk store of %d", len(sched), cs.nScans)
+	}
+	ids := make([][]scanstore.CertID, len(cs.live)) // per chunk, by local number
+	corpus := make(map[x509lite.Fingerprint]scanstore.CertID)
+	var sightings int64
+	for s, scan := range sched {
+		if err := sink.BeginScan(scan.Operator, scan.Time); err != nil {
+			return sightings, err
+		}
+		for k := range ids {
+			certs, rows, err := cs.section(k, s)
+			if err != nil {
+				return sightings, err
+			}
+			for _, c := range certs {
+				id, ok := corpus[c.FP]
+				if !ok {
+					if id, err = sink.Add(c.DER, c.FP, c.SPKI); err != nil {
+						return sightings, err
+					}
+					corpus[c.FP] = id
+				}
+				ids[k] = append(ids[k], id)
+			}
+			for _, o := range rows {
+				if int(o.Local) >= len(ids[k]) {
+					return sightings, fmt.Errorf("scanner: chunk %d scan %d sighting names local certificate %d of %d",
+						k, s, o.Local, len(ids[k]))
+				}
+				if err := sink.AddObs(ids[k][o.Local], netsim.IP(o.IP)); err != nil {
+					return sightings, err
+				}
+				sightings++
+			}
+		}
+	}
+	return sightings, nil
+}
+
 // Close removes every spill file. Safe to call more than once.
 func (cs *ChunkStore) Close() error {
 	var first error
@@ -251,7 +320,7 @@ func (cs *ChunkStore) Close() error {
 // encodeSection lays out one (chunk, scan) section: per cert fp, SPKI,
 // uvarint DER length and DER bytes; then fixed-width (local, ip) pairs.
 // Counts live in the in-memory section table, not the file.
-func encodeSection(out []byte, certs []NewCert, obs []ObsRec) []byte {
+func encodeSection(out []byte, certs []newCert, obs []obsRec) []byte {
 	for _, c := range certs {
 		out = append(out, c.FP[:]...)
 		out = append(out, c.SPKI[:]...)
@@ -267,16 +336,16 @@ func encodeSection(out []byte, certs []NewCert, obs []ObsRec) []byte {
 
 // decodeSection decodes one section from its certificate bytes and its
 // observation bytes; the certificates' DERs are slices of certBuf.
-func decodeSection(buf, obsBuf []byte, nCerts, nObs, k, s int) ([]NewCert, []ObsRec, error) {
+func decodeSection(buf, obsBuf []byte, nCerts, nObs, k, s int) ([]newCert, []obsRec, error) {
 	corrupt := func() error {
 		return fmt.Errorf("scanner: chunk %d scan %d spill section malformed", k, s)
 	}
-	var certs []NewCert
+	var certs []newCert
 	if nCerts > 0 {
-		certs = make([]NewCert, 0, nCerts)
+		certs = make([]newCert, 0, nCerts)
 	}
 	for i := 0; i < nCerts; i++ {
-		var c NewCert
+		var c newCert
 		if len(buf) < 64 {
 			return nil, nil, corrupt()
 		}
@@ -294,12 +363,12 @@ func decodeSection(buf, obsBuf []byte, nCerts, nObs, k, s int) ([]NewCert, []Obs
 	if len(buf) != 0 || len(obsBuf) != nObs*8 {
 		return nil, nil, corrupt()
 	}
-	var obs []ObsRec
+	var obs []obsRec
 	if nObs > 0 {
-		obs = make([]ObsRec, 0, nObs)
+		obs = make([]obsRec, 0, nObs)
 	}
 	for i := 0; i < nObs; i++ {
-		obs = append(obs, ObsRec{
+		obs = append(obs, obsRec{
 			Local: binary.LittleEndian.Uint32(obsBuf[i*8:]),
 			IP:    binary.LittleEndian.Uint32(obsBuf[i*8+4:]),
 		})

@@ -20,14 +20,14 @@ func fakeChunk(nScans, seed int) *chunkRecord {
 	rec := newChunkRecord(nScans)
 	for s := 0; s < nScans; s++ {
 		for j := 0; j < 2+s; j++ {
-			var c NewCert
+			var c newCert
 			c.FP[0], c.FP[1] = byte(seed), byte(s*16+j)
 			c.SPKI[0] = byte(seed ^ 0x5a)
 			c.DER = []byte{byte(seed), byte(s), byte(j), 0xde, 0xad}
 			rec.addCert(s, c)
 		}
 		for j := 0; j < 5; j++ {
-			rec.addObs(s, ObsRec{Local: uint32(j), IP: uint32(seed<<16 | s<<8 | j)})
+			rec.addObs(s, obsRec{Local: uint32(j), IP: uint32(seed<<16 | s<<8 | j)})
 		}
 	}
 	return rec
@@ -80,15 +80,15 @@ func TestChunkStoreSpillRoundTrip(t *testing.T) {
 	}
 	for k := 0; k < nChunks; k++ {
 		for s := 0; s < nScans; s++ {
-			certs, obs, err := cs.Section(k, s)
+			certs, obs, err := cs.section(k, s)
 			if err != nil {
-				t.Fatalf("Section(%d,%d): %v", k, s, err)
+				t.Fatalf("section(%d,%d): %v", k, s, err)
 			}
 			if !reflect.DeepEqual(certs, want[k].certs[s]) && !(len(certs) == 0 && len(want[k].certs[s]) == 0) {
-				t.Fatalf("Section(%d,%d) certs differ", k, s)
+				t.Fatalf("section(%d,%d) certs differ", k, s)
 			}
 			if !reflect.DeepEqual(obs, want[k].obs[s]) && !(len(obs) == 0 && len(want[k].obs[s]) == 0) {
-				t.Fatalf("Section(%d,%d) obs differ", k, s)
+				t.Fatalf("section(%d,%d) obs differ", k, s)
 			}
 		}
 	}
@@ -175,10 +175,10 @@ func TestChunkStoreDetectsCorruption(t *testing.T) {
 	f.Close()
 	// The section before the flip still reads; the digest is checked with
 	// the last section.
-	if _, _, err := cs.Section(0, 0); err != nil {
+	if _, _, err := cs.section(0, 0); err != nil {
 		t.Fatalf("clean section before the corruption: %v", err)
 	}
-	if _, _, err := cs.Section(0, 1); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+	if _, _, err := cs.section(0, 1); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("corrupt section error = %v, want digest mismatch", err)
 	}
 }
@@ -194,10 +194,10 @@ func TestChunkStoreDetectsTruncation(t *testing.T) {
 	if err := os.Truncate(spillPath(t, dir), sp.sections[0].len+sp.sections[1].len/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cs.Section(0, 0); err != nil {
+	if _, _, err := cs.section(0, 0); err != nil {
 		t.Fatalf("section before the cut: %v", err)
 	}
-	if _, _, err := cs.Section(0, 1); err == nil {
+	if _, _, err := cs.section(0, 1); err == nil {
 		t.Fatal("truncated section read succeeded")
 	}
 }
@@ -208,18 +208,18 @@ func TestChunkStoreSectionsInScanOrder(t *testing.T) {
 	cs := NewChunkStore(3, 1, t.TempDir())
 	defer cs.Close()
 	fillStore(t, cs, 1, 3)
-	if _, _, err := cs.Section(0, 1); err == nil || !strings.Contains(err.Error(), "out of scan order") {
+	if _, _, err := cs.section(0, 1); err == nil || !strings.Contains(err.Error(), "out of scan order") {
 		t.Fatalf("section 1 before section 0: err = %v, want out of scan order", err)
 	}
-	if _, _, err := cs.Section(0, 0); err != nil {
+	if _, _, err := cs.section(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cs.Section(0, 0); err == nil || !strings.Contains(err.Error(), "out of scan order") {
+	if _, _, err := cs.section(0, 0); err == nil || !strings.Contains(err.Error(), "out of scan order") {
 		t.Fatalf("section 0 read twice: err = %v, want out of scan order", err)
 	}
 	for s := 1; s < 3; s++ {
-		if _, _, err := cs.Section(0, s); err != nil {
-			t.Fatalf("Section(0,%d) in order: %v", s, err)
+		if _, _, err := cs.section(0, s); err != nil {
+			t.Fatalf("section(0,%d) in order: %v", s, err)
 		}
 	}
 }
@@ -228,10 +228,10 @@ func TestChunkStoreSectionsInScanOrder(t *testing.T) {
 // broken payloads: short cert headers, overlong DER claims, trailing bytes,
 // short observations.
 func TestDecodeSectionRejectsMalformed(t *testing.T) {
-	var good NewCert
+	var good newCert
 	good.FP[0], good.SPKI[0] = 1, 2
 	good.DER = []byte{1, 2, 3}
-	enc := encodeSection(nil, []NewCert{good}, []ObsRec{{Local: 0, IP: 7}})
+	enc := encodeSection(nil, []newCert{good}, []obsRec{{Local: 0, IP: 7}})
 	certPart, obsPart := enc[:len(enc)-8], enc[len(enc)-8:]
 
 	cases := map[string][2][]byte{
@@ -312,7 +312,7 @@ func sweepSmallConfig(t *testing.T, chunk int, budget int64, workers int) envelo
 	}
 	for s := 0; s < nScans; s++ {
 		for k, rec := range recs {
-			certs, obs, err := cs.Section(k, s)
+			certs, obs, err := cs.section(k, s)
 			if err != nil {
 				t.Fatal(err)
 			}

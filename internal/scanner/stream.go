@@ -22,28 +22,30 @@ import (
 //     so one RNG per scan lives across all chunks and chunk k's draws for a
 //     scan extend chunk k-1's.
 //
-// Certificates intern chunk-locally (a fingerprint map per chunk, never a
-// global one), and each chunk records, per scan, the certificates first seen
-// in that chunk at that scan plus the (local cert, IP) observations. The
-// ChunkStore holds those records and counts the one being filled against its
-// memory budget, spilling whole chunks past it, oldest first, as one
-// checksummed extsort.SpillFile each; replaying the records
-// scan-major — scan 0 across chunks 0..K, then scan 1, … — reconstructs the
-// exact global first-seen intern order of the in-memory path, which is what
-// makes the streaming snapshot byte-identical to the resident one. That
-// replay asks each chunk for its sections in increasing scan order, so a
-// spilled chunk reads back as one sequential stream.
+// Certificates are numbered chunk-locally (a fingerprint map per chunk,
+// never a global one), and each chunk records, per scan, the certificates
+// first seen in that chunk at that scan plus the (local cert, IP)
+// observations. The ChunkStore holds those records and counts the one being
+// filled against its memory budget, spilling whole chunks past it, oldest
+// first, as one checksummed extsort.SpillFile each. ChunkStore.Replay then
+// streams the corpus scan-major — scan 0 across chunks 0..K, then scan 1, …
+// — turning chunk-local numbers into corpus IDs through one cross-chunk
+// fingerprint map, which reconstructs the exact global first-seen order of
+// the in-memory path: that is what makes the streaming snapshot
+// byte-identical to the resident one. Replay asks each chunk for its
+// sections in increasing scan order, so a spilled chunk reads back as one
+// sequential stream.
 
-// NewCert is one certificate first observed by a chunk at a given scan.
-type NewCert struct {
+// newCert is one certificate first observed by a chunk at a given scan.
+type newCert struct {
 	FP   x509lite.Fingerprint
 	SPKI x509lite.Fingerprint
 	DER  []byte
 }
 
-// ObsRec is one sighting: a chunk-local certificate index plus the
+// obsRec is one sighting: a chunk-local certificate index plus the
 // advertising IP (netsim.IP, stored raw).
-type ObsRec struct {
+type obsRec struct {
 	Local uint32
 	IP    uint32
 }
@@ -76,9 +78,9 @@ func (c *Campaign) StreamRun(gen *devicesim.Generator, chunkSize, workers int, s
 			if !ok {
 				id = uint32(len(local))
 				local[fp] = id
-				store.addCert(scan, NewCert{FP: fp, SPKI: cert.PublicKeyFingerprint(), DER: cert.Raw})
+				store.addCert(scan, newCert{FP: fp, SPKI: cert.PublicKeyFingerprint(), DER: cert.Raw})
 			}
-			store.addObs(scan, ObsRec{Local: id, IP: uint32(ip)})
+			store.addObs(scan, obsRec{Local: id, IP: uint32(ip)})
 		})
 		if err := store.endChunk(); err != nil {
 			return err

@@ -17,7 +17,7 @@ import (
 )
 
 // sectionBuilder is the one builder of the v3 index sections. It is fed per
-// certificate (fingerprint and SPKI as the certificate is interned, DER
+// certificate (fingerprint and SPKI as the certificate is added, DER
 // location once its shard is laid out), per scan (operator and time) and per
 // sighting (scan, IP, certificate, and the IP's AS when there is a network
 // view), and emits the five sections in the format's total orders. The
@@ -195,10 +195,11 @@ func (b *sectionBuilder) close() error {
 type sectionOut struct{ keys, post io.Writer }
 
 // build writes the five sections' key and posting arrays to out. Every
-// certificate must have been placed. Postings reference certificates by
-// their position in the fingerprint-sorted key array; with that order fixed,
-// the IP section builds concurrently with the others when workers allows.
-// Output is identical at any worker count.
+// certificate must have been placed, each fingerprint once: a repeat, which
+// the fingerprint sort puts next to its first, is an error. Postings
+// reference certificates by their position in the fingerprint-sorted key
+// array; with that order fixed, the IP section builds concurrently with the
+// others when workers allows. Output is identical at any worker count.
 func (b *sectionBuilder) build(workers int, out [V3SectionCount]sectionOut) error {
 	if len(b.locs) != len(b.fps) {
 		return fmt.Errorf("snapshot: %d of %d certificates placed in shards", len(b.locs), len(b.fps))
@@ -211,6 +212,11 @@ func (b *sectionBuilder) build(workers int, out [V3SectionCount]sectionOut) erro
 	refOf := make([]uint32, len(order))
 	fp := newSecWriter(out[0].keys)
 	for pos, id := range order {
+		if pos > 0 {
+			if prev := order[pos-1]; b.fps[prev] == b.fps[id] {
+				return fmt.Errorf("snapshot: certificates %d and %d share a fingerprint", min(prev, id), max(prev, id))
+			}
+		}
 		refOf[id] = uint32(pos)
 		l := b.locs[id]
 		e := fp.entry(V3FPEntry)

@@ -20,10 +20,10 @@ import (
 )
 
 // StreamWriter is the snapshot encoder: it emits a snapshot from
-// certificates and observations that arrive incrementally — Intern as
-// certificates are first seen (in global scan-major order), AddObs per
-// sighting — so no resident corpus is needed; WriteV3 feeds it from one
-// (StreamCorpus).
+// certificates and observations that arrive incrementally — Add once per
+// certificate, in ID order, AddObs per sighting — so no resident corpus is
+// needed. The streamed build feeds it from scanner.ChunkStore.Replay in
+// first-sighting order, and WriteV3 from a resident corpus (StreamCorpus).
 //
 // Memory stays bounded. A certificate shard is handed to one of the
 // writer's compressors as its CertsPerShard-th certificate arrives, and a
@@ -38,10 +38,11 @@ import (
 // share of the budget, and the IP/AS sightings accumulate in external-merge
 // sorters.
 // What stays resident is per-certificate constant-size state (fingerprint,
-// SPKI, DER location — the index needs it anyway) and the fingerprint
-// dedup map of Intern's callers. The sections build while the last scan
-// shards compress, and Finish then drops all that only encoding needs but
-// the certificate payload, which Certs reads back for a lint pass.
+// SPKI, DER location — the index needs it anyway); the writer keeps no
+// fingerprint map, since its callers add each certificate once. The
+// sections build while the last scan shards compress, and Finish then drops
+// all that only encoding needs but the certificate payload, which Certs
+// reads back for a lint pass.
 //
 // The output is byte-identical at any worker count, memory budget or
 // spill directory: shard boundaries come from the sizing knobs alone, and
@@ -51,8 +52,7 @@ type StreamWriter struct {
 	cfg    StreamWriterConfig
 	budget int64 // MemBudget, defaulted
 
-	idx  *sectionBuilder
-	byFP map[x509lite.Fingerprint]scanstore.CertID // Intern's dedup; nil until its first call
+	idx *sectionBuilder
 
 	pendDERs [][]byte // the certificate shard being filled: its DERs, as handed in
 
@@ -95,7 +95,8 @@ type StreamWriterConfig struct {
 	// most an eighth of the budget over 2·ScansPerShard·(1+Workers) in
 	// memory before it spills; with fewer compressors than Workers fewer
 	// shards are in flight, and that bound still holds. Outside the budget
-	// stay the per-certificate state, the DERs of the certificate shard
+	// stay the per-certificate state (fingerprint, SPKI and DER location;
+	// a caller's dedup map is its own), the DERs of the certificate shard
 	// being filled and of the shards in flight (the caller's own buffers,
 	// which the writer only references), each in-flight shard's other parts
 	// (a certificate shard's length column, a scan shard's metadata column)
@@ -168,34 +169,17 @@ func NewStreamWriter(opt Options, cfg StreamWriterConfig) (*StreamWriter, error)
 	return sw, nil
 }
 
-// NumCerts returns how many distinct certificates have been interned.
+// NumCerts returns how many certificates have been added.
 func (sw *StreamWriter) NumCerts() int { return len(sw.idx.fps) }
 
-// Intern deduplicates one certificate by fingerprint, appending it to the
-// table (and the pending cert shard) when new. The writer keeps der, not a
-// copy, until the certificate's shard lands, so the caller must not modify
-// it. Returns the ID and whether the cert was new.
-func (sw *StreamWriter) Intern(der []byte, fp, spki x509lite.Fingerprint) (scanstore.CertID, bool, error) {
-	if sw.err != nil {
-		return 0, false, sw.err
-	}
-	if id, ok := sw.byFP[fp]; ok {
-		return id, false, nil
-	}
-	id, err := sw.add(der, fp, spki)
-	if err != nil {
-		return 0, false, err
-	}
-	if sw.byFP == nil {
-		sw.byFP = make(map[x509lite.Fingerprint]scanstore.CertID)
-	}
-	sw.byFP[fp] = id
-	return id, true, nil
-}
-
-// add appends a certificate that is not yet in the table to it and to the
-// pending cert shard, which keeps der until it lands.
-func (sw *StreamWriter) add(der []byte, fp, spki x509lite.Fingerprint) (scanstore.CertID, error) {
+// Add appends a certificate to the table and the pending certificate shard
+// and returns its ID, the next in order. Each fingerprint may be added once:
+// the caller deduplicates (a resident corpus holds each certificate once,
+// and scanner.ChunkStore.Replay keeps the streamed build's fingerprint map),
+// and a repeat fails Finish before it writes a byte. The writer keeps der,
+// not a copy, until the certificate's shard lands, so the caller must not
+// modify it.
+func (sw *StreamWriter) Add(der []byte, fp, spki x509lite.Fingerprint) (scanstore.CertID, error) {
 	if sw.err != nil {
 		return 0, sw.err
 	}
@@ -252,7 +236,7 @@ func (sw *StreamWriter) BeginScan(op scanstore.Operator, at time.Time) error {
 	return nil
 }
 
-// AddObs records one sighting of an interned certificate in the current
+// AddObs records one sighting of an added certificate in the current
 // scan. Sightings must arrive in the corpus's observation order (global
 // host order): the observation columns keep it.
 func (sw *StreamWriter) AddObs(id scanstore.CertID, ip netsim.IP) error {
@@ -567,10 +551,10 @@ func (sw *StreamWriter) Finish(w io.Writer) error {
 }
 
 // release drops the encode-only state once Finish has written the
-// snapshot — the dedup map, the drained sorters and their buffers, the scan
-// payload and the per-scan column list (every column went with its scan
-// shard), the DER locations — so all that stays for a lint pass (Certs,
-// SPKI, NumCerts) is the sealed certificate payload, its table rows and the
+// snapshot — the drained sorters and their buffers, the scan payload and
+// the per-scan column list (every column went with its scan shard), the
+// DER locations — so all that stays for a lint pass (Certs, SPKI,
+// NumCerts) is the sealed certificate payload, its table rows and the
 // per-certificate fingerprint and SPKI. Close removes the payload. The
 // writer then refuses further data.
 func (sw *StreamWriter) release() error {
@@ -583,7 +567,7 @@ func (sw *StreamWriter) release() error {
 		err = rerr
 	}
 	sw.scanPay.tab = nil
-	sw.byFP, sw.cols = nil, nil
+	sw.cols = nil
 	sw.pendDERs, sw.certVars, sw.ipVars = nil, nil, nil
 	sw.err = errFinished
 	return err
@@ -619,7 +603,7 @@ func onDisk(spills ...*extsort.SpillFile) int64 {
 	return n
 }
 
-// Certs hands fn every interned certificate in ID order, one certificate
+// Certs hands fn every added certificate in ID order, one certificate
 // shard at a time: it reads each shard back from the certificate payload
 // Finish sealed, puts it through V3Shard.Inflate and parses it across
 // Options.Workers with its stored digest adopted. The certificates are the
@@ -654,7 +638,7 @@ func (sw *StreamWriter) Certs(fn func([]*x509lite.Certificate) error) error {
 	return nil
 }
 
-// SPKI returns the public-key fingerprint of an interned certificate.
+// SPKI returns the public-key fingerprint of an added certificate.
 func (sw *StreamWriter) SPKI(id scanstore.CertID) x509lite.Fingerprint { return sw.idx.spkis[id] }
 
 // Close waits for in-flight compressors, drops them and releases every
@@ -681,11 +665,11 @@ func (sw *StreamWriter) Close() error {
 }
 
 // StreamCorpus encodes an already-resident corpus through a StreamWriter:
-// certificates appended in corpus ID order, then every scan's observations
-// in order. WriteV3 is this at the default budget. A corpus holds each
-// certificate once, so no dedup map is built, and its DERs are immutable,
-// so the shards reference them. The corpus sizes the writer up front: its
-// per-certificate arrays and its sorters' buffers (within their budget).
+// certificates added in corpus ID order, then every scan's observations in
+// order. WriteV3 is this at the default budget. A corpus holds each
+// certificate once, and its DERs are immutable, so the shards reference
+// them. The corpus sizes the writer up front: its per-certificate arrays
+// and its sorters' buffers (within their budget).
 func StreamCorpus(w io.Writer, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) error {
 	sw, err := NewStreamWriter(opt, cfg)
 	if err != nil {
@@ -696,7 +680,7 @@ func StreamCorpus(w io.Writer, c *scanstore.Corpus, opt Options, cfg StreamWrite
 	sw.idx.reserve(n, c.NumObservations())
 	for i := 0; i < n; i++ {
 		cert := c.Cert(scanstore.CertID(i)).Cert
-		if _, err := sw.add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
+		if _, err := sw.Add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
 			return err
 		}
 	}

@@ -32,8 +32,8 @@ func streamEncode(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWri
 }
 
 // streamFill feeds a corpus to a new StreamWriter, which the test closes:
-// certificates interned in corpus ID order, then every scan's observations
-// in order, checking the IDs Intern hands out.
+// certificates added in corpus ID order, then every scan's observations in
+// order, checking the IDs Add hands out.
 func streamFill(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWriterConfig) *StreamWriter {
 	tb.Helper()
 	sw, err := NewStreamWriter(opt, cfg)
@@ -43,12 +43,12 @@ func streamFill(tb testing.TB, c *scanstore.Corpus, opt Options, cfg StreamWrite
 	tb.Cleanup(func() { sw.Close() })
 	for i := 0; i < c.NumCerts(); i++ {
 		cert := c.Cert(scanstore.CertID(i)).Cert
-		id, fresh, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
+		id, err := sw.Add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if !fresh || int(id) != i {
-			tb.Fatalf("intern %d: got id %d fresh=%v", i, id, fresh)
+		if int(id) != i {
+			tb.Fatalf("add %d: got id %d", i, id)
 		}
 	}
 	for s := 0; s < c.NumScans(); s++ {
@@ -240,8 +240,8 @@ func TestStreamWriterRepeatSightings(t *testing.T) {
 	}
 }
 
-// keptWriter interns c's certificates into a writer with its spills in
-// dir, and finishes it.
+// keptWriter adds c's certificates to a writer with its spills in dir, and
+// finishes it.
 func keptWriter(t *testing.T, c *scanstore.Corpus, opt Options, budget int64, dir string) *StreamWriter {
 	t.Helper()
 	sw, err := NewStreamWriter(opt, StreamWriterConfig{SpillDir: dir, MemBudget: budget})
@@ -251,7 +251,7 @@ func keptWriter(t *testing.T, c *scanstore.Corpus, opt Options, budget int64, di
 	t.Cleanup(func() { sw.Close() })
 	for i := 0; i < c.NumCerts(); i++ {
 		cert := c.Cert(scanstore.CertID(i)).Cert
-		if _, _, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
+		if _, err := sw.Add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -265,7 +265,7 @@ func keptWriter(t *testing.T, c *scanstore.Corpus, opt Options, budget int64, di
 }
 
 // TestStreamWriterCerts checks the read-back for lint: after Finish every
-// interned certificate comes back parsed from the certificate payload, in
+// added certificate comes back parsed from the certificate payload, in
 // ID order, one certificate shard at a time, with its exact DER,
 // fingerprint and SPKI — from a payload kept in memory and from one spilled
 // to disk, with a shard size that does not divide the count, at one worker
@@ -297,7 +297,7 @@ func TestStreamWriterCerts(t *testing.T) {
 				want := c.Cert(scanstore.CertID(next)).Cert
 				if !bytes.Equal(cert.Raw, want.Raw) || cert.Fingerprint() != want.Fingerprint() ||
 					cert.PublicKeyFingerprint() != want.PublicKeyFingerprint() {
-					t.Fatalf("%s: certificate %d differs from the one interned", tc.name, next)
+					t.Fatalf("%s: certificate %d differs from the one added", tc.name, next)
 				}
 				next++
 			}
@@ -355,7 +355,7 @@ func TestColumnsStayInTheirEighth(t *testing.T) {
 		}
 		for i := 0; i < c.NumCerts(); i++ {
 			cert := c.Cert(scanstore.CertID(i)).Cert
-			if _, _, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
+			if _, err := sw.Add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -437,26 +437,40 @@ func TestStreamWriterCertsDetectsRot(t *testing.T) {
 	}
 }
 
-// TestStreamWriterInternDedups pins the dedup contract: re-interning a
-// fingerprint returns the original ID without growing the table.
-func TestStreamWriterInternDedups(t *testing.T) {
+// TestStreamWriterRejectsRepeatedFingerprint: the writer keeps no
+// fingerprint map, so a caller that adds a certificate twice gets IDs for
+// both, and Finish fails before it writes a byte, whether the repeat shares
+// a certificate shard with its first or not.
+func TestStreamWriterRejectsRepeatedFingerprint(t *testing.T) {
 	c := testCorpus(t, 3, 1, 3)
-	sw, err := NewStreamWriter(Options{}, StreamWriterConfig{SpillDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sw.Close()
-	cert := c.Cert(0).Cert
-	id0, fresh, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
-	if err != nil || !fresh {
-		t.Fatalf("first intern: id=%d fresh=%v err=%v", id0, fresh, err)
-	}
-	id1, fresh, err := sw.Intern(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
-	if err != nil || fresh || id1 != id0 {
-		t.Fatalf("re-intern: id=%d fresh=%v err=%v", id1, fresh, err)
-	}
-	if sw.NumCerts() != 1 {
-		t.Fatalf("NumCerts %d after dedup", sw.NumCerts())
+	for _, perShard := range []int{0, 1} {
+		sw, err := NewStreamWriter(Options{CertsPerShard: perShard}, StreamWriterConfig{SpillDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sw.Close()
+		for i, id := range []scanstore.CertID{0, 1, 0} {
+			cert := c.Cert(id).Cert
+			got, err := sw.Add(cert.Raw, cert.Fingerprint(), cert.PublicKeyFingerprint())
+			if err != nil || int(got) != i {
+				t.Fatalf("CertsPerShard=%d: add %d: id=%d err=%v", perShard, i, got, err)
+			}
+		}
+		scan := c.Scan(0)
+		if err := sw.BeginScan(scan.Operator, scan.Time); err != nil {
+			t.Fatal(err)
+		}
+		if err := sw.AddObs(2, scan.Obs[0].IP); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err = sw.Finish(&out)
+		if err == nil || !strings.Contains(err.Error(), "certificates 0 and 2 share a fingerprint") {
+			t.Fatalf("CertsPerShard=%d: Finish over a repeated fingerprint: err = %v", perShard, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("CertsPerShard=%d: Finish wrote %d bytes before failing", perShard, out.Len())
+		}
 	}
 }
 

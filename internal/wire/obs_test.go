@@ -9,78 +9,91 @@ import (
 	"time"
 
 	"securepki/internal/obs"
-	"securepki/internal/stats"
 )
 
-// legacySummarize is the pre-obs SweepStats fold, kept verbatim as the
-// reference implementation: summarize must stay exactly equivalent now that
-// the stats are sourced from obs counters.
-func legacySummarize(results []Result) SweepStats {
-	st := SweepStats{Targets: len(results), Reasons: stats.NewCounter()}
-	for _, r := range results {
-		st.Attempts += r.Attempts
-		if r.Attempts > 1 {
-			st.Retries += r.Attempts - 1
-		}
-		reasons := r.FailReasons
-		if r.Err == nil {
-			st.OK++
-		} else {
-			st.Failed++
-			if len(reasons) > 0 {
-				st.Reasons.Inc("fail:" + reasons[len(reasons)-1])
-				reasons = reasons[:len(reasons)-1]
-			} else {
-				st.Reasons.Inc("fail:" + Reason(r.Err))
-			}
-		}
-		for _, reason := range reasons {
-			st.Reasons.Inc("retry:" + reason)
-		}
-	}
-	return st
-}
-
-// TestSummarizeEquivalentToLegacy proves the obs-sourced SweepStats matches
-// the old hand-rolled fold field for field — including the -json summary's
-// reason taxonomy — over every result shape the scanner produces.
-func TestSummarizeEquivalentToLegacy(t *testing.T) {
-	cases := map[string][]Result{
-		"empty": nil,
-		"clean": {
+// TestFoldSweep pins the one SweepStats fold, the -json summary's reason
+// taxonomy included, over every result shape the scanner produces, and the
+// sweep.* counters it publishes: each with its value, and only the ones a
+// sweep has something to count in, beside sweep.targets, which every sweep
+// registers, as it does the attempts histogram.
+func TestFoldSweep(t *testing.T) {
+	cases := []struct {
+		name     string
+		results  []Result
+		want     SweepStats // Reasons unset: see reasons
+		reasons  map[string]int
+		counters map[string]int64
+	}{
+		{"empty", nil, SweepStats{}, map[string]int{},
+			map[string]int64{"sweep.targets": 0}},
+		{"clean", []Result{
 			{Addr: "a", Attempts: 1},
 			{Addr: "b", Attempts: 1},
-		},
-		"recovered": {
+		}, SweepStats{Targets: 2, OK: 2, Attempts: 2}, map[string]int{},
+			map[string]int64{"sweep.targets": 2, "sweep.attempts": 2, "sweep.ok": 2}},
+		{"recovered", []Result{
 			{Addr: "a", Attempts: 3, FailReasons: []string{"refused", "timeout"}},
-		},
-		"failed terminal": {
+		}, SweepStats{Targets: 1, OK: 1, Attempts: 3, Retries: 2},
+			map[string]int{"retry:refused": 1, "retry:timeout": 1},
+			map[string]int64{"sweep.targets": 1, "sweep.attempts": 3, "sweep.retries": 2, "sweep.ok": 1,
+				"sweep.retry.refused": 1, "sweep.retry.timeout": 1}},
+		{"failed terminal", []Result{
 			{Addr: "a", Attempts: 1, FailReasons: []string{"malformed-cert"}, Err: ErrMalformedCert},
-		},
-		"failed after retries": {
+		}, SweepStats{Targets: 1, Failed: 1, Attempts: 1},
+			map[string]int{"fail:malformed-cert": 1},
+			map[string]int64{"sweep.targets": 1, "sweep.attempts": 1, "sweep.failed": 1, "sweep.fail.malformed-cert": 1}},
+		{"failed after retries", []Result{
 			{Addr: "a", Attempts: 4, FailReasons: []string{"reset", "reset", "refused", "timeout"},
 				Err: syscall.ETIMEDOUT},
-		},
-		"cancelled before first attempt": {
+		}, SweepStats{Targets: 1, Failed: 1, Attempts: 4, Retries: 3},
+			map[string]int{"fail:timeout": 1, "retry:reset": 2, "retry:refused": 1},
+			map[string]int64{"sweep.targets": 1, "sweep.attempts": 4, "sweep.retries": 3, "sweep.failed": 1,
+				"sweep.fail.timeout": 1, "sweep.retry.reset": 2, "sweep.retry.refused": 1}},
+		{"cancelled before first attempt", []Result{
 			{Addr: "a", Attempts: 0, Err: context.Canceled},
-		},
-		"mixed": {
+		}, SweepStats{Targets: 1, Failed: 1},
+			map[string]int{"fail:canceled": 1},
+			map[string]int64{"sweep.targets": 1, "sweep.attempts": 0, "sweep.failed": 1, "sweep.fail.canceled": 1}},
+		{"mixed", []Result{
 			{Addr: "a", Attempts: 1},
 			{Addr: "b", Attempts: 2, FailReasons: []string{"refused"}},
 			{Addr: "c", Attempts: 2, FailReasons: []string{"protocol", "protocol"},
 				Err: errors.New("protocol")},
 			{Addr: "d", Attempts: 0, Err: context.Canceled},
-		},
+		}, SweepStats{Targets: 4, OK: 2, Failed: 2, Attempts: 5, Retries: 2},
+			map[string]int{"retry:refused": 1, "retry:protocol": 1, "fail:protocol": 1, "fail:canceled": 1},
+			map[string]int64{"sweep.targets": 4, "sweep.attempts": 5, "sweep.retries": 2, "sweep.ok": 2,
+				"sweep.failed": 2, "sweep.retry.refused": 1, "sweep.retry.protocol": 1,
+				"sweep.fail.protocol": 1, "sweep.fail.canceled": 1}},
 	}
-	for name, results := range cases {
-		got := summarize(results)
-		want := legacySummarize(results)
-		if got.Targets != want.Targets || got.OK != want.OK || got.Failed != want.Failed ||
-			got.Attempts != want.Attempts || got.Retries != want.Retries {
-			t.Errorf("%s: summarize = %+v, legacy = %+v", name, got, want)
+	for _, tc := range cases {
+		reg := obs.NewRegistry()
+		got := FoldSweep(reg, tc.results)
+		if got.Targets != tc.want.Targets || got.OK != tc.want.OK || got.Failed != tc.want.Failed ||
+			got.Attempts != tc.want.Attempts || got.Retries != tc.want.Retries {
+			t.Errorf("%s: FoldSweep = %+v, want %+v", tc.name, got, tc.want)
 		}
-		if !reflect.DeepEqual(got.Reasons.Map(), want.Reasons.Map()) {
-			t.Errorf("%s: reasons = %v, legacy = %v", name, got.Reasons.Map(), want.Reasons.Map())
+		if !reflect.DeepEqual(got.Reasons.Map(), tc.reasons) {
+			t.Errorf("%s: reasons = %v, want %v", tc.name, got.Reasons.Map(), tc.reasons)
+		}
+		counters := map[string]int64{}
+		observed := -1
+		for _, m := range reg.Snapshot().Metrics {
+			switch m.Type {
+			case "counter":
+				counters[m.Name] = *m.Value
+			case "histogram":
+				observed = int(*m.Count)
+			}
+		}
+		if !reflect.DeepEqual(counters, tc.counters) {
+			t.Errorf("%s: counters = %v, want %v", tc.name, counters, tc.counters)
+		}
+		if observed != len(tc.results) {
+			t.Errorf("%s: attempts histogram holds %d observations, want %d", tc.name, observed, len(tc.results))
+		}
+		if nilReg := FoldSweep(nil, tc.results); !reflect.DeepEqual(nilReg, got) {
+			t.Errorf("%s: FoldSweep without a registry = %+v, want %+v", tc.name, nilReg, got)
 		}
 	}
 }

@@ -225,9 +225,9 @@ func FetchChainOpts(ctx context.Context, addr string, opts Options) ([][]byte, F
 	}
 }
 
-// SweepStats aggregates one sweep's retry and failure counters. It is built
-// serially from the results in target order, so it is identical at any
-// worker count.
+// SweepStats aggregates one sweep's retry and failure counters. FoldSweep
+// builds it serially from the results in target order, so it is identical
+// at any worker count.
 type SweepStats struct {
 	Targets  int
 	OK       int
@@ -243,39 +243,59 @@ type SweepStats struct {
 // exceeds single digits.
 var sweepAttemptsBounds = []int64{1, 2, 3, 4, 6, 8, 12, 16}
 
-// FoldSweep accumulates one sweep's results into reg under the sweep.*
-// namespace, serially in target order. It is the single source both
-// SweepStats and the -metrics-out document draw the sweep counters from,
-// so the two can never drift apart.
-func FoldSweep(reg *obs.Registry, results []Result) {
-	if reg == nil {
-		return
-	}
-	reg.Counter("sweep.targets").Add(int64(len(results)))
-	attemptsHist := reg.Histogram("sweep.attempts_per_target", sweepAttemptsBounds)
+// FoldSweep folds one sweep's results into its SweepStats, serially in
+// target order, and publishes them into reg under the sweep.* namespace
+// beside the sweep.attempts_per_target histogram. The -json summary and
+// the -metrics-out document both draw on this one fold, so the two can
+// never drift apart. sweep.targets and the histogram are registered for
+// every sweep; each other counter only once the sweep counts something in
+// it (sweep.attempts once there is a target).
+func FoldSweep(reg *obs.Registry, results []Result) SweepStats {
+	st := SweepStats{Targets: len(results), Reasons: stats.NewCounter()}
 	for _, r := range results {
-		reg.Counter("sweep.attempts").Add(int64(r.Attempts))
-		attemptsHist.Observe(int64(r.Attempts))
+		st.Attempts += r.Attempts
 		if r.Attempts > 1 {
-			reg.Counter("sweep.retries").Add(int64(r.Attempts - 1))
+			st.Retries += r.Attempts - 1
 		}
 		reasons := r.FailReasons
 		if r.Err == nil {
-			reg.Counter("sweep.ok").Inc()
+			st.OK++
 		} else {
-			reg.Counter("sweep.failed").Inc()
+			st.Failed++
 			if len(reasons) > 0 {
-				reg.Counter("sweep.fail." + reasons[len(reasons)-1]).Inc()
+				st.Reasons.Inc("fail:" + reasons[len(reasons)-1])
 				reasons = reasons[:len(reasons)-1]
 			} else {
 				// Cancelled before the first attempt (Attempts == 0).
-				reg.Counter("sweep.fail." + Reason(r.Err)).Inc()
+				st.Reasons.Inc("fail:" + Reason(r.Err))
 			}
 		}
 		for _, reason := range reasons {
-			reg.Counter("sweep.retry." + reason).Inc()
+			st.Reasons.Inc("retry:" + reason)
 		}
 	}
+	reg.Counter("sweep.targets").Add(int64(st.Targets))
+	attempts := reg.Histogram("sweep.attempts_per_target", sweepAttemptsBounds)
+	for _, r := range results {
+		attempts.Observe(int64(r.Attempts))
+	}
+	if st.Targets > 0 {
+		reg.Counter("sweep.attempts").Add(int64(st.Attempts))
+	}
+	if st.Retries > 0 {
+		reg.Counter("sweep.retries").Add(int64(st.Retries))
+	}
+	if st.OK > 0 {
+		reg.Counter("sweep.ok").Add(int64(st.OK))
+	}
+	if st.Failed > 0 {
+		reg.Counter("sweep.failed").Add(int64(st.Failed))
+	}
+	for key, n := range st.Reasons.Map() {
+		kind, reason, _ := strings.Cut(key, ":")
+		reg.Counter("sweep." + kind + "." + reason).Add(int64(n))
+	}
+	return st
 }
 
 // IsRetryStorm flags a sweep whose retry volume reached its target count —
@@ -285,41 +305,4 @@ func FoldSweep(reg *obs.Registry, results []Result) {
 // /events sees the episode without diffing counters.
 func IsRetryStorm(st SweepStats) bool {
 	return st.Targets > 0 && st.Retries >= st.Targets
-}
-
-// SweepStatsFrom reads SweepStats back out of the sweep.* counters —
-// SweepStats is a view over the metrics, not a parallel bookkeeping system.
-func SweepStatsFrom(reg *obs.Registry) SweepStats {
-	st := SweepStats{Reasons: stats.NewCounter()}
-	for _, m := range reg.Snapshot().Metrics {
-		if m.Type != "counter" {
-			continue
-		}
-		v := int(*m.Value)
-		switch m.Name {
-		case "sweep.targets":
-			st.Targets = v
-		case "sweep.ok":
-			st.OK = v
-		case "sweep.failed":
-			st.Failed = v
-		case "sweep.attempts":
-			st.Attempts = v
-		case "sweep.retries":
-			st.Retries = v
-		default:
-			if reason, ok := strings.CutPrefix(m.Name, "sweep.retry."); ok {
-				st.Reasons.Add("retry:"+reason, v)
-			} else if reason, ok := strings.CutPrefix(m.Name, "sweep.fail."); ok {
-				st.Reasons.Add("fail:"+reason, v)
-			}
-		}
-	}
-	return st
-}
-
-func summarize(results []Result) SweepStats {
-	reg := obs.NewRegistry()
-	FoldSweep(reg, results)
-	return SweepStatsFrom(reg)
 }

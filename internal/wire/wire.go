@@ -313,8 +313,7 @@ feed:
 	close(idx)
 	wg.Wait()
 	// One serial fold in target order feeds both the caller's registry and
-	// the returned SweepStats (summarize folds into a scratch registry), so
-	// the -json summary and the metrics document can never disagree.
-	FoldSweep(opts.Obs, results)
-	return results, summarize(results)
+	// the returned SweepStats, so the -json summary and the metrics document
+	// can never disagree.
+	return results, FoldSweep(opts.Obs, results)
 }
