@@ -15,7 +15,8 @@
 //
 // -lint-out persists the lint stage's findings as the checksummed sidecar
 // column certquery serves on /v1/lint; -lint-in replaces the lint stage with
-// the findings loaded from such a column, so nothing is re-linted;
+// the findings loaded from such a column, so nothing is re-linted, and
+// refuses a column written for another corpus;
 // -lint-config scopes or suppresses linters with certlint.json semantics,
 // and does not apply to findings -lint-in loads. Both lint experiments read
 // the findings the run ends with: lint surveys them by validity and
@@ -131,7 +132,18 @@ func main() {
 		scan = func() error { return loadSnapshot(p, *corpus) }
 	}
 	if *lintIn != "" {
-		lint = func() error { return loadLintColumn(p, *lintIn) }
+		lint = func() error {
+			lc, err := snapshot.ReadLintColumnFile(*lintIn)
+			if err != nil {
+				return err
+			}
+			if err := p.LoadLintColumn(lc); err != nil {
+				return fmt.Errorf("%s: %w", *lintIn, err)
+			}
+			fmt.Fprintf(os.Stderr, "lint findings loaded from %s (%d certs, %d findings)\n\n",
+				*lintIn, lc.CertCount(), lc.FindingCount())
+			return nil
+		}
 	}
 	stages := []func() error{p.Generate, scan, p.Validate, lint,
 		func() error { p.Link(); return nil },
@@ -212,21 +224,4 @@ func loadSnapshot(p *core.Pipeline, path string) error {
 		return err
 	}
 	return p.LoadSnapshot(f, fi.Size())
-}
-
-// loadLintColumn replaces the lint stage with the findings of a persisted
-// lint column.
-func loadLintColumn(p *core.Pipeline, path string) error {
-	lc, err := snapshot.ReadLintColumnFile(path)
-	if err != nil {
-		return err
-	}
-	results := make([]certlint.CertFindings, lc.CertCount())
-	for k := range results {
-		results[k] = certlint.CertFindings{Fingerprint: lc.Fingerprint(k), Findings: lc.FindingsAt(k)}
-	}
-	p.LintResults = results
-	fmt.Fprintf(os.Stderr, "lint findings loaded from %s (%d certs, %d findings)\n\n",
-		path, lc.CertCount(), lc.FindingCount())
-	return nil
 }

@@ -16,7 +16,9 @@
 //	GET /v1/spki/{spki} fingerprints of every cert carrying the public key
 //	GET /v1/ip/{ip}     everything the dotted-quad IP served, across scans
 //	GET /v1/as/{asn}    fingerprints of every cert observed inside the AS
-//	GET /v1/lint/{fp}   persisted lint findings from the -lint sidecar column
+//	GET /v1/lint/{fp}   persisted lint findings from the -lint sidecar column,
+//	                    which must be the snapshot's own: certquery refuses to
+//	                    start on a column that holds other certificates
 //	GET /healthz        corpus cardinalities and index status
 //
 // Missing keys answer 404 with a JSON error body; malformed keys answer
@@ -91,6 +93,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		if err := checkLintColumn(st, lint); err != nil {
+			fatal(fmt.Errorf("%s: %w", *lintPath, err))
+		}
 		fmt.Fprintf(os.Stderr, "certquery: %s: %d linters, %d certs, %d findings\n",
 			*lintPath, len(lint.Lints), lint.CertCount(), lint.FindingCount())
 	}
@@ -149,6 +154,22 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// checkLintColumn refuses a lint column that is not the served snapshot's:
+// it must hold exactly the snapshot's certificates. The column's key array
+// and the snapshot's fingerprint index are both fingerprint-sorted, so one
+// walk compares them.
+func checkLintColumn(st *querystore.Store, lc *snapshot.LintColumn) error {
+	if n := st.NumCerts(); lc.CertCount() != n {
+		return fmt.Errorf("lint column covers %d certs, the snapshot holds %d", lc.CertCount(), n)
+	}
+	for k := 0; k < lc.CertCount(); k++ {
+		if got, want := lc.Fingerprint(k), st.FingerprintAt(uint32(k)); got != want {
+			return fmt.Errorf("lint column entry %d is %s, the snapshot's is %s", k, got, want)
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -11,8 +11,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -26,6 +28,18 @@ import (
 	"securepki/internal/snapshot"
 	"securepki/internal/x509lite"
 )
+
+// TestMain lets the test binary stand in for the certquery command: with
+// CERTQUERY_TEST_MAIN=1 in its environment it runs main on its own
+// arguments, so a test can drive the real process — flags, stdout, signals
+// — without a separate build.
+func TestMain(m *testing.M) {
+	if os.Getenv("CERTQUERY_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // testCorpus is the same deterministic builder the storage-layer tests use.
 func testCorpus(tb testing.TB, nCerts, nScans, obsPerScan int) *scanstore.Corpus {
@@ -250,6 +264,75 @@ func TestLintEndpointMatchesRun(t *testing.T) {
 			if got.Lint != f.LintID || got.Version != f.Version || got.Severity != f.Severity.String() || got.Detail != f.Detail {
 				t.Fatalf("lint %s finding %d: %+v vs %+v", cf.Fingerprint, i, got, f)
 			}
+		}
+	}
+}
+
+// TestLintColumnMustMatchSnapshot: certquery serves a lint column only
+// beside its own snapshot. Serving snapshot A with column B — one written
+// for a smaller corpus, or one holding a certificate A does not — it exits
+// non-zero before binding, naming the count mismatch or the first entry
+// that differs; A's own column serves.
+func TestLintColumnMustMatchSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	c := testCorpus(t, 40, 2, 10)
+	corpus := filepath.Join(dir, "a.v3")
+	if err := obs.WriteFileAtomic(corpus, func(w io.Writer) error {
+		return snapshot.WriteV3(w, c, snapshot.Options{ASOf: testASOf})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	own := filepath.Join(dir, "a.lc")
+	results := lintCorpus(t, c, own)
+	smaller := filepath.Join(dir, "smaller.lc")
+	lintCorpus(t, testCorpus(t, 30, 2, 10), smaller)
+	var stranger x509lite.Fingerprint
+	for i := range stranger {
+		stranger[i] = 0xff
+	}
+	top := 0 // A's last certificate in fingerprint order: the column's entry 39
+	for i, cf := range results {
+		if bytes.Compare(cf.Fingerprint[:], results[top].Fingerprint[:]) > 0 {
+			top = i
+		}
+	}
+	results[top].Fingerprint = stranger
+	foreign := filepath.Join(dir, "foreign.lc")
+	if err := obs.WriteFileAtomic(foreign, func(w io.Writer) error {
+		return snapshot.WriteLintColumn(w, results, certlint.Default().Infos())
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := querystore.Open(corpus, querystore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := st.FingerprintAt(39)
+	st.Close()
+
+	for _, tc := range []struct {
+		column, want string
+	}{
+		{smaller, "lint column covers 30 certs, the snapshot holds 40"},
+		{foreign, fmt.Sprintf("lint column entry 39 is %s, the snapshot's is %s", stranger, last)},
+		{own, ""},
+	} {
+		cmd := exec.Command(os.Args[0], "-corpus", corpus, "-lint", tc.column, "-linger", "1ms")
+		cmd.Env = append(os.Environ(), "CERTQUERY_TEST_MAIN=1", "GORACE="+os.Getenv("GORACE")+" atexit_sleep_ms=0")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if tc.want == "" {
+			if err != nil || stdout.Len() == 0 {
+				t.Errorf("%s: err %v, stdout %q, want it served\n%s", tc.column, err, stdout.Bytes(), stderr.Bytes())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%s: err %v, stderr:\n%s\nwant a refusal naming %q", tc.column, err, stderr.Bytes(), tc.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: bound %q before refusing", tc.column, stdout.Bytes())
 		}
 	}
 }

@@ -16,18 +16,6 @@ import (
 	"securepki/internal/snapshot"
 )
 
-// TestMain lets the test binary stand in for the certquery command: with
-// CERTQUERY_TEST_MAIN=1 in its environment it runs main on its own
-// arguments, so a test can drive the real process — flags, stdout, signals
-// — without a separate build.
-func TestMain(m *testing.M) {
-	if os.Getenv("CERTQUERY_TEST_MAIN") == "1" {
-		main()
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
 // TestSIGTERMRightAfterAddress: a script that reads certquery's bound
 // address and signals it at once must get the graceful stop, including the
 // -metrics-out document, never SIGTERM's default action. With the handler

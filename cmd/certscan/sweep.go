@@ -138,7 +138,7 @@ func runSweeps(cfg scanConfig, out, errOut io.Writer) (*scanstore.Corpus, sweepS
 			if err != nil {
 				return verdict{parseErr: err}
 			}
-			return verdict{cert: cert, status: store.Verify(cert).Status}
+			return verdict{cert: cert, status: store.Verify(cert)}
 		})
 		summary.Sweeps++
 		summary.OK += wst.OK

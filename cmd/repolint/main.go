@@ -7,9 +7,9 @@
 //	repolint [-json] [-config repolint.json] [-list] [packages...]
 //
 // Packages default to ./... (testdata excluded, like the go tool; name a
-// testdata path explicitly to lint fixtures). The effective configuration is
-// the built-in defaults merged with repolint.json at the module root (or
-// -config). Exit status: 0 clean, 1 findings, 2 usage or load error.
+// testdata path explicitly to lint fixtures). The configuration is -config,
+// or else repolint.json at the module root; with neither, repolint exits 2.
+// Exit status: 0 clean, 1 findings, 2 usage, load or missing-config error.
 //
 // Rules: detmap, wallclock, seedrand, bannedimport, locksafe — see the
 // "Static analysis contract" section of DESIGN.md. Suppress a single finding
@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		asJSON     = flag.Bool("json", false, "emit findings as a JSON array")
-		configPath = flag.String("config", "", "path to repolint.json (default: <module root>/repolint.json if present)")
+		configPath = flag.String("config", "", "path to repolint.json (default: <module root>/repolint.json)")
 		list       = flag.Bool("list", false, "list rules and exit")
 	)
 	flag.Parse()
@@ -48,17 +48,13 @@ func main() {
 		fatal(err)
 	}
 
-	cfg := gostatic.DefaultConfig()
 	path := *configPath
 	if path == "" {
-		if p := filepath.Join(loader.ModuleRoot, "repolint.json"); fileExists(p) {
-			path = p
-		}
+		path = filepath.Join(loader.ModuleRoot, "repolint.json")
 	}
-	if path != "" {
-		if cfg, err = gostatic.LoadConfig(path); err != nil {
-			fatal(err)
-		}
+	cfg, err := gostatic.LoadConfig(path)
+	if err != nil {
+		fatal(err)
 	}
 
 	patterns := flag.Args()
@@ -100,11 +96,6 @@ func main() {
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 func fatal(err error) {

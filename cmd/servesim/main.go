@@ -25,7 +25,8 @@
 // -sample-interval runs the wall-clock sampling ticker.
 //
 // The listener addresses are written to -targets (default stdout), one per
-// line — feed that file to certscan.
+// line — feed that file to certscan. The file is written atomically once
+// every listener is up, so a scanner reads either no list or the whole one.
 //
 // With -chaos > 0 every listener is wrapped in the internal/faultnet layer:
 // the given fraction of connections is refused, stalled, reset, truncated,
@@ -43,6 +44,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -88,14 +90,11 @@ func main() {
 		fatal(err)
 	}
 
-	out := os.Stdout
+	// The -targets file is written once, whole, when every listener is up.
+	var out io.Writer = os.Stdout
+	var list strings.Builder
 	if *targets != "" {
-		f, err := os.Create(*targets)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
+		out = &list
 	}
 
 	// The serve span's Timer is the wall clock every provider closure reads:
@@ -139,7 +138,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving %-18s profile=%s CN=%q\n",
 			srv.Addr(), dev.Profile.Name, dev.CurrentCert().Subject.CommonName)
 	}
-	out.Sync()
+	if *targets != "" {
+		if err := obs.WriteFileAtomic(*targets, func(w io.Writer) error {
+			_, err := io.WriteString(w, list.String())
+			return err
+		}); err != nil {
+			fatal(err)
+		}
+	}
 	if *chaos > 0 {
 		fmt.Fprintf(os.Stderr, "servesim: chaos rate %.2f seed %d burst %d on %d listeners\n",
 			*chaos, *chaosSeed, *chaosBurst, len(servers))

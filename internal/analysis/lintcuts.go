@@ -8,16 +8,16 @@ import (
 	"securepki/internal/certlint"
 	"securepki/internal/netsim"
 	"securepki/internal/scanstore"
-	"securepki/internal/x509lite"
 )
 
 // The paper attributes invalid certificates to issuers, networks and device
 // populations (§5.3–§5.5). LintCuts applies the same attribution to lint
-// findings: given a corpus lint run — live from certlint.RunCorpus or loaded
-// back from a persisted findings column — it cuts the findings by device
-// class, by issuer, and by dominant AS, so a structural defect can be traced
-// to the population that ships it. LintSurvey splits the same run by
-// validity.
+// findings: given a corpus lint run in CertID order — live from
+// certlint.RunCorpus or loaded back from a persisted findings column — it
+// cuts the findings by device class, by issuer, and by dominant AS, so a
+// structural defect can be traced to the population that ships it.
+// LintSurvey splits the same run by validity. Both read certificate id's
+// findings at results[id], so results must cover the dataset's corpus.
 
 // LintCutRow aggregates the findings attributed to one group.
 type LintCutRow struct {
@@ -45,17 +45,6 @@ type LintCutsReport struct {
 	ByAS          []LintCutRow
 }
 
-// FindingsByFingerprint indexes a corpus lint run for attribution joins.
-func FindingsByFingerprint(results []certlint.CertFindings) map[x509lite.Fingerprint][]certlint.Finding {
-	m := make(map[x509lite.Fingerprint][]certlint.Finding, len(results))
-	for _, cf := range results {
-		if len(cf.Findings) > 0 {
-			m[cf.Fingerprint] = cf.Findings
-		}
-	}
-	return m
-}
-
 // lintCutAccum accumulates one group before rank extraction.
 type lintCutAccum struct {
 	certs    int
@@ -78,13 +67,12 @@ func (a *lintCutAccum) add(findings []certlint.Finding) {
 	}
 }
 
-// LintCuts joins findings (keyed by certificate fingerprint, as produced by
-// FindingsByFingerprint or a loaded findings column) against the dataset and
-// cuts them by device class, issuer, and dominant AS. Certificates without
-// findings, and findings for certificates never observed on the wire, are
-// excluded. topN bounds the issuer and AS tables; the device-class table is
-// always complete.
-func (d *Dataset) LintCuts(findings map[x509lite.Fingerprint][]certlint.Finding, topN int) LintCutsReport {
+// LintCuts joins a corpus lint run (results[id] is certificate id's) against
+// the dataset and cuts it by device class, issuer, and dominant AS.
+// Certificates without findings, and certificates never observed on the
+// wire, are excluded. topN bounds the issuer and AS tables; the device-class
+// table is always complete.
+func (d *Dataset) LintCuts(results []certlint.CertFindings, topN int) LintCutsReport {
 	byDevice := make(map[string]*lintCutAccum)
 	byIssuer := make(map[string]*lintCutAccum)
 	byAS := make(map[string]*lintCutAccum)
@@ -102,7 +90,7 @@ func (d *Dataset) LintCuts(findings map[x509lite.Fingerprint][]certlint.Finding,
 	attr := d.dominantASes()
 	asNames := make(map[*netsim.AS]string)
 	d.EachObserved(func(rec *scanstore.CertRecord, invalid bool) {
-		fs := findings[rec.Cert.Fingerprint()]
+		fs := results[rec.ID].Findings
 		if len(fs) == 0 {
 			return
 		}
@@ -210,11 +198,11 @@ type LintSurveyRow struct {
 
 // LintSurvey reports per-lint prevalence among valid and invalid
 // certificates — the executable version of §5's "invalid certificates are a
-// fundamentally different population". It joins findings against the
-// dataset as LintCuts does: the fractions are over observed certificates,
-// and findings for certificates never observed on the wire are excluded.
-// Rows are sorted by invalid prevalence, then lint ID.
-func (d *Dataset) LintSurvey(findings map[x509lite.Fingerprint][]certlint.Finding) []LintSurveyRow {
+// fundamentally different population". It joins a corpus lint run against
+// the dataset as LintCuts does: the fractions are over observed
+// certificates, and findings for certificates never observed on the wire
+// are excluded. Rows are sorted by invalid prevalence, then lint ID.
+func (d *Dataset) LintSurvey(results []certlint.CertFindings) []LintSurveyRow {
 	type agg struct {
 		sev            certlint.Severity
 		valid, invalid int
@@ -227,7 +215,7 @@ func (d *Dataset) LintSurvey(findings map[x509lite.Fingerprint][]certlint.Findin
 		} else {
 			nValid++
 		}
-		for _, f := range findings[rec.Cert.Fingerprint()] {
+		for _, f := range results[rec.ID].Findings {
 			a, ok := rows[f.LintID]
 			if !ok {
 				a = &agg{sev: f.Severity}

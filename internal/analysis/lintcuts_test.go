@@ -29,8 +29,7 @@ func lintRun(t *testing.T, d *Dataset, workers int) []certlint.CertFindings {
 
 func TestLintCutsShape(t *testing.T) {
 	d := dataset(t)
-	findings := FindingsByFingerprint(lintRun(t, d, 4))
-	rep := d.LintCuts(findings, 5)
+	rep := d.LintCuts(lintRun(t, d, 4), 5)
 
 	if rep.Certs == 0 || rep.Findings == 0 {
 		t.Fatalf("empty report: %d certs, %d findings", rep.Certs, rep.Findings)
@@ -98,26 +97,40 @@ func TestLintCutsShape(t *testing.T) {
 // count produced the findings — the whole chain is order-independent.
 func TestLintCutsDeterministic(t *testing.T) {
 	d := dataset(t)
-	serial := d.LintCuts(FindingsByFingerprint(lintRun(t, d, 1)), 5)
-	parallel := d.LintCuts(FindingsByFingerprint(lintRun(t, d, 8)), 5)
+	serial := d.LintCuts(lintRun(t, d, 1), 5)
+	parallel := d.LintCuts(lintRun(t, d, 8), 5)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Error("lint cuts differ between serial and parallel lint runs")
 	}
 }
 
-// TestLintCutsExcludesUnobserved pins the join rule: findings for fingerprints
-// the corpus never saw on the wire do not count.
+// TestLintCutsExcludesUnobserved pins the join rule: findings for a
+// certificate the corpus holds but never saw on the wire do not count. The
+// fixture's corpus is copied with one unobserved certificate after it, whose
+// entry in the run carries a FATAL finding.
 func TestLintCutsExcludesUnobserved(t *testing.T) {
 	d := dataset(t)
-	findings := FindingsByFingerprint(lintRun(t, d, 4))
-	base := d.LintCuts(findings, 5)
+	results := lintRun(t, d, 4)
+	base := d.LintCuts(results, 5)
 
-	var ghost x509lite.Fingerprint
-	ghost[0] = 0xFF
-	findings[ghost] = []certlint.Finding{{LintID: "ghost", Version: 1, Severity: certlint.Fatal, Detail: "x"}}
-	got := d.LintCuts(findings, 5)
+	corpus := scanstore.NewCorpus()
+	for _, rec := range d.Corpus.Certs() {
+		corpus.Cert(corpus.Intern(rec.Cert)).Status = rec.Status
+	}
+	for _, sc := range d.Corpus.Scans() {
+		if _, err := corpus.AddScan(sc.Operator, sc.Time, sc.Obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unseen := surveyCert(t, 7, nil)
+	if id := corpus.Intern(unseen); int(id) != len(results) {
+		t.Fatalf("unobserved certificate interned as %d, want %d", id, len(results))
+	}
+	results = append(results, certlint.CertFindings{Fingerprint: unseen.Fingerprint(),
+		Findings: []certlint.Finding{{LintID: "ghost", Version: 1, Severity: certlint.Fatal, Detail: "x"}}})
+	got := NewDatasetWorkers(corpus, d.Internet, 0).LintCuts(results, 5)
 	if !reflect.DeepEqual(base, got) {
-		t.Error("findings for an unobserved fingerprint changed the report")
+		t.Error("findings for an unobserved certificate changed the report")
 	}
 	if got.BySeverity[certlint.Fatal] != base.BySeverity[certlint.Fatal] {
 		t.Error("ghost FATAL finding counted")
@@ -157,9 +170,9 @@ func surveyCert(t *testing.T, key byte, mutate func(*x509lite.Template)) *x509li
 
 // TestLintSurvey: the survey splits one lint run by validity. Three invalid
 // device certificates with pathologies and two clean valid ones are
-// observed. A sixth certificate is in the corpus but never observed, and a
-// seventh fingerprint is not in the corpus at all; the findings of neither
-// count, and neither enters a denominator.
+// observed. A sixth certificate is in the corpus but never observed, and its
+// entry in the run also carries a finding no linter makes; none of its
+// findings count, and it enters no denominator.
 func TestLintSurvey(t *testing.T) {
 	bad1 := surveyCert(t, 1, func(tmpl *x509lite.Template) { tmpl.Subject = x509lite.Name{} })
 	bad2 := surveyCert(t, 2, func(tmpl *x509lite.Template) { tmpl.NotAfter = tmpl.NotBefore.AddDate(0, 0, -1) })
@@ -185,12 +198,10 @@ func TestLintSurvey(t *testing.T) {
 	d := NewDatasetWorkers(corpus, nil, 1)
 
 	certs := []*x509lite.Certificate{bad1, bad2, bad3, good1, good2, unseen}
-	findings := FindingsByFingerprint(certlint.Default().RunCorpus(certs, &certlint.Context{}, certlint.Options{Workers: 1}))
-	var ghost x509lite.Fingerprint
-	ghost[0] = 0xFF
-	findings[ghost] = []certlint.Finding{{LintID: "ghost", Version: 1, Severity: certlint.Fatal, Detail: "x"}}
+	results := certlint.Default().RunCorpus(certs, &certlint.Context{}, certlint.Options{Workers: 1})
+	results[5].Findings = append(results[5].Findings, certlint.Finding{LintID: "ghost", Version: 1, Severity: certlint.Fatal, Detail: "x"})
 
-	rows := d.LintSurvey(findings)
+	rows := d.LintSurvey(results)
 	if len(rows) == 0 {
 		t.Fatal("empty survey")
 	}
@@ -210,7 +221,7 @@ func TestLintSurvey(t *testing.T) {
 		t.Errorf("self_signed = %+v", r)
 	}
 	if r, ok := byID["ghost"]; ok {
-		t.Errorf("finding for a fingerprint outside the corpus counted: %+v", r)
+		t.Errorf("finding for an unobserved certificate counted: %+v", r)
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i-1].InvalidFrac < rows[i].InvalidFrac {

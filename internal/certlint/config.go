@@ -39,8 +39,8 @@ func DefaultConfig() *Config {
 
 // LoadConfig reads a certlint.json and merges it over DefaultConfig. The
 // merge replaces whole per-lint entries rather than merging field-by-field,
-// the same rule repolint.json follows: configuring a lint at all means
-// taking full responsibility for that lint's settings.
+// as a repolint.json rule entry is taken whole: configuring a lint at all
+// means taking full responsibility for that lint's settings.
 func LoadConfig(path string) (*Config, error) {
 	cfg := DefaultConfig()
 	if path == "" {

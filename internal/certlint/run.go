@@ -1,10 +1,8 @@
 package certlint
 
 import (
-	"bytes"
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -106,10 +104,10 @@ func sortFindings(fs []Finding) {
 }
 
 // RunCorpus lints a population through the worker pool and returns per-cert
-// findings sorted by fingerprint. The output is byte-identical at any worker
-// count: each certificate is linted independently, parallel.Map preserves
-// input order, and the final fingerprint sort erases any residual input
-// ordering. Metrics are counted after the barrier, so they are stable too.
+// findings in input order: results[i] is certs[i]'s. The output is
+// byte-identical at any worker count: each certificate is linted
+// independently and parallel.Map preserves input order. Metrics are counted
+// after the barrier, so they are stable too.
 func (r *Registry) RunCorpus(certs []*x509lite.Certificate, ctx *Context, opts Options) []CertFindings {
 	results := parallel.Map(opts.Workers, len(certs), func(i int) CertFindings {
 		c := certs[i]
@@ -117,9 +115,6 @@ func (r *Registry) RunCorpus(certs []*x509lite.Certificate, ctx *Context, opts O
 			Fingerprint: c.Fingerprint(),
 			Findings:    r.RunCert(c, ctx, opts.Config),
 		}
-	})
-	sort.SliceStable(results, func(a, b int) bool {
-		return bytes.Compare(results[a].Fingerprint[:], results[b].Fingerprint[:]) < 0
 	})
 
 	if reg := opts.Obs; reg != nil {

@@ -130,16 +130,19 @@ func TestRunCorpusWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunCorpusSortedByFingerprint pins the output order contract.
-func TestRunCorpusSortedByFingerprint(t *testing.T) {
+// TestRunCorpusKeepsInputOrder pins the output order contract: results[i]
+// is certs[i]'s, serially and through the pool.
+func TestRunCorpusKeepsInputOrder(t *testing.T) {
 	certs, ctx := corpusCerts(t, 64)
-	results := Default().RunCorpus(certs, ctx, Options{Workers: 4})
-	if len(results) != len(certs) {
-		t.Fatalf("got %d results for %d certs", len(results), len(certs))
-	}
-	for i := 1; i < len(results); i++ {
-		if bytes.Compare(results[i-1].Fingerprint[:], results[i].Fingerprint[:]) > 0 {
-			t.Fatalf("results not sorted by fingerprint at %d", i)
+	for _, workers := range []int{1, 4} {
+		results := Default().RunCorpus(certs, ctx, Options{Workers: workers})
+		if len(results) != len(certs) {
+			t.Fatalf("workers=%d: got %d results for %d certs", workers, len(results), len(certs))
+		}
+		for i, cf := range results {
+			if cf.Fingerprint != certs[i].Fingerprint() {
+				t.Fatalf("workers=%d: results[%d] is not certs[%d]'s", workers, i, i)
+			}
 		}
 	}
 }

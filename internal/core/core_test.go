@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"securepki/internal/analysis"
 	"securepki/internal/certlint"
 	"securepki/internal/obs"
 )
@@ -140,7 +139,7 @@ func TestLintRowReadsLintStage(t *testing.T) {
 		t.Fatal("lint stage reported self_signed, which the config disables")
 	}
 	got := map[string]split{}
-	for _, r := range q.Dataset.LintSurvey(analysis.FindingsByFingerprint(q.LintResults)) {
+	for _, r := range q.Dataset.LintSurvey(q.LintResults) {
 		got[r.LintID] = split{r.ValidCount, r.InvalidCount}
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -460,13 +460,13 @@ func runLint(p *Pipeline) string {
 		certlint.Default().Len(), flagged, len(p.LintResults),
 		bySev[certlint.Info], bySev[certlint.Warn], bySev[certlint.Error], bySev[certlint.Fatal])
 
-	rows := p.Dataset.LintSurvey(analysis.FindingsByFingerprint(p.LintResults))
+	rows := p.Dataset.LintSurvey(p.LintResults)
 	b.WriteString(analysis.FormatLintSurvey(rows))
 	return b.String()
 }
 
 func runLintCuts(p *Pipeline) string {
-	rep := p.Dataset.LintCuts(analysis.FindingsByFingerprint(p.LintResults), 5)
+	rep := p.Dataset.LintCuts(p.LintResults, 5)
 	return analysis.FormatLintCuts(rep)
 }
 

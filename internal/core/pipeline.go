@@ -90,8 +90,9 @@ type Pipeline struct {
 	LinkResult linking.Result
 	Tracker    *tracking.Tracker
 
-	// LintResults holds the lint stage's output: one entry per corpus
-	// certificate, fingerprint-sorted, findings sorted by (LintID, Severity).
+	// LintResults holds the lint stage's output in corpus order:
+	// LintResults[i] is certificate i's findings, sorted by (LintID,
+	// Severity).
 	LintResults []certlint.CertFindings
 }
 
@@ -269,18 +270,18 @@ func (p *Pipeline) Validate() error {
 
 // Lint runs the default registry over every corpus certificate (stage 3b),
 // with the corpus-wide key-sharing census as lint context. The results are
-// fingerprint-sorted and byte-identical at any worker count. Validation
-// stored a self-signature verdict on every certificate it self-checked, so
-// only the others pay a verify here.
+// in CertID order and byte-identical at any worker count. Validation stored
+// a self-signature verdict on every certificate it self-checked, so only the
+// others pay a verify here.
 func (p *Pipeline) Lint() {
 	defer p.Config.stage("core.lint", stageLint).End()
 	certs := make([]*x509lite.Certificate, p.Corpus.NumCerts())
 	for i, rec := range p.Corpus.Certs() {
 		certs[i] = rec.Cert
 	}
-	// The resident corpus is one batch, which RunCorpus returns in
-	// fingerprint order; feeding and keeping it cannot fail. An empty corpus
-	// has been linted too, so its results are empty, not nil.
+	// The resident corpus is one batch, which RunCorpus returns in input
+	// order; feeding and keeping it cannot fail. An empty corpus has been
+	// linted too, so its results are empty, not nil.
 	p.LintResults = []certlint.CertFindings{}
 	lintCorpus(p.Config, len(certs),
 		func(i int) x509lite.Fingerprint { return certs[i].PublicKeyFingerprint() },
@@ -297,8 +298,8 @@ func (p *Pipeline) Lint() {
 // census over all n certificates first (spki(i) is certificate i's public-key
 // fingerprint; certlint.SharedKeys keeps only the shared keys), then lints
 // every batch feed hands to its callback through
-// certlint.Registry.RunCorpus, handing each batch's fingerprint-sorted
-// findings to sink. The registry emits the lint.* metrics per batch, whose
+// certlint.Registry.RunCorpus, handing each batch's findings to sink in the
+// batch's order. The registry emits the lint.* metrics per batch, whose
 // counters add up across batches; the core.lint.* counters follow the last.
 func lintCorpus(cfg Config, n int, spki func(i int) x509lite.Fingerprint,
 	feed func(lint func([]*x509lite.Certificate) error) error, sink func([]certlint.CertFindings) error) error {
@@ -334,6 +335,31 @@ func (p *Pipeline) WriteLintColumn(w io.Writer) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	p.Config.Journal.Emit("lintcol.write", "certs", fmt.Sprint(len(p.LintResults)))
+	return nil
+}
+
+// LoadLintColumn replaces the lint stage with the findings of a persisted
+// column, placing each entry at its certificate's CertID. The column must be
+// the corpus's own: it fails, leaving LintResults as they were, when its
+// certificate count differs from the corpus's or one of its fingerprints is
+// not in the corpus. Scan or LoadSnapshot must have run.
+func (p *Pipeline) LoadLintColumn(lc *snapshot.LintColumn) error {
+	if p.Corpus == nil {
+		return fmt.Errorf("core: LoadLintColumn before Scan or LoadSnapshot")
+	}
+	if n := p.Corpus.NumCerts(); lc.CertCount() != n {
+		return fmt.Errorf("core: lint column covers %d certs, the corpus holds %d", lc.CertCount(), n)
+	}
+	results := make([]certlint.CertFindings, lc.CertCount())
+	for k := range results {
+		fp := lc.Fingerprint(k)
+		id, ok := p.Corpus.Lookup(fp)
+		if !ok {
+			return fmt.Errorf("core: lint column entry %d (%s) is not in the corpus", k, fp)
+		}
+		results[id] = certlint.CertFindings{Fingerprint: fp, Findings: lc.FindingsAt(k)}
+	}
+	p.LintResults = results
 	return nil
 }
 

@@ -201,10 +201,12 @@ func StreamSnapshot(cfg Config, v3 bool, snapW, lintW io.Writer) (*StreamStats, 
 // finished, read back from its certificate payload, and emits the sidecar
 // column, byte-identical to Pipeline.Lint + WriteLintColumn: both run
 // lintCorpus and one column encoder. Here the findings do not stay
-// resident: each shard's findings go to a snapshot.LintColumnWriter whose
-// run buffer holds half of the memory budget and spills sorted runs, which
-// Finish merges by fingerprint into the column; the writer's certificate
-// payload holds an eighth, and the last three eighths are unused.
+// resident: each shard's findings go, in CertID order, to a
+// snapshot.LintColumnWriter, the one place a lint run is put in fingerprint
+// order. Its run buffer holds half of the memory budget and spills
+// fingerprint-sorted runs, which Finish merges into the column; the writer's
+// certificate payload holds an eighth, and the last three eighths are
+// unused.
 func streamLint(sw *snapshot.StreamWriter, cfg Config, lintW io.Writer) error {
 	budget := cfg.Stream.MemBudget
 	if budget <= 0 {

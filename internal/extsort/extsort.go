@@ -89,7 +89,7 @@ func (s *Sorter[R]) Add(r R) error {
 	}
 	n := len(s.buf)
 	if cap(s.buf)-n < s.cfg.Size {
-		s.buf = grow(s.buf, s.cfg.Size, s.cfg.MemBudget)
+		s.buf = Grow(s.buf, s.cfg.Size, s.cfg.MemBudget)
 	}
 	s.buf = s.buf[:n+s.cfg.Size]
 	s.cfg.Encode(s.buf[n:], r)
@@ -152,11 +152,12 @@ func (s *Sorter[R]) spill() error {
 	return run.Seal()
 }
 
-// grow returns b with room for n more bytes. Capacity doubles but stops at
+// Grow returns b with room for n more bytes. Capacity doubles but stops at
 // limit, or at exactly the room needed once that passes limit, so a buffer
 // that grows to its limit leaves about its own size in garbage rather than
-// several times it.
-func grow(b []byte, n int, limit int64) []byte {
+// several times it. The sorters and the lint-column writer grow their run
+// buffers through it.
+func Grow(b []byte, n int, limit int64) []byte {
 	need := len(b) + n
 	if cap(b) >= need {
 		return b

@@ -38,7 +38,8 @@ type BannedImport struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Rule returns the effective config for a rule, never nil.
+// Rule returns the effective config for a rule, never nil. A nil Config, or
+// one that does not name the rule, runs it everywhere with no allowlist.
 func (c *Config) Rule(name string) *RuleConfig {
 	if c != nil && c.Rules != nil {
 		if rc, ok := c.Rules[name]; ok && rc != nil {
@@ -48,74 +49,18 @@ func (c *Config) Rule(name string) *RuleConfig {
 	return &RuleConfig{}
 }
 
-// DefaultConfig returns the built-in configuration enforcing this
-// repository's contract. repolint.json at the module root overrides it
-// rule-by-rule: a rule key present in the file replaces the default entry
-// for that rule, absent keys keep their defaults.
-func DefaultConfig() *Config {
-	return &Config{Rules: map[string]*RuleConfig{
-		"wallclock": {
-			// The simulated world must advance only via simulated time;
-			// only the real-network layer may look at the wall clock, plus
-			// the two injected-clock constructors (stats.StartTimer and
-			// obs.NewWallClockTracer) that hand time.Now to an injection
-			// seam — everything downstream of them takes `now func()
-			// time.Time`.
-			Only:  []string{"internal"},
-			Allow: []string{"internal/wire", "internal/stats/timer.go", "internal/obs/realclock.go"},
-		},
-		"seedrand": {
-			// Only the seeded simulation entry points may construct RNGs.
-			Allow: []string{"internal/devicesim", "internal/netsim"},
-		},
-		"bannedimport": {
-			Banned: []BannedImport{
-				{
-					Package: "internal/x509lite",
-					Imports: []string{"crypto/x509", "encoding/asn1"},
-					Reason:  "x509lite is a from-scratch codec; depending on the stdlib parser would silently reintroduce the divergent-parser problem",
-				},
-				{
-					Package: "internal/asn1der",
-					Imports: []string{"crypto/x509", "encoding/asn1"},
-					Reason:  "asn1der is the DER substrate and must not lean on the stdlib codec",
-				},
-				{
-					Package: "internal/parallel",
-					Imports: []string{"securepki"},
-					Reason:  "the worker pool must stay dependency-free so every layer can use it",
-				},
-				{
-					Package: "internal",
-					Imports: []string{"expvar", "net/http/pprof"},
-					Reason:  "debug endpoints register process-global handlers at import time; only cmd/* binaries may opt in behind -debug-addr",
-				},
-				{
-					Package: "internal/obs",
-					Imports: []string{"securepki/internal/core", "securepki/internal/wire", "securepki/internal/scanstore", "securepki/internal/snapshot", "securepki/internal/linking", "securepki/cmd"},
-					Reason:  "obs is a leaf the pipeline layers import for instrumentation; importing them back would cycle the dependency graph",
-				},
-			},
-		},
-	}}
-}
-
-// LoadConfig reads a repolint.json file and merges it over the defaults
-// (per-rule replacement).
+// LoadConfig reads a repolint.json file, the one static-analysis policy:
+// rules it does not name run everywhere with no allowlist.
 func LoadConfig(path string) (*Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var file Config
-	if err := json.Unmarshal(data, &file); err != nil {
+	var cfg Config
+	if err := json.Unmarshal(data, &cfg); err != nil {
 		return nil, fmt.Errorf("gostatic: %s: %w", path, err)
 	}
-	merged := DefaultConfig()
-	for name, rc := range file.Rules {
-		merged.Rules[name] = rc
-	}
-	return merged, nil
+	return &cfg, nil
 }
 
 // MatchPath reports whether a module-relative path (package or file) matches

@@ -11,7 +11,8 @@ import (
 // allowlist filtering.
 type Driver struct {
 	Analyzers []*Analyzer
-	// Config is the effective configuration; nil means DefaultConfig.
+	// Config is the effective configuration (repolint.json); nil runs every
+	// rule everywhere with no allowlist.
 	Config *Config
 }
 
@@ -19,9 +20,6 @@ type Driver struct {
 // deterministic order (file, line, column, rule).
 func (d *Driver) Run(l *Loader, pkgs []*Package) []Finding {
 	cfg := d.Config
-	if cfg == nil {
-		cfg = DefaultConfig()
-	}
 	relFile := func(pos token.Position) string {
 		rel, err := filepath.Rel(l.ModuleRoot, pos.Filename)
 		if err != nil || strings.HasPrefix(rel, "..") {

@@ -79,7 +79,11 @@ func TestIgnoreDirectiveMatches(t *testing.T) {
 	}
 }
 
-func TestLoadConfigMerge(t *testing.T) {
+// TestLoadConfigTakesFileAsWritten: repolint.json is the one policy. A rule
+// the file names is configured exactly as written, and a rule it does not
+// name, like every rule under a nil Config, runs everywhere with no
+// allowlist.
+func TestLoadConfigTakesFileAsWritten(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "repolint.json")
 	content := `{"rules": {"wallclock": {"allow": ["internal/other"]}, "newrule": {"only": ["cmd"]}}}`
@@ -90,25 +94,25 @@ func TestLoadConfigMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The file replaces the wallclock entry wholesale...
 	wc := cfg.Rule("wallclock")
-	if len(wc.Allow) != 1 || wc.Allow[0] != "internal/other" {
-		t.Errorf("wallclock allow = %v, want [internal/other]", wc.Allow)
+	if len(wc.Allow) != 1 || wc.Allow[0] != "internal/other" || len(wc.Only) != 0 {
+		t.Errorf("wallclock = %+v, want allow [internal/other] and no only", wc)
 	}
-	if len(wc.Only) != 0 {
-		t.Errorf("wallclock only = %v, want replaced (empty)", wc.Only)
-	}
-	// ...keeps defaults for absent rules...
-	if len(cfg.Rule("bannedimport").Banned) == 0 {
-		t.Error("bannedimport defaults should survive a merge that doesn't mention them")
-	}
-	// ...and accepts unknown rules without error.
 	if got := cfg.Rule("newrule").Only; len(got) != 1 || got[0] != "cmd" {
 		t.Errorf("newrule only = %v", got)
 	}
-	// Unconfigured rules resolve to an empty, non-nil config.
-	if cfg.Rule("nosuchrule") == nil {
-		t.Error("Rule must never return nil")
+	var none *Config
+	for _, c := range []*Config{cfg, none} {
+		rc := c.Rule("bannedimport")
+		if rc == nil {
+			t.Fatal("Rule must never return nil")
+		}
+		if rc.Disabled || len(rc.Only) != 0 || len(rc.Allow) != 0 || len(rc.Banned) != 0 {
+			t.Errorf("unnamed rule = %+v, want it everywhere with no allowlist", rc)
+		}
+	}
+	if _, err := LoadConfig(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("a missing policy file loaded")
 	}
 }
 

@@ -57,8 +57,18 @@ func parseWants(t *testing.T, dir string) []want {
 	return out
 }
 
+// repoConfig loads the repository's repolint.json, the one policy file.
+func repoConfig(t *testing.T, loader *gostatic.Loader) *gostatic.Config {
+	t.Helper()
+	cfg, err := gostatic.LoadConfig(filepath.Join(loader.ModuleRoot, "repolint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
 // runFixture loads one fixture package and runs one analyzer over it with
-// the default config.
+// the repository's config.
 func runFixture(t *testing.T, fixtureDir string, an *gostatic.Analyzer) []gostatic.Finding {
 	t.Helper()
 	loader, err := gostatic.NewLoader(".")
@@ -72,7 +82,7 @@ func runFixture(t *testing.T, fixtureDir string, an *gostatic.Analyzer) []gostat
 	if len(pkgs) != 1 {
 		t.Fatalf("loaded %d packages from %s, want 1", len(pkgs), fixtureDir)
 	}
-	driver := &gostatic.Driver{Analyzers: []*gostatic.Analyzer{an}}
+	driver := &gostatic.Driver{Analyzers: []*gostatic.Analyzer{an}, Config: repoConfig(t, loader)}
 	return driver.Run(loader, pkgs)
 }
 
@@ -156,7 +166,7 @@ func TestAllowlistSilencesRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gostatic.DefaultConfig()
+	cfg := repoConfig(t, loader)
 	cfg.Rules["wallclock"] = &gostatic.RuleConfig{Allow: []string{"testdata/src/wallclock"}}
 	driver := &gostatic.Driver{Analyzers: []*gostatic.Analyzer{rules.Wallclock}, Config: cfg}
 	if findings := driver.Run(loader, pkgs); len(findings) != 0 {
@@ -174,7 +184,7 @@ func TestDisabledRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gostatic.DefaultConfig()
+	cfg := repoConfig(t, loader)
 	cfg.Rules["seedrand"] = &gostatic.RuleConfig{Disabled: true}
 	driver := &gostatic.Driver{Analyzers: []*gostatic.Analyzer{rules.Seedrand}, Config: cfg}
 	if findings := driver.Run(loader, pkgs); len(findings) != 0 {
@@ -191,13 +201,7 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := gostatic.DefaultConfig()
-	if path := filepath.Join(loader.ModuleRoot, "repolint.json"); fileExists(path) {
-		cfg, err = gostatic.LoadConfig(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	cfg := repoConfig(t, loader)
 	pkgs, err := loader.Load(loader.ModuleRoot, "./...")
 	if err != nil {
 		t.Fatal(err)
@@ -209,9 +213,4 @@ func TestRepoClean(t *testing.T) {
 	if findings := driver.Run(loader, pkgs); len(findings) != 0 {
 		t.Errorf("repository violates the static-analysis contract:\n%s", renderFindings(findings))
 	}
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }

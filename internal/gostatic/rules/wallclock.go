@@ -17,8 +17,8 @@ import (
 // calling it). The devicesim/scanner world must advance only via simulated
 // time (devices reissue on simulated schedules, scans take simulated
 // hours); a stray time.Now makes a run irreproducible. The real-network
-// layer (internal/wire) and the two injected-clock constructor files
-// (internal/stats/timer.go, internal/obs/realclock.go) are allowlisted in
+// layer (internal/wire) and the wall-clock seam files
+// (internal/obs/realclock.go, internal/obs/realticker.go) are allowlisted in
 // repolint.json.
 var Wallclock = &gostatic.Analyzer{
 	Name: "wallclock",

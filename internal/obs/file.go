@@ -1,10 +1,13 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // WriteMetricsFile renders the registry's full snapshot (volatile metrics
@@ -26,14 +29,16 @@ func WriteMetricsFile(path string, reg *Registry) error {
 }
 
 // WriteFileAtomic writes whatever write produces to path via a same-
-// directory temp file and an atomic rename. On any error — a short write
-// included — the temp file is removed and path is left exactly as it was.
+// directory temp file and an atomic rename. A new file gets the mode
+// os.WriteFile(path, b, 0o666) gives it under the process umask; a replaced
+// file keeps its mode. On any error — a short write included — the temp
+// file is removed and path is left exactly as it was.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir, base := filepath.Split(path)
 	if dir == "" {
-		dir = "." // not CreateTemp's default: the rename must stay in one directory
+		dir = "." // not the OS temp dir: the rename must stay in one directory
 	}
-	f, err := os.CreateTemp(dir, base+".tmp-")
+	f, err := createTemp(dir, base)
 	if err != nil {
 		return err
 	}
@@ -42,6 +47,13 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
+	}
+	// Take the replaced file's mode before a byte is written, so the temp
+	// file never shows its contents to more readers than path does.
+	if fi, err := os.Stat(path); err == nil {
+		if err := f.Chmod(fi.Mode().Perm()); err != nil {
+			return cleanup(err)
+		}
 	}
 	if err := write(f); err != nil {
 		return cleanup(err)
@@ -59,6 +71,21 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return nil
+}
+
+// createTemp creates a new file base.tmp-<pid>-<n> in dir, at the lowest n
+// no file holds, with mode 0o666 under the umask, as os.WriteFile creates
+// one (os.CreateTemp's is 0o600). The name comes from the process ID, not a
+// random source; O_EXCL passes over a name that a concurrent write, or a
+// crashed process, holds.
+func createTemp(dir, base string) (*os.File, error) {
+	prefix := filepath.Join(dir, fmt.Sprintf("%s.tmp-%d-", base, os.Getpid()))
+	for n := 0; ; n++ {
+		f, err := os.OpenFile(prefix+strconv.Itoa(n), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || n == 10000 {
+			return f, err
+		}
+	}
 }
 
 // WriteTraceFile opens path for a tracer to append span lines to; the

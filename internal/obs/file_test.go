@@ -128,3 +128,84 @@ func TestWriteFileAtomicBareName(t *testing.T) {
 		t.Fatalf("content = %q, err %v", data, err)
 	}
 }
+
+// TestWriteFileAtomicModes: a new file gets the mode os.WriteFile gives one
+// in the same directory under the process umask, not os.CreateTemp's 0600,
+// and rewriting a 0640 file leaves it 0640.
+func TestWriteFileAtomicModes(t *testing.T) {
+	dir := t.TempDir()
+	write := func(w io.Writer) error {
+		_, err := io.WriteString(w, "contents")
+		return err
+	}
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+
+	ref := filepath.Join(dir, "ref")
+	if err := os.WriteFile(ref, []byte("contents"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "new")
+	if err := WriteFileAtomic(path, write); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mode(path), mode(ref); got != want {
+		t.Errorf("new file mode %v, os.WriteFile gives %v", got, want)
+	}
+
+	kept := filepath.Join(dir, "kept")
+	if err := os.WriteFile(kept, []byte("old"), 0o640); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(kept, 0o640); err != nil { // whatever the umask
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(kept, write); err != nil {
+		t.Fatal(err)
+	}
+	if got := mode(kept); got != 0o640 {
+		t.Errorf("rewritten 0640 file has mode %v", got)
+	}
+	if data, err := os.ReadFile(kept); err != nil || string(data) != "contents" {
+		t.Fatalf("content = %q, err %v", data, err)
+	}
+}
+
+// TestWriteFileAtomicConcurrent: writes racing to one path take distinct
+// temp names, so every one succeeds, the file ends whole, and no temp file
+// is left behind.
+func TestWriteFileAtomicConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out")
+	const writers = 8
+	errs := make(chan error, writers)
+	for i := 0; i < writers; i++ {
+		go func(i int) {
+			errs <- WriteFileAtomic(path, func(w io.Writer) error {
+				_, err := io.WriteString(w, strings.Repeat(string(rune('a'+i)), 4096))
+				return err
+			})
+		}(i)
+	}
+	for i := 0; i < writers; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 4096 || strings.Count(string(data), string(data[:1])) != 4096 {
+		t.Errorf("file holds %d bytes from more than one writer", len(data))
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Errorf("dir has %d entries, want just the target", len(entries))
+	}
+}

@@ -3,9 +3,9 @@ package obs
 import "time"
 
 // The one sanctioned ticker-clock seam: this file — and only this file —
-// joins realclock.go and stats/timer.go on the repolint wallclock allowlist
-// so the live sampler can stamp wall-clock samples. Everything else in the
-// package takes an injected clock.
+// joins realclock.go on the repolint wallclock allowlist so the live
+// sampler can stamp wall-clock samples. Everything else in the package
+// takes an injected clock.
 
 // NewWallClockSampler returns a sampler over reg ticking wall-clock
 // timestamps. interval is recorded in the document and used by RunTicker;

@@ -152,7 +152,7 @@ func FuzzOpen(f *testing.F) {
 		}
 		defer st.Close()
 		for ref := 0; ref < st.NumCerts(); ref++ {
-			st.ByFingerprint(st.fingerprintAt(uint32(ref)))
+			st.ByFingerprint(st.FingerprintAt(uint32(ref)))
 		}
 		if rerr != nil {
 			return

@@ -274,9 +274,10 @@ func (s *Store) NumCerts() int { return int(s.lay.CertCount) }
 // NumScans returns the number of scans in the snapshot.
 func (s *Store) NumScans() int { return int(s.lay.ScanCount) }
 
-// fingerprintAt returns the fingerprint of the certref's entry in the sorted
-// fingerprint index. Refs were bounds-checked at open.
-func (s *Store) fingerprintAt(ref uint32) x509lite.Fingerprint {
+// FingerprintAt returns the fingerprint of the certref's entry in the sorted
+// fingerprint index: ref < NumCerts, in ascending fingerprint order. Refs
+// read from the index postings were bounds-checked at open.
+func (s *Store) FingerprintAt(ref uint32) x509lite.Fingerprint {
 	var fp x509lite.Fingerprint
 	copy(fp[:], s.secs[0].keys[int(ref)*snapshot.V3FPEntry:])
 	return fp
@@ -346,7 +347,7 @@ func (s *Store) BySPKI(spki x509lite.Fingerprint) ([]x509lite.Fingerprint, bool,
 	cnt := binary.LittleEndian.Uint32(e[36:])
 	fps := make([]x509lite.Fingerprint, cnt)
 	for j := range fps {
-		fps[j] = s.fingerprintAt(binary.LittleEndian.Uint32(sec.post[(off+uint32(j))*4:]))
+		fps[j] = s.FingerprintAt(binary.LittleEndian.Uint32(sec.post[(off+uint32(j))*4:]))
 	}
 	s.cSPKI.Inc()
 	return fps, true, nil
@@ -391,7 +392,7 @@ func (s *Store) ByIP(ip netsim.IP) ([]Sighting, bool, error) {
 			Scan:        int(scan),
 			Operator:    scanstore.Operator(meta.Operator),
 			Time:        meta.Time,
-			Fingerprint: s.fingerprintAt(ref),
+			Fingerprint: s.FingerprintAt(ref),
 		}
 	}
 	s.cIP.Inc()
@@ -426,7 +427,7 @@ func (s *Store) ByAS(asn int) ([]x509lite.Fingerprint, bool, error) {
 	cnt := binary.LittleEndian.Uint32(e[8:])
 	fps := make([]x509lite.Fingerprint, cnt)
 	for j := range fps {
-		fps[j] = s.fingerprintAt(binary.LittleEndian.Uint32(sec.post[(off+uint32(j))*4:]))
+		fps[j] = s.FingerprintAt(binary.LittleEndian.Uint32(sec.post[(off+uint32(j))*4:]))
 	}
 	s.cAS.Inc()
 	return fps, true, nil

@@ -161,7 +161,7 @@ func (c *Corpus) ValidateWorkers(store *truststore.Store, workers int) map[trust
 	}
 	parallel.ForEach(workers, len(c.certs), func(i int) {
 		rec := c.certs[i]
-		rec.Status = store.Verify(rec.Cert).Status
+		rec.Status = store.Verify(rec.Cert)
 	})
 	counts := make(map[truststore.Status]int)
 	for _, rec := range c.certs {

@@ -29,7 +29,7 @@ func decodeShards(ra io.ReaderAt, lay *V3Layout, opt Options) ([][]*x509lite.Cer
 	certParts := make([][]*x509lite.Certificate, certShards)
 	scanParts := make([][]decodedScan, nShards-certShards)
 	errs := make([]error, nShards)
-	forEachShard(opt.Workers, nShards, func(i int) {
+	parallel.ForEach(opt.Workers, nShards, func(i int) {
 		sh := lay.Shards[i]
 		comp, err := readAt(ra, sh.Off, int64(sh.CompLen))
 		if err != nil {

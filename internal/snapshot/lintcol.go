@@ -203,7 +203,7 @@ func (lw *LintColumnWriter) Add(results []certlint.CertFindings) error {
 		}
 	}
 	if room := lw.limit - int64(len(lw.buf)+len(lw.spans)*lintSpanSize); room > 0 {
-		lw.reserve(int(min(int64(size), room)))
+		lw.buf = extsort.Grow(lw.buf, int(min(int64(size), room)), lw.limit)
 		lw.spans = slices.Grow(lw.spans, int(min(int64(len(results)), room/lintSpanSize)))
 	}
 	for _, cf := range results {
@@ -228,7 +228,7 @@ func (lw *LintColumnWriter) add(cf certlint.CertFindings) error {
 	for _, f := range cf.Findings {
 		n += len(f.Detail)
 	}
-	lw.reserve(n)
+	lw.buf = extsort.Grow(lw.buf, n, lw.limit)
 	off := len(lw.buf)
 	b := append(lw.buf, cf.Fingerprint[:]...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cf.Findings)))
@@ -267,20 +267,6 @@ func (lw *LintColumnWriter) add(cf certlint.CertFindings) error {
 		return lw.spill()
 	}
 	return nil
-}
-
-// reserve makes room for n more bytes in the run buffer. Capacity doubles
-// but stops at the budget, or at exactly the room needed past it, so the
-// buffer never holds much more than its budget.
-func (lw *LintColumnWriter) reserve(n int) {
-	if cap(lw.buf)-len(lw.buf) >= n {
-		return
-	}
-	c := max(2*cap(lw.buf), len(lw.buf)+n, 4<<10)
-	if int64(c) > lw.limit {
-		c = int(max(lw.limit, int64(len(lw.buf)+n)))
-	}
-	lw.buf = slices.Grow(lw.buf, c-len(lw.buf))
 }
 
 // Runs returns how many runs have spilled to disk.

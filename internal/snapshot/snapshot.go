@@ -82,7 +82,6 @@ import (
 
 	"securepki/internal/netsim"
 	"securepki/internal/obs"
-	"securepki/internal/parallel"
 )
 
 // Format caps, enforced by the writer and (distrustfully) by the reader.
@@ -149,9 +148,4 @@ func (o Options) withDefaults() Options {
 		o.ScansPerShard = 4
 	}
 	return o
-}
-
-// forEachShard runs fn over shard indices on the bounded worker pool.
-func forEachShard(workers, n int, fn func(i int)) {
-	parallel.ForEach(workers, n, fn)
 }

@@ -2,19 +2,14 @@ package stats
 
 import "time"
 
-// Timer measures wall-clock phase durations for CLI progress reporting. It
-// is the one sanctioned doorway to the wall clock outside internal/wire: the
-// clock is injected (StartTimerAt), so the simulation packages stay free of
-// time.Now and the repolint wallclock allowlist stays narrow. Everything a
-// Timer measures is presentation-only — pipeline output never depends on it.
+// Timer measures phase durations for CLI progress reporting. Its clock is
+// injected (StartTimerAt), so the simulation packages stay free of time.Now
+// and the repolint wallclock allowlist stays narrow: obs.NewWallClockTracer
+// hands its spans' Timers the wall clock. Everything a Timer measures is
+// presentation-only — pipeline output never depends on it.
 type Timer struct {
 	start time.Time
 	now   func() time.Time
-}
-
-// StartTimer begins timing on the wall clock.
-func StartTimer() *Timer {
-	return StartTimerAt(time.Now)
 }
 
 // StartTimerAt begins timing on an injected clock; tests pass a fake.

@@ -37,10 +37,3 @@ func TestTimerStringRounds(t *testing.T) {
 		t.Errorf("String = %q, want \"1.235s\"", got)
 	}
 }
-
-func TestStartTimerWallClock(t *testing.T) {
-	timer := StartTimer()
-	if timer.Elapsed() < 0 {
-		t.Error("wall-clock elapsed must be non-negative")
-	}
-}

@@ -19,12 +19,8 @@ func TestChainCacheSharedIssuer(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		leaf := makeLeaf(t, byte(0x60+i), fmt.Sprintf("leaf-%d.example", i), inter, nil)
-		res := s.Verify(leaf)
-		if res.Status != Valid {
-			t.Fatalf("leaf %d: status = %v", i, res.Status)
-		}
-		if len(res.Chain) != 3 || res.Chain[1] != inter.cert || res.Chain[2] != root.cert {
-			t.Fatalf("leaf %d: unexpected chain %d links", i, len(res.Chain))
+		if got := s.Verify(leaf); got != Valid {
+			t.Fatalf("leaf %d: status = %v", i, got)
 		}
 	}
 	s.chainMu.Lock()
@@ -47,11 +43,11 @@ func TestChainCacheInvalidatedByAdds(t *testing.T) {
 	s := NewStore()
 	s.AddRoot(root.cert)
 	s.AddIntermediate(inter.cert) // mid is missing: chain cannot complete
-	if got := s.Verify(leaf).Status; got != UntrustedIssuer {
+	if got := s.Verify(leaf); got != UntrustedIssuer {
 		t.Fatalf("before pooling mid: %v", got)
 	}
 	s.AddIntermediate(mid.cert) // must flush the cached negative entry
-	if got := s.Verify(leaf).Status; got != Valid {
+	if got := s.Verify(leaf); got != Valid {
 		t.Fatalf("after pooling mid: %v", got)
 	}
 }
@@ -66,7 +62,7 @@ func TestAddIntermediateIdempotent(t *testing.T) {
 	s := NewStore()
 	s.AddRoot(root.cert)
 	s.AddIntermediate(inter.cert)
-	if s.Verify(leaf).Status != Valid {
+	if s.Verify(leaf) != Valid {
 		t.Fatal("leaf did not validate")
 	}
 	s.chainMu.Lock()
@@ -118,7 +114,7 @@ func TestConcurrentVerify(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(population); i += 4 {
-				got[i] = s.Verify(population[i]).Status
+				got[i] = s.Verify(population[i])
 			}
 		}(w)
 	}

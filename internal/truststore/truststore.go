@@ -69,14 +69,6 @@ func (s Status) String() string {
 // Invalid reports whether the status is any of the invalid classes.
 func (s Status) Invalid() bool { return s != Valid }
 
-// Result carries the validation outcome and, when a trusted chain was found,
-// the chain from leaf to root.
-type Result struct {
-	Status Status
-	// Chain is the verified path (leaf first, root last); nil unless Valid.
-	Chain []*x509lite.Certificate
-}
-
 // maxChainDepth bounds path building; real web PKI chains are ≤5 deep, and
 // the bound also defends against signature loops among pooled intermediates.
 const maxChainDepth = 8
@@ -199,15 +191,12 @@ func (s *Store) IsRoot(c *x509lite.Certificate) bool {
 }
 
 // Verify classifies a certificate per the paper's §4.2 procedure.
-func (s *Store) Verify(c *x509lite.Certificate) Result {
+func (s *Store) Verify(c *x509lite.Certificate) Status {
 	if c.Version != 1 && c.Version != 3 {
-		return Result{Status: BadVersion}
+		return BadVersion
 	}
-	if s.IsRoot(c) {
-		return Result{Status: Valid, Chain: []*x509lite.Certificate{c}}
-	}
-	if chain := s.trustedChain(c); chain != nil {
-		return Result{Status: Valid, Chain: chain}
+	if s.IsRoot(c) || s.trustedChain(c) {
+		return Valid
 	}
 	// No trusted chain: distinguish the invalid classes.
 	selfSigned, checked := c.SelfSignedVerdict()
@@ -215,10 +204,10 @@ func (s *Store) Verify(c *x509lite.Certificate) Result {
 		s.verifies.Add(1)
 	}
 	if selfSigned {
-		return Result{Status: SelfSigned}
+		return SelfSigned
 	}
 	if s.signedByAnyKnown(c) {
-		return Result{Status: UntrustedIssuer}
+		return UntrustedIssuer
 	}
 	// Issuer unknown: the signature may be fine under a key we never saw,
 	// or broken outright. Without the issuer's key these are
@@ -226,20 +215,20 @@ func (s *Store) Verify(c *x509lite.Certificate) Result {
 	// residual 0.01%. A self-issued name with a failing self-check is a
 	// definite signature error.
 	if c.SelfIssued() {
-		return Result{Status: BadSignature}
+		return BadSignature
 	}
-	return Result{Status: UntrustedIssuer}
+	return UntrustedIssuer
 }
 
-// trustedChain finds a signature path from c to a trusted root (c first), or
-// nil. The leaf's own signature is checked against every candidate parent —
+// trustedChain reports whether a signature path leads from c to a trusted
+// root. The leaf's own signature is checked against every candidate parent —
 // that work is per-certificate and cannot be shared — but the parent's path
 // to a root is resolved through the memoized chainFrom, so a CA that signed
 // thousands of leaves has its upward chain built exactly once.
-func (s *Store) trustedChain(c *x509lite.Certificate) []*x509lite.Certificate {
+func (s *Store) trustedChain(c *x509lite.Certificate) bool {
 	for _, root := range s.rootsByName[c.Issuer] {
 		if s.signedBy(c, root) {
-			return []*x509lite.Certificate{c, root}
+			return true
 		}
 	}
 	leafFP := c.Fingerprint()
@@ -259,11 +248,11 @@ func (s *Store) trustedChain(c *x509lite.Certificate) []*x509lite.Certificate {
 			// The memoized path loops back through the leaf, which the
 			// per-leaf search must exclude (only possible when two certs
 			// share a key). Fall back to the exact per-leaf DFS.
-			return s.buildChain(c, 0, map[x509lite.Fingerprint]bool{leafFP: true})
+			return s.buildChain(c, 0, map[x509lite.Fingerprint]bool{leafFP: true}) != nil
 		}
-		return append([]*x509lite.Certificate{c}, up...)
+		return true
 	}
-	return nil
+	return false
 }
 
 // chainFrom memoizes the path from a pooled parent certificate to a trusted

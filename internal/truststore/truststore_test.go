@@ -132,12 +132,8 @@ func TestRootIsValid(t *testing.T) {
 	root := makeCA(t, 1, "Trusted Root CA")
 	s := NewStore()
 	s.AddRoot(root.cert)
-	res := s.Verify(root.cert)
-	if res.Status != Valid {
-		t.Errorf("root classified %v", res.Status)
-	}
-	if len(res.Chain) != 1 {
-		t.Errorf("root chain length %d", len(res.Chain))
+	if got := s.Verify(root.cert); got != Valid {
+		t.Errorf("root classified %v", got)
 	}
 }
 
@@ -146,12 +142,8 @@ func TestDirectlyRootedLeafIsValid(t *testing.T) {
 	leaf := makeLeaf(t, 3, "www.example.com", root, nil)
 	s := NewStore()
 	s.AddRoot(root.cert)
-	res := s.Verify(leaf)
-	if res.Status != Valid {
-		t.Fatalf("leaf classified %v", res.Status)
-	}
-	if len(res.Chain) != 2 || res.Chain[0] != leaf {
-		t.Errorf("chain = %d certs", len(res.Chain))
+	if got := s.Verify(leaf); got != Valid {
+		t.Fatalf("leaf classified %v", got)
 	}
 }
 
@@ -163,12 +155,8 @@ func TestChainThroughIntermediate(t *testing.T) {
 	s := NewStore()
 	s.AddRoot(root.cert)
 	s.AddIntermediate(inter.cert)
-	res := s.Verify(leaf)
-	if res.Status != Valid {
-		t.Fatalf("leaf via intermediate classified %v", res.Status)
-	}
-	if len(res.Chain) != 3 {
-		t.Errorf("chain length = %d, want 3", len(res.Chain))
+	if got := s.Verify(leaf); got != Valid {
+		t.Fatalf("leaf via intermediate classified %v", got)
 	}
 }
 
@@ -181,11 +169,11 @@ func TestTransvalidCompletion(t *testing.T) {
 
 	s := NewStore()
 	s.AddRoot(root.cert)
-	if got := s.Verify(leaf).Status; got != UntrustedIssuer {
+	if got := s.Verify(leaf); got != UntrustedIssuer {
 		t.Fatalf("without pooled intermediate: %v, want untrusted-issuer (unknown issuer)", got)
 	}
 	s.AddIntermediate(inter.cert)
-	if got := s.Verify(leaf).Status; got != Valid {
+	if got := s.Verify(leaf); got != Valid {
 		t.Errorf("with pooled intermediate: %v, want valid", got)
 	}
 }
@@ -194,7 +182,7 @@ func TestSelfSignedClassification(t *testing.T) {
 	s := NewStore()
 	s.AddRoot(makeCA(t, 10, "Root D").cert)
 	leaf := makeSelfSigned(t, 11, "192.168.1.1", nil)
-	if got := s.Verify(leaf).Status; got != SelfSigned {
+	if got := s.Verify(leaf); got != SelfSigned {
 		t.Errorf("self-signed classified %v", got)
 	}
 }
@@ -217,7 +205,7 @@ func TestSelfSignedDifferentNamesStillSelfSigned(t *testing.T) {
 	}
 	cert, _ := x509lite.Parse(der)
 	s := NewStore()
-	if got := s.Verify(cert).Status; got != SelfSigned {
+	if got := s.Verify(cert); got != SelfSigned {
 		t.Errorf("name-mismatched self-signed classified %v", got)
 	}
 }
@@ -229,7 +217,7 @@ func TestUntrustedIssuer(t *testing.T) {
 	s := NewStore()
 	s.AddRoot(makeCA(t, 15, "Real Root").cert)
 	s.AddIntermediate(vendorCA.cert)
-	if got := s.Verify(leaf).Status; got != UntrustedIssuer {
+	if got := s.Verify(leaf); got != UntrustedIssuer {
 		t.Errorf("vendor-CA leaf classified %v", got)
 	}
 }
@@ -238,7 +226,7 @@ func TestUnknownIssuerIsUntrusted(t *testing.T) {
 	vendorCA := makeCA(t, 16, "remotewd.com")
 	leaf := makeLeaf(t, 17, "WD2GO 1234", vendorCA, nil)
 	s := NewStore() // issuer never observed anywhere
-	if got := s.Verify(leaf).Status; got != UntrustedIssuer {
+	if got := s.Verify(leaf); got != UntrustedIssuer {
 		t.Errorf("unknown-issuer leaf classified %v", got)
 	}
 }
@@ -248,7 +236,7 @@ func TestBadSignature(t *testing.T) {
 	leaf := makeSelfSigned(t, 18, "corrupt.device", func(tmpl *x509lite.Template) {
 		tmpl.CorruptSignature = true
 	})
-	if got := s.Verify(leaf).Status; got != BadSignature {
+	if got := s.Verify(leaf); got != BadSignature {
 		t.Errorf("corrupt self-signed classified %v", got)
 	}
 }
@@ -259,7 +247,7 @@ func TestBadVersion(t *testing.T) {
 		leaf := makeSelfSigned(t, 19, "weird.device", func(tmpl *x509lite.Template) {
 			tmpl.Version = v
 		})
-		if got := s.Verify(leaf).Status; got != BadVersion {
+		if got := s.Verify(leaf); got != BadVersion {
 			t.Errorf("version %d classified %v", v, got)
 		}
 	}
@@ -275,7 +263,7 @@ func TestExpiryIgnored(t *testing.T) {
 	})
 	s := NewStore()
 	s.AddRoot(root.cert)
-	if got := s.Verify(leaf).Status; got != Valid {
+	if got := s.Verify(leaf); got != Valid {
 		t.Errorf("expired-but-chained leaf classified %v", got)
 	}
 }
@@ -305,11 +293,11 @@ func TestIntermediateLoopTerminates(t *testing.T) {
 	s := NewStore()
 	s.AddIntermediate(aSignedByB)
 	s.AddIntermediate(bSignedByA)
-	done := make(chan Result, 1)
+	done := make(chan Status, 1)
 	go func() { done <- s.Verify(aSignedByB) }()
 	select {
-	case res := <-done:
-		if res.Status == Valid {
+	case got := <-done:
+		if got == Valid {
 			t.Error("loop classified valid")
 		}
 	case <-time.After(5 * time.Second):
@@ -363,12 +351,8 @@ func TestDeepChain(t *testing.T) {
 		parent = inter
 	}
 	leaf := makeLeaf(t, 40, "deep.example.com", parent, nil)
-	res := s.Verify(leaf)
-	if res.Status != Valid {
-		t.Fatalf("deep chain classified %v", res.Status)
-	}
-	if len(res.Chain) != 6 {
-		t.Errorf("chain length = %d, want 6", len(res.Chain))
+	if got := s.Verify(leaf); got != Valid {
+		t.Fatalf("deep chain classified %v", got)
 	}
 }
 
@@ -409,10 +393,10 @@ func TestVerifiesCountsSignatureChecks(t *testing.T) {
 	leaf := makeLeaf(t, 2, "leaf.example", root, nil)
 	self := makeSelfSigned(t, 3, "self.example", nil)
 	for round := 1; round <= 2; round++ {
-		if got := s.Verify(leaf).Status; got != Valid {
+		if got := s.Verify(leaf); got != Valid {
 			t.Fatalf("round %d: leaf status %v, want valid", round, got)
 		}
-		if got := s.Verify(self).Status; got != SelfSigned {
+		if got := s.Verify(self); got != SelfSigned {
 			t.Fatalf("round %d: self-signed status %v", round, got)
 		}
 	}
@@ -459,10 +443,10 @@ func TestIssuerNameMatchedExactly(t *testing.T) {
 	root := issue(lookalike, 0x61, lookalike, rootPriv, true)
 	s := NewStore()
 	s.AddRoot(root.cert)
-	if got := s.Verify(issue(leafName, 0x62, issuer, root.priv, false).cert).Status; got == Valid {
+	if got := s.Verify(issue(leafName, 0x62, issuer, root.priv, false).cert); got == Valid {
 		t.Error("leaf issued by {O=x, CN=y} chains to root {O=\"x, CN=y\"}")
 	}
-	if got := s.Verify(issue(leafName, 0x63, lookalike, root.priv, false).cert).Status; got != Valid {
+	if got := s.Verify(issue(leafName, 0x63, lookalike, root.priv, false).cert); got != Valid {
 		t.Errorf("leaf issued by the root's exact name: %v, want valid", got)
 	}
 
@@ -472,10 +456,10 @@ func TestIssuerNameMatchedExactly(t *testing.T) {
 	s = NewStore()
 	s.AddRoot(top.cert)
 	s.AddIntermediate(inter.cert)
-	if got := s.Verify(issue(leafName, 0x66, issuer, inter.priv, false).cert).Status; got == Valid {
+	if got := s.Verify(issue(leafName, 0x66, issuer, inter.priv, false).cert); got == Valid {
 		t.Error("leaf issued by {O=x, CN=y} chains through intermediate {O=\"x, CN=y\"}")
 	}
-	if got := s.Verify(issue(leafName, 0x67, lookalike, inter.priv, false).cert).Status; got != Valid {
+	if got := s.Verify(issue(leafName, 0x67, lookalike, inter.priv, false).cert); got != Valid {
 		t.Errorf("leaf issued by the intermediate's exact name: %v, want valid", got)
 	}
 }
